@@ -1,21 +1,31 @@
 """Compute-backend hot path: reference vs ``eager`` vs ``planned``.
 
-One claim, measured end to end, at a mid-size RowSel-dominated geometry:
+Two rungs, each measured end to end on ``PirServer.answer``:
 
-* the ``eager`` backend (stacked tensor kernels in ``repro.he.batched``)
-  must keep its >= 5x over the per-poly reference oracle;
-* the ``planned`` backend (GEMM-form NTT plans + Barrett reduction +
+* **toy** (N = 256, 1 MiB DB, RowSel-dominated) — the three-way ladder.
+  The ``eager`` backend (stacked tensor kernels in ``repro.he.batched``)
+  must keep its >= 5x over the per-poly reference oracle, and the
+  ``planned`` backend (dense GEMM-form NTT plans + Barrett reduction +
   tensor-resident ColTor, ``repro.he.backend``) must be >= 2x faster
-  again than ``eager`` on ``PirServer.answer``;
-* every backend produces *byte-identical* ``PirResponse`` transcripts —
-  backends only reassociate exact modular arithmetic, so any divergence
-  is a bug, not noise.
+  again than ``eager``.
+* **paper** (N = 2^12, D0 = 64 x 2^4 columns of 8 KiB records: one
+  128 MiB plane tensor, far beyond L2) — ``eager`` vs ``planned`` only;
+  the per-poly reference would take minutes here.  ``planned`` runs its
+  four-step NTT plan and NTT-domain substitution and must be >= 2x over
+  ``eager`` (the ROADMAP gate for "make ``planned`` real at the paper's
+  ring degree").  One profiled answer per backend records where the
+  time goes (``stage_s``; stages nest, so they do not sum to the total).
+
+On both rungs every backend produces *byte-identical* ``PirResponse``
+transcripts — backends only reassociate exact modular arithmetic, so any
+divergence is a bug, not noise.
 
 Also timed: database preprocessing (one batched CRT+NTT per plane vs one
-call per polynomial), the speedup the serving layer sees on every epoch
-build.  Results land in BENCH_hotpath.json so future PRs have a
-trajectory; ``bench_guard`` holds the ``byte_identical`` / ``decoded_ok``
-/ ``identical`` leaves to exact match.
+call per polynomial on the toy rung, ``planned`` vs ``eager`` on the
+paper rung), the cost the serving layer sees on every epoch build.
+Results land in BENCH_hotpath.json so future PRs have a trajectory;
+``bench_guard`` holds the ``byte_identical`` / ``decoded_ok`` /
+``identical`` leaves to exact match.
 """
 
 import json
@@ -28,6 +38,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.he.poly import Domain, RingContext
+from repro.obs.profile import profiled
 from repro.params import PirParams
 from repro.pir.database import PirDatabase, PreprocessedDatabase
 from repro.pir.protocol import PirProtocol
@@ -47,6 +58,12 @@ RECORD_BYTES = 512
 EAGER_BOUND = 5.0  # eager over the per-poly oracle (pre-backend ISSUE bound)
 PLANNED_BOUND = 2.0  # planned over eager (this ISSUE's gate)
 PREPROCESS_BOUND = 3.0  # per-poly preprocess is already vectorised
+
+# Paper-shaped rung: the e2e benchmark's plain_n4096_direct geometry.
+PAPER_D0 = 8 if SMOKE else 64
+PAPER_DIMS = 1 if SMOKE else 4
+PAPER_RECORD_BYTES = 8192
+PAPER_PLANNED_BOUND = 2.0  # planned over eager at N = 2^12 (ROADMAP gate)
 
 _OUT = pathlib.Path(__file__).resolve().parent / "BENCH_hotpath.json"
 
@@ -106,16 +123,7 @@ def _run() -> dict:
     ref = [protocol.server.answer_reference(q) for q in queries]
     ref_s = time.monotonic() - start
 
-    # Interleaved passes, best-of: a load spike on the shared runner
-    # should not land entirely on one backend's sample.
-    passes = 1 if SMOKE else 2
-    timings = {name: float("inf") for name in servers}
-    responses: dict[str, list] = {}
-    for _ in range(passes):
-        for name, server in servers.items():
-            start = time.monotonic()
-            responses[name] = [server.answer(q) for q in queries]
-            timings[name] = min(timings[name], time.monotonic() - start)
+    timings, responses = _interleaved_best(servers, queries, 1 if SMOKE else 2)
 
     decoded_ok = all(
         protocol.client.decode_response(resp, idx, db.layout) == db.record(idx)
@@ -155,8 +163,94 @@ def _run() -> dict:
     }
 
 
+def _interleaved_best(servers: dict, queries, passes: int) -> tuple[dict, dict]:
+    """Best-of-``passes`` answer seconds per backend, passes interleaved.
+
+    A load spike on the shared runner should not land entirely on one
+    backend's sample.
+    """
+    timings = {name: float("inf") for name in servers}
+    responses: dict[str, list] = {}
+    for _ in range(passes):
+        for name, server in servers.items():
+            start = time.monotonic()
+            responses[name] = [server.answer(q) for q in queries]
+            timings[name] = min(timings[name], time.monotonic() - start)
+    return timings, responses
+
+
+def _run_paper() -> dict:
+    params = PirParams.functional(d0=PAPER_D0, num_dims=PAPER_DIMS)
+    num_records = params.num_db_polys  # one 8 KiB record per polynomial
+    db = PirDatabase.random(params, num_records, PAPER_RECORD_BYTES, seed=41)
+    ring = RingContext(params)
+    db.preprocess(ring, backend="planned")  # warm: plan build, page faults
+
+    pre_s, pres = {}, {}
+    for name in ("planned", "eager"):
+        start = time.monotonic()
+        pres[name] = db.preprocess(ring, backend=name)
+        pre_s[name] = time.monotonic() - start
+    pre_identical = all(
+        np.array_equal(pres["planned"].plane_tensor(p), pres["eager"].plane_tensor(p))
+        for p in range(pres["planned"].plane_count)
+    )
+    del pres["eager"]
+
+    protocol = PirProtocol(params, db, seed=42, backend="planned")
+    setup = protocol.client.setup_message()
+    servers = {
+        "eager": PirServer(pres["planned"], setup, backend="eager"),
+        "planned": PirServer(pres["planned"], setup, backend="planned"),
+    }
+    index = int(np.random.default_rng(43).integers(num_records))
+    queries = [protocol.client.build_query(index, db.layout)]
+    for server in servers.values():
+        server.answer(queries[0])  # warm caches (twiddles, plans, gathers)
+    timings, responses = _interleaved_best(servers, queries, 1 if SMOKE else 2)
+
+    stage_s = {}
+    for name, server in servers.items():
+        with profiled() as profiler:
+            server.answer(queries[0])
+        stage_s[name] = {
+            stage.partition("@")[0]: stats["seconds"]
+            for stage, stats in profiler.snapshot().items()
+        }
+    return {
+        "params": {
+            "n": params.n,
+            "d0": params.d0,
+            "num_dims": params.num_dims,
+            "num_polys": params.num_db_polys,
+            "record_bytes": PAPER_RECORD_BYTES,
+            "plane_tensor_bytes": pres["planned"].plane_tensor(0).nbytes,
+        },
+        "answer": {
+            "eager_s_per_query": timings["eager"],
+            "planned": {
+                "s_per_query": timings["planned"],
+                "speedup_vs_eager": timings["eager"] / timings["planned"],
+                "byte_identical": _identical(
+                    responses["planned"], responses["eager"]
+                ),
+            },
+            "decoded_ok": protocol.client.decode_response(
+                responses["planned"][0], index, db.layout
+            ) == db.record(index),
+            "stage_s": stage_s,
+        },
+        "preprocess": {
+            "eager_s": pre_s["eager"],
+            "planned_s": pre_s["planned"],
+            "speedup": pre_s["eager"] / pre_s["planned"],
+            "identical": pre_identical,
+        },
+    }
+
+
 def test_hotpath_speedup_and_equivalence(benchmark, report):
-    result = run_once(benchmark, _run)
+    result = run_once(benchmark, lambda: {**_run(), "paper": _run_paper()})
     if not SMOKE:
         _OUT.write_text(json.dumps(result, indent=2) + "\n")
 
@@ -183,7 +277,34 @@ def test_hotpath_speedup_and_equivalence(benchmark, report):
         ],
     )
 
+    paper = result["paper"]
+    pp, pans, ppre = paper["params"], paper["answer"], paper["preprocess"]
+    pplanned = pans["planned"]
+    shares = ", ".join(
+        f"{stage} {pans['stage_s']['eager'].get(stage, 0) * 1e3:.0f}"
+        f" -> {pans['stage_s']['planned'].get(stage, 0) * 1e3:.0f}"
+        for stage in ("expand", "rowsel", "coltor", "ntt_fwd", "ntt_inv", "decompose")
+    )
+    report(
+        "Compute-backend hot path — paper-shaped rung (N = 2^12)",
+        [
+            f"geometry: D0={pp['d0']} x 2^{pp['num_dims']} = {pp['num_polys']} polys, "
+            f"n={pp['n']}, {pp['plane_tensor_bytes'] / 2**20:.0f} MiB plane tensor",
+            f"answer (per query): eager {pans['eager_s_per_query'] * 1e3:.0f} ms"
+            f" -> planned {pplanned['s_per_query'] * 1e3:.0f} ms"
+            f" ({pplanned['speedup_vs_eager']:.1f}x); byte-identical: "
+            f"{pplanned['byte_identical']}; decoded correctly: {pans['decoded_ok']}",
+            f"stage ms, eager -> planned (nested): {shares}",
+            f"preprocess: eager {ppre['eager_s']:.2f} s -> planned "
+            f"{ppre['planned_s']:.2f} s = {ppre['speedup']:.1f}x "
+            f"(identical: {ppre['identical']})",
+        ],
+    )
+
     # No backend may ever diverge from the oracle...
+    assert pplanned["byte_identical"]
+    assert pans["decoded_ok"]
+    assert ppre["identical"]
     assert eager["byte_identical"]
     assert planned["byte_identical"]
     assert ans["decoded_ok"]
@@ -196,3 +317,4 @@ def test_hotpath_speedup_and_equivalence(benchmark, report):
         assert eager["speedup_vs_reference"] >= EAGER_BOUND, eager
         assert planned["speedup_vs_eager"] >= PLANNED_BOUND, planned
         assert pre["speedup"] >= PREPROCESS_BOUND, pre
+        assert pplanned["speedup_vs_eager"] >= PAPER_PLANNED_BOUND, pplanned

@@ -16,22 +16,28 @@ Two backends are registered:
 * ``eager`` — the existing stacked-numpy path (lazy-reduction
   butterflies, limb-iCRT decomposition, chunked int64 einsums), kept
   byte-for-byte as the correctness oracle;
-* ``planned`` — precomputed per-:class:`~repro.he.poly.RingContext` NTT
-  *plans*: the twiddle/bit-reversal structure of each ring is folded
-  once into dense per-modulus transform matrices (built by pushing the
-  identity through the existing butterflies, so output ordering is
-  identical by construction), and transforms become float64 GEMMs with
-  Barrett reduction replacing the per-stage ``%``
-  (:func:`repro.he.modred.barrett_reduce`).  Gadget digits (< z) ride
-  one fused ``(batch*k, n) @ (n, rns*n)`` dgemm; general residues split
-  into 14-bit halves so the accumulation provably stays below the
-  float64-exact bound.  ColTor rounds stay tensor-resident (the
-  even/odd halves are residue-tensor views, never re-stacked ciphertext
-  lists), which together with the vec-form RowSel output removes every
-  intermediate ciphertext-stack materialization between expand and the
-  final response.  Rings whose geometry breaks a plan's exactness bound
-  (n > {max_n}, oversized moduli, oversized digits) fall back to the
-  eager primitives per call — never silently wrong, at most slower.
+* ``planned`` — precomputed NTT *plans*, one per ring ``(n, moduli)``
+  and shared by every :class:`~repro.he.poly.RingContext` of it: the
+  twiddle/bit-reversal structure is folded once into transform matrices
+  (built by pushing unit vectors through the existing butterflies, so
+  output ordering is identical by construction), and transforms become
+  float64 GEMMs with Barrett reduction replacing the per-stage ``%``
+  (:mod:`repro.he.modred`).  Up to n = 512 the plan is one dense matrix
+  per modulus; above that, up to ``PLAN_MAX_N`` = 4096 (the paper's ring
+  degree), it is the four-step ``rows x cols`` factorisation — a common
+  matrix down the columns, a diagonal twist, a common matrix along the
+  rows.  Residues split into 14-bit halves so every accumulation
+  provably stays below the float64-exact bound (asserted when the plan
+  is built); dense-plan gadget digits (< z) ride one fused ``(batch*k,
+  n) @ (n, rns*n)`` dgemm.  Transforms walk the batch axis in
+  cache-sized blocks.  Substitution applies X -> X^r in the NTT domain
+  as a gather of evaluation slots, and ColTor rounds stay
+  tensor-resident (the even/odd halves are residue-tensor views, never
+  re-stacked ciphertext lists), which together with the vec-form RowSel
+  output removes every intermediate ciphertext-stack materialization
+  between expand and the final response.  A ring no plan is exact on
+  (n > ``PLAN_MAX_N``, oversized moduli) runs the eager primitives —
+  never silently wrong, at most slower.
 
 All backend arithmetic is exact modular arithmetic, so every backend is
 byte-identical; ``tests/pir/test_backend_parity.py`` asserts this across
@@ -54,6 +60,8 @@ including reconstruction inside spawned cluster workers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.errors import ParameterError
@@ -72,8 +80,13 @@ from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.modred import (
     FLOAT64_EXACT_MAX,
+    barrett_fold,
     barrett_reduce,
     barrett_reduce_nonneg,
+    barrett_store,
+    biased_quotient,
+    biased_reciprocal,
+    twist_mulmod,
 )
 from repro.he.poly import Domain, RingContext
 from repro.he.rgsw import RgswCiphertext
@@ -82,11 +95,20 @@ from repro.obs.profile import kernel_stage
 
 _INT64_MAX = (1 << 63) - 1
 
-#: Largest ring degree the planned backend builds dense NTT plans for.
-#: Above this the per-modulus (2n, n) transform matrices outgrow both
-#: the float64-exact accumulation bound and any sensible cache budget,
-#: so the planned backend falls back to the eager butterflies.
-PLAN_MAX_N = 512
+#: Largest ring degree the planned backend builds GEMM NTT plans for —
+#: the paper's N = 2^12.  The exactness bounds would admit larger rings;
+#: none is exercised, so above this the eager butterflies run.
+PLAN_MAX_N = 4096
+
+#: Largest ring degree evaluated as one dense n x n GEMM per modulus
+#: (2n^2 float64 per direction: 4 MiB at 512).  Above it a plan factors
+#: n = rows x cols and the transform costs O(n * sqrt(n)) instead.
+_DENSE_MAX_N = 512
+
+#: Scratch budget of one transform block.  Every planned transform walks
+#: its batch axis in blocks whose float64/int64 intermediates fit this
+#: many bytes, so they stay L2-resident however large the batch is.
+_BLOCK_BYTES = 1 << 21
 
 
 def modular_gemm(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -147,7 +169,12 @@ class ComputeBackend:
 
     # -- primitives (subclass responsibility) ----------------------------
     def ntt_forward(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
-        """Stacked forward NTT over every RNS row: (..., rns, n) -> same."""
+        """Stacked forward NTT over every RNS row: (..., rns, n) -> same.
+
+        An RNS axis of length 1 broadcasts: one integer coefficient row
+        (plaintext, error or digit polynomial) is reduced into, and
+        transformed under, every modulus.
+        """
         raise NotImplementedError
 
     def ntt_inverse(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
@@ -200,6 +227,15 @@ class ComputeBackend:
             vec.ctx, self.ntt_inverse(vec.ctx, vec.residues), Domain.COEFF
         )
 
+    def automorphism(self, vec: RnsPolyVec, r: int) -> RnsPolyVec:
+        """X -> X^r on a whole batch, returned in whichever domain is cheapest.
+
+        The base form is the coefficient-domain scatter; ``substitute``
+        decomposes the ``a`` half (coefficients wanted) and adds the
+        ``b`` half back in NTT form, and converts as needed.
+        """
+        return self.vec_to_coeff(vec).automorphism(r)
+
     # -- pipeline ops -----------------------------------------------------
     def substitute(
         self, vec: BfvCiphertextVec, evk: SubsKey, gadget: Gadget
@@ -213,10 +249,8 @@ class ComputeBackend:
         moduli_col = ctx._moduli_col
         nbytes = vec.a.residues.nbytes + vec.b.residues.nbytes
         with kernel_stage(self._label("subs"), nbytes):
-            a_aut = self.vec_to_coeff(vec.a).automorphism(evk.r)
-            b_aut = self.vec_to_ntt(
-                self.vec_to_coeff(vec.b).automorphism(evk.r)
-            )
+            a_aut = self.automorphism(vec.a, evk.r)
+            b_aut = self.vec_to_ntt(self.automorphism(vec.b, evk.r))
             digits = self.digits_forward(ctx, self.decompose(gadget, a_aut))
             rows_a = np.stack([row.residues for row in evk.a_rows])
             rows_b = np.stack([row.residues for row in evk.b_rows])
@@ -411,63 +445,195 @@ class EagerBackend(ComputeBackend):
         return modular_gemm(a, b, q)
 
 
+@dataclass(frozen=True)
+class _NttFactors:
+    """One direction of a :class:`_GemmNttPlan`: its GEMMs in running order.
+
+    ``gemms`` holds one ``(mats, left)`` pair for a dense plan, two for
+    a four-step one.  ``mats`` is ``(rns, 2, k, k)`` float64 — per
+    modulus a ``(hi, lo)`` pair for the 14-bit halves of the operand,
+    the ``hi`` one pre-multiplied by ``2^14 mod q`` — and multiplies the
+    ``(rows, cols)`` view of a polynomial from the left (down the
+    columns, ``k = rows``) or the right (along the rows, ``k = cols``).
+    Between two GEMMs every element is multiplied by ``twist`` (``(rns,
+    rows, cols)`` int64; ``twist_over_q`` is its
+    :func:`~repro.he.modred.biased_quotient` table).
+    """
+
+    gemms: tuple[tuple[np.ndarray, bool], ...]
+    twist: np.ndarray | None = None
+    twist_over_q: np.ndarray | None = None
+
+
 class _GemmNttPlan:
-    """Dense-GEMM evaluation plan for one ring, cached per RingContext.
+    """GEMM evaluation plan for one ring, cached per ``(n, moduli)``.
 
-    The negacyclic NTT is linear over Z_q, so each per-modulus transform
-    *is* an n×n matrix; pushing ``np.eye(n)`` through the existing
-    butterfly implementation folds the twiddle tables and bit-reversed
-    output ordering into dense matrices that are identical-by-
-    construction to the eager transforms.  Two layouts are kept:
+    The negacyclic NTT is linear over Z_q, so pushing unit vectors
+    through the existing butterflies folds the twiddle tables, the
+    bit-reversed output order and ``n^-1`` into matrices that are
+    identical-by-construction to the eager transforms.  The plan's shape
+    follows from ``n`` alone:
 
-    * ``fwd_unit`` — forward matrices of all moduli hstacked to
-      ``(n, rns*n)`` float64.  Gadget digits share one coefficient row
-      across the RNS axis, so the whole digit tensor forwards in a
-      single dgemm; exact while ``n * max_digit * (q-1) < 2^53``.
-    * ``fwd_split`` / ``inv_split`` — per-modulus ``(2n, n)`` matrices
-      for general residues, which are too large for a direct float64
-      product: each residue splits into 14-bit halves ``x = hi*2^14 +
-      lo`` and the top block of the matrix pre-folds the ``2^14``
-      factor (``(2^14 * M) % q``), keeping every accumulation below the
-      float64-exact bound for n <= {max_n} at ~28-bit moduli.
+    * ``n <= 512`` — *dense* (``rows = 1``, ``cols = n``): the whole
+      transform is one ``n x n`` matrix per modulus.
+    * ``512 < n <= PLAN_MAX_N`` — *four-step* (``rows x cols = n``,
+      ``rows = 2^floor(log2(n)/2)``).  View a polynomial as a ``(rows,
+      cols)`` matrix.  The first ``log2(rows)`` butterfly stages only
+      pair elements ``cols`` apart under twiddles that depend on the
+      row pair alone: one common ``rows x rows`` matrix down every
+      column.  The remaining stages stay inside one row, and row ``i``'s
+      twiddles are row 0's after scaling input ``j`` by ``rho_i^j``
+      (``rho_i`` a power of ``psi``): a diagonal twist, then one common
+      ``cols x cols`` matrix along every row.  The inverse is the same
+      three factors in the opposite order, with ``n^-1`` kept in its row
+      matrix.  ``2 * n * (rows + cols)`` multiply-adds replace the dense
+      form's ``2 * n^2``.
 
-    Post-GEMM accumulators are canonicalised with Barrett reduction
-    (:func:`repro.he.modred.barrett_reduce`) — no per-stage ``%``
-    anywhere in the planned transforms.
+    Residues are too wide for a direct float64 product, so every GEMM
+    runs on 14-bit halves ``x = hi*2^14 + lo`` against a matrix whose
+    ``hi`` block pre-folds the factor (``(2^14 * M) % q``); the
+    constructor proves each one's accumulator stays below 2^53 and
+    raises :class:`~repro.errors.ParameterError` otherwise (the backend
+    then keeps such a ring on the eager primitives).  Gadget digits of a
+    dense plan share one coefficient row across the RNS axis and ride a
+    single unsplit dgemm against ``fwd_unit`` (all moduli hstacked to
+    ``(n, rns*n)``), exact while ``digit_coeff * max_digit < 2^53``.
+
+    Accumulators are reduced with the Barrett forms of
+    :mod:`repro.he.modred` — no per-stage ``%`` anywhere in the planned
+    transforms.
     """
 
     SPLIT_LOG2 = 14
 
     def __init__(self, ctx: RingContext):
         n = ctx.n
+        if n > PLAN_MAX_N:
+            raise ParameterError(
+                f"ring degree {n} above PLAN_MAX_N={PLAN_MAX_N}"
+            )
         s = self.SPLIT_LOG2
-        moduli = [ntt.q for ntt in ctx.ntts]
-        eye = np.eye(n, dtype=np.int64)
-        # Row i of ntt.forward(eye) is NTT(e_i): linearity gives
-        # NTT(x) = x @ M, bit-reversal ordering included.
-        fwd_mats = [ntt.forward(eye) for ntt in ctx.ntts]
-        inv_mats = [ntt.inverse(eye) for ntt in ctx.ntts]
-        self.moduli = [int(q) for q in moduli]
-        #: (rns, 1) int64 — broadcasts over (..., rns, n) accumulators so
-        #: one Barrett call reduces the whole RNS stack.
+        rows = 1 if n <= _DENSE_MAX_N else 1 << ((n.bit_length() - 1) // 2)
+        cols = n // rows
+        self.n, self.rows, self.cols = n, rows, cols
+        self.moduli = [int(ntt.q) for ntt in ctx.ntts]
+        #: (rns, 1) int64, for canonicalising whole (.., rns, n) blocks.
         self.moduli_col = np.asarray(self.moduli, dtype=np.int64)[:, None]
-        self.fwd_unit = np.hstack(fwd_mats).astype(np.float64)
-        self.fwd_split = self._split_stack(fwd_mats, moduli, s)
-        self.inv_split = self._split_stack(inv_mats, moduli, s)
+        self.recips = [biased_reciprocal(q) for q in self.moduli]
         qmax = max(self.moduli)
-        hi_max = (qmax - 1) >> s
-        lo_max = (1 << s) - 1
-        #: Whether the hi/lo split transform is float64-exact for this ring.
-        self.split_ok = n * (hi_max + lo_max) * (qmax - 1) < FLOAT64_EXACT_MAX
+        if 2 * qmax > 1 << 31:
+            raise ParameterError(
+                f"modulus {qmax} above 2^30: [0, 2q) residues are split "
+                f"through int32"
+            )
+        # One (contraction length, largest input) pair per GEMM: first
+        # GEMMs see canonical residues, second ones the [0, 2q) output
+        # of the twist.
+        gemms = [(cols, qmax - 1)]
+        if rows > 1:
+            gemms += [(rows, qmax - 1), (cols, 2 * qmax - 1), (rows, 2 * qmax - 1)]
+        for length, in_max in gemms:
+            worst = length * ((in_max >> s) + (1 << s) - 1) * (qmax - 1)
+            if worst >= FLOAT64_EXACT_MAX:
+                raise ParameterError(
+                    f"split GEMM of length {length} over moduli up to {qmax} "
+                    f"accumulates {worst} >= 2^53: not float64-exact"
+                )
+
+        # Unit vectors e_j (row 0, column j) and e_{i*cols} (row i,
+        # column 0).  forward(e_j) restricted to row i is column j of
+        # that row's late-stage transform, whose slot 0 is rho_i^j times
+        # row 0's; forward(e_{i*cols}) read at slot 0 of every row is
+        # column i of the early-stage matrix.  The inverse mirrors this,
+        # every entry carrying one n^-1 that `* n` takes back out.
+        e_row = np.zeros((cols, n), dtype=np.int64)
+        e_row[np.arange(cols), np.arange(cols)] = 1
+        e_col = np.zeros((rows, n), dtype=np.int64)
+        e_col[np.arange(rows), np.arange(rows) * cols] = 1
+        row_f, row_i, col_f, col_i, twist_f, twist_i = ([] for _ in range(6))
+        for ntt, q in zip(ctx.ntts, self.moduli):
+            from_row = ntt.forward(e_row)
+            row_f.append(from_row[:, :cols])
+            row_i.append(ntt.inverse(e_row)[:, :cols])
+            if rows > 1:
+                from_col = (ntt.inverse(e_col) * n) % q
+                col_f.append(ntt.forward(e_col)[:, ::cols].T)
+                col_i.append(from_col[:, ::cols].T)
+                twist_f.append((from_row[:, ::cols].T * from_col[0, :cols]) % q)
+                twist_i.append((from_col[:, :cols] * from_row[:, 0]) % q)
+        if rows == 1:
+            self.fwd = _NttFactors(((self._split_mats(row_f), False),))
+            self.inv = _NttFactors(((self._split_mats(row_i), False),))
+        else:
+            self.fwd = self._factors(
+                (col_f, True), (row_f, False), np.stack(twist_f)
+            )
+            self.inv = self._factors(
+                (row_i, False), (col_i, True), np.stack(twist_i)
+            )
+        #: Dense plans only: every modulus' forward matrix side by side.
+        self.fwd_unit = (
+            np.hstack(row_f).astype(np.float64) if rows == 1 else None
+        )
         #: Multiply by the digit tensor's max value for the digit-GEMM bound.
         self.digit_coeff = n * (qmax - 1)
+        self._gathers: dict[int, np.ndarray] = {}
 
-    @staticmethod
-    def _split_stack(mats: list, moduli: list, s: int) -> np.ndarray:
+    def _split_mats(self, mats: list) -> np.ndarray:
+        s = self.SPLIT_LOG2
         return np.stack([
-            np.concatenate([(mat * (1 << s)) % q, mat], axis=0)
-            for mat, q in zip(mats, moduli)
+            np.stack([(mat << s) % q, mat]) for mat, q in zip(mats, self.moduli)
         ]).astype(np.float64)
+
+    def _factors(self, first, second, twist: np.ndarray) -> _NttFactors:
+        return _NttFactors(
+            gemms=tuple((self._split_mats(m), left) for m, left in (first, second)),
+            twist=twist,
+            twist_over_q=np.stack([
+                biased_quotient(t, q) for t, q in zip(twist, self.moduli)
+            ]),
+        )
+
+    def block_polys(self, shared: bool) -> int:
+        """Polynomials per transform block under the ``_BLOCK_BYTES`` budget.
+
+        Scratch per polynomial and modulus, in float64 words of n:
+        operand halves (2) and partial products (2), accumulator, float
+        scratch and int64 quotient (1 each), int32 staging (1/2) — plus,
+        for a ``shared`` four-step digit transform, second-GEMM halves
+        (2) that leave the broadcast first split alive across the moduli.
+        """
+        return max(1, _BLOCK_BYTES // ((19 if shared else 15) * 4 * self.n))
+
+    def gather(self, ctx: RingContext, r: int) -> np.ndarray:
+        """Slot permutation of X -> X^r on NTT-form polynomials, cached per r.
+
+        Slot ``k`` of an NTT-form polynomial is its value at the root
+        ``zeta_k``, and ``p(X^r)`` there is ``p(zeta_k^r)`` — slot
+        ``k'`` with ``zeta_k' = zeta_k^r``.  The roots are read off the
+        existing butterflies (the NTT of ``X`` *is* the root list, that
+        of ``X^r`` their ``r``-th powers), matched on the first modulus
+        and checked on the rest.  A slot permutation that maps NTT(X) to
+        NTT(X^r) is the automorphism itself: both are ring maps fixed by
+        the image of ``X``.
+        """
+        table = self._gathers.get(r)
+        if table is None:
+            roots, powered = ctx.monomial_ntt(1), ctx.monomial_ntt(r)
+            order = np.argsort(roots[0])
+            table = order[np.searchsorted(roots[0], powered[0], sorter=order)]
+            if not np.array_equal(roots[:, table], powered):
+                raise ParameterError(
+                    f"no NTT slot permutation realises X -> X^{r}"
+                )
+            self._gathers[r] = table
+        return table
+
+
+#: Plans by ring: ``(n, moduli) -> plan``, or None for a ring no plan
+#: is exact on.  Keyed on the ring, not the context instance, so every
+#: ``RingContext`` of one parameter set shares one plan.
+_PLANS: dict[tuple[int, tuple[int, ...]], _GemmNttPlan | None] = {}
 
 
 class PlannedBackend(EagerBackend):
@@ -475,78 +641,185 @@ class PlannedBackend(EagerBackend):
 
     Inherits the eager primitives for the stages where int64 einsum
     contraction already wins (the RowSel GEMM) and replaces the
-    transform-heavy stages with the per-ring dense plans of
+    transform-heavy stages with the per-ring plans of
     :class:`_GemmNttPlan`; gadget decomposition keeps the eager limb
     iCRT but canonicalises the lift on two packed int64 halves instead
-    of limb-wise comparisons.  Every plan use is gated on its exactness
-    bound, with per-call fallback to the eager implementation.
+    of limb-wise comparisons.  A ring no plan is exact on runs the eager
+    primitives.
     """
 
     name = "planned"
 
     def _plan(self, ctx: RingContext) -> _GemmNttPlan | None:
-        plan = getattr(ctx, "_gemm_ntt_plan_cache", None)
-        if plan is None:
-            plan = _GemmNttPlan(ctx) if ctx.n <= PLAN_MAX_N else False
-            ctx._gemm_ntt_plan_cache = plan
-        return plan or None
+        key = (ctx.n, tuple(ctx.params.moduli))
+        if key not in _PLANS:
+            try:
+                _PLANS[key] = _GemmNttPlan(ctx)
+            except ParameterError:
+                # Outside every plan's proven-exact range: eager primitives.
+                _PLANS[key] = None
+        return _PLANS[key]
 
-    def _split_transform(
-        self, ctx: RingContext, plan: _GemmNttPlan,
-        residues: np.ndarray, mats: np.ndarray,
+    def _transform(
+        self, plan: _GemmNttPlan, way: _NttFactors, residues: np.ndarray,
+        partial: bool = False,
     ) -> np.ndarray:
-        x = np.asarray(residues, dtype=np.int64) % ctx._moduli_col
+        """Apply one direction of ``plan`` to ``(..., rns or 1, n)`` residues.
+
+        An RNS axis of length 1 broadcasts (gadget digits: one
+        coefficient row for every modulus).  The flattened batch axis is
+        walked in blocks of ``_BLOCK_BYTES`` of scratch, one modulus at
+        a time, every elementwise pass in place.  ``partial`` leaves the
+        output in ``[0, 2q)``.
+        """
+        x = np.asarray(residues, dtype=np.int64)
+        n, rns = plan.n, len(plan.moduli)
         lead = x.shape[:-2]
-        rns, n = x.shape[-2:]
-        s = plan.SPLIT_LOG2
-        hi = (x >> s).astype(np.float64)
-        lo = (x & ((1 << s) - 1)).astype(np.float64)
-        x2 = np.concatenate([hi, lo], axis=-1).reshape(-1, rns, 2 * n)
-        out = np.empty((x2.shape[0], rns, n), dtype=np.int64)
-        for m in range(rns):
-            acc = x2[:, m, :] @ mats[m]
-            # Matrix entries and split halves are non-negative, so the
-            # accumulator qualifies for the cheap no-floor Barrett form.
-            out[:, m, :] = barrett_reduce_nonneg(acc, plan.moduli[m])
+        x = x.reshape(-1, x.shape[-2], n)
+        batch = x.shape[0]
+        out = np.empty((batch, rns, n), dtype=np.int64)
+        shared = x.shape[1] == 1 and plan.rows > 1
+        block = plan.block_polys(shared)
+        size = min(block, batch)
+        poly = (size, plan.rows, plan.cols)
+        halves = np.empty((size, 2) + poly[1:])
+        scratch = (
+            halves, np.empty_like(halves) if shared else halves,
+            np.empty_like(halves), np.empty(poly), np.empty(poly),
+            np.empty(poly, dtype=np.int64), np.empty(poly, dtype=np.int32),
+        )
+        moduli = plan.moduli_col[:, 0].astype(np.uint64)
+        for start in range(0, batch, block):
+            blk = x[start:start + block]
+            # Every split bound assumes canonical residues; read as
+            # unsigned, a negative one fails the same comparison.
+            if (blk.view(np.uint64).max(axis=(0, 2)) >= moduli).any():
+                blk = blk % plan.moduli_col
+            b = blk.shape[0]
+            views = tuple(buf[:b] for buf in scratch)
+            for m in range(rns):
+                if blk.shape[1] > 1:
+                    self._split(plan, blk[:, m], views[0], views[-1])
+                elif m == 0:  # one coefficient row: its halves serve every modulus
+                    self._split(plan, blk[:, 0], views[0], views[-1])
+                self._modulus(
+                    plan, way, m, out[start:start + b, m], views, partial
+                )
         return out.reshape(lead + (rns, n))
+
+    @staticmethod
+    def _split(
+        plan: _GemmNttPlan, src: np.ndarray, halves: np.ndarray,
+        narrow: np.ndarray,
+    ) -> None:
+        """14-bit halves of ``src`` (b, n) into ``halves`` (b, 2, rows, cols).
+
+        ``src`` is int64 in ``[0, 2q)``, which the plan holds below 2^31:
+        staging it through the int32 ``narrow`` buys numpy's vectorised
+        32-bit shift/mask loops (its int64 ones are scalar).
+        """
+        s = plan.SPLIT_LOG2
+        np.copyto(narrow, src.reshape(narrow.shape), casting="unsafe")
+        np.right_shift(narrow, s, out=halves[:, 0], casting="unsafe")
+        np.bitwise_and(narrow, (1 << s) - 1, out=halves[:, 1], casting="unsafe")
+
+    @staticmethod
+    def _gemm(
+        mats: np.ndarray, left: bool, halves: np.ndarray,
+        prod: np.ndarray, acc: np.ndarray,
+    ) -> None:
+        """``acc = M_hi . hi + M_lo . lo``, ``M`` on the left or the right."""
+        b, _, rows, cols = halves.shape
+        if rows == 1:
+            # Dense: hi | lo of one polynomial are adjacent, so the pair
+            # is one (b, 2n) @ (2n, n) product and needs no addition.
+            np.matmul(
+                halves.reshape(b, 2 * cols), mats.reshape(2 * cols, cols),
+                out=acc.reshape(b, cols),
+            )
+            return
+        if left:
+            np.matmul(mats, halves, out=prod)
+        else:
+            np.matmul(halves, mats, out=prod)
+        np.add(prod[:, 0], prod[:, 1], out=acc)
+
+    def _modulus(
+        self, plan: _GemmNttPlan, way: _NttFactors, m: int,
+        out: np.ndarray, scratch: tuple, partial: bool,
+    ) -> None:
+        """One modulus of one block: split halves in, residues into ``out``."""
+        halves, halves_b, prod, acc, tmp, quot, narrow = scratch
+        q, recip = plan.moduli[m], plan.recips[m]
+        out = out.reshape(acc.shape)
+        (mats, left), *second = way.gemms
+        self._gemm(mats[m], left, halves, prod, acc)
+        for mats, left in second:
+            barrett_fold(acc, q, recip, tmp)
+            # `out` doubles as the twisted intermediate: the split
+            # consumes it before the final store overwrites it.
+            twist_mulmod(
+                acc, way.twist[m], way.twist_over_q[m], q, out, quot, tmp
+            )
+            self._split(plan, out, halves_b, narrow)
+            self._gemm(mats[m], left, halves_b, prod, acc)
+        barrett_store(acc, q, recip, out, quot, tmp, partial)
 
     def ntt_forward(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
         plan = self._plan(ctx)
-        if plan is None or not plan.split_ok:
+        if plan is None:
             return super().ntt_forward(ctx, residues)
         with kernel_stage(self._label("ntt_fwd"), getattr(residues, "nbytes", 0)):
-            return self._split_transform(ctx, plan, residues, plan.fwd_split)
+            return self._transform(plan, plan.fwd, residues)
 
     def ntt_inverse(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
         plan = self._plan(ctx)
-        if plan is None or not plan.split_ok:
+        if plan is None:
             return super().ntt_inverse(ctx, residues)
         with kernel_stage(self._label("ntt_inv"), getattr(residues, "nbytes", 0)):
-            return self._split_transform(ctx, plan, residues, plan.inv_split)
+            return self._transform(plan, plan.inv, residues)
 
     def digits_forward(self, ctx: RingContext, digits: np.ndarray) -> np.ndarray:
         plan = self._plan(ctx)
-        if plan is not None and digits.size:
-            dmax = int(digits.max())
-            dmin = int(digits.min())
-            if dmin >= 0 and plan.digit_coeff * dmax < FLOAT64_EXACT_MAX:
+        if plan is None:
+            return super().digits_forward(ctx, digits)
+        with kernel_stage(self._label("ntt_fwd"), digits.nbytes):
+            if (
+                plan.fwd_unit is not None
+                and digits.size
+                and digits.min() >= 0
+                and plan.digit_coeff * int(digits.max()) < FLOAT64_EXACT_MAX
+            ):
                 batch, k, n = digits.shape
                 rns = ctx.rns_count
-                with kernel_stage(self._label("ntt_fwd"), digits.nbytes):
-                    acc = digits.reshape(batch * k, n).astype(np.float64) \
-                        @ plan.fwd_unit
-                    acc = acc.reshape(batch, k, rns, n)
-                    out = np.empty((batch, k, rns, n), dtype=np.int64)
-                    for m in range(rns):
-                        # Partial [0, 2q) residues: this backend's
-                        # ``inner`` sizes its chunks on the actual
-                        # operand range, so canonicalising here would
-                        # be a wasted pass.
-                        out[..., m, :] = barrett_reduce_nonneg(
-                            acc[..., m, :], plan.moduli[m], partial=True
-                        )
+                acc = digits.reshape(batch * k, n).astype(np.float64) \
+                    @ plan.fwd_unit
+                acc = acc.reshape(batch, k, rns, n)
+                out = np.empty((batch, k, rns, n), dtype=np.int64)
+                for m in range(rns):
+                    out[..., m, :] = barrett_reduce_nonneg(
+                        acc[..., m, :], plan.moduli[m], partial=True
+                    )
                 return out
-        return super().digits_forward(ctx, digits)
+            # Partial [0, 2q) residues either way: this backend's
+            # ``inner`` sizes its chunks on the actual operand range,
+            # so canonicalising here would be a wasted pass.
+            return self._transform(
+                plan, plan.fwd, digits[:, :, None, :], partial=True
+            )
+
+    def automorphism(self, vec: RnsPolyVec, r: int) -> RnsPolyVec:
+        """NTT-domain X -> X^r: a pure gather of evaluation slots.
+
+        An NTT-form batch stays in NTT form, so ``substitute``'s ``b``
+        half needs no transform at all and its ``a`` half only the
+        inverse that decomposition wants anyway.
+        """
+        plan = self._plan(vec.ctx)
+        if plan is None or vec.domain is not Domain.NTT:
+            return super().automorphism(vec, r)
+        table = plan.gather(vec.ctx, r)
+        return RnsPolyVec(vec.ctx, vec.residues[..., table], Domain.NTT)
 
     def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
         """Limb-iCRT decomposition with half-packed canonicalisation.

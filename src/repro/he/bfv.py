@@ -98,6 +98,30 @@ class BfvContext:
         b = -(a * key.ntt) + e
         return BfvCiphertext(a, b)
 
+    def encrypt_zeros(self, key: SecretKey, count: int) -> list[BfvCiphertext]:
+        """``count`` RLWE encryptions of zero with one stacked error NTT.
+
+        Draws ``a`` then ``e`` per row exactly as ``count`` calls of
+        :meth:`encrypt_zero` would, so a seeded sampler yields the same
+        ciphertexts byte for byte; only the error polynomials' forward
+        transforms are gathered into a single compute-backend call (the
+        gadget rows of an RGSW ciphertext or evaluation key otherwise
+        spend most of their time in per-modulus reference NTTs).
+        """
+        from repro.he.backend import get_backend  # it imports this module
+
+        rows = [
+            (self.sampler.uniform_poly(Domain.NTT), self.sampler.error_coeffs())
+            for _ in range(count)
+        ]
+        errors = get_backend().ntt_forward(
+            self.ctx, np.stack([e for _, e in rows])[:, None, :]
+        )
+        return [
+            BfvCiphertext(a, -(a * key.ntt) + RnsPoly(self.ctx, e, Domain.NTT))
+            for (a, _), e in zip(rows, errors)
+        ]
+
     # -- decryption -------------------------------------------------------
     def phase(self, ct: BfvCiphertext, key: SecretKey) -> np.ndarray:
         """b + a*s lifted to integers in [0, Q)."""

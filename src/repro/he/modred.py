@@ -10,6 +10,13 @@ multiply by the precomputed reciprocal and finishes with exact int64
 corrections — the classic Barrett form, specialised to the float-resident
 accumulator.
 
+The non-negative forms (:func:`barrett_reduce_nonneg` and the in-place
+:func:`barrett_fold` / :func:`barrett_store` the blocked transforms run
+on scratch buffers) bias the reciprocal low instead, which removes the
+negative branch; :func:`twist_mulmod` is the one place a *product*
+leaves the float64-exact range (the four-step plan's diagonal twist) and
+keeps the remainder in int64, estimating only the quotient in float64.
+
 :class:`MontgomeryContext` is the companion Montgomery form (REDC with
 R = 2^32 via native uint64 wraparound).  It is the right shape for
 substrates whose cheap primitive is a wrapping multiply rather than a
@@ -79,24 +86,15 @@ def barrett_reduce(acc: np.ndarray, q) -> np.ndarray:
     return r
 
 
-def barrett_reduce_nonneg(
-    acc: np.ndarray, q: int, partial: bool = False
-) -> np.ndarray:
-    """Barrett for *non-negative* accumulators: fewer full-tensor passes.
+def biased_reciprocal(q: int) -> float:
+    """``1/q`` rounded two ulps toward zero, for non-negative Barrett forms.
 
-    The reciprocal is biased two ulps low, so the truncated quotient
-    ``k = trunc(acc * recip)`` never exceeds ``floor(acc / q)`` — the
-    remainder ``acc - k*q`` lands in ``[0, 2q)`` with no negative branch
-    and no ``np.floor`` pass.  With ``partial=True`` that ``[0, 2q)``
-    value is returned as-is for consumers that re-reduce anyway (the
-    key-switch inner product sizes its chunks on the actual operand
-    range); otherwise one conditional subtract canonicalises to
-    ``[0, q)``.
-
-    Exactness needs the downward bias to cost at most one quotient:
-    the quotient error is ``<= (acc/q) * 2^-51 < 1`` for ``acc < 2^53``
-    once ``q >= 2^14``, hence the tighter modulus floor than
-    :func:`barrett_reduce` (which handles any ``q >= 2``).
+    With this reciprocal ``x * recip`` never exceeds ``x / q``, so a
+    truncated (or floored) quotient never exceeds ``floor(x / q)`` and
+    the remainder ``x - k*q`` has no negative branch.  The downward bias
+    costs at most one quotient: the error is ``<= (x/q) * 2^-51 < 1``
+    for ``x < 2^53`` once ``q >= 2^14`` — hence the tighter modulus
+    floor than :func:`barrett_reduce` (which handles any ``q >= 2``).
     """
     if q < (1 << 14):
         raise ParameterError(
@@ -107,12 +105,112 @@ def barrett_reduce_nonneg(
         raise ParameterError(
             f"modulus {q} exceeds the float64-exact Barrett range"
         )
-    recip = np.nextafter(np.nextafter(1.0 / q, 0.0), 0.0)
-    quot = (acc * recip).astype(np.int64)
-    r = acc.astype(np.int64) - quot * q
+    return float(np.nextafter(np.nextafter(1.0 / q, 0.0), 0.0))
+
+
+def barrett_fold(
+    acc: np.ndarray, q: int, recip: float, tmp: np.ndarray
+) -> np.ndarray:
+    """In place, float64-resident: ``acc`` in ``[0, 2^53)`` -> ``[0, 2q)``.
+
+    ``recip`` is :func:`biased_reciprocal` of ``q``; ``tmp`` is float64
+    scratch of ``acc``'s shape.  ``k = floor(acc * recip)`` is
+    ``floor(acc / q)`` or one less, so ``k*q <= acc`` is an integer below
+    2^53 — the float product is exact, and so is the difference.  The
+    result stays float64 for a consumer that needs it there (the
+    four-step twist's quotient estimate).
+    """
+    np.multiply(acc, recip, out=tmp)
+    np.floor(tmp, out=tmp)
+    tmp *= q
+    acc -= tmp
+    return acc
+
+
+def barrett_store(
+    acc: np.ndarray, q: int, recip: float, out: np.ndarray,
+    quot: np.ndarray, tmp: np.ndarray, partial: bool = False,
+) -> np.ndarray:
+    """float64 ``acc`` in ``[0, 2^53)`` -> int64 ``out``, no allocation.
+
+    ``recip`` is :func:`biased_reciprocal` of ``q``; ``quot`` (int64)
+    and ``tmp`` (float64) are scratch of ``acc``'s shape.  The truncated
+    quotient is ``floor(acc / q)`` or one less, so the int64 remainder
+    lands in ``[0, 2q)``; ``partial`` returns it as is, otherwise one
+    unsigned minimum against ``out - q`` (which wraps above 2^63 exactly
+    when ``out < q``) canonicalises to ``[0, q)``.
+    """
+    np.multiply(acc, recip, out=tmp)
+    np.copyto(quot, tmp, casting="unsafe")
+    quot *= q
+    np.copyto(out, acc, casting="unsafe")
+    out -= quot
     if not partial:
-        r -= q * (r >= q)
-    return r
+        np.subtract(out, q, out=quot)
+        unsigned = out.view(np.uint64)
+        np.minimum(unsigned, quot.view(np.uint64), out=unsigned)
+    return out
+
+
+def biased_quotient(twist: np.ndarray, q: int) -> np.ndarray:
+    """``twist / q`` as float64, two ulps toward zero (see :func:`twist_mulmod`)."""
+    if q >= (1 << 31):
+        raise ParameterError(
+            f"modulus {q} too large: a [0, 2q) x [0, q) product must fit int64"
+        )
+    ratio = np.asarray(twist, dtype=np.float64) / q
+    return np.nextafter(np.nextafter(ratio, 0.0), 0.0)
+
+
+def twist_mulmod(
+    v: np.ndarray, twist: np.ndarray, twist_over_q: np.ndarray, q: int,
+    out: np.ndarray, quot: np.ndarray, tmp: np.ndarray,
+) -> np.ndarray:
+    """``out = v * twist mod q`` in ``[0, 2q)``, for products beyond 2^53.
+
+    ``v`` is integer-valued float64 in ``[0, 2q)`` (a
+    :func:`barrett_fold` result), ``twist`` int64 in ``[0, q)`` and
+    ``twist_over_q`` its :func:`biased_quotient` table; ``out``/``quot``
+    (int64) and ``tmp`` (float64) are scratch of ``v``'s shape.  The
+    product ``v * twist < 2q^2`` (2^57 at 28-bit moduli) is outside the
+    float64-exact range, so it is formed exactly in int64 and only the
+    *quotient* is estimated in float64: the true quotient is below
+    ``2q < 2^32``, ``twist_over_q`` is low by 1.5 to 2.5 ulps and the
+    product rounds once, so the estimate never exceeds the true quotient
+    and falls short of it by less than ``2^32 * 3 * 2^-52 < 1``.  Its
+    truncation is therefore ``floor`` or one less and the int64
+    remainder is in ``[0, 2q)``.  Both bounds need ``q < 2^31`` (so
+    that ``2q^2 < 2^63``), which :func:`biased_quotient` enforces.
+    """
+    np.multiply(v, twist_over_q, out=tmp)
+    np.copyto(quot, tmp, casting="unsafe")
+    quot *= q
+    np.copyto(out, v, casting="unsafe")
+    out *= twist
+    out -= quot
+    return out
+
+
+def barrett_reduce_nonneg(
+    acc: np.ndarray, q: int, partial: bool = False
+) -> np.ndarray:
+    """Barrett for *non-negative* accumulators: fewer full-tensor passes.
+
+    The allocating form of :func:`barrett_store`: the reciprocal is
+    biased two ulps low (:func:`biased_reciprocal`), so the truncated
+    quotient never exceeds ``floor(acc / q)`` — the remainder lands in
+    ``[0, 2q)`` with no negative branch and no ``np.floor`` pass.  With
+    ``partial=True`` that ``[0, 2q)`` value is returned as-is for
+    consumers that re-reduce anyway (the key-switch inner product sizes
+    its chunks on the actual operand range); otherwise it is
+    canonicalised to ``[0, q)``.
+    """
+    acc = np.asarray(acc, dtype=np.float64)
+    out = np.empty(acc.shape, dtype=np.int64)
+    return barrett_store(
+        acc, q, biased_reciprocal(q), out,
+        np.empty_like(out), np.empty_like(acc), partial,
+    )
 
 
 class MontgomeryContext:

@@ -37,8 +37,7 @@ def rgsw_encrypt(
     ell = gadget.length
     a_rows: list[RnsPoly] = []
     b_rows: list[RnsPoly] = []
-    for i in range(2 * ell):
-        row = bfv.encrypt_zero(key)
+    for i, row in enumerate(bfv.encrypt_zeros(key, 2 * ell)):
         power = gadget.powers_rns[i % ell]
         shift = bfv.ctx.constant(1).scalar_rns_mul(power).scalar_mul(message)
         if i < ell:

@@ -42,8 +42,8 @@ def generate_subs_key(
     )
     a_rows: list[RnsPoly] = []
     b_rows: list[RnsPoly] = []
-    for power in gadget.powers_rns:
-        row = bfv.encrypt_zero(key)
+    rows = bfv.encrypt_zeros(key, gadget.length)
+    for power, row in zip(gadget.powers_rns, rows):
         a_rows.append(row.a)
         b_rows.append(row.b + s_rot.scalar_rns_mul(power))
     return SubsKey(r=r, a_rows=a_rows, b_rows=b_rows)

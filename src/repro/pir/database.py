@@ -131,17 +131,21 @@ class PirDatabase:
     ) -> "PreprocessedDatabase":
         """CRT + NTT every polynomial (Section II-B preprocessing).
 
-        One batched CRT + stacked NTT call per plane, routed through the
-        resolved compute backend; the per-poly ``RnsPoly`` entries are
-        views into the plane's residue tensor, which is seeded straight
-        into the RowSel GEMM cache.
+        One stacked NTT call per plane, routed through the resolved
+        compute backend; the per-poly ``RnsPoly`` entries are views into
+        the plane's residue tensor, which is seeded straight into the
+        RowSel GEMM cache.  The plane goes in with a length-1 RNS axis:
+        its coefficients (mod P) are the same integers under every
+        modulus, so the transform's own reduction is the CRT and no
+        ``(polys, rns, n)`` coefficient tensor is ever built.
         """
         resolved = resolve_backend(backend)
         planes: list[list[RnsPoly]] = []
         tensors: dict[int, np.ndarray] = {}
         for index, plane in enumerate(self.planes):
-            coeff = RnsPolyVec.from_small_coeffs(ring, plane, domain=Domain.COEFF)
-            vec = resolved.vec_to_ntt(coeff)
+            vec = RnsPolyVec(
+                ring, resolved.ntt_forward(ring, plane[:, None, :]), Domain.NTT
+            )
             planes.append(vec.polys())
             tensors[index] = vec.residues
         pre = PreprocessedDatabase(self.layout, ring, planes)

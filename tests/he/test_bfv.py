@@ -31,6 +31,20 @@ class TestEncryptDecrypt:
         ct = bfv.encrypt_zero(secret_key)
         assert np.all(bfv.decrypt(ct, secret_key) == 0)
 
+    def test_encrypt_zeros_is_repeated_encrypt_zero_byte_for_byte(
+        self, ring, secret_key
+    ):
+        """Same seed, same draws: only the error NTTs are stacked."""
+        one_by_one = BfvContext(ring, Sampler(ring, seed=77))
+        stacked = BfvContext(ring, Sampler(ring, seed=77))
+        want = [one_by_one.encrypt_zero(secret_key) for _ in range(5)]
+        got = stacked.encrypt_zeros(secret_key, 5)
+        assert len(got) == 5
+        for g, w in zip(got, want):
+            assert g.a == w.a and g.b == w.b
+        # ... and the samplers are left in the same state.
+        assert stacked.encrypt_zero(secret_key).b == one_by_one.encrypt_zero(secret_key).b
+
     def test_max_plaintext_value(self, ring, bfv, secret_key):
         p = ring.params.plain_modulus
         m = np.full(ring.n, p - 1, dtype=np.int64)

@@ -19,8 +19,12 @@ from repro.errors import ParameterError
 from repro.he.modred import (
     FLOAT64_EXACT_MAX,
     MontgomeryContext,
+    barrett_fold,
     barrett_reduce,
     barrett_reduce_nonneg,
+    biased_quotient,
+    biased_reciprocal,
+    twist_mulmod,
 )
 from repro.params import PirParams
 
@@ -155,6 +159,66 @@ class TestBarrettNonneg:
             barrett_reduce_nonneg(np.zeros(1), (1 << 14) - 1)
         with pytest.raises(ParameterError, match="float64-exact"):
             barrett_reduce_nonneg(np.zeros(1), FLOAT64_EXACT_MAX)
+
+
+class TestFourStepReductions:
+    """The in-place forms between the two GEMMs of a four-step plan."""
+
+    @given(
+        acc=st.lists(nonneg_accumulators, min_size=1, max_size=32),
+        q=st.sampled_from(
+            [m for m in PIR_MODULI + EDGE_MODULI if m >= (1 << 14)]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fold_stays_float_exact_and_below_2q(self, acc, q):
+        arr = np.array(acc, dtype=np.float64)
+        got = barrett_fold(arr, q, biased_reciprocal(q), np.empty_like(arr))
+        assert got is arr and got.dtype == np.float64
+        assert np.all(got >= 0) and np.all(got < 2 * q)
+        assert np.array_equal(got.astype(np.int64) % q, np.array(acc, dtype=object) % q)
+
+    @given(
+        q=st.one_of(
+            st.sampled_from(PIR_MODULI),
+            st.integers(min_value=1 << 14, max_value=(1 << 31) - 1),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_twist_product_beyond_2_53_reduces_into_0_2q(self, q, data):
+        """v * twist reaches 2q^2 (2^63 at the top): only the quotient is float."""
+        v = data.draw(st.lists(
+            st.integers(min_value=0, max_value=2 * q - 1), min_size=1, max_size=16
+        ))
+        twist = np.array(data.draw(st.lists(
+            st.integers(min_value=0, max_value=q - 1),
+            min_size=len(v), max_size=len(v),
+        )), dtype=np.int64)
+        vf = np.array(v, dtype=np.float64)
+        out, quot = np.empty(len(v), dtype=np.int64), np.empty(len(v), dtype=np.int64)
+        got = twist_mulmod(
+            vf, twist, biased_quotient(twist, q), q, out, quot, np.empty_like(vf)
+        )
+        assert np.all(got >= 0) and np.all(got < 2 * q)
+        assert np.array_equal(got % q, (np.array(v, dtype=object) * twist) % q)
+
+    @pytest.mark.parametrize("q", PIR_MODULI + [(1 << 31) - 1])
+    def test_twist_extremes(self, q):
+        v = np.array([0, 1, q - 1, q, 2 * q - 1] * 2, dtype=np.float64)
+        twist = np.array([q - 1] * 5 + [0, 1, q // 2, q - 2, q - 1], dtype=np.int64)
+        got = twist_mulmod(
+            v, twist, biased_quotient(twist, q), q, np.empty(10, dtype=np.int64),
+            np.empty(10, dtype=np.int64), np.empty(10),
+        )
+        assert np.all(got >= 0) and np.all(got < 2 * q)
+        assert np.array_equal(got % q, (v.astype(np.int64).astype(object) * twist) % q)
+
+    def test_rejects_out_of_range_moduli(self):
+        with pytest.raises(ParameterError, match="2\\^14"):
+            biased_reciprocal((1 << 14) - 1)
+        with pytest.raises(ParameterError, match="fit int64"):
+            biased_quotient(np.array([1]), 1 << 31)
 
 
 #: Montgomery moduli: odd, in [3, 2^31).  Bias half the examples toward

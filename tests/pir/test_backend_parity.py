@@ -68,6 +68,29 @@ class TestParityMatrix:
                 fast, index, db.layout
             ) == db.record(index)
 
+    def test_plain_pir_at_paper_ring_degree(self, backend):
+        """N = 2^12: the four-step NTT plan and NTT-domain Subs end to end."""
+        from repro.pir.database import PirDatabase
+        from repro.pir.protocol import PirProtocol
+        from repro.pir.server import PirServer
+
+        params = PirParams.functional(d0=16, num_dims=2)
+        db = PirDatabase.random(
+            params, num_records=params.num_db_polys, record_bytes=256, seed=36
+        )
+        under_test = PirProtocol(params, db, seed=37, backend=backend)
+        oracle = PirServer(
+            under_test.server.db, under_test.client.setup_message(),
+            backend="eager",
+        )
+        for index in (0, params.num_db_polys - 1):
+            query = under_test.client.build_query(index, db.layout)
+            fast = under_test.server.answer(query)
+            _assert_pir_responses_equal(fast, oracle.answer(query))
+            assert under_test.client.decode_response(
+                fast, index, db.layout
+            ) == db.record(index)
+
     def test_batchpir(self, backend):
         from repro.batchpir import BatchPirProtocol
 
