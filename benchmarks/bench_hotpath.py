@@ -20,6 +20,14 @@ On both rungs every backend produces *byte-identical* ``PirResponse``
 transcripts — backends only reassociate exact modular arithmetic, so any
 divergence is a bug, not noise.
 
+A third, *window* rung measures the dispatch window as one tensor
+program: ``answer_batch`` of Q = 8 queries on the toy geometry and one
+keyword-PIR pass (36 bucket queries) on its bucket geometry, each
+against the same queries answered one ``answer`` at a time.  Responses
+must be byte-identical; the speedup is whatever the scratch-budget group
+size buys at that geometry (groups of one on the toy rung — its single
+query already outgrows the budget — groups of six on the kv buckets).
+
 Also timed: database preprocessing (one batched CRT+NTT per plane vs one
 call per polynomial on the toy rung, ``planned`` vs ``eager`` on the
 paper rung), the cost the serving layer sees on every epoch build.
@@ -33,16 +41,22 @@ import os
 import pathlib
 import time
 
-import numpy as np
+# Before numpy loads its BLAS: with two OpenBLAS threads on a two-core
+# box a fresh process now and then lands both on one core and the
+# N = 256 dgemms stall ~10x, which trips the toy-rung speedup bound.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from conftest import run_once
+import numpy as np  # noqa: E402
 
-from repro.he.poly import Domain, RingContext
-from repro.obs.profile import profiled
-from repro.params import PirParams
-from repro.pir.database import PirDatabase, PreprocessedDatabase
-from repro.pir.protocol import PirProtocol
-from repro.pir.server import PirServer
+from conftest import run_once  # noqa: E402
+
+from repro.he.poly import Domain, RingContext  # noqa: E402
+from repro.kvpir.server import KvPirProtocol  # noqa: E402
+from repro.obs.profile import profiled  # noqa: E402
+from repro.params import PirParams  # noqa: E402
+from repro.pir.database import PirDatabase, PreprocessedDatabase  # noqa: E402
+from repro.pir.protocol import PirProtocol  # noqa: E402
+from repro.pir.server import PirServer  # noqa: E402
 
 #: BENCH_SMOKE=1 shrinks every knob for the CI smoke job: the scripts
 #: must still run end to end, but results are not written or compared.
@@ -64,6 +78,11 @@ PAPER_D0 = 8 if SMOKE else 64
 PAPER_DIMS = 1 if SMOKE else 4
 PAPER_RECORD_BYTES = 8192
 PAPER_PLANNED_BOUND = 2.0  # planned over eager at N = 2^12 (ROADMAP gate)
+
+# Window rung: Q queries through answer_batch, and one kv lookup pass.
+WINDOW_QUERIES = 2 if SMOKE else 8
+KV_KEYS = 64 if SMOKE else 2048
+KV_LOOKUPS = 2 if SMOKE else 8
 
 _OUT = pathlib.Path(__file__).resolve().parent / "BENCH_hotpath.json"
 
@@ -249,8 +268,83 @@ def _run_paper() -> dict:
     }
 
 
+def _looped_vs_stacked(looped, stacked, passes: int) -> dict:
+    """Best-of-``passes`` seconds of both callables, interleaved."""
+    best = {"looped": float("inf"), "stacked": float("inf")}
+    responses = {}
+    for _ in range(passes):
+        for name, call in (("looped", looped), ("stacked", stacked)):
+            start = time.monotonic()
+            responses[name] = call()
+            best[name] = min(best[name], time.monotonic() - start)
+    return {
+        "looped_s": best["looped"],
+        "stacked_s": best["stacked"],
+        "speedup": best["looped"] / best["stacked"],
+        "byte_identical": _identical(responses["stacked"], responses["looped"]),
+    }
+
+
+def _run_window() -> dict:
+    passes = 1 if SMOKE else 5
+    # -- plain: the toy rung's geometry, Q queries in one window ----------
+    params = PirParams.small(n=256, d0=D0, num_dims=DIMS)
+    db = PirDatabase.random(params, params.num_db_polys, RECORD_BYTES, seed=51)
+    protocol = PirProtocol(params, db, seed=52, backend="planned")
+    server = protocol.server
+    rng = np.random.default_rng(53)
+    indices = [int(i) for i in rng.integers(db.num_records, size=WINDOW_QUERIES)]
+    queries = protocol.client.build_queries(indices, [db.layout] * len(indices))
+    server.answer_batch(queries)  # warm
+    plain = _looped_vs_stacked(
+        lambda: [server.answer(q) for q in queries],
+        lambda: server.answer_batch(queries),
+        passes,
+    )
+    plain.update(queries=len(queries), group_size=server.group_size)
+
+    # -- kv: one lookup window = one pass over every bucket ---------------
+    items = {rng.bytes(12): rng.bytes(32) for _ in range(KV_KEYS)}
+    kv = KvPirProtocol(
+        PirParams.small(n=256, d0=32, num_dims=6), items,
+        max_lookup_batch=KV_LOOKUPS, seed=54,
+    )
+    keys = list(items)[: KV_LOOKUPS - 1] + [b"absent key"]
+    plan = kv.client.plan(keys)
+    query = kv.client.build_queries(plan)
+    batch_server = kv.server.batch_server
+    kv.server.answer(query)  # warm
+
+    def looped():
+        return [
+            bucket.answer(q)
+            for chunk in query.chunks for rnd in chunk.rounds
+            for bucket, q in zip(batch_server.servers, rnd)
+        ]
+
+    def stacked():
+        return [
+            response
+            for chunk in kv.server.answer(query).chunks for rnd in chunk.rounds
+            for response in rnd
+        ]
+
+    kv_pass = _looped_vs_stacked(looped, stacked, passes)
+    bucket = batch_server.servers[0]
+    kv_pass.update(
+        bucket_queries=sum(len(r) for c in query.chunks for r in c.rounds),
+        bucket_d0=bucket.params.d0,
+        bucket_dims=bucket.params.num_dims,
+        group_size=bucket.group_size,
+    )
+    return {"plain": plain, "kv": kv_pass}
+
+
 def test_hotpath_speedup_and_equivalence(benchmark, report):
-    result = run_once(benchmark, lambda: {**_run(), "paper": _run_paper()})
+    result = run_once(
+        benchmark,
+        lambda: {**_run(), "paper": _run_paper(), "window": _run_window()},
+    )
     if not SMOKE:
         _OUT.write_text(json.dumps(result, indent=2) + "\n")
 
@@ -301,7 +395,25 @@ def test_hotpath_speedup_and_equivalence(benchmark, report):
         ],
     )
 
+    window = result["window"]
+    wplain, wkv = window["plain"], window["kv"]
+    report(
+        "Compute-backend hot path — the dispatch window as one tensor program",
+        [
+            f"plain answer_batch, Q={wplain['queries']} (groups of "
+            f"{wplain['group_size']}): looped {wplain['looped_s'] * 1e3:.0f} ms -> "
+            f"stacked {wplain['stacked_s'] * 1e3:.0f} ms ({wplain['speedup']:.2f}x); "
+            f"byte-identical: {wplain['byte_identical']}",
+            f"kv pass, {wkv['bucket_queries']} bucket queries at D0={wkv['bucket_d0']} x "
+            f"2^{wkv['bucket_dims']} (groups of {wkv['group_size']}): looped "
+            f"{wkv['looped_s'] * 1e3:.0f} ms -> stacked {wkv['stacked_s'] * 1e3:.0f} ms "
+            f"({wkv['speedup']:.2f}x); byte-identical: {wkv['byte_identical']}",
+        ],
+    )
+
     # No backend may ever diverge from the oracle...
+    assert wplain["byte_identical"]
+    assert wkv["byte_identical"]
     assert pplanned["byte_identical"]
     assert pans["decoded_ok"]
     assert ppre["identical"]

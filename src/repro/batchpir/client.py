@@ -105,18 +105,17 @@ class BatchPirClient:
 
     # -- query construction -----------------------------------------------
     def build_queries(self, plan: BatchPlan) -> BatchQuery:
+        """One stacked encryption per round: a query for every bucket."""
+        layouts = self.layout.bucket_layouts
         rounds = []
         for slots in plan.rounds:
-            queries = []
-            for bucket in range(self.layout.num_buckets):
-                if bucket in slots:
-                    local = self.layout.local_index(bucket, slots[bucket])
-                else:
-                    local = 0  # dummy: any slot works, nothing is decoded
-                queries.append(
-                    self.pir.build_query(local, self.layout.bucket_layouts[bucket])
-                )
-            rounds.append(queries)
+            # A dummy asks for slot 0: any slot works, nothing is decoded.
+            locals_ = [
+                self.layout.local_index(bucket, slots[bucket])
+                if bucket in slots else 0
+                for bucket in range(self.layout.num_buckets)
+            ]
+            rounds.append(self.pir.build_queries(locals_, layouts))
         return BatchQuery(rounds=rounds)
 
     # -- decoding ---------------------------------------------------------

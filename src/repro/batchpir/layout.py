@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.batchpir.hashing import CuckooConfig
 from repro.errors import LayoutError, ParameterError
-from repro.he.poly import RingContext
+from repro.he.backend import ComputeBackend, resolve_backend
+from repro.he.poly import BLOCK_BYTES, RingContext
 from repro.params import PirParams
 from repro.pir.database import PirDatabase, PreprocessedDatabase
 from repro.pir.layout import RecordLayout
@@ -201,5 +202,36 @@ class BatchDatabase:
     def stored_records(self) -> int:
         return sum(db.num_records for db in self.bucket_dbs)
 
-    def preprocess(self, ring: RingContext) -> list[PreprocessedDatabase]:
-        return [db.preprocess(ring) for db in self.bucket_dbs]
+    def preprocess(
+        self, ring: RingContext, backend: str | ComputeBackend | None = None
+    ) -> tuple[np.ndarray, list[PreprocessedDatabase]]:
+        """CRT + NTT every bucket into one stacked tensor.
+
+        Returns the ``(buckets, planes, polys, rns, n)`` tensor and one
+        :class:`PreprocessedDatabase` per bucket that is a *view* of it
+        (all buckets share one geometry), so the stacked window pipeline
+        and the per-bucket databases read — and delta updates write —
+        the same single allocation.
+        """
+        shapes = {db.planes.shape for db in self.bucket_dbs}
+        if len(shapes) != 1:
+            raise LayoutError(
+                f"bucket geometries differ ({sorted(shapes)}): a pass is one "
+                "stacked window over buckets of a single geometry"
+            )
+        (shape,) = shapes
+        resolved = resolve_backend(backend)
+        tensor = np.empty(
+            (len(self.bucket_dbs),) + shape[:2] + (ring.rns_count, ring.n),
+            dtype=np.int64,
+        )
+        # Buckets go through the transform a scratch budget's worth at a
+        # time: the only large allocation is the result itself.
+        step = max(1, BLOCK_BYTES // tensor[0].nbytes)
+        for lo in range(0, len(self.bucket_dbs), step):
+            coeffs = np.stack([db.planes for db in self.bucket_dbs[lo:lo + step]])
+            tensor[lo:lo + step] = resolved.ntt_forward(ring, coeffs[..., None, :])
+        return tensor, [
+            PreprocessedDatabase.from_tensor(db.layout, ring, tensor[bucket])
+            for bucket, db in enumerate(self.bucket_dbs)
+        ]

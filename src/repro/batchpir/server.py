@@ -1,8 +1,9 @@
 """Batch PIR server and end-to-end protocol harness.
 
-The server runs the standard ExpandQuery -> RowSel -> ColTor pipeline once
-per bucket per round — each against that bucket's small preprocessed
-database.  One full batch pass therefore scans ``replication_factor * D``
+The server runs the standard ExpandQuery -> RowSel -> ColTor pipeline for
+every bucket of a round as one stacked dispatch window — each query
+against its own bucket's small preprocessed database.  One full batch
+pass therefore scans ``replication_factor * D``
 polynomials in total (independent of k), versus ``k * D`` for k separate
 single-query retrievals: the amortization that makes multi-record
 workloads (contact discovery, feed assembly, CT auditing) affordable.
@@ -33,11 +34,19 @@ from repro.pir.server import PirServer
 
 
 class BatchPirServer:
-    """One PirServer per bucket, sharing the client's evaluation keys.
+    """One PirServer per bucket over a single stacked bucket tensor.
 
-    ``backend`` selects the compute backend for every bucket server
-    (the registry default when unset); the per-poly oracle stays
-    reachable through ``PirServer.answer_reference``.
+    All buckets share one geometry and the client's evaluation keys, so
+    a pass — every (round, bucket) query — is one dispatch window of the
+    stacked :meth:`~repro.pir.server.PirServer.answer_window` pipeline,
+    each query running against its own bucket's plane tensor.  Those
+    tensors are views of the one ``(buckets, planes, cols, d0, rns, n)``
+    allocation preprocessing made; the per-bucket servers (kept for
+    their databases, which delta updates write through, and for
+    ``answer_reference``) are views of it too.
+
+    ``backend`` selects the compute backend (the registry default when
+    unset).
     """
 
     def __init__(
@@ -49,25 +58,26 @@ class BatchPirServer:
     ):
         self.layout = db.layout
         self.db = db
-        self.servers = [
-            PirServer(bucket_db.preprocess(ring, backend=backend), setup,
-                      backend=backend)
-            for bucket_db in db.bucket_dbs
-        ]
+        tensor, pres = db.preprocess(ring, backend=backend)
+        self.servers = [PirServer(pre, setup, backend=backend) for pre in pres]
+        d0 = self.layout.bucket_params.d0
+        self._planes = tensor.reshape(
+            tensor.shape[:2] + (-1, d0) + tensor.shape[3:]
+        )
 
     def answer(self, query: BatchQuery) -> BatchResponse:
-        """One per-bucket pipeline per query; rounds run back to back."""
-        rounds = []
-        for queries in query.rounds:
+        """Every round is one stacked window over all buckets."""
+        for index, queries in enumerate(query.rounds):
             if len(queries) != self.layout.num_buckets:
                 raise ParameterError(
-                    f"batch round has {len(queries)} queries, layout has "
-                    f"{self.layout.num_buckets} buckets"
+                    f"batch round {index} has {len(queries)} queries, layout "
+                    f"has {self.layout.num_buckets} buckets"
                 )
-            rounds.append(
-                [server.answer(q) for server, q in zip(self.servers, queries)]
-            )
-        return BatchResponse(rounds=rounds)
+        planes = [self._planes[:, p] for p in range(self._planes.shape[1])]
+        return BatchResponse(rounds=[
+            self.servers[0].answer_window(queries, planes)
+            for queries in query.rounds
+        ])
 
 
 @dataclass

@@ -9,11 +9,7 @@ products, and automorphism-based substitution with key switching.
 from repro.he.batched import (
     BfvCiphertextVec,
     RnsPolyVec,
-    batched_cmux,
     batched_decompose,
-    batched_external_product,
-    batched_substitute,
-    lazy_modular_gemm,
     overflow_safe_chunk,
 )
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
@@ -45,15 +41,11 @@ __all__ = [
     "SecretKey",
     "SubsKey",
     "SwitchedCiphertext",
-    "batched_cmux",
     "batched_decompose",
-    "batched_external_product",
-    "batched_substitute",
     "cmux",
     "encrypt_public",
     "external_product",
     "generate_subs_key",
-    "lazy_modular_gemm",
     "min_moduli_for_noise",
     "overflow_safe_chunk",
     "rgsw_encrypt",

@@ -7,9 +7,20 @@ construction (``get_backend("planned")`` by default) instead of
 threading ad-hoc fast-path booleans.  A backend implements the small
 primitive surface (forward/inverse NTT, gadget decomposition, the
 modular GEMMs and key-switch inner products) and inherits the shared
-pipeline ops built on top of them (``substitute``, ``external_product``,
-``expand``, ``rowsel``, ``coltor``), so the whole
+pipeline ops built on top of them, so the whole
 ExpandQuery→RowSel→ColTor pipeline retargets by swapping primitives.
+
+The pipeline ops are tensor programs over a *dispatch window*: a
+ciphertext batch is one ``(2, batch, rns, n)`` tensor whose batch axis
+is query-major, Subs and the RGSW external product are both the one
+``key_switch`` kernel (decompose → digit NTTs → inner product, its key
+rows carrying a leading group axis: one group for the evaluation key a
+whole window shares, one per query for RGSW bits), and ``expand_window``
+/ ``rowsel_window`` / ``coltor_window`` run every query of a group
+through each stage together — even/odd ColTor halves are residue-tensor
+views, never re-stacked ciphertext lists.  ``substitute``,
+``external_product``, ``expand``, ``rowsel`` and ``coltor`` are the same
+ops behind single-query signatures.
 
 Two backends are registered:
 
@@ -30,12 +41,8 @@ Two backends are registered:
   provably stays below the float64-exact bound (asserted when the plan
   is built); dense-plan gadget digits (< z) ride one fused ``(batch*k,
   n) @ (n, rns*n)`` dgemm.  Transforms walk the batch axis in
-  cache-sized blocks.  Substitution applies X -> X^r in the NTT domain
-  as a gather of evaluation slots, and ColTor rounds stay
-  tensor-resident (the even/odd halves are residue-tensor views, never
-  re-stacked ciphertext lists), which together with the vec-form RowSel
-  output removes every intermediate ciphertext-stack materialization
-  between expand and the final response.  A ring no plan is exact on
+  cache-sized blocks, and substitution applies X -> X^r in the NTT
+  domain as a gather of evaluation slots.  A ring no plan is exact on
   (n > ``PLAN_MAX_N``, oversized moduli) runs the eager primitives —
   never silently wrong, at most slower.
 
@@ -70,7 +77,6 @@ from repro.he.batched import (
     RnsPolyVec,
     _batched_decompose_impl,
     _chunked_einsum,
-    _lazy_inner,
     _limb_tables,
     _rns_forward_impl,
     _rns_inverse_impl,
@@ -86,9 +92,10 @@ from repro.he.modred import (
     barrett_store,
     biased_quotient,
     biased_reciprocal,
+    modred,
     twist_mulmod,
 )
-from repro.he.poly import Domain, RingContext
+from repro.he.poly import BLOCK_BYTES, Domain, RingContext
 from repro.he.rgsw import RgswCiphertext
 from repro.he.subs import SubsKey
 from repro.obs.profile import kernel_stage
@@ -104,11 +111,6 @@ PLAN_MAX_N = 4096
 #: (2n^2 float64 per direction: 4 MiB at 512).  Above it a plan factors
 #: n = rows x cols and the transform costs O(n * sqrt(n)) instead.
 _DENSE_MAX_N = 512
-
-#: Scratch budget of one transform block.  Every planned transform walks
-#: its batch axis in blocks whose float64/int64 intermediates fit this
-#: many bytes, so they stay L2-resident however large the batch is.
-_BLOCK_BYTES = 1 << 21
 
 
 def modular_gemm(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -197,15 +199,26 @@ class ComputeBackend:
         raise NotImplementedError
 
     def inner(
-        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray
+        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Key-switch inner product ``out[b] = sum_k digits[b, k] * rows[k]``."""
+        """Key-switch inner product ``out[g, b] = sum_k digits[g, b, k] * rows[g, k]``.
+
+        ``digits`` is ``(groups, batch, k, rns, n)``, ``rows`` ``(groups,
+        k, rns, n)``: each group contracts against its own key rows.
+        """
         raise NotImplementedError
 
     def rowsel_gemm(
-        self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray
+        self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """RowSel GEMM: (cols, rows, rns, n) x (rows, rns, n) -> (cols, rns, n)."""
+        """RowSel GEMM with a query axis.
+
+        ``(queries or 1, cols, rows, rns, n) x (queries, rows, rns, n)
+        -> (queries, cols, rns, n)``: a leading ``db`` axis of one is a
+        plane every query shares.
+        """
         raise NotImplementedError
 
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -236,60 +249,238 @@ class ComputeBackend:
         """
         return self.vec_to_coeff(vec).automorphism(r)
 
-    # -- pipeline ops -----------------------------------------------------
+    # -- the key-switch kernel --------------------------------------------
+    def key_switch(
+        self, gadget: Gadget, coeff: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """``Dcp(coeff) . rows``: decompose -> digit NTTs -> inner, once.
+
+        The one gadget key-switch both Subs and the RGSW external
+        product are made of.  ``coeff`` is ``(parts, groups, batch, rns,
+        n)`` coefficient-domain residues: every output ciphertext
+        decomposes ``parts`` polynomials (Subs: the ``a`` half alone;
+        external product: ``a`` then ``b``) into ``k = parts * ℓ``
+        digits.  ``rows`` is ``(2, groups, k, rns, n)`` key material —
+        one group for an evaluation key shared by the whole batch, one
+        group per query for its RGSW bit.  Returns the ``(2, groups,
+        batch, rns, n)`` NTT-form ciphertext tensor.
+        """
+        ctx = gadget.ctx
+        parts, groups, batch = coeff.shape[:3]
+        poly = coeff.shape[3:]
+        if rows.shape != (2, groups, parts * gadget.length) + poly:
+            raise ParameterError(
+                f"key has {rows.shape[2]} rows in {rows.shape[1]} group(s); "
+                f"the gadget expects {parts * gadget.length} in {groups}"
+            )
+        flat = groups * batch
+        digits = self.decompose(
+            gadget, RnsPolyVec(ctx, coeff.reshape((-1,) + poly), Domain.COEFF)
+        )
+        if parts > 1:
+            # Per ciphertext the digit order is a-digits then b-digits.
+            digits = np.concatenate(
+                [digits[p * flat:(p + 1) * flat] for p in range(parts)], axis=1
+            )
+        digits = self.digits_forward(ctx, digits).reshape(
+            (groups, batch, parts * gadget.length) + poly
+        )
+        out = np.empty((2, groups, batch) + poly, dtype=np.int64)
+        for half in (0, 1):
+            self.inner(digits, rows[half], ctx._moduli_col, out=out[half])
+        return out
+
+    # -- pipeline ops: stacked tensors ------------------------------------
+    #
+    # Ciphertext batches travel as one ``(2, batch, rns, n)`` NTT-form
+    # tensor (``[0]`` the a halves, ``[1]`` the b halves).  A window of Q
+    # queries is the same tensor with the batch axis query-major
+    # (``Q * per_query``); the single-query signatures further down are
+    # its batch of one.
+
+    def substitute_stacked(
+        self, cts: np.ndarray, evk: SubsKey, gadget: Gadget
+    ) -> np.ndarray:
+        """Subs(ct, evk.r) on a ``(2, batch, rns, n)`` ciphertext tensor."""
+        ctx = gadget.ctx
+        moduli_col = ctx._moduli_col
+        batch, poly = cts.shape[1], cts.shape[2:]
+        with kernel_stage(self._label("subs"), cts.nbytes):
+            aut = self.automorphism(
+                RnsPolyVec(ctx, cts.reshape((-1,) + poly), Domain.NTT), evk.r
+            )
+            a_aut = self.vec_to_coeff(
+                RnsPolyVec(ctx, aut.residues[:batch], aut.domain)
+            )
+            b_aut = self.vec_to_ntt(
+                RnsPolyVec(ctx, aut.residues[batch:], aut.domain)
+            )
+            out = self.key_switch(
+                gadget, a_aut.residues[None, None], evk.rows[:, None]
+            )[:, 0]
+            out_b = out[1]
+            out_b += b_aut.residues
+            out_b -= moduli_col
+            modred(out_b, moduli_col)
+            return out
+
+    def external_product_stacked(
+        self, rows: np.ndarray, cts: np.ndarray, gadget: Gadget
+    ) -> np.ndarray:
+        """Grouped ct_RGSW ⊡ ct_BFV (Fig. 3 flow).
+
+        ``cts`` is ``(2, groups, batch, rns, n)`` and ``rows`` ``(2,
+        groups, 2ℓ, rns, n)``: group ``g``'s ciphertexts are multiplied
+        by RGSW ciphertext ``rows[:, g]``.
+        """
+        with kernel_stage(self._label("ext_product"), cts.nbytes):
+            return self.key_switch(
+                gadget, self.ntt_inverse(gadget.ctx, cts), rows
+            )
+
+    def expand_window(
+        self,
+        packed: np.ndarray,
+        evks: dict[int, SubsKey],
+        levels: int,
+        gadget: Gadget,
+    ) -> np.ndarray:
+        """ExpandQuery trees of Q packed queries at once.
+
+        ``packed`` is ``(2, Q, rns, n)``; the result ``(2, Q * 2^levels,
+        rns, n)`` holds query ``q``'s one-hot ciphertexts at
+        ``[q * 2^levels, (q + 1) * 2^levels)``.  Every level is one
+        Subs over all live ciphertexts of all queries (they share the
+        evaluation key), one add/subtract pair and one monomial
+        multiply, written straight into the next level's tensor.
+        """
+        ctx = gadget.ctx
+        n, moduli_col = ctx.n, ctx._moduli_col
+        if (1 << levels) > n:
+            raise ParameterError(
+                f"cannot expand {levels} levels in a degree-{n} ring"
+            )
+        queries, poly = packed.shape[1], packed.shape[2:]
+        with kernel_stage(self._label("expand"), packed.nbytes):
+            vec = packed
+            for a in range(levels):
+                r = n // (1 << a) + 1
+                if r not in evks:
+                    raise ParameterError(
+                        f"missing evk for substitution power r={r}"
+                    )
+                step = 1 << a
+                shape = (2, queries, step) + poly
+                swapped = self.substitute_stacked(vec, evks[r], gadget)
+                swapped = swapped.reshape(shape)
+                vec = vec.reshape(shape)
+                grown = np.empty((2, queries, 2 * step) + poly, dtype=np.int64)
+                even, odd = grown[:, :, :step], grown[:, :, step:]
+                np.add(vec, swapped, out=even)
+                even -= moduli_col
+                modred(even, moduli_col)
+                np.subtract(vec, swapped, out=odd)
+                modred(odd, moduli_col)
+                odd *= ctx.monomial_ntt(-step)
+                odd %= moduli_col
+                vec = grown.reshape((2, -1) + poly)
+            return vec
+
+    def rowsel_window(
+        self, expanded: np.ndarray, planes: np.ndarray, moduli_col: np.ndarray
+    ) -> np.ndarray:
+        """RowSel of Q expanded queries against their plane tensors.
+
+        ``expanded`` is ``(2, Q * d0, rns, n)`` and ``planes`` ``(Q or 1,
+        cols, d0, rns, n)`` (one plane per query, or one they share);
+        returns ``(2, Q * cols, rns, n)``.  One contraction per
+        ciphertext half.
+        """
+        cols, d0 = planes.shape[1:3]
+        poly = expanded.shape[2:]
+        if expanded.shape[1] % d0 or planes.shape[0] not in (
+            1, expanded.shape[1] // d0
+        ):
+            raise ParameterError(
+                f"expected {d0} expanded ciphertexts per plane tensor, got "
+                f"{expanded.shape[1]} for {planes.shape[0]} plane tensor(s)"
+            )
+        queries = expanded.shape[1] // d0
+        out = np.empty((2, queries, cols) + poly, dtype=np.int64)
+        with kernel_stage(self._label("rowsel"), 2 * planes.nbytes):
+            for half in (0, 1):
+                self.rowsel_gemm(
+                    planes, expanded[half].reshape((queries, d0) + poly),
+                    moduli_col, out=out[half],
+                )
+        return out.reshape((2, -1) + poly)
+
+    @staticmethod
+    def _check_coltor(count: int, num_bits: int) -> None:
+        if count == 0:
+            raise ParameterError("ColTor needs at least one entry")
+        if count & (count - 1):
+            raise ParameterError(
+                f"ColTor entry count {count} must be a power of two"
+            )
+        if (1 << num_bits) != count:
+            raise ParameterError(
+                f"{count} entries need {count.bit_length() - 1} selection "
+                f"bits, got {num_bits}"
+            )
+
+    def coltor_window(
+        self, entries: np.ndarray, bits: list[list[np.ndarray]], gadget: Gadget
+    ) -> np.ndarray:
+        """Tournaments of Q queries: ``(2, Q * 2^d, rns, n)`` -> ``(2, Q, rns, n)``.
+
+        ``bits[k][q]`` is the ``(2, 2ℓ, rns, n)`` row tensor of query
+        ``q``'s k-th RGSW selection bit; a round stacks its Q of them
+        into the key-switch's group axis and drops the stack when it is
+        done.  Each round is one grouped cmux — bit ⊡ (ones - zeros) +
+        zeros — over the residue-tensor views of the surviving even/odd
+        entries; nothing is re-stacked between rounds.
+        """
+        ctx = gadget.ctx
+        moduli_col = ctx._moduli_col
+        queries = len(bits[0]) if bits else 1
+        poly = entries.shape[2:]
+        if entries.shape[1] % queries:
+            raise ParameterError(
+                f"{entries.shape[1]} ColTor entries do not split over "
+                f"{queries} queries"
+            )
+        self._check_coltor(entries.shape[1] // queries, len(bits))
+        with kernel_stage(self._label("coltor"), entries.nbytes):
+            current = entries.reshape((2, queries, -1) + poly)
+            for round_bits in bits:
+                rows = np.stack(round_bits, axis=1)
+                zeros, ones = current[:, :, 0::2], current[:, :, 1::2]
+                current = self.external_product_stacked(
+                    rows, modred(ones - zeros, moduli_col), gadget
+                )
+                current += zeros
+                current -= moduli_col
+                modred(current, moduli_col)
+            return current[:, :, 0]
+
+    # -- pipeline ops: single-query signatures ----------------------------
     def substitute(
         self, vec: BfvCiphertextVec, evk: SubsKey, gadget: Gadget
     ) -> BfvCiphertextVec:
         """Subs(ct, evk.r) over a whole batch of ciphertexts at once."""
-        if evk.num_rows != gadget.length:
-            raise ParameterError(
-                f"evk has {evk.num_rows} rows; gadget expects {gadget.length}"
-            )
-        ctx = vec.a.ctx
-        moduli_col = ctx._moduli_col
-        nbytes = vec.a.residues.nbytes + vec.b.residues.nbytes
-        with kernel_stage(self._label("subs"), nbytes):
-            a_aut = self.automorphism(vec.a, evk.r)
-            b_aut = self.vec_to_ntt(self.automorphism(vec.b, evk.r))
-            digits = self.digits_forward(ctx, self.decompose(gadget, a_aut))
-            rows_a = np.stack([row.residues for row in evk.a_rows])
-            rows_b = np.stack([row.residues for row in evk.b_rows])
-            out_a = self.inner(digits, rows_a, moduli_col)
-            out_b = (self.inner(digits, rows_b, moduli_col) + b_aut.residues) \
-                % moduli_col
-            return BfvCiphertextVec(
-                RnsPolyVec(ctx, out_a, Domain.NTT),
-                RnsPolyVec(ctx, out_b, Domain.NTT),
-            )
+        return BfvCiphertextVec.from_stacked(
+            vec.a.ctx, self.substitute_stacked(vec.stacked(), evk, gadget)
+        )
 
     def external_product(
         self, rgsw: RgswCiphertext, vec: BfvCiphertextVec, gadget: Gadget
     ) -> BfvCiphertextVec:
-        """ct_RGSW ⊡ ct_BFV for a batch of BFV ciphertexts (Fig. 3 flow)."""
-        ell = gadget.length
-        if rgsw.num_rows != 2 * ell:
-            raise ParameterError(
-                f"RGSW has {rgsw.num_rows} rows; gadget expects {2 * ell}"
-            )
-        ctx = vec.a.ctx
-        batch = vec.batch
-        nbytes = vec.a.residues.nbytes + vec.b.residues.nbytes
-        with kernel_stage(self._label("ext_product"), nbytes):
-            stacked = self.vec_to_coeff(RnsPolyVec.concat(vec.a, vec.b))
-            digits = self.decompose(gadget, stacked)  # (2*batch, ell, n)
-            # Per ciphertext the digit order is a-digits then b-digits.
-            digits = np.concatenate([digits[:batch], digits[batch:]], axis=1)
-            digits = self.digits_forward(ctx, digits)  # (batch, 2*ell, rns, n)
-            rows_a = np.stack([row.residues for row in rgsw.a_rows])
-            rows_b = np.stack([row.residues for row in rgsw.b_rows])
-            return BfvCiphertextVec(
-                RnsPolyVec(
-                    ctx, self.inner(digits, rows_a, ctx._moduli_col), Domain.NTT
-                ),
-                RnsPolyVec(
-                    ctx, self.inner(digits, rows_b, ctx._moduli_col), Domain.NTT
-                ),
-            )
+        """ct_RGSW ⊡ ct_BFV for a batch of BFV ciphertexts: one group."""
+        out = self.external_product_stacked(
+            rgsw.rows[:, None], vec.stacked()[:, None], gadget
+        )
+        return BfvCiphertextVec.from_stacked(vec.a.ctx, out[:, 0])
 
     def cmux(
         self,
@@ -311,27 +502,10 @@ class ComputeBackend:
         gadget: Gadget,
     ) -> BfvCiphertextVec:
         """Batched ExpandQuery tree: one query ct -> 2^levels one-hot cts."""
-        n = ct.a.ctx.n
-        if (1 << levels) > n:
-            raise ParameterError(
-                f"cannot expand {levels} levels in a degree-{n} ring"
-            )
-        nbytes = ct.a.residues.nbytes + ct.b.residues.nbytes
-        with kernel_stage(self._label("expand"), nbytes):
-            vec = BfvCiphertextVec.from_cts([ct])
-            for a in range(levels):
-                r = n // (1 << a) + 1
-                if r not in evks:
-                    raise ParameterError(
-                        f"missing evk for substitution power r={r}"
-                    )
-                evk = evks[r]
-                step = 1 << a
-                swapped = self.substitute(vec, evk, gadget)
-                even = vec + swapped
-                odd = (vec - swapped).monomial_mul(-step)
-                vec = BfvCiphertextVec.concat(even, odd)
-            return vec
+        packed = np.stack([ct.a.residues, ct.b.residues])[:, None]
+        return BfvCiphertextVec.from_stacked(
+            ct.a.ctx, self.expand_window(packed, evks, levels, gadget)
+        )
 
     def rowsel(
         self,
@@ -340,33 +514,10 @@ class ComputeBackend:
         moduli_col: np.ndarray,
     ) -> BfvCiphertextVec:
         """Batched RowSel over one plane's (cols, d0, rns, n) tensor."""
-        d0 = db_tensor.shape[1]
-        if expanded.batch != d0:
-            raise ParameterError(
-                f"expected {d0} expanded ciphertexts, got {expanded.batch}"
-            )
-        ctx = expanded.a.ctx
-        with kernel_stage(self._label("rowsel"), 2 * db_tensor.nbytes):
-            out_a = self.rowsel_gemm(db_tensor, expanded.a.residues, moduli_col)
-            out_b = self.rowsel_gemm(db_tensor, expanded.b.residues, moduli_col)
-        return BfvCiphertextVec(
-            RnsPolyVec(ctx, out_a, Domain.NTT),
-            RnsPolyVec(ctx, out_b, Domain.NTT),
+        return BfvCiphertextVec.from_stacked(
+            expanded.a.ctx,
+            self.rowsel_window(expanded.stacked(), db_tensor[None], moduli_col),
         )
-
-    @staticmethod
-    def _check_coltor(count: int, selection_bits: list) -> None:
-        if count == 0:
-            raise ParameterError("ColTor needs at least one entry")
-        if count & (count - 1):
-            raise ParameterError(
-                f"ColTor entry count {count} must be a power of two"
-            )
-        if (1 << len(selection_bits)) != count:
-            raise ParameterError(
-                f"{count} entries need {count.bit_length() - 1} selection "
-                f"bits, got {len(selection_bits)}"
-            )
 
     def coltor(
         self,
@@ -374,22 +525,11 @@ class ComputeBackend:
         selection_bits: list[RgswCiphertext],
         gadget: Gadget,
     ) -> BfvCiphertext:
-        """Tournament reduction: 2^d RowSel outputs -> one response ct.
-
-        The base implementation mirrors the historical fast path exactly:
-        each round restacks the surviving ciphertexts into even/odd vec
-        halves via the ciphertext list (the planned backend overrides
-        this with tensor-resident slicing).
-        """
-        self._check_coltor(entries.batch, selection_bits)
-        nbytes = entries.a.residues.nbytes + entries.b.residues.nbytes
-        with kernel_stage(self._label("coltor"), nbytes):
-            current = entries.cts()
-            for rgsw_bit in selection_bits:
-                zeros = BfvCiphertextVec.from_cts(current[0::2])
-                ones = BfvCiphertextVec.from_cts(current[1::2])
-                current = self.cmux(rgsw_bit, zeros, ones, gadget).cts()
-            return current[0]
+        """Tournament reduction: 2^d RowSel outputs -> one response ct."""
+        result = self.coltor_window(
+            entries.stacked(), [[bit.rows] for bit in selection_bits], gadget
+        )
+        return BfvCiphertextVec.from_stacked(entries.a.ctx, result).ct(0)
 
 
 class EagerBackend(ComputeBackend):
@@ -423,22 +563,35 @@ class EagerBackend(ComputeBackend):
             return _batched_decompose_impl(gadget, vec)
 
     def inner(
-        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray
+        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        return _lazy_inner(digits, rows, moduli_col)
+        chunk = overflow_safe_chunk(int(moduli_col.max()))
+        return _chunked_einsum(
+            "gbkmn,gkmn->gbmn", digits, rows, chunk, moduli_col, out
+        )
 
     def rowsel_gemm(
-        self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray
+        self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        if db.ndim != 4 or query.ndim != 3 or db.shape[1:] != query.shape:
+        """Lazy-reduction int64 contraction over the row axis.
+
+        Residues are < 2^28, so int64 holds hundreds of accumulated
+        products before a ``% q`` is required; accumulation is chunked at
+        the overflow-safe length.
+        """
+        if (
+            db.ndim != 5 or query.ndim != 4 or db.shape[2:] != query.shape[1:]
+            or db.shape[0] not in (1, query.shape[0])
+        ):
             raise ParameterError(
                 f"GEMM shape mismatch: db {db.shape} vs query {query.shape}"
             )
         chunk = overflow_safe_chunk(int(moduli_col.max()))
         with kernel_stage(self._label("gemm"), db.nbytes + query.nbytes):
             return _chunked_einsum(
-                "crmn,rmn->cmn", db, query, db.shape[1], chunk, moduli_col,
-                (db.shape[0],) + query.shape[1:],
+                "qcrmn,qrmn->qcmn", db, query, chunk, moduli_col, out
             )
 
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -595,7 +748,7 @@ class _GemmNttPlan:
         )
 
     def block_polys(self, shared: bool) -> int:
-        """Polynomials per transform block under the ``_BLOCK_BYTES`` budget.
+        """Polynomials per transform block under the ``BLOCK_BYTES`` budget.
 
         Scratch per polynomial and modulus, in float64 words of n:
         operand halves (2) and partial products (2), accumulator, float
@@ -603,7 +756,7 @@ class _GemmNttPlan:
         for a ``shared`` four-step digit transform, second-GEMM halves
         (2) that leave the broadcast first split alive across the moduli.
         """
-        return max(1, _BLOCK_BYTES // ((19 if shared else 15) * 4 * self.n))
+        return max(1, BLOCK_BYTES // ((19 if shared else 15) * 4 * self.n))
 
     def gather(self, ctx: RingContext, r: int) -> np.ndarray:
         """Slot permutation of X -> X^r on NTT-form polynomials, cached per r.
@@ -668,7 +821,7 @@ class PlannedBackend(EagerBackend):
 
         An RNS axis of length 1 broadcasts (gadget digits: one
         coefficient row for every modulus).  The flattened batch axis is
-        walked in blocks of ``_BLOCK_BYTES`` of scratch, one modulus at
+        walked in blocks of ``BLOCK_BYTES`` of scratch, one modulus at
         a time, every elementwise pass in place.  ``partial`` leaves the
         output in ``[0, 2q)``.
         """
@@ -892,7 +1045,8 @@ class PlannedBackend(EagerBackend):
             return digits
 
     def inner(
-        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray
+        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Key-switch inner product sized on the *actual* operand range.
 
@@ -901,21 +1055,14 @@ class PlannedBackend(EagerBackend):
         the operand maxima instead of assuming canonical inputs.  The
         final reduction canonicalises, so results stay byte-identical.
         """
-        if digits.size == 0 or rows.size == 0:
-            return super().inner(digits, rows, moduli_col)
-        per_term = int(digits.max()) * int(rows.max())
-        if per_term == 0:
-            return np.zeros(
-                (digits.shape[0],) + rows.shape[1:], dtype=np.int64
-            )
-        chunk = (_INT64_MAX - (int(moduli_col.max()) - 1)) // per_term
+        per_term = int(digits.max(initial=0)) * int(rows.max(initial=0))
+        chunk = (_INT64_MAX - (int(moduli_col.max()) - 1)) // max(per_term, 1)
         if chunk < 1:
             # Out-of-range operands (never this backend's own digits):
             # canonicalise and take the eager path.
-            return super().inner(digits % moduli_col, rows, moduli_col)
+            return super().inner(digits % moduli_col, rows, moduli_col, out)
         return _chunked_einsum(
-            "bkmn,kmn->bmn", digits, rows, digits.shape[1], chunk,
-            moduli_col, (digits.shape[0],) + rows.shape[1:],
+            "gbkmn,gkmn->gbmn", digits, rows, chunk, moduli_col, out
         )
 
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -952,36 +1099,6 @@ class PlannedBackend(EagerBackend):
             acc += barrett_reduce(af[..., start:stop] @ bf[start:stop], q)
             acc -= q * (acc >= q)
         return acc
-
-    def coltor(
-        self,
-        entries: BfvCiphertextVec,
-        selection_bits: list[RgswCiphertext],
-        gadget: Gadget,
-    ) -> BfvCiphertext:
-        """Tensor-resident tournament: even/odd halves are residue views.
-
-        No per-round ciphertext lists and no restacking — each round
-        slices the surviving batch's residue tensors directly, so the
-        only materialization on the whole expand→rowsel→coltor path is
-        the final response ciphertext.
-        """
-        self._check_coltor(entries.batch, selection_bits)
-        ctx = entries.a.ctx
-        nbytes = entries.a.residues.nbytes + entries.b.residues.nbytes
-        with kernel_stage(self._label("coltor"), nbytes):
-            current = entries
-            for rgsw_bit in selection_bits:
-                zeros = BfvCiphertextVec(
-                    RnsPolyVec(ctx, current.a.residues[0::2], Domain.NTT),
-                    RnsPolyVec(ctx, current.b.residues[0::2], Domain.NTT),
-                )
-                ones = BfvCiphertextVec(
-                    RnsPolyVec(ctx, current.a.residues[1::2], Domain.NTT),
-                    RnsPolyVec(ctx, current.b.residues[1::2], Domain.NTT),
-                )
-                current = self.cmux(rgsw_bit, zeros, ones, gadget)
-            return current.ct(0)
 
 
 # ---------------------------------------------------------------------------

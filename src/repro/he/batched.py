@@ -9,38 +9,38 @@ accelerator's sysNTTUs motivate (Section III-A / Fig. 5):
 * :class:`RnsPolyVec` — a batch of polynomials as one ``(batch,
   rns_count, n)`` int64 tensor, with the same domain discipline as
   :class:`~repro.he.poly.RnsPoly`;
-* :class:`BfvCiphertextVec` — a batch of BFV ciphertexts (two vecs);
+* :class:`BfvCiphertextVec` — a batch of BFV ciphertexts (two vecs,
+  or two halves of one ``(2, batch, rns_count, n)`` tensor);
 * :func:`batched_decompose` — gadget decomposition via an exact
   int64 *limb iCRT*: the Eq. 3 lift is accumulated directly in base-z
   limbs (the gadget digits), so no per-coefficient big-int arithmetic
   is needed;
-* :func:`batched_substitute` / :func:`batched_external_product` /
-  :func:`batched_cmux` — Subs and the RGSW external product over whole
-  batches, with one stacked NTT call per modulus and lazy-reduction
-  inner products;
-* :func:`lazy_modular_gemm` — the RowSel modular GEMM: residues are
+* :func:`_chunked_einsum` — the lazy-reduction contraction behind the
+  RowSel modular GEMM and the key-switch inner product: residues are
   < 2^28, so int64 holds hundreds of accumulated products before a
   ``% q`` is required; accumulation is chunked at the overflow-safe
   length (:func:`overflow_safe_chunk`).
 
-Every kernel is element-identical to its per-poly reference — modular
-arithmetic is exact, so reassociating the reductions cannot change the
-canonical residues.  The hypothesis suite in ``tests/he/test_batched.py``
-asserts this, and the servers keep the per-poly path as the oracle.
+Subs, the RGSW external product and the ExpandQuery→RowSel→ColTor
+pipeline built from these live on
+:class:`~repro.he.backend.ComputeBackend`.  Every kernel is
+element-identical to its per-poly reference — modular arithmetic is
+exact, so reassociating the reductions cannot change the canonical
+residues.  The hypothesis suite in ``tests/he/test_batched.py`` asserts
+this, and the servers keep the per-poly path as the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import DomainError, ParameterError
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
+from repro.he.modred import modred
 from repro.he.poly import Domain, RingContext, RnsPoly
-from repro.he.rgsw import RgswCiphertext
-from repro.he.subs import SubsKey
 from repro.obs.profile import kernel_stage
 
 _INT64_MAX = (1 << 63) - 1
@@ -63,61 +63,31 @@ def overflow_safe_chunk(modulus: int) -> int:
     return (_INT64_MAX - (modulus - 1)) // worst
 
 
-def _chunked_einsum(script: str, lhs: np.ndarray, rhs: np.ndarray,
-                    axis_len: int, chunk: int, moduli_col: np.ndarray,
-                    out_shape: tuple) -> np.ndarray:
-    """Accumulate ``einsum(script)`` over a contraction axis in safe chunks.
+def _chunked_einsum(
+    script: str, lhs: np.ndarray, rhs: np.ndarray, chunk: int,
+    moduli_col: np.ndarray, out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``einsum(script)`` mod q, its contraction axis walked in safe chunks.
 
-    ``lhs``/``rhs`` are sliced along their leading contraction layout by
-    the caller-provided lambda-free convention: the contraction axis is
-    axis 1 of ``lhs`` and axis 0 of ``rhs``.
+    The contraction axis is axis 2 of ``lhs`` and axis 1 of ``rhs`` (both
+    carry a leading group/query axis).  The first chunk lands straight
+    in the result (``out`` when given), so a contraction one chunk
+    covers — every call at the shipped parameters — pays no zero
+    accumulator, no extra add pass and no second allocation.
     """
-    acc = np.zeros(out_shape, dtype=np.int64)
-    for start in range(0, axis_len, chunk):
+    acc = None
+    for start in range(0, max(lhs.shape[2], 1), chunk):
         stop = start + chunk
-        part = np.einsum(script, lhs[:, start:stop], rhs[start:stop])
-        acc = (acc + part) % moduli_col
+        part = np.einsum(
+            script, lhs[:, :, start:stop], rhs[:, start:stop],
+            out=out if acc is None else None,
+        )
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+        acc %= moduli_col
     return acc
-
-
-def lazy_modular_gemm(
-    db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray
-) -> np.ndarray:
-    """RowSel GEMM: ``out[c] = sum_r db[c, r] * query[r]`` mod q, per modulus.
-
-    ``db`` has shape ``(cols, rows, rns_count, n)``, ``query`` has shape
-    ``(rows, rns_count, n)``; the result is ``(cols, rns_count, n)``.
-    Products are accumulated lazily in int64 and reduced once per
-    overflow-safe chunk of the row axis (residues < 2^28 allow hundreds
-    of products per reduction), which is what turns the per-(row, col)
-    Python loop into a handful of tensor contractions.
-    """
-    if db.ndim != 4 or query.ndim != 3 or db.shape[1:] != query.shape:
-        raise ParameterError(
-            f"GEMM shape mismatch: db {db.shape} vs query {query.shape}"
-        )
-    chunk = overflow_safe_chunk(int(moduli_col.max()))
-    with kernel_stage("gemm", db.nbytes + query.nbytes):
-        return _chunked_einsum(
-            "crmn,rmn->cmn", db, query, db.shape[1], chunk, moduli_col,
-            (db.shape[0],) + query.shape[1:],
-        )
-
-
-def _lazy_inner(
-    digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray
-) -> np.ndarray:
-    """Key-switch inner product ``out[b] = sum_k digits[b, k] * rows[k]``.
-
-    ``digits`` is ``(batch, k, rns_count, n)``, ``rows`` is
-    ``(k, rns_count, n)``; same lazy-reduction contract as
-    :func:`lazy_modular_gemm`.
-    """
-    chunk = overflow_safe_chunk(int(moduli_col.max()))
-    return _chunked_einsum(
-        "bkmn,kmn->bmn", digits, rows, digits.shape[1], chunk, moduli_col,
-        (digits.shape[0],) + rows.shape[1:],
-    )
 
 
 def _rns_ntt_tables(ctx: RingContext) -> dict:
@@ -347,19 +317,22 @@ class RnsPolyVec:
                 f"batch mismatch: {self.batch} vs {other.batch}"
             )
 
+    # Residues are canonical, so a sum less q, a difference and a
+    # negation all land in modred's [-q, q) input range.
     def __add__(self, other: "RnsPolyVec") -> "RnsPolyVec":
         self._check_same_domain(other)
-        res = (self.residues + other.residues) % self.ctx._moduli_col
-        return RnsPolyVec(self.ctx, res, self.domain)
+        res = self.residues + other.residues
+        res -= self.ctx._moduli_col
+        return RnsPolyVec(self.ctx, modred(res, self.ctx._moduli_col), self.domain)
 
     def __sub__(self, other: "RnsPolyVec") -> "RnsPolyVec":
         self._check_same_domain(other)
-        res = (self.residues - other.residues) % self.ctx._moduli_col
-        return RnsPolyVec(self.ctx, res, self.domain)
+        res = self.residues - other.residues
+        return RnsPolyVec(self.ctx, modred(res, self.ctx._moduli_col), self.domain)
 
     def __neg__(self) -> "RnsPolyVec":
         return RnsPolyVec(
-            self.ctx, (-self.residues) % self.ctx._moduli_col, self.domain
+            self.ctx, modred(-self.residues, self.ctx._moduli_col), self.domain
         )
 
     def __mul__(self, other: "RnsPolyVec") -> "RnsPolyVec":
@@ -414,6 +387,9 @@ class BfvCiphertextVec:
 
     a: RnsPolyVec
     b: RnsPolyVec
+    #: The ``(2, batch, rns, n)`` tensor ``a`` and ``b`` are the halves
+    #: of, when the batch was built from one (:meth:`from_stacked`).
+    _stacked: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a.domain is not Domain.NTT or self.b.domain is not Domain.NTT:
@@ -422,6 +398,22 @@ class BfvCiphertextVec:
             raise ParameterError(
                 f"a/b batch mismatch: {self.a.batch} vs {self.b.batch}"
             )
+
+    @classmethod
+    def from_stacked(cls, ctx: RingContext, tensor: np.ndarray) -> "BfvCiphertextVec":
+        """Wrap a ``(2, batch, rns, n)`` NTT-form tensor without copying."""
+        return cls(
+            RnsPolyVec(ctx, tensor[0], Domain.NTT),
+            RnsPolyVec(ctx, tensor[1], Domain.NTT),
+            tensor,
+        )
+
+    def stacked(self) -> np.ndarray:
+        """Both halves as one ``(2, batch, rns, n)`` tensor (a copy only
+        when the batch was assembled from separate halves)."""
+        if self._stacked is not None:
+            return self._stacked
+        return np.stack([self.a.residues, self.b.residues])
 
     @classmethod
     def from_cts(cls, cts: list[BfvCiphertext]) -> "BfvCiphertextVec":
@@ -572,96 +564,3 @@ def _batched_decompose_impl(gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
             acc[:, li] += borrow * z
             acc[:, li + 1] -= borrow
     return acc[:, : gadget.length, :]
-
-
-def _digits_forward(ctx: RingContext, digits: np.ndarray) -> np.ndarray:
-    """NTT the digit tensor (batch, k, n) into every RNS row: (batch, k, rns, n).
-
-    A digit polynomial has the same int64 coefficients in every residue
-    channel (digits are < z), so the RNS axis is a broadcast of the same
-    input and the whole tensor goes through one stacked transform.
-    """
-    batch, k, n = digits.shape
-    tiled = np.broadcast_to(
-        digits[:, :, None, :], (batch, k, ctx.rns_count, n)
-    )
-    return rns_forward(ctx, tiled)
-
-
-# ---------------------------------------------------------------------------
-# Batched Subs / external product / cmux
-# ---------------------------------------------------------------------------
-
-def batched_substitute(
-    vec: BfvCiphertextVec, evk: SubsKey, gadget: Gadget
-) -> BfvCiphertextVec:
-    """Subs(ct, evk.r) over a whole batch of ciphertexts at once.
-
-    Identical math to :func:`repro.he.subs.substitute`, with the
-    automorphism, digit NTTs, and key-switch inner products each done as
-    one stacked kernel per modulus instead of per ciphertext.
-    """
-    if evk.num_rows != gadget.length:
-        raise ParameterError(
-            f"evk has {evk.num_rows} rows; gadget expects {gadget.length}"
-        )
-    ctx = vec.a.ctx
-    moduli_col = ctx._moduli_col
-    with kernel_stage("subs", vec.a.residues.nbytes + vec.b.residues.nbytes):
-        a_aut = vec.a.to_coeff().automorphism(evk.r)
-        b_aut = vec.b.to_coeff().automorphism(evk.r).to_ntt()
-        digits = _digits_forward(ctx, batched_decompose(gadget, a_aut))
-        rows_a = np.stack([row.residues for row in evk.a_rows])
-        rows_b = np.stack([row.residues for row in evk.b_rows])
-        out_a = _lazy_inner(digits, rows_a, moduli_col)
-        out_b = (_lazy_inner(digits, rows_b, moduli_col) + b_aut.residues) \
-            % moduli_col
-        return BfvCiphertextVec(
-            RnsPolyVec(ctx, out_a, Domain.NTT), RnsPolyVec(ctx, out_b, Domain.NTT)
-        )
-
-
-def batched_external_product(
-    rgsw: RgswCiphertext, vec: BfvCiphertextVec, gadget: Gadget
-) -> BfvCiphertextVec:
-    """ct_RGSW ⊡ ct_BFV for a batch of BFV ciphertexts (Fig. 3 flow).
-
-    The 2ℓ digit polynomials of every ciphertext are produced by one
-    batched decomposition (a and b stacked), NTT'd in one pass per
-    modulus, and contracted against the RGSW rows with lazy reduction.
-    """
-    ell = gadget.length
-    if rgsw.num_rows != 2 * ell:
-        raise ParameterError(
-            f"RGSW has {rgsw.num_rows} rows; gadget expects {2 * ell}"
-        )
-    ctx = vec.a.ctx
-    batch = vec.batch
-    with kernel_stage(
-        "ext_product", vec.a.residues.nbytes + vec.b.residues.nbytes
-    ):
-        stacked = RnsPolyVec.concat(vec.a, vec.b).to_coeff()
-        digits = batched_decompose(gadget, stacked)  # (2*batch, ell, n)
-        # Per ciphertext the digit order is a-digits then b-digits.
-        digits = np.concatenate([digits[:batch], digits[batch:]], axis=1)
-        digits = _digits_forward(ctx, digits)  # (batch, 2*ell, rns, n)
-        rows_a = np.stack([row.residues for row in rgsw.a_rows])
-        rows_b = np.stack([row.residues for row in rgsw.b_rows])
-        return BfvCiphertextVec(
-            RnsPolyVec(
-                ctx, _lazy_inner(digits, rows_a, ctx._moduli_col), Domain.NTT
-            ),
-            RnsPolyVec(
-                ctx, _lazy_inner(digits, rows_b, ctx._moduli_col), Domain.NTT
-            ),
-        )
-
-
-def batched_cmux(
-    rgsw_bit: RgswCiphertext,
-    if_zeros: BfvCiphertextVec,
-    if_ones: BfvCiphertextVec,
-    gadget: Gadget,
-) -> BfvCiphertextVec:
-    """Homomorphic select over aligned batches: bit ⊡ (ones - zeros) + zeros."""
-    return batched_external_product(rgsw_bit, if_ones - if_zeros, gadget) + if_zeros

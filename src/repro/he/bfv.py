@@ -12,8 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import NoiseOverflowError, ParameterError
-from repro.he.poly import Domain, RingContext, RnsPoly
+from repro.he.modred import modred
+from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.he.sampling import Sampler
+
+
+def _backend():
+    """The default compute backend, imported late: its module imports this one."""
+    from repro.he.backend import get_backend
+
+    return get_backend()
 
 
 @dataclass
@@ -80,47 +88,62 @@ class BfvContext:
         arr = np.asarray(coeffs, dtype=np.int64) % self.params.plain_modulus
         return self.ctx.from_small_coeffs(arr, domain=domain)
 
+    def add_plain(self, b_rows: np.ndarray, coeffs: np.ndarray) -> None:
+        """In place ``b += Δ·m``: plaintext rows ``(count, n)`` onto the
+        ``(count, rns, n)`` b-halves of zero encryptions."""
+        moduli_col = self.ctx._moduli_col
+        arr = np.asarray(coeffs, dtype=np.int64) % self.params.plain_modulus
+        scaled = _backend().ntt_forward(self.ctx, arr[:, None, :])
+        scaled *= self._delta_rns[:, None]
+        scaled %= moduli_col
+        b_rows += scaled
+        b_rows -= moduli_col
+        modred(b_rows, moduli_col)
+
     def encrypt(self, coeffs, key: SecretKey) -> BfvCiphertext:
         """Fresh encryption of a plaintext coefficient vector (mod P)."""
-        arr = np.asarray(coeffs, dtype=np.int64) % self.params.plain_modulus
-        a = self.sampler.uniform_poly(Domain.NTT)
-        e = self.sampler.error_poly(Domain.NTT)
-        delta_m = self.ctx.from_small_coeffs(arr, domain=Domain.NTT).scalar_rns_mul(
-            self._delta_rns
-        )
-        b = -(a * key.ntt) + e + delta_m
-        return BfvCiphertext(a, b)
+        rows = self.encrypt_zeros(key, 1)
+        self.add_plain(rows[1], np.asarray(coeffs, dtype=np.int64)[None])
+        return self.row_ct(rows, 0)
 
     def encrypt_zero(self, key: SecretKey) -> BfvCiphertext:
         """RLWE encryption of zero (building block for evk/RGSW rows)."""
-        a = self.sampler.uniform_poly(Domain.NTT)
-        e = self.sampler.error_poly(Domain.NTT)
-        b = -(a * key.ntt) + e
-        return BfvCiphertext(a, b)
+        return self.row_ct(self.encrypt_zeros(key, 1), 0)
 
-    def encrypt_zeros(self, key: SecretKey, count: int) -> list[BfvCiphertext]:
-        """``count`` RLWE encryptions of zero with one stacked error NTT.
-
-        Draws ``a`` then ``e`` per row exactly as ``count`` calls of
-        :meth:`encrypt_zero` would, so a seeded sampler yields the same
-        ciphertexts byte for byte; only the error polynomials' forward
-        transforms are gathered into a single compute-backend call (the
-        gadget rows of an RGSW ciphertext or evaluation key otherwise
-        spend most of their time in per-modulus reference NTTs).
-        """
-        from repro.he.backend import get_backend  # it imports this module
-
-        rows = [
-            (self.sampler.uniform_poly(Domain.NTT), self.sampler.error_coeffs())
-            for _ in range(count)
-        ]
-        errors = get_backend().ntt_forward(
-            self.ctx, np.stack([e for _, e in rows])[:, None, :]
+    def row_ct(self, rows: np.ndarray, index: int) -> BfvCiphertext:
+        """Row ``index`` of an :meth:`encrypt_zeros` tensor as a ciphertext (views)."""
+        return BfvCiphertext(
+            RnsPoly(self.ctx, rows[0, index], Domain.NTT),
+            RnsPoly(self.ctx, rows[1, index], Domain.NTT),
         )
-        return [
-            BfvCiphertext(a, -(a * key.ntt) + RnsPoly(self.ctx, e, Domain.NTT))
-            for (a, _), e in zip(rows, errors)
-        ]
+
+    def encrypt_zeros(self, key: SecretKey, count: int) -> np.ndarray:
+        """``count`` RLWE encryptions of zero as one ``(2, count, rns, n)`` tensor.
+
+        ``rows[0]`` holds the uniform ``a`` polynomials and ``rows[1]``
+        ``b = e - a*s``, all in NTT form.  The sampler is asked for every
+        uniform row first and every error row second, and the error
+        transforms go through the compute backend.  Draws and arithmetic
+        both walk the rows in blocks whose temporaries (bounded draws,
+        transformed errors, the ``a*s`` products) fit the backend's
+        scratch budget, so a whole query pass costs no more transient
+        memory than one RGSW.
+        """
+        ctx, backend = self.ctx, _backend()
+        moduli_col = ctx._moduli_col
+        rows = np.empty((2, count, ctx.rns_count, ctx.n), dtype=np.int64)
+        block = max(1, BLOCK_BYTES // (3 * 8 * ctx.rns_count * ctx.n))
+        for lo in range(0, count, block):
+            self.sampler.uniform_rows(rows[0, lo:lo + block])
+        for lo in range(0, count, block):
+            a, b = rows[0, lo:lo + block], rows[1, lo:lo + block]
+            errors = self.sampler.error_rows(len(a))
+            b[...] = backend.ntt_forward(ctx, errors[:, None, :])
+            prod = a * key.ntt.residues
+            prod %= moduli_col
+            b -= prod
+            modred(b, moduli_col)
+        return rows
 
     # -- decryption -------------------------------------------------------
     def phase(self, ct: BfvCiphertext, key: SecretKey) -> np.ndarray:

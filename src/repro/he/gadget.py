@@ -31,6 +31,8 @@ class Gadget:
             ctx.basis.constant_rns(pow(self.base, i, params.q))
             for i in range(self.length)
         )
+        #: The same constants as one (ℓ, rns, 1) array, for stacked key rows.
+        self.powers_col = np.stack(self.powers_rns)[:, :, None]
 
     def decompose(self, poly: RnsPoly) -> list[RnsPoly]:
         """Dcp: iNTT -> iCRT -> bit extraction; returns ℓ coeff-domain polys.

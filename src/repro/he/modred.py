@@ -50,6 +50,24 @@ from repro.errors import ParameterError
 FLOAT64_EXACT_MAX = 1 << 53
 
 
+def modred(r: np.ndarray, q) -> np.ndarray:
+    """In place: int64 ``r`` in ``[-q, q)`` -> canonical ``[0, q)``, no ``%``.
+
+    The range is what one modular add or subtract leaves behind: a
+    difference of canonical residues lands in ``(-q, q)``, a negation in
+    ``(-q, 0]`` and a sum, after subtracting ``q``, in ``[-q, q - 1)``.
+    ``q`` is a scalar or an int64 array broadcastable against ``r``,
+    below 2^62 so that ``r + q`` cannot wrap.  The correction is the one
+    :func:`barrett_store` uses: read as unsigned, a negative ``r`` is at
+    least 2^63 while ``r + q`` is its canonical residue, and for
+    ``r >= 0`` the sum is the larger of the two — one unsigned minimum
+    picks the right one either way.
+    """
+    unsigned = r.view(np.uint64)
+    np.minimum(unsigned, (r + q).view(np.uint64), out=unsigned)
+    return r
+
+
 def barrett_reduce(acc: np.ndarray, q) -> np.ndarray:
     """Exact ``acc mod q`` for an integer-valued float64 tensor.
 

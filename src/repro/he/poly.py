@@ -23,6 +23,15 @@ if TYPE_CHECKING:  # avoid a circular import; params depends on he.modmath
     from repro.params import PirParams
 
 
+#: Scratch budget of one block of a stacked kernel.  The planned
+#: transforms walk their batch axis in blocks whose float64/int64
+#: intermediates fit this many bytes, so they stay L2-resident however
+#: large the batch is; the stacked client encryption walks its rows, and
+#: the servers cut a dispatch window into query groups, under the same
+#: budget.
+BLOCK_BYTES = 1 << 21
+
+
 class Domain(enum.Enum):
     COEFF = "coeff"
     NTT = "ntt"

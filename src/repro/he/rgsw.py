@@ -12,41 +12,74 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ParameterError
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
-from repro.he.poly import RnsPoly
+from repro.he.modred import modred
+from repro.he.poly import Domain, RingContext, RnsPoly
+
+
+def key_row_views(ctx, rows: np.ndarray, half: int) -> list[RnsPoly]:
+    """One half of a stacked ``(2, rows, rns, n)`` key tensor as RnsPoly views."""
+    return [RnsPoly(ctx, row, Domain.NTT) for row in rows[half]]
 
 
 @dataclass
 class RgswCiphertext:
-    """2ℓ RLWE rows; row i is (a_rows[i], b_rows[i]), all in NTT form."""
+    """2ℓ RLWE rows as one ``(2, 2ℓ, rns, n)`` NTT-form tensor.
 
-    a_rows: list[RnsPoly]
-    b_rows: list[RnsPoly]
+    ``rows[0]`` stacks the ``a`` polynomials and ``rows[1]`` the ``b``
+    ones — the operand the compute backends' key-switch kernel contracts
+    gadget digits against, held once and never re-stacked.  ``a_rows`` /
+    ``b_rows`` are per-row views for the per-poly reference path.
+    """
+
+    ctx: RingContext
+    rows: np.ndarray
 
     @property
     def num_rows(self) -> int:
-        return len(self.a_rows)
+        return self.rows.shape[1]
+
+    @property
+    def a_rows(self) -> list[RnsPoly]:
+        return key_row_views(self.ctx, self.rows, 0)
+
+    @property
+    def b_rows(self) -> list[RnsPoly]:
+        return key_row_views(self.ctx, self.rows, 1)
+
+
+def add_gadget(gadget: Gadget, rows: np.ndarray, messages) -> None:
+    """Turn zero encryptions into RGSW encryptions of ``messages``, in place.
+
+    ``rows`` is ``(2, ..., 2ℓ, rns, n)`` fresh zero rows and ``messages``
+    small scalars matching the ``...`` axes.  Row ``i < ℓ`` gets
+    ``m * z^i`` on its ``a`` slot and row ``ℓ + i`` on its ``b`` slot; a
+    constant's NTT form is that constant in every slot.
+    """
+    ell = gadget.length
+    moduli = gadget.ctx._moduli_col
+    shift = (
+        np.asarray(messages, dtype=np.int64)[..., None, None, None]
+        * gadget.powers_col
+    ) % moduli
+    for half, span in ((0, slice(0, ell)), (1, slice(ell, 2 * ell))):
+        target = rows[half][..., span, :, :]
+        target += shift
+        target -= moduli
+        modred(target, moduli)
 
 
 def rgsw_encrypt(
     bfv: BfvContext, gadget: Gadget, message: int, key: SecretKey
 ) -> RgswCiphertext:
     """Encrypt a small scalar (typically a selection bit) as RGSW."""
-    ell = gadget.length
-    a_rows: list[RnsPoly] = []
-    b_rows: list[RnsPoly] = []
-    for i, row in enumerate(bfv.encrypt_zeros(key, 2 * ell)):
-        power = gadget.powers_rns[i % ell]
-        shift = bfv.ctx.constant(1).scalar_rns_mul(power).scalar_mul(message)
-        if i < ell:
-            a_rows.append(row.a + shift)
-            b_rows.append(row.b)
-        else:
-            a_rows.append(row.a)
-            b_rows.append(row.b + shift)
-    return RgswCiphertext(a_rows, b_rows)
+    rows = bfv.encrypt_zeros(key, 2 * gadget.length)
+    add_gadget(gadget, rows, message)
+    return RgswCiphertext(bfv.ctx, rows)
 
 
 def external_product(

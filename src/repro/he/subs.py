@@ -12,41 +12,73 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ParameterError
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
-from repro.he.poly import Domain, RnsPoly
+from repro.he.modred import modred
+from repro.he.poly import Domain, RingContext, RnsPoly
+from repro.he.rgsw import key_row_views
 
 
 @dataclass
 class SubsKey:
-    """Key-switching key for one automorphism power r (2 x ℓ polynomials)."""
+    """Key-switching key for one automorphism power r (2 x ℓ polynomials).
+
+    Like :class:`~repro.he.rgsw.RgswCiphertext`, the rows live in one
+    ``(2, ℓ, rns, n)`` NTT-form tensor (``rows[0]`` the ``a`` halves,
+    ``rows[1]`` the ``b`` halves) with per-row views for the reference
+    path.
+    """
 
     r: int
-    a_rows: list[RnsPoly]
-    b_rows: list[RnsPoly]
+    ctx: RingContext
+    rows: np.ndarray
 
     @property
     def num_rows(self) -> int:
-        return len(self.a_rows)
+        return self.rows.shape[1]
+
+    @property
+    def a_rows(self) -> list[RnsPoly]:
+        return key_row_views(self.ctx, self.rows, 0)
+
+    @property
+    def b_rows(self) -> list[RnsPoly]:
+        return key_row_views(self.ctx, self.rows, 1)
+
+
+def generate_subs_keys(
+    bfv: BfvContext, gadget: Gadget, key: SecretKey, powers: list[int]
+) -> dict[int, SubsKey]:
+    """evk_r for every r in ``powers``: rows (a_i, -a_i*s + e_i + z^i * s(X^r)).
+
+    All keys come out of one stacked :meth:`BfvContext.encrypt_zeros`
+    draw; each :class:`SubsKey` is a view of that tensor.
+    """
+    ctx, ell = bfv.ctx, gadget.length
+    moduli = ctx._moduli_col
+    rows = bfv.encrypt_zeros(key, len(powers) * ell)
+    keyed = rows.reshape((2, len(powers), ell) + rows.shape[2:])
+    secret = ctx.from_small_coeffs(key.coeffs, domain=Domain.COEFF)
+    for index, r in enumerate(powers):
+        s_rot = secret.automorphism(r).to_ntt()
+        b = keyed[1, index]
+        b += (s_rot.residues * gadget.powers_col) % moduli
+        b -= moduli
+        modred(b, moduli)
+    return {
+        r: SubsKey(r=r, ctx=ctx, rows=keyed[:, index])
+        for index, r in enumerate(powers)
+    }
 
 
 def generate_subs_key(
     bfv: BfvContext, gadget: Gadget, key: SecretKey, r: int
 ) -> SubsKey:
-    """evk_r: rows (a_i, -a_i*s + e_i + z^i * s(X^r))."""
-    s_rot = (
-        bfv.ctx.from_small_coeffs(key.coeffs, domain=Domain.COEFF)
-        .automorphism(r)
-        .to_ntt()
-    )
-    a_rows: list[RnsPoly] = []
-    b_rows: list[RnsPoly] = []
-    rows = bfv.encrypt_zeros(key, gadget.length)
-    for power, row in zip(gadget.powers_rns, rows):
-        a_rows.append(row.a)
-        b_rows.append(row.b + s_rot.scalar_rns_mul(power))
-    return SubsKey(r=r, a_rows=a_rows, b_rows=b_rows)
+    """One evaluation key: :func:`generate_subs_keys` of a single power."""
+    return generate_subs_keys(bfv, gadget, key, [r])[r]
 
 
 def substitute(ct: BfvCiphertext, evk: SubsKey, gadget: Gadget) -> BfvCiphertext:

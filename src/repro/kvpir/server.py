@@ -1,8 +1,8 @@
 """Keyword-PIR server and end-to-end protocol harness.
 
 The server is the batch-PIR server over the slot table: every chunk of a
-lookup plan runs one cuckoo-batched pass (per-bucket ExpandQuery ->
-RowSel -> ColTor pipelines), so the server-side cost of a window of
+lookup plan runs one cuckoo-batched pass (the buckets' ExpandQuery ->
+RowSel -> ColTor pipelines as one stacked window), so the server-side cost of a window of
 keyword lookups is ``ceil(distinct probes / design batch)`` passes over
 the replicated bucket set — the same amortization engine as
 :mod:`repro.batchpir`, fed ~``num_hashes`` probes per key.
@@ -34,8 +34,8 @@ from repro.pir.protocol import Transcript
 class KvPirServer:
     """Batch-PIR server over the cuckoo slot table.
 
-    ``backend`` is forwarded to every per-bucket ``PirServer`` (the
-    registry default when unset).
+    ``backend`` is forwarded to the batch server (the registry default
+    when unset).
     """
 
     def __init__(

@@ -151,6 +151,10 @@ def health_snapshot(
         "served": metrics.served,
         "failed": metrics.failed,
         "queue_depth": metrics.queue_depth,
+        # Cliff counters of the stacked PIR pipeline: queries per window
+        # and the groups the scratch budget cut them into.
+        "pir_window_queries": metrics.registry.counter("pir_window_queries").value,
+        "pir_window_groups": metrics.registry.counter("pir_window_groups").value,
         "slo": [v.to_json() for v in verdicts],
         "worst_state": _worst(verdicts),
         "cluster": cluster,

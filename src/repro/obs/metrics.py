@@ -449,3 +449,37 @@ class MetricsRegistry:
             elif isinstance(metric, TimeSeries):
                 out[name] = metric.rows()
         return out
+
+
+# -- kernel-side counters ----------------------------------------------------
+#
+# Code below the serving layer (the PIR servers, the compute backends)
+# has no runtime to hand it a registry, so — like the kernel profiler in
+# :mod:`repro.obs.profile` — it records through a process-global hook:
+# whoever owns a registry installs it, and :func:`count` is a no-op
+# global read while none is installed.
+
+_INSTALLED: MetricsRegistry | None = None
+
+
+def install(registry: MetricsRegistry | None) -> MetricsRegistry | None:
+    """Install (or clear, with ``None``) the registry :func:`count` feeds.
+
+    Returns the previously installed registry so callers can restore it.
+    """
+    global _INSTALLED
+    previous = _INSTALLED
+    _INSTALLED = registry
+    return previous
+
+
+def active() -> MetricsRegistry | None:
+    """The registry :func:`count` currently feeds, if any."""
+    return _INSTALLED
+
+
+def count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to counter ``name`` of the installed registry, if any."""
+    registry = _INSTALLED
+    if registry is not None:
+        registry.counter(name).inc(amount)

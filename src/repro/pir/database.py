@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.errors import LayoutError
 from repro.he.backend import ComputeBackend, resolve_backend
-from repro.he.batched import RnsPolyVec
 from repro.he.poly import Domain, RingContext, RnsPoly
 from repro.params import PirParams
 from repro.pir.layout import RecordLayout
@@ -131,26 +130,18 @@ class PirDatabase:
     ) -> "PreprocessedDatabase":
         """CRT + NTT every polynomial (Section II-B preprocessing).
 
-        One stacked NTT call per plane, routed through the resolved
-        compute backend; the per-poly ``RnsPoly`` entries are views into
-        the plane's residue tensor, which is seeded straight into the
-        RowSel GEMM cache.  The plane goes in with a length-1 RNS axis:
-        its coefficients (mod P) are the same integers under every
+        One stacked NTT call, routed through the resolved compute
+        backend; the per-poly ``RnsPoly`` entries are views into the
+        resulting residue tensor, which is seeded straight into the
+        RowSel GEMM cache.  The planes go in with a length-1 RNS axis:
+        their coefficients (mod P) are the same integers under every
         modulus, so the transform's own reduction is the CRT and no
         ``(polys, rns, n)`` coefficient tensor is ever built.
         """
-        resolved = resolve_backend(backend)
-        planes: list[list[RnsPoly]] = []
-        tensors: dict[int, np.ndarray] = {}
-        for index, plane in enumerate(self.planes):
-            vec = RnsPolyVec(
-                ring, resolved.ntt_forward(ring, plane[:, None, :]), Domain.NTT
-            )
-            planes.append(vec.polys())
-            tensors[index] = vec.residues
-        pre = PreprocessedDatabase(self.layout, ring, planes)
-        pre._tensors = tensors
-        return pre
+        tensor = resolve_backend(backend).ntt_forward(
+            ring, self.planes[:, :, None, :]
+        )
+        return PreprocessedDatabase.from_tensor(self.layout, ring, tensor)
 
 
 @dataclass
@@ -165,6 +156,24 @@ class PreprocessedDatabase:
     _tensors: dict[int, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @classmethod
+    def from_tensor(
+        cls, layout: RecordLayout, ring: RingContext, tensor: np.ndarray
+    ) -> "PreprocessedDatabase":
+        """Wrap a ``(planes, polys, rns, n)`` NTT-form tensor without copying.
+
+        The per-poly entries and the RowSel GEMM cache are both views
+        of ``tensor`` — which may itself be a view, e.g. one bucket of
+        a batch server's single ``(buckets, planes, polys, rns, n)``
+        allocation.
+        """
+        pre = cls(
+            layout, ring,
+            [[RnsPoly(ring, poly, Domain.NTT) for poly in plane] for plane in tensor],
+        )
+        pre._tensors = dict(enumerate(tensor))
+        return pre
 
     @property
     def plane_count(self) -> int:

@@ -27,6 +27,7 @@ from repro.errors import (
     ServeError,
     ShuttingDownError,
 )
+from repro.obs import metrics as obs_metrics
 from repro.obs.events import FlightRecorder
 from repro.obs.trace import Tracer
 from repro.serve.metrics import ServeMetrics
@@ -315,6 +316,7 @@ class ServeRuntime:
         self.metrics = metrics if metrics is not None else ServeMetrics(num_shards)
         self.tracer = tracer
         self.recorder = recorder
+        self._outer_registry = None
         if recorder is not None:
             # Post-mortems capture the serving state at the fatal event.
             recorder.attach_source("serve_metrics", self.metrics.snapshot)
@@ -328,6 +330,10 @@ class ServeRuntime:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
+        # Kernel-side cliff counters (window/group sizes, ...) of the
+        # servers this runtime drives land in its registry, next to the
+        # serving counters the Prometheus/JSONL exports already read.
+        self._outer_registry = obs_metrics.install(self.metrics.registry)
         for dispatcher in self.dispatchers:
             dispatcher.start()
 
@@ -335,6 +341,8 @@ class ServeRuntime:
         """Serve everything queued, then stop accepting and shut down."""
         await asyncio.gather(*(d.drain() for d in self.dispatchers))
         self.backend.close()
+        if obs_metrics.active() is self.metrics.registry:
+            obs_metrics.install(self._outer_registry)
 
     async def __aenter__(self) -> "ServeRuntime":
         self.start()

@@ -14,14 +14,11 @@ from hypothesis import strategies as st
 
 from repro.errors import DomainError, ParameterError
 from repro.he import modmath
+from repro.he.backend import get_backend
 from repro.he.batched import (
     BfvCiphertextVec,
     RnsPolyVec,
-    batched_cmux,
     batched_decompose,
-    batched_external_product,
-    batched_substitute,
-    lazy_modular_gemm,
     overflow_safe_chunk,
     rns_forward,
     rns_inverse,
@@ -29,11 +26,21 @@ from repro.he.batched import (
 from repro.he.bfv import BfvContext, SecretKey
 from repro.he.gadget import Gadget
 from repro.he.ntt import NttContext
-from repro.he.poly import Domain, RingContext, RnsPoly
+from repro.he.poly import Domain, RingContext
 from repro.he.rgsw import cmux, external_product, rgsw_encrypt
 from repro.he.sampling import Sampler
 from repro.he.subs import generate_subs_key, substitute
 from repro.params import PirParams
+
+
+#: The pipeline ops live on the compute backends; ``eager`` is the stacked
+#: numpy oracle these suites pin against the per-poly reference.
+EAGER = get_backend("eager")
+
+
+def lazy_modular_gemm(db, query, moduli_col):
+    """One query against one shared plane tensor."""
+    return EAGER.rowsel_gemm(db[None], query[None], moduli_col)[0]
 
 
 def _ntt_context(n: int, seed: int) -> NttContext:
@@ -322,7 +329,7 @@ class TestBatchedHeOps:
         params, ctx, bfv, key, gadget = he_stack
         evk = generate_subs_key(bfv, gadget, key, params.n // 2 + 1)
         cts = self._random_cts(bfv, key, batch, seed)
-        out = batched_substitute(BfvCiphertextVec.from_cts(cts), evk, gadget)
+        out = EAGER.substitute(BfvCiphertextVec.from_cts(cts), evk, gadget)
         for i, ct in enumerate(cts):
             ref = substitute(ct, evk, gadget)
             assert np.array_equal(out.a.residues[i], ref.a.residues)
@@ -341,14 +348,14 @@ class TestBatchedHeOps:
         rgsw = rgsw_encrypt(bfv, gadget, bit, key)
         cts = self._random_cts(bfv, key, 2 * batch, seed)
         vec = BfvCiphertextVec.from_cts(cts[:batch])
-        prod = batched_external_product(rgsw, vec, gadget)
+        prod = EAGER.external_product(rgsw, vec, gadget)
         for i in range(batch):
             ref = external_product(rgsw, cts[i], gadget)
             assert np.array_equal(prod.a.residues[i], ref.a.residues)
             assert np.array_equal(prod.b.residues[i], ref.b.residues)
         zeros = BfvCiphertextVec.from_cts(cts[:batch])
         ones = BfvCiphertextVec.from_cts(cts[batch:])
-        sel = batched_cmux(rgsw, zeros, ones, gadget)
+        sel = EAGER.cmux(rgsw, zeros, ones, gadget)
         for i in range(batch):
             ref = cmux(rgsw, cts[i], cts[batch + i], gadget)
             assert np.array_equal(sel.a.residues[i], ref.a.residues)

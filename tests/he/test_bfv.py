@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
-from repro.he.poly import Domain, RingContext
+from repro.he.poly import Domain, RingContext, RnsPoly
 from repro.he.sampling import Sampler
 from repro.params import PirParams
 
@@ -31,19 +31,43 @@ class TestEncryptDecrypt:
         ct = bfv.encrypt_zero(secret_key)
         assert np.all(bfv.decrypt(ct, secret_key) == 0)
 
-    def test_encrypt_zeros_is_repeated_encrypt_zero_byte_for_byte(
-        self, ring, secret_key
-    ):
-        """Same seed, same draws: only the error NTTs are stacked."""
-        one_by_one = BfvContext(ring, Sampler(ring, seed=77))
+    def test_encrypt_zeros_of_one_is_encrypt_zero(self, ring, secret_key):
+        """A stack of one is ``encrypt_zero``: same draws, same bytes, and
+        both are the per-poly formula ``b = e - a*s`` on the sampler's own
+        polynomials."""
+        single = BfvContext(ring, Sampler(ring, seed=77))
         stacked = BfvContext(ring, Sampler(ring, seed=77))
-        want = [one_by_one.encrypt_zero(secret_key) for _ in range(5)]
-        got = stacked.encrypt_zeros(secret_key, 5)
-        assert len(got) == 5
-        for g, w in zip(got, want):
-            assert g.a == w.a and g.b == w.b
+        by_hand = Sampler(ring, seed=77)
+        want = single.encrypt_zero(secret_key)
+        rows = stacked.encrypt_zeros(secret_key, 1)
+        assert rows.shape == (2, 1, ring.rns_count, ring.n)
+        assert np.array_equal(rows[0, 0], want.a.residues)
+        assert np.array_equal(rows[1, 0], want.b.residues)
+        a = by_hand.uniform_poly(Domain.NTT)
+        e = by_hand.error_poly(Domain.NTT)
+        assert want.a == a
+        assert want.b == -(a * secret_key.ntt) + e
         # ... and the samplers are left in the same state.
-        assert stacked.encrypt_zero(secret_key).b == one_by_one.encrypt_zero(secret_key).b
+        assert stacked.encrypt_zero(secret_key).b == single.encrypt_zero(secret_key).b
+
+    def test_encrypt_zeros_draws_uniform_rows_then_error_rows(self, ring, secret_key):
+        """The documented draw order of a stack: every uniform row (one
+        bounded draw per modulus), then every error row."""
+        count = 4
+        rows = BfvContext(ring, Sampler(ring, seed=78)).encrypt_zeros(secret_key, count)
+        rng = np.random.default_rng(78)
+        uniform = np.stack(
+            [rng.integers(0, q, size=(count, ring.n)) for q in ring.params.moduli],
+            axis=1,
+        )
+        errors = np.rint(
+            rng.normal(0.0, ring.params.error_std, size=(count, ring.n))
+        ).astype(np.int64)
+        assert np.array_equal(rows[0], uniform)
+        for i in range(count):
+            a = RnsPoly(ring, uniform[i], Domain.NTT)
+            e = ring.from_small_coeffs(errors[i], domain=Domain.NTT)
+            assert np.array_equal(rows[1, i], (-(a * secret_key.ntt) + e).residues)
 
     def test_max_plaintext_value(self, ring, bfv, secret_key):
         p = ring.params.plain_modulus

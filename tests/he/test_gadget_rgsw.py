@@ -96,7 +96,7 @@ class TestRgsw:
 
     def test_row_count_validation(self, ring, bfv, gadget, secret_key):
         rgsw = rgsw_encrypt(bfv, gadget, 1, secret_key)
-        bad = RgswCiphertext(rgsw.a_rows[:-1], rgsw.b_rows[:-1])
+        bad = RgswCiphertext(rgsw.ctx, rgsw.rows[:, :-1])
         ct = bfv.encrypt_zero(secret_key)
         with pytest.raises(ParameterError):
             external_product(bad, ct, gadget)

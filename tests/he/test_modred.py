@@ -24,6 +24,7 @@ from repro.he.modred import (
     barrett_reduce_nonneg,
     biased_quotient,
     biased_reciprocal,
+    modred,
     twist_mulmod,
 )
 from repro.params import PirParams
@@ -227,6 +228,49 @@ mont_moduli = st.one_of(
     st.sampled_from(PIR_MODULI),
     st.integers(min_value=1, max_value=(1 << 30) - 1).map(lambda k: 2 * k + 1),
 )
+
+
+class TestModred:
+    """The ``%``-free add/sub/neg correction on the stacked hot path."""
+
+    @given(
+        q=st.sampled_from(PIR_MODULI + [3, 17, (1 << 31) - 1]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_modulo_over_its_whole_input_range(self, q, data):
+        # Signed (negative), unreduced-looking (up to q - 1) and the two
+        # boundaries -q and q - 1 themselves.
+        values = data.draw(
+            st.lists(st.integers(min_value=-q, max_value=q - 1), min_size=1, max_size=32)
+        )
+        r = np.array(values + [-q, -1, 0, q - 1], dtype=np.int64)
+        want = r % q
+        assert modred(r, q) is r  # in place
+        assert np.array_equal(r, want)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_add_sub_neg_of_canonical_residues(self, data):
+        """The three callers' forms, with per-modulus broadcasting: a sum
+        less q, a difference and a negation are all in range."""
+        moduli = np.array(PirParams.small().moduli, dtype=np.int64)[:, None]
+        residues = st.lists(st.integers(0, 1), min_size=4, max_size=4)
+        edge = np.array(data.draw(residues))  # 0 -> residue 0, 1 -> residue q - 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        a = np.concatenate([rng.integers(0, moduli, size=(3, 12)), edge * (moduli - 1)], axis=1)
+        b = np.concatenate([rng.integers(0, moduli, size=(3, 12)), edge[::-1] * (moduli - 1)], axis=1)
+        assert np.array_equal(modred(a + b - moduli, moduli), (a + b) % moduli)
+        assert np.array_equal(modred(a - b, moduli), (a - b) % moduli)
+        assert np.array_equal(modred(-a, moduli), (-a) % moduli)
+
+    def test_strided_views_reduce_in_place(self):
+        q = PirParams.small().moduli[0]
+        base = np.arange(-q, -q + 24, dtype=np.int64).reshape(2, 3, 4)
+        want = base % q
+        modred(base[:, 1:], q)
+        assert np.array_equal(base[:, 1:], want[:, 1:])
+        assert np.array_equal(base[:, 0], np.arange(-q, -q + 24).reshape(2, 3, 4)[:, 0])
 
 
 class TestMontgomery:

@@ -78,7 +78,7 @@ class TestSubs:
         from repro.he.subs import SubsKey
 
         evk = generate_subs_key(bfv, gadget, secret_key, 3)
-        bad = SubsKey(r=3, a_rows=evk.a_rows[:-1], b_rows=evk.b_rows[:-1])
+        bad = SubsKey(r=3, ctx=evk.ctx, rows=evk.rows[:, :-1])
         ct = bfv.encrypt_zero(secret_key)
         with pytest.raises(ParameterError):
             substitute(ct, bad, gadget)

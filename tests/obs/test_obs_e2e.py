@@ -76,7 +76,9 @@ class TestTracedLoadtest:
         for stage in ("expand", "rowsel", "coltor", "gemm", "ntt_fwd", "subs"):
             assert profile[stage]["calls"] > 0, stage
             assert profile[stage]["seconds"] > 0.0
-        assert profile["expand"]["calls"] == 4  # one per query
+        # One per stacked group of a dispatch window: never more than
+        # one per query, fewer when arrivals shared a window.
+        assert 1 <= profile["expand"]["calls"] <= 4
         mvm = obs["measured_vs_modeled"]
         assert [row["stage"] for row in mvm] == ["expand", "rowsel", "coltor"]
         assert sum(row["measured_share"] for row in mvm) == pytest.approx(1.0)

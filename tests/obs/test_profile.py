@@ -65,15 +65,15 @@ class TestAccumulation:
         assert stats.bytes_moved == 3000
 
     def test_real_kernel_records_under_profiled(self):
-        from repro.he.batched import lazy_modular_gemm
+        from repro.he.backend import get_backend
 
         rng = np.random.default_rng(0)
-        db = rng.integers(0, 97, size=(2, 4, 1, 8), dtype=np.int64)
-        query = rng.integers(0, 97, size=(4, 1, 8), dtype=np.int64)
+        db = rng.integers(0, 97, size=(1, 2, 4, 1, 8), dtype=np.int64)
+        query = rng.integers(0, 97, size=(1, 4, 1, 8), dtype=np.int64)
         moduli = np.array([[97]], dtype=np.int64)
         with profiled() as profiler:
-            lazy_modular_gemm(db, query, moduli)
-        stats = profiler.stages["gemm"]
+            get_backend("eager").rowsel_gemm(db, query, moduli)
+        stats = profiler.stages["gemm@eager"]
         assert stats.calls == 1
         assert stats.bytes_moved == db.nbytes + query.nbytes
 
