@@ -26,7 +26,6 @@ from conftest import run_once
 
 from repro.errors import HintStale, ServeError
 from repro.hintpir import (
-    HintCryptoBackend,
     HintPirClient,
     HintPirServer,
     HintServeRegistry,
@@ -38,6 +37,7 @@ from repro.mutate import UpdateLog
 from repro.pir.simplepir import SimplePirParams
 from repro.serve.dispatcher import AdmissionConfig, ServeRuntime
 from repro.serve.loadgen import poisson_arrivals
+from repro.serve.workers import RealCryptoBackend
 from repro.systems.batching import BatchPolicy
 
 #: BENCH_SMOKE=1 shrinks every knob for the CI smoke job: the scripts
@@ -128,7 +128,7 @@ def _epoch_publish_run() -> dict:
     publishes = []
 
     async def main():
-        backend = HintCryptoBackend(registry)
+        backend = RealCryptoBackend(registry)
         runtime = ServeRuntime(
             registry, backend, policy, AdmissionConfig(max_queue_depth=1024)
         )

@@ -26,7 +26,6 @@ from repro.errors import ServeError
 from repro.he.poly import RingContext
 from repro.mutate import (
     UpdateLog,
-    VersionedCryptoBackend,
     VersionedDatabase,
     VersionedShardRegistry,
     churn_update_curve,
@@ -36,6 +35,7 @@ from repro.pir.database import PirDatabase
 from repro.serve.dispatcher import AdmissionConfig, ServeRuntime
 from repro.serve.loadgen import poisson_arrivals
 from repro.serve.metrics import percentile
+from repro.serve.workers import RealCryptoBackend
 from repro.systems.batching import BatchPolicy
 
 #: BENCH_SMOKE=1 shrinks every knob for the CI smoke job: the scripts
@@ -133,7 +133,7 @@ def _epoch_swap_run() -> dict:
     async def main():
         runtime = ServeRuntime(
             registry,
-            VersionedCryptoBackend(registry),
+            RealCryptoBackend(registry),
             policy,
             AdmissionConfig(max_queue_depth=1024),
         )

@@ -6,19 +6,16 @@ goes one step further: the queries of one dispatch window are coalesced
 into a single cuckoo-batched pass — k distinct indices cost one pass over
 the replicated bucket set instead of k scans.
 
-The registry/backend pair mirrors ``RealShardRegistry``/
-``RealCryptoBackend``: requests are routed by the same ``ShardMap``, each
-shard is an independent batch-PIR deployment (own hash seed, own bucket
-set), and the heavy crypto runs on a thread pool.  Because the cuckoo plan
-must be built from the WHOLE window's index set, requests carry no
-prebuilt query; the per-bucket queries are constructed at dispatch time
-and the backend returns decoded record bytes.
+:class:`BatchServeRegistry` is a :class:`~repro.serve.registry.ServingMode`
+like ``RealShardRegistry``: requests are routed by the same ``ShardMap``,
+each shard is an independent batch-PIR deployment (own hash seed, own
+bucket set), and the one thread executor runs its ``answer_window``.
+Because the cuckoo plan must be built from the WHOLE window's index set,
+requests carry no prebuilt query; the per-bucket queries are constructed
+at dispatch time and the window returns decoded record bytes.
 """
 
 from __future__ import annotations
-
-import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,10 +24,10 @@ from repro.batchpir.hashing import CuckooConfig
 from repro.batchpir.layout import BatchDatabase, BatchLayout
 from repro.batchpir.server import BatchPirServer
 from repro.params import PirParams
-from repro.serve.registry import ServeRequest, ShardMap
+from repro.serve.registry import ServeRequest, ServingMode, ShardMap
 
 
-class BatchServeRegistry:
+class BatchServeRegistry(ServingMode):
     """Per-shard batch-PIR deployments over one logical record set."""
 
     def __init__(
@@ -52,8 +49,7 @@ class BatchServeRegistry:
         self._clients: list[BatchPirClient] = []
         self._servers: list[BatchPirServer] = []
         for shard_id in range(num_shards):
-            start = self.map.starts[shard_id]
-            shard_records = records[start : start + self.map.sizes[shard_id]]
+            shard_records = records[self.map.span(shard_id)]
             config = CuckooConfig.for_batch(max_batch, seed=hash_seed + shard_id)
             layout = BatchLayout.build(params, len(shard_records), size, config)
             db = BatchDatabase(layout, shard_records)
@@ -74,28 +70,19 @@ class BatchServeRegistry:
         max_batch: int,
         num_shards: int = 1,
         seed: int | None = None,
-        backend: str | None = None,
+        **kwargs,
     ) -> "BatchServeRegistry":
         rng = np.random.default_rng(seed)
         records = [rng.bytes(record_bytes) for _ in range(num_records)]
         return cls(
-            params, records, max_batch, num_shards, record_bytes, seed=seed,
-            backend=backend,
+            params, records, max_batch, num_shards, record_bytes, seed=seed, **kwargs
         )
 
-    @property
-    def num_shards(self) -> int:
-        return self.map.num_shards
-
-    @property
-    def num_records(self) -> int:
-        return self.map.num_records
-
     def client(self, shard_id: int) -> BatchPirClient:
-        return self._clients[shard_id]
+        return self._clients[self.map.check_shard(shard_id)]
 
     def server(self, shard_id: int) -> BatchPirServer:
-        return self._servers[shard_id]
+        return self._servers[self.map.check_shard(shard_id)]
 
     def make_request(self, global_index: int) -> ServeRequest:
         """Route only — the batch query is planned per dispatch window."""
@@ -104,53 +91,28 @@ class BatchServeRegistry:
             global_index=global_index, shard_id=shard_id, local_index=local
         )
 
+    def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
+        """Coalesce the window into cuckoo-batched passes; decoded records.
+
+        The window's distinct shard-local indices are chunked to the
+        deployment's design batch size and each chunk runs one
+        plan -> encrypt -> per-bucket answer -> decode round trip;
+        duplicate indices within a window share one retrieval.
+        """
+        client = self.client(shard_id)
+        server = self.server(shard_id)
+        distinct = list(dict.fromkeys(r.local_index for r in requests))
+        records: dict[int, bytes] = {}
+        for at in range(0, len(distinct), self.max_batch):
+            plan = client.plan(distinct[at : at + self.max_batch])
+            response = server.answer(client.build_queries(plan))
+            records.update(client.decode(plan, response))
+        return [records[r.local_index] for r in requests]
+
     def decode(self, request: ServeRequest, response: bytes) -> bytes:
         """Symmetry with RealShardRegistry: responses arrive decoded."""
         return response
 
     def expected(self, global_index: int) -> bytes:
         """Ground-truth record bytes (for verification in tests/examples)."""
-        return self._records[global_index]
-
-
-class BatchCryptoBackend:
-    """Coalesces each dispatch window into cuckoo-batched passes.
-
-    The window's distinct shard-local indices are chunked to the
-    deployment's design batch size and each chunk runs one
-    plan -> encrypt -> per-bucket answer -> decode round trip; duplicate
-    indices within a window share one retrieval.  Crypto runs on a thread
-    pool so the event loop stays responsive, like ``RealCryptoBackend``.
-    """
-
-    def __init__(self, registry: BatchServeRegistry, max_workers: int | None = None):
-        self.registry = registry
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="batchpir-worker"
-        )
-
-    def _serve_window(self, shard_id: int, locals_: list[int]) -> dict[int, bytes]:
-        client = self.registry.client(shard_id)
-        server = self.registry.server(shard_id)
-        distinct = list(dict.fromkeys(locals_))
-        records: dict[int, bytes] = {}
-        step = self.registry.max_batch
-        for at in range(0, len(distinct), step):
-            chunk = distinct[at : at + step]
-            plan = client.plan(chunk)
-            response = server.answer(client.build_queries(plan))
-            records.update(client.decode(plan, response))
-        return records
-
-    async def answer(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        loop = asyncio.get_running_loop()
-        records = await loop.run_in_executor(
-            self._pool,
-            self._serve_window,
-            shard_id,
-            [r.local_index for r in requests],
-        )
-        return [records[r.local_index] for r in requests]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        return self._records[self.map.check_record(global_index)]

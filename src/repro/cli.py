@@ -84,40 +84,94 @@ def cmd_qps(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Byte-correct records through the full serve path (real crypto)."""
-    import asyncio
+def _real_deployment(
+    args: argparse.Namespace,
+    executor: str,
+    serving: str = "plain",
+    replication: int = 1,
+    tracer=None,
+    profiler=None,
+    recorder=None,
+):
+    """What ``serve``, ``cluster`` and ``loadtest --mode real|cluster`` deploy.
 
-    from repro.serve import RealCryptoBackend, RealShardRegistry, ServeRuntime
+    A real-crypto tier at the CLI's toy geometry behind the ``executor``
+    asked for: ``"real"`` (the thread pool) or ``"cluster"`` (worker
+    processes, plain tier only).  Returns ``(registry, backend, coordinator,
+    policy)``; the coordinator (None off-cluster) is the caller's to close.
+    """
+    from repro.serve import RealCryptoBackend, RealShardRegistry
     from repro.systems.batching import BatchPolicy
 
     params = PirParams.small(n=256, d0=8, num_dims=2)
-    registry = RealShardRegistry.random(
-        params,
+    shape = dict(
         num_records=args.records,
         record_bytes=args.record_bytes,
         num_shards=args.shards,
         seed=args.seed,
-        backend=args.backend,
     )
     policy = BatchPolicy(
         waiting_window_s=args.window_ms / 1e3, max_batch=args.max_batch
     )
+    if executor == "cluster":
+        from repro.cluster import ClusterBackend, ClusterCoordinator, ClusterRegistry
 
-    async def run() -> list:
-        runtime = ServeRuntime(registry, RealCryptoBackend(registry), policy)
-        indices = [i % registry.num_records for i in range(args.queries)]
-        async with runtime:
-            results = await asyncio.gather(
-                *(runtime.serve_index(i) for i in indices)
-            )
-        return [runtime.metrics, results]
+        registry = ClusterRegistry.random(params, **shape)
+        coordinator = ClusterCoordinator(
+            registry,
+            num_workers=args.workers,
+            replication=replication,
+            backend=args.backend,
+            tracer=tracer,
+            profiler=profiler,
+            recorder=recorder,
+        )
+        return registry, ClusterBackend(coordinator), coordinator, policy
+    if serving == "hintpir":
+        # Per-shard SimplePIR deployments behind the dispatch windows, with
+        # optional mid-traffic epoch publishes (the stale-hint path a
+        # production hint tier must survive).
+        from repro.hintpir import HintServeRegistry
+        from repro.pir.simplepir import SimplePirParams
 
-    metrics, results = asyncio.run(run())
+        registry = HintServeRegistry.random(
+            params=SimplePirParams(lwe_dim=64),
+            client_history=1 << 20,  # decode audit replays every epoch
+            backend=args.backend,
+            **shape,
+        )
+    else:
+        registry = RealShardRegistry.random(params, backend=args.backend, **shape)
+    return registry, RealCryptoBackend(registry, tracer=tracer), None, policy
+
+
+async def _serve_smoke(registry, backend, policy, queries: int):
+    """Serve ``queries`` records round-robin through a fresh runtime;
+    ``(metrics, results, how many decode to the registry's ground truth)``."""
+    import asyncio
+
+    from repro.serve import ServeRuntime
+
+    runtime = ServeRuntime(registry, backend, policy)
+    async with runtime:
+        results = await asyncio.gather(
+            *(runtime.serve_index(i % registry.num_records) for i in range(queries))
+        )
     correct = sum(
         registry.decode(r.request, r.response)
         == registry.expected(r.request.global_index)
         for r in results
+    )
+    return runtime.metrics, results, correct
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Byte-correct records through the full serve path (real crypto)."""
+    import asyncio
+
+    registry, backend, _, policy = _real_deployment(args, "real")
+    metrics, results, correct = asyncio.run(
+        _serve_smoke(registry, backend, policy, args.queries)
     )
     print(
         f"served {metrics.served} queries on {registry.num_shards} shards: "
@@ -141,57 +195,24 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     """Byte-correct records through the multi-process cluster runtime."""
     import asyncio
 
-    from repro.cluster import ClusterBackend, ClusterCoordinator, ClusterRegistry
     from repro.mutate import UpdateLog
-    from repro.serve import ServeRuntime
-    from repro.systems.batching import BatchPolicy
 
-    params = PirParams.small(n=256, d0=8, num_dims=2)
-    registry = ClusterRegistry.random(
-        params,
-        num_records=args.records,
-        record_bytes=args.record_bytes,
-        num_shards=args.shards,
-        seed=args.seed,
-    )
-    policy = BatchPolicy(
-        waiting_window_s=args.window_ms / 1e3, max_batch=args.max_batch
+    registry, backend, coordinator, policy = _real_deployment(
+        args, "cluster", replication=args.replication
     )
 
     async def run():
-        coordinator = ClusterCoordinator(
-            registry,
-            num_workers=args.workers,
-            replication=args.replication,
-            backend=args.backend,
-        )
         async with coordinator:
-            backend = ClusterBackend(coordinator)
-            runtime = ServeRuntime(registry, backend, policy)
-            async with runtime:
-                results = await asyncio.gather(
-                    *(
-                        runtime.serve_index(i % registry.num_records)
-                        for i in range(args.queries)
-                    )
-                )
-            correct = sum(
-                registry.decode(r.request, r.response)
-                == registry.expected(r.request.global_index)
-                for r in results
+            _, results, correct = await _serve_smoke(
+                registry, backend, policy, args.queries
             )
             publish_ok = True
             if args.publish:
-                target = 0
-                log = UpdateLog().put(target, b"\x42" * registry.record_bytes)
+                # Record 0 is the first the one-query smoke asks for.
+                log = UpdateLog().put(0, b"\x42" * registry.record_bytes)
                 await coordinator.publish(log)
-                runtime = ServeRuntime(registry, backend, policy)
-                async with runtime:
-                    fresh = await runtime.serve_index(target)
-                publish_ok = (
-                    registry.decode(fresh.request, fresh.response)
-                    == registry.expected(target)
-                )
+                _, _, fresh = await _serve_smoke(registry, backend, policy, 1)
+                publish_ok = fresh == 1
             return correct, len(results), publish_ok, coordinator.stats
 
     correct, total, publish_ok, stats = asyncio.run(run())
@@ -291,73 +312,17 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         registry = SimShardRegistry(
             PirParams.paper(d0=256, num_dims=_DIMS[args.db_gib]),
             num_shards=args.shards,
-            batchpir=args.serving == "batchpir",
-            kvpir=args.serving == "kvpir",
-            hintpir=args.serving == "hintpir",
+            tier=args.serving,
         )
         policy = BatchPolicy(
             waiting_window_s=registry.waiting_window_s(), max_batch=args.max_batch
         )
         backend = SimulatedBackend(registry, tracer=tracer)
-    elif args.serving == "hintpir":
-        # Real hint-tier serving: per-shard SimplePIR deployments behind
-        # the dispatch windows, with optional mid-traffic epoch publishes
-        # (the stale-hint path a production hint tier must survive).
-        from repro.hintpir import HintCryptoBackend, HintServeRegistry
-        from repro.pir.simplepir import SimplePirParams
-
-        registry = HintServeRegistry.random(
-            num_records=args.records,
-            record_bytes=args.record_bytes,
-            num_shards=args.shards,
-            params=SimplePirParams(lwe_dim=64),
-            seed=args.seed,
-            client_history=1 << 20,  # decode audit replays every epoch
-            backend=args.backend,
-        )
-        policy = BatchPolicy(
-            waiting_window_s=args.window_ms / 1e3, max_batch=args.max_batch
-        )
-        backend = HintCryptoBackend(registry)
-    elif args.mode == "cluster":
-        from repro.cluster import ClusterBackend, ClusterCoordinator, ClusterRegistry
-
-        params = PirParams.small(n=256, d0=8, num_dims=2)
-        registry = ClusterRegistry.random(
-            params,
-            num_records=args.records,
-            record_bytes=args.record_bytes,
-            num_shards=args.shards,
-            seed=args.seed,
-        )
-        policy = BatchPolicy(
-            waiting_window_s=args.window_ms / 1e3, max_batch=args.max_batch
-        )
-        coordinator = ClusterCoordinator(
-            registry,
-            num_workers=args.workers,
-            backend=args.backend,
-            tracer=tracer,
-            profiler=profiler,
-            recorder=recorder,
-        )
-        backend = ClusterBackend(coordinator)
     else:
-        from repro.serve import RealCryptoBackend, RealShardRegistry
-
-        params = PirParams.small(n=256, d0=8, num_dims=2)
-        registry = RealShardRegistry.random(
-            params,
-            num_records=args.records,
-            record_bytes=args.record_bytes,
-            num_shards=args.shards,
-            seed=args.seed,
-            backend=args.backend,
+        registry, backend, coordinator, policy = _real_deployment(
+            args, args.mode, args.serving,
+            tracer=tracer, profiler=profiler, recorder=recorder,
         )
-        policy = BatchPolicy(
-            waiting_window_s=args.window_ms / 1e3, max_batch=args.max_batch
-        )
-        backend = RealCryptoBackend(registry, tracer=tracer)
 
     async def run():
         if coordinator is not None:
@@ -590,7 +555,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             from repro.obs import measured_vs_modeled
 
             obs["measured_vs_modeled"] = measured_vs_modeled(
-                profile, params, max(1, report.completed)
+                profile, registry.params, max(1, report.completed)
             )
         if cluster_snap is not None:
             obs["cluster"] = cluster_snap

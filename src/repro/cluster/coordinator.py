@@ -56,11 +56,11 @@ from repro.errors import (
     WorkerDied,
 )
 from repro.he.backend import get_backend
-from repro.mutate.log import UpdateLog
+from repro.mutate.log import UpdateLog, split_by_shard
 from repro.obs.events import FlightRecorder
 from repro.obs.profile import KernelProfiler
 from repro.obs.trace import Tracer
-from repro.serve.registry import ServeRequest
+from repro.serve.registry import ServeRequest, group_by_epoch
 
 from repro.cluster.messages import (
     AnswerBatch,
@@ -550,10 +550,6 @@ class ClusterCoordinator:
         shard_id = self.registry.map.check_shard(shard_id)
         if self._draining:
             raise ClusterError("cluster coordinator is draining")
-        groups: dict[int, list[int]] = {}
-        for i, request in enumerate(requests):
-            epoch = 0 if request.epoch is None else request.epoch
-            groups.setdefault(epoch, []).append(i)
         results: list = [None] * len(requests)
 
         async def serve_group(epoch: int, positions: list[int]) -> None:
@@ -567,7 +563,7 @@ class ClusterCoordinator:
             for i, response in zip(positions, responses):
                 results[i] = response
         await asyncio.gather(
-            *(serve_group(e, p) for e, p in groups.items())
+            *(serve_group(e, p) for e, p in group_by_epoch(requests).items())
         )
         return results
 
@@ -715,7 +711,9 @@ class ClusterCoordinator:
         replicas (rebalanced at the committed epoch); it cannot hold the
         cluster at the old epoch.
         """
-        shard_ops = self.registry.split_log(log)
+        shard_ops = split_by_shard(
+            log, self.registry.map, self.registry.record_bytes
+        )
         async with self._topology_lock:
             epoch = self.registry.current_epoch + 1
             acks: list[tuple[_Worker, asyncio.Future]] = []

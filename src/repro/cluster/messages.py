@@ -56,8 +56,8 @@ class WorkerConfig:
     #: pipe, only the registry key.
     backend: str = "planned"
     #: Observability opt-ins (``repro.obs``): with ``trace`` the worker
-    #: times each answered query and ships :class:`~repro.obs.trace.Span`
-    #: values back in :class:`BatchDone`; with ``profile`` it installs a
+    #: times each answered batch and ships its ``worker.batch``
+    #: :class:`~repro.obs.trace.Span` back in :class:`BatchDone`; with ``profile`` it installs a
     #: process-local kernel profiler and ships the per-stage totals in
     #: :class:`WorkerStopped`.
     trace: bool = False
@@ -145,8 +145,8 @@ class BatchDone:
     batch_id: int
     shard_id: int
     responses: tuple[PirResponse, ...]
-    #: Worker-side :class:`~repro.obs.trace.Span` values (per-query
-    #: ``worker.answer`` plus one ``worker.batch``) when tracing is on.
+    #: The worker-side ``worker.batch`` :class:`~repro.obs.trace.Span`
+    #: (the batch runs as one stacked window) when tracing is on.
     spans: tuple = ()
 
 

@@ -3,8 +3,9 @@
 The third registry beside :class:`~repro.serve.registry.RealShardRegistry`
 (thread pool, servers in-process) and ``SimShardRegistry`` (virtual
 time): here the shard replicas live in *worker processes*, so this side
-holds only what the client of a deployment would hold — the secret key,
-per-shard record layouts for query construction and decode, and the
+holds only what the client of a deployment would hold — the routing base
+they all share (:class:`~repro.serve.registry.PlainRouting`: secret key,
+per-shard record layouts for query construction and decode) plus the
 epoch-versioned ground-truth records the coordinator ships to workers on
 load and rebalance.
 
@@ -12,24 +13,23 @@ Epochs: ``make_request`` stamps each request with the current epoch;
 ``commit_publish`` advances it only after every live worker has acked the
 broadcast, so a new epoch is never admissible before every replica can
 answer it (the cross-process analog of ``repro.mutate.serving``'s atomic
-publish).  Record layouts are geometry-only and epoch-invariant for
-put/delete logs, which is why decode needs no epoch bookkeeping here.
+publish).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import MutateError, RoutingError
-from repro.mutate.log import Delete, Mutation, Put, UpdateLog
+from repro.errors import MutateError
+from repro.mutate.log import Mutation, Put
 from repro.params import PirParams
-from repro.pir.client import PirClient, PirResponse
-from repro.pir.layout import RecordLayout
-from repro.serve.registry import ServeRequest, ShardMap
+from repro.serve.registry import PlainRouting
 
 
-class ClusterRegistry:
-    """Routing + crypto client for a multi-process shard deployment."""
+class ClusterRegistry(PlainRouting):
+    """Routing + crypto client for a multi-process shard deployment.
+
+    Windows are answered by :meth:`ClusterCoordinator.answer` across the
+    worker pipes, so this registry has no ``answer_window`` of its own.
+    """
 
     def __init__(
         self,
@@ -39,113 +39,29 @@ class ClusterRegistry:
         record_bytes: int | None = None,
         seed: int | None = None,
     ):
-        self.params = params
-        self.map = ShardMap(len(records), num_shards)
+        super().__init__(params, records, num_shards, record_bytes, seed)
         self.seed = seed
-        self.client = PirClient(params, seed=seed)
         self.setup = self.client.setup_message()
-        self.record_bytes = (
-            record_bytes if record_bytes is not None else len(records[0])
-        )
         for i, rec in enumerate(records):
             if len(rec) != self.record_bytes:
                 raise MutateError(
                     f"record {i} has {len(rec)} bytes, expected {self.record_bytes}"
                 )
-        self._shard_records: list[list[bytes]] = []
-        self.layouts: list[RecordLayout] = []
-        for shard_id in range(num_shards):
-            start = self.map.starts[shard_id]
-            size = self.map.sizes[shard_id]
-            self._shard_records.append(list(records[start : start + size]))
-            self.layouts.append(
-                RecordLayout(
-                    params=params, record_bytes=self.record_bytes, num_records=size
-                )
-            )
+        self._shard_records = [
+            list(records[self.map.span(shard_id)]) for shard_id in range(num_shards)
+        ]
         self.current_epoch = 0
-
-    @classmethod
-    def random(
-        cls,
-        params: PirParams,
-        num_records: int,
-        record_bytes: int,
-        num_shards: int,
-        seed: int | None = None,
-    ) -> "ClusterRegistry":
-        rng = np.random.default_rng(seed)
-        records = [rng.bytes(record_bytes) for _ in range(num_records)]
-        return cls(params, records, num_shards, record_bytes, seed=seed)
-
-    # -- geometry ----------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return self.map.num_shards
-
-    @property
-    def num_records(self) -> int:
-        return self.map.num_records
 
     def shard_records(self, shard_id: int) -> tuple[bytes, ...]:
         """Current-epoch ground truth of one shard (what a replica loads)."""
         return tuple(self._shard_records[self.map.check_shard(shard_id)])
 
-    # -- serving interface (ServeRuntime registry contract) ----------------
-    def make_request(self, global_index: int) -> ServeRequest:
-        """Route, build the real query, stamp the current epoch."""
-        shard_id, local = self.map.route(global_index)
-        query = self.client.build_query(local, self.layouts[shard_id])
-        return ServeRequest(
-            global_index=int(global_index),
-            shard_id=shard_id,
-            local_index=local,
-            query=query,
-            epoch=self.current_epoch,
-        )
-
-    def decode(self, request: ServeRequest, response: PirResponse) -> bytes:
-        layout = self.layouts[self.map.check_shard(request.shard_id)]
-        return self.client.decode_response(response, request.local_index, layout)
-
     def expected(self, global_index: int) -> bytes:
         """Ground truth at the *current* epoch (tests/benchmarks)."""
-        global_index = ShardMap._as_index(global_index, "record index")
-        if not 0 <= global_index < self.num_records:
-            raise RoutingError(
-                f"record {global_index} out of range [0, {self.num_records})"
-            )
         shard_id, local = self.map.route(global_index)
         return self._shard_records[shard_id][local]
 
     # -- epoch publish (driven by the coordinator) -------------------------
-    def split_log(self, log: UpdateLog) -> list[tuple[Mutation, ...]]:
-        """Validate and split a global-index log into per-shard local ops.
-
-        Everything that can fail — routing, record sizes, appends — fails
-        *here*, before any worker sees the log, so a broadcast can only
-        carry applies that every replica will accept (the cross-process
-        atomicity argument).
-        """
-        if log.num_appends:
-            raise MutateError(
-                "online appends would re-route the shard partition; "
-                "rebuild the cluster to grow the record space"
-            )
-        shard_ops: list[list[Mutation]] = [[] for _ in range(self.num_shards)]
-        for op in log:
-            shard_id, local = self.map.route(op.index)
-            if isinstance(op, Put):
-                if len(op.record) != self.record_bytes:
-                    raise MutateError(
-                        f"update for record {op.index} has {len(op.record)} "
-                        f"bytes, registry expects {self.record_bytes}"
-                    )
-                shard_ops[shard_id].append(Put(local, op.record))
-            else:
-                shard_ops[shard_id].append(Delete(local))
-        return [tuple(ops) for ops in shard_ops]
-
     def commit_publish(
         self, epoch: int, shard_ops: list[tuple[Mutation, ...]]
     ) -> None:

@@ -31,7 +31,7 @@ from repro.errors import ClusterError, ReproError, StaleEpoch
 from repro.he.backend import get_backend
 from repro.he.poly import RingContext
 from repro.mutate.log import UpdateLog
-from repro.mutate.versioned import EpochSnapshot, VersionedDatabase
+from repro.mutate.versioned import VersionedDatabase
 from repro.obs.profile import KernelProfiler
 from repro.obs.profile import install as install_profiler
 from repro.obs.trace import Span
@@ -59,24 +59,17 @@ from repro.cluster.messages import (
 class _Replica:
     """One shard's serving state: versioned DB + per-epoch servers."""
 
-    shard_id: int
     vdb: VersionedDatabase
     servers: dict[int, PirServer] = field(default_factory=dict)
-    snapshots: dict[int, EpochSnapshot] = field(default_factory=dict)
-
-    def live_epochs(self) -> tuple[int, ...]:
-        return tuple(sorted(self.servers))
-
-    def server_for(self, epoch: int) -> PirServer:
-        server = self.servers.get(epoch)
-        if server is None:
-            live = self.live_epochs()
-            raise StaleEpoch(epoch=epoch, current=live[-1], oldest_live=live[0])
-        return server
 
     def answer(self, epoch: int, queries) -> tuple:
-        server = self.server_for(epoch)
-        return tuple(server.answer(q) for q in queries)
+        """The batch as one stacked window, like the thread executor's."""
+        server = self.servers.get(epoch)
+        if server is None:
+            raise StaleEpoch(
+                epoch=epoch, current=max(self.servers), oldest_live=min(self.servers)
+            )
+        return tuple(server.answer_batch(list(queries)))
 
 
 class ClusterWorker:
@@ -128,8 +121,7 @@ class ClusterWorker:
             ring=self.ring,
             backend=self.backend,
         )
-        replica = _Replica(shard_id=msg.shard_id, vdb=vdb)
-        replica.snapshots[msg.epoch] = vdb.current
+        replica = _Replica(vdb=vdb)
         replica.servers[msg.epoch] = PirServer(
             vdb.current.pre, self.setup, backend=self.backend
         )
@@ -144,7 +136,7 @@ class ClusterWorker:
         )
 
     def _answer_batch(self, msg: AnswerBatch) -> None:
-        spans: tuple = ()
+        start = time.monotonic()
         try:
             replica = self.replicas.get(msg.shard_id)
             if replica is None:
@@ -152,10 +144,7 @@ class ClusterWorker:
                     f"worker {self.config.worker_id} owns no replica of "
                     f"shard {msg.shard_id}"
                 )
-            if self.config.trace:
-                responses, spans = self._answer_traced(replica, msg)
-            else:
-                responses = replica.answer(msg.epoch, msg.queries)
+            responses = replica.answer(msg.epoch, msg.queries)
         except ReproError as exc:
             details: tuple = ()
             if isinstance(exc, StaleEpoch):
@@ -171,6 +160,29 @@ class ClusterWorker:
                 )
             )
             return
+        spans: tuple = ()
+        if self.config.trace:
+            # ``time.monotonic()`` here and ``loop.time()`` coordinator-side
+            # are the same Linux CLOCK_MONOTONIC, so the span lands on the
+            # shared cross-process timeline without any clock translation.
+            spans = (
+                Span(
+                    trace_id=next(
+                        (t for t in msg.trace_ids if t is not None), None
+                    ),
+                    name="worker.batch",
+                    start_s=start,
+                    dur_s=time.monotonic() - start,
+                    pid=os.getpid(),
+                    tid=f"worker-{self.config.worker_id}",
+                    cat="cluster",
+                    args={
+                        "shard": msg.shard_id,
+                        "epoch": msg.epoch,
+                        "batch": len(msg.queries),
+                    },
+                ),
+            )
         self._send(
             BatchDone(
                 worker_id=self.config.worker_id,
@@ -181,53 +193,6 @@ class ClusterWorker:
             )
         )
 
-    def _answer_traced(self, replica: _Replica, msg: AnswerBatch) -> tuple:
-        """Answer query-by-query, timing each for the shipped-back spans.
-
-        ``time.monotonic()`` here and ``loop.time()`` coordinator-side are
-        the same Linux CLOCK_MONOTONIC, so these spans land on the shared
-        cross-process timeline without any clock translation.
-        """
-        server = replica.server_for(msg.epoch)
-        pid = os.getpid()
-        tid = f"worker-{self.config.worker_id}"
-        trace_ids = msg.trace_ids or (None,) * len(msg.queries)
-        responses = []
-        spans = []
-        batch_start = time.monotonic()
-        for query, trace_id in zip(msg.queries, trace_ids):
-            start = time.monotonic()
-            responses.append(server.answer(query))
-            spans.append(
-                Span(
-                    trace_id=trace_id,
-                    name="worker.answer",
-                    start_s=start,
-                    dur_s=time.monotonic() - start,
-                    pid=pid,
-                    tid=tid,
-                    cat="cluster",
-                    args={"shard": msg.shard_id, "epoch": msg.epoch},
-                )
-            )
-        spans.append(
-            Span(
-                trace_id=next((t for t in trace_ids if t is not None), None),
-                name="worker.batch",
-                start_s=batch_start,
-                dur_s=time.monotonic() - batch_start,
-                pid=pid,
-                tid=tid,
-                cat="cluster",
-                args={
-                    "shard": msg.shard_id,
-                    "epoch": msg.epoch,
-                    "batch": len(msg.queries),
-                },
-            )
-        )
-        return tuple(responses), tuple(spans)
-
     def _publish_epoch(self, msg: PublishEpoch) -> None:
         """Advance every owned replica to ``msg.epoch`` (empty log if clean).
 
@@ -237,36 +202,27 @@ class ClusterWorker:
         leaving the cluster half-published.
         """
         repacked = 0
+        error = None
         try:
             for shard_id, replica in sorted(self.replicas.items()):
                 ops = msg.shard_ops.get(shard_id, ())
                 snapshot = replica.vdb.apply(UpdateLog(list(ops)))
                 repacked += snapshot.cost.polys_repacked
-                replica.snapshots[msg.epoch] = snapshot
                 replica.servers[msg.epoch] = PirServer(
                     snapshot.pre, self.setup, backend=self.backend
                 )
                 oldest_kept = msg.epoch - self.config.retain + 1
                 for epoch in [e for e in replica.servers if e < oldest_kept]:
                     del replica.servers[epoch]
-                    del replica.snapshots[epoch]
         except ReproError as exc:
-            self._send(
-                EpochPublished(
-                    worker_id=self.config.worker_id,
-                    epoch=msg.epoch,
-                    shard_ids=tuple(sorted(self.replicas)),
-                    polys_repacked=repacked,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            return
+            error = f"{type(exc).__name__}: {exc}"
         self._send(
             EpochPublished(
                 worker_id=self.config.worker_id,
                 epoch=msg.epoch,
                 shard_ids=tuple(sorted(self.replicas)),
                 polys_repacked=repacked,
+                error=error,
             )
         )
 

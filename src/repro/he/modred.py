@@ -1,4 +1,4 @@
-"""Barrett and Montgomery modular-reduction forms for the planned backend.
+"""Barrett modular-reduction forms for the planned backend.
 
 The planned compute backend (:mod:`repro.he.backend`) evaluates NTTs as
 dense GEMMs, so its hot accumulators live in *float64* — every value is
@@ -16,14 +16,6 @@ on scratch buffers) bias the reciprocal low instead, which removes the
 negative branch; :func:`twist_mulmod` is the one place a *product*
 leaves the float64-exact range (the four-step plan's diagonal twist) and
 keeps the remainder in int64, estimating only the quotient in float64.
-
-:class:`MontgomeryContext` is the companion Montgomery form (REDC with
-R = 2^32 via native uint64 wraparound).  It is the right shape for
-substrates whose cheap primitive is a wrapping multiply rather than a
-float FMA — a third registered backend targeting such hardware would
-build its butterflies on it — and the hypothesis suite pins both forms
-against plain ``%`` across the full :class:`~repro.params.PirParams`
-modulus range.
 
 Exactness argument for :func:`barrett_reduce` (why the mixed
 float/int64 dance cannot be off):
@@ -229,64 +221,3 @@ def barrett_reduce_nonneg(
         acc, q, biased_reciprocal(q), out,
         np.empty_like(out), np.empty_like(acc), partial,
     )
-
-
-class MontgomeryContext:
-    """Montgomery form mod ``q`` with ``R = 2^32``, vectorised over int64.
-
-    REDC computes ``t * R^{-1} mod q`` with two multiplies and a shift —
-    no division, no hardware modulo — using the identity
-    ``(t + ((t * (-q^{-1}) mod R)) * q) / R  ≡  t * R^{-1} (mod q)``.
-    The low-half product ``t * q_inv_neg mod R`` is the natural wrapping
-    behaviour of uint64 arithmetic masked to 32 bits, which is why the
-    kernels below run on ``view``-free numpy tensors without big-ints.
-    """
-
-    R_LOG2 = 32
-
-    def __init__(self, q: int):
-        if q < 3 or q % 2 == 0:
-            raise ParameterError(
-                f"Montgomery reduction needs an odd modulus >= 3, got {q}"
-            )
-        if q >= (1 << 31):
-            # t + m*q must fit uint64: q*2^32 + q*2^32 < 2^64 needs q < 2^31.
-            raise ParameterError(
-                f"modulus {q} too large for the R=2^32 Montgomery form"
-            )
-        self.q = q
-        self.r = 1 << self.R_LOG2
-        self.mask = self.r - 1
-        self.r_mod_q = self.r % q
-        self.r2_mod_q = (self.r_mod_q * self.r_mod_q) % q
-        # -q^{-1} mod R, the REDC constant.
-        self.q_inv_neg = (-pow(q, -1, self.r)) % self.r
-
-    def to_mont(self, x: np.ndarray) -> np.ndarray:
-        """Map canonical residues into Montgomery form: ``x * R mod q``."""
-        arr = np.asarray(x, dtype=np.int64) % self.q
-        return (arr * self.r_mod_q) % self.q  # < 2^28 * 2^31: fits int64
-
-    def reduce(self, t: np.ndarray) -> np.ndarray:
-        """REDC: ``t -> t * R^{-1} mod q`` for ``0 <= t < q * R``."""
-        tu = np.asarray(t).astype(np.uint64)
-        m = (tu & np.uint64(self.mask)) * np.uint64(self.q_inv_neg) \
-            & np.uint64(self.mask)
-        u = (tu + m * np.uint64(self.q)) >> np.uint64(self.R_LOG2)
-        out = u.astype(np.int64)
-        out -= self.q * (out >= self.q)
-        return out
-
-    def mul(self, a_mont: np.ndarray, b_mont: np.ndarray) -> np.ndarray:
-        """Product of two Montgomery-form tensors, result in Montgomery form."""
-        a = np.asarray(a_mont, dtype=np.int64)
-        b = np.asarray(b_mont, dtype=np.int64)
-        return self.reduce(a * b)  # residues < q < 2^31: product fits int64
-
-    def from_mont(self, x_mont: np.ndarray) -> np.ndarray:
-        """Map Montgomery-form residues back to canonical form."""
-        return self.reduce(np.asarray(x_mont, dtype=np.int64))
-
-    def modmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Canonical ``a * b mod q`` through one round trip (for the tests)."""
-        return self.from_mont(self.mul(self.to_mont(a), self.to_mont(b)))

@@ -8,8 +8,8 @@ Layers:
   :class:`HintPirClient`: offline hint download, batched online
   answering, per-epoch delta-hints, typed :class:`~repro.errors.HintStale`.
 * :mod:`repro.hintpir.serving` — keyed shard routing and the
-  registry/backend pair plugging the tier into
-  :class:`~repro.serve.dispatcher.ServeRuntime` (``--serving hintpir``).
+  :class:`~repro.serve.registry.ServingMode` registry plugging the tier
+  into :class:`~repro.serve.dispatcher.ServeRuntime` (``--serving hintpir``).
 * :mod:`repro.hintpir.model` — refresh economics: online savings vs
   churn-driven hint refresh, and the crossover between them.
 """
@@ -34,15 +34,10 @@ from repro.hintpir.protocol import (
     HintQuery,
     HintTranscript,
 )
-from repro.hintpir.serving import (
-    HintCryptoBackend,
-    HintServeRegistry,
-    HintShardMap,
-)
+from repro.hintpir.serving import HintServeRegistry, HintShardMap
 
 __all__ = [
     "HintAnswer",
-    "HintCryptoBackend",
     "HintDelta",
     "HintEpochDelta",
     "HintGeometry",

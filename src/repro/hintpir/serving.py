@@ -8,22 +8,22 @@ one replica, and each shard is an independent :class:`HintPirServer`
 over its share of the records with its own LWE matrix and hint.
 
 A dispatch window's queries are answered with one ``DB @ Q`` GEMM per
-shard (:meth:`HintPirServer.answer_window`).  Staleness is *per-request
-data*: an unpatchable hint resolves to a :class:`~repro.errors.HintStale`
-value inside the response list — one stale client cannot fail its whole
-batch — and :meth:`HintServeRegistry.decode` re-raises it typed at the
+shard (:meth:`HintServeRegistry.answer_window` ->
+:meth:`HintPirServer.answer_window`).  Staleness is *per-request data*:
+an unpatchable hint resolves to a :class:`~repro.errors.HintStale` value
+inside the response list — a raised exception would fail the whole
+window, and staleness is an expected per-client condition, not a batch
+fault — and :meth:`HintServeRegistry.decode` re-raises it typed at the
 caller, exactly like the keyword tier's ``None`` -> ``KeyNotFound``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.errors import HintPirError, HintStale, RoutingError
+from repro.errors import HintPirError, HintStale
 from repro.he.backend import ComputeBackend
 from repro.hintpir.protocol import (
     HintPirClient,
@@ -33,20 +33,22 @@ from repro.hintpir.protocol import (
 )
 from repro.mutate.log import UpdateLog
 from repro.pir.simplepir import SimplePirParams
-from repro.serve.registry import ServeRequest, ShardMap
+from repro.serve.registry import ServeRequest, ServingMode, ShardBounds
+from repro.serve.workers import RealCryptoBackend
 
 #: Domain-separation suffix for hint-tier shard routing (keyword routing
 #: uses 0xfe; candidate hashes use ``bytes([i])``; the record tag 0xff).
 _ROUTE_DOMAIN = b"\xfd"
 
 
-class HintShardMap:
+class HintShardMap(ShardBounds):
     """Keyed-hash partition of a record index space across shards.
 
     The shard of record ``i`` is a keyed blake2b of the index — no
     contiguous ranges to probe — with a per-shard member directory so
     routing still yields a dense shard-local index (the column inside
-    that shard's matrix).
+    that shard's matrix).  Index validation is the shared
+    :class:`~repro.serve.registry.ShardBounds`.
     """
 
     def __init__(self, num_records: int, num_shards: int, seed: int = 0):
@@ -86,34 +88,17 @@ class HintShardMap:
         """Global record indices owned by ``shard_id``, in column order."""
         return self._members[self.check_shard(shard_id)]
 
-    def check_shard(self, shard_id: int) -> int:
-        shard_id = ShardMap._as_index(shard_id, "shard id")
-        if not 0 <= shard_id < self.num_shards:
-            raise RoutingError(
-                f"shard {shard_id} out of range [0, {self.num_shards})"
-            )
-        return shard_id
-
     def route(self, global_index: int) -> tuple[int, int]:
         """Global record index -> (shard id, shard-local column)."""
-        global_index = ShardMap._as_index(global_index, "record index")
-        if not 0 <= global_index < self.num_records:
-            raise RoutingError(
-                f"record {global_index} out of range [0, {self.num_records})"
-            )
+        global_index = self.check_record(global_index)
         return int(self._shard_of[global_index]), int(self._local_of[global_index])
 
     def global_index(self, shard_id: int, local_index: int) -> int:
         members = self.members(shard_id)
-        local_index = ShardMap._as_index(local_index, "local index")
-        if not 0 <= local_index < members.size:
-            raise RoutingError(
-                f"local index {local_index} out of range for shard {shard_id}"
-            )
-        return int(members[local_index])
+        return int(members[self.check_local(shard_id, local_index, members.size)])
 
 
-class HintServeRegistry:
+class HintServeRegistry(ServingMode):
     """Per-shard hint-PIR deployments over one logical record set.
 
     Each shard holds a :class:`HintPirServer` over its keyed share of the
@@ -194,14 +179,6 @@ class HintServeRegistry:
             **kwargs,
         )
 
-    @property
-    def num_shards(self) -> int:
-        return self.map.num_shards
-
-    @property
-    def num_records(self) -> int:
-        return self.map.num_records
-
     def server(self, shard_id: int) -> HintPirServer:
         return self._servers[self.map.check_shard(shard_id)]
 
@@ -222,8 +199,12 @@ class HintServeRegistry:
             epoch=query.hint_epoch,
         )
 
+    def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
+        """One batched GEMM; :class:`HintAnswer` or :class:`HintStale` each."""
+        return self.server(shard_id).answer_window([r.query for r in requests])
+
     def decode(self, request: ServeRequest, response) -> bytes:
-        """Record bytes, or the typed staleness the backend resolved to."""
+        """Record bytes, or the typed staleness the window resolved to."""
         if isinstance(response, HintStale):
             raise response
         client = self._clients[self.map.check_shard(request.shard_id)]
@@ -295,11 +276,7 @@ class HintServeRegistry:
 
     def expected(self, global_index: int, epoch: int | None = None) -> bytes:
         """Ground truth at ``epoch`` (default: current), for verification."""
-        index = ShardMap._as_index(global_index, "record index")
-        if not 0 <= index < self.num_records:
-            raise RoutingError(
-                f"record {index} out of range [0, {self.num_records})"
-            )
+        index = self.map.check_record(global_index)
         epoch = self.epoch if epoch is None else epoch
         if epoch not in self._truth:
             raise HintPirError(
@@ -309,33 +286,6 @@ class HintServeRegistry:
         return self._truth[epoch][index]
 
 
-class HintCryptoBackend:
-    """Answers each dispatch window with one batched GEMM per shard.
-
-    Crypto runs on a thread pool so the event loop stays responsive,
-    like :class:`~repro.kvpir.serving.KvCryptoBackend`.  The response
-    list carries :class:`HintAnswer` or :class:`HintStale` values — a
-    backend exception would fail the whole window, and staleness is an
-    expected per-client condition, not a batch fault.
-    """
-
-    def __init__(self, registry: HintServeRegistry, max_workers: int | None = None):
-        self.registry = registry
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="hintpir-worker"
-        )
-
-    def _serve_window(self, shard_id: int, queries: list) -> list:
-        return self.registry.server(shard_id).answer_window(queries)
-
-    async def answer(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool,
-            self._serve_window,
-            shard_id,
-            [r.query for r in requests],
-        )
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+#: The frozen ``benchmarks/e2e`` imports this name; every tier runs on the
+#: one thread executor.
+HintCryptoBackend = RealCryptoBackend

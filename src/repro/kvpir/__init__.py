@@ -30,14 +30,13 @@ from repro.kvpir.model import (
     model_kv_slot_params,
 )
 from repro.kvpir.server import KvLookupResult, KvPirProtocol, KvPirServer
-from repro.kvpir.serving import KeyShardMap, KvCryptoBackend, KvServeRegistry
+from repro.kvpir.serving import KeyShardMap, KvServeRegistry
 
 __all__ = [
     "DEFAULT_LOOKUP_BATCH",
     "DEFAULT_TAG_BYTES",
     "KeyShardMap",
     "KvCostPoint",
-    "KvCryptoBackend",
     "KvDatabase",
     "KvLayout",
     "KvLookupResult",

@@ -4,19 +4,18 @@ Requests route by *key*: a keyed hash spreads the key space across
 shards, each shard is an independent keyword-PIR deployment (own slot
 table, own hash seeds) over its share of the keys, and a dispatch
 window's lookups are coalesced — every key's candidate slots, deduped
-across the window, run through amortized cuckoo-batched passes on a
-thread pool, mirroring :class:`~repro.batchpir.serving.BatchCryptoBackend`.
+across the window, run through amortized cuckoo-batched passes
+(:meth:`KvServeRegistry.answer_window`, the keyword tier's
+:class:`~repro.serve.registry.ServingMode` window).
 
-Absent keys are first-class: the backend resolves them to ``None`` so one
+Absent keys are first-class: the window resolves them to ``None`` so one
 missing key cannot fail its whole batch, and ``decode`` converts that to
 the typed :class:`~repro.errors.KeyNotFound` at the caller.
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import KeyNotFound, KvBuildError
 from repro.hashing.cuckoo import key_bytes
@@ -29,19 +28,21 @@ from repro.kvpir.layout import (
 )
 from repro.kvpir.server import KvPirServer
 from repro.params import PirParams
-from repro.serve.registry import ServeRequest
+from repro.serve.registry import ServeRequest, ServingMode, ShardBounds
+from repro.serve.workers import RealCryptoBackend
 
 #: Domain-separation suffix for shard routing (candidate hashes use
 #: ``bytes([i])``, the record tag uses 0xff).
 _ROUTE_DOMAIN = b"\xfe"
 
 
-class KeyShardMap:
+class KeyShardMap(ShardBounds):
     """Keyed-hash partition of a keyspace across shards.
 
     Unlike :class:`~repro.serve.registry.ShardMap` there is no contiguous
     index range to split — any byte-string key must route without a
-    directory, so the shard is a keyed blake2b of the key itself.
+    directory, so the shard is a keyed blake2b of the key itself.  Shard
+    ids are validated by the shared :meth:`ShardBounds.check_shard`.
     """
 
     def __init__(self, num_keys: int, num_shards: int, seed: int = 0):
@@ -60,7 +61,7 @@ class KeyShardMap:
         return int.from_bytes(digest, "little") % self.num_shards
 
 
-class KvServeRegistry:
+class KvServeRegistry(ServingMode):
     """Per-shard keyword-PIR deployments over one logical key-value store."""
 
     def __init__(
@@ -120,19 +121,11 @@ class KvServeRegistry:
         items = random_items(num_keys, value_bytes, key_bytes_len, seed)
         return cls(params, items, num_shards, seed=seed, **kwargs)
 
-    @property
-    def num_shards(self) -> int:
-        return self.map.num_shards
-
-    @property
-    def num_keys(self) -> int:
-        return len(self._items)
-
     def client(self, shard_id: int) -> KvPirClient:
-        return self._clients[shard_id]
+        return self._clients[self.map.check_shard(shard_id)]
 
     def server(self, shard_id: int) -> KvPirServer:
-        return self._servers[shard_id]
+        return self._servers[self.map.check_shard(shard_id)]
 
     def make_request(self, key: bytes) -> ServeRequest:
         """Route a key; the slot probes are planned per dispatch window."""
@@ -146,6 +139,19 @@ class KvServeRegistry:
             global_index=fingerprint, shard_id=shard_id, local_index=0, key=key
         )
 
+    def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
+        """Coalesce the window's lookups into cuckoo-batched passes.
+
+        The window's distinct keys expand to their deduped candidate slots
+        and run through the shard's batch planner in design-size chunks;
+        each request resolves to its value or ``None``.
+        """
+        client = self.client(shard_id)
+        plan = client.plan([r.key for r in requests])
+        response = self.server(shard_id).answer(client.build_queries(plan))
+        values = client.decode(plan, response)
+        return [values.get(r.key) for r in requests]
+
     def decode(self, request: ServeRequest, response: bytes | None) -> bytes:
         """Value bytes, or the typed miss if no candidate slot tag-matched."""
         if response is None:
@@ -157,41 +163,6 @@ class KvServeRegistry:
         return self._items.get(key_bytes(key))
 
 
-class KvCryptoBackend:
-    """Coalesces each dispatch window's lookups into cuckoo-batched passes.
-
-    The window's distinct keys expand to their deduped candidate slots and
-    run through the shard's batch planner in design-size chunks; each key
-    resolves to its value or ``None``.  Crypto runs on a thread pool so
-    the event loop stays responsive, like
-    :class:`~repro.serve.workers.RealCryptoBackend`.
-    """
-
-    def __init__(self, registry: KvServeRegistry, max_workers: int | None = None):
-        self.registry = registry
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="kvpir-worker"
-        )
-
-    def _serve_window(
-        self, shard_id: int, keys: list[bytes]
-    ) -> dict[bytes, bytes | None]:
-        client = self.registry.client(shard_id)
-        server = self.registry.server(shard_id)
-        plan = client.plan(keys)
-        response = server.answer(client.build_queries(plan))
-        values = client.decode(plan, response)
-        return {key: values.get(key) for key in plan.keys}
-
-    async def answer(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        loop = asyncio.get_running_loop()
-        values = await loop.run_in_executor(
-            self._pool,
-            self._serve_window,
-            shard_id,
-            [r.key for r in requests],
-        )
-        return [values[r.key] for r in requests]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+#: The frozen ``benchmarks/e2e`` imports this name; every tier runs on the
+#: one thread executor.
+KvCryptoBackend = RealCryptoBackend

@@ -24,11 +24,7 @@ from repro.mutate.log import (
     UpdateLog,
 )
 from repro.mutate.model import ChurnPoint, churn_update_curve, expected_dirty_polys
-from repro.mutate.serving import (
-    PublishResult,
-    VersionedCryptoBackend,
-    VersionedShardRegistry,
-)
+from repro.mutate.serving import PublishResult, VersionedShardRegistry
 from repro.mutate.versioned import (
     EpochSnapshot,
     UpdateCost,
@@ -49,7 +45,6 @@ __all__ = [
     "Put",
     "UpdateCost",
     "UpdateLog",
-    "VersionedCryptoBackend",
     "VersionedDatabase",
     "VersionedKvDatabase",
     "VersionedShardRegistry",

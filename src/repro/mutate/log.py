@@ -142,6 +142,36 @@ class UpdateLog:
         return writes, appends
 
 
+def split_by_shard(
+    log: UpdateLog, shard_map, record_bytes: int
+) -> list[tuple[Mutation, ...]]:
+    """Validate a global-index log and split it into per-shard local ops.
+
+    Everything that can fail — appends, routing, record sizes — fails
+    *here*, before any shard sees the log, so a rejected publish leaves
+    every shard at the current epoch, in one process or across worker
+    pipes.  ``shard_map`` needs ``num_shards`` and ``route(index)``.
+    """
+    if log.num_appends:
+        raise MutateError(
+            "online appends would re-route the shard partition; "
+            "rebuild the deployment to grow the record space"
+        )
+    shard_ops: list[list[Mutation]] = [[] for _ in range(shard_map.num_shards)]
+    for op in log:
+        shard_id, local = shard_map.route(op.index)
+        if isinstance(op, Put):
+            if len(op.record) != record_bytes:
+                raise MutateError(
+                    f"update for record {op.index} has {len(op.record)} "
+                    f"bytes, registry expects {record_bytes}"
+                )
+            shard_ops[shard_id].append(Put(local, op.record))
+        else:
+            shard_ops[shard_id].append(Delete(local))
+    return [tuple(ops) for ops in shard_ops]
+
+
 @dataclass(frozen=True)
 class KvPut:
     """Insert or overwrite ``key`` with ``value``."""

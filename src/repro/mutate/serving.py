@@ -4,9 +4,9 @@
 shard's :class:`~repro.mutate.versioned.VersionedDatabase` and atomically
 installs the new epoch for *new* admissions, while requests already
 admitted keep their epoch pin: each :class:`ServeRequest` is stamped with
-the epoch it was built against, the backend answers it with that epoch's
-servers, and the client decodes it against that epoch's layout.  Nothing
-in flight is lost or decoded against the wrong database version.
+the epoch it was built against and ``answer_window`` answers it with that
+epoch's servers — one stacked pass per epoch present in the window.
+Nothing in flight is lost or decoded against the wrong database version.
 
 Retention is bounded: the registry admits requests only against the most
 recent ``retain`` epochs — older pins get the typed
@@ -17,20 +17,17 @@ released, so a swap mid-window cannot strand a queued query.
 
 from __future__ import annotations
 
-import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
 
 from repro.errors import MutateError, StaleEpoch
 from repro.he.backend import ComputeBackend, resolve_backend
-from repro.mutate.log import Put, UpdateLog
+from repro.mutate.log import UpdateLog, split_by_shard
 from repro.mutate.versioned import EpochSnapshot, UpdateCost, VersionedDatabase
 from repro.params import PirParams
-from repro.pir.client import PirClient, PirResponse
+from repro.pir.client import PirResponse
 from repro.pir.server import PirServer
-from repro.serve.registry import ServeRequest, ShardMap
+from repro.serve.registry import PlainRouting, ServeRequest, group_by_epoch
 
 
 @dataclass
@@ -40,7 +37,6 @@ class _EpochState:
     epoch: int
     snapshots: list[EpochSnapshot]
     servers: list[PirServer]
-    cost: UpdateCost
     inflight: int = 0
     admissible: bool = True
 
@@ -54,13 +50,13 @@ class PublishResult:
     live_epochs: tuple[int, ...]
 
 
-class VersionedShardRegistry:
+class VersionedShardRegistry(PlainRouting):
     """``RealShardRegistry`` semantics plus epoch-versioned hot-swap.
 
     Drop-in for the serving runtime: ``make_request`` routes and builds a
-    real query (stamped with its epoch), ``decode`` decrypts against the
-    pinned epoch and releases it.  ``publish`` installs a new epoch built
-    by dirty-plane delta application — cost proportional to the delta.
+    real query (stamped with its epoch), ``decode`` decrypts and releases
+    the pin.  ``publish`` installs a new epoch built by dirty-plane delta
+    application — cost proportional to the delta.
 
     Appends are rejected at this layer (``MutateError``): the shard map
     partitions a fixed index space, and growing it online would silently
@@ -79,62 +75,31 @@ class VersionedShardRegistry:
     ):
         if retain < 1:
             raise MutateError("must retain at least the current epoch")
-        self.params = params
+        super().__init__(params, records, num_shards, record_bytes, seed)
         self.retain = retain
         self.backend = resolve_backend(backend)
-        self.map = ShardMap(len(records), num_shards)
-        self.client = PirClient(params, seed=seed)
         self._setup = self.client.setup_message()
-        self._vdbs: list[VersionedDatabase] = []
-        for shard_id in range(num_shards):
-            start = self.map.starts[shard_id]
-            shard_records = records[start : start + self.map.sizes[shard_id]]
-            self._vdbs.append(
-                VersionedDatabase(
-                    params, shard_records, record_bytes, ring=self.client.ring,
-                    backend=self.backend,
-                )
+        self._vdbs = [
+            VersionedDatabase(
+                params, records[self.map.span(shard_id)], record_bytes,
+                ring=self.client.ring, backend=self.backend,
             )
-        snapshots = [vdb.current for vdb in self._vdbs]
-        self._epochs: dict[int, _EpochState] = {
-            0: _EpochState(
-                epoch=0,
-                snapshots=snapshots,
-                servers=[
-                    PirServer(s.pre, self._setup, backend=self.backend)
-                    for s in snapshots
-                ],
-                cost=snapshots[0].cost,
-            )
-        }
+            for shard_id in range(num_shards)
+        ]
         self.current_epoch = 0
+        self._epochs: dict[int, _EpochState] = {}
+        self._install([vdb.current for vdb in self._vdbs])
 
-    @classmethod
-    def random(
-        cls,
-        params: PirParams,
-        num_records: int,
-        record_bytes: int,
-        num_shards: int,
-        seed: int | None = None,
-        retain: int = 2,
-        backend: str | ComputeBackend | None = None,
-    ) -> "VersionedShardRegistry":
-        rng = np.random.default_rng(seed)
-        records = [rng.bytes(record_bytes) for _ in range(num_records)]
-        return cls(
-            params, records, num_shards, record_bytes, seed=seed, retain=retain,
-            backend=backend,
+    def _install(self, snapshots: list[EpochSnapshot]) -> None:
+        """Make ``snapshots`` the servers of ``current_epoch``."""
+        self._epochs[self.current_epoch] = _EpochState(
+            epoch=self.current_epoch,
+            snapshots=snapshots,
+            servers=[
+                PirServer(s.pre, self._setup, backend=self.backend)
+                for s in snapshots
+            ],
         )
-
-    # -- geometry ----------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return self.map.num_shards
-
-    @property
-    def num_records(self) -> int:
-        return self.map.num_records
 
     @property
     def live_epochs(self) -> tuple[int, ...]:
@@ -149,42 +114,13 @@ class VersionedShardRegistry:
         leaves every shard exactly at the current epoch — no half-applied
         log can leak into a later publish.
         """
-        if log.num_appends:
-            raise MutateError(
-                "online appends would re-route the shard partition; "
-                "rebuild the registry to grow the record space"
-            )
-        record_bytes = self._vdbs[0].current.db.layout.record_bytes
-        # Split the log by owning shard (coalescing happens per shard),
-        # validating every entry up front — per-shard applies must not be
-        # able to fail after a sibling shard has already advanced.
-        shard_logs = [UpdateLog() for _ in range(self.num_shards)]
-        for op in log:
-            shard_id, local = self.map.route(op.index)
-            if isinstance(op, Put):
-                if len(op.record) != record_bytes:
-                    raise MutateError(
-                        f"update for record {op.index} has {len(op.record)} "
-                        f"bytes, registry expects {record_bytes}"
-                    )
-                shard_logs[shard_id].put(local, op.record)
-            else:
-                shard_logs[shard_id].delete(local)
-        snapshots: list[EpochSnapshot] = []
-        servers: list[PirServer] = []
-        cost: UpdateCost | None = None
-        for vdb, shard_log in zip(self._vdbs, shard_logs):
-            snapshot = vdb.apply(shard_log)
-            snapshots.append(snapshot)
-            servers.append(PirServer(snapshot.pre, self._setup, backend=self.backend))
-            cost = snapshot.cost if cost is None else cost.merge(snapshot.cost)
+        shard_ops = split_by_shard(log, self.map, self.record_bytes)
+        snapshots = [
+            vdb.apply(UpdateLog(list(ops)))
+            for vdb, ops in zip(self._vdbs, shard_ops)
+        ]
         self.current_epoch += 1
-        self._epochs[self.current_epoch] = _EpochState(
-            epoch=self.current_epoch,
-            snapshots=snapshots,
-            servers=servers,
-            cost=cost,
-        )
+        self._install(snapshots)
         # Close admission for epochs beyond the retention window; free the
         # ones nothing holds.  Live ones linger until their last release.
         oldest_admissible = self.current_epoch - self.retain + 1
@@ -193,7 +129,9 @@ class VersionedShardRegistry:
                 state.admissible = False
         self._sweep()
         return PublishResult(
-            epoch=self.current_epoch, cost=cost, live_epochs=self.live_epochs
+            epoch=self.current_epoch,
+            cost=reduce(UpdateCost.merge, (s.cost for s in snapshots)),
+            live_epochs=self.live_epochs,
         )
 
     def _sweep(self) -> None:
@@ -224,41 +162,40 @@ class VersionedShardRegistry:
 
         Admitting pins the epoch: it stays answerable until ``decode`` (or
         ``release``) is called for this request, even if later publishes
-        push it out of the admission window.  A request that never reaches
-        ``decode`` — shed by admission control, failed in its batch — must
-        be ``release()``d by the caller, or its epoch snapshot is pinned
-        for the registry's lifetime.
+        push it out of the admission window.  The serving runtime
+        releases a request it sheds or whose window fails; any other
+        caller that drops a request before ``decode`` must do the same,
+        or the epoch snapshot is pinned for the registry's lifetime.
         """
         state = self._state(epoch, admission=True)
-        shard_id, local = self.map.route(global_index)
-        query = self.client.build_query(
-            local, state.snapshots[shard_id].db.layout
-        )
+        request = super().make_request(global_index)
+        request.epoch = state.epoch
         state.inflight += 1
-        return ServeRequest(
-            global_index=int(global_index),
-            shard_id=shard_id,
-            local_index=local,
-            query=query,
-            epoch=state.epoch,
-        )
+        return request
 
     def server(self, shard_id: int, epoch: int | None = None) -> PirServer:
         """The epoch-pinned replica (any live epoch, admissible or not)."""
         return self._state(epoch).servers[self.map.check_shard(shard_id)]
 
+    def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
+        """One stacked ``answer_batch`` per epoch present in the window."""
+        responses: list = [None] * len(requests)
+        for epoch, positions in group_by_epoch(requests).items():
+            answers = self.server(shard_id, epoch).answer_batch(
+                [requests[i].query for i in positions]
+            )
+            for i, answer in zip(positions, answers):
+                responses[i] = answer
+        return responses
+
     def decode(self, request: ServeRequest, response: PirResponse) -> bytes:
-        """Decrypt against the request's admitted epoch, then release it.
+        """Decrypt, then release the request's epoch pin.
 
         The pin is released whether or not decryption succeeds — a
         malformed response must not retain the epoch forever.
         """
         try:
-            state = self._state(request.epoch)
-            layout = state.snapshots[self.map.check_shard(request.shard_id)].db.layout
-            return self.client.decode_response(
-                response, request.local_index, layout
-            )
+            return super().decode(request, response)
         finally:
             self.release(request)
 
@@ -274,33 +211,3 @@ class VersionedShardRegistry:
         state = self._state(epoch)
         shard_id, local = self.map.route(global_index)
         return state.snapshots[shard_id].db.record(local)
-
-
-class VersionedCryptoBackend:
-    """Thread-pool crypto backend that honours per-request epoch pins.
-
-    A dispatch window that straddles a ``publish`` legitimately mixes
-    epochs; each request is answered by the server of the epoch it was
-    admitted under.
-    """
-
-    def __init__(self, registry: VersionedShardRegistry, max_workers: int | None = None):
-        self.registry = registry
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="mutate-worker"
-        )
-
-    def _answer_batch(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        return [
-            self.registry.server(shard_id, r.epoch).answer(r.query)
-            for r in requests
-        ]
-
-    async def answer(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool, self._answer_batch, shard_id, requests
-        )
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)

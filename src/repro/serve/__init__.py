@@ -3,11 +3,12 @@
 Turns the functional pipeline into an online service: a shard registry
 partitions one logical database across ``PirServer`` replicas, per-shard
 dispatchers apply the paper's waiting-window batch policy behind bounded
-admission queues, and a worker layer executes batches either with real
-cryptography (thread pool) or against the accelerator latency model on a
-virtual-time event loop, so million-user load tests run in wall-seconds.
-A third backend lives in ``repro.cluster``: real-crypto replicas in
-worker *processes* behind a coordinator, for QPS that scales past the GIL.
+admission queues, and a worker layer executes each window — the tier's
+``ServingMode.answer_window`` — either with real cryptography (the one
+thread pool) or against the accelerator latency model on a virtual-time
+event loop, so million-user load tests run in wall-seconds.  A third
+executor lives in ``repro.cluster``: real-crypto replicas in worker
+*processes* behind a coordinator, for QPS that scales past the GIL.
 """
 
 from repro.serve.dispatcher import (
@@ -29,6 +30,7 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import (
     RealShardRegistry,
     ServeRequest,
+    ServingMode,
     ShardMap,
     SimShardRegistry,
 )
@@ -48,6 +50,7 @@ __all__ = [
     "ServeRequest",
     "ServeResult",
     "ServeRuntime",
+    "ServingMode",
     "ShardDispatcher",
     "ShardMap",
     "SimShardRegistry",

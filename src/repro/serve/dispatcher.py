@@ -19,11 +19,11 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from repro.errors import (
     ParameterError,
     QueueFullError,
-    RoutingError,
     ServeError,
     ShuttingDownError,
 )
@@ -31,7 +31,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.events import FlightRecorder
 from repro.obs.trace import Tracer
 from repro.serve.metrics import ServeMetrics
-from repro.serve.registry import ServeRequest, ShardMap
+from repro.serve.registry import ServeRequest
 from repro.systems.batching import BatchPolicy
 
 #: Shortest window-countdown sleep.  A residual wait below one nanosecond
@@ -353,72 +353,79 @@ class ServeRuntime:
 
     # -- serving -----------------------------------------------------------
     def submit(self, request: ServeRequest) -> asyncio.Future:
-        """Route to the shard dispatcher; raises typed errors when shed."""
-        shard_id = ShardMap._as_index(request.shard_id, "shard id")
-        if not 0 <= shard_id < len(self.dispatchers):
-            raise RoutingError(
-                f"request targets shard {shard_id}, runtime has "
-                f"{len(self.dispatchers)}"
-            )
-        return self.dispatchers[shard_id].submit(request)
+        """Route to the shard dispatcher; raises typed errors when shed.
+
+        A request that will never reach ``registry.decode`` — shed here,
+        or failed with its window — is released on the caller's behalf,
+        so whatever ``make_request`` pinned for it (an epoch snapshot on
+        the versioned tier) cannot outlive it.
+        """
+        shard_id = self.registry.map.check_shard(request.shard_id)
+        try:
+            future = self.dispatchers[shard_id].submit(request)
+        except ServeError:
+            self.registry.release(request)
+            raise
+        future.add_done_callback(partial(self._release_unserved, request))
+        return future
+
+    def _release_unserved(self, request: ServeRequest, future: asyncio.Future) -> None:
+        # A caller that cancels its own future still has its request
+        # answered with the window, so its pin must outlive the cancel.
+        if not future.cancelled() and future.exception() is not None:
+            self.registry.release(request)
 
     async def serve(self, request: ServeRequest) -> ServeResult:
         return await self.submit(request)
 
-    async def serve_index(self, global_index: int) -> ServeResult:
-        """Convenience: route, build the query, and await the result."""
-        return await self.serve(self.registry.make_request(global_index))
+    async def serve_index(self, item) -> ServeResult:
+        """Convenience: route, build the query, and await the result.
 
-    async def serve_key(self, key: bytes) -> ServeResult:
-        """Keyword lookup: route by key against a keyword-PIR registry.
-
-        Requires a registry whose ``make_request`` takes a key (e.g.
-        ``repro.kvpir.serving.KvServeRegistry``); the result's response is
-        the value bytes, or ``None`` for an absent key — ``registry.decode``
-        turns that into the typed ``KeyNotFound``.
+        ``item`` is whatever the registry's ``make_request`` takes: a
+        record index, or a key on the keyword tier — where the response is
+        the value bytes, or ``None`` for an absent key, which
+        ``registry.decode`` turns into the typed ``KeyNotFound``.
         """
-        return await self.serve(self.registry.make_request(key))
+        return await self.serve(self.registry.make_request(item))
 
-    async def serve_keys(self, keys) -> list[ServeResult]:
-        """Submit a multi-key lookup in one shot and await all results.
-
-        Same windowing contract as :meth:`serve_many`: all requests are
-        submitted before any is awaited, so a shard's lookups share a
-        waiting window and the keyword backend coalesces their candidate
-        slots into amortized batched passes.
-        """
-        return await self._serve_all(
-            [self.registry.make_request(k) for k in keys]
-        )
-
-    async def serve_many(self, global_indices) -> list[ServeResult]:
+    async def serve_many(self, items) -> list[ServeResult]:
         """Submit a multi-record fetch in one shot and await all results.
 
         All requests are submitted before any is awaited, so queries for
         the same shard land in the same waiting window whenever the policy
-        allows — which is what lets a batch-aware backend (e.g.
-        ``repro.batchpir.serving.BatchCryptoBackend``) coalesce the
-        window's distinct indices into one amortized batched pass.
+        allows — which is what lets a batch-aware tier (e.g.
+        ``repro.batchpir.serving.BatchServeRegistry.answer_window``)
+        coalesce the window's distinct indices into one amortized pass.
         """
-        return await self._serve_all(
-            [self.registry.make_request(int(g)) for g in global_indices]
-        )
-
-    async def _serve_all(self, requests: list[ServeRequest]) -> list[ServeResult]:
+        requests = [self.registry.make_request(item) for item in items]
         futures: list[asyncio.Future] = []
+        error: BaseException | None = None
         try:
             for request in requests:
                 futures.append(self.submit(request))
-        except ServeError:
-            # Don't abandon what was already enqueued — those batches still
-            # execute; retrieve them before surfacing the admission failure.
-            await asyncio.gather(*futures, return_exceptions=True)
-            raise
-        results = await asyncio.gather(*futures, return_exceptions=True)
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return list(results)
+        except ServeError as exc:
+            error = exc
+        # Don't abandon what was already enqueued — those batches still
+        # execute; retrieve them before surfacing any failure.
+        outcomes = await asyncio.gather(*futures, return_exceptions=True)
+        if error is None:
+            error = next((o for o in outcomes if isinstance(o, BaseException)), None)
+        if error is None:
+            return list(outcomes)
+        # All or nothing: the caller decodes none of these, so drop the
+        # pins submit() has not dropped already (it released the shed
+        # request and every request of a failed window).
+        never_submitted = requests[len(futures) + 1 :]
+        served = [
+            r for r, o in zip(requests, outcomes) if not isinstance(o, BaseException)
+        ]
+        for request in served + never_submitted:
+            self.registry.release(request)
+        raise error
+
+    #: Keyword-tier spellings of the same two calls.
+    serve_key = serve_index
+    serve_keys = serve_many
 
     @property
     def total_queue_depth(self) -> int:

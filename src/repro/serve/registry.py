@@ -1,8 +1,12 @@
 """Shard registry: one logical database partitioned across server replicas.
 
 Record-level parallelism at the serving layer (Section V): a logical
-database of R records is split into contiguous shards, each held by its own
-replica.  Two registries implement the same routing interface:
+database of R records is split into shards, each held by its own replica.
+Every tier presents the runtime with the :class:`ServingMode` protocol, so
+the runtime and the one thread executor never branch on the tier.  This
+module holds the protocol, the plain-tier routing base
+(:class:`PlainRouting`, shared with ``repro.mutate.serving`` and
+``repro.cluster.registry``) and two registries:
 
 * :class:`RealShardRegistry` — every shard is a real :class:`PirServer`
   over a slice of the records, sharing one client ring so queries and
@@ -21,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -30,11 +35,68 @@ from repro.he import modmath
 from repro.params import PirParams
 from repro.pir.client import PirClient, PirQuery, PirResponse
 from repro.pir.database import PirDatabase
+from repro.pir.layout import RecordLayout
 from repro.pir.server import PirServer
 from repro.systems.scale_up import DbPlacement, ScaleUpSystem, choose_placement
 
 
-class ShardMap:
+class ShardBounds:
+    """Index validation every shard map shares: typed, never a bare error.
+
+    Routing is the serving door: malformed client input must surface as
+    the repo's typed :class:`RoutingError` (shed and counted), never as a
+    bare ``TypeError``/``ValueError``/``IndexError`` escaping from
+    ``bisect`` or a list subscript — a float like ``2.5`` must not route
+    to a fractional local index, and ``-1`` must not wrap to the last
+    shard.
+    """
+
+    num_records: int
+    num_shards: int
+
+    @staticmethod
+    def _as_index(value, what: str) -> int:
+        """Coerce to a plain int, rejecting bools/floats with a typed error."""
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise RoutingError(
+                f"{what} must be an integer, got {type(value).__name__}"
+            )
+        return int(value)
+
+    def check_shard(self, shard_id: int) -> int:
+        """Coerce + bounds-check a shard id; typed RoutingError otherwise.
+
+        The single shard-id validation every layer shares (every tier's
+        registry, the runtime's submit door, the cluster coordinator) so
+        the accepted types and the error shape cannot drift between them.
+        """
+        shard_id = self._as_index(shard_id, "shard id")
+        if not 0 <= shard_id < self.num_shards:
+            raise RoutingError(
+                f"shard {shard_id} out of range [0, {self.num_shards})"
+            )
+        return shard_id
+
+    def check_record(self, global_index: int) -> int:
+        """Coerce + bounds-check a global record index, same contract."""
+        global_index = self._as_index(global_index, "record index")
+        if not 0 <= global_index < self.num_records:
+            raise RoutingError(
+                f"record {global_index} out of range [0, {self.num_records})"
+            )
+        return global_index
+
+    def check_local(self, shard_id: int, local_index: int, size: int) -> int:
+        """Coerce + bounds-check an index into a shard of ``size`` records."""
+        local_index = self._as_index(local_index, "local index")
+        if not 0 <= local_index < size:
+            raise RoutingError(
+                f"local index {local_index} out of range for shard {shard_id}"
+            )
+        return local_index
+
+
+class ShardMap(ShardBounds):
     """Contiguous, near-equal partition of ``num_records`` across shards."""
 
     def __init__(self, num_records: int, num_shards: int):
@@ -53,54 +115,22 @@ class ShardMap:
             self.starts[s] = self.starts[s - 1] + sizes[s - 1]
         self.sizes = sizes
 
-    @staticmethod
-    def _as_index(value, what: str) -> int:
-        """Coerce to a plain int, rejecting bools/floats with a typed error.
-
-        Routing is the serving door: malformed client input must surface
-        as the repo's typed :class:`RoutingError` (shed and counted), never
-        as a bare ``TypeError``/``ValueError``/``IndexError`` escaping from
-        ``bisect`` or a list subscript — and a float like ``2.5`` must not
-        silently route to a fractional local index.
-        """
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise RoutingError(
-                f"{what} must be an integer, got {type(value).__name__}"
-            )
-        return int(value)
-
-    def check_shard(self, shard_id: int) -> int:
-        """Coerce + bounds-check a shard id; typed RoutingError otherwise.
-
-        The single shard-id validation every layer shares (registries,
-        the runtime's submit door) so the accepted types and the error
-        shape cannot drift between them.
-        """
-        shard_id = self._as_index(shard_id, "shard id")
-        if not 0 <= shard_id < self.num_shards:
-            raise RoutingError(
-                f"shard {shard_id} out of range [0, {self.num_shards})"
-            )
-        return shard_id
+    def span(self, shard_id: int) -> slice:
+        """The global-index range one shard owns."""
+        start = self.starts[shard_id]
+        return slice(start, start + self.sizes[shard_id])
 
     def route(self, global_index: int) -> tuple[int, int]:
         """Global record index -> (shard id, shard-local index)."""
-        global_index = self._as_index(global_index, "record index")
-        if not 0 <= global_index < self.num_records:
-            raise RoutingError(
-                f"record {global_index} out of range [0, {self.num_records})"
-            )
+        global_index = self.check_record(global_index)
         shard = bisect.bisect_right(self.starts, global_index) - 1
         return shard, global_index - self.starts[shard]
 
     def global_index(self, shard_id: int, local_index: int) -> int:
         shard_id = self.check_shard(shard_id)
-        local_index = self._as_index(local_index, "local index")
-        if not 0 <= local_index < self.sizes[shard_id]:
-            raise RoutingError(
-                f"local index {local_index} out of range for shard {shard_id}"
-            )
-        return self.starts[shard_id] + local_index
+        return self.starts[shard_id] + self.check_local(
+            shard_id, local_index, self.sizes[shard_id]
+        )
 
 
 @dataclass
@@ -122,6 +152,66 @@ class ServeRequest:
     trace_id: int | None = None
 
 
+def group_by_epoch(requests: list[ServeRequest]) -> dict[int, list[int]]:
+    """Positions of a window's requests, keyed by admitted epoch.
+
+    A dispatch window that straddles a ``publish`` legitimately mixes
+    epochs; each group is answered as one stacked pass by that epoch's
+    server (thread executor and cluster coordinator alike).
+    """
+    groups: dict[int, list[int]] = {}
+    for position, request in enumerate(requests):
+        epoch = 0 if request.epoch is None else request.epoch
+        groups.setdefault(epoch, []).append(position)
+    return groups
+
+
+class ServingMode(Protocol):
+    """What the serving runtime and its window executors need from a tier.
+
+    One item (a record index, or a key on the keyword tier) becomes a
+    routed :class:`ServeRequest`; the dispatcher collects a shard's
+    requests into a window; ``answer_window`` serves it as one synchronous
+    batched pass (the executor decides *where* it runs).  Tiers with
+    online updates add ``publish(log)``.  Registries subclass the protocol
+    explicitly to inherit what is the same everywhere.
+    """
+
+    map: ShardBounds
+
+    @property
+    def num_shards(self) -> int:
+        return self.map.num_shards
+
+    @property
+    def num_records(self) -> int:
+        return self.map.num_records
+
+    def make_request(self, item) -> ServeRequest:
+        """Route ``item`` and build whatever the client sends for it."""
+        ...
+
+    def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
+        """One response per request, in order, from one batched pass
+        (registries whose replicas live in cluster workers have none)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} holds no in-process replicas"
+        )
+
+    def decode(self, request: ServeRequest, response) -> bytes:
+        """Record bytes for one response, or the tier's typed refusal."""
+        ...
+
+    def expected(self, item) -> bytes | None:
+        """Ground truth for ``item`` (verification in tests/benchmarks)."""
+        ...
+
+    def release(self, request: ServeRequest) -> None:
+        """Drop whatever ``make_request`` pinned for a request that will
+        never reach ``decode`` (shed at admission, failed in its window).
+        The runtime calls it on both paths; most tiers pin nothing."""
+
+
 @dataclass(frozen=True)
 class ShardSpec:
     """Static description of one shard."""
@@ -133,12 +223,84 @@ class ShardSpec:
     preprocessed_bytes: int
 
 
-class RealShardRegistry:
+class PlainRouting(ServingMode):
+    """Client half of a contiguous plain-tier deployment.
+
+    The shard map, the one :class:`PirClient` (and its ring) shared by
+    every shard, and the per-shard record layouts — geometry only, so
+    put/delete epochs never change them.  Subclasses own where the
+    replicas and the ground truth live: in-process servers
+    (:class:`RealShardRegistry`), per-epoch servers
+    (``VersionedShardRegistry``) or worker processes (``ClusterRegistry``).
+    """
+
+    #: Epoch stamped on new requests; None for unversioned registries.
+    current_epoch: int | None = None
+
+    def __init__(
+        self,
+        params: PirParams,
+        records: list[bytes],
+        num_shards: int,
+        record_bytes: int | None = None,
+        seed: int | None = None,
+    ):
+        self.params = params
+        self.map = ShardMap(len(records), num_shards)
+        self.client = PirClient(params, seed=seed)
+        self.record_bytes = (
+            record_bytes if record_bytes is not None else len(records[0])
+        )
+        self.layouts = [
+            RecordLayout(
+                params=params, record_bytes=self.record_bytes, num_records=size
+            )
+            for size in self.map.sizes
+        ]
+
+    @classmethod
+    def random(
+        cls,
+        params: PirParams,
+        num_records: int,
+        record_bytes: int,
+        num_shards: int,
+        seed: int | None = None,
+        **kwargs,
+    ):
+        """A registry over ``num_records`` seeded random records."""
+        rng = np.random.default_rng(seed)
+        records = [rng.bytes(record_bytes) for _ in range(num_records)]
+        return cls(params, records, num_shards, record_bytes, seed=seed, **kwargs)
+
+    def make_request(self, global_index: int) -> ServeRequest:
+        """Route and build the real cryptographic query for a record.
+
+        Raises the typed :class:`~repro.errors.RoutingError` on
+        out-of-range or non-integer indices (never a bare
+        ``ValueError``/``IndexError``).
+        """
+        shard_id, local = self.map.route(global_index)
+        return ServeRequest(
+            global_index=int(global_index),
+            shard_id=shard_id,
+            local_index=local,
+            query=self.client.build_query(local, self.layouts[shard_id]),
+            epoch=self.current_epoch,
+        )
+
+    def decode(self, request: ServeRequest, response: PirResponse) -> bytes:
+        """Decrypt a shard's response back to record bytes."""
+        layout = self.layouts[self.map.check_shard(request.shard_id)]
+        return self.client.decode_response(response, request.local_index, layout)
+
+
+class RealShardRegistry(PlainRouting):
     """N real ``PirServer`` replicas over one logical record set.
 
-    One :class:`PirClient` (and its ring context) is shared across shards:
-    the client's evaluation keys are registered with every replica at build
-    time — the per-shard setup management a deployment would do per user.
+    The client's evaluation keys are registered with every replica at
+    build time — the per-shard setup management a deployment would do per
+    user.
     """
 
     def __init__(
@@ -151,21 +313,15 @@ class RealShardRegistry:
         config: IveConfig | None = None,
         backend: str | None = None,
     ):
-        self.params = params
-        self.map = ShardMap(len(records), num_shards)
-        self.client = PirClient(params, seed=seed)
+        super().__init__(params, records, num_shards, record_bytes, seed)
         setup = self.client.setup_message()
         memory = (config if config is not None else IveConfig.ive()).memory
-        self._records = list(records)
         self._dbs: list[PirDatabase] = []
         self._servers: list[PirServer] = []
         self.specs: list[ShardSpec] = []
         for shard_id in range(num_shards):
-            start = self.map.starts[shard_id]
-            size = self.map.sizes[shard_id]
-            db = PirDatabase.from_records(
-                records[start : start + size], params, record_bytes
-            )
+            span = self.map.span(shard_id)
+            db = PirDatabase.from_records(records[span], params, record_bytes)
             pre = db.preprocess(self.client.ring, backend=backend)
             placement, _ = choose_placement(pre.stored_bytes, memory)
             self._dbs.append(db)
@@ -173,36 +329,12 @@ class RealShardRegistry:
             self.specs.append(
                 ShardSpec(
                     shard_id=shard_id,
-                    start=start,
-                    num_records=size,
+                    start=span.start,
+                    num_records=db.num_records,
                     placement=placement,
                     preprocessed_bytes=pre.stored_bytes,
                 )
             )
-
-    @classmethod
-    def random(
-        cls,
-        params: PirParams,
-        num_records: int,
-        record_bytes: int,
-        num_shards: int,
-        seed: int | None = None,
-        backend: str | None = None,
-    ) -> "RealShardRegistry":
-        rng = np.random.default_rng(seed)
-        records = [rng.bytes(record_bytes) for _ in range(num_records)]
-        return cls(
-            params, records, num_shards, record_bytes, seed=seed, backend=backend
-        )
-
-    @property
-    def num_shards(self) -> int:
-        return self.map.num_shards
-
-    @property
-    def num_records(self) -> int:
-        return self.map.num_records
 
     def server(self, shard_id: int) -> PirServer:
         return self._servers[self.map.check_shard(shard_id)]
@@ -210,35 +342,17 @@ class RealShardRegistry:
     def shard_db(self, shard_id: int) -> PirDatabase:
         return self._dbs[self.map.check_shard(shard_id)]
 
-    def make_request(self, global_index: int) -> ServeRequest:
-        """Route and build the real cryptographic query for a record.
-
-        Raises the typed :class:`~repro.errors.RoutingError` on
-        out-of-range or non-integer indices (never a bare
-        ``ValueError``/``IndexError``).
-        """
-        shard_id, local = self.map.route(global_index)
-        query = self.client.build_query(local, self._dbs[shard_id].layout)
-        return ServeRequest(
-            global_index=int(global_index),
-            shard_id=shard_id,
-            local_index=local,
-            query=query,
-        )
-
-    def decode(self, request: ServeRequest, response: PirResponse) -> bytes:
-        """Decrypt a shard's response back to record bytes."""
-        layout = self._dbs[self.map.check_shard(request.shard_id)].layout
-        return self.client.decode_response(response, request.local_index, layout)
+    def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
+        return self.server(shard_id).answer_batch([r.query for r in requests])
 
     def expected(self, global_index: int) -> bytes:
         """Ground-truth record bytes (for verification in tests/examples)."""
-        global_index = ShardMap._as_index(global_index, "record index")
-        if not 0 <= global_index < self.num_records:
-            raise RoutingError(
-                f"record {global_index} out of range [0, {self.num_records})"
-            )
-        return self._records[global_index]
+        shard_id, local = self.map.route(global_index)
+        return self._dbs[shard_id].record(local)
+
+
+#: Tiers :class:`SimShardRegistry` can price (the CLI's ``--serving``).
+SIM_TIERS = ("plain", "batchpir", "kvpir", "hintpir")
 
 
 @dataclass
@@ -254,12 +368,11 @@ class SimShardRegistry:
     params: PirParams
     num_shards: int = 1
     config: IveConfig | None = None
-    batchpir: bool = False
-    kvpir: bool = False
-    # hintpir mode: the window is one plaintext DB @ Q GEMM over the raw
-    # database (repro.hintpir) instead of the full Expand/RowSel/ColTor
-    # pipeline; Z_p entries of hint_entry_bits bits.
-    hintpir: bool = False
+    # Which tier's window cost is modeled: "plain" per-query pipelines,
+    # "batchpir" amortized cuckoo-batch passes, "kvpir" the same over the
+    # tag-inflated slot table, "hintpir" one plaintext DB @ Q GEMM over
+    # the raw database (Z_p entries of hint_entry_bits bits).
+    tier: str = "plain"
     hint_entry_bits: int = 8
     design_batch: int = 64
     # kvpir mode: probes per lookup; None = kvpir.model.DEFAULT_MODEL_CANDIDATES
@@ -267,9 +380,9 @@ class SimShardRegistry:
     _service_cache: dict[int, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.hintpir and (self.batchpir or self.kvpir):
+        if self.tier not in SIM_TIERS:
             raise ParameterError(
-                "hintpir mode cannot combine with batchpir/kvpir"
+                f"unknown serving tier {self.tier!r}; expected one of {SIM_TIERS}"
             )
         if not modmath.is_power_of_two(self.num_shards):
             raise ParameterError("shard count must be a power of two")
@@ -289,12 +402,7 @@ class SimShardRegistry:
         )
         self.map = ShardMap(self.params.num_db_polys, self.num_shards)
         self.batch_system = None
-        if self.kvpir:
-            # Keyword mode is batch mode over the tag-inflated slot table:
-            # each simulated "record" stands for a key, and each lookup
-            # spends candidates_per_lookup probes inside the batched pass.
-            self.batchpir = True
-        if self.batchpir:
+        if self.tier in ("batchpir", "kvpir"):
             # Batch-aware mode: a dispatch window's distinct indices are
             # served by amortized cuckoo-batch passes instead of per-query
             # scans.  Imported lazily — repro.batchpir sits above this layer.
@@ -305,7 +413,10 @@ class SimShardRegistry:
                 raise ParameterError("design batch must be at least 1")
             base = self.shard_params
             design_indices = self.design_batch
-            if self.kvpir:
+            if self.tier == "kvpir":
+                # Keyword mode is batch mode over the tag-inflated slot
+                # table: each simulated "record" stands for a key, and each
+                # lookup spends candidates_per_lookup probes inside the pass.
                 from repro.kvpir.model import (
                     DEFAULT_MODEL_CANDIDATES,
                     model_kv_slot_params,
@@ -338,6 +449,9 @@ class SimShardRegistry:
             global_index=global_index, shard_id=shard_id, local_index=local
         )
 
+    def release(self, request: ServeRequest) -> None:
+        """Nothing is pinned in simulated time (``ServingMode.release``)."""
+
     def service_seconds(self, batch: int) -> float:
         """Batched service time of one shard (cached per batch size).
 
@@ -349,7 +463,7 @@ class SimShardRegistry:
             if self.batch_system is not None:
                 passes = math.ceil(batch / self.design_batch)
                 seconds = passes * self.batch_system.pass_latency().total_s
-            elif self.hintpir:
+            elif self.tier == "hintpir":
                 seconds = self.system.simulator.hintpir_online_latency(
                     batch, self.hint_entry_bits
                 ).total_s
@@ -371,6 +485,6 @@ class SimShardRegistry:
                 self.batch_system.num_buckets
                 * self.batch_system.simulator.min_db_read_seconds()
             )
-        if self.hintpir:
+        if self.tier == "hintpir":
             return self.system.simulator.min_raw_db_read_seconds()
         return self.system.min_db_read_seconds()

@@ -5,8 +5,9 @@ The dispatcher is written against plain asyncio (``loop.time()`` /
 *event loop*, not the serving code:
 
 * real mode — the standard loop plus :class:`RealCryptoBackend`, which runs
-  ``PirServer.answer_batch`` on a thread pool so the event loop stays
-  responsive while cores grind external products.
+  the tier's ``answer_window`` (one batched pass per dispatch window) on a
+  thread pool so the event loop stays responsive while cores grind
+  external products.
 * sim mode — :class:`VirtualTimeLoop`, an event loop whose clock jumps
   straight to the next timer instead of sleeping, plus
   :class:`SimulatedBackend`, which "serves" a batch by sleeping for the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.obs.trace import Tracer
-from repro.serve.registry import RealShardRegistry, ServeRequest, SimShardRegistry
+from repro.serve.registry import ServeRequest, ServingMode, SimShardRegistry
 
 
 def _trace_backend(
@@ -123,16 +124,18 @@ class SimResponse:
 
 
 class RealCryptoBackend:
-    """Executes real ``PirServer.answer_batch`` calls on worker threads.
+    """The one thread executor: runs a tier's ``answer_window`` off-loop.
 
-    numpy releases the GIL for the heavy modular arithmetic, so a small
-    thread pool gives genuine overlap between shards; a process pool is not
-    worth the ciphertext pickling cost at these sizes.
+    The window's batched pass is the registry's method; this class only
+    decides where it runs, the same for every tier.  numpy releases the
+    GIL for the heavy modular arithmetic, so a small thread pool gives
+    genuine overlap between shards; a process pool is not worth the
+    ciphertext pickling cost at these sizes.
     """
 
     def __init__(
         self,
-        registry: RealShardRegistry,
+        registry: ServingMode,
         max_workers: int | None = None,
         tracer: Tracer | None = None,
     ):
@@ -143,12 +146,10 @@ class RealCryptoBackend:
         )
 
     async def answer(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        server = self.registry.server(shard_id)
-        queries = [r.query for r in requests]
         loop = asyncio.get_running_loop()
         start_s = loop.time()
         responses = await loop.run_in_executor(
-            self._pool, server.answer_batch, queries
+            self._pool, self.registry.answer_window, shard_id, requests
         )
         _trace_backend(
             self.tracer, "backend.real", shard_id, requests, start_s, loop.time()

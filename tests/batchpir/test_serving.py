@@ -1,12 +1,17 @@
-"""Batch PIR behind the serving runtime: coalesced windows, sim mode."""
+"""Batch PIR behind the serving runtime: chunked windows, sim mode.
+
+The tier-agnostic serving cases (one window per shard through the one
+executor, duplicates, typed shard bounds) are in
+``tests/serve/test_serving_mode.py``.
+"""
 
 import asyncio
 
 import pytest
 
-from repro.batchpir.serving import BatchCryptoBackend, BatchServeRegistry
+from repro.batchpir.serving import BatchServeRegistry
 from repro.params import PirParams
-from repro.serve import ServeRuntime, SimShardRegistry
+from repro.serve import RealCryptoBackend, ServeRuntime, SimShardRegistry
 from repro.systems.batching import BatchPolicy
 
 
@@ -25,25 +30,6 @@ class TestBatchServeRegistry:
         shard_id, local = registry.map.route(40)
         assert (request.shard_id, request.local_index) == (shard_id, local)
 
-    def test_window_coalesces_into_one_batched_pass(self, params):
-        registry = BatchServeRegistry.random(
-            params, num_records=96, record_bytes=16, max_batch=16, num_shards=1, seed=2
-        )
-        policy = BatchPolicy(waiting_window_s=0.05, max_batch=16)
-
-        async def main():
-            runtime = ServeRuntime(registry, BatchCryptoBackend(registry), policy)
-            async with runtime:
-                return await runtime.serve_many([3, 77, 41, 3, 90, 12])
-
-        results = asyncio.run(main())
-        for r in results:
-            assert registry.decode(r.request, r.response) == registry.expected(
-                r.request.global_index
-            )
-        # All six landed in one waiting window -> one dispatch.
-        assert {r.batch_size for r in results} == {6}
-
     def test_window_larger_than_design_batch_chunks(self, params):
         registry = BatchServeRegistry.random(
             params, num_records=48, record_bytes=16, max_batch=4, num_shards=1, seed=3
@@ -51,7 +37,7 @@ class TestBatchServeRegistry:
         policy = BatchPolicy(waiting_window_s=0.05, max_batch=12)
 
         async def main():
-            runtime = ServeRuntime(registry, BatchCryptoBackend(registry), policy)
+            runtime = ServeRuntime(registry, RealCryptoBackend(registry), policy)
             async with runtime:
                 return await runtime.serve_many(range(10))
 
@@ -65,7 +51,7 @@ class TestBatchServeRegistry:
 class TestSimBatchMode:
     def test_batch_mode_amortizes_window_cost(self):
         paper = PirParams.paper(d0=256, num_dims=9)
-        batched = SimShardRegistry(paper, batchpir=True, design_batch=64)
+        batched = SimShardRegistry(paper, tier="batchpir", design_batch=64)
         plain = SimShardRegistry(paper)
         # One coalesced pass serves the whole design batch...
         assert batched.service_seconds(64) == batched.service_seconds(1)
@@ -79,7 +65,7 @@ class TestSimBatchMode:
 
     def test_batch_mode_window_covers_replicated_set(self):
         paper = PirParams.paper(d0=256, num_dims=9)
-        batched = SimShardRegistry(paper, batchpir=True, design_batch=64)
+        batched = SimShardRegistry(paper, tier="batchpir", design_batch=64)
         plain = SimShardRegistry(paper)
         assert batched.waiting_window_s() > 0
         # Replicated bucket set is ~3x the database: window grows with it.

@@ -1,12 +1,12 @@
-"""Property tests pinning the Barrett/Montgomery forms against plain ``%``.
+"""Property tests pinning the Barrett forms against plain ``%``.
 
-The planned backend's exactness rests entirely on these two reductions
+The planned backend's exactness rests entirely on these reductions
 (:mod:`repro.he.modred`): every GEMM-NTT accumulator is finished by
 ``barrett_reduce``, so an off-by-one anywhere in the float/int64 dance
-would corrupt transcripts silently.  Hypothesis drives both forms across
+would corrupt transcripts silently.  Hypothesis drives them across
 the full :class:`~repro.params.PirParams` modulus range *and* the
 adversarial edges — accumulators hugging the float64-exact bound, moduli
-just below the Montgomery/Barrett limits — where a rounding bug would
+just below the Barrett limits — where a rounding bug would
 hide from the fixed-seed pipeline tests.
 """
 
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.he.modred import (
     FLOAT64_EXACT_MAX,
-    MontgomeryContext,
     barrett_fold,
     barrett_reduce,
     barrett_reduce_nonneg,
@@ -30,7 +29,7 @@ from repro.he.modred import (
 from repro.params import PirParams
 
 #: Every NTT modulus the parameter sets can produce, plus edge moduli:
-#: tiny, the largest odd modulus under the Montgomery 2^31 bound, and a
+#: tiny, the largest odd modulus under the 2^31 twist bound, and a
 #: Barrett-only modulus just under the float64-exact bound.
 PIR_MODULI = sorted(set(PirParams.paper().moduli) | set(PirParams.small().moduli))
 EDGE_MODULI = [3, 17, (1 << 31) - 1, (1 << 52) + 1]
@@ -222,14 +221,6 @@ class TestFourStepReductions:
             biased_quotient(np.array([1]), 1 << 31)
 
 
-#: Montgomery moduli: odd, in [3, 2^31).  Bias half the examples toward
-#: the real NTT primes, half anywhere in range.
-mont_moduli = st.one_of(
-    st.sampled_from(PIR_MODULI),
-    st.integers(min_value=1, max_value=(1 << 30) - 1).map(lambda k: 2 * k + 1),
-)
-
-
 class TestModred:
     """The ``%``-free add/sub/neg correction on the stacked hot path."""
 
@@ -271,50 +262,3 @@ class TestModred:
         modred(base[:, 1:], q)
         assert np.array_equal(base[:, 1:], want[:, 1:])
         assert np.array_equal(base[:, 0], np.arange(-q, -q + 24).reshape(2, 3, 4)[:, 0])
-
-
-class TestMontgomery:
-    @given(
-        q=mont_moduli,
-        data=st.data(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_modmul_matches_plain_modulo(self, q, data):
-        ctx = MontgomeryContext(q)
-        residues = st.integers(min_value=0, max_value=q - 1)
-        a = np.array(
-            data.draw(st.lists(residues, min_size=1, max_size=16)), dtype=np.int64
-        )
-        b = np.array(
-            data.draw(st.lists(residues, min_size=len(a), max_size=len(a))),
-            dtype=np.int64,
-        )
-        assert np.array_equal(ctx.modmul(a, b), (a * b.astype(object)) % q)
-
-    @given(q=mont_moduli)
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_is_identity(self, q):
-        ctx = MontgomeryContext(q)
-        x = np.array([0, 1, q // 2, q - 2, q - 1], dtype=np.int64)
-        assert np.array_equal(ctx.from_mont(ctx.to_mont(x)), x)
-
-    @given(q=mont_moduli, t=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_redc_in_domain(self, q, t):
-        """REDC(t) == t * R^{-1} mod q for any t in [0, q*R)."""
-        ctx = MontgomeryContext(q)
-        vals = t.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=q * ctx.r - 1),
-                min_size=1,
-                max_size=8,
-            )
-        )
-        r_inv = pow(ctx.r, -1, q)
-        got = ctx.reduce(np.array(vals, dtype=np.uint64))
-        assert np.array_equal(got, np.array([(v * r_inv) % q for v in vals]))
-
-    def test_rejects_unusable_moduli(self):
-        for bad in (1, 2, 4, 65536, 1 << 31, (1 << 31) + 1):
-            with pytest.raises(ParameterError):
-                MontgomeryContext(bad)

@@ -1,13 +1,17 @@
-"""Keyword PIR behind the serving runtime: key routing, coalesced windows."""
+"""Keyword PIR behind the serving runtime: key routing, hits and misses.
+
+The tier-agnostic serving cases (one window per shard through the one
+executor, typed shard bounds) are in ``tests/serve/test_serving_mode.py``.
+"""
 
 import asyncio
 
 import pytest
 
 from repro.errors import KeyNotFound, KvBuildError
-from repro.kvpir.serving import KeyShardMap, KvCryptoBackend, KvServeRegistry
+from repro.kvpir.serving import KeyShardMap, KvServeRegistry
 from repro.params import PirParams
-from repro.serve import ServeRuntime, SimShardRegistry
+from repro.serve import RealCryptoBackend, ServeRuntime, SimShardRegistry
 from repro.systems.batching import BatchPolicy
 
 
@@ -62,7 +66,7 @@ class TestKvServing:
         present = list(registry._items)[:6]
 
         async def main():
-            runtime = ServeRuntime(registry, KvCryptoBackend(registry), policy)
+            runtime = ServeRuntime(registry, RealCryptoBackend(registry), policy)
             async with runtime:
                 return await runtime.serve_keys(present + [b"absent-key"])
 
@@ -71,22 +75,6 @@ class TestKvServing:
             assert registry.decode(r.request, r.response) == registry.expected(key)
         with pytest.raises(KeyNotFound):
             registry.decode(results[-1].request, results[-1].response)
-
-    def test_single_shard_window_coalesces(self, params):
-        registry = KvServeRegistry.random(
-            params, num_keys=32, value_bytes=16, num_shards=1, seed=4
-        )
-        policy = BatchPolicy(waiting_window_s=0.05, max_batch=16)
-        keys = list(registry._items)[:5]
-
-        async def main():
-            runtime = ServeRuntime(registry, KvCryptoBackend(registry), policy)
-            async with runtime:
-                return await runtime.serve_keys(keys)
-
-        results = asyncio.run(main())
-        # One waiting window -> one dispatch for all five lookups.
-        assert {r.batch_size for r in results} == {5}
 
     def test_serve_key_convenience(self, params):
         registry = KvServeRegistry.random(
@@ -97,7 +85,7 @@ class TestKvServing:
         async def main():
             runtime = ServeRuntime(
                 registry,
-                KvCryptoBackend(registry),
+                RealCryptoBackend(registry),
                 BatchPolicy(waiting_window_s=0.01, max_batch=4),
             )
             async with runtime:
@@ -116,8 +104,8 @@ class TestKvServing:
 class TestSimKvMode:
     def test_kv_mode_costs_more_than_plain_batch_mode(self):
         paper = PirParams.paper(d0=256, num_dims=9)
-        kv = SimShardRegistry(paper, kvpir=True, design_batch=64)
-        batch = SimShardRegistry(paper, batchpir=True, design_batch=64)
+        kv = SimShardRegistry(paper, tier="kvpir", design_batch=64)
+        batch = SimShardRegistry(paper, tier="batchpir", design_batch=64)
         plain = SimShardRegistry(paper)
         # kvpir implies the batched machinery over a bigger replicated set.
         assert kv.batch_system is not None

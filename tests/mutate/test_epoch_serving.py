@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import MutateError, StaleEpoch
-from repro.mutate import (
-    UpdateLog,
-    VersionedCryptoBackend,
-    VersionedShardRegistry,
-)
+from repro.mutate import UpdateLog, VersionedShardRegistry
 from repro.params import PirParams
-from repro.serve.dispatcher import ServeRuntime
+from repro.serve import RealCryptoBackend, loadgen
+from repro.serve.dispatcher import AdmissionConfig, ServeRuntime
 from repro.systems.batching import BatchPolicy
 
 
@@ -61,15 +58,6 @@ class TestEpochLifecycle:
         registry.publish(UpdateLog().put(11, b"\x55" * 32))
         assert registry.expected(0) == before[0]  # the rejected put is gone
         assert registry.expected(11) == b"\x55" * 32
-
-    def test_shard_bounds_are_typed_on_the_versioned_registry(self, params):
-        from repro.errors import RoutingError
-
-        registry = _registry(params)
-        with pytest.raises(RoutingError):
-            registry.server(registry.num_shards)
-        with pytest.raises(RoutingError):
-            registry.server(-1)  # must not silently index from the end
 
     def test_releasing_a_shed_request_frees_the_epoch(self, params):
         registry = _registry(params, retain=1)
@@ -127,7 +115,7 @@ class TestServingAcrossSwaps:
         truth = {0: [registry.expected(i) for i in range(num_records)]}
 
         async def main():
-            runtime = ServeRuntime(registry, VersionedCryptoBackend(registry), policy)
+            runtime = ServeRuntime(registry, RealCryptoBackend(registry), policy)
             futures = []
             async with runtime:
                 for wave in range(3):
@@ -162,7 +150,7 @@ class TestServingAcrossSwaps:
         policy = BatchPolicy(waiting_window_s=0.002, max_batch=4)
 
         async def main():
-            runtime = ServeRuntime(registry, VersionedCryptoBackend(registry), policy)
+            runtime = ServeRuntime(registry, RealCryptoBackend(registry), policy)
             async with runtime:
                 old_request = registry.make_request(6)
                 old_future = runtime.submit(old_request)
@@ -178,3 +166,68 @@ class TestServingAcrossSwaps:
         new_bytes = registry.decode(new_result.request, new_result.response)
         assert new_bytes == b"\x77" * 32
         assert old_bytes != b"\x77" * 32  # the epoch-0 snapshot's value
+
+
+class TestUnservedRequestsReleaseTheirPin:
+    """Regression: only ``decode``/``release`` unpins an epoch, and the
+    runtime never released a request it shed or whose window failed — under
+    overload a retired epoch lived for the registry's lifetime."""
+
+    def test_open_loop_overload_across_a_publish(self, params):
+        registry = _registry(params, retain=1, seed=9)
+        policy = BatchPolicy(waiting_window_s=0.002, max_batch=2)
+        admission = AdmissionConfig(max_queue_depth=2)
+        arrivals = np.linspace(0.0, 0.02, 30)  # far above what two shards serve
+        indices = np.arange(30) % registry.num_records
+        truth = {0: [registry.expected(i) for i in range(registry.num_records)]}
+
+        async def main():
+            runtime = ServeRuntime(
+                registry, RealCryptoBackend(registry), policy, admission
+            )
+            runtime.start()
+            before = await loadgen.run_open_loop(
+                runtime, arrivals, indices, drain=False, collect_results=True
+            )
+            registry.publish(UpdateLog().put(3, b"\x33" * 32))
+            after = await loadgen.run_open_loop(
+                runtime, arrivals, indices, collect_results=True
+            )
+            return before, after
+
+        before, after = asyncio.run(main())
+        truth[1] = [registry.expected(i) for i in range(registry.num_records)]
+        for report, epoch in ((before, 0), (after, 1)):
+            assert report.rejected > 0 and report.errored == 0
+            for result in report.results:  # decoding releases the served ones
+                request = result.request
+                assert request.epoch == epoch
+                decoded = registry.decode(request, result.response)
+                assert decoded == truth[epoch][request.global_index]
+        assert registry.live_epochs == (registry.current_epoch,)
+
+    def test_failed_window_releases_its_requests(self, params):
+        registry = _registry(params, retain=1)
+
+        class ExplodingBackend:
+            async def answer(self, shard_id, requests):
+                raise RuntimeError("boom")
+
+            def close(self):
+                pass
+
+        async def main():
+            runtime = ServeRuntime(
+                registry,
+                ExplodingBackend(),
+                BatchPolicy(waiting_window_s=0.002, max_batch=4),
+            )
+            runtime.start()
+            futures = [runtime.submit(registry.make_request(i)) for i in range(6)]
+            registry.publish(UpdateLog().put(0, b"\x01" * 32))
+            await runtime.drain()
+            return await asyncio.gather(*futures, return_exceptions=True)
+
+        outcomes = asyncio.run(main())
+        assert all(isinstance(o, RuntimeError) for o in outcomes)
+        assert registry.live_epochs == (registry.current_epoch,)

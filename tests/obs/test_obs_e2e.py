@@ -107,10 +107,14 @@ class TestTracedLoadtest:
         assert crossing, "no trace id crossed the process boundary"
         assert set(crossing) <= {s["trace_id"] for s in spans}
         names = {s["name"] for s in spans}
-        assert {"cluster.rpc", "worker.answer", "worker.batch"} <= names
-        # Worker-side kernel stats came home in WorkerStopped.
+        # The worker answers a batch as one stacked window: one span per
+        # batch, no per-query path that tracing switches on.
+        assert {"cluster.rpc", "worker.batch"} <= names
+        assert "worker.answer" not in names
+        # Worker-side kernel stats came home in WorkerStopped: one expand
+        # per stacked group, never more than one per query.
         profile = aggregate_kernel_profile(obs["kernel_profile"])
-        assert profile["expand"]["calls"] == 8
+        assert 1 <= profile["expand"]["calls"] <= 8
         # The Chrome trace names both process kinds.
         meta = {
             e["args"]["name"]

@@ -4,15 +4,15 @@ The serving runtime owns real thread pools; these tests pin the contract
 that draining leaves no orphaned futures (every submitted query resolves
 or errors), that closing a backend actually tears its pool down, and that
 a caller cancelling its own future neither crashes the dispatcher nor
-starves the rest of the batch.
+starves the rest of the batch.  The one executor serves every tier; its
+per-tier cases (round trip, idempotent close) live in
+``test_serving_mode.py``.
 """
 
 import asyncio
 
 import pytest
 
-from repro.batchpir.serving import BatchCryptoBackend, BatchServeRegistry
-from repro.kvpir.serving import KvCryptoBackend, KvServeRegistry
 from repro.params import PirParams
 from repro.serve import (
     RealCryptoBackend,
@@ -114,22 +114,6 @@ class TestBackendClose:
 
         with pytest.raises(RuntimeError):  # pool shutdown refuses submits
             asyncio.run(main())
-
-    def test_close_is_idempotent_across_backends(self, params, registry):
-        batch_registry = BatchServeRegistry.random(
-            params, num_records=32, record_bytes=16, max_batch=4, seed=2
-        )
-        kv_registry = KvServeRegistry.random(
-            params, num_keys=16, value_bytes=8, seed=3
-        )
-        for backend in (
-            RealCryptoBackend(registry),
-            BatchCryptoBackend(batch_registry),
-            KvCryptoBackend(kv_registry),
-        ):
-            backend.close()
-            backend.close()  # second close must not raise
-            assert backend._pool._shutdown
 
 
 class TestInFlightCancellation:
