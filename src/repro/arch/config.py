@@ -103,17 +103,8 @@ class IveConfig:
         return self.num_cores * self.gemm_macs_per_core
 
     @property
-    def chip_gemm_tops(self) -> float:
-        """Modular multiply-and-add throughput in TOPS (paper: 1 TOPS/core)."""
-        return self.chip_gemm_macs_per_cycle * self.clock_hz / 1e12
-
-    @property
     def sram_per_core(self) -> int:
         return self.rf_bytes + self.db_buffer_bytes + self.icrt_buffer_bytes
-
-    @property
-    def total_sram(self) -> int:
-        return self.num_cores * self.sram_per_core
 
     @property
     def per_core_hbm_bandwidth(self) -> float:

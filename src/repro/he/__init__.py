@@ -6,12 +6,7 @@ CRT/iCRT, BFV linear operations, gadget decomposition, RGSW external
 products, and automorphism-based substitution with key switching.
 """
 
-from repro.he.batched import (
-    BfvCiphertextVec,
-    RnsPolyVec,
-    batched_decompose,
-    overflow_safe_chunk,
-)
+from repro.he.batched import BfvCiphertextVec, RnsPolyVec
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
 from repro.he.modswitch import ModulusSwitcher, SwitchedCiphertext, min_moduli_for_noise
@@ -41,13 +36,11 @@ __all__ = [
     "SecretKey",
     "SubsKey",
     "SwitchedCiphertext",
-    "batched_decompose",
     "cmux",
     "encrypt_public",
     "external_product",
     "generate_subs_key",
     "min_moduli_for_noise",
-    "overflow_safe_chunk",
     "rgsw_encrypt",
     "substitute",
 ]

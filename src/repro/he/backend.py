@@ -1,14 +1,22 @@
-"""Pluggable compute backends for the batched PIR kernel layer.
+"""Compute backends: the one production kernel layer.
 
-Every consumer of the hot path — ``PirServer``, batchpir, kvpir, the
-hintpir/SimplePIR GEMM tier, the mutate re-NTT, the serving registries
-and the cluster workers — resolves a :class:`ComputeBackend` once at
-construction (``get_backend("planned")`` by default) instead of
-threading ad-hoc fast-path booleans.  A backend implements the small
-primitive surface (forward/inverse NTT, gadget decomposition, the
-modular GEMMs and key-switch inner products) and inherits the shared
-pipeline ops built on top of them, so the whole
-ExpandQuery→RowSel→ColTor pipeline retargets by swapping primitives.
+The kernel stack has two layers.  This module is the production one:
+every stacked kernel lives on a :class:`ComputeBackend`, and
+``get_backend(...)`` / ``resolve_backend(...)`` is the only route to one
+— ``PirServer``, batchpir, kvpir, the hintpir/SimplePIR GEMM tier, the
+mutate re-NTT, client encode/decode and key generation, the serving
+registries and the cluster workers all resolve a backend (``planned`` by
+default) and call its methods.  The other layer is the per-polynomial
+stack (``he/poly`` + ``he/ntt`` + ``Gadget.decompose`` +
+``subs.substitute`` / ``rgsw.external_product``, reached through
+``PirServer.answer_reference``): the independent oracle the backends
+are tested against, which imports nothing from here.
+
+A backend implements the small primitive surface (forward/inverse NTT,
+automorphism, gadget decomposition, the modular GEMMs and key-switch
+inner products) and inherits the shared pipeline ops built on top of
+them, so the whole ExpandQuery→RowSel→ColTor pipeline retargets by
+swapping primitives.
 
 The pipeline ops are tensor programs over a *dispatch window*: a
 ciphertext batch is one ``(2, batch, rns, n)`` tensor whose batch axis
@@ -18,15 +26,15 @@ rows carrying a leading group axis: one group for the evaluation key a
 whole window shares, one per query for RGSW bits), and ``expand_window``
 / ``rowsel_window`` / ``coltor_window`` run every query of a group
 through each stage together — even/odd ColTor halves are residue-tensor
-views, never re-stacked ciphertext lists.  ``substitute``,
-``external_product``, ``expand``, ``rowsel`` and ``coltor`` are the same
-ops behind single-query signatures.
+views, never re-stacked ciphertext lists.  ``external_product``,
+``expand``, ``rowsel`` and ``coltor`` are the same ops behind
+single-query signatures, kept for the frozen ``benchmarks/e2e``.
 
 Two backends are registered:
 
-* ``eager`` — the existing stacked-numpy path (lazy-reduction
-  butterflies, limb-iCRT decomposition, chunked int64 einsums), kept
-  byte-for-byte as the correctness oracle;
+* ``eager`` — plain stacked numpy (lazy-reduction butterflies,
+  limb-iCRT decomposition, chunked int64 einsums): no precomputed state
+  beyond twiddle tables, exact on every valid parameter set;
 * ``planned`` — precomputed NTT *plans*, one per ring ``(n, moduli)``
   and shared by every :class:`~repro.he.poly.RingContext` of it: the
   twiddle/bit-reversal structure is folded once into transform matrices
@@ -44,7 +52,10 @@ Two backends are registered:
   cache-sized blocks, and substitution applies X -> X^r in the NTT
   domain as a gather of evaluation slots.  A ring no plan is exact on
   (n > ``PLAN_MAX_N``, oversized moduli) runs the eager primitives —
-  never silently wrong, at most slower.
+  never silently wrong, at most slower, and counted: each fallback
+  feeds a cliff counter of the installed metrics registry
+  (``he_plan_none``, ``he_decompose_eager``, ``he_inner_eager``, and
+  ``he_modular_gemm_bignum`` for the object-dtype GEMM).
 
 All backend arithmetic is exact modular arithmetic, so every backend is
 byte-identical; ``tests/pir/test_backend_parity.py`` asserts this across
@@ -72,16 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.he.batched import (
-    BfvCiphertextVec,
-    RnsPolyVec,
-    _batched_decompose_impl,
-    _chunked_einsum,
-    _limb_tables,
-    _rns_forward_impl,
-    _rns_inverse_impl,
-    overflow_safe_chunk,
-)
+from repro.he.batched import BfvCiphertextVec, RnsPolyVec
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.modred import (
@@ -95,9 +97,10 @@ from repro.he.modred import (
     modred,
     twist_mulmod,
 )
-from repro.he.poly import BLOCK_BYTES, Domain, RingContext
+from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.he.rgsw import RgswCiphertext
 from repro.he.subs import SubsKey
+from repro.obs.metrics import count
 from repro.obs.profile import kernel_stage
 
 _INT64_MAX = (1 << 63) - 1
@@ -111,6 +114,141 @@ PLAN_MAX_N = 4096
 #: (2n^2 float64 per direction: 4 MiB at 512).  Above it a plan factors
 #: n = rows x cols and the transform costs O(n * sqrt(n)) instead.
 _DENSE_MAX_N = 512
+
+
+def overflow_safe_chunk(modulus: int) -> int:
+    """How many residue products mod ``modulus`` int64 can accumulate.
+
+    Each product is at most ``(q-1)^2`` and one partially-reduced
+    accumulator value (< q) may ride along, so the largest safe
+    accumulation length is ``(2^63 - q) // (q-1)^2``.
+    """
+    if modulus < 2:
+        raise ParameterError(f"modulus {modulus} must be at least 2")
+    worst = (modulus - 1) ** 2
+    if worst > _INT64_MAX - (modulus - 1):
+        raise ParameterError(
+            f"modulus {modulus} is too large for int64 lazy reduction"
+        )
+    return (_INT64_MAX - (modulus - 1)) // worst
+
+
+def _chunked_einsum(
+    script: str, lhs: np.ndarray, rhs: np.ndarray, chunk: int,
+    moduli_col: np.ndarray, out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``einsum(script)`` mod q, its contraction axis walked in safe chunks.
+
+    The contraction axis is axis 2 of ``lhs`` and axis 1 of ``rhs`` (both
+    carry a leading group/query axis).  The first chunk lands straight
+    in the result (``out`` when given), so a contraction one chunk
+    covers — every call at the shipped parameters — pays no zero
+    accumulator, no extra add pass and no second allocation.
+    """
+    acc = None
+    for start in range(0, max(lhs.shape[2], 1), chunk):
+        stop = start + chunk
+        part = np.einsum(
+            script, lhs[:, :, start:stop], rhs[:, start:stop],
+            out=out if acc is None else None,
+        )
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+        acc %= moduli_col
+    return acc
+
+
+def _rns_ntt_tables(ctx: RingContext) -> dict:
+    """Per-ring twiddle tables stacked across the RNS basis.
+
+    The Cooley-Tukey/Gentleman-Sande butterfly structure depends only on
+    the ring degree, so all moduli can ride through one vectorised
+    transform with per-modulus twiddles broadcast along the RNS axis —
+    one stacked call instead of ``rns_count`` per conversion.
+    """
+    cache = getattr(ctx, "_rns_ntt_tables_cache", None)
+    if cache is not None:
+        return cache
+    qmax = max(ctx.params.moduli)
+    logn = ctx.n.bit_length() - 1
+    tables = {
+        "fwd": np.stack([ntt._fwd for ntt in ctx.ntts]),  # (rns_count, n)
+        "inv": np.stack([ntt._inv for ntt in ctx.ntts]),
+        "n_inv": np.array(
+            [ntt._n_inv for ntt in ctx.ntts], dtype=np.int64
+        )[:, None],
+        "moduli3": ctx._moduli_col[:, :, None],  # (rns_count, 1, 1)
+        # Lazy butterflies let values grow to (log2(n)+1)*q before the
+        # final reduction; the twiddle product of a stage-k value must
+        # still fit int64.  The paper's ~28-bit moduli clear this by a
+        # wide margin, but a user-built params set with ~2^30 moduli is
+        # NTT-friendly yet would overflow *silently* — those fall back
+        # to eager per-stage reduction (still stacked, just slower).
+        "lazy_fwd": logn * qmax * (qmax - 1) < _INT64_MAX,
+        "lazy_inv": 2 * qmax * (qmax - 1) < _INT64_MAX,
+    }
+    ctx._rns_ntt_tables_cache = tables
+    return tables
+
+
+def _limb_tables(gadget: Gadget) -> dict:
+    """Precomputed base-z limb constants for one (basis, gadget) pair.
+
+    The Eq. 3 lift ``c = sum_i t_i * Q_hat_i mod Q`` is evaluated with
+    every big integer written in base ``z = 2^base_log2`` — the *gadget
+    base* — so after carry propagation and at most ``rns_count - 1``
+    conditional subtractions of Q, the limbs of the canonical lift *are*
+    the gadget digits.  Everything stays in int64: ``t_i < 2^28`` times a
+    limb ``< z <= 2^22`` times ``rns_count <= 4`` is far below 2^63.
+    """
+    cache = getattr(gadget, "_limb_tables_cache", None)
+    if cache is not None:
+        return cache
+    basis = gadget.ctx.basis
+    z = gadget.base
+    if z <= basis.count:
+        raise ParameterError(
+            f"gadget base {z} too small for limb iCRT over {basis.count} moduli"
+        )
+    nlimbs = gadget.length + 1  # z^L >= Q, so L+1 limbs hold sums < rns * Q
+    # The limb accumulation sum_i t_i * qhat_limb must fit int64:
+    # rns_count * (q-1) * (z-1) products per limb position.  The paper's
+    # 28-bit moduli / 2^22 base clear this by ~2^11; a valid-but-exotic
+    # large-base/large-moduli set falls back to the per-poly reference
+    # decomposition instead of silently wrapping.
+    limb_ok = basis.count * (max(basis.moduli) - 1) * (z - 1) < _INT64_MAX
+
+    def limbs_of(value: int) -> list[int]:
+        return [(value >> (gadget.base_log2 * li)) & (z - 1) for li in range(nlimbs)]
+
+    tables = {
+        "nlimbs": nlimbs,
+        "qhat_limbs": np.array(
+            [limbs_of(h) for h in basis._q_hat], dtype=np.int64
+        ),  # (rns_count, nlimbs)
+        "q_limbs": np.array(limbs_of(basis.modulus_product), dtype=np.int64),
+        "qhat_inv": basis._q_hat_inv_arr,
+        "moduli": basis._moduli_arr,
+        "limb_ok": limb_ok,
+    }
+    gadget._limb_tables_cache = tables
+    return tables
+
+
+def _limbs_ge(acc: np.ndarray, q_limbs: np.ndarray) -> np.ndarray:
+    """Lexicographic ``acc >= Q`` over the limb axis (axis 1), vectorised."""
+    shape = (acc.shape[0], acc.shape[2])
+    result = np.zeros(shape, dtype=bool)
+    undecided = np.ones(shape, dtype=bool)
+    for li in range(acc.shape[1] - 1, -1, -1):
+        limb = acc[:, li]
+        greater = undecided & (limb > q_limbs[li])
+        less = undecided & (limb < q_limbs[li])
+        result |= greater
+        undecided &= ~(greater | less)
+    return result | undecided  # all limbs equal -> acc == Q -> "≥"
 
 
 def modular_gemm(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -140,6 +278,7 @@ def modular_gemm(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         # integers.  Slow, but only reachable at parameter corners that
         # int64 fundamentally cannot host — never the DB-side hot path,
         # where one operand is p-sized.
+        count("he_modular_gemm_bignum")
         return np.asarray(
             (a.astype(object) @ b.astype(object)) % q, dtype=np.int64
         )
@@ -155,13 +294,13 @@ def modular_gemm(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 class ComputeBackend:
     """Kernel-primitive surface plus the pipeline ops built on it.
 
-    Subclasses provide the primitives (NTTs, decomposition, GEMMs); the
-    pipeline ops (``substitute`` … ``coltor``) are implemented here once
-    in terms of those primitives, so a backend that swaps a primitive
-    retargets the whole ExpandQuery→RowSel→ColTor pipeline.  Pipeline
-    ops never call the module-level ``rns_forward``/``rns_inverse`` —
-    every transform routes through ``self`` so the backend's plan (and
-    its profiler label) is always in effect.
+    Subclasses provide the primitives (NTTs, automorphism,
+    decomposition, GEMMs); the pipeline ops (``substitute_stacked`` …
+    ``coltor_window``) are implemented here once in terms of those
+    primitives, so a backend that swaps a primitive retargets the whole
+    ExpandQuery→RowSel→ColTor pipeline.  Every transform routes through
+    ``self`` so the backend's plan (and its profiler label) is always in
+    effect.
     """
 
     name: str = ""
@@ -194,9 +333,25 @@ class ComputeBackend:
         """
         raise NotImplementedError
 
+    def automorphism(
+        self, ctx: RingContext, cts: np.ndarray, r: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """X -> X^r on the halves of an NTT-form ``(2, batch, rns, n)`` tensor.
+
+        Each half comes back in the domain Subs wants it in: ``a`` in
+        coefficients (it is decomposed next), ``b`` in NTT form (it is
+        added back onto the key-switch output).
+        """
+        raise NotImplementedError
+
     def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
         """Gadget digits of a whole batch: (batch, gadget_len, n) int64."""
         raise NotImplementedError
+
+    def _coeff_residues(self, vec: RnsPolyVec) -> np.ndarray:
+        if vec.domain is Domain.COEFF:
+            return vec.residues
+        return self.ntt_inverse(vec.ctx, vec.residues)
 
     def inner(
         self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
@@ -224,30 +379,6 @@ class ComputeBackend:
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         """Dense ``(a @ b) % q`` (the SimplePIR/hintpir server tier)."""
         raise NotImplementedError
-
-    # -- domain helpers ---------------------------------------------------
-    def vec_to_ntt(self, vec: RnsPolyVec) -> RnsPolyVec:
-        if vec.domain is Domain.NTT:
-            return vec
-        return RnsPolyVec(
-            vec.ctx, self.ntt_forward(vec.ctx, vec.residues), Domain.NTT
-        )
-
-    def vec_to_coeff(self, vec: RnsPolyVec) -> RnsPolyVec:
-        if vec.domain is Domain.COEFF:
-            return vec
-        return RnsPolyVec(
-            vec.ctx, self.ntt_inverse(vec.ctx, vec.residues), Domain.COEFF
-        )
-
-    def automorphism(self, vec: RnsPolyVec, r: int) -> RnsPolyVec:
-        """X -> X^r on a whole batch, returned in whichever domain is cheapest.
-
-        The base form is the coefficient-domain scatter; ``substitute``
-        decomposes the ``a`` half (coefficients wanted) and adds the
-        ``b`` half back in NTT form, and converts as needed.
-        """
-        return self.vec_to_coeff(vec).automorphism(r)
 
     # -- the key-switch kernel --------------------------------------------
     def key_switch(
@@ -295,31 +426,20 @@ class ComputeBackend:
     # Ciphertext batches travel as one ``(2, batch, rns, n)`` NTT-form
     # tensor (``[0]`` the a halves, ``[1]`` the b halves).  A window of Q
     # queries is the same tensor with the batch axis query-major
-    # (``Q * per_query``); the single-query signatures further down are
-    # its batch of one.
+    # (``Q * per_query``).
 
     def substitute_stacked(
         self, cts: np.ndarray, evk: SubsKey, gadget: Gadget
     ) -> np.ndarray:
         """Subs(ct, evk.r) on a ``(2, batch, rns, n)`` ciphertext tensor."""
-        ctx = gadget.ctx
-        moduli_col = ctx._moduli_col
-        batch, poly = cts.shape[1], cts.shape[2:]
+        moduli_col = gadget.ctx._moduli_col
         with kernel_stage(self._label("subs"), cts.nbytes):
-            aut = self.automorphism(
-                RnsPolyVec(ctx, cts.reshape((-1,) + poly), Domain.NTT), evk.r
-            )
-            a_aut = self.vec_to_coeff(
-                RnsPolyVec(ctx, aut.residues[:batch], aut.domain)
-            )
-            b_aut = self.vec_to_ntt(
-                RnsPolyVec(ctx, aut.residues[batch:], aut.domain)
-            )
+            a_aut, b_aut = self.automorphism(gadget.ctx, cts, evk.r)
             out = self.key_switch(
-                gadget, a_aut.residues[None, None], evk.rows[:, None]
+                gadget, a_aut[None, None], evk.rows[:, None]
             )[:, 0]
             out_b = out[1]
-            out_b += b_aut.residues
+            out_b += b_aut
             out_b -= moduli_col
             modred(out_b, moduli_col)
             return out
@@ -465,13 +585,11 @@ class ComputeBackend:
             return current[:, :, 0]
 
     # -- pipeline ops: single-query signatures ----------------------------
-    def substitute(
-        self, vec: BfvCiphertextVec, evk: SubsKey, gadget: Gadget
-    ) -> BfvCiphertextVec:
-        """Subs(ct, evk.r) over a whole batch of ciphertexts at once."""
-        return BfvCiphertextVec.from_stacked(
-            vec.a.ctx, self.substitute_stacked(vec.stacked(), evk, gadget)
-        )
+    #
+    # The four below are the window ops behind per-poly container types.
+    # No ``src/`` code calls them: they remain because the frozen
+    # ``benchmarks/e2e`` staged replay and kernel probes are written
+    # against exactly these signatures.
 
     def external_product(
         self, rgsw: RgswCiphertext, vec: BfvCiphertextVec, gadget: Gadget
@@ -481,18 +599,6 @@ class ComputeBackend:
             rgsw.rows[:, None], vec.stacked()[:, None], gadget
         )
         return BfvCiphertextVec.from_stacked(vec.a.ctx, out[:, 0])
-
-    def cmux(
-        self,
-        rgsw_bit: RgswCiphertext,
-        if_zeros: BfvCiphertextVec,
-        if_ones: BfvCiphertextVec,
-        gadget: Gadget,
-    ) -> BfvCiphertextVec:
-        """Homomorphic select: bit ⊡ (ones - zeros) + zeros, batched."""
-        return self.external_product(
-            rgsw_bit, if_ones - if_zeros, gadget
-        ) + if_zeros
 
     def expand(
         self,
@@ -533,21 +639,97 @@ class ComputeBackend:
 
 
 class EagerBackend(ComputeBackend):
-    """The current stacked-numpy path: butterflies, limb iCRT, int64 einsums.
+    """The stacked-numpy kernels: butterflies, limb iCRT, int64 einsums.
 
-    Byte-for-byte the pre-backend fast path; kept as the correctness
-    oracle every other backend is measured against.
+    Plain int64 numpy with no precomputed plan, exact on every valid
+    parameter set — which is what the planned backend falls back to and
+    is measured against.  A backend like any other, not a second oracle:
+    the independent reference is the per-poly stack.
     """
 
     name = "eager"
 
     def ntt_forward(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
+        """Stacked Cooley-Tukey butterflies with lazy reduction.
+
+        Element-identical to calling ``ctx.ntts[i].forward`` row by row:
+        only the twiddle product is reduced per stage, sums stay
+        unreduced (adding one ``q`` of headroom per stage keeps
+        subtraction results non-negative), and one final ``% q``
+        canonicalises.  The growth bound is ``(log2(n) + 1) * q < 2^32``
+        for the paper's ~28-bit moduli, far below both int64 and the
+        ``value * twiddle < 2^63`` multiply constraint; moduli too large
+        for that bound reduce at every stage instead (checked in
+        :func:`_rns_ntt_tables`) so the fast path can never silently wrap.
+        """
         with kernel_stage(self._label("ntt_fwd"), getattr(residues, "nbytes", 0)):
-            return _rns_forward_impl(ctx, residues)
+            tables = _rns_ntt_tables(ctx)
+            q = tables["moduli3"]
+            n = ctx.n
+            a = np.ascontiguousarray(
+                np.asarray(residues, dtype=np.int64) % ctx._moduli_col
+            )
+            lead = a.shape[:-2]
+            rns = a.shape[-2]
+            # Scratch for the stage's u/v halves: n/2 elements per
+            # polynomial at every stage, so two buffers serve all
+            # log2(n) stages without per-stage allocations.
+            scratch_u = np.empty(lead + (rns, n // 2), dtype=np.int64)
+            scratch_v = np.empty_like(scratch_u)
+            lazy = tables["lazy_fwd"]
+            t = n
+            m = 1
+            while m < n:
+                t //= 2
+                blocks = a.reshape(*lead, rns, m, 2, t)
+                s = tables["fwd"][:, m : 2 * m]  # (rns_count, m)
+                u = scratch_u.reshape(*lead, rns, m, t)
+                v = scratch_v.reshape(*lead, rns, m, t)
+                np.copyto(u, blocks[..., 0, :])
+                np.multiply(blocks[..., 1, :], s[:, :, None], out=v)
+                v %= q
+                np.add(u, v, out=blocks[..., 0, :])
+                np.subtract(u, v, out=blocks[..., 1, :])
+                blocks[..., 1, :] += q
+                if not lazy:
+                    blocks[..., 0, :] %= q
+                    blocks[..., 1, :] %= q
+                m *= 2
+            return a % ctx._moduli_col
 
     def ntt_inverse(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
+        """Stacked Gentleman-Sande butterflies, ``n^-1`` folded in last."""
         with kernel_stage(self._label("ntt_inv"), getattr(residues, "nbytes", 0)):
-            return _rns_inverse_impl(ctx, residues)
+            tables = _rns_ntt_tables(ctx)
+            q = tables["moduli3"]
+            n = ctx.n
+            a = np.ascontiguousarray(
+                np.asarray(residues, dtype=np.int64) % ctx._moduli_col
+            )
+            lead = a.shape[:-2]
+            rns = a.shape[-2]
+            scratch_u = np.empty(lead + (rns, n // 2), dtype=np.int64)
+            t = 1
+            m = n
+            while m > 1:
+                h = m // 2
+                blocks = a.reshape(*lead, rns, h, 2, t)
+                s = tables["inv"][:, h : 2 * h]
+                u = scratch_u.reshape(*lead, rns, h, t)
+                np.copyto(u, blocks[..., 0, :])
+                v = blocks[..., 1, :]  # view; consumed before being overwritten
+                np.add(u, v, out=blocks[..., 0, :])
+                blocks[..., 0, :] %= q
+                np.subtract(u, v, out=u)
+                u += q  # keep the difference non-negative before the twiddle
+                if not tables["lazy_inv"]:
+                    u %= q  # large moduli: reduce before the twiddle product
+                u *= s[:, :, None]
+                u %= q
+                blocks[..., 1, :] = u
+                t *= 2
+                m = h
+            return (a * tables["n_inv"]) % ctx._moduli_col
 
     def digits_forward(self, ctx: RingContext, digits: np.ndarray) -> np.ndarray:
         batch, k, n = digits.shape
@@ -556,11 +738,63 @@ class EagerBackend(ComputeBackend):
         )
         return self.ntt_forward(ctx, tiled)
 
+    def automorphism(
+        self, ctx: RingContext, cts: np.ndarray, r: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficient-domain scatter of ``RnsPoly.automorphism``, stacked."""
+        coeff = self.ntt_inverse(ctx, cts)
+        dest, negate = ctx.automorphism_indices(r)
+        out = np.empty_like(coeff)  # dest is a permutation: every slot is written
+        out[..., dest] = np.where(negate, -coeff, coeff)
+        out %= ctx._moduli_col
+        return out[0], self.ntt_forward(ctx, out[1])
+
     def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
-        if vec.domain is not Domain.COEFF:
-            vec = self.vec_to_coeff(vec)
-        with kernel_stage(self._label("decompose"), vec.residues.nbytes):
-            return _batched_decompose_impl(gadget, vec)
+        """Gadget digits via an exact int64 limb iCRT.
+
+        Element-identical to running :meth:`Gadget.decompose` per
+        polynomial — same unsigned base-z digits of the [0, Q) lift — but
+        the Eq. 3 lift is accumulated directly in base-z limbs (see
+        :func:`_limb_tables`), so no per-coefficient big-int arithmetic
+        is needed.
+        """
+        residues = self._coeff_residues(vec)
+        with kernel_stage(self._label("decompose"), residues.nbytes):
+            tables = _limb_tables(gadget)
+            if not tables["limb_ok"]:
+                # Oversized base/moduli would wrap the limb accumulation;
+                # take the exact object-int reference per polynomial.
+                digits = np.empty(
+                    (len(residues), gadget.length, gadget.ctx.n), dtype=np.int64
+                )
+                for i, row in enumerate(residues):
+                    poly = RnsPoly(gadget.ctx, row, Domain.COEFF)
+                    for j, digit in enumerate(gadget.decompose(poly)):
+                        digits[i, j] = digit.residues[0]
+                return digits
+            blog = gadget.base_log2
+            z = gadget.base
+            moduli, qhat_inv = tables["moduli"], tables["qhat_inv"]
+            # t_i = residue_i * (Q/q_i)^{-1} mod q_i (Eq. 3), still per-modulus.
+            t = (residues * qhat_inv[:, None]) % moduli[:, None]
+            # S = sum_i t_i * Q_hat_i accumulated limb-wise: (batch, nlimbs, n).
+            acc = np.einsum("bmn,ml->bln", t, tables["qhat_limbs"])
+            for li in range(tables["nlimbs"] - 1):
+                carry = acc[:, li] >> blog
+                acc[:, li] -= carry << blog
+                acc[:, li + 1] += carry
+            # S = lift + k*Q with k < rns_count: subtract Q wherever still >= Q.
+            q_limbs = tables["q_limbs"]
+            for _ in range(gadget.ctx.rns_count - 1):
+                ge = _limbs_ge(acc, q_limbs)
+                if not ge.any():
+                    break
+                acc -= ge[:, None, :] * q_limbs[None, :, None]
+                for li in range(tables["nlimbs"] - 1):
+                    borrow = acc[:, li] < 0
+                    acc[:, li] += borrow * z
+                    acc[:, li + 1] -= borrow
+            return acc[:, : gadget.length, :]
 
     def inner(
         self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
@@ -811,7 +1045,10 @@ class PlannedBackend(EagerBackend):
             except ParameterError:
                 # Outside every plan's proven-exact range: eager primitives.
                 _PLANS[key] = None
-        return _PLANS[key]
+        plan = _PLANS[key]
+        if plan is None:
+            count("he_plan_none")
+        return plan
 
     def _transform(
         self, plan: _GemmNttPlan, way: _NttFactors, residues: np.ndarray,
@@ -961,18 +1198,19 @@ class PlannedBackend(EagerBackend):
                 plan, plan.fwd, digits[:, :, None, :], partial=True
             )
 
-    def automorphism(self, vec: RnsPolyVec, r: int) -> RnsPolyVec:
+    def automorphism(
+        self, ctx: RingContext, cts: np.ndarray, r: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """NTT-domain X -> X^r: a pure gather of evaluation slots.
 
-        An NTT-form batch stays in NTT form, so ``substitute``'s ``b``
-        half needs no transform at all and its ``a`` half only the
-        inverse that decomposition wants anyway.
+        The ``b`` half needs no transform at all and the ``a`` half only
+        the inverse that decomposition wants anyway.
         """
-        plan = self._plan(vec.ctx)
-        if plan is None or vec.domain is not Domain.NTT:
-            return super().automorphism(vec, r)
-        table = plan.gather(vec.ctx, r)
-        return RnsPolyVec(vec.ctx, vec.residues[..., table], Domain.NTT)
+        plan = self._plan(ctx)
+        if plan is None:
+            return super().automorphism(ctx, cts, r)
+        gathered = cts[..., plan.gather(ctx, r)]
+        return self.ntt_inverse(ctx, gathered[0]), gathered[1]
 
     def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
         """Limb-iCRT decomposition with half-packed canonicalisation.
@@ -985,8 +1223,6 @@ class PlannedBackend(EagerBackend):
         chains.  Digits come back out via shifts and masks —
         byte-identical to the eager path by construction.
         """
-        if vec.domain is not Domain.COEFF:
-            vec = self.vec_to_coeff(vec)
         tables = _limb_tables(gadget)
         nlimbs = tables["nlimbs"]
         blog = gadget.base_log2
@@ -1001,11 +1237,13 @@ class PlannedBackend(EagerBackend):
             or lo_limbs * blog > 62
             or hi_limbs * blog + 3 > 62
         ):
+            count("he_decompose_eager")
             return super().decompose(gadget, vec)
-        with kernel_stage(self._label("decompose"), vec.residues.nbytes):
+        residues = self._coeff_residues(vec)
+        with kernel_stage(self._label("decompose"), residues.nbytes):
             z = gadget.base
             moduli, qhat_inv = tables["moduli"], tables["qhat_inv"]
-            t = (vec.residues * qhat_inv[:, None]) % moduli[:, None]
+            t = (residues * qhat_inv[:, None]) % moduli[:, None]
             # Limb-major accumulation: acc[li] is a contiguous
             # (batch, n) slab for the carry sweep below.
             acc = np.einsum("bmn,ml->lbn", t, tables["qhat_limbs"])
@@ -1033,7 +1271,7 @@ class PlannedBackend(EagerBackend):
                 low += z_lo * borrow
                 high -= borrow
             digits = np.empty(
-                (vec.batch, gadget.length, vec.ctx.n), dtype=np.int64
+                (len(residues), gadget.length, gadget.ctx.n), dtype=np.int64
             )
             mask = z - 1
             for j in range(gadget.length):
@@ -1060,6 +1298,7 @@ class PlannedBackend(EagerBackend):
         if chunk < 1:
             # Out-of-range operands (never this backend's own digits):
             # canonicalise and take the eager path.
+            count("he_inner_eager")
             return super().inner(digits % moduli_col, rows, moduli_col, out)
         return _chunked_einsum(
             "gbkmn,gkmn->gbmn", digits, rows, chunk, moduli_col, out

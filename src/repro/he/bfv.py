@@ -17,7 +17,7 @@ from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.he.sampling import Sampler
 
 
-def _backend():
+def default_backend():
     """The default compute backend, imported late: its module imports this one."""
     from repro.he.backend import get_backend
 
@@ -34,7 +34,8 @@ class SecretKey:
     @staticmethod
     def generate(ctx: RingContext, sampler: Sampler) -> "SecretKey":
         s = sampler.ternary_coeffs()
-        return SecretKey(ntt=ctx.from_small_coeffs(s, domain=Domain.NTT), coeffs=s)
+        ntt = default_backend().ntt_forward(ctx, s[None, :])
+        return SecretKey(ntt=RnsPoly(ctx, ntt, Domain.NTT), coeffs=s)
 
 
 @dataclass
@@ -93,7 +94,7 @@ class BfvContext:
         ``(count, rns, n)`` b-halves of zero encryptions."""
         moduli_col = self.ctx._moduli_col
         arr = np.asarray(coeffs, dtype=np.int64) % self.params.plain_modulus
-        scaled = _backend().ntt_forward(self.ctx, arr[:, None, :])
+        scaled = default_backend().ntt_forward(self.ctx, arr[:, None, :])
         scaled *= self._delta_rns[:, None]
         scaled %= moduli_col
         b_rows += scaled
@@ -129,7 +130,7 @@ class BfvContext:
         scratch budget, so a whole query pass costs no more transient
         memory than one RGSW.
         """
-        ctx, backend = self.ctx, _backend()
+        ctx, backend = self.ctx, default_backend()
         moduli_col = ctx._moduli_col
         rows = np.empty((2, count, ctx.rns_count, ctx.n), dtype=np.int64)
         block = max(1, BLOCK_BYTES // (3 * 8 * ctx.rns_count * ctx.n))
@@ -148,7 +149,12 @@ class BfvContext:
     # -- decryption -------------------------------------------------------
     def phase(self, ct: BfvCiphertext, key: SecretKey) -> np.ndarray:
         """b + a*s lifted to integers in [0, Q)."""
-        return (ct.b + ct.a * key.ntt).to_coeff().lift_coeffs()
+        phase = ct.a.residues * key.ntt.residues
+        phase += ct.b.residues
+        phase %= self.ctx._moduli_col
+        return self.ctx.basis.from_rns(
+            default_backend().ntt_inverse(self.ctx, phase)
+        )
 
     def decrypt(self, ct: BfvCiphertext, key: SecretKey) -> np.ndarray:
         """Rounded decode: m = round(phase * P / Q) mod P, int64 array."""

@@ -234,11 +234,6 @@ class RnsPoly:
             raise DomainError("lifting requires coefficient domain")
         return self.ctx.basis.from_rns(self.residues)
 
-    def lift_coeffs_centered(self) -> np.ndarray:
-        if self.domain is not Domain.COEFF:
-            raise DomainError("lifting requires coefficient domain")
-        return self.ctx.basis.from_rns_centered(self.residues)
-
     def copy(self) -> "RnsPoly":
         return RnsPoly(self.ctx, self.residues.copy(), self.domain)
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
+from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey, default_backend
 from repro.he.gadget import Gadget
 from repro.he.modred import modred
-from repro.he.poly import Domain, RingContext, RnsPoly
+from repro.he.poly import RingContext, RnsPoly
 from repro.he.rgsw import key_row_views
 
 
@@ -61,13 +61,17 @@ def generate_subs_keys(
     moduli = ctx._moduli_col
     rows = bfv.encrypt_zeros(key, len(powers) * ell)
     keyed = rows.reshape((2, len(powers), ell) + rows.shape[2:])
-    secret = ctx.from_small_coeffs(key.coeffs, domain=Domain.COEFF)
+    # s(X^r) for every power as one stacked transform of the ternary
+    # secret's permuted coefficients (broadcast RNS axis).
+    rotated = np.zeros((len(powers), 1, ctx.n), dtype=np.int64)
     for index, r in enumerate(powers):
-        s_rot = secret.automorphism(r).to_ntt()
-        b = keyed[1, index]
-        b += (s_rot.residues * gadget.powers_col) % moduli
-        b -= moduli
-        modred(b, moduli)
+        dest, negate = ctx.automorphism_indices(r)
+        rotated[index, 0, dest] = np.where(negate, -key.coeffs, key.coeffs)
+    s_rot = default_backend().ntt_forward(ctx, rotated)
+    b = keyed[1]
+    b += (s_rot[:, None] * gadget.powers_col) % moduli
+    b -= moduli
+    modred(b, moduli)
     return {
         r: SubsKey(r=r, ctx=ctx, rows=keyed[:, index])
         for index, r in enumerate(powers)

@@ -60,11 +60,6 @@ class HintTranscript:
         """Per-query wire traffic once the hint is in place."""
         return self.query_bytes + self.answer_bytes
 
-    @property
-    def online_expansion(self) -> float:
-        """Online traffic relative to fetching one record in the clear."""
-        return self.online_bytes / max(1, self.db_bytes // max(1, self.query_bytes))
-
 
 @dataclass(frozen=True)
 class HintEpochDelta:

@@ -23,7 +23,7 @@ from repro.batchpir.client import (
     BatchQuery,
     BatchResponse,
 )
-from repro.errors import KeyNotFound, ParameterError
+from repro.errors import ParameterError
 from repro.hashing.cuckoo import key_bytes
 from repro.kvpir.layout import KvLayout
 from repro.params import PirParams
@@ -123,12 +123,4 @@ class KvPirClient:
                 if value is not None:
                     values[key] = value
                     break
-        return values
-
-    def decode_strict(self, plan: KvPlan, response: KvResponse) -> dict[bytes, bytes]:
-        """Like :meth:`decode` but absent keys raise :class:`KeyNotFound`."""
-        values = self.decode(plan, response)
-        for key in plan.keys:
-            if key not in values:
-                raise KeyNotFound(key)
         return values

@@ -310,10 +310,5 @@ class KvDatabase:
     def keys(self) -> list[bytes]:
         return list(self._items)
 
-    @property
-    def stored_slots(self) -> int:
-        """Replicated entries across the batched bucket set."""
-        return self.batch_db.stored_records
-
     def preprocess(self, ring: RingContext):
         return self.batch_db.preprocess(ring)

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from repro.errors import MutateError
 from repro.he.backend import ComputeBackend, resolve_backend
-from repro.he.batched import RnsPolyVec
-from repro.he.poly import Domain, RingContext
+from repro.he.poly import Domain, RingContext, RnsPoly
 from repro.mutate.log import UpdateLog
 from repro.pir.database import PirDatabase, PreprocessedDatabase
 from repro.pir.layout import RecordLayout
@@ -177,17 +176,14 @@ def apply_record_updates(
             for plane, tensor in pre._tensors.items():
                 new_pre._tensors[plane] = tensor.copy()
                 tensor_copied += tensor.shape[0]
-        # One batched CRT + stacked NTT per plane over just the dirty
-        # cells, routed through the resolved compute backend; set_poly
-        # keeps the RowSel GEMM tensor cache coherent.
+        # One stacked NTT per plane over just the dirty cells, on the
+        # broadcast RNS axis ``preprocess`` uses; set_poly keeps the
+        # RowSel GEMM tensor cache coherent.
         resolved = resolve_backend(backend)
         for plane, polys in by_plane.items():
-            coeff = RnsPolyVec.from_small_coeffs(
-                ring, planes[plane, polys], domain=Domain.COEFF
-            )
-            vec = resolved.vec_to_ntt(coeff)
+            tensor = resolved.ntt_forward(ring, planes[plane, polys][:, None, :])
             for j, poly in enumerate(polys):
-                new_pre.set_poly(plane, poly, vec.poly(j))
+                new_pre.set_poly(plane, poly, RnsPoly(ring, tensor[j], Domain.NTT))
         if in_place:
             pre.layout = layout
 

@@ -28,6 +28,18 @@ from repro.errors import ObsError
 _HEALTH_NUMBERS = ("t_s", "qps", "rejection_rate")
 _HEALTH_COUNTS = ("submitted", "rejected", "served", "failed")
 
+#: Cliff counters copied into every health row: queries per stacked PIR
+#: window and the groups the scratch budget cut them into, then the
+#: planned backend's drops to eager or bignum kernels.
+_CLIFF_COUNTERS = (
+    "pir_window_queries",
+    "pir_window_groups",
+    "he_plan_none",
+    "he_decompose_eager",
+    "he_inner_eager",
+    "he_modular_gemm_bignum",
+)
+
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 
 
@@ -151,10 +163,7 @@ def health_snapshot(
         "served": metrics.served,
         "failed": metrics.failed,
         "queue_depth": metrics.queue_depth,
-        # Cliff counters of the stacked PIR pipeline: queries per window
-        # and the groups the scratch budget cut them into.
-        "pir_window_queries": metrics.registry.counter("pir_window_queries").value,
-        "pir_window_groups": metrics.registry.counter("pir_window_groups").value,
+        **{name: metrics.registry.counter(name).value for name in _CLIFF_COUNTERS},
         "slo": [v.to_json() for v in verdicts],
         "worst_state": _worst(verdicts),
         "cluster": cluster,

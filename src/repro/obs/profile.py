@@ -1,7 +1,8 @@
 """Opt-in kernel profiling: per-stage seconds and bytes moved.
 
-The batched kernels (``repro.he.batched``, the RowSel GEMM, expand,
-ColTor) call :func:`kernel_stage` around their hot bodies.  With no
+The compute backends' kernels (``repro.he.backend``: the NTTs, the
+RowSel GEMM, expand, ColTor) call :func:`kernel_stage` around their hot
+bodies.  With no
 profiler installed that call returns a shared no-op context manager —
 one global read and no allocation, so the uninstrumented hot path pays
 essentially nothing.  With a :class:`KernelProfiler` installed (via

@@ -145,10 +145,6 @@ class SloVerdict:
     slow_window_s: float
     samples: int = 0
 
-    @property
-    def is_breach(self) -> bool:
-        return self.state == "breach"
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

@@ -94,11 +94,6 @@ class PirParams:
         return modmath.is_power_of_two(self.plain_modulus)
 
     @property
-    def expansion_factor(self) -> int:
-        """Scalar each coefficient picks up during ExpandQuery (= D0)."""
-        return self.d0
-
-    @property
     def payload_bits_per_coeff(self) -> int:
         """Usable plaintext bits per coefficient after query-expansion scaling.
 
@@ -139,10 +134,6 @@ class PirParams:
     # ------------------------------------------------------------------
     # Object sizes used throughout the performance models
     # ------------------------------------------------------------------
-    @property
-    def residue_bytes(self) -> float:
-        return RESIDUE_BITS / 8.0
-
     @property
     def poly_bytes(self) -> int:
         """One polynomial in R_Q under RNS (paper: 56 KB at N=2^12)."""

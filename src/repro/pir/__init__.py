@@ -6,12 +6,11 @@ construction/decoding, and the SimplePIR baseline used in Table IV.
 """
 
 from repro.pir.client import ClientSetup, PirClient, PirQuery, PirResponse
-from repro.pir.coltor import column_tournament
 from repro.pir.database import PirDatabase, PreprocessedDatabase
-from repro.pir.expand import expand_query, expand_query_batched, expansion_powers
-from repro.pir.layout import RecordLayout, layout_for
+from repro.pir.expand import expand_query, expansion_powers
+from repro.pir.layout import RecordLayout
 from repro.pir.protocol import PirProtocol, RetrievalResult, Transcript
-from repro.pir.rowsel import num_rowsel_cols, row_select, row_select_vec
+from repro.pir.rowsel import num_rowsel_cols, row_select
 from repro.pir.server import PirServer
 from repro.pir.simplepir import (
     SimplePirClient,
@@ -37,17 +36,13 @@ __all__ = [
     "SimplePirParams",
     "SimplePirServer",
     "Transcript",
-    "column_tournament",
     "db_matrix_shape",
     "expand_query",
-    "expand_query_batched",
     "expansion_powers",
-    "layout_for",
     "lwe_public_matrix",
     "modular_gemm",
     "num_rowsel_cols",
     "row_select",
-    "row_select_vec",
 ]
 
 # The hint tier (repro.hintpir) builds its protocol family on the

@@ -11,41 +11,20 @@ BFS/DFS/hierarchical orders for the hardware, which reorder *scheduling*
 but never the per-ciphertext operation sequence (Section IV-A), so this
 functional implementation is order-equivalent.
 
-:func:`column_tournament` dispatches the batched rounds to a resolved
-:class:`~repro.he.backend.ComputeBackend` (each round is one batched
-cmux — all of the round's digit decompositions, NTTs, and
-external-product contractions stacked); the per-pair
-:func:`column_tournament_reference` is the oracle.
+:func:`column_tournament_reference` is the per-pair oracle; the
+production tournament is
+:meth:`repro.he.backend.ComputeBackend.coltor_window` (each round one
+grouped cmux — all of the round's digit decompositions, NTTs, and
+external-product contractions stacked).
 """
 
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.he.backend import ComputeBackend, resolve_backend
-from repro.he.batched import BfvCiphertextVec
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.rgsw import RgswCiphertext, cmux
 from repro.obs.profile import kernel_stage
-
-
-def column_tournament(
-    entries: list[BfvCiphertext],
-    selection_bits: list[RgswCiphertext],
-    gadget: Gadget,
-    backend: str | ComputeBackend | None = None,
-) -> BfvCiphertext:
-    """Reduce 2^d RowSel outputs to the single response ciphertext.
-
-    Batched path: every tournament round runs as one backend cmux over
-    the stacked even/odd halves; results are element-identical to
-    :func:`column_tournament_reference` on every backend.
-    """
-    if not entries:
-        raise ParameterError("ColTor needs at least one entry")
-    return resolve_backend(backend).coltor(
-        BfvCiphertextVec.from_cts(entries), selection_bits, gadget
-    )
 
 
 def column_tournament_reference(

@@ -9,13 +9,14 @@ halves at each level using Subs with r = N/2^a + 1:
 After log2(D0) levels, output j encrypts ``D0 * c_j`` where ``c_j`` is the
 j-th query coefficient; the client compensates for the D0 factor (inverse
 scaling with odd P, payload headroom with power-of-two P).
+
+:func:`expand_query` is the per-poly oracle; the production tree is
+:meth:`repro.he.backend.ComputeBackend.expand_window`.
 """
 
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.he.backend import ComputeBackend, resolve_backend
-from repro.he.batched import BfvCiphertextVec
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.subs import SubsKey, substitute
@@ -49,23 +50,3 @@ def expand_query(
             expanded[j + step] = (current - swapped).monomial_mul(-step)
         cts = expanded
     return cts
-
-
-def expand_query_batched(
-    ct: BfvCiphertext,
-    evks: dict[int, SubsKey],
-    levels: int,
-    gadget: Gadget,
-    backend: str | ComputeBackend | None = None,
-) -> BfvCiphertextVec:
-    """Batched tree expansion: every level is a handful of stacked kernels.
-
-    Element-identical to :func:`expand_query` on every backend: at level
-    ``a`` the live set has exactly ``step = 2^a`` ciphertexts, so the
-    reference's interleave ``expanded[j] / expanded[j + step]`` is a
-    plain concatenation of the even and odd halves — which is how the
-    whole level becomes one batched Subs, one batched add/sub pair, and
-    one batched monomial multiply (see
-    :meth:`repro.he.backend.ComputeBackend.expand`).
-    """
-    return resolve_backend(backend).expand(ct, evks, levels, gadget)

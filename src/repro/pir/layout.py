@@ -166,8 +166,3 @@ class RecordLayout:
         col = poly // self.params.d0
         bits = [(col >> k) & 1 for k in range(self.params.num_dims)]
         return row, bits
-
-
-def layout_for(params: PirParams, record_bytes: int, num_records: int) -> RecordLayout:
-    """Convenience constructor matching the paper's usage."""
-    return RecordLayout(params=params, record_bytes=record_bytes, num_records=num_records)

@@ -10,9 +10,10 @@ GEMM mode (Section III-A / Fig. 5).
 
 Two implementations share the geometry checks: :func:`row_select` is the
 per-poly reference (one ``plain_mul`` per ``(row, col)`` pair — the
-correctness oracle), and :func:`row_select_vec` is the batched hot path —
-one lazy-reduction tensor contraction per plane over the database's
-stacked residue tensor (:meth:`PreprocessedDatabase.plane_tensor`).
+correctness oracle), and the production path is
+:meth:`repro.he.backend.ComputeBackend.rowsel_window` — one tensor
+contraction per ciphertext half over the plane's stacked residue tensor,
+which :func:`rowsel_plane_tensor` hands it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.he.backend import ComputeBackend, resolve_backend
-from repro.he.batched import BfvCiphertextVec
 from repro.he.bfv import BfvCiphertext
 from repro.pir.database import PreprocessedDatabase
 
@@ -51,8 +50,8 @@ def row_select(
 ) -> list[BfvCiphertext]:
     """Reduce the initial dimension: D polynomials -> 2^d ciphertexts.
 
-    Per-poly reference path, kept as the oracle for
-    :func:`row_select_vec`.
+    Per-poly reference path, kept as the oracle for the backends'
+    ``rowsel_window``.
     """
     d0 = db.layout.params.d0
     if len(expanded) != d0:
@@ -80,20 +79,3 @@ def rowsel_plane_tensor(db: PreprocessedDatabase, plane: int) -> np.ndarray:
     num_cols = num_rowsel_cols(db)
     tensor = db.plane_tensor(plane)
     return tensor.reshape((num_cols, d0) + tensor.shape[1:])
-
-
-def row_select_vec(
-    expanded: BfvCiphertextVec,
-    db: PreprocessedDatabase,
-    plane: int,
-    backend: str | ComputeBackend | None = None,
-) -> list[BfvCiphertext]:
-    """Batched RowSel: one modular GEMM over the plane's residue tensor.
-
-    Element-identical to :func:`row_select` on every backend — the
-    contraction accumulates the same products mod the same moduli, just
-    reassociated into overflow-safe chunks.
-    """
-    return resolve_backend(backend).rowsel(
-        expanded, rowsel_plane_tensor(db, plane), db.ring._moduli_col
-    ).cts()

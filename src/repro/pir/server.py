@@ -3,9 +3,9 @@
 The server never sees the secret key; it only holds the preprocessed
 database and the client's public evaluation keys.  The pipeline runs on
 a :class:`~repro.he.backend.ComputeBackend` resolved once at
-construction (``planned`` by default; ``eager`` is the historical
-stacked-numpy path kept as the oracle); ``answer_reference`` runs the
-original per-poly pipeline.  All paths produce byte-identical
+construction (``planned`` by default, ``eager`` the plan-free one);
+``answer_reference`` runs the per-poly pipeline, the independent oracle
+both are checked against.  All paths produce byte-identical
 ``PirResponse`` transcripts — every backend only reassociates exact
 modular arithmetic.
 

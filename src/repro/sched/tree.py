@@ -86,9 +86,6 @@ class Schedule:
     def num_compute_steps(self) -> int:
         return len(self.steps)
 
-    def levels_used(self) -> set[int]:
-        return {s.level for s in self.steps}
-
 
 @dataclass(frozen=True)
 class ScheduleConfig:

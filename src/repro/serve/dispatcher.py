@@ -426,7 +426,3 @@ class ServeRuntime:
     #: Keyword-tier spellings of the same two calls.
     serve_key = serve_index
     serve_keys = serve_many
-
-    @property
-    def total_queue_depth(self) -> int:
-        return sum(d.queue_depth for d in self.dispatchers)

@@ -136,10 +136,6 @@ class LoadReport:
     #: responses, not just the counters.
     results: list | None = None
 
-    @property
-    def reject_rate(self) -> float:
-        return self.rejected / self.offered if self.offered else 0.0
-
 
 async def run_open_loop(
     runtime,

@@ -1,11 +1,19 @@
-"""Batched tensor kernels vs the per-poly reference, element by element.
+"""Backend kernels vs the per-poly reference, element by element.
 
-Every kernel in ``repro.he.batched`` claims exact equivalence with its
-scalar counterpart — reassociated modular arithmetic cannot change the
-canonical residues.  These hypothesis suites drive random shapes,
-moduli, and values (including the adversarial lazy-reduction and limb
-iCRT corners) through both paths and assert element identity.
+Every stacked kernel of a :class:`~repro.he.backend.ComputeBackend`
+claims exact equivalence with its scalar counterpart — reassociated
+modular arithmetic cannot change the canonical residues.  These
+hypothesis suites drive random shapes, moduli, and values (including
+the adversarial lazy-reduction and limb iCRT corners) through
+``get_backend(...)`` primitives and the stacked window ops on one side
+and the per-poly oracle on the other, and assert element identity.
+Every case runs on each registered backend; ``REPRO_BACKEND`` restricts
+that to one (CI runs the file once per backend, like
+``test_plan_parity.py``).  The backend loop sits inside each test, not
+in a ``parametrize``, so test ids do not depend on the registry.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -14,15 +22,14 @@ from hypothesis import strategies as st
 
 from repro.errors import DomainError, ParameterError
 from repro.he import modmath
-from repro.he.backend import get_backend
-from repro.he.batched import (
-    BfvCiphertextVec,
-    RnsPolyVec,
-    batched_decompose,
+from repro.he.backend import (
+    _limb_tables,
+    _rns_ntt_tables,
+    backend_names,
+    get_backend,
     overflow_safe_chunk,
-    rns_forward,
-    rns_inverse,
 )
+from repro.he.batched import BfvCiphertextVec, RnsPolyVec
 from repro.he.bfv import BfvContext, SecretKey
 from repro.he.gadget import Gadget
 from repro.he.ntt import NttContext
@@ -33,14 +40,31 @@ from repro.he.subs import generate_subs_key, substitute
 from repro.params import PirParams
 
 
-#: The pipeline ops live on the compute backends; ``eager`` is the stacked
-#: numpy oracle these suites pin against the per-poly reference.
-EAGER = get_backend("eager")
+#: Backends under test; CI sets REPRO_BACKEND=eager / =planned.
+BACKENDS = [
+    get_backend(name)
+    for name in (
+        [os.environ["REPRO_BACKEND"]] if "REPRO_BACKEND" in os.environ
+        else backend_names()
+    )
+]
 
 
-def lazy_modular_gemm(db, query, moduli_col):
+def lazy_modular_gemm(backend, db, query, moduli_col):
     """One query against one shared plane tensor."""
-    return EAGER.rowsel_gemm(db[None], query[None], moduli_col)[0]
+    return backend.rowsel_gemm(db[None], query[None], moduli_col)[0]
+
+
+def assert_digits_match_reference(gadget, polys):
+    """``backend.decompose`` of the stacked polys == per-poly ``Gadget.decompose``."""
+    want = [[d.residues[0] for d in gadget.decompose(poly)] for poly in polys]
+    for backend in BACKENDS:
+        digits = backend.decompose(gadget, RnsPolyVec.from_polys(polys))
+        assert digits.shape == (len(polys), gadget.length, gadget.ctx.n)
+        assert np.array_equal(digits, np.array(want)), backend.name
+        # An NTT-form batch is brought back to coefficients first, like Dcp.
+        in_ntt = RnsPolyVec.from_polys([poly.to_ntt() for poly in polys])
+        assert np.array_equal(backend.decompose(gadget, in_ntt), digits)
 
 
 def _ntt_context(n: int, seed: int) -> NttContext:
@@ -92,17 +116,16 @@ class TestStackedNtt:
             num_dims=1,
         )
         ctx = RingContext(params)
-        from repro.he.batched import _rns_ntt_tables
-
         tables = _rns_ntt_tables(ctx)
         assert not tables["lazy_fwd"]  # lazy_inv's looser 2q(q-1) bound may still hold
         rng = np.random.default_rng(17)
         x = rng.integers(0, min(primes), size=(3, ctx.rns_count, n))
-        fwd = rns_forward(ctx, x)
-        assert np.array_equal(rns_inverse(ctx, fwd), x % ctx._moduli_col)
-        for b in range(3):
-            for i, ntt in enumerate(ctx.ntts):
-                assert np.array_equal(fwd[b, i], ntt.forward(x[b, i]))
+        for backend in BACKENDS:  # no plan covers these moduli either
+            fwd = backend.ntt_forward(ctx, x)
+            assert np.array_equal(backend.ntt_inverse(ctx, fwd), x % ctx._moduli_col)
+            for b in range(3):
+                for i, ntt in enumerate(ctx.ntts):
+                    assert np.array_equal(fwd[b, i], ntt.forward(x[b, i]))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -116,58 +139,16 @@ class TestStackedNtt:
         x = rng.integers(
             0, 1 << 60, size=(batch, k, ctx.rns_count, ctx.n)
         ) % ctx._moduli_col
-        fwd = rns_forward(ctx, x)
-        inv = rns_inverse(ctx, fwd)
-        assert np.array_equal(inv, x)
-        for b in range(batch):
-            for j in range(k):
-                for i, ntt in enumerate(ctx.ntts):
-                    assert np.array_equal(fwd[b, j, i], ntt.forward(x[b, j, i]))
+        for backend in BACKENDS:
+            fwd = backend.ntt_forward(ctx, x)
+            assert np.array_equal(backend.ntt_inverse(ctx, fwd), x)
+            for b in range(batch):
+                for j in range(k):
+                    for i, ntt in enumerate(ctx.ntts):
+                        assert np.array_equal(fwd[b, j, i], ntt.forward(x[b, j, i]))
 
 
 class TestRnsPolyVec:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        batch=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_ops_match_per_poly(self, batch, seed, small_params):
-        ctx = RingContext(small_params)
-        rng = np.random.default_rng(seed)
-        coeffs_a = rng.integers(-(1 << 40), 1 << 40, size=(batch, ctx.n))
-        coeffs_b = rng.integers(-(1 << 40), 1 << 40, size=(batch, ctx.n))
-        vec_a = RnsPolyVec.from_small_coeffs(ctx, coeffs_a, domain=Domain.NTT)
-        vec_b = RnsPolyVec.from_small_coeffs(ctx, coeffs_b, domain=Domain.NTT)
-        ref_a = [ctx.from_small_coeffs(c, domain=Domain.NTT) for c in coeffs_a]
-        ref_b = [ctx.from_small_coeffs(c, domain=Domain.NTT) for c in coeffs_b]
-        power = int(rng.integers(0, 2 * ctx.n))
-        r = int(rng.integers(0, ctx.n)) * 2 + 1
-        consts = rng.integers(0, 1 << 27, size=ctx.rns_count)
-        cases = [
-            (vec_a + vec_b, [x + y for x, y in zip(ref_a, ref_b)]),
-            (vec_a - vec_b, [x - y for x, y in zip(ref_a, ref_b)]),
-            (-vec_a, [-x for x in ref_a]),
-            (vec_a * vec_b, [x * y for x, y in zip(ref_a, ref_b)]),
-            (vec_a.monomial_mul(power), [x.monomial_mul(power) for x in ref_a]),
-            (vec_a.scalar_rns_mul(consts), [x.scalar_rns_mul(consts) for x in ref_a]),
-            (vec_a.mul_poly(ref_b[0]), [x * ref_b[0] for x in ref_a]),
-            (vec_a.to_coeff(), [x.to_coeff() for x in ref_a]),
-            (
-                vec_a.to_coeff().automorphism(r),
-                [x.to_coeff().automorphism(r) for x in ref_a],
-            ),
-            (
-                vec_a.to_coeff().monomial_mul(power),
-                [x.to_coeff().monomial_mul(power) for x in ref_a],
-            ),
-        ]
-        for got_vec, want in cases:
-            assert got_vec.batch == batch
-            for i, want_poly in enumerate(want):
-                got = got_vec.poly(i)
-                assert got.domain is want_poly.domain
-                assert np.array_equal(got.residues, want_poly.residues)
-
     def test_from_polys_roundtrip_and_discipline(self, small_params):
         ctx = RingContext(small_params)
         polys = [ctx.constant(i + 1) for i in range(3)]
@@ -179,10 +160,10 @@ class TestRnsPolyVec:
             RnsPolyVec.from_polys([])
         with pytest.raises(DomainError):
             RnsPolyVec.from_polys([polys[0], polys[1].to_coeff()])
-        with pytest.raises(DomainError):
-            vec.to_coeff() * vec.to_coeff()
-        with pytest.raises(DomainError):
-            vec.automorphism(3)  # NTT domain
+        with pytest.raises(ParameterError):
+            RnsPolyVec(ctx, vec.residues[0], Domain.NTT)  # no batch axis
+        with pytest.raises(ParameterError):
+            BfvCiphertextVec(vec, RnsPolyVec.from_polys([p.to_coeff() for p in polys]))
 
 
 class TestBatchedDecompose:
@@ -199,13 +180,7 @@ class TestBatchedDecompose:
         for _ in range(batch):
             coeffs = [int(c) for c in rng.integers(0, 1 << 62, size=ctx.n)]
             polys.append(ctx.from_int_coeffs(coeffs))
-        vec = RnsPolyVec.from_polys(polys)
-        digits = batched_decompose(gadget, vec)
-        assert digits.shape == (batch, gadget.length, ctx.n)
-        for i, poly in enumerate(polys):
-            ref = gadget.decompose(poly)
-            for j, digit in enumerate(ref):
-                assert np.array_equal(digits[i, j], digit.residues[0])
+        assert_digits_match_reference(gadget, polys)
 
     def test_oversized_base_falls_back_to_reference(self):
         """Regression: a large-base/large-moduli gadget (valid parameters)
@@ -224,18 +199,13 @@ class TestBatchedDecompose:
         )
         ctx = RingContext(params)
         gadget = Gadget(ctx)
-        from repro.he.batched import _limb_tables
-
         assert not _limb_tables(gadget)["limb_ok"]
         rng = np.random.default_rng(23)
         polys = [
             ctx.from_int_coeffs([int(c) for c in rng.integers(0, 1 << 61, size=n)])
             for _ in range(3)
         ]
-        digits = batched_decompose(gadget, RnsPolyVec.from_polys(polys))
-        for i, poly in enumerate(polys):
-            for j, digit in enumerate(gadget.decompose(poly)):
-                assert np.array_equal(digits[i, j], digit.residues[0])
+        assert_digits_match_reference(gadget, polys)
 
     def test_limb_icrt_corner_lifts(self, small_params):
         """Lifts near 0, 1, Q-1, and q_i multiples — the k-correction corners."""
@@ -248,11 +218,7 @@ class TestBatchedDecompose:
         for value in corners:
             coeff_rows.append([value] + [0] * (ctx.n - 1))
         polys = [ctx.from_int_coeffs(row) for row in coeff_rows]
-        digits = batched_decompose(gadget, RnsPolyVec.from_polys(polys))
-        for i, poly in enumerate(polys):
-            ref = gadget.decompose(poly)
-            for j, digit in enumerate(ref):
-                assert np.array_equal(digits[i, j], digit.residues[0])
+        assert_digits_match_reference(gadget, polys)
 
 
 class TestLazyReduction:
@@ -266,9 +232,10 @@ class TestLazyReduction:
             db = np.full((2, rows, 1, 3), q - 1, dtype=np.int64)
             query = np.full((rows, 1, 3), q - 1, dtype=np.int64)
             moduli_col = np.array([[q]], dtype=np.int64)
-            out = lazy_modular_gemm(db, query, moduli_col)
             want = (rows * pow(q - 1, 2, q)) % q
-            assert np.all(out == want), rows
+            for backend in BACKENDS:
+                out = lazy_modular_gemm(backend, db, query, moduli_col)
+                assert np.all(out == want), (backend.name, rows)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -282,17 +249,22 @@ class TestLazyReduction:
         db = rng.integers(0, q, size=(cols, rows, 2, 3))
         query = rng.integers(0, q, size=(rows, 2, 3))
         moduli_col = np.array([[q], [q - 4]], dtype=np.int64)
-        out = lazy_modular_gemm(db, query, moduli_col)
         exact = (db.astype(object) * query.astype(object)[None]).sum(axis=1)
-        assert np.array_equal(out, (exact % moduli_col.astype(object)).astype(np.int64))
+        want = (exact % moduli_col.astype(object)).astype(np.int64)
+        for backend in BACKENDS:
+            assert np.array_equal(
+                lazy_modular_gemm(backend, db, query, moduli_col), want
+            )
 
     def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ParameterError):
-            lazy_modular_gemm(
-                np.zeros((2, 3, 1, 4), dtype=np.int64),
-                np.zeros((4, 1, 4), dtype=np.int64),
-                np.array([[17]], dtype=np.int64),
-            )
+        for backend in BACKENDS:
+            with pytest.raises(ParameterError):
+                lazy_modular_gemm(
+                    backend,
+                    np.zeros((2, 3, 1, 4), dtype=np.int64),
+                    np.zeros((4, 1, 4), dtype=np.int64),
+                    np.array([[17]], dtype=np.int64),
+                )
 
     def test_oversized_modulus_rejected(self):
         with pytest.raises(ParameterError):
@@ -311,6 +283,13 @@ def he_stack():
 
 
 class TestBatchedHeOps:
+    @staticmethod
+    def _assert_cts(stacked, refs):
+        assert stacked.shape[1] == len(refs)
+        for i, ref in enumerate(refs):
+            assert np.array_equal(stacked[0, i], ref.a.residues)
+            assert np.array_equal(stacked[1, i], ref.b.residues)
+
     def _random_cts(self, bfv, key, count, seed):
         rng = np.random.default_rng(seed)
         return [
@@ -329,11 +308,12 @@ class TestBatchedHeOps:
         params, ctx, bfv, key, gadget = he_stack
         evk = generate_subs_key(bfv, gadget, key, params.n // 2 + 1)
         cts = self._random_cts(bfv, key, batch, seed)
-        out = EAGER.substitute(BfvCiphertextVec.from_cts(cts), evk, gadget)
-        for i, ct in enumerate(cts):
-            ref = substitute(ct, evk, gadget)
-            assert np.array_equal(out.a.residues[i], ref.a.residues)
-            assert np.array_equal(out.b.residues[i], ref.b.residues)
+        refs = [substitute(ct, evk, gadget) for ct in cts]
+        for backend in BACKENDS:
+            out = backend.substitute_stacked(
+                BfvCiphertextVec.from_cts(cts).stacked(), evk, gadget
+            )
+            self._assert_cts(out, refs)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -347,16 +327,21 @@ class TestBatchedHeOps:
         params, ctx, bfv, key, gadget = he_stack
         rgsw = rgsw_encrypt(bfv, gadget, bit, key)
         cts = self._random_cts(bfv, key, 2 * batch, seed)
-        vec = BfvCiphertextVec.from_cts(cts[:batch])
-        prod = EAGER.external_product(rgsw, vec, gadget)
-        for i in range(batch):
-            ref = external_product(rgsw, cts[i], gadget)
-            assert np.array_equal(prod.a.residues[i], ref.a.residues)
-            assert np.array_equal(prod.b.residues[i], ref.b.residues)
-        zeros = BfvCiphertextVec.from_cts(cts[:batch])
-        ones = BfvCiphertextVec.from_cts(cts[batch:])
-        sel = EAGER.cmux(rgsw, zeros, ones, gadget)
-        for i in range(batch):
-            ref = cmux(rgsw, cts[i], cts[batch + i], gadget)
-            assert np.array_equal(sel.a.residues[i], ref.a.residues)
-            assert np.array_equal(sel.b.residues[i], ref.b.residues)
+        products = [external_product(rgsw, ct, gadget) for ct in cts[:batch]]
+        selected = [
+            cmux(rgsw, cts[i], cts[batch + i], gadget) for i in range(batch)
+        ]
+        # One ColTor round is the stacked cmux: query i's pair is
+        # (if_zero, if_one) = (cts[i], cts[batch + i]) under its own bit.
+        pairs = BfvCiphertextVec.from_cts(
+            [cts[i + half * batch] for i in range(batch) for half in (0, 1)]
+        ).stacked()
+        for backend in BACKENDS:
+            prod = backend.external_product_stacked(
+                rgsw.rows[:, None],
+                BfvCiphertextVec.from_cts(cts[:batch]).stacked()[:, None],
+                gadget,
+            )
+            self._assert_cts(prod[:, 0], products)
+            sel = backend.coltor_window(pairs, [[rgsw.rows] * batch], gadget)
+            self._assert_cts(sel, selected)

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from repro.he import modmath
 from repro.he.backend import DEFAULT_BACKEND, PLAN_MAX_N, get_backend
 from repro.he.batched import RnsPolyVec
+from repro.he.gadget import Gadget
 from repro.he.poly import Domain, RingContext
+from repro.obs.metrics import MetricsRegistry, install
 from repro.params import PirParams
 from repro.pir.expand import expansion_powers
 
@@ -49,6 +51,15 @@ def _residues(ring: RingContext, batch: int, seed: int, kind: str) -> np.ndarray
     if kind == "unreduced":
         return rng.integers(0, 1 << 62, size=shape)
     return rng.integers(-(1 << 62), 1 << 62, size=shape)
+
+
+@pytest.fixture
+def counters():
+    """A registry installed behind ``obs.metrics.count`` for one test."""
+    registry = MetricsRegistry()
+    previous = install(registry)
+    yield lambda name: registry.counter(name).value
+    install(previous)
 
 
 cases = given(
@@ -130,7 +141,9 @@ class TestPlanCache:
         (4096, 30, False),
         (256, 31, False),
     ])
-    def test_rings_beyond_the_exactness_bounds_run_eager(self, n, bits, planned):
+    def test_rings_beyond_the_exactness_bounds_run_eager(
+        self, n, bits, planned, counters
+    ):
         moduli = modmath.find_ntt_primes(bits, 2 * n, 3)
         ring = RingContext(PirParams(
             n=n, moduli=moduli, plain_modulus=65537, gadget_base_log2=16,
@@ -149,6 +162,56 @@ class TestPlanCache:
             BACKEND.digits_forward(ring, digits) % ring._moduli_col,
             EAGER.digits_forward(ring, digits),
         )
+        before = counters("he_plan_none")
+        PLANNED.ntt_forward(ring, x)
+        assert counters("he_plan_none") - before == (0 if planned else 1)
+
+
+class TestFallbackCounters:
+    """Each drop from a planned kernel to the eager or bignum code is counted."""
+
+    def test_paper_gadget_decompose_takes_the_eager_limbs(self, counters, small_params):
+        # 2^22 base, l = 5: six limbs pack as 3 + 3, and 66 bits > 62.
+        gadget = Gadget(RingContext(PirParams.paper()))
+        ring = gadget.ctx
+        vec = RnsPolyVec(
+            ring, _residues(ring, 2, seed=5, kind="canonical"), Domain.COEFF
+        )
+        digits = PLANNED.decompose(gadget, vec)
+        assert counters("he_decompose_eager") == 1
+        assert np.array_equal(digits, EAGER.decompose(gadget, vec))
+        # 2^14 base, l = 6: the packed halves fit and nothing is counted.
+        packed = Gadget(RingContext(small_params))
+        PLANNED.decompose(packed, RnsPolyVec(
+            packed.ctx, _residues(packed.ctx, 2, seed=6, kind="canonical"),
+            Domain.COEFF,
+        ))
+        assert counters("he_decompose_eager") == 1
+
+    def test_out_of_range_inner_operands_take_the_eager_einsum(self, counters):
+        ring = RINGS[1024]
+        rng = np.random.default_rng(7)
+        shape = (1, 2, 3, ring.rns_count, ring.n)
+        digits = rng.integers(0, 1 << 40, size=shape)  # one product is 2^70
+        rows = rng.integers(0, 1 << 30, size=shape[:1] + shape[2:])
+        got = PLANNED.inner(digits, rows, ring._moduli_col)
+        assert counters("he_inner_eager") == 1
+        want = EAGER.inner(digits % ring._moduli_col, rows, ring._moduli_col)
+        assert np.array_equal(got, want)
+        PLANNED.inner(digits % ring._moduli_col, rows, ring._moduli_col)
+        assert counters("he_inner_eager") == 1
+
+    def test_oversized_q_gemm_takes_object_bignums(self, counters):
+        q = (1 << 45) + 59
+        rng = np.random.default_rng(8)
+        a = rng.integers(0, q, size=(3, 5))
+        b = rng.integers(0, q, size=(5, 2))
+        exact = ((a.astype(object) @ b.astype(object)) % q).astype(np.int64)
+        for position, backend in enumerate((EAGER, PLANNED), start=1):
+            assert np.array_equal(backend.modular_gemm(a, b, q), exact)
+            assert counters("he_modular_gemm_bignum") == position
+        PLANNED.modular_gemm(a % 256, b, q)  # a p-sized operand stays in range
+        assert counters("he_modular_gemm_bignum") == 2
 
 
 class TestNttDomainAutomorphism:
@@ -160,10 +223,11 @@ class TestNttDomainAutomorphism:
     ):
         ring = RingContext(params)
         levels = modmath.ilog2(params.d0)
-        vec = RnsPolyVec(
-            ring, _residues(ring, 2, seed=params.n, kind="canonical"), Domain.NTT
+        cts = _residues(ring, 4, seed=params.n, kind="canonical").reshape(
+            (2, 2, ring.rns_count, ring.n)
         )
         for r in expansion_powers(params.n, levels):
-            got = BACKEND.vec_to_ntt(BACKEND.automorphism(vec, r))
-            want = EAGER.vec_to_ntt(EAGER.automorphism(vec, r))
-            assert np.array_equal(got.residues, want.residues), r
+            got_a, got_b = BACKEND.automorphism(ring, cts, r)
+            want_a, want_b = EAGER.automorphism(ring, cts, r)
+            assert np.array_equal(got_a, want_a), r
+            assert np.array_equal(got_b, want_b), r

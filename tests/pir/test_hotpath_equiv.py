@@ -16,10 +16,11 @@ from repro.errors import ParameterError
 from repro.he.backend import DEFAULT_BACKEND, get_backend
 from repro.he.batched import BfvCiphertextVec
 from repro.he.poly import RingContext
+from repro.obs.profile import profiled
 from repro.pir.database import PirDatabase, PreprocessedDatabase
-from repro.pir.expand import expand_query, expand_query_batched
+from repro.pir.expand import expand_query
 from repro.pir.protocol import PirProtocol
-from repro.pir.rowsel import num_rowsel_cols, row_select, row_select_vec
+from repro.pir.rowsel import num_rowsel_cols, row_select, rowsel_plane_tensor
 from repro.pir.server import PirServer
 
 #: Backend under test; CI sets REPRO_BACKEND=eager / =planned.
@@ -55,12 +56,12 @@ class TestTranscriptEquality:
             )
 
     def test_expand_query_batched_matches_reference(self, pipeline):
+        """``backend.expand`` (the stacked tree) == per-poly ``expand_query``."""
         params, db, protocol = pipeline
         server = protocol.server
         query = protocol.client.build_query(3, db.layout)
-        vec = expand_query_batched(
-            query.packed, server.evks, server._levels, server.gadget,
-            backend=BACKEND,
+        vec = get_backend(BACKEND).expand(
+            query.packed, server.evks, server._levels, server.gadget
         )
         ref = expand_query(query.packed, server.evks, server._levels, server.gadget)
         assert vec.batch == len(ref) == params.d0
@@ -69,6 +70,7 @@ class TestTranscriptEquality:
             assert np.array_equal(vec.b.residues[i], ct.b.residues)
 
     def test_row_select_vec_matches_reference(self, pipeline):
+        """``backend.rowsel`` over the plane tensor == per-poly ``row_select``."""
         params, db, protocol = pipeline
         server = protocol.server
         query = protocol.client.build_query(5, db.layout)
@@ -78,7 +80,9 @@ class TestTranscriptEquality:
         vec = BfvCiphertextVec.from_cts(ref_expanded)
         for plane in range(server.db.plane_count):
             ref = row_select(ref_expanded, server.db, plane)
-            fast = row_select_vec(vec, server.db, plane, backend=BACKEND)
+            fast = get_backend(BACKEND).rowsel(
+                vec, rowsel_plane_tensor(server.db, plane), server.ring._moduli_col
+            ).cts()
             assert len(fast) == len(ref)
             for f, r in zip(fast, ref):
                 assert np.array_equal(f.a.residues, r.a.residues)
@@ -91,6 +95,19 @@ class TestTranscriptEquality:
         )
         query = protocol.client.build_query(9, db.layout)
         _assert_responses_equal(eager.answer(query), protocol.server.answer(query))
+
+
+class TestClientDecode:
+    def test_decode_inverts_through_the_default_backend(self, pipeline):
+        """Decode is on the serving path: its inverse NTT is the backend's
+        stacked kernel (one per response plane), not ``RnsPoly.to_coeff``."""
+        params, db, protocol = pipeline
+        response = protocol.server.answer(protocol.client.build_query(4, db.layout))
+        with profiled() as profiler:
+            record = protocol.client.decode_response(response, 4, db.layout)
+        assert record == db.record(4)
+        stage = profiler.stages[f"ntt_inv@{DEFAULT_BACKEND}"]
+        assert stage.calls == len(response.plane_cts)
 
 
 class TestRowselGeometryGuard:
@@ -113,7 +130,7 @@ class TestRowselGeometryGuard:
         with pytest.raises(ParameterError, match="not a multiple of D0"):
             row_select(expanded, bad, 0)
         with pytest.raises(ParameterError, match="silently dropped"):
-            row_select_vec(BfvCiphertextVec.from_cts(expanded), bad, 0)
+            rowsel_plane_tensor(bad, 0)
 
     def test_divisible_geometry_accepted(self, pipeline):
         params, db, protocol = pipeline

@@ -263,6 +263,12 @@ class TestWindowCounters:
         assert "repro_pir_window_groups_total 4" in prom
         row = health_snapshot(1.0, metrics, 1.0)
         assert row["pir_window_queries"] == 8 and row["pir_window_groups"] == 4
+        # The kernel-fallback counters ride along; this geometry trips none.
+        for name in ("plan_none", "decompose_eager", "inner_eager", "modular_gemm_bignum"):
+            assert row[f"he_{name}"] == 0
+        assert "repro_he_decompose_eager_total 0" in render_prometheus(
+            metrics.registry.snapshot()
+        )
         # Uninstalled again: a later window is nobody's to count.
         server.answer(queries[0])
         assert metrics.registry.snapshot()["pir_window_queries"] == 8
