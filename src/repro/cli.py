@@ -1067,9 +1067,9 @@ def build_parser() -> argparse.ArgumentParser:
     hintpir.add_argument("--db-gib", type=int, default=2, help="model DB size")
     hintpir.add_argument(
         "--backend",
-        default="planned",
         help="compute backend name from the repro.he.backend registry "
-        "(unknown names exit 2 listing the registered ones)",
+        "(default: native where a C compiler is found, else planned; "
+        "unknown names exit 2 listing the registered ones)",
     )
     hintpir.set_defaults(func=cmd_hintpir)
 
@@ -1105,8 +1105,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=3)
     serve.add_argument(
         "--backend",
-        default="planned",
-        help="compute backend name from the repro.he.backend registry",
+        help="compute backend name from the repro.he.backend registry "
+        "(default: native where a C compiler is found, else planned)",
     )
     serve.set_defaults(func=cmd_serve)
 
@@ -1131,8 +1131,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--backend",
-        default="planned",
-        help="compute backend name, reconstructed inside each worker process",
+        help="compute backend name, reconstructed inside each worker process "
+        "(default: native where a C compiler is found, else planned)",
     )
     cluster.set_defaults(func=cmd_cluster)
 
@@ -1244,9 +1244,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument(
         "--backend",
-        default="planned",
         help="compute backend for real/cluster/hintpir serving (sim mode "
-        "ignores it); unknown names exit 2 listing the registered ones",
+        "ignores it; default: native where a C compiler is found, else "
+        "planned); unknown names exit 2 listing the registered ones",
     )
     loadtest.set_defaults(func=cmd_loadtest)
 

@@ -151,7 +151,7 @@ class ClusterCoordinator:
         heartbeat_timeout_s: float = 10.0,
         max_attempts: int = 3,
         retain: int = 2,
-        backend: str = "planned",
+        backend: str | None = None,
         tracer: Tracer | None = None,
         profiler: KernelProfiler | None = None,
         recorder: FlightRecorder | None = None,

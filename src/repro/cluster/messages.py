@@ -53,8 +53,8 @@ class WorkerConfig:
     seed: int | None
     #: Compute-backend name (``repro.he.backend`` registry) reconstructed
     #: inside the spawned process — backends themselves never cross the
-    #: pipe, only the registry key.
-    backend: str = "planned"
+    #: pipe, only the registry key (None: the process's default).
+    backend: str | None = None
     #: Observability opt-ins (``repro.obs``): with ``trace`` the worker
     #: times each answered batch and ships its ``worker.batch``
     #: :class:`~repro.obs.trace.Span` back in :class:`BatchDone`; with ``profile`` it installs a

@@ -5,10 +5,11 @@ every stacked kernel lives on a :class:`ComputeBackend`, and
 ``get_backend(...)`` / ``resolve_backend(...)`` is the only route to one
 — ``PirServer``, batchpir, kvpir, the hintpir/SimplePIR GEMM tier, the
 mutate re-NTT, client encode/decode and key generation, the serving
-registries and the cluster workers all resolve a backend (``planned`` by
-default) and call its methods.  The other layer is the per-polynomial
-stack (``he/poly`` + ``he/ntt`` + ``Gadget.decompose`` +
-``subs.substitute`` / ``rgsw.external_product``, reached through
+registries and the cluster workers all resolve a backend (``native``
+where its library can be built, else ``planned``) and call its methods.
+The other layer is the per-polynomial stack (``he/poly`` + ``he/ntt`` +
+``Gadget.decompose`` + ``subs.substitute`` /
+``rgsw.external_product``, reached through
 ``PirServer.answer_reference``): the independent oracle the backends
 are tested against, which imports nothing from here.
 
@@ -30,7 +31,7 @@ views, never re-stacked ciphertext lists.  ``external_product``,
 ``expand``, ``rowsel`` and ``coltor`` are the same ops behind
 single-query signatures, kept for the frozen ``benchmarks/e2e``.
 
-Two backends are registered:
+Three backends are registered:
 
 * ``eager`` — plain stacked numpy (lazy-reduction butterflies,
   limb-iCRT decomposition, chunked int64 einsums): no precomputed state
@@ -55,7 +56,22 @@ Two backends are registered:
   never silently wrong, at most slower, and counted: each fallback
   feeds a cliff counter of the installed metrics registry
   (``he_plan_none``, ``he_decompose_eager``, ``he_inner_eager``, and
-  ``he_modular_gemm_bignum`` for the object-dtype GEMM).
+  ``he_modular_gemm_bignum`` for the object-dtype GEMM; ``he_plan_build``
+  counts the plans built);
+* ``native`` — ``planned`` with the primitives the N = 2^12 profile
+  names compiled: forward/inverse NTT as Harvey lazy butterflies over
+  the ``NttContext`` twiddle tables themselves (slot order identical by
+  construction), the broadcast-RNS digit/error/plaintext transform,
+  limb-iCRT decomposition at any base up to 2^32, and the key-switch
+  inner product — portable C99 in ``native_kernels.c``, built on first
+  use by the system C compiler and loaded with ``ctypes``
+  (:mod:`repro.he.native`).  One bound, ``4q < 2^32``, raised in
+  :class:`~repro.he.native.NativeRing`'s constructor.  It is the default
+  where the library builds and loads; where it does not
+  (``he_native_unavailable``, once per process) ``planned`` is, and a
+  ring or gadget outside the kernels' bounds runs the planned
+  primitives (``he_native_none``).  Pipeline ops, the slot-gather
+  automorphism, the RowSel contraction and the dense GEMM are inherited.
 
 All backend arithmetic is exact modular arithmetic, so every backend is
 byte-identical; ``tests/pir/test_backend_parity.py`` asserts this across
@@ -64,7 +80,7 @@ all four serving modes.  Kernel-stage labels carry the backend name
 that spent it; :func:`repro.obs.report.measured_vs_modeled` aggregates
 over the suffix.
 
-Registering a third backend::
+Registering another backend::
 
     class MyBackend(EagerBackend):
         name = "mine"
@@ -83,6 +99,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.he import native
 from repro.he.batched import BfvCiphertextVec, RnsPolyVec
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
@@ -964,7 +981,6 @@ class _GemmNttPlan:
         )
         #: Multiply by the digit tensor's max value for the digit-GEMM bound.
         self.digit_coeff = n * (qmax - 1)
-        self._gathers: dict[int, np.ndarray] = {}
 
     def _split_mats(self, mats: list) -> np.ndarray:
         s = self.SPLIT_LOG2
@@ -992,30 +1008,6 @@ class _GemmNttPlan:
         """
         return max(1, BLOCK_BYTES // ((19 if shared else 15) * 4 * self.n))
 
-    def gather(self, ctx: RingContext, r: int) -> np.ndarray:
-        """Slot permutation of X -> X^r on NTT-form polynomials, cached per r.
-
-        Slot ``k`` of an NTT-form polynomial is its value at the root
-        ``zeta_k``, and ``p(X^r)`` there is ``p(zeta_k^r)`` — slot
-        ``k'`` with ``zeta_k' = zeta_k^r``.  The roots are read off the
-        existing butterflies (the NTT of ``X`` *is* the root list, that
-        of ``X^r`` their ``r``-th powers), matched on the first modulus
-        and checked on the rest.  A slot permutation that maps NTT(X) to
-        NTT(X^r) is the automorphism itself: both are ring maps fixed by
-        the image of ``X``.
-        """
-        table = self._gathers.get(r)
-        if table is None:
-            roots, powered = ctx.monomial_ntt(1), ctx.monomial_ntt(r)
-            order = np.argsort(roots[0])
-            table = order[np.searchsorted(roots[0], powered[0], sorter=order)]
-            if not np.array_equal(roots[:, table], powered):
-                raise ParameterError(
-                    f"no NTT slot permutation realises X -> X^{r}"
-                )
-            self._gathers[r] = table
-        return table
-
 
 #: Plans by ring: ``(n, moduli) -> plan``, or None for a ring no plan
 #: is exact on.  Keyed on the ring, not the context instance, so every
@@ -1040,6 +1032,7 @@ class PlannedBackend(EagerBackend):
     def _plan(self, ctx: RingContext) -> _GemmNttPlan | None:
         key = (ctx.n, tuple(ctx.params.moduli))
         if key not in _PLANS:
+            count("he_plan_build")
             try:
                 _PLANS[key] = _GemmNttPlan(ctx)
             except ParameterError:
@@ -1204,12 +1197,12 @@ class PlannedBackend(EagerBackend):
         """NTT-domain X -> X^r: a pure gather of evaluation slots.
 
         The ``b`` half needs no transform at all and the ``a`` half only
-        the inverse that decomposition wants anyway.
+        the inverse that decomposition wants anyway.  The slot table is
+        the ring's own, so this holds whatever runs the inverse.
         """
-        plan = self._plan(ctx)
-        if plan is None:
-            return super().automorphism(ctx, cts, r)
-        gathered = cts[..., plan.gather(ctx, r)]
+        # take, not cts[..., slots]: fancy indexing leaves the indexed
+        # axis outermost in memory and costs 8x the time at N = 2^12.
+        gathered = np.take(cts, ctx.automorphism_slots(r), axis=-1)
         return self.ntt_inverse(ctx, gathered[0]), gathered[1]
 
     def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
@@ -1340,14 +1333,128 @@ class PlannedBackend(EagerBackend):
         return acc
 
 
+class NativeBackend(PlannedBackend):
+    """The planned backend with its hottest primitives compiled.
+
+    Forward/inverse NTT (broadcast RNS axis included), gadget
+    decomposition and the key-switch inner product run the C99 kernels
+    of :mod:`repro.he.native` — lazy butterflies over the same twiddle
+    tables, so every slot is where the eager transforms put it.  Every
+    pipeline op, the slot-gather automorphism, the RowSel contraction
+    and the dense GEMM are inherited.  Nothing here builds a
+    :class:`_GemmNttPlan` for a ring the kernels cover.
+
+    What the kernels do not cover runs the planned primitives, exactly
+    and counted: no library on this machine (``he_native_unavailable``,
+    once per process, by :func:`repro.he.native.load_library`), or a
+    ring or gadget outside their bounds (``he_native_none`` per call —
+    ``4q < 2^32`` is the one that matters, raised as a
+    :class:`~repro.errors.ParameterError` by
+    :class:`~repro.he.native.NativeRing`).
+    """
+
+    name = "native"
+
+    def __init__(self):
+        #: ``(n, moduli) -> NativeRing``, or None for a ring out of bounds.
+        self._rings: dict[tuple[int, tuple[int, ...]], native.NativeRing | None] = {}
+
+    def _ring(self, ctx: RingContext) -> native.NativeRing | None:
+        lib = native.load_library()
+        if lib is None:
+            return None
+        key = (ctx.n, tuple(ctx.params.moduli))
+        if key not in self._rings:
+            try:
+                self._rings[key] = native.NativeRing(lib, ctx)
+            except ParameterError:
+                self._rings[key] = None
+        ring = self._rings[key]
+        if ring is None:
+            count("he_native_none")
+        return ring
+
+    def ntt_forward(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
+        ring = self._ring(ctx)
+        if ring is None:
+            return super().ntt_forward(ctx, residues)
+        with kernel_stage(self._label("ntt_fwd"), getattr(residues, "nbytes", 0)):
+            return ring.transform(residues)
+
+    def ntt_inverse(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
+        ring = self._ring(ctx)
+        if ring is None:
+            return super().ntt_inverse(ctx, residues)
+        with kernel_stage(self._label("ntt_inv"), getattr(residues, "nbytes", 0)):
+            return ring.transform(residues, inverse=True)
+
+    def digits_forward(self, ctx: RingContext, digits: np.ndarray) -> np.ndarray:
+        ring = self._ring(ctx)
+        if ring is None:
+            return super().digits_forward(ctx, digits)
+        with kernel_stage(self._label("ntt_fwd"), digits.nbytes):
+            return ring.transform(digits[:, :, None, :], partial=True)
+
+    def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
+        ring = self._ring(gadget.ctx)
+        if ring is None:
+            return super().decompose(gadget, vec)
+        residues = self._coeff_residues(vec)
+        with kernel_stage(self._label("decompose"), residues.nbytes):
+            digits = ring.decompose(gadget, residues)
+        if digits is None:  # more than four moduli, or a base above 2^32
+            count("he_native_none")
+            return super().decompose(
+                gadget, RnsPolyVec(gadget.ctx, residues, Domain.COEFF)
+            )
+        return digits
+
+    def inner(
+        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The compiled contraction for ``[0, 2q)`` digits against
+        canonical rows; anything wider is the planned backend's to size."""
+        lib = native.load_library()
+        if lib is not None:
+            try:
+                consts = native.modulus_consts(
+                    tuple(int(q) for q in np.ravel(moduli_col))
+                )
+            except ParameterError:
+                count("he_native_none")
+            else:
+                result = native.inner(lib, consts, digits, rows, out)
+                if result is not None:
+                    return result
+        return super().inner(digits, rows, moduli_col, out)
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
 _REGISTRY: dict[str, ComputeBackend] = {}
 
-#: The backend every layer resolves when none is named explicitly.
-DEFAULT_BACKEND = "planned"
+
+def _default_name() -> str:
+    """``native`` where its library builds and loads, else ``planned``.
+
+    A selection from what the platform can do, made on first use (the
+    first call may run the C compiler) and fixed for the process.
+    """
+    if native.load_library() is not None:
+        return NativeBackend.name
+    return PlannedBackend.name
+
+
+def __getattr__(name: str):
+    """``DEFAULT_BACKEND`` — the name every layer resolves when none is
+    given — as a lazy module attribute (PEP 562): importing this module
+    compiles nothing."""
+    if name == "DEFAULT_BACKEND":
+        return _default_name()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def register_backend(backend: ComputeBackend) -> ComputeBackend:
@@ -1363,9 +1470,10 @@ def backend_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def get_backend(name: str = DEFAULT_BACKEND) -> ComputeBackend:
-    """Look up a registered backend by name; unknown names are typed errors."""
-    backend = _REGISTRY.get(name)
+def get_backend(name: str | None = None) -> ComputeBackend:
+    """Look up a registered backend by name (None: ``DEFAULT_BACKEND``);
+    unknown names are typed errors."""
+    backend = _REGISTRY.get(_default_name() if name is None else name)
     if backend is None:
         raise ParameterError(
             f"unknown compute backend {name!r}; registered backends: "
@@ -1378,8 +1486,6 @@ def resolve_backend(
     backend: str | ComputeBackend | None = None,
 ) -> ComputeBackend:
     """Accept a backend name, an instance, or None (-> the default)."""
-    if backend is None:
-        return get_backend()
     if isinstance(backend, ComputeBackend):
         return backend
     return get_backend(backend)
@@ -1387,3 +1493,4 @@ def resolve_backend(
 
 register_backend(EagerBackend())
 register_backend(PlannedBackend())
+register_backend(NativeBackend())

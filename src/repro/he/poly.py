@@ -60,6 +60,7 @@ class RingContext:
         self._moduli_col = np.array(params.moduli, dtype=np.int64)[:, None]
         self._monomial_ntt_cache: dict[int, np.ndarray] = {}
         self._automorphism_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._automorphism_slots_cache: dict[int, np.ndarray] = {}
 
     @classmethod
     def shared(cls, params: "PirParams") -> "RingContext":
@@ -133,6 +134,30 @@ class RingContext:
             idx = (np.arange(n) * r) % (2 * n)
             self._automorphism_cache[r] = (idx % n, idx >= n)
         return self._automorphism_cache[r]
+
+    def automorphism_slots(self, r: int) -> np.ndarray:
+        """Cached slot permutation of X -> X^r on NTT-form polynomials.
+
+        Slot ``k`` of an NTT-form polynomial is its value at the root
+        ``zeta_k``, and ``p(X^r)`` there is ``p(zeta_k^r)`` — slot
+        ``k'`` with ``zeta_k' = zeta_k^r``.  The roots are read off the
+        butterflies (the NTT of ``X`` *is* the root list, that of
+        ``X^r`` their ``r``-th powers), matched on the first modulus
+        and checked on the rest.  A slot permutation that maps NTT(X) to
+        NTT(X^r) is the automorphism itself: both are ring maps fixed by
+        the image of ``X``.
+        """
+        table = self._automorphism_slots_cache.get(r)
+        if table is None:
+            roots, powered = self.monomial_ntt(1), self.monomial_ntt(r)
+            order = np.argsort(roots[0])
+            table = order[np.searchsorted(roots[0], powered[0], sorter=order)]
+            if not np.array_equal(roots[:, table], powered):
+                raise ParameterError(
+                    f"no NTT slot permutation realises X -> X^{r}"
+                )
+            self._automorphism_slots_cache[r] = table
+        return table
 
 
 @dataclass

@@ -30,10 +30,15 @@ _HEALTH_COUNTS = ("submitted", "rejected", "served", "failed")
 
 #: Cliff counters copied into every health row: queries per stacked PIR
 #: window and the groups the scratch budget cut them into, then the
-#: planned backend's drops to eager or bignum kernels.
+#: native backend's drops to the planned primitives (no library on this
+#: machine; a ring or gadget outside the kernels' bounds), the GEMM NTT
+#: plans built, and the planned backend's drops to eager or bignum kernels.
 _CLIFF_COUNTERS = (
     "pir_window_queries",
     "pir_window_groups",
+    "he_native_unavailable",
+    "he_native_none",
+    "he_plan_build",
     "he_plan_none",
     "he_decompose_eager",
     "he_inner_eager",

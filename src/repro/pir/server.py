@@ -3,7 +3,8 @@
 The server never sees the secret key; it only holds the preprocessed
 database and the client's public evaluation keys.  The pipeline runs on
 a :class:`~repro.he.backend.ComputeBackend` resolved once at
-construction (``planned`` by default, ``eager`` the plan-free one);
+construction (``native`` or ``planned`` by default — see
+:mod:`repro.he.backend` — ``eager`` the plan-free one);
 ``answer_reference`` runs the per-poly pipeline, the independent oracle
 both are checked against.  All paths produce byte-identical
 ``PirResponse`` transcripts — every backend only reassociates exact
