@@ -25,7 +25,7 @@ import numpy as np
 
 from conftest import params_for_gb, run_once
 
-from repro.cluster import ClusterBackend, ClusterCoordinator, ClusterRegistry
+from repro.cluster import ClusterCoordinator, ClusterRegistry
 from repro.params import PirParams
 from repro.serve import RealCryptoBackend, RealShardRegistry, ServeRuntime
 from repro.systems.batching import BatchPolicy
@@ -104,7 +104,7 @@ def _cluster_point(params, records, workers: int) -> dict:
 
     async def main():
         async with ClusterCoordinator(registry, num_workers=workers) as coord:
-            elapsed, results = await _drive(registry, ClusterBackend(coord))
+            elapsed, results = await _drive(registry, coord)
             return elapsed, results, coord.stats
 
     elapsed, results, stats = asyncio.run(main())
@@ -124,7 +124,7 @@ def _chaos_point(params, records) -> dict:
     async def main():
         coord = ClusterCoordinator(registry, num_workers=2, replication=2)
         async with coord:
-            runtime = ServeRuntime(registry, ClusterBackend(coord), _policy())
+            runtime = ServeRuntime(registry, coord, _policy())
             async with runtime:
                 serves = asyncio.gather(
                     *(

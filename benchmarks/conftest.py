@@ -6,14 +6,7 @@ Every benchmark prints a paper-vs-measured table straight to the terminal
 
 import pytest
 
-from repro.params import PirParams
-
-#: DB size (GiB) -> ColTor dimensions at D0 = 256, 16 KB records.
-DIMS_BY_GB = {2: 9, 4: 10, 8: 11, 16: 12, 32: 13, 64: 14, 128: 15}
-
-
-def params_for_gb(gb: int) -> PirParams:
-    return PirParams.paper(d0=256, num_dims=DIMS_BY_GB[gb])
+from repro.analysis.figures import params_for_gb  # noqa: F401 — the benches import it from here
 
 
 @pytest.fixture()

@@ -13,7 +13,6 @@ from repro.arch.energy import (
     batch_energy,
     edap,
     edap_ratio,
-    efficiency_summary,
     energy_per_query,
     total_dram_bytes,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "batch_energy",
     "edap",
     "edap_ratio",
-    "efficiency_summary",
     "energy_per_query",
     "power",
     "simulate_graph",

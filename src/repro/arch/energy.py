@@ -89,16 +89,3 @@ def edap_ratio(
 ) -> float:
     """EDAP(b) / EDAP(a): how much worse b is than a."""
     return edap(energy_b, delay_b, area_b) / edap(energy_a, delay_a, area_a)
-
-
-def efficiency_summary(sim: IveSimulator, batch: int) -> dict:
-    """Energy / delay / per-query figures used by Figs. 12-14."""
-    lat = sim.latency(batch)
-    eb = batch_energy(sim, batch)
-    return {
-        "qps": lat.qps,
-        "latency_s": lat.total_s,
-        "joules_per_query": eb.joules_per_query,
-        "dram_joules": eb.dram_joules,
-        "unit_joules": dict(eb.unit_joules),
-    }

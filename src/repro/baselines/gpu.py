@@ -136,9 +136,6 @@ class GpuPirModel:
             return 0
         return max(0, int(free // self.per_query_working_bytes()))
 
-    def supports(self, batch: int) -> bool:
-        return batch <= self.max_batch()
-
     # -- timing -----------------------------------------------------------
     def step_times(self, batch: int) -> GpuStepTimes:
         eff = self.efficiency

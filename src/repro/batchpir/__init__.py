@@ -2,7 +2,7 @@
 
 One client retrieves k records for roughly one amortized pass over the
 (replicated) database instead of k full passes: records are bucketed by
-3-way cuckoo hashing (``hashing``), each bucket is an independent small
+3-way cuckoo hashing (``repro.hashing.cuckoo``), each bucket is an independent small
 PIR database sharing one geometry (``layout``), the client plans k wanted
 indices onto buckets and pads the rest with dummies (``client``), and the
 server runs the per-bucket ExpandQuery -> RowSel -> ColTor pipelines
@@ -17,12 +17,6 @@ from repro.batchpir.client import (
     BatchQuery,
     BatchResponse,
 )
-from repro.batchpir.hashing import (
-    CuckooAssignment,
-    CuckooConfig,
-    cuckoo_assign,
-    num_buckets_for,
-)
 from repro.batchpir.layout import BatchDatabase, BatchLayout, bucket_geometry
 from repro.batchpir.model import (
     BatchCostPoint,
@@ -33,6 +27,12 @@ from repro.batchpir.server import (
     BatchPirProtocol,
     BatchPirServer,
     BatchRetrievalResult,
+)
+from repro.hashing.cuckoo import (
+    CuckooAssignment,
+    CuckooConfig,
+    cuckoo_assign,
+    num_buckets_for,
 )
 
 __all__ = [

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.batchpir.hashing import cuckoo_assign
 from repro.batchpir.layout import BatchLayout
 from repro.errors import BatchPlanError, LayoutError, ParameterError
+from repro.hashing.cuckoo import cuckoo_assign
 from repro.params import PirParams
 from repro.pir.client import ClientSetup, PirClient, PirQuery, PirResponse
 

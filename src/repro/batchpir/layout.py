@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.batchpir.hashing import CuckooConfig
 from repro.errors import LayoutError, ParameterError
+from repro.hashing.cuckoo import CuckooConfig
 from repro.he.backend import ComputeBackend, resolve_backend
 from repro.he.poly import BLOCK_BYTES, RingContext
 from repro.params import PirParams
@@ -197,10 +197,6 @@ class BatchDatabase:
     def record(self, global_index: int) -> bytes:
         """Ground-truth record bytes (for verification in tests/examples)."""
         return self._records[global_index]
-
-    @property
-    def stored_records(self) -> int:
-        return sum(db.num_records for db in self.bucket_dbs)
 
     def preprocess(
         self, ring: RingContext, backend: str | ComputeBackend | None = None

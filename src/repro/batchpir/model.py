@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.batchpir.hashing import DEFAULT_NUM_HASHES, CuckooConfig, num_buckets_for
 from repro.batchpir.layout import bucket_geometry
+from repro.hashing.cuckoo import DEFAULT_NUM_HASHES, CuckooConfig, num_buckets_for
 from repro.params import PirParams
 from repro.systems.scale_up import BatchScaleUpSystem, ScaleUpSystem
 

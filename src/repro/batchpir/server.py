@@ -22,13 +22,12 @@ from repro.batchpir.client import (
     BatchQuery,
     BatchResponse,
 )
-from repro.batchpir.hashing import CuckooConfig
 from repro.batchpir.layout import BatchDatabase, BatchLayout
 from repro.errors import ParameterError
+from repro.hashing.cuckoo import CuckooConfig
 from repro.he.backend import ComputeBackend
 from repro.params import PirParams
 from repro.pir.client import ClientSetup
-from repro.pir.database import PirDatabase
 from repro.pir.protocol import Transcript
 from repro.pir.server import PirServer
 
@@ -118,21 +117,6 @@ class BatchPirProtocol:
         )
         self.transcript = Transcript(
             setup_bytes=setup.size_bytes(self.layout.bucket_params)
-        )
-
-    @classmethod
-    def over_database(
-        cls, db: PirDatabase, max_batch: int, hash_seed: int = 0, seed: int | None = None
-    ) -> "BatchPirProtocol":
-        """Re-bucket an existing single-query database for batched serving."""
-        records = [db.record(i) for i in range(db.num_records)]
-        return cls(
-            db.params,
-            records,
-            max_batch,
-            record_bytes=db.layout.record_bytes,
-            hash_seed=hash_seed,
-            seed=seed,
         )
 
     def retrieve_batch(self, indices: list[int]) -> BatchRetrievalResult:

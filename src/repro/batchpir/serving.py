@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.batchpir.client import BatchPirClient
-from repro.batchpir.hashing import CuckooConfig
 from repro.batchpir.layout import BatchDatabase, BatchLayout
 from repro.batchpir.server import BatchPirServer
+from repro.hashing.cuckoo import CuckooConfig
 from repro.params import PirParams
 from repro.serve.registry import ServeRequest, ServingMode, ShardMap
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 from repro.params import PirParams
 
 _FIGURES = {
@@ -40,15 +41,43 @@ _FIGURES = {
     "Fig. 14a/14b": "benchmarks/bench_fig14_ark_scheduler.py",
 }
 
-#: DB size (GiB) -> ColTor dimensions at D0=256 with 16 KB records.
-_DIMS = {2: 9, 4: 10, 8: 11, 16: 12, 32: 13, 64: 14, 128: 15}
+
+def _paper_params(db_gib: int) -> PirParams:
+    """The paper-scale model geometry behind a ``--db-gib`` argument."""
+    from repro.analysis.figures import DIMS_BY_GB, params_for_gb
+
+    if db_gib not in DIMS_BY_GB:
+        raise ParameterError(f"supported DB sizes: {sorted(DIMS_BY_GB)} GiB")
+    return params_for_gb(db_gib)
+
+
+def _seconds(text: str) -> float:
+    """argparse type of a timer period: ``wait_for(..., 0)`` never sleeps,
+    so a zero period would spin its task and starve the event loop."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive seconds, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type of a churn: the share of the records one epoch dirties."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a fraction in (0, 1], got {text}")
+    return value
+
+
+def _toy_params() -> PirParams:
+    """The insecure N = 256 ring every real-crypto command here runs at."""
+    return PirParams.small(n=256, d0=8, num_dims=2)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     from repro.pir.database import PirDatabase
     from repro.pir.protocol import PirProtocol
 
-    params = PirParams.small(n=256, d0=8, num_dims=2)
+    params = _toy_params()
     db = PirDatabase.random(
         params, num_records=args.records, record_bytes=args.record_bytes, seed=0
     )
@@ -69,11 +98,7 @@ def cmd_qps(args: argparse.Namespace) -> int:
     from repro.arch.energy import energy_per_query
     from repro.systems.scale_up import ScaleUpSystem
 
-    if args.db_gib not in _DIMS:
-        print(f"supported DB sizes: {sorted(_DIMS)} GiB", file=sys.stderr)
-        return 2
-    params = PirParams.paper(d0=256, num_dims=_DIMS[args.db_gib])
-    system = ScaleUpSystem(params)  # picks HBM or LPDDR placement
+    system = ScaleUpSystem(_paper_params(args.db_gib))  # picks HBM or LPDDR
     lat = system.latency(args.batch)
     print(f"IVE, {args.db_gib} GiB DB ({system.placement.value}), batch {args.batch}:")
     print(f"  latency  {lat.total_s * 1e3:8.2f} ms")
@@ -84,99 +109,247 @@ def cmd_qps(args: argparse.Namespace) -> int:
     return 0
 
 
-def _real_deployment(
-    args: argparse.Namespace,
-    executor: str,
-    serving: str = "plain",
-    replication: int = 1,
-    tracer=None,
-    profiler=None,
-    recorder=None,
-):
-    """What ``serve``, ``cluster`` and ``loadtest --mode real|cluster`` deploy.
+# -- the deployment table: (--serving tier) x (--mode executor) -------------
+#
+# A tier row builds its real registry from the one shared shape (--records,
+# --record-bytes, --shards, --seed, --backend) at the CLI's toy geometry and
+# says what a load item is: ``keys`` is None where items are record indices,
+# else the key a drawn index stands for.  An executor column says what hosts
+# the window; a cell with no host is refused by ``_deploy``.  ``serve``,
+# ``cluster`` and ``loadtest`` all deploy through here.
 
-    A real-crypto tier at the CLI's toy geometry behind the ``executor``
-    asked for: ``"real"`` (the thread pool) or ``"cluster"`` (worker
-    processes, plain tier only).  Returns ``(registry, backend, coordinator,
-    policy)``; the coordinator (None off-cluster) is the caller's to close.
-    """
-    from repro.serve import RealCryptoBackend, RealShardRegistry
-    from repro.systems.batching import BatchPolicy
 
-    params = PirParams.small(n=256, d0=8, num_dims=2)
-    shape = dict(
+def _shape(args: argparse.Namespace) -> dict:
+    return dict(
         num_records=args.records,
         record_bytes=args.record_bytes,
         num_shards=args.shards,
         seed=args.seed,
     )
+
+
+def _tier_plain(args: argparse.Namespace, publishes: bool):
+    from repro.mutate import VersionedShardRegistry
+    from repro.serve import RealShardRegistry
+
+    cls = VersionedShardRegistry if publishes else RealShardRegistry
+    return cls.random(_toy_params(), backend=args.backend, **_shape(args)), None
+
+
+def _tier_batch(args: argparse.Namespace, publishes: bool):
+    from repro.batchpir.serving import BatchServeRegistry
+
+    # One cuckoo pass is sized for the window, but no larger than a shard.
+    design = max(1, min(args.max_batch, args.records // args.shards))
+    registry = BatchServeRegistry.random(
+        _toy_params(), max_batch=design, backend=args.backend, **_shape(args)
+    )
+    return registry, None
+
+
+def _tier_kv(args: argparse.Namespace, publishes: bool):
+    from repro.kvpir import KvServeRegistry
+    from repro.kvpir.layout import random_items
+
+    # Records are keys and record bytes are value bytes on this tier.
+    items = random_items(args.records, args.record_bytes, seed=args.seed)
+    registry = KvServeRegistry(
+        _toy_params(), items, num_shards=args.shards, seed=args.seed,
+        backend=args.backend,
+    )
+    return registry, list(items)
+
+
+def _tier_hint(args: argparse.Namespace, publishes: bool):
+    from repro.hintpir import HintServeRegistry
+    from repro.pir.simplepir import SimplePirParams
+
+    registry = HintServeRegistry.random(
+        params=SimplePirParams(lwe_dim=64),
+        client_history=1 << 20,  # the audit replays every epoch's hint
+        backend=args.backend,
+        **_shape(args),
+    )
+    return registry, None
+
+
+_TIERS = {
+    "plain": _tier_plain,
+    "batchpir": _tier_batch,
+    "kvpir": _tier_kv,
+    "hintpir": _tier_hint,
+}
+
+
+@dataclass
+class _Deployment:
+    """One cell of the table, built: what a ``ServeRuntime`` is handed."""
+
+    registry: object
+    executor: object
+    policy: object
+    keys: list | None = None
+    #: The worker fleet, the caller's to start and close; None off-cluster.
+    coordinator: object = None
+
+
+def _sim_column(args, serving, publishes, replication, obs) -> _Deployment:
+    from repro.serve import SimShardRegistry, SimulatedBackend
+    from repro.systems.batching import BatchPolicy
+
+    registry = SimShardRegistry(
+        _paper_params(args.db_gib), num_shards=args.shards, tier=serving
+    )
     policy = BatchPolicy(
+        waiting_window_s=registry.waiting_window_s(), max_batch=args.max_batch
+    )
+    return _Deployment(
+        registry, SimulatedBackend(registry, tracer=obs.get("tracer")), policy
+    )
+
+
+def _window_policy(args):
+    from repro.systems.batching import BatchPolicy
+
+    return BatchPolicy(
         waiting_window_s=args.window_ms / 1e3, max_batch=args.max_batch
     )
-    if executor == "cluster":
-        from repro.cluster import ClusterBackend, ClusterCoordinator, ClusterRegistry
 
-        registry = ClusterRegistry.random(params, **shape)
-        coordinator = ClusterCoordinator(
-            registry,
-            num_workers=args.workers,
-            replication=replication,
-            backend=args.backend,
-            tracer=tracer,
-            profiler=profiler,
-            recorder=recorder,
+
+def _real_column(args, serving, publishes, replication, obs) -> _Deployment:
+    from repro.serve import RealCryptoBackend
+
+    registry, keys = _TIERS[serving](args, publishes)
+    executor = RealCryptoBackend(registry, tracer=obs.get("tracer"))
+    return _Deployment(registry, executor, _window_policy(args), keys)
+
+
+def _cluster_column(args, serving, publishes, replication, obs) -> _Deployment:
+    # Replicas live in worker processes, which host the plain tier only
+    # (ROADMAP ServingMode (a): ship a tier's window state to workers, and
+    # the other rows gain this column).
+    from repro.cluster import ClusterCoordinator, ClusterRegistry
+
+    registry = ClusterRegistry.random(_toy_params(), **_shape(args))
+    coordinator = ClusterCoordinator(
+        registry,
+        num_workers=args.workers,
+        replication=replication,
+        backend=args.backend,
+        **obs,
+    )
+    return _Deployment(
+        registry, coordinator, _window_policy(args), coordinator=coordinator
+    )
+
+
+#: ``--mode`` -> (the tiers it hosts, how the cell is built).
+_EXECUTORS = {
+    "sim": (tuple(_TIERS), _sim_column),
+    "real": (tuple(_TIERS), _real_column),
+    "cluster": (("plain",), _cluster_column),
+}
+
+
+def _deploy(
+    args: argparse.Namespace,
+    serving: str,
+    mode: str,
+    publishes: bool = False,
+    replication: int = 1,
+    **obs,
+) -> _Deployment:
+    """Build the (``serving``, ``mode``) cell; a hostless one is refused typed.
+
+    ``obs`` is the tracer/profiler/recorder the executor should report to.
+    """
+    hosted, column = _EXECUTORS[mode]
+    if serving not in hosted:
+        raise ParameterError(
+            f"no host for --serving {serving} in --mode {mode}: the {mode} "
+            f"executor hosts {', '.join(hosted)}"
         )
-        return registry, ClusterBackend(coordinator), coordinator, policy
-    if serving == "hintpir":
-        # Per-shard SimplePIR deployments behind the dispatch windows, with
-        # optional mid-traffic epoch publishes (the stale-hint path a
-        # production hint tier must survive).
-        from repro.hintpir import HintServeRegistry
-        from repro.pir.simplepir import SimplePirParams
-
-        registry = HintServeRegistry.random(
-            params=SimplePirParams(lwe_dim=64),
-            client_history=1 << 20,  # decode audit replays every epoch
-            backend=args.backend,
-            **shape,
+    deployment = column(args, serving, publishes, replication, obs)
+    if publishes and not hasattr(deployment.registry, "publish"):
+        raise ParameterError(
+            f"--publish-period: --serving {serving} in --mode {mode} has no publish"
         )
-    else:
-        registry = RealShardRegistry.random(params, backend=args.backend, **shape)
-    return registry, RealCryptoBackend(registry, tracer=tracer), None, policy
+    return deployment
 
 
-async def _serve_smoke(registry, backend, policy, queries: int):
+def _audit(registry, results) -> dict:
+    """Never a wrong byte: decode every completed response against the
+    ground truth at its answering epoch.
+
+    A publishing tier keeps its truth per epoch, and an answer is held to
+    the epoch it was computed at (the request's pin, or the epoch a hint
+    answer carries); decoding in epoch order replays hint patches the way
+    a client would apply them.  ``HintStale``/``StaleEpoch`` are the typed
+    refusals a client retries; ``KeyNotFound`` is the keyword tier's
+    answer for an absent key; anything else that differs is a wrong byte.
+    """
+    from repro.errors import HintStale, KeyNotFound, StaleEpoch
+
+    per_epoch = hasattr(registry, "publish")
+
+    def answered_at(result) -> int:
+        epoch = getattr(result.response, "epoch", result.request.epoch)
+        return -1 if epoch is None else epoch
+
+    correct = wrong = refused = 0
+    for result in sorted(results, key=answered_at):
+        request = result.request
+        item = request.global_index if request.key is None else request.key
+        try:
+            # Truth first: decoding drops the versioned tier's epoch pin.
+            truth = (
+                registry.expected(item, epoch=answered_at(result))
+                if per_epoch
+                else registry.expected(item)
+            )
+            value = registry.decode(request, result.response)
+        except KeyNotFound:
+            value = None
+        except (HintStale, StaleEpoch):
+            refused += 1
+            continue
+        if value == truth:
+            correct += 1
+        else:
+            wrong += 1
+    return {
+        "decoded_correct": correct,
+        "wrong_bytes": wrong,
+        "typed_refusals": refused,
+    }
+
+
+async def _serve_smoke(deployment: _Deployment, queries: int):
     """Serve ``queries`` records round-robin through a fresh runtime;
-    ``(metrics, results, how many decode to the registry's ground truth)``."""
+    ``(metrics, how many were served, how many of them audit correct)``."""
     import asyncio
 
     from repro.serve import ServeRuntime
 
-    runtime = ServeRuntime(registry, backend, policy)
+    registry = deployment.registry
+    runtime = ServeRuntime(registry, deployment.executor, deployment.policy)
     async with runtime:
         results = await asyncio.gather(
             *(runtime.serve_index(i % registry.num_records) for i in range(queries))
         )
-    correct = sum(
-        registry.decode(r.request, r.response)
-        == registry.expected(r.request.global_index)
-        for r in results
-    )
-    return runtime.metrics, results, correct
+    return runtime.metrics, len(results), _audit(registry, results)["decoded_correct"]
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Byte-correct records through the full serve path (real crypto)."""
     import asyncio
 
-    registry, backend, _, policy = _real_deployment(args, "real")
-    metrics, results, correct = asyncio.run(
-        _serve_smoke(registry, backend, policy, args.queries)
-    )
+    deployment = _deploy(args, "plain", "real")
+    metrics, total, correct = asyncio.run(_serve_smoke(deployment, args.queries))
     print(
-        f"served {metrics.served} queries on {registry.num_shards} shards: "
-        f"{correct}/{len(results)} byte-correct "
-        f"({'OK' if correct == len(results) else 'MISMATCH'})"
+        f"served {metrics.served} queries on {deployment.registry.num_shards} "
+        f"shards: {correct}/{total} byte-correct "
+        f"({'OK' if correct == total else 'MISMATCH'})"
     )
     lat = metrics.latency_percentiles()
 
@@ -188,7 +361,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"mean batch {metrics.mean_batch:.1f}, p50 {ms(lat['p50_s'])}, "
         f"p95 {ms(lat['p95_s'])}, achieved {metrics.achieved_qps:.1f} QPS"
     )
-    return 0 if correct == len(results) else 1
+    return 0 if correct == total else 1
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -197,23 +370,20 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     from repro.mutate import UpdateLog
 
-    registry, backend, coordinator, policy = _real_deployment(
-        args, "cluster", replication=args.replication
-    )
+    deployment = _deploy(args, "plain", "cluster", replication=args.replication)
+    registry, coordinator = deployment.registry, deployment.coordinator
 
     async def run():
         async with coordinator:
-            _, results, correct = await _serve_smoke(
-                registry, backend, policy, args.queries
-            )
+            _, total, correct = await _serve_smoke(deployment, args.queries)
             publish_ok = True
             if args.publish:
                 # Record 0 is the first the one-query smoke asks for.
                 log = UpdateLog().put(0, b"\x42" * registry.record_bytes)
                 await coordinator.publish(log)
-                _, _, fresh = await _serve_smoke(registry, backend, policy, 1)
+                _, _, fresh = await _serve_smoke(deployment, 1)
                 publish_ok = fresh == 1
-            return correct, len(results), publish_ok, coordinator.stats
+            return correct, total, publish_ok, coordinator.stats
 
     correct, total, publish_ok, stats = asyncio.run(run())
     ok = correct == total and publish_ok
@@ -242,13 +412,12 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
     from repro.serve import loadgen
     from repro.serve.dispatcher import AdmissionConfig, ServeRuntime
-    from repro.systems.batching import BatchPolicy
 
+    sim = args.mode == "sim"
     if args.queries is None:
-        args.queries = 10000 if args.mode == "sim" else 24
+        args.queries = 10000 if sim else 24
     if args.rate is None:
-        args.rate = 2000.0 if args.mode == "sim" else 50.0
-    coordinator = None
+        args.rate = 2000.0 if sim else 50.0
     if args.pattern == "poisson":
         arrivals = loadgen.poisson_arrivals(args.rate, args.queries, seed=args.seed)
     elif args.pattern == "bursty":
@@ -289,48 +458,17 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         # by the coordinator at shutdown.
         previous_profiler = install_profiler(profiler)
 
-    if args.serving in ("batchpir", "kvpir") and args.mode != "sim":
-        print("--serving batchpir/kvpir is a sim-mode model", file=sys.stderr)
-        return 2
-    if args.serving == "hintpir" and args.mode == "cluster":
-        print("--serving hintpir runs in sim or real mode", file=sys.stderr)
-        return 2
-    if args.publish_period is not None and not (
-        args.serving == "hintpir" and args.mode == "real"
-    ):
-        print(
-            "--publish-period requires --serving hintpir --mode real",
-            file=sys.stderr,
-        )
-        return 2
-    if args.mode == "sim":
-        from repro.serve import SimShardRegistry, SimulatedBackend
+    publishes = args.publish_period is not None
+    epochs_published = 0
 
-        if args.db_gib not in _DIMS:
-            print(f"supported DB sizes: {sorted(_DIMS)} GiB", file=sys.stderr)
-            return 2
-        registry = SimShardRegistry(
-            PirParams.paper(d0=256, num_dims=_DIMS[args.db_gib]),
-            num_shards=args.shards,
-            tier=args.serving,
-        )
-        policy = BatchPolicy(
-            waiting_window_s=registry.waiting_window_s(), max_batch=args.max_batch
-        )
-        backend = SimulatedBackend(registry, tracer=tracer)
-    else:
-        registry, backend, coordinator, policy = _real_deployment(
-            args, args.mode, args.serving,
-            tracer=tracer, profiler=profiler, recorder=recorder,
-        )
-
-    async def run():
+    async def run(deployment: _Deployment):
+        registry, coordinator = deployment.registry, deployment.coordinator
         if coordinator is not None:
             await coordinator.start()
         try:
             runtime = ServeRuntime(
-                registry, backend, policy, admission, tracer=tracer,
-                recorder=recorder,
+                registry, deployment.executor, deployment.policy, admission,
+                tracer=tracer, recorder=recorder,
             )
             runtime.start()
             evaluator = None
@@ -380,16 +518,18 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                     sample_health(), name="health-sampler"
                 )
             if args.distribution == "zipf":
-                indices = loadgen.zipf_indices(
+                draws = loadgen.zipf_indices(
                     registry.num_records, args.queries, a=args.zipf_a, seed=args.seed
                 )
             else:
-                indices = loadgen.uniform_indices(
+                draws = loadgen.uniform_indices(
                     registry.num_records, args.queries, seed=args.seed
                 )
+            keys = deployment.keys
+            items = draws.tolist() if keys is None else [keys[i] for i in draws]
             publisher_task = None
             stop_publishing = asyncio.Event()
-            if args.publish_period is not None:
+            if publishes:
                 import numpy as np
 
                 from repro.mutate import UpdateLog
@@ -397,6 +537,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 pub_rng = np.random.default_rng(args.seed + 1)
 
                 async def publish_epochs() -> None:
+                    nonlocal epochs_published
                     while True:
                         try:
                             await asyncio.wait_for(
@@ -414,15 +555,13 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                         ):
                             log.put(int(idx), pub_rng.bytes(args.record_bytes))
                         registry.publish(log)
+                        epochs_published += 1
 
                 publisher_task = asyncio.create_task(
                     publish_epochs(), name="epoch-publisher"
                 )
             report = await loadgen.run_open_loop(
-                runtime,
-                arrivals,
-                indices,
-                collect_results=args.serving == "hintpir" and args.mode == "real",
+                runtime, arrivals, items, collect_results=not sim
             )
             if publisher_task is not None:
                 stop_publishing.set()
@@ -439,18 +578,23 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 await coordinator.aclose()
 
     try:
-        if args.mode == "sim":
+        deployment = _deploy(
+            args, args.serving, args.mode, publishes,
+            tracer=tracer, profiler=profiler, recorder=recorder,
+        )
+        if sim:
             from repro.serve import run_in_virtual_time
 
             (report, runtime, cluster_snap, evaluator), virtual_s = (
-                run_in_virtual_time(run())
+                run_in_virtual_time(run(deployment))
             )
         else:
-            report, runtime, cluster_snap, evaluator = asyncio.run(run())
+            report, runtime, cluster_snap, evaluator = asyncio.run(run(deployment))
             virtual_s = None
     finally:
         if args.trace:
             install_profiler(previous_profiler)
+    registry, coordinator = deployment.registry, deployment.coordinator
 
     out = {
         "mode": args.mode,
@@ -467,46 +611,22 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         "virtual_s": virtual_s,
         "metrics": report.metrics,
     }
-    hint_wrong = 0
-    if args.serving == "hintpir" and args.mode == "real":
-        # Correctness audit: every completed response must decode to the
-        # ground truth at its answer's epoch, resolve to a delta-patched
-        # hint, or be the typed HintStale — never a wrong byte.  Decoding
-        # in epoch order replays the hint patches the way a client would.
-        from repro.errors import HintStale
-
-        correct = stale = 0
-        results = sorted(
-            report.results or [], key=lambda r: getattr(r.response, "epoch", -1)
-        )
-        for result in results:
-            try:
-                value = registry.decode(result.request, result.response)
-            except HintStale:
-                stale += 1
-                continue
-            truth = registry.expected(
-                result.request.global_index, epoch=result.response.epoch
+    wrong_bytes = 0
+    if report.results is not None:
+        audit = _audit(registry, report.results)
+        wrong_bytes = audit["wrong_bytes"]
+        if publishes:
+            audit["epochs_published"] = epochs_published
+        if args.serving == "hintpir":
+            clients = [registry.client(s) for s in range(registry.num_shards)]
+            transcript = registry.transcript()
+            audit.update(
+                hint_downloads=sum(c.downloads for c in clients),
+                patched_epochs=sum(c.patched_epochs for c in clients),
+                offline_bytes=transcript.offline_bytes,
+                online_bytes_per_query=transcript.online_bytes,
             )
-            if value == truth:
-                correct += 1
-            else:
-                hint_wrong += 1
-        out["hintpir"] = {
-            "decoded_correct": correct,
-            "wrong_bytes": hint_wrong,
-            "stale_rejections": stale,
-            "epochs_published": registry.epoch,
-            "hint_downloads": sum(
-                registry.client(s).downloads for s in range(registry.num_shards)
-            ),
-            "patched_epochs": sum(
-                registry.client(s).patched_epochs
-                for s in range(registry.num_shards)
-            ),
-            "offline_bytes": registry.transcript().offline_bytes,
-            "online_bytes_per_query": registry.transcript().online_bytes,
-        }
+        out["audit"] = audit
     if evaluator is not None:
         out["slo"] = evaluator.summary()
     if recorder is not None:
@@ -551,7 +671,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             "live_series": runtime.metrics.live_series(),
             "kernel_profile": profile,
         }
-        if profile and args.mode != "sim":
+        if profile and not sim:
             from repro.obs import measured_vs_modeled
 
             obs["measured_vs_modeled"] = measured_vs_modeled(
@@ -572,7 +692,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         and evaluator is not None
         and evaluator.breaches > 0
     )
-    return 0 if report.errored == 0 and hint_wrong == 0 and not breached else 1
+    return 0 if report.errored == 0 and wrong_bytes == 0 and not breached else 1
 
 
 def cmd_obs_report(args: argparse.Namespace) -> int:
@@ -657,10 +777,8 @@ def cmd_batchpir(args: argparse.Namespace) -> int:
 
     from repro.batchpir import BatchPirProtocol, amortized_cost_curve
 
-    if args.db_gib not in _DIMS:
-        print(f"supported DB sizes: {sorted(_DIMS)} GiB", file=sys.stderr)
-        return 2
-    params = PirParams.small(n=256, d0=8, num_dims=2)
+    model_params = _paper_params(args.db_gib)
+    params = _toy_params()
     rng = np.random.default_rng(args.seed)
     records = [rng.bytes(args.record_bytes) for _ in range(args.records)]
     protocol = BatchPirProtocol(
@@ -686,9 +804,7 @@ def cmd_batchpir(args: argparse.Namespace) -> int:
         f"{protocol.transcript.per_query_online_bytes() / 1024:.0f} KiB "
         "online/query"
     )
-    points = amortized_cost_curve(
-        PirParams.paper(d0=256, num_dims=_DIMS[args.db_gib]), ks=(4, 16, 64)
-    )
+    points = amortized_cost_curve(model_params, ks=(4, 16, 64))
     print(f"modeled on IVE, {args.db_gib} GiB DB (amortized batch pass):")
     print(
         f"  {'k':>4s} {'buckets':>8s} {'single ms':>10s} {'amort ms':>9s} "
@@ -713,10 +829,8 @@ def cmd_kvpir(args: argparse.Namespace) -> int:
     from repro.kvpir import KvPirProtocol, keyword_overhead_curve
     from repro.kvpir.layout import random_items
 
-    if args.db_gib not in _DIMS:
-        print(f"supported DB sizes: {sorted(_DIMS)} GiB", file=sys.stderr)
-        return 2
-    params = PirParams.small(n=256, d0=8, num_dims=2)
+    model_params = _paper_params(args.db_gib)
+    params = _toy_params()
     rng = np.random.default_rng(args.seed)
     items = random_items(args.keys, args.value_bytes, seed=args.seed)
     protocol = KvPirProtocol(
@@ -753,9 +867,7 @@ def cmd_kvpir(args: argparse.Namespace) -> int:
         f"<= {layout.candidates_per_lookup} probes/lookup, tag {layout.tag_bytes} B, "
         f"{protocol.transcript.per_query_online_bytes() / 1024:.0f} KiB online/lookup"
     )
-    points = keyword_overhead_curve(
-        PirParams.paper(d0=256, num_dims=_DIMS[args.db_gib]), ks=(4, 16, 64)
-    )
+    points = keyword_overhead_curve(model_params, ks=(4, 16, 64))
     print(f"modeled on IVE, {args.db_gib} GiB live records (keyword vs index):")
     print(
         f"  {'k':>4s} {'index ms':>9s} {'lookup ms':>10s} {'overhead':>9s} "
@@ -793,9 +905,7 @@ def cmd_hintpir(args: argparse.Namespace) -> int:
     from repro.mutate import UpdateLog
     from repro.pir.simplepir import SimplePirParams
 
-    if args.db_gib not in _DIMS:
-        print(f"supported DB sizes: {sorted(_DIMS)} GiB", file=sys.stderr)
-        return 2
+    model_params = _paper_params(args.db_gib)
     params = SimplePirParams(lwe_dim=args.lwe_dim)
     rng = np.random.default_rng(args.seed)
     records = [rng.bytes(args.record_bytes) for _ in range(args.records)]
@@ -861,7 +971,6 @@ def cmd_hintpir(args: argparse.Namespace) -> int:
     else:
         stale_ok = True
 
-    model_params = PirParams.paper(d0=256, num_dims=_DIMS[args.db_gib])
     points = hintpir_vs_full(model_params, batches=(1, 16, 64, 256))
     print(
         f"modeled on IVE, {args.db_gib} GiB DB (hint-tier online vs full "
@@ -908,12 +1017,7 @@ def cmd_update_churn(args: argparse.Namespace) -> int:
     from repro.mutate import UpdateLog, VersionedDatabase, churn_update_curve
     from repro.pir.database import PirDatabase
 
-    if args.db_gib not in _DIMS:
-        print(f"supported DB sizes: {sorted(_DIMS)} GiB", file=sys.stderr)
-        return 2
-    if not 0.0 < args.churn <= 1.0:
-        print("--churn must be a fraction in (0, 1]", file=sys.stderr)
-        return 2
+    model_params = _paper_params(args.db_gib)
     params = PirParams.small(n=256, d0=8, num_dims=4)
     rng = np.random.default_rng(args.seed)
     records = [rng.bytes(args.record_bytes) for _ in range(args.records)]
@@ -955,10 +1059,7 @@ def cmd_update_churn(args: argparse.Namespace) -> int:
     print(f"planes byte-identical to a fresh rebuild: {'OK' if identical else 'MISMATCH'}")
 
     model_churns = tuple(sorted({0.001, args.churn, 0.1}))
-    points = churn_update_curve(
-        PirParams.paper(d0=256, num_dims=_DIMS[args.db_gib]),
-        churns=model_churns,
-    )
+    points = churn_update_curve(model_params, churns=model_churns)
     print(f"modeled on IVE, {args.db_gib} GiB DB (delta apply vs full re-preprocess):")
     print(f"  {'churn':>7s} {'dirty polys':>12s} {'apply ms':>9s} {'full ms':>8s} {'speedup':>8s}")
     for p in points:
@@ -1058,7 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--epochs", type=int, default=3, help="mutation epochs to publish"
     )
     hintpir.add_argument(
-        "--churn", type=float, default=0.05, help="fraction of records per epoch"
+        "--churn", type=_fraction, default=0.05, help="fraction of records per epoch"
     )
     hintpir.add_argument(
         "--retain", type=int, default=2, help="delta-hint retain window (epochs)"
@@ -1079,7 +1180,7 @@ def build_parser() -> argparse.ArgumentParser:
     churn.add_argument("--records", type=int, default=512)
     churn.add_argument("--record-bytes", type=int, default=64)
     churn.add_argument(
-        "--churn", type=float, default=0.01, help="fraction of records per batch"
+        "--churn", type=_fraction, default=0.01, help="fraction of records per batch"
     )
     churn.add_argument("--batches", type=int, default=3)
     churn.add_argument("--seed", type=int, default=0)
@@ -1157,21 +1258,22 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("plain", "batchpir", "kvpir", "hintpir"),
         default="plain",
         help="serving tier: per-query scans, cuckoo-batched passes, "
-        "keyword lookups (sim mode), or the hint tier's batched plaintext "
-        "GEMM (sim and real modes)",
+        "keyword lookups, or the hint tier's batched plaintext GEMM; every "
+        "tier runs in --mode sim and --mode real (records are keys and "
+        "record bytes value bytes on kvpir), the cluster hosts plain",
     )
     loadtest.add_argument(
         "--publish-period",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
-        help="with --serving hintpir --mode real: publish a mutation epoch "
-        "every SECONDS mid-traffic, exercising the delta-patch/HintStale "
-        "path under load",
+        help="on a tier with publish (--mode real --serving plain|hintpir): "
+        "publish a mutation epoch every SECONDS mid-traffic, exercising "
+        "epoch pins / the delta-patch and HintStale path under load",
     )
     loadtest.add_argument(
         "--publish-churn",
-        type=float,
+        type=_fraction,
         default=0.05,
         help="fraction of records dirtied per --publish-period epoch",
     )
@@ -1225,7 +1327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument(
         "--health-interval",
-        type=float,
+        type=_seconds,
         default=1.0,
         help="seconds between health snapshots / SLO polls",
     )
@@ -1244,7 +1346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument(
         "--backend",
-        help="compute backend for real/cluster/hintpir serving (sim mode "
+        help="compute backend of every real and cluster deployment (sim mode "
         "ignores it; default: native where a C compiler is found, else "
         "planned); unknown names exit 2 listing the registered ones",
     )

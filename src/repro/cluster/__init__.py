@@ -1,10 +1,12 @@
 """repro.cluster — multi-process coordinator/worker runtime (escape the GIL).
 
-The third serving backend beside the thread-pool
-:class:`~repro.serve.workers.RealCryptoBackend` and the virtual-time
-:class:`~repro.serve.workers.SimulatedBackend`: real-crypto shard
-replicas live in worker *processes*, each with its own interpreter, so
-aggregate QPS scales with cores instead of saturating on one GIL.  The
+The third :class:`~repro.serve.workers.WindowExecutor` beside the
+thread-pool :class:`~repro.serve.workers.RealCryptoBackend` and the
+virtual-time :class:`~repro.serve.workers.SimulatedBackend` — the
+:class:`ClusterCoordinator` itself is what a runtime is handed.
+Real-crypto shard replicas live in worker *processes*, each with its own
+interpreter, so aggregate QPS scales with cores instead of saturating on
+one GIL.  The
 coordinator routes dispatcher batches, tracks worker health via
 heartbeats, retries or re-routes around worker death, rebalances lost
 replicas, broadcasts atomic cross-shard epoch publishes
@@ -15,7 +17,6 @@ scaling predictions are compared against measured cluster QPS in
 """
 
 from repro.cluster.coordinator import (
-    ClusterBackend,
     ClusterCoordinator,
     ClusterPublishResult,
     ClusterStats,
@@ -42,7 +43,6 @@ __all__ = [
     "AnswerBatch",
     "BatchDone",
     "BatchFailed",
-    "ClusterBackend",
     "ClusterCoordinator",
     "ClusterPublishResult",
     "ClusterRegistry",

@@ -268,6 +268,11 @@ class ClusterCoordinator:
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
 
+    def close(self) -> None:
+        """``WindowExecutor.close``: nothing to do.  The fleet's lifetime is
+        this object's own async context, so one fleet outlives many
+        runtimes and is drained exactly once (:meth:`aclose`)."""
+
     async def aclose(self) -> None:
         """Graceful drain: stop routing, shut workers down, reap processes."""
         if self._draining:
@@ -769,24 +774,3 @@ class ClusterCoordinator:
             acked_workers=tuple(acked),
             lost_workers=tuple(lost),
         )
-
-
-class ClusterBackend:
-    """The multi-process serving backend for :class:`ServeRuntime`.
-
-    Third sibling of :class:`~repro.serve.workers.RealCryptoBackend`
-    (thread pool) and :class:`~repro.serve.workers.SimulatedBackend`
-    (virtual time): batches go to worker *processes* via the coordinator.
-    Lifecycle belongs to the coordinator's own async context — the
-    runtime's ``close()`` is a no-op so one fleet can outlive many
-    runtimes (and be drained exactly once).
-    """
-
-    def __init__(self, coordinator: ClusterCoordinator):
-        self.coordinator = coordinator
-
-    async def answer(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        return await self.coordinator.answer(shard_id, requests)
-
-    def close(self) -> None:
-        pass

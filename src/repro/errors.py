@@ -62,20 +62,6 @@ class MutateError(ReproError):
     """Base class for errors raised by the update layer (repro.mutate)."""
 
 
-class RebuildRequired(MutateError):
-    """An incremental delta could not be applied within the layout's bounds.
-
-    Raised when cuckoo re-insertion of new keys exhausts both the eviction
-    bound and the table's reserved stash slots: the deployment must be
-    rebuilt (new hash seed or larger table) instead of patched in place.
-    The error carries enough accounting for the caller to size the rebuild.
-    """
-
-    def __init__(self, message: str, spilled_keys: int = 0):
-        self.spilled_keys = spilled_keys
-        super().__init__(message)
-
-
 class ObsError(ReproError):
     """An observability artifact (spans, trace, digest) failed validation."""
 

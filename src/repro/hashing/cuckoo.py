@@ -120,10 +120,6 @@ class CuckooAssignment:
     slots: dict[int, int | bytes]  # bucket id -> key
     stash: tuple[int | bytes, ...]
 
-    @property
-    def placed(self) -> int:
-        return len(self.slots)
-
 
 def cuckoo_assign(keys: list[int | bytes], config: CuckooConfig) -> CuckooAssignment:
     """Place distinct keys so each bucket holds at most one.

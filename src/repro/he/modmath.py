@@ -139,14 +139,6 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-def centered(x: int, q: int) -> int:
-    """Representative of ``x mod q`` in the centered range (-q/2, q/2]."""
-    x %= q
-    if x > q // 2:
-        x -= q
-    return x
-
-
 def bit_reverse(x: int, bits: int) -> int:
     """Reverse the low ``bits`` bits of ``x``."""
     result = 0

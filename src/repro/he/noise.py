@@ -15,8 +15,7 @@ Note on Table I: with a *single* decomposition base for every operation the
 margin at (P = 2^32, D0 = 256, z = 2^22, ℓ = 5) is negative by a couple of
 bits; OnionPIR-family implementations close it by using a finer base for
 the expansion evks, which is why Table I quotes z and ℓ as ranges
-(2^14-2^22 and 5-8).  ``tightness_bits`` exposes the margin so experiments
-can report it.
+(2^14-2^22 and 5-8); tests/he/test_noise.py reports the margin.
 """
 
 from __future__ import annotations
@@ -84,18 +83,3 @@ def estimate(params: PirParams) -> NoiseEstimate:
         per_external_product=TAIL_FACTOR * ext_rms,
         after_coltor=TAIL_FACTOR * coltor_rms,
     )
-
-
-def decryptable(params: PirParams, noise: float) -> bool:
-    """True when a ciphertext with this max-norm noise still decrypts."""
-    return noise < params.delta / 2.0
-
-
-def tightness_bits(params: PirParams) -> float:
-    """log2 margin between the correctness bound and the response estimate.
-
-    Positive means the parameter set closes with room to spare; negative
-    means a single-base configuration would need a finer expansion gadget.
-    """
-    est = estimate(params)
-    return math.log2(params.delta / 2.0) - math.log2(est.response_bound())

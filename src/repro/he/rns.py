@@ -48,11 +48,6 @@ class RnsBasis:
             out[i] = np.array([int(c) % q for c in arr], dtype=np.int64)
         return out
 
-    def to_rns_int64(self, coeffs: np.ndarray) -> np.ndarray:
-        """Fast path for coefficients that already fit in int64 (e.g. digits)."""
-        arr = np.asarray(coeffs, dtype=np.int64)
-        return arr[None, :] % self._moduli_arr[:, None]
-
     def from_rns(self, residues: np.ndarray) -> np.ndarray:
         """Residue matrix (count, n) -> object array of ints in [0, Q) (Eq. 3)."""
         residues = np.asarray(residues, dtype=np.int64)
@@ -65,15 +60,6 @@ class RnsBasis:
         # ... then the big-int accumulation c = sum t_i * (Q/q_i) mod Q.
         acc = (t.astype(object) * self._q_hat_obj[:, None]).sum(axis=0)
         return acc % self.modulus_product
-
-    def from_rns_centered(self, residues: np.ndarray) -> np.ndarray:
-        """Like :meth:`from_rns` but lifts to the centered range (-Q/2, Q/2]."""
-        lifted = self.from_rns(residues)
-        half = self.modulus_product // 2
-        return np.array(
-            [c - self.modulus_product if c > half else c for c in lifted],
-            dtype=object,
-        )
 
     def constant_rns(self, value: int) -> np.ndarray:
         """RNS residues of a scalar constant, shape (count,)."""

@@ -250,17 +250,13 @@ class HintPirServer:
             epoch -= 1
         return epoch
 
-    def delta_since(self, hint_epoch: int) -> HintDelta:
+    def _delta_since_locked(self, hint_epoch: int) -> HintDelta:
         """The delta chain patching a hint at ``hint_epoch`` to current.
 
         Raises :class:`HintStale` when the chain has been pruned past the
         retain window, and :class:`HintPirError` for a hint from the
         future (a client bug).
         """
-        with self._lock:
-            return self._delta_since_locked(hint_epoch)
-
-    def _delta_since_locked(self, hint_epoch: int) -> HintDelta:
         if hint_epoch > self.epoch:
             raise HintPirError(
                 f"hint epoch {hint_epoch} is ahead of the server ({self.epoch})"

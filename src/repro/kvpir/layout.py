@@ -225,18 +225,11 @@ class KvDatabase:
         max_lookup_batch: int = DEFAULT_LOOKUP_BATCH,
         hash_seed: int = 0,
         table: CuckooConfig | None = None,
-        reserve_stash: int = 0,
     ) -> "KvDatabase":
         """Cuckoo-place a key-value mapping into a dense slot table.
 
         Raises :class:`~repro.errors.KvBuildError` when placement
         overflows the stash — rebuild with a different ``hash_seed``.
-
-        ``reserve_stash`` provisions that many *empty* always-probed stash
-        slots beyond what the initial placement spilled: headroom for
-        online inserts whose eviction walk fails
-        (:class:`repro.mutate.kv.VersionedKvDatabase`).  Each reserved
-        slot costs one extra probe per lookup, so keep it small.
         """
         if not items:
             raise KvBuildError("cannot build an empty key-value store")
@@ -264,15 +257,13 @@ class KvDatabase:
                 f"slot placement of {len(keys)} keys failed ({exc}); "
                 "rebuild with a different hash_seed"
             ) from exc
-        if reserve_stash < 0:
-            raise ParameterError("reserved stash slots cannot be negative")
         layout = KvLayout.build(
             params,
             table,
             num_keys=len(keys),
             value_bytes=value_bytes,
             tag_bytes=tag_bytes,
-            stash_slots=len(assignment.stash) + reserve_stash,
+            stash_slots=len(assignment.stash),
             max_lookup_batch=max_lookup_batch,
         )
         return cls(layout, assignment, dict(zip(keys, values)))
@@ -288,7 +279,6 @@ class KvDatabase:
         max_lookup_batch: int = DEFAULT_LOOKUP_BATCH,
         hash_seed: int = 0,
         seed: int | None = None,
-        reserve_stash: int = 0,
     ) -> "KvDatabase":
         items = random_items(num_keys, value_bytes, key_bytes_len, seed)
         return cls.from_items(
@@ -297,13 +287,9 @@ class KvDatabase:
             tag_bytes=tag_bytes,
             max_lookup_batch=max_lookup_batch,
             hash_seed=hash_seed,
-            reserve_stash=reserve_stash,
         )
 
     # -- ground truth (for verification in tests/examples) ----------------
-    def contains(self, key: bytes) -> bool:
-        return key_bytes(key) in self._items
-
     def value(self, key: bytes) -> bytes:
         return self._items[key_bytes(key)]
 

@@ -61,10 +61,6 @@ class KvLookupResult:
     missing: tuple[bytes, ...]
     plan: KvPlan
 
-    @property
-    def found(self) -> int:
-        return len(self.values)
-
 
 class KvPirProtocol:
     """A keyword client/server pair over one key-value mapping."""

@@ -2,13 +2,11 @@
 
 An :class:`UpdateLog` is an ordered sequence of index-space mutations
 (:class:`Put`, :class:`Delete`, :class:`Append`) against one dense record
-database; a :class:`KvUpdateLog` is the keyword analog (:class:`KvPut`,
-:class:`KvDelete`) against a key-value store.  Logs are pure data: the
-cost of building one is O(entries), and nothing touches the database
-until the log is *applied* (``repro.mutate.versioned`` /
-``repro.mutate.kv``), at which point consecutive writes to the same
-record coalesce — one churn window's worth of updates to a hot record
-re-packs its polynomial once, not once per write.
+database.  Logs are pure data: the cost of building one is O(entries),
+and nothing touches the database until the log is *applied*
+(``repro.mutate.versioned``), at which point consecutive writes to the
+same record coalesce — one churn window's worth of updates to a hot
+record re-packs its polynomial once, not once per write.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from repro.errors import MutateError
-from repro.hashing.cuckoo import key_bytes
 
 
 @dataclass(frozen=True)
@@ -170,58 +167,3 @@ def split_by_shard(
         else:
             shard_ops[shard_id].append(Delete(local))
     return [tuple(ops) for ops in shard_ops]
-
-
-@dataclass(frozen=True)
-class KvPut:
-    """Insert or overwrite ``key`` with ``value``."""
-
-    key: bytes
-    value: bytes
-
-
-@dataclass(frozen=True)
-class KvDelete:
-    """Remove ``key`` (its slot is zeroed and freed)."""
-
-    key: bytes
-
-
-KvMutation = Union[KvPut, KvDelete]
-
-
-class KvUpdateLog:
-    """Ordered key-space mutations for a keyword-PIR store."""
-
-    def __init__(self, mutations: list[KvMutation] | None = None):
-        self._ops: list[KvMutation] = []
-        for op in mutations or []:
-            self._add(op)
-
-    def _add(self, op: KvMutation) -> None:
-        if not isinstance(op, (KvPut, KvDelete)):
-            raise MutateError(f"unknown kv mutation type {type(op).__name__}")
-        key_bytes(op.key)  # typed validation (rejects str, negative ints)
-        self._ops.append(op)
-
-    def put(self, key: bytes, value: bytes) -> "KvUpdateLog":
-        self._add(KvPut(key=key_bytes(key), value=bytes(value)))
-        return self
-
-    def delete(self, key: bytes) -> "KvUpdateLog":
-        self._add(KvDelete(key=key_bytes(key)))
-        return self
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __iter__(self) -> Iterator[KvMutation]:
-        return iter(self._ops)
-
-    def coalesced(self) -> dict[bytes, bytes | None]:
-        """Last-write-wins per key: ``{key: value | None (= delete)}``."""
-        out: dict[bytes, bytes | None] = {}
-        for op in self._ops:
-            key = key_bytes(op.key)
-            out[key] = op.value if isinstance(op, KvPut) else None
-        return out

@@ -58,11 +58,6 @@ class UpdateCost:
         """Fraction of the full preprocessing work this apply performed."""
         return self.polys_repacked / self.full_polys if self.full_polys else 0.0
 
-    @property
-    def speedup_vs_full(self) -> float:
-        """Counted-work ratio of a full re-preprocess to this delta."""
-        return self.full_polys / max(1, self.polys_repacked)
-
     def merge(self, other: "UpdateCost") -> "UpdateCost":
         """Combine accounting across shards / buckets of one logical apply."""
         return UpdateCost(
@@ -91,20 +86,14 @@ def apply_record_updates(
     appends: list[bytes | None],
     pre: PreprocessedDatabase | None = None,
     ring: RingContext | None = None,
-    in_place: bool = False,
     backend: "str | ComputeBackend | None" = None,
 ) -> tuple[PirDatabase, PreprocessedDatabase | None, UpdateCost]:
     """Apply coalesced writes/appends to one database, dirty cells only.
 
     Returns ``(new_db, new_pre, cost)``.  ``new_pre`` shares every clean
-    ``RnsPoly`` with ``pre`` (copy-on-write); with ``in_place`` the dirty
-    cells are patched into ``pre``'s own plane lists instead — the mode
-    the kv/batch bucket path uses to update a live server's preprocessed
-    buckets.  ``None`` in ``writes``/``appends`` means tombstone (a
-    zeroed record; the index space stays dense).
-
-    The shared delta core: :class:`VersionedDatabase` drives it for flat
-    databases and ``repro.mutate.kv`` reuses it per cuckoo bucket.
+    ``RnsPoly`` with ``pre`` (copy-on-write).  ``None`` in
+    ``writes``/``appends`` means tombstone (a zeroed record; the index
+    space stays dense).  :class:`VersionedDatabase` drives it.
     """
     layout = db.layout
     tombstone = b"\0" * layout.record_bytes
@@ -166,16 +155,15 @@ def apply_record_updates(
     new_pre = pre
     tensor_copied = 0
     if pre is not None:
-        if not in_place:
-            new_pre = PreprocessedDatabase(
-                layout=layout, ring=ring, planes=[list(row) for row in pre.planes]
-            )
-            # Seed the new snapshot's RowSel GEMM cache from the parent's
-            # (a memcpy, no NTT work) so the first post-swap query does
-            # not re-stack the whole plane inside a serving request.
-            for plane, tensor in pre._tensors.items():
-                new_pre._tensors[plane] = tensor.copy()
-                tensor_copied += tensor.shape[0]
+        new_pre = PreprocessedDatabase(
+            layout=layout, ring=ring, planes=[list(row) for row in pre.planes]
+        )
+        # Seed the new snapshot's RowSel GEMM cache from the parent's
+        # (a memcpy, no NTT work) so the first post-swap query does
+        # not re-stack the whole plane inside a serving request.
+        for plane, tensor in pre._tensors.items():
+            new_pre._tensors[plane] = tensor.copy()
+            tensor_copied += tensor.shape[0]
         # One stacked NTT per plane over just the dirty cells, on the
         # broadcast RNS axis ``preprocess`` uses; set_poly keeps the
         # RowSel GEMM tensor cache coherent.
@@ -184,8 +172,6 @@ def apply_record_updates(
             tensor = resolved.ntt_forward(ring, planes[plane, polys][:, None, :])
             for j, poly in enumerate(polys):
                 new_pre.set_poly(plane, poly, RnsPoly(ring, tensor[j], Domain.NTT))
-        if in_place:
-            pre.layout = layout
 
     cost = UpdateCost(
         records_touched=len(touched),

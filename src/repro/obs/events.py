@@ -161,17 +161,6 @@ class FlightRecorder:
     def dumps_written(self) -> int:
         return self._dumps_written
 
-    def events_of(self, kind: str) -> list[Event]:
-        return [e for e in self.events() if e.kind == kind]
-
-    def trace_index(self) -> dict[int, list[int]]:
-        """trace id -> event seqs that touched it (the cross-link table)."""
-        out: dict[int, list[int]] = {}
-        for event in self.events():
-            for trace_id in event.trace_ids:
-                out.setdefault(trace_id, []).append(event.seq)
-        return out
-
     # -- post-mortems ------------------------------------------------------
     def postmortem(self, reason: str, at_s: float) -> dict:
         """The dump as a JSON-ready dict (ring + sources + cross-links)."""

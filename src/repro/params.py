@@ -200,14 +200,6 @@ class PirParams:
         )
 
     @staticmethod
-    def paper_for_db_bytes(db_bytes: int, d0: int = 256) -> "PirParams":
-        """Paper parameters sized so the raw DB is ``db_bytes`` large."""
-        base = PirParams.paper(d0=d0, num_dims=0)
-        polys = max(d0, db_bytes // base.plain_poly_bytes)
-        num_dims = max(0, int(round(math.log2(polys / d0))))
-        return PirParams.paper(d0=d0, num_dims=num_dims)
-
-    @staticmethod
     def functional(d0: int = 64, num_dims: int = 2) -> "PirParams":
         """Paper-shaped ring with an odd P sized for ample noise margin.
 

@@ -16,7 +16,6 @@ from repro.pir.simplepir import (
     SimplePirClient,
     SimplePirParams,
     SimplePirServer,
-    db_matrix_shape,
     lwe_public_matrix,
     modular_gemm,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "SimplePirParams",
     "SimplePirServer",
     "Transcript",
-    "db_matrix_shape",
     "expand_query",
     "expansion_powers",
     "lwe_public_matrix",

@@ -97,12 +97,8 @@ class RecordLayout:
             )
 
     # -- byte <-> coefficient packing ---------------------------------------
-    def pack_poly(self, data: bytes) -> np.ndarray:
-        """Bytes -> coefficient vector (mod P), little-endian per coefficient."""
-        return self.pack_polys([data])[0]
-
     def pack_polys(self, blobs: list[bytes]) -> np.ndarray:
-        """Vectorized packing of many polynomials' worth of bytes at once.
+        """Bytes -> coefficient vectors (mod P), little-endian per coefficient.
 
         Returns a ``(len(blobs), N)`` int64 coefficient matrix.  The whole
         batch is one ``np.frombuffer`` + reshape + little-endian recombine
@@ -146,17 +142,6 @@ class RecordLayout:
         for c in coeffs[: math.ceil(nbytes / cb)]:
             out.extend(int(c).to_bytes(cb, "little"))
         return bytes(out[:nbytes])
-
-    def record_to_plane_chunks(self, record: bytes) -> list[bytes]:
-        """Split a record into the per-plane byte chunks it is striped into."""
-        if len(record) != self.record_bytes:
-            raise LayoutError(
-                f"record has {len(record)} bytes, layout expects {self.record_bytes}"
-            )
-        if self.plane_count == 1:
-            return [record]
-        size = self.bytes_per_plane_poly
-        return [record[i * size : (i + 1) * size] for i in range(self.plane_count)]
 
     # -- multi-dimensional decomposition -------------------------------------
     def dimension_indices(self, record_index: int) -> tuple[int, list[int]]:

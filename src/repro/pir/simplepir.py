@@ -19,7 +19,6 @@ otherwise, which is why every product routes through one of these.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "SimplePirClient",
     "modular_gemm",
     "lwe_public_matrix",
-    "db_matrix_shape",
 ]
 
 
@@ -169,11 +167,3 @@ class SimplePirClient:
         noisy = (answer - modular_gemm(self.hint, secret, params.q)) % params.q
         value = int((int(noisy[row]) + params.delta // 2) // params.delta) % params.p
         return value
-
-
-def db_matrix_shape(num_records: int) -> tuple[int, int]:
-    """Near-square factorization used to lay records out as a matrix."""
-    rows = int(math.isqrt(num_records))
-    while num_records % rows:
-        rows -= 1
-    return rows, num_records // rows

@@ -38,6 +38,7 @@ from repro.serve.workers import (
     RealCryptoBackend,
     SimulatedBackend,
     VirtualTimeLoop,
+    WindowExecutor,
     run_in_virtual_time,
 )
 
@@ -56,6 +57,7 @@ __all__ = [
     "SimShardRegistry",
     "SimulatedBackend",
     "VirtualTimeLoop",
+    "WindowExecutor",
     "bursty_arrivals",
     "diurnal_arrivals",
     "poisson_arrivals",

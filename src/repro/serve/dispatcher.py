@@ -32,6 +32,7 @@ from repro.obs.events import FlightRecorder
 from repro.obs.trace import Tracer
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ServeRequest
+from repro.serve.workers import WindowExecutor
 from repro.systems.batching import BatchPolicy
 
 #: Shortest window-countdown sleep.  A residual wait below one nanosecond
@@ -85,7 +86,7 @@ class ShardDispatcher:
     def __init__(
         self,
         shard_id: int,
-        backend,
+        backend: WindowExecutor,
         policy: BatchPolicy,
         admission: AdmissionConfig,
         metrics: ServeMetrics,
@@ -301,7 +302,7 @@ class ServeRuntime:
     def __init__(
         self,
         registry,
-        backend,
+        backend: WindowExecutor,
         policy: BatchPolicy,
         admission: AdmissionConfig | None = None,
         metrics: ServeMetrics | None = None,

@@ -131,38 +131,38 @@ class LoadReport:
     offered_qps: float
     metrics: dict
     #: Completed :class:`~repro.serve.dispatcher.ServeResult`\ s, populated
-    #: only when ``run_open_loop(collect_results=True)`` — correctness
-    #: audits (e.g. the hint tier's never-a-wrong-byte check) need the
-    #: responses, not just the counters.
+    #: only when ``run_open_loop(collect_results=True)`` — the CLI's
+    #: never-a-wrong-byte audit needs the responses, not just the counters.
     results: list | None = None
 
 
 async def run_open_loop(
     runtime,
     arrivals: np.ndarray,
-    indices: np.ndarray,
+    items,
     drain: bool = True,
     collect_results: bool = False,
 ) -> LoadReport:
     """Drive ``runtime`` with the given arrival schedule.
 
-    At each arrival time a request for the paired record index is submitted
-    without waiting for earlier responses.  Shed queries count as rejected;
-    backend failures as errored.  Returns the combined report after
-    (optionally) draining the runtime.
+    At each arrival time a request for the paired item — whatever the
+    registry's ``make_request`` takes: a record index, or a key on the
+    keyword tier — is submitted without waiting for earlier responses.
+    Shed queries count as rejected; backend failures as errored.  Returns
+    the combined report after (optionally) draining the runtime.
     """
-    if len(arrivals) != len(indices):
-        raise ParameterError("need one record index per arrival")
+    if len(arrivals) != len(items):
+        raise ParameterError("need one item per arrival")
     loop = asyncio.get_running_loop()
     epoch = loop.time()
     futures: list[asyncio.Future] = []
     rejected = 0
-    for offset, index in zip(arrivals, indices):
+    for offset, item in zip(arrivals, items):
         delay = epoch + float(offset) - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
         try:
-            futures.append(runtime.submit(runtime.registry.make_request(int(index))))
+            futures.append(runtime.submit(runtime.registry.make_request(item)))
         except ServeError:
             rejected += 1
     if drain:

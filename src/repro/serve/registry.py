@@ -339,9 +339,6 @@ class RealShardRegistry(PlainRouting):
     def server(self, shard_id: int) -> PirServer:
         return self._servers[self.map.check_shard(shard_id)]
 
-    def shard_db(self, shard_id: int) -> PirDatabase:
-        return self._dbs[self.map.check_shard(shard_id)]
-
     def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
         return self.server(shard_id).answer_batch([r.query for r in requests])
 

@@ -13,9 +13,12 @@ The dispatcher is written against plain asyncio (``loop.time()`` /
   :class:`SimulatedBackend`, which "serves" a batch by sleeping for the
   :class:`~repro.arch.simulator.IveSimulator` batched latency.  A 10k-query
   load test at paper scale finishes in wall-seconds.
-* cluster mode — ``repro.cluster.ClusterBackend``, the multi-process
-  sibling: the same backend contract, but batches cross a pipe to worker
+* cluster mode — ``repro.cluster.ClusterCoordinator``, the multi-process
+  sibling: the same contract, but batches cross a pipe to worker
   processes so real-crypto throughput scales with cores, not one GIL.
+
+What the three share is :class:`WindowExecutor`; "backend" is otherwise
+reserved for the compute backend (``repro.he.backend``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import selectors
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Protocol
 
 from repro.errors import SimulationError
 from repro.obs.trace import Tracer
@@ -123,6 +127,24 @@ class SimResponse:
     global_index: int
 
 
+class WindowExecutor(Protocol):
+    """Where a dispatch window runs: what a ``ServeRuntime`` is handed.
+
+    Threads (:class:`RealCryptoBackend`), virtual time
+    (:class:`SimulatedBackend`) and worker processes
+    (``repro.cluster.ClusterCoordinator``) differ only in *where* the
+    tier's window is answered; the dispatcher sees these two calls.
+    """
+
+    async def answer(self, shard_id: int, requests: list[ServeRequest]) -> list:
+        """One response per request of one shard's window, in order."""
+        ...
+
+    def close(self) -> None:
+        """Release what the executor holds; called once by ``drain``."""
+        ...
+
+
 class RealCryptoBackend:
     """The one thread executor: runs a tier's ``answer_window`` off-loop.
 
@@ -176,5 +198,5 @@ class SimulatedBackend:
         )
         return [SimResponse(r.global_index) for r in requests]
 
-    def close(self) -> None:  # symmetry with RealCryptoBackend
+    def close(self) -> None:
         pass

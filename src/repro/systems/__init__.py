@@ -4,7 +4,6 @@ from repro.systems.batching import BatchPolicy, ServicePoint, window_from_db_rea
 from repro.systems.cluster import ClusterLatency, IveCluster
 from repro.systems.queueing import (
     break_even_rate,
-    load_latency_curve,
     simulate_batching,
     simulate_fifo,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "ScaleUpSystem",
     "ServicePoint",
     "break_even_rate",
-    "load_latency_curve",
     "simulate_batching",
     "simulate_fifo",
     "window_from_db_read",

@@ -48,8 +48,3 @@ class ServicePoint:
     p95_latency_s: float
     mean_batch: float
     served: int
-
-    @property
-    def stable(self) -> bool:
-        """Heuristic stability flag: finite latency growth."""
-        return self.mean_latency_s < float("inf")

@@ -112,19 +112,6 @@ def simulate_fifo(
     )
 
 
-def load_latency_curve(
-    service_time: Callable[[int], float],
-    policy: BatchPolicy,
-    rates: list[float],
-    num_queries: int = 2000,
-    seed: int = 0,
-) -> list[ServicePoint]:
-    return [
-        simulate_batching(service_time, policy, rate, num_queries, seed)
-        for rate in rates
-    ]
-
-
 def break_even_rate(
     batching_points: list[ServicePoint], fifo_points: list[ServicePoint]
 ) -> float | None:

@@ -5,9 +5,9 @@ import pytest
 
 from repro.batchpir import BatchPirProtocol
 from repro.batchpir.client import BatchPirClient
-from repro.batchpir.hashing import CuckooConfig
 from repro.batchpir.layout import BatchLayout
 from repro.errors import LayoutError, ParameterError
+from repro.hashing.cuckoo import CuckooConfig
 from repro.params import PirParams
 
 
@@ -102,11 +102,3 @@ class TestRecordShapes:
         result = protocol.retrieve_batch([3, 17, 30])
         for rec, g in zip(result.records, (3, 17, 30)):
             assert rec == records[g]
-
-    def test_over_database_rebuckets_existing_db(self, params):
-        from repro.pir.database import PirDatabase
-
-        db = PirDatabase.random(params, num_records=64, record_bytes=16, seed=6)
-        protocol = BatchPirProtocol.over_database(db, max_batch=8, seed=6)
-        result = protocol.retrieve_batch([5, 60])
-        assert result.records == [db.record(5), db.record(60)]

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batchpir.hashing import (
+from repro.errors import BatchPlanError, ParameterError
+from repro.hashing.cuckoo import (
     CuckooConfig,
     cuckoo_assign,
     num_buckets_for,
 )
-from repro.errors import BatchPlanError, ParameterError
 
 
 class TestCuckooConfig:

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.batchpir.client import BatchPirClient
-from repro.batchpir.hashing import CuckooConfig
 from repro.batchpir.layout import BatchLayout
+from repro.hashing.cuckoo import CuckooConfig
 from repro.kvpir.client import KvPirClient
 from repro.kvpir.layout import KvDatabase
 from repro.params import PirParams

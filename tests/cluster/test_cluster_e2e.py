@@ -8,7 +8,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import ClusterBackend, ClusterCoordinator, ClusterRegistry
+from repro.cluster import ClusterCoordinator, ClusterRegistry
 from repro.mutate import UpdateLog
 from repro.serve import ServeRuntime
 from repro.systems.batching import BatchPolicy
@@ -37,7 +37,7 @@ def test_two_workers_serve_byte_correct_records(registry):
         async with ClusterCoordinator(registry, num_workers=2) as coordinator:
             assert coordinator.live_workers == (0, 1)
             runtime = ServeRuntime(
-                registry, ClusterBackend(coordinator), policy()
+                registry, coordinator, policy()
             )
             async with runtime:
                 results = await asyncio.gather(
@@ -62,7 +62,7 @@ def test_epoch_publish_pins_inflight_requests_to_admitted_epoch(registry):
     async def main():
         async with ClusterCoordinator(registry, num_workers=2) as coordinator:
             runtime = ServeRuntime(
-                registry, ClusterBackend(coordinator), policy()
+                registry, coordinator, policy()
             )
             async with runtime:
                 pinned = registry.make_request(target)  # admitted at epoch 0
@@ -88,7 +88,7 @@ def test_delete_publishes_tombstone_across_processes(registry):
     async def main():
         async with ClusterCoordinator(registry, num_workers=2) as coordinator:
             runtime = ServeRuntime(
-                registry, ClusterBackend(coordinator), policy()
+                registry, coordinator, policy()
             )
             async with runtime:
                 await coordinator.publish(UpdateLog().delete(target))
@@ -111,7 +111,7 @@ def test_same_seed_reproduces_identical_responses(small_params):
             seed=77,
         )
         async with ClusterCoordinator(reg, num_workers=2) as coordinator:
-            runtime = ServeRuntime(reg, ClusterBackend(coordinator), policy())
+            runtime = ServeRuntime(reg, coordinator, policy())
             async with runtime:
                 results = await asyncio.gather(
                     *(runtime.serve_index(i) for i in range(4))

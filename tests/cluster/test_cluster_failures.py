@@ -11,7 +11,7 @@ import signal
 
 import pytest
 
-from repro.cluster import ClusterBackend, ClusterCoordinator, ClusterRegistry
+from repro.cluster import ClusterCoordinator, ClusterRegistry
 from repro.mutate import UpdateLog
 from repro.serve import ServeRuntime
 from repro.systems.batching import BatchPolicy
@@ -53,7 +53,7 @@ def test_kill_worker_mid_batch_retries_on_surviving_replica(registry):
         coordinator = ClusterCoordinator(registry, num_workers=2, replication=2)
         async with coordinator:
             runtime = ServeRuntime(
-                registry, ClusterBackend(coordinator), policy()
+                registry, coordinator, policy()
             )
             async with runtime:
                 serves = asyncio.gather(
@@ -90,7 +90,7 @@ def test_kill_sole_replica_rebalances_onto_survivor(registry):
         coordinator = ClusterCoordinator(registry, num_workers=2, replication=1)
         async with coordinator:
             runtime = ServeRuntime(
-                registry, ClusterBackend(coordinator), policy()
+                registry, coordinator, policy()
             )
             async with runtime:
                 serves = asyncio.gather(
@@ -132,7 +132,7 @@ def test_heartbeat_timeout_declares_stalled_worker_dead(registry):
                 )
                 await asyncio.sleep(0.05)
             runtime = ServeRuntime(
-                registry, ClusterBackend(coordinator), policy()
+                registry, coordinator, policy()
             )
             async with runtime:
                 results = await asyncio.gather(
@@ -160,7 +160,7 @@ def test_epoch_publish_racing_request_spike_is_never_wrong(registry):
     async def main():
         async with ClusterCoordinator(registry, num_workers=2) as coordinator:
             runtime = ServeRuntime(
-                registry, ClusterBackend(coordinator), policy()
+                registry, coordinator, policy()
             )
             async with runtime:
                 pinned = [registry.make_request(i) for i in range(NUM_RECORDS)]

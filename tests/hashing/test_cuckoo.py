@@ -47,14 +47,6 @@ class TestByteKeyCandidates:
             (17).to_bytes(8, "little")
         )
 
-    def test_batchpir_shim_reexports_same_objects(self):
-        from repro.batchpir import hashing as shim
-        from repro.hashing import cuckoo
-
-        assert shim.CuckooConfig is cuckoo.CuckooConfig
-        assert shim.cuckoo_assign is cuckoo.cuckoo_assign
-        assert shim.num_buckets_for is cuckoo.num_buckets_for
-
 
 class TestByteKeyAssign:
     def test_places_byte_keys_in_candidate_buckets(self):
@@ -75,8 +67,8 @@ class TestByteKeyAssign:
         keys = sorted(keys)
         config = CuckooConfig.for_batch(max(len(keys), 1), seed=seed)
         assignment = cuckoo_assign(keys, config)
-        assert assignment.placed + len(assignment.stash) == len(keys)
-        assert len(set(assignment.slots.values())) == assignment.placed
+        assert len(assignment.slots) + len(assignment.stash) == len(keys)
+        assert len(set(assignment.slots.values())) == len(assignment.slots)
 
 
 class TestEdgeCases:
@@ -144,7 +136,7 @@ class TestEdgeCases:
             assignment = cuckoo_assign(keys, config)
         except BatchPlanError:
             return
-        assert assignment.placed == len(keys)
+        assert len(assignment.slots) == len(keys)
         assert len(set(assignment.slots.values())) == len(keys)
         for bucket, key in assignment.slots.items():
             assert bucket in config.candidates(key)
@@ -170,4 +162,4 @@ class TestEdgeCases:
         except BatchPlanError:
             return
         assert len(assignment.stash) <= config.stash_size
-        assert assignment.placed + len(assignment.stash) == num_keys
+        assert len(assignment.slots) + len(assignment.stash) == num_keys

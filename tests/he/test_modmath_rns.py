@@ -78,12 +78,6 @@ class TestRoots:
 
 
 class TestHelpers:
-    def test_centered(self):
-        assert modmath.centered(0, 7) == 0
-        assert modmath.centered(3, 7) == 3
-        assert modmath.centered(4, 7) == -3
-        assert modmath.centered(6, 7) == -1
-
     def test_bit_reverse(self):
         assert modmath.bit_reverse(0b001, 3) == 0b100
         assert modmath.bit_reverse(0b110, 3) == 0b011
@@ -117,18 +111,6 @@ class TestRnsBasis:
         values = [basis.modulus_product - 1, 0, basis.modulus_product // 2]
         back = basis.from_rns(basis.to_rns(values))
         assert [int(v) for v in back] == values
-
-    def test_centered_lift(self, basis):
-        values = [basis.modulus_product - 5]
-        back = basis.from_rns_centered(basis.to_rns(values))
-        assert int(back[0]) == -5
-
-    def test_to_rns_int64_matches_generic(self, basis):
-        rng = np.random.default_rng(1)
-        values = rng.integers(0, 2**40, size=32, dtype=np.int64)
-        fast = basis.to_rns_int64(values)
-        slow = basis.to_rns([int(v) for v in values])
-        assert np.array_equal(fast, slow)
 
     def test_duplicate_moduli_rejected(self):
         with pytest.raises(ParameterError):

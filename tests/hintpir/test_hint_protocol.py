@@ -160,8 +160,10 @@ class TestStaleness:
 
     def test_future_hint_is_a_client_bug(self):
         server = HintPirServer(make_records(4), RECORD_BYTES, PARAMS)
+        query = HintPirClient(server).build_query(0)
+        query.hint_epoch = 1
         with pytest.raises(HintPirError):
-            server.delta_since(1)
+            server.answer(query)
 
     def test_retain_zero_strands_every_stale_client(self):
         server = HintPirServer(make_records(4), RECORD_BYTES, PARAMS, retain_epochs=0)
@@ -210,8 +212,9 @@ class TestClientHintHistory:
         server = HintPirServer(make_records(4), RECORD_BYTES, PARAMS)
         client = HintPirClient(server)
         server.publish(put_log((0, b"u" * RECORD_BYTES)))
+        ahead = HintPirClient(server).build_query(0)  # a session at epoch 1
         server.publish(put_log((1, b"v" * RECORD_BYTES)))
-        chain = server.delta_since(1)  # starts at 1; client is at 0
+        chain = server.answer(ahead).delta  # starts at 1; client is at 0
         with pytest.raises(HintPirError):
             client.apply_delta(chain)
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import MutateError, ParameterError
-from repro.mutate import Append, Delete, KvUpdateLog, Put, UpdateLog
+from repro.errors import MutateError
+from repro.mutate import Append, Delete, Put, UpdateLog
 
 
 class TestUpdateLog:
@@ -46,20 +46,3 @@ class TestUpdateLog:
             UpdateLog().put(5, b"x").coalesced(4)
         with pytest.raises(MutateError):
             UpdateLog().append(b"a").put(6, b"x").coalesced(4)
-
-
-class TestKvUpdateLog:
-    def test_coalesce_per_key(self):
-        log = (
-            KvUpdateLog()
-            .put(b"k1", b"v1")
-            .put(b"k1", b"v2")
-            .delete(b"k2")
-            .put(b"k3", b"v3")
-            .delete(b"k3")
-        )
-        assert log.coalesced() == {b"k1": b"v2", b"k2": None, b"k3": None}
-
-    def test_rejects_foreign_key_types(self):
-        with pytest.raises(ParameterError):
-            KvUpdateLog().put("text", b"v")  # text must be encoded explicitly

@@ -42,15 +42,8 @@ class TestRing:
         rec.record("batch.dispatch", 1.0, trace_ids=(4,))
         rec.record("worker.death", 2.0, trace_ids=(4, 9))
         rec.record("batch.retry", 3.0, trace_ids=(9,))
-        assert rec.trace_index() == {4: [1, 2], 9: [2, 3]}
-
-    def test_events_of_filters_by_kind(self):
-        rec = FlightRecorder()
-        rec.record("batch.dispatch", 1.0)
-        rec.record("worker.death", 2.0)
-        rec.record("batch.dispatch", 3.0)
-        assert len(rec.events_of("batch.dispatch")) == 2
-        assert len(rec.events_of("worker.death")) == 1
+        index = rec.postmortem("drill", 4.0)["trace_index"]
+        assert index == {"4": [1, 2], "9": [2, 3]}
 
     def test_bad_capacity_is_typed(self):
         with pytest.raises(ParameterError):
@@ -105,7 +98,7 @@ class TestPostmortem:
         target.write_text("a file where the dump dir should be")
         rec = FlightRecorder(dump_dir=str(target))
         rec.record("worker.death", 1.0, worker=0)
-        (marker,) = rec.events_of("postmortem.error")
+        (marker,) = [e for e in rec.events() if e.kind == "postmortem.error"]
         assert marker.severity == "error"
         assert rec.dumps_written == 0
 

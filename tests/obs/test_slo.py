@@ -214,7 +214,7 @@ class TestSloEvaluator:
         assert ev.breaches == 1
         assert ev.worst_state == "breach"
         assert ev.transitions("p99") == {"ok->breach": 1}
-        (event,) = recorder.events_of("slo.breach")
+        (event,) = [e for e in recorder.events() if e.kind == "slo.breach"]
         assert event.args["slo"] == "p99"
         assert event.args["previous"] == "ok"
         summary = ev.summary()

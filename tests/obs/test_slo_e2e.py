@@ -20,7 +20,7 @@ import signal
 import pytest
 
 from repro.cli import main
-from repro.cluster import ClusterBackend, ClusterCoordinator, ClusterRegistry
+from repro.cluster import ClusterCoordinator, ClusterRegistry
 from repro.obs import (
     FlightRecorder,
     SloEvaluator,
@@ -75,7 +75,7 @@ def drill(small_params, tmp_path_factory):
         async with coordinator:
             runtime = ServeRuntime(
                 registry,
-                ClusterBackend(coordinator),
+                coordinator,
                 policy,
                 tracer=tracer,
                 recorder=recorder,
@@ -175,13 +175,13 @@ class TestFailureDrill:
             "shard.rebalance",
             "slo.breach",
         } <= kinds
-        (death,) = recorder.events_of("worker.death")
-        (retry,) = recorder.events_of("batch.retry")
+        (death,) = [e for e in recorder.events() if e.kind == "worker.death"]
+        (retry,) = [e for e in recorder.events() if e.kind == "batch.retry"]
         assert death.args["worker"] == 0
         assert death.trace_ids, "death event lost its victim trace ids"
         # The retried batch is the one the death victimized.
         assert set(retry.trace_ids) <= set(death.trace_ids)
-        (rebalance,) = recorder.events_of("shard.rebalance")
+        (rebalance,) = [e for e in recorder.events() if e.kind == "shard.rebalance"]
         assert rebalance.args["target_worker"] == 1
 
     def test_postmortem_dump_cross_links_the_victim_batch(self, drill):

@@ -34,9 +34,6 @@ class TestLayoutGeometry:
         assert lay.plane_count == 3
         assert lay.records_per_poly == 1
         assert lay.bytes_per_plane_poly == 400
-        chunks = lay.record_to_plane_chunks(bytes(range(0, 200)) * 6)
-        assert len(chunks) == 3
-        assert sum(len(c) for c in chunks) == 1200
 
     def test_capacity_overflow_rejected(self, small_params):
         # small_params: D = 8 * 2^2 = 32 polys
@@ -71,20 +68,20 @@ class TestPacking:
         lay = RecordLayout(small_params, record_bytes=512, num_records=4)
         rng = np.random.default_rng(0)
         data = rng.bytes(512)
-        coeffs = lay.pack_poly(data)
+        (coeffs,) = lay.pack_polys([data])
         assert coeffs.max() < small_params.plain_modulus
         assert lay.unpack_poly(coeffs, 512) == data
 
     def test_pack_partial_poly_pads_zero(self, small_params):
         lay = RecordLayout(small_params, record_bytes=100, num_records=4)
-        coeffs = lay.pack_poly(b"\xff" * 100)
+        (coeffs,) = lay.pack_polys([b"\xff" * 100])
         assert lay.unpack_poly(coeffs, 100) == b"\xff" * 100
         assert np.all(coeffs[50:] == 0)
 
     def test_pack_too_large_rejected(self, small_params):
         lay = RecordLayout(small_params, record_bytes=512, num_records=4)
         with pytest.raises(LayoutError):
-            lay.pack_poly(b"\0" * 513)
+            lay.pack_polys([b"\0" * 513])
 
     @settings(max_examples=20, deadline=None)
     @given(st.binary(min_size=1, max_size=512))
@@ -92,7 +89,7 @@ class TestPacking:
         lay = RecordLayout(
             PirParams.small(n=256, d0=8, num_dims=2), record_bytes=512, num_records=4
         )
-        coeffs = lay.pack_poly(data)
+        (coeffs,) = lay.pack_polys([data])
         assert lay.unpack_poly(coeffs, len(data)) == data
 
     @settings(max_examples=25, deadline=None)
@@ -120,7 +117,7 @@ class TestPacking:
             cap = params.n * (params.payload_bits_per_coeff // 8)
             lay = RecordLayout(params, record_bytes=cap, num_records=2)
             blob = rng.bytes(cap)
-            assert np.array_equal(lay.pack_poly(blob), lay._pack_poly_scalar(blob))
+            assert np.array_equal(lay.pack_polys([blob])[0], lay._pack_poly_scalar(blob))
 
     def test_database_pack_matches_per_record_reference(self, small_params):
         """Whole-database vectorized packing (packed AND striped layouts)
@@ -137,8 +134,10 @@ class TestPacking:
                     chunk = b"".join(records[start : start + lay.records_per_poly])
                     want[0, poly] = lay._pack_poly_scalar(chunk)
             else:
+                size = lay.bytes_per_plane_poly
                 for idx, record in enumerate(records):
-                    for plane, chunk in enumerate(lay.record_to_plane_chunks(record)):
+                    for plane in range(lay.plane_count):
+                        chunk = record[plane * size : (plane + 1) * size]
                         want[plane, lay.poly_index(idx)] = lay._pack_poly_scalar(chunk)
             assert np.array_equal(db.planes, want)
 

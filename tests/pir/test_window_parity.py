@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batchpir.client import BatchPirClient, BatchQuery
-from repro.batchpir.hashing import CuckooConfig
 from repro.batchpir.layout import BatchDatabase
 from repro.batchpir.server import BatchPirServer
 from repro.errors import LayoutError, ParameterError
+from repro.hashing.cuckoo import CuckooConfig
 from repro.he.backend import backend_names
 from repro.kvpir.client import KvPirClient
 from repro.kvpir.layout import KvDatabase

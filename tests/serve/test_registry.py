@@ -106,8 +106,6 @@ class TestRealShardRegistry:
         with pytest.raises(RoutingError):
             registry.server(3)
         with pytest.raises(RoutingError):
-            registry.shard_db(-1)
-        with pytest.raises(RoutingError):
             registry.expected(10)
         with pytest.raises(RoutingError):
             registry.expected(2.0)

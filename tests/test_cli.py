@@ -197,10 +197,56 @@ class TestCli:
         assert out["serving"] == "kvpir"
         assert out["completed"] == 400
 
-    def test_loadtest_real_rejects_model_serving(self, capsys):
-        assert (
-            main(["loadtest", "--mode", "real", "--serving", "batchpir"]) == 2
-        )
+    @pytest.mark.parametrize("tier", ["plain", "batchpir", "kvpir", "hintpir"])
+    def test_loadtest_real_serves_and_audits_every_tier(self, tier, capsys):
+        import json
+
+        argv = ["loadtest", "--mode", "real", "--serving", tier, "--queries", "8",
+                "--records", "16", "--shards", "2", "--max-batch", "4"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["completed"] == 8 and out["errored"] == 0
+        assert out["audit"]["decoded_correct"] == 8
+        assert out["audit"]["wrong_bytes"] == 0
+        assert ("hint_downloads" in out["audit"]) == (tier == "hintpir")
+
+    @pytest.mark.parametrize("tier", ["plain", "hintpir"])
+    def test_loadtest_publishes_epochs_mid_traffic(self, tier, capsys):
+        import json
+
+        argv = ["loadtest", "--mode", "real", "--serving", tier, "--queries", "40",
+                "--records", "32", "--record-bytes", "24", "--rate", "300",
+                "--shards", "2", "--window-ms", "20", "--publish-period", "0.03"]
+        assert main(argv) == 0
+        audit = json.loads(capsys.readouterr().out)["audit"]
+        assert audit["epochs_published"] >= 1
+        assert audit["wrong_bytes"] == 0
+        assert audit["decoded_correct"] + audit["typed_refusals"] == 40
+
+    @pytest.mark.parametrize("tier", ["batchpir", "kvpir", "hintpir"])
+    def test_loadtest_cluster_refuses_hostless_cells(self, tier, capsys):
+        assert main(["loadtest", "--mode", "cluster", "--serving", tier]) == 2
+        err = capsys.readouterr().err
+        assert f"no host for --serving {tier} in --mode cluster" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loadtest", "--mode", "real", "--serving", "hintpir",
+             "--publish-period", "0"],
+            ["loadtest", "--health-out", "unused", "--health-interval", "0"],
+            ["loadtest", "--mode", "real", "--serving", "hintpir",
+             "--publish-period", "0.05", "--publish-churn", "2.0"],
+            ["hintpir", "--churn", "2"],
+        ],
+    )
+    def test_bad_periods_and_fractions_exit_2(self, argv, capsys):
+        """A zero period used to spin its timer task forever and a churn
+        above 1 died in ``Generator.choice``; both are parse errors now."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"error: argument {argv[-2]}: must be" in capsys.readouterr().err
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

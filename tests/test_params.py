@@ -120,10 +120,6 @@ class TestPresets:
         assert params.gadget_len == 5
         assert 2**16 <= params.num_db_polys <= 2**24
 
-    def test_paper_for_db_bytes(self):
-        params = PirParams.paper_for_db_bytes(2 << 30)
-        assert params.num_db_polys * params.plain_poly_bytes == 2 << 30
-
     def test_functional_uses_odd_prime(self):
         params = PirParams.functional()
         assert params.plain_modulus % 2 == 1

@@ -1,27 +1,39 @@
-"""Nothing uncalled: every ``he``/``pir`` definition has a ``src/`` reference.
+"""Nothing uncalled: every functional-stack definition has a ``src/`` reference.
 
-Every function, class and public method defined under ``src/repro/he``
-and ``src/repro/pir`` must be named somewhere in ``src/repro`` outside
-its own body — ``__init__`` re-exports do not count — or appear in
-``ALLOWED`` with the reason it stays.  The match is by name (an
-``ast.Name``, an attribute access or a ``from`` import), so a method is
-"called" when anything in ``src/`` accesses an attribute of that name:
-coarse, stdlib-only, and enough to catch a layer that nothing reaches.
+Every function (``def`` and ``async def``), class, public method and
+module-level name binding defined in the functional stack — ``he``,
+``pir``, ``hashing``, the four tiers, ``mutate``, ``serve``,
+``cluster``, ``obs``, ``params.py``, ``errors.py`` — must be named
+somewhere in ``src/repro`` outside its own body — ``__init__``
+re-exports do not count — or appear in ``ALLOWED`` with the reason it
+stays.  The match is by name (an ``ast.Name``, an attribute access or a
+``from`` import), so a method is "called" when anything in ``src/``
+accesses an attribute of that name: coarse, stdlib-only, and enough to
+catch a layer that nothing reaches.  The model stack (``arch``,
+``sched``, ``systems``, ``analysis``, ``baselines``) is out of scope:
+what calls a model is a paper figure, and ROADMAP's "Hold the model to
+the code" item decides that surface.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-SCOPES = ("he", "pir")
+SCOPES = (
+    "he", "pir", "hashing", "batchpir", "kvpir", "hintpir", "mutate",
+    "serve", "cluster", "obs", "params.py", "errors.py",
+)
 
 _ORACLE = "per-poly oracle surface the stacked kernels are compared against in "
 _E2E = "pinned by the frozen benchmarks/e2e (e2e_layers.py)"
+_BINDING = (
+    "name binding of RealCryptoBackend the frozen benchmarks/e2e "
+    "(e2e_workloads.py) imports; goes with Benchmark v2 (b)"
+)
 _MODSWITCH = (
     "response compression, off every serving path; its adopt-or-delete "
     "call belongs to the online_bytes_per_rec perf item (ROADMAP)"
 )
-_OWN_TEST = "no src/ caller; exercised by its own unit test in "
 
 #: ``module.Class.method`` -> why it stays without a ``src/`` caller.
 ALLOWED = {
@@ -44,13 +56,21 @@ ALLOWED = {
     "is checked against in tests/he/test_ntt.py, test_poly.py, test_bfv.py",
     "he.bfv.BfvContext.noise_budget_bits": "noise check of tests/he/test_noise.py, "
     "tests/pir/test_paper_scale.py, test_failure_injection.py, tests/batchpir/test_padding.py",
-    # -- called by the import system ---------------------------------------
+    # -- called by the import system or the event loop ---------------------
     "he.backend.__getattr__": "PEP 562 module hook behind the lazy "
     "``DEFAULT_BACKEND`` attribute; tests/he, tests/pir import that name",
+    "serve.workers._InstantSelector.select": "called by asyncio's selector "
+    "event loop on every idle wait; this override is the virtual clock",
     # -- pinned by the frozen benchmark ------------------------------------
     "he.backend.ComputeBackend.rowsel": _E2E,
     "he.batched.BfvCiphertextVec.from_cts": _E2E,
     "he.rgsw.rgsw_encrypt": _E2E + "; also tests/he/test_gadget_rgsw.py",
+    "kvpir.client.KvPlan.num_slots_probed": _E2E + "; benchmarks/bench_kvpir.py",
+    "params.PirParams.functional": "the paper-shaped N = 2^12 ring of the "
+    "frozen benchmarks/e2e (plain_n4096_direct), benchmarks/bench_hotpath.py "
+    "and the tests/pir paper-scale and parity tests",
+    "kvpir.serving.KvCryptoBackend": _BINDING,
+    "hintpir.serving.HintCryptoBackend": _BINDING,
     # -- out of scope for the kernel consolidation -------------------------
     "pir.protocol.PirProtocol.retrieve_compressed": _MODSWITCH,
     "he.modswitch.ModulusSwitcher.compression_ratio": _MODSWITCH,
@@ -70,40 +90,50 @@ ALLOWED = {
     "claim is measured against in tests/pir/test_naive.py",
     "pir.database.PirDatabase.raw_bytes": "printed by examples/quickstart.py; "
     "tests/pir/test_layout_database.py",
-    # -- tested leaves: deleting them deletes their tests; left to the
-    # -- repo-wide orphan sweep on the ROADMAP ------------------------------
-    "he.modmath.centered": _OWN_TEST + "tests/he/test_modmath_rns.py",
     "he.modmath.find_ntt_primes": "builds the off-preset (30/31-bit) rings of "
     "tests/he/test_batched.py, test_plan_parity.py, test_modmath_rns.py",
-    "he.rns.RnsBasis.from_rns_centered": _OWN_TEST + "tests/he/test_modmath_rns.py",
-    "he.rns.RnsBasis.to_rns_int64": _OWN_TEST + "tests/he/test_modmath_rns.py",
-    "he.noise.decryptable": _OWN_TEST + "tests/he/test_noise.py",
-    "he.noise.tightness_bits": _OWN_TEST + "tests/he/test_noise.py",
-    "pir.layout.RecordLayout.pack_poly": _OWN_TEST + "tests/pir/test_layout_database.py",
-    "pir.layout.RecordLayout.record_to_plane_chunks": _OWN_TEST
-    + "tests/pir/test_layout_database.py",
-    "pir.simplepir.db_matrix_shape": _OWN_TEST + "tests/pir/test_simplepir.py",
+    "obs.profile.profiled": "scoped-profiler context manager of "
+    "benchmarks/bench_hotpath.py, tests/pir/test_hotpath_equiv.py and "
+    "tests/obs/test_profile.py",
 }
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope_files():
+    for scope in SCOPES:
+        path = SRC / scope
+        for file in [path] if path.is_file() else sorted(path.rglob("*.py")):
+            if file.name != "__init__.py":
+                yield file
 
 
 def _definitions():
     """``(qualified name, bare name, file, first line, last line)`` in scope."""
-    for scope in SCOPES:
-        for path in sorted((SRC / scope).rglob("*.py")):
-            if path.name == "__init__.py":
-                continue
-            module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-            tree = ast.parse(path.read_text())
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    yield f"{module}.{node.name}", node.name, path, node.lineno, node.end_lineno
-                if isinstance(node, ast.ClassDef):
-                    for item in node.body:
-                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                            yield (
-                                f"{module}.{node.name}.{item.name}", item.name,
-                                path, item.lineno, item.end_lineno,
-                            )
+    for path in _scope_files():
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+                yield f"{module}.{node.name}", node.name, path, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
+                        yield (
+                            f"{module}.{node.name}.{item.name}", item.name,
+                            path, item.lineno, item.end_lineno,
+                        )
+            # Module-level bindings (constants, aliases); dunders are the
+            # import system's (``__all__``).
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            )
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield (
+                        f"{module}.{target.id}", target.id,
+                        path, node.lineno, node.end_lineno,
+                    )
 
 
 def _references():
@@ -138,10 +168,10 @@ def _unreferenced() -> set[str]:
     }
 
 
-def test_every_he_and_pir_definition_has_a_src_caller():
+def test_every_functional_stack_definition_has_a_src_caller():
     orphans = _unreferenced() - set(ALLOWED)
     assert not orphans, (
-        "defined under src/repro/he or src/repro/pir but never referenced "
+        f"defined under src/repro/{{{','.join(SCOPES)}}} but never referenced "
         f"from src/repro: {sorted(orphans)} — delete them, or allowlist "
         "each with its reason"
     )
@@ -151,3 +181,11 @@ def test_the_allowlist_is_current_and_reasoned():
     stale = set(ALLOWED) - _unreferenced()
     assert not stale, f"allowlisted but referenced from src/ (or gone): {sorted(stale)}"
     assert all(len(reason) > 20 for reason in ALLOWED.values())
+
+
+def test_the_gate_sees_async_defs_and_every_scope():
+    names = {qualified for qualified, *_ in _definitions()}
+    assert "serve.loadgen.run_open_loop" in names  # an ``async def``
+    assert "cluster.coordinator.ClusterCoordinator.aclose" in names
+    assert "params.PirParams.small" in names and "errors.ReproError" in names
+    assert not any("Registry" in entry or entry.startswith("mutate.") for entry in ALLOWED)
