@@ -201,7 +201,7 @@ class BatchDatabase:
     def preprocess(
         self, ring: RingContext, backend: str | ComputeBackend | None = None
     ) -> tuple[np.ndarray, list[PreprocessedDatabase]]:
-        """CRT + NTT every bucket into one stacked tensor.
+        """CRT + NTT every bucket into one stacked uint32 store.
 
         Returns the ``(buckets, planes, polys, rns, n)`` tensor and one
         :class:`PreprocessedDatabase` per bucket that is a *view* of it
@@ -219,15 +219,16 @@ class BatchDatabase:
         resolved = resolve_backend(backend)
         tensor = np.empty(
             (len(self.bucket_dbs),) + shape[:2] + (ring.rns_count, ring.n),
-            dtype=np.int64,
+            dtype=np.uint32,
         )
-        # Buckets go through the transform a scratch budget's worth at a
-        # time: the only large allocation is the result itself.
-        step = max(1, BLOCK_BYTES // tensor[0].nbytes)
+        # Buckets go through the transform a scratch budget's worth of
+        # int64 at a time, narrowed into the uint32 store as they land:
+        # the only large allocation is the store itself.
+        step = max(1, BLOCK_BYTES // (8 * tensor[0].size))
         for lo in range(0, len(self.bucket_dbs), step):
             coeffs = np.stack([db.planes for db in self.bucket_dbs[lo:lo + step]])
             tensor[lo:lo + step] = resolved.ntt_forward(ring, coeffs[..., None, :])
         return tensor, [
-            PreprocessedDatabase.from_tensor(db.layout, ring, tensor[bucket])
+            PreprocessedDatabase(db.layout, ring, tensor[bucket])
             for bucket, db in enumerate(self.bucket_dbs)
         ]

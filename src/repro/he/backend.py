@@ -62,8 +62,10 @@ Three backends are registered:
   names compiled: forward/inverse NTT as Harvey lazy butterflies over
   the ``NttContext`` twiddle tables themselves (slot order identical by
   construction), the broadcast-RNS digit/error/plaintext transform,
-  limb-iCRT decomposition at any base up to 2^32, and the key-switch
-  inner product — portable C99 in ``native_kernels.c``, built on first
+  limb-iCRT decomposition at any base up to 2^32, the key-switch
+  inner product, the one-pass RowSel contraction over the uint32
+  database store, the expansion-level butterfly and the modular
+  add/subtract — portable C99 in ``native_kernels.c``, built on first
   use by the system C compiler and loaded with ``ctypes``
   (:mod:`repro.he.native`).  One bound, ``4q < 2^32``, raised in
   :class:`~repro.he.native.NativeRing`'s constructor.  It is the default
@@ -71,7 +73,7 @@ Three backends are registered:
   (``he_native_unavailable``, once per process) ``planned`` is, and a
   ring or gadget outside the kernels' bounds runs the planned
   primitives (``he_native_none``).  Pipeline ops, the slot-gather
-  automorphism, the RowSel contraction and the dense GEMM are inherited.
+  automorphism and the dense GEMM are inherited.
 
 All backend arithmetic is exact modular arithmetic, so every backend is
 byte-identical; ``tests/pir/test_backend_parity.py`` asserts this across
@@ -152,21 +154,22 @@ def overflow_safe_chunk(modulus: int) -> int:
 
 def _chunked_einsum(
     script: str, lhs: np.ndarray, rhs: np.ndarray, chunk: int,
-    moduli_col: np.ndarray, out: np.ndarray | None = None,
+    moduli_col: np.ndarray, out: np.ndarray | None = None, rhs_axis: int = 1,
 ) -> np.ndarray:
     """``einsum(script)`` mod q, its contraction axis walked in safe chunks.
 
-    The contraction axis is axis 2 of ``lhs`` and axis 1 of ``rhs`` (both
-    carry a leading group/query axis).  The first chunk lands straight
-    in the result (``out`` when given), so a contraction one chunk
-    covers — every call at the shipped parameters — pays no zero
-    accumulator, no extra add pass and no second allocation.
+    The contraction axis is axis 2 of ``lhs`` and axis ``rhs_axis`` of
+    ``rhs``.  The first chunk lands straight in the result (``out`` when
+    given), so a contraction one chunk covers — every call at the
+    shipped parameters — pays no zero accumulator, no extra add pass
+    and no second allocation.
     """
+    lead = (slice(None),) * rhs_axis
     acc = None
     for start in range(0, max(lhs.shape[2], 1), chunk):
         stop = start + chunk
         part = np.einsum(
-            script, lhs[:, :, start:stop], rhs[:, start:stop],
+            script, lhs[:, :, start:stop], rhs[lead + (slice(start, stop),)],
             out=out if acc is None else None,
         )
         if acc is None:
@@ -385,12 +388,34 @@ class ComputeBackend:
         self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """RowSel GEMM with a query axis.
+        """RowSel GEMM with a ciphertext-half and a query axis.
 
-        ``(queries or 1, cols, rows, rns, n) x (queries, rows, rns, n)
-        -> (queries, cols, rns, n)``: a leading ``db`` axis of one is a
-        plane every query shares.
+        ``(queries or 1, cols, rows, rns, n) x (halves, queries, rows,
+        rns, n) -> (halves, queries, cols, rns, n)``: a leading ``db``
+        axis of one is a plane every query shares.  ``db`` is the
+        database store (uint32 residues), every half contracts against
+        the same read of it.
         """
+        raise NotImplementedError
+
+    def expand_butterfly(
+        self, ctx: RingContext, vec: np.ndarray, swapped: np.ndarray, step: int
+    ) -> np.ndarray:
+        """One ExpandQuery level after its Subs (Fig. 2-(1)).
+
+        ``vec`` and ``swapped = Subs(vec)`` are ``(2, Q, step, rns, n)``
+        NTT-form tensors; returns ``(2, Q, 2 * step, rns, n)`` holding,
+        per query, ``vec + swapped`` then ``(vec - swapped) * X^-step``
+        mod q.
+        """
+        raise NotImplementedError
+
+    def modular_add(
+        self, a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None, subtract: bool = False,
+    ) -> np.ndarray:
+        """``a + b`` (``a - b`` when ``subtract``) mod q over canonical
+        ``(..., rns, n)`` residues of one shape; ``out`` may be ``a``."""
         raise NotImplementedError
 
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -455,10 +480,7 @@ class ComputeBackend:
             out = self.key_switch(
                 gadget, a_aut[None, None], evk.rows[:, None]
             )[:, 0]
-            out_b = out[1]
-            out_b += b_aut
-            out_b -= moduli_col
-            modred(out_b, moduli_col)
+            self.modular_add(out[1], b_aut, moduli_col, out=out[1])
             return out
 
     def external_product_stacked(
@@ -489,10 +511,11 @@ class ComputeBackend:
         ``[q * 2^levels, (q + 1) * 2^levels)``.  Every level is one
         Subs over all live ciphertexts of all queries (they share the
         evaluation key), one add/subtract pair and one monomial
-        multiply, written straight into the next level's tensor.
+        multiply (one ``expand_butterfly``), written straight into the
+        next level's tensor.
         """
         ctx = gadget.ctx
-        n, moduli_col = ctx.n, ctx._moduli_col
+        n = ctx.n
         if (1 << levels) > n:
             raise ParameterError(
                 f"cannot expand {levels} levels in a degree-{n} ring"
@@ -509,18 +532,9 @@ class ComputeBackend:
                 step = 1 << a
                 shape = (2, queries, step) + poly
                 swapped = self.substitute_stacked(vec, evks[r], gadget)
-                swapped = swapped.reshape(shape)
-                vec = vec.reshape(shape)
-                grown = np.empty((2, queries, 2 * step) + poly, dtype=np.int64)
-                even, odd = grown[:, :, :step], grown[:, :, step:]
-                np.add(vec, swapped, out=even)
-                even -= moduli_col
-                modred(even, moduli_col)
-                np.subtract(vec, swapped, out=odd)
-                modred(odd, moduli_col)
-                odd *= ctx.monomial_ntt(-step)
-                odd %= moduli_col
-                vec = grown.reshape((2, -1) + poly)
+                vec = self.expand_butterfly(
+                    ctx, vec.reshape(shape), swapped.reshape(shape), step
+                ).reshape((2, -1) + poly)
             return vec
 
     def rowsel_window(
@@ -530,8 +544,9 @@ class ComputeBackend:
 
         ``expanded`` is ``(2, Q * d0, rns, n)`` and ``planes`` ``(Q or 1,
         cols, d0, rns, n)`` (one plane per query, or one they share);
-        returns ``(2, Q * cols, rns, n)``.  One contraction per
-        ciphertext half.
+        returns ``(2, Q * cols, rns, n)``.  One contraction feeds both
+        ciphertext halves from a single read of the planes, which is
+        what the stage's byte count reports.
         """
         cols, d0 = planes.shape[1:3]
         poly = expanded.shape[2:]
@@ -543,13 +558,12 @@ class ComputeBackend:
                 f"{expanded.shape[1]} for {planes.shape[0]} plane tensor(s)"
             )
         queries = expanded.shape[1] // d0
-        out = np.empty((2, queries, cols) + poly, dtype=np.int64)
-        with kernel_stage(self._label("rowsel"), 2 * planes.nbytes):
-            for half in (0, 1):
-                self.rowsel_gemm(
-                    planes, expanded[half].reshape((queries, d0) + poly),
-                    moduli_col, out=out[half],
-                )
+        with kernel_stage(
+            self._label("rowsel"), planes.nbytes + expanded.nbytes
+        ):
+            out = self.rowsel_gemm(
+                planes, expanded.reshape((2, queries, d0) + poly), moduli_col
+            )
         return out.reshape((2, -1) + poly)
 
     @staticmethod
@@ -594,11 +608,11 @@ class ComputeBackend:
                 rows = np.stack(round_bits, axis=1)
                 zeros, ones = current[:, :, 0::2], current[:, :, 1::2]
                 current = self.external_product_stacked(
-                    rows, modred(ones - zeros, moduli_col), gadget
+                    rows,
+                    self.modular_add(ones, zeros, moduli_col, subtract=True),
+                    gadget,
                 )
-                current += zeros
-                current -= moduli_col
-                modred(current, moduli_col)
+                self.modular_add(current, zeros, moduli_col, out=current)
             return current[:, :, 0]
 
     # -- pipeline ops: single-query signatures ----------------------------
@@ -826,24 +840,72 @@ class EagerBackend(ComputeBackend):
         self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Lazy-reduction int64 contraction over the row axis.
+        """Lazy-reduction int64 contraction over the row axis, tile by tile.
 
-        Residues are < 2^28, so int64 holds hundreds of accumulated
-        products before a ``% q`` is required; accumulation is chunked at
-        the overflow-safe length.
+        The store is narrower than int64, so the plane is widened one
+        tile of its flattened ``(rns, n)`` axis at a time — at most
+        ``BLOCK_BYTES`` of int64, never the whole operand — and each tile
+        contracts against every half of the query.  Residues are < 2^28,
+        so int64 holds hundreds of accumulated products before a ``% q``
+        is required; accumulation is chunked at the overflow-safe length.
         """
         if (
-            db.ndim != 5 or query.ndim != 4 or db.shape[2:] != query.shape[1:]
-            or db.shape[0] not in (1, query.shape[0])
+            db.ndim != 5 or query.ndim != 5 or db.shape[2:] != query.shape[2:]
+            or db.shape[0] not in (1, query.shape[1])
         ):
             raise ParameterError(
                 f"GEMM shape mismatch: db {db.shape} vs query {query.shape}"
             )
+        halves, queries, rows, rns, n = query.shape
+        cols = db.shape[1]
+        shape = (halves, queries, cols, rns, n)
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        # Flat (rns * n) views; the (rns, n) blocks are contiguous in
+        # every store, so none of these copies.
+        flat_db = db.reshape(db.shape[:3] + (-1,))
+        flat_query = query.reshape(query.shape[:3] + (-1,))
+        flat_out = out.reshape(shape[:3] + (-1,), copy=False)
+        moduli = np.repeat(np.ravel(moduli_col), n)
         chunk = overflow_safe_chunk(int(moduli_col.max()))
+        tile = max(1, BLOCK_BYTES // (8 * flat_db[..., 0].size))
         with kernel_stage(self._label("gemm"), db.nbytes + query.nbytes):
-            return _chunked_einsum(
-                "qcrmn,qrmn->qcmn", db, query, chunk, moduli_col, out
-            )
+            for lo in range(0, rns * n, tile):
+                cut = slice(lo, lo + tile)
+                _chunked_einsum(
+                    "qcrp,hqrp->hqcp", flat_db[..., cut].astype(np.int64),
+                    flat_query[..., cut], chunk, moduli[cut],
+                    out=flat_out[..., cut], rhs_axis=2,
+                )
+        return out
+
+    def expand_butterfly(
+        self, ctx: RingContext, vec: np.ndarray, swapped: np.ndarray, step: int
+    ) -> np.ndarray:
+        moduli_col = ctx._moduli_col
+        grown = np.empty(
+            vec.shape[:2] + (2 * step,) + vec.shape[3:], dtype=np.int64
+        )
+        even, odd = grown[:, :, :step], grown[:, :, step:]
+        np.add(vec, swapped, out=even)
+        even -= moduli_col
+        modred(even, moduli_col)
+        np.subtract(vec, swapped, out=odd)
+        modred(odd, moduli_col)
+        odd *= ctx.monomial_ntt(-step)
+        odd %= moduli_col
+        return grown
+
+    def modular_add(
+        self, a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None, subtract: bool = False,
+    ) -> np.ndarray:
+        if subtract:
+            out = np.subtract(a, b, out=out)
+        else:
+            out = np.add(a, b, out=out)
+            out -= moduli_col
+        return modred(out, moduli_col)
 
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         return modular_gemm(a, b, q)
@@ -1337,11 +1399,13 @@ class NativeBackend(PlannedBackend):
     """The planned backend with its hottest primitives compiled.
 
     Forward/inverse NTT (broadcast RNS axis included), gadget
-    decomposition and the key-switch inner product run the C99 kernels
-    of :mod:`repro.he.native` — lazy butterflies over the same twiddle
-    tables, so every slot is where the eager transforms put it.  Every
-    pipeline op, the slot-gather automorphism, the RowSel contraction
-    and the dense GEMM are inherited.  Nothing here builds a
+    decomposition, the key-switch inner product, the RowSel contraction
+    over the uint32 store (each DB word read once for both ciphertext
+    halves), the expansion butterfly and the modular add/subtract run
+    the C99 kernels of :mod:`repro.he.native` — lazy butterflies over
+    the same twiddle tables, so every slot is where the eager transforms
+    put it.  Every pipeline op, the slot-gather automorphism and the
+    dense GEMM are inherited.  Nothing here builds a
     :class:`_GemmNttPlan` for a ring the kernels cover.
 
     What the kernels do not cover runs the planned primitives, exactly
@@ -1409,25 +1473,67 @@ class NativeBackend(PlannedBackend):
             )
         return digits
 
+    @staticmethod
+    def _consts(moduli_col: np.ndarray) -> np.ndarray | None:
+        """The kernels' modulus table for ``moduli_col``, or None (counted)
+        when there is no library or a modulus is outside ``4q < 2^32``."""
+        if native.load_library() is None:
+            return None
+        try:
+            return native.modulus_consts(tuple(int(q) for q in np.ravel(moduli_col)))
+        except ParameterError:
+            count("he_native_none")
+            return None
+
     def inner(
         self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """The compiled contraction for ``[0, 2q)`` digits against
         canonical rows; anything wider is the planned backend's to size."""
-        lib = native.load_library()
-        if lib is not None:
-            try:
-                consts = native.modulus_consts(
-                    tuple(int(q) for q in np.ravel(moduli_col))
-                )
-            except ParameterError:
-                count("he_native_none")
-            else:
-                result = native.inner(lib, consts, digits, rows, out)
-                if result is not None:
-                    return result
+        consts = self._consts(moduli_col)
+        if consts is not None:
+            result = native.inner(native.load_library(), consts, digits, rows, out)
+            if result is not None:
+                return result
         return super().inner(digits, rows, moduli_col, out)
+
+    def rowsel_gemm(
+        self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The compiled one-pass contraction over the uint32 store; any
+        other store dtype, or more than two halves, is the eager one's."""
+        consts = self._consts(moduli_col)
+        if consts is not None and db.dtype == np.uint32 and query.shape[0] <= 2:
+            with kernel_stage(self._label("gemm"), db.nbytes + query.nbytes):
+                result = native.rowsel_gemm(native.load_library(), consts, db, query, out)
+            if result is not None:
+                return result
+        return super().rowsel_gemm(db, query, moduli_col, out)
+
+    def expand_butterfly(
+        self, ctx: RingContext, vec: np.ndarray, swapped: np.ndarray, step: int
+    ) -> np.ndarray:
+        ring = self._ring(ctx)
+        if ring is not None:
+            grown = ring.butterfly(vec, swapped, step, ctx.monomial_ntt(-step))
+            if grown is not None:
+                return grown
+        return super().expand_butterfly(ctx, vec, swapped, step)
+
+    def modular_add(
+        self, a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
+        out: np.ndarray | None = None, subtract: bool = False,
+    ) -> np.ndarray:
+        consts = self._consts(moduli_col)
+        if consts is not None:
+            result = native.mod_add(
+                native.load_library(), consts, a, b, out, subtract
+            )
+            if result is not None:
+                return result
+        return super().modular_add(a, b, moduli_col, out, subtract)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """The compiled kernels behind the ``native`` compute backend.
 
-``native_kernels.c`` (next to this file) holds four portable-C99 kernels
-— lazy-butterfly forward/inverse NTT, limb-iCRT gadget decomposition and
-the key-switch inner product.  This module is everything foreign about
-them: it builds the shared library with the system C compiler on first
-use, loads it through :mod:`ctypes`, and wraps each kernel in a method
-that validates shapes, dtypes and strides before a pointer crosses over.
-:class:`~repro.he.backend.NativeBackend` is the only caller.
+``native_kernels.c`` (next to this file) holds the portable-C99 kernels:
+lazy-butterfly forward/inverse NTT, limb-iCRT gadget decomposition and
+the key-switch inner product, plus the three passes around the key
+switch — the RowSel contraction that reads each word of the uint32
+database store once for both ciphertext halves, one ExpandQuery level's
+butterfly, and the modular add/subtract.  This module is everything
+foreign about them: it builds the shared library with the system C
+compiler on first use, loads it through :mod:`ctypes`, and wraps each
+kernel in a function that validates shapes, dtypes and strides before a
+pointer crosses over.  :class:`~repro.he.backend.NativeBackend` is the
+only caller.
 
 **Build and cache.**  :func:`load_library` compiles with fixed portable
 flags (``-O3``, no ``-march``; at ``-O2`` gcc leaves the butterflies
@@ -54,12 +58,14 @@ _SOURCE = Path(__file__).with_name("native_kernels.c")
 _FLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
 
-#: Mirrors of the C file's ``consts`` row layout and ``MAX_RNS``.
+#: Mirrors of the C file's ``consts`` row layout, ``MAX_RNS`` and
+#: ``ROWSEL_TILE``.
 (
     _C_Q, _C_ONE_S, _C_R32, _C_R32_S, _C_NINV, _C_NINV_S, _C_WNINV,
     _C_WNINV_S, _C_QHATINV, _C_QHATINV_S, _C_BITS, _CONSTS,
 ) = range(12)
 _MAX_RNS = 4
+_ROWSEL_TILE = 1024
 
 _log = logging.getLogger(__name__)
 
@@ -76,6 +82,18 @@ _SIGNATURES = {
     "ive_inner": (ctypes.c_int, [
         _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _PTR,
         ctypes.c_uint, ctypes.c_uint, _SIZE,
+    ]),
+    "ive_rowsel": (ctypes.c_int, [
+        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
+        _STRIDE, _STRIDE, _STRIDE, _STRIDE, _PTR, ctypes.c_uint,
+        ctypes.c_uint, _SIZE, _PTR,
+    ]),
+    "ive_butterfly": (ctypes.c_int, [
+        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR,
+    ]),
+    "ive_mod_add": (ctypes.c_int, [
+        _PTR, _STRIDE, _PTR, _STRIDE, _PTR, _STRIDE, _SIZE, _SIZE, _SIZE,
+        _PTR, ctypes.c_int,
     ]),
 }
 
@@ -179,9 +197,42 @@ def _address(array: np.ndarray) -> int:
 
 def _strided(array: np.ndarray) -> np.ndarray:
     """``array`` with a contiguous last axis and whole-element strides."""
-    if array.strides[-1] != 8 or any(s % 8 for s in array.strides):
+    size = array.itemsize
+    if array.strides[-1] != size or any(s % size for s in array.strides):
         return np.ascontiguousarray(array)
     return array
+
+
+def _blocks(array: np.ndarray, poly: tuple[int, int]) -> np.ndarray:
+    """``(..., rns, n)`` int64 as ``(rows, rns, n)`` with each ``(rns, n)``
+    block contiguous, a view wherever the leading axes merge."""
+    rows = np.asarray(array, dtype=np.int64).reshape((-1,) + poly)
+    if rows.strides[1:] != (8 * poly[1], 8) or rows.strides[0] % 8:
+        return np.ascontiguousarray(rows)
+    return rows
+
+
+def _chunk(qmax: int, left_bits: int, right_bits: int) -> int:
+    """How many products of a ``left_bits``- and a ``right_bits``-bit
+    operand a uint64 sums with one residue below ``qmax`` riding along."""
+    return ((1 << 64) - qmax) // (((1 << left_bits) - 1) * ((1 << right_bits) - 1))
+
+
+def _dense_out(out: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """``out`` when the kernel can write it directly, else a fresh buffer."""
+    if out is not None and out.shape != shape:
+        raise ParameterError(f"out has shape {out.shape}, expected {shape}")
+    if out is not None and out.dtype == np.int64 and out.flags.c_contiguous:
+        return out
+    return np.empty(shape, dtype=np.int64)
+
+
+def _deliver(dense: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The kernel's result, copied into ``out`` when it wrote elsewhere."""
+    if out is None or dense is out:
+        return dense
+    out[...] = dense
+    return out
 
 
 class NativeRing:
@@ -209,7 +260,10 @@ class NativeRing:
             )
         self.consts = consts
         self._basis = ctx.basis
+        self._moduli_col = ctx._moduli_col
         self._gadgets: dict[tuple[int, int], tuple | None] = {}
+        #: ``(rns, 2, n)`` NTT-form monomials and their companions, by power.
+        self._monomials: dict[int, np.ndarray] = {}
 
     def _rows(self, residues: np.ndarray) -> tuple[np.ndarray, tuple, int, int]:
         """``(..., rns or 1, n)`` -> ``(rows, rns or 1, n)`` view, lead shape
@@ -295,6 +349,107 @@ class NativeRing:
         )
         return digits
 
+    def butterfly(
+        self, vec: np.ndarray, swapped: np.ndarray, step: int,
+        monomial: np.ndarray,
+    ) -> np.ndarray | None:
+        """One expansion level: ``(2, Q, step, rns, n)`` ``vec`` and its
+        substituted twin -> ``(2, Q, 2 * step, rns, n)``, each query's
+        ``vec + swapped`` then ``(vec - swapped) * monomial`` mod q.
+
+        ``monomial`` is the NTT-form ``X^-step`` (``(rns, n)``).  None —
+        the caller's path then runs — when an operand is not canonical.
+        """
+        if vec.shape != swapped.shape or vec.shape[2:] != (step, self.rns, self.n):
+            raise ParameterError(
+                f"expected two (2, Q, {step}, {self.rns}, {self.n}) tensors, "
+                f"got {vec.shape} and {swapped.shape}"
+            )
+        if step not in self._monomials:
+            self._monomials[step] = np.ascontiguousarray(np.stack(
+                [monomial, _shoup(monomial, self._moduli_col)], axis=1
+            ).astype(np.uint32))
+        vec = np.ascontiguousarray(vec, dtype=np.int64)
+        swapped = np.ascontiguousarray(swapped, dtype=np.int64)
+        out = np.empty(vec.shape[:2] + (2 * step,) + vec.shape[3:], dtype=np.int64)
+        if self.lib.ive_butterfly(
+            _address(out), _address(vec), _address(swapped),
+            vec.shape[0] * vec.shape[1], step, self.rns, self.n,
+            _address(self._monomials[step]), _address(self.consts),
+        ):
+            return None
+        return out
+
+
+def rowsel_gemm(
+    lib: ctypes.CDLL, consts: np.ndarray, db: np.ndarray, query: np.ndarray,
+    out: np.ndarray | None,
+) -> np.ndarray | None:
+    """``out[h, q, c] = sum_r db[q, c, r] * query[h, q, r]`` mod each modulus.
+
+    ``db`` is the uint32 store ``(Q or 1, cols, d0, rns, n)``, read in
+    place at its own strides (a per-query view of a bucket tensor
+    included); ``query`` is ``(halves, Q, d0, rns, n)`` with at most two
+    halves, all of them fed from one load of each DB word.  Returns None
+    — ``out`` then holds garbage — when an operand is wider than the
+    largest modulus.
+    """
+    if db.dtype != np.uint32:
+        raise ParameterError(f"expected a uint32 database store, got {db.dtype}")
+    query = np.ascontiguousarray(query, dtype=np.int64)
+    if query.ndim != 5 or db.ndim != 5 or query.shape[0] > 2:
+        raise ParameterError(
+            f"expected (Q or 1, cols, d0, rns, n) db and (halves <= 2, Q, d0, "
+            f"rns, n) query, got {db.shape} and {query.shape}"
+        )
+    halves, queries, rows, rns, n = query.shape
+    if (
+        db.shape[0] not in (1, queries) or db.shape[2:] != (rows, rns, n)
+        or rns != len(consts)
+    ):
+        raise ParameterError(
+            f"RowSel shape mismatch: db {db.shape} vs query {query.shape} over "
+            f"{len(consts)} moduli"
+        )
+    db = _strided(db)
+    steps = [s // 4 for s in db.strides[:4]]
+    if db.shape[0] == 1:
+        steps[0] = 0  # one plane every query shares
+    cols = db.shape[1]
+    dense = _dense_out(out, (halves, queries, cols, rns, n))
+    qmax = int(consts[:, _C_Q].max())
+    bits = (qmax - 1).bit_length()
+    work = np.empty(halves * rows * min(n, _ROWSEL_TILE), dtype=np.uint32)
+    if lib.ive_rowsel(
+        _address(dense), _address(db), _address(query), halves, queries,
+        cols, rows, rns, n, *steps, _address(consts), bits, bits,
+        _chunk(qmax, bits, bits), _address(work),
+    ):
+        return None
+    return _deliver(dense, out)
+
+
+def mod_add(
+    lib: ctypes.CDLL, consts: np.ndarray, a: np.ndarray, b: np.ndarray,
+    out: np.ndarray | None, subtract: bool,
+) -> np.ndarray | None:
+    """``a + b`` (or ``a - b``) mod each modulus over ``(..., rns, n)``
+    residues of one shape; ``out`` may be ``a`` or ``b``.  None — ``out``
+    then holds garbage — when an operand is not canonical."""
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-2] != len(consts):
+        raise ParameterError(
+            f"modular add of {a.shape} and {b.shape} over {len(consts)} moduli"
+        )
+    poly = a.shape[-2:]
+    dense = _dense_out(out, a.shape)
+    rows = [_blocks(x, poly) for x in (dense, a, b)]
+    if lib.ive_mod_add(
+        *(v for x in rows for v in (_address(x), x.strides[0] // 8)),
+        len(rows[0]), *poly, _address(consts), subtract,
+    ):
+        return None
+    return _deliver(dense, out)
+
 
 def inner(
     lib: ctypes.CDLL, consts: np.ndarray, digits: np.ndarray, rows: np.ndarray,
@@ -320,22 +475,13 @@ def inner(
             f"inner product shape mismatch: digits {digits.shape} vs rows "
             f"{rows.shape} over {len(consts)} moduli"
         )
-    shape = (groups, batch, rns, n)
-    if out is not None and out.shape != shape:
-        raise ParameterError(f"out has shape {out.shape}, expected {shape}")
-    dense = out if (
-        out is not None and out.dtype == np.int64 and out.flags.c_contiguous
-    ) else np.empty(shape, dtype=np.int64)
+    dense = _dense_out(out, (groups, batch, rns, n))
     qmax = int(consts[:, _C_Q].max())
     digit_bits, key_bits = (2 * qmax - 1).bit_length(), (qmax - 1).bit_length()
-    chunk = ((1 << 64) - qmax) // (((1 << digit_bits) - 1) * ((1 << key_bits) - 1))
     if lib.ive_inner(
         _address(dense), _address(digits), _address(rows), groups, batch, k,
-        rns, n, _address(consts), digit_bits, key_bits, chunk,
+        rns, n, _address(consts), digit_bits, key_bits,
+        _chunk(qmax, digit_bits, key_bits),
     ):
         return None
-    if out is None:
-        return dense
-    if dense is not out:
-        out[...] = dense
-    return out
+    return _deliver(dense, out)

@@ -1,10 +1,17 @@
 /*
  * Kernels of the `native` compute backend (repro.he.native loads this file).
  *
+ * Six entry points: the forward/inverse NTT, gadget decomposition and the
+ * key-switch inner product the key switch is made of, and the three passes
+ * around it -- the RowSel contraction over the uint32 database store, one
+ * ExpandQuery level's butterfly, and the modular add/subtract of Subs and
+ * ColTor.
+ *
  * Portable C99: no intrinsics, no threads, no allocation, no globals.  Every
- * tensor is the repo's (..., rns, n) int64 layout with the coefficient axis
- * contiguous; outer axes come with explicit element strides, so views and a
- * broadcast RNS axis (stride 0) are transformed where they lie.
+ * tensor is the repo's (..., rns, n) layout with the coefficient axis
+ * contiguous -- int64 everywhere but the database, which is uint32; outer axes
+ * come with explicit element strides where a caller hands views, so views and
+ * a broadcast RNS axis (stride 0) are read where they lie.
  *
  * One exactness bound carries every kernel: 4q < 2^32 for each modulus q
  * (repro.he.native.NativeRing raises ParameterError otherwise).  Residues then
@@ -319,4 +326,155 @@ int ive_inner(i64 *restrict out, const i64 *restrict digits,
             o[j] = (i64)acc[j];
     }
     return (seen_digits >> digit_bits) != 0 || (seen_keys >> key_bits) != 0;
+}
+
+/* Coefficients per tile of ive_rowsel: the tile's query words (both halves,
+ * every row: 2 * rows * ROWSEL_TILE uint32) stay in L2 across the columns. */
+#define ROWSEL_TILE 1024
+
+/*
+ * RowSel out[h, q, c] = sum_r db[q, c, r] * query[h, q, r] mod q_m (Eq. 1).
+ *
+ * db is the uint32 store, (queries or 1, cols, rows, rns, n) by element
+ * strides db_q (0: one plane every query shares), db_c, db_r and db_m, the
+ * coefficient axis contiguous; query is dense (halves, queries, rows, rns, n),
+ * out dense (halves, queries, cols, rns, n), halves <= 2.  Per coefficient
+ * tile the query is first packed into `work` (halves * rows * ROWSEL_TILE
+ * words), so the MAC loop is a 32 x 32 -> 64-bit product of two word arrays;
+ * then each DB word is loaded once and feeds every half's accumulator.
+ * Operands must be below 2^db_bits and 2^query_bits: `chunk` products of that
+ * size plus one residue fit a uint64, and the sums are reduced every `chunk`
+ * rows.  Returns nonzero, with `out` unspecified, when an operand was out of
+ * range.
+ */
+int ive_rowsel(i64 *restrict out, const u32 *restrict db,
+               const i64 *restrict query, size_t halves, size_t queries,
+               size_t cols, size_t rows, size_t rns, size_t n, ptrdiff_t db_q,
+               ptrdiff_t db_c, ptrdiff_t db_r, ptrdiff_t db_m,
+               const u32 *consts, unsigned db_bits, unsigned query_bits,
+               size_t chunk, u32 *restrict work)
+{
+    u64 seen_query = 0;
+    u32 seen_db = 0;
+    size_t poly = rns * n;
+    for (size_t qi = 0; qi < queries; qi++)
+    for (size_t m = 0; m < rns; m++)
+    for (size_t j0 = 0; j0 < n; j0 += ROWSEL_TILE) {
+        const u32 *c = consts + m * CONSTS;
+        size_t len = n - j0 < ROWSEL_TILE ? n - j0 : ROWSEL_TILE;
+        for (size_t h = 0; h < halves; h++)
+            for (size_t r = 0; r < rows; r++) {
+                const i64 *y = query + ((h * queries + qi) * rows + r) * poly
+                    + m * n + j0;
+                u32 *w = work + (h * rows + r) * len;
+                for (size_t j = 0; j < len; j++) {
+                    seen_query |= (u64)y[j];
+                    w[j] = (u32)y[j];
+                }
+            }
+        for (size_t col = 0; col < cols; col++) {
+            const u32 *x0 = db + (ptrdiff_t)qi * db_q + (ptrdiff_t)col * db_c
+                + (ptrdiff_t)m * db_m + (ptrdiff_t)j0;
+            u64 acc[2][ROWSEL_TILE] = {{0}};
+            for (size_t lo = 0; lo < rows; lo += chunk) {
+                size_t hi = lo + chunk < rows ? lo + chunk : rows;
+                for (size_t r = lo; r < hi; r++) {
+                    const u32 *x = x0 + (ptrdiff_t)r * db_r;
+                    for (size_t j = 0; j < len; j++)
+                        seen_db |= x[j];
+                    for (size_t h = 0; h < halves; h++) {
+                        const u32 *y = work + (h * rows + r) * len;
+                        u64 *a = acc[h];
+                        for (size_t j = 0; j < len; j++)
+                            a[j] += (u64)x[j] * y[j];
+                    }
+                }
+                for (size_t h = 0; h < halves; h++)
+                    for (size_t j = 0; j < len; j++)
+                        acc[h][j] = reduce64(acc[h][j], c);
+            }
+            for (size_t h = 0; h < halves; h++) {
+                i64 *o = out + ((h * queries + qi) * cols + col) * poly
+                    + m * n + j0;
+                for (size_t j = 0; j < len; j++)
+                    o[j] = (i64)acc[h][j];
+            }
+        }
+    }
+    return (seen_db >> db_bits) != 0 || (seen_query >> query_bits) != 0;
+}
+
+/*
+ * One ExpandQuery level over `groups` runs of `step` ciphertext polynomials:
+ * even = v + s and odd = (v - s) * X^-step, mod q, for v = vec and s its
+ * substituted twin (Fig. 2-(1)).  vec and swapped are dense
+ * (groups, step, rns, n), out dense (groups, 2 * step, rns, n) with a group's
+ * evens before its odds.  mono is (rns, 2, n): X^-step in NTT form and its
+ * Shoup companions.  Returns nonzero, with `out` unspecified, when an operand
+ * was not a canonical residue.
+ */
+int ive_butterfly(i64 *restrict out, const i64 *restrict vec,
+                  const i64 *restrict swapped, size_t groups, size_t step,
+                  size_t rns, size_t n, const u32 *mono, const u32 *consts)
+{
+    u64 wide = 0;
+    u32 bad = 0;
+    for (size_t g = 0; g < groups; g++)
+    for (size_t s = 0; s < step; s++)
+    for (size_t m = 0; m < rns; m++) {
+        u32 q = consts[m * CONSTS + C_Q];
+        size_t in = ((g * step + s) * rns + m) * n;
+        const i64 *v = vec + in, *w = swapped + in;
+        i64 *even = out + ((g * 2 * step + s) * rns + m) * n;
+        i64 *odd = even + step * rns * n;
+        const u32 *mw = mono + m * 2 * n, *ms = mw + n;
+        for (size_t j = 0; j < n; j++) {
+            u32 x = (u32)v[j], y = (u32)w[j];
+            wide |= ((u64)v[j] | (u64)w[j]) >> 32;
+            bad |= (u32)(x >= q) | (u32)(y >= q);
+            even[j] = cond_sub(x + y, q);
+            odd[j] = cond_sub(mul_shoup(x - y + q, mw[j], ms[j], q), q);
+        }
+    }
+    return (wide | bad) != 0;
+}
+
+/*
+ * out = a + b, or a - b when `subtract`, mod q over `rows` (rns, n) blocks at
+ * the given element strides, each block contiguous.  Returns nonzero when an
+ * operand was not a canonical residue; every operand is checked before
+ * anything is written, so out may be a or b and both are intact then.
+ */
+int ive_mod_add(i64 *out, ptrdiff_t out_row, const i64 *a, ptrdiff_t a_row,
+                const i64 *b, ptrdiff_t b_row, size_t rows, size_t rns,
+                size_t n, const u32 *consts, int subtract)
+{
+    u64 wide = 0;
+    u32 bad = 0;
+    for (size_t r = 0; r < rows; r++)
+    for (size_t m = 0; m < rns; m++) {
+        u32 q = consts[m * CONSTS + C_Q];
+        const i64 *x = a + (ptrdiff_t)r * a_row + m * n;
+        const i64 *y = b + (ptrdiff_t)r * b_row + m * n;
+        for (size_t j = 0; j < n; j++) {
+            wide |= ((u64)x[j] | (u64)y[j]) >> 32;
+            bad |= (u32)((u32)x[j] >= q) | (u32)((u32)y[j] >= q);
+        }
+    }
+    if (wide | bad)
+        return 1;
+    for (size_t r = 0; r < rows; r++)
+    for (size_t m = 0; m < rns; m++) {
+        u32 q = consts[m * CONSTS + C_Q];
+        const i64 *x = a + (ptrdiff_t)r * a_row + m * n;
+        const i64 *y = b + (ptrdiff_t)r * b_row + m * n;
+        i64 *o = out + (ptrdiff_t)r * out_row + m * n;
+        if (subtract)
+            for (size_t j = 0; j < n; j++)
+                o[j] = cond_sub((u32)x[j] - (u32)y[j] + q, q);
+        else
+            for (size_t j = 0; j < n; j++)
+                o[j] = cond_sub((u32)x[j] + (u32)y[j], q);
+    }
+    return 0;
 }

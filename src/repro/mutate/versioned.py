@@ -9,10 +9,9 @@ cells.  :class:`VersionedDatabase` does exactly that, producing an
 
 * the raw plaintext planes are copied (one memcpy) and dirty cells are
   re-packed through the vectorized packer;
-* the preprocessed NTT-domain planes — the logQ/logP-inflated objects
-  that dominate both storage and preprocessing time — are shared
-  copy-on-write: the new snapshot holds the *same* ``RnsPoly`` objects
-  for every clean cell and fresh ones only for dirty cells;
+* the preprocessed NTT-domain store — the logQ/logP-inflated uint32
+  tensor that dominates both storage and preprocessing time — is copied
+  (one memcpy, no transform) and only its dirty cells are re-NTT'd;
 * every apply returns an :class:`UpdateCost` whose counters prove the
   work was proportional to the delta, not the database.
 
@@ -47,10 +46,9 @@ class UpdateCost:
     polys_repacked: int  # dirty (plane, poly) cells re-packed from bytes
     polys_ntted: int  # dirty cells re-CRT/NTT'd into the preprocessed form
     full_polys: int  # plane_count * num_db_polys: the full-preprocess cost
-    #: RowSel GEMM tensor rows memcpy'd into the new snapshot's cache so
-    #: the first post-swap query pays no O(database) restack.  A pure
-    #: copy (no CRT/NTT arithmetic), so it is accounted separately from
-    #: the sublinear ``polys_repacked``/``polys_ntted`` work counters.
+    #: Preprocessed-store polynomials memcpy'd into the new snapshot.  A
+    #: pure copy (no CRT/NTT arithmetic), so it is accounted separately
+    #: from the sublinear ``polys_repacked``/``polys_ntted`` work counters.
     tensor_polys_copied: int = 0
 
     @property
@@ -90,8 +88,8 @@ def apply_record_updates(
 ) -> tuple[PirDatabase, PreprocessedDatabase | None, UpdateCost]:
     """Apply coalesced writes/appends to one database, dirty cells only.
 
-    Returns ``(new_db, new_pre, cost)``.  ``new_pre`` shares every clean
-    ``RnsPoly`` with ``pre`` (copy-on-write).  ``None`` in
+    Returns ``(new_db, new_pre, cost)``.  ``new_pre`` is a copy of
+    ``pre`` with only the dirty cells re-NTT'd.  ``None`` in
     ``writes``/``appends`` means tombstone (a zeroed record; the index
     space stays dense).  :class:`VersionedDatabase` drives it.
     """
@@ -155,18 +153,16 @@ def apply_record_updates(
     new_pre = pre
     tensor_copied = 0
     if pre is not None:
+        # The new snapshot's store starts as a copy of the parent's (a
+        # memcpy of the uint32 words, no NTT work); the parent keeps
+        # serving its own epoch from the original.
         new_pre = PreprocessedDatabase(
-            layout=layout, ring=ring, planes=[list(row) for row in pre.planes]
+            layout=layout, ring=ring, tensor=pre.tensor.copy()
         )
-        # Seed the new snapshot's RowSel GEMM cache from the parent's
-        # (a memcpy, no NTT work) so the first post-swap query does
-        # not re-stack the whole plane inside a serving request.
-        for plane, tensor in pre._tensors.items():
-            new_pre._tensors[plane] = tensor.copy()
-            tensor_copied += tensor.shape[0]
+        tensor_copied = pre.plane_count * pre.num_polys
         # One stacked NTT per plane over just the dirty cells, on the
-        # broadcast RNS axis ``preprocess`` uses; set_poly keeps the
-        # RowSel GEMM tensor cache coherent.
+        # broadcast RNS axis ``preprocess`` uses, written through
+        # set_poly into the copied store.
         resolved = resolve_backend(backend)
         for plane, polys in by_plane.items():
             tensor = resolved.ntt_forward(ring, planes[plane, polys][:, None, :])
@@ -205,7 +201,7 @@ class VersionedDatabase:
     whoever still holds them (serving keeps a bounded retention window).
     Without a ``ring`` only the plaintext planes are maintained —
     preprocessing stays the caller's job; with one, every epoch carries
-    its NTT-domain form with copy-on-write sharing against its parent.
+    its NTT-domain form, copied from its parent with the dirty cells redone.
     """
 
     def __init__(

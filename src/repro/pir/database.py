@@ -3,18 +3,20 @@
 ``PirDatabase`` holds the packed plaintext coefficients (mod P).
 ``preprocess`` applies CRT + NTT ahead of time (Section II-B), trading
 logQ/logP more storage for >3.9x faster RowSel — the preprocessed form is
-what the server actually multiplies against during Eq. 1.
+what the server actually multiplies against during Eq. 1.  It is stored
+as uint32 residues: every modulus is below 2^32, so the 4-byte word is
+exact, and it is the width RowSel streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import LayoutError
+from repro.errors import LayoutError, ParameterError
 from repro.he.backend import ComputeBackend, resolve_backend
-from repro.he.poly import Domain, RingContext, RnsPoly
+from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.params import PirParams
 from repro.pir.layout import RecordLayout
 
@@ -130,83 +132,92 @@ class PirDatabase:
     ) -> "PreprocessedDatabase":
         """CRT + NTT every polynomial (Section II-B preprocessing).
 
-        One stacked NTT call, routed through the resolved compute
-        backend; the per-poly ``RnsPoly`` entries are views into the
-        resulting residue tensor, which is seeded straight into the
-        RowSel GEMM cache.  The planes go in with a length-1 RNS axis:
-        their coefficients (mod P) are the same integers under every
-        modulus, so the transform's own reduction is the CRT and no
-        ``(polys, rns, n)`` coefficient tensor is ever built.
+        Stacked NTT calls routed through the resolved compute backend,
+        ``BLOCK_BYTES`` of int64 output at a time, each block narrowed
+        into the uint32 store as it lands — so no int64 copy of the
+        whole database is ever live beside it.  The planes go in with a
+        length-1 RNS axis: their coefficients (mod P) are the same
+        integers under every modulus, so the transform's own reduction
+        is the CRT and no ``(polys, rns, n)`` coefficient tensor is ever
+        built.
         """
-        tensor = resolve_backend(backend).ntt_forward(
-            ring, self.planes[:, :, None, :]
+        resolved = resolve_backend(backend)
+        polys = self.planes.reshape(-1, self.params.n)
+        store = np.empty((len(polys), ring.rns_count, ring.n), dtype=np.uint32)
+        step = max(1, BLOCK_BYTES // (8 * ring.rns_count * ring.n))
+        for lo in range(0, len(polys), step):
+            store[lo:lo + step] = resolved.ntt_forward(
+                ring, polys[lo:lo + step, None]
+            )
+        return PreprocessedDatabase(
+            self.layout, ring,
+            store.reshape(self.planes.shape[:2] + store.shape[1:]),
         )
-        return PreprocessedDatabase.from_tensor(self.layout, ring, tensor)
 
 
 @dataclass
 class PreprocessedDatabase:
-    """NTT/RNS-domain database the server computes RowSel against."""
+    """NTT/RNS-domain database the server computes RowSel against.
+
+    ``tensor`` is the whole store, ``(planes, polys, rns, n)`` canonical
+    residues as ``uint32`` — exact, since every modulus is below 2^32 —
+    and possibly a view (one bucket of a batch server's single
+    ``(buckets, planes, polys, rns, n)`` allocation).  The RowSel
+    kernels read it in place; the per-poly oracle gets int64
+    :class:`RnsPoly` copies from :meth:`poly` on demand.
+    """
 
     layout: RecordLayout
     ring: RingContext
-    planes: list[list[RnsPoly]]
-    #: Per-plane (num_polys, rns_count, n) residue tensors for the batched
-    #: RowSel GEMM, built lazily (and seeded by ``preprocess``).
-    _tensors: dict[int, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    tensor: np.ndarray
 
-    @classmethod
-    def from_tensor(
-        cls, layout: RecordLayout, ring: RingContext, tensor: np.ndarray
-    ) -> "PreprocessedDatabase":
-        """Wrap a ``(planes, polys, rns, n)`` NTT-form tensor without copying.
-
-        The per-poly entries and the RowSel GEMM cache are both views
-        of ``tensor`` — which may itself be a view, e.g. one bucket of
-        a batch server's single ``(buckets, planes, polys, rns, n)``
-        allocation.
-        """
-        pre = cls(
-            layout, ring,
-            [[RnsPoly(ring, poly, Domain.NTT) for poly in plane] for plane in tensor],
-        )
-        pre._tensors = dict(enumerate(tensor))
-        return pre
+    def __post_init__(self):
+        if self.tensor.dtype != np.uint32 or self.tensor.ndim != 4:
+            raise LayoutError(
+                f"expected a (planes, polys, rns, n) uint32 store, got "
+                f"{self.tensor.dtype} {self.tensor.shape}"
+            )
+        if max(self.ring.params.moduli) >> 32:
+            raise ParameterError(
+                f"modulus {max(self.ring.params.moduli)} does not fit the "
+                f"database's 32-bit residue words"
+            )
 
     @property
     def plane_count(self) -> int:
-        return len(self.planes)
+        return self.tensor.shape[0]
 
     @property
     def num_polys(self) -> int:
-        return len(self.planes[0])
+        return self.tensor.shape[1]
 
     @property
     def stored_bytes(self) -> int:
-        """Preprocessed storage footprint (logQ/logP blowup, Section II-B)."""
+        """Modeled preprocessed footprint (logQ/logP blowup, Section II-B).
+
+        Residues counted at the model's ``RESIDUE_BITS`` (28), which is
+        what the IVE memory-placement rule sizes; the store's real
+        footprint is ``tensor.nbytes`` (32-bit words).
+        """
         return self.plane_count * self.num_polys * self.layout.params.poly_bytes
 
     def poly(self, plane: int, row: int, col: int) -> RnsPoly:
-        """Polynomial at initial-dimension ``row`` and ColTor column ``col``."""
-        return self.planes[plane][col * self.layout.params.d0 + row]
+        """An int64 copy of the polynomial at initial-dimension ``row`` and
+        ColTor column ``col``, for the per-poly oracle."""
+        index = col * self.layout.params.d0 + row
+        return RnsPoly(
+            self.ring, self.tensor[plane, index].astype(np.int64), Domain.NTT
+        )
 
     def plane_tensor(self, plane: int) -> np.ndarray:
-        """Stacked residues of one plane, shape (num_polys, rns_count, n).
-
-        The contiguous tensor the batched RowSel GEMM contracts against;
-        stacked once per plane and cached.  Mutators must go through
-        :meth:`set_poly` so the cache never diverges from ``planes``.
-        """
-        if plane not in self._tensors:
-            self._tensors[plane] = np.stack(
-                [p.residues for p in self.planes[plane]]
-            )
-        return self._tensors[plane]
+        """One plane of the store, shape (num_polys, rns_count, n): the
+        uint32 view the batched RowSel GEMM contracts against."""
+        return self.tensor[plane]
 
     def set_poly(self, plane: int, index: int, poly: RnsPoly) -> None:
-        """Replace one ``(plane, poly)`` cell, keeping the GEMM cache coherent."""
-        self.planes[plane][index] = poly
-        if plane in self._tensors:
-            self._tensors[plane][index] = poly.residues
+        """Replace one ``(plane, poly)`` cell of the store.
+
+        ``poly`` must be NTT-form canonical residues, which the uint32
+        cell holds exactly.
+        """
+        self.tensor[plane, index] = poly.residues

@@ -68,10 +68,10 @@ class NaiveOneHotPir:
                 f"naive query needs {self.params.num_db_polys} ciphertexts, "
                 f"got {len(query.cts)}"
             )
-        polys = self.preprocessed.planes[0]
-        acc = query.cts[0].plain_mul(polys[0])
-        for ct, pt in zip(query.cts[1:], polys[1:]):
-            acc = acc + ct.plain_mul(pt)
+        pre, d0 = self.preprocessed, self.params.d0
+        acc = query.cts[0].plain_mul(pre.poly(0, 0, 0))
+        for i, ct in enumerate(query.cts[1:], start=1):
+            acc = acc + ct.plain_mul(pre.poly(0, i % d0, i // d0))
         return acc
 
     # -- decode -------------------------------------------------------------

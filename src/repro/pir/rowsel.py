@@ -11,9 +11,9 @@ GEMM mode (Section III-A / Fig. 5).
 Two implementations share the geometry checks: :func:`row_select` is the
 per-poly reference (one ``plain_mul`` per ``(row, col)`` pair — the
 correctness oracle), and the production path is
-:meth:`repro.he.backend.ComputeBackend.rowsel_window` — one tensor
-contraction per ciphertext half over the plane's stacked residue tensor,
-which :func:`rowsel_plane_tensor` hands it.
+:meth:`repro.he.backend.ComputeBackend.rowsel_window` — one contraction
+feeding both ciphertext halves from a single read of the plane's uint32
+residue store, which :func:`rowsel_plane_tensor` hands it.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ def row_select(
 def rowsel_plane_tensor(db: PreprocessedDatabase, plane: int) -> np.ndarray:
     """One plane as the RowSel GEMM operand: (num_cols, d0, rns_count, n).
 
-    A reshaped view of :meth:`PreprocessedDatabase.plane_tensor` (poly
-    index = col * d0 + row) with the geometry validated — the tensor the
-    compute backends contract the expanded query against.
+    A reshaped uint32 view of :meth:`PreprocessedDatabase.plane_tensor`
+    (poly index = col * d0 + row) with the geometry validated — the
+    tensor the compute backends contract the expanded query against.
     """
     d0 = db.layout.params.d0
     num_cols = num_rowsel_cols(db)

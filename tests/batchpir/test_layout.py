@@ -1,10 +1,12 @@
 """Bucket layout: geometry selection, membership, replication accounting."""
 
+import numpy as np
 import pytest
 
 from repro.batchpir.layout import BatchDatabase, BatchLayout, bucket_geometry
 from repro.errors import LayoutError
 from repro.hashing.cuckoo import CuckooConfig
+from repro.he.poly import RingContext
 from repro.params import PirParams
 
 
@@ -80,6 +82,19 @@ class TestBatchDatabase:
             bucket_db = db.bucket_dbs[bucket]
             for local, g in enumerate(members):
                 assert bucket_db.record(local) == records[g]
+
+    def test_preprocess_is_one_uint32_store_the_buckets_view(self, params):
+        records = [bytes([i]) * 16 for i in range(50)]
+        db = BatchDatabase.from_records(
+            params, records, CuckooConfig(num_buckets=8, seed=2)
+        )
+        ring = RingContext(params)
+        tensor, pres = db.preprocess(ring)
+        assert tensor.dtype == np.uint32 and len(pres) == len(db.bucket_dbs)
+        for bucket, (pre, bucket_db) in enumerate(zip(pres, db.bucket_dbs)):
+            assert np.shares_memory(pre.tensor, tensor)
+            assert np.array_equal(pre.tensor, bucket_db.preprocess(ring).tensor)
+            assert np.array_equal(tensor[bucket], pre.tensor)
 
     def test_empty_bucket_padded(self, params):
         # 2 records across 64 buckets leaves most buckets empty.

@@ -51,8 +51,8 @@ BACKENDS = [
 
 
 def lazy_modular_gemm(backend, db, query, moduli_col):
-    """One query against one shared plane tensor."""
-    return backend.rowsel_gemm(db[None], query[None], moduli_col)[0]
+    """One half of one query against one shared plane tensor."""
+    return backend.rowsel_gemm(db[None], query[None, None], moduli_col)[0, 0]
 
 
 def assert_digits_match_reference(gadget, polys):

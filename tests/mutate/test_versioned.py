@@ -44,14 +44,16 @@ class TestDeltaCorrectness:
             )
             assert np.array_equal(fresh.planes, snap.db.planes)
             fresh_pre = fresh.preprocess(ring, backend=backend)
-            for plane in range(len(fresh_pre.planes)):
+            assert snap.pre.tensor.dtype == np.uint32
+            for plane in range(fresh_pre.plane_count):
                 assert np.array_equal(
                     fresh_pre.plane_tensor(plane), snap.pre.plane_tensor(plane)
                 )
-                for poly in range(len(fresh_pre.planes[plane])):
+                for index in range(fresh_pre.num_polys):
+                    row, col = index % params.d0, index // params.d0
                     assert np.array_equal(
-                        fresh_pre.planes[plane][poly].residues,
-                        snap.pre.planes[plane][poly].residues,
+                        fresh_pre.poly(plane, row, col).residues,
+                        snap.pre.poly(plane, row, col).residues,
                     )
 
     def test_striped_records_repack_every_plane(self, params, ring):
@@ -83,19 +85,15 @@ class TestDeltaCorrectness:
 
 
 class TestCopyOnWrite:
-    def test_clean_preprocessed_polys_are_shared_objects(self, params, ring):
+    def test_only_dirty_preprocessed_polys_change(self, params, ring):
         vdb = VersionedDatabase(params, _records(24), 64, ring=ring)
         before = vdb.current
         after = vdb.apply(UpdateLog().put(0, b"\x01" * 64))
-        shared = dirty = 0
-        for plane in range(len(before.pre.planes)):
-            for poly in range(len(before.pre.planes[plane])):
-                if after.pre.planes[plane][poly] is before.pre.planes[plane][poly]:
-                    shared += 1
-                else:
-                    dirty += 1
+        changed = (before.pre.tensor != after.pre.tensor).any(axis=(2, 3))
+        dirty = int(changed.sum())
         assert dirty == after.cost.polys_ntted
-        assert shared == after.cost.full_polys - dirty
+        assert changed.size == after.cost.full_polys
+        assert not np.shares_memory(before.pre.tensor, after.pre.tensor)
 
     def test_epoch_apply_seeds_the_gemm_tensor_cache(self, params, ring):
         """Regression: a snapshot built from a served parent must carry a
@@ -110,17 +108,20 @@ class TestCopyOnWrite:
         assert after.cost.tensor_polys_copied == sum(
             before.pre.plane_tensor(p).shape[0] for p in planes
         )
-        for plane in planes:
-            cached = after.pre._tensors[plane]
-            assert cached is not before.pre._tensors[plane]
-            for poly, rns_poly in enumerate(after.pre.planes[plane]):
-                assert np.array_equal(cached[poly], rns_poly.residues)
-        # the parent's cache still reflects the *old* epoch's dirty cell
+        d0 = params.d0
         dirty_poly = before.pre.layout.poly_index(0)
+        fresh = after.db.preprocess(ring)
         for plane in planes:
-            assert np.array_equal(
-                before.pre.plane_tensor(plane)[dirty_poly],
-                before.pre.planes[plane][dirty_poly].residues,
+            cached = after.pre.plane_tensor(plane)
+            assert not np.shares_memory(cached, before.pre.plane_tensor(plane))
+            assert np.array_equal(cached, fresh.plane_tensor(plane))
+            for poly in range(after.pre.num_polys):
+                assert np.array_equal(
+                    cached[poly], after.pre.poly(plane, poly % d0, poly // d0).residues
+                )
+            # the parent's store still holds the *old* epoch's dirty cell
+            assert not np.array_equal(
+                before.pre.plane_tensor(plane)[dirty_poly], cached[dirty_poly]
             )
 
     def test_old_snapshot_unaffected_by_new_epoch(self, params, ring):

@@ -69,7 +69,7 @@ class TestAccumulation:
 
         rng = np.random.default_rng(0)
         db = rng.integers(0, 97, size=(1, 2, 4, 1, 8), dtype=np.int64)
-        query = rng.integers(0, 97, size=(1, 4, 1, 8), dtype=np.int64)
+        query = rng.integers(0, 97, size=(2, 1, 4, 1, 8), dtype=np.int64)
         moduli = np.array([[97]], dtype=np.int64)
         with profiled() as profiler:
             get_backend("eager").rowsel_gemm(db, query, moduli)

@@ -15,7 +15,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.he.backend import DEFAULT_BACKEND, get_backend
 from repro.he.batched import BfvCiphertextVec
-from repro.he.poly import RingContext
+from repro.he.poly import Domain, RingContext
 from repro.obs.profile import profiled
 from repro.pir.database import PirDatabase, PreprocessedDatabase
 from repro.pir.expand import expand_query
@@ -114,9 +114,7 @@ class TestRowselGeometryGuard:
     def _truncated_db(self, protocol) -> PreprocessedDatabase:
         """A preprocessed DB whose poly count is not a multiple of D0."""
         pre = protocol.server.db
-        return PreprocessedDatabase(
-            pre.layout, pre.ring, [row[:-1] for row in pre.planes]
-        )
+        return PreprocessedDatabase(pre.layout, pre.ring, pre.tensor[:, :-1])
 
     def test_non_divisible_geometry_rejected(self, pipeline):
         params, db, protocol = pipeline
@@ -145,17 +143,37 @@ class TestPlaneTensorCache:
         ring = RingContext(small_params)
         pre = db.preprocess(ring)
         tensor = pre.plane_tensor(0)
+        assert tensor.dtype == np.uint32
         assert tensor.shape == (pre.num_polys, ring.rns_count, ring.n)
-        for i, poly in enumerate(pre.planes[0]):
-            assert np.array_equal(tensor[i], poly.residues)
+        d0 = small_params.d0
+        for i in range(pre.num_polys):
+            assert np.array_equal(tensor[i], pre.poly(0, i % d0, i // d0).residues)
         replacement = ring.constant(41)
         pre.set_poly(0, 2, replacement)
-        assert pre.planes[0][2] is replacement
+        assert np.array_equal(pre.poly(0, 2, 0).residues, replacement.residues)
         assert np.array_equal(pre.plane_tensor(0)[2], replacement.residues)
 
     def test_lazy_stack_matches_per_poly_preprocess(self, small_params):
         db = PirDatabase.random(small_params, num_records=8, record_bytes=96, seed=6)
         ring = RingContext(small_params)
         pre = db.preprocess(ring)
-        lazy = PreprocessedDatabase(pre.layout, ring, [list(r) for r in pre.planes])
-        assert np.array_equal(lazy.plane_tensor(0), pre.plane_tensor(0))
+        per_poly = [ring.from_small_coeffs(c, domain=Domain.NTT) for c in db.planes[0]]
+        assert np.array_equal(
+            pre.plane_tensor(0), np.stack([p.residues for p in per_poly])
+        )
+        d0 = small_params.d0
+        for i, want in enumerate(per_poly):
+            got = pre.poly(0, i % d0, i // d0)
+            assert got.residues.dtype == np.int64 and got.domain is Domain.NTT
+            assert np.array_equal(got.residues, want.residues)
+
+    def test_store_is_built_a_block_at_a_time(self, small_params, monkeypatch):
+        """A budget of a few polynomials per NTT call changes nothing."""
+        db = PirDatabase.random(small_params, num_records=40, record_bytes=96, seed=7)
+        ring = RingContext(small_params)
+        whole = db.preprocess(ring)
+        monkeypatch.setattr(
+            "repro.pir.database.BLOCK_BYTES", 3 * 8 * ring.rns_count * ring.n
+        )
+        assert np.array_equal(db.preprocess(ring).tensor, whole.tensor)
+        assert whole.tensor.dtype == np.uint32

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LayoutError
-from repro.he.poly import RingContext
+from repro.he.poly import Domain, RingContext
 from repro.params import PirParams
 from repro.pir.database import PirDatabase
 from repro.pir.layout import RecordLayout
@@ -175,8 +175,9 @@ class TestDatabase:
         ring = RingContext(small_params)
         pre = db.preprocess(ring)
         d0 = small_params.d0
-        flat = pre.planes[0][1 * d0 + 3]
-        assert pre.poly(0, 3, 1) is flat
+        poly = pre.poly(0, 3, 1)
+        assert poly.domain is Domain.NTT and poly.residues.dtype == np.int64
+        assert np.array_equal(poly.residues, pre.plane_tensor(0)[1 * d0 + 3])
 
     def test_paper_sizes_match_table(self):
         """Table I / Section II sizes: ct 112 KB, RGSW 1120 KB, evk 560 KB."""
