@@ -1,20 +1,22 @@
-"""Compute-backend hot path: reference vs ``eager`` vs ``planned``.
+"""Compute-backend hot path: reference vs ``eager`` vs ``native``.
 
 Two rungs, each measured end to end on ``PirServer.answer``:
 
 * **toy** (N = 256, 1 MiB DB, RowSel-dominated) — the three-way ladder.
-  The ``eager`` backend (stacked tensor kernels in ``repro.he.batched``)
+  The ``eager`` backend (stacked numpy kernels, ``repro.he.backend``)
   must keep its >= 5x over the per-poly reference oracle, and the
-  ``planned`` backend (dense GEMM-form NTT plans + Barrett reduction +
-  tensor-resident ColTor, ``repro.he.backend``) must be >= 2x faster
-  again than ``eager``.
+  ``native`` backend (the same kernels compiled, ``repro.he.native``)
+  must be >= 2x faster again than ``eager``.
 * **paper** (N = 2^12, D0 = 64 x 2^4 columns of 8 KiB records: one
-  128 MiB plane tensor, far beyond L2) — ``eager`` vs ``planned`` only;
-  the per-poly reference would take minutes here.  ``planned`` runs its
-  four-step NTT plan and NTT-domain substitution and must be >= 2x over
-  ``eager`` (the ROADMAP gate for "make ``planned`` real at the paper's
-  ring degree").  One profiled answer per backend records where the
-  time goes (``stage_s``; stages nest, so they do not sum to the total).
+  64 MiB uint32 plane tensor, far beyond L2) — ``eager`` vs ``native`` only;
+  the per-poly reference would take minutes here.  ``native`` must be
+  >= 2x over ``eager``.  One profiled answer per backend records where
+  the time goes (``stage_s``; stages nest, so they do not sum to the
+  total).
+
+Where the native library cannot be built the ``native`` rung is skipped
+with that reason (the toy rung still times eager against the reference)
+and no JSON is written.
 
 On both rungs every backend produces *byte-identical* ``PirResponse``
 transcripts — backends only reassociate exact modular arithmetic, so any
@@ -26,19 +28,21 @@ keyword-PIR pass (36 bucket queries) on its bucket geometry, each
 against the same queries answered one ``answer`` at a time.  Responses
 must be byte-identical; the speedup is whatever the scratch-budget group
 size buys at that geometry (groups of one on the toy rung — its single
-query already outgrows the budget — groups of six on the kv buckets).
+query already outgrows the budget — groups of seven on the kv buckets).
 
 Also timed: database preprocessing (one batched CRT+NTT per plane vs one
-call per polynomial on the toy rung, ``planned`` vs ``eager`` on the
+call per polynomial on the toy rung, ``native`` vs ``eager`` on the
 paper rung), the cost the serving layer sees on every epoch build.
-Results land in BENCH_hotpath.json so future PRs have a trajectory;
-``bench_guard`` holds the ``byte_identical`` / ``decoded_ok`` /
-``identical`` leaves to exact match.
+Results land in BENCH_hotpath.json, stamped with the commit and the
+default backend, so future PRs have a trajectory; ``bench_guard`` holds
+the ``byte_identical`` / ``decoded_ok`` / ``identical`` leaves to exact
+match.
 """
 
 import json
 import os
 import pathlib
+import subprocess
 import time
 
 # Before numpy loads its BLAS: with two OpenBLAS threads on a two-core
@@ -48,8 +52,11 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
+import pytest  # noqa: E402
 from conftest import run_once  # noqa: E402
 
+from repro.he import native  # noqa: E402
+from repro.he.backend import get_backend  # noqa: E402
 from repro.he.poly import Domain, RingContext  # noqa: E402
 from repro.kvpir.server import KvPirProtocol  # noqa: E402
 from repro.obs.profile import profiled  # noqa: E402
@@ -69,15 +76,21 @@ DIMS = 3 if SMOKE else 6
 D0 = 8 if SMOKE else 32
 NUM_QUERIES = 1 if SMOKE else 3
 RECORD_BYTES = 512
-EAGER_BOUND = 5.0  # eager over the per-poly oracle (pre-backend ISSUE bound)
-PLANNED_BOUND = 2.0  # planned over eager (this ISSUE's gate)
+EAGER_BOUND = 5.0  # eager over the per-poly oracle
+NATIVE_BOUND = 2.0  # native over eager
 PREPROCESS_BOUND = 3.0  # per-poly preprocess is already vectorised
 
 # Paper-shaped rung: the e2e benchmark's plain_n4096_direct geometry.
 PAPER_D0 = 8 if SMOKE else 64
 PAPER_DIMS = 1 if SMOKE else 4
 PAPER_RECORD_BYTES = 8192
-PAPER_PLANNED_BOUND = 2.0  # planned over eager at N = 2^12 (ROADMAP gate)
+PAPER_NATIVE_BOUND = 2.0  # native over eager at N = 2^12
+
+#: Why the native rung cannot run on this machine, or None when it can.
+NATIVE_MISSING = None if native.load_library() is not None else (
+    "the native kernels could not be built here (no C compiler, or the "
+    "build or load failed): the native rung has nothing to measure"
+)
 
 # Window rung: Q queries through answer_batch, and one kv lookup pass.
 WINDOW_QUERIES = 2 if SMOKE else 8
@@ -85,6 +98,18 @@ KV_KEYS = 64 if SMOKE else 2048
 KV_LOOKUPS = 2 if SMOKE else 8
 
 _OUT = pathlib.Path(__file__).resolve().parent / "BENCH_hotpath.json"
+
+
+def _commit() -> str | None:
+    """The checkout's commit, ``-dirty`` when the tree differs from it."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=_OUT.parent, capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def _preprocess_reference(db: PirDatabase, ring: RingContext) -> tuple[float, object]:
@@ -113,13 +138,12 @@ def _run() -> dict:
     params = PirParams.small(n=256, d0=D0, num_dims=DIMS)
     num_records = params.num_db_polys  # one record per polynomial
     db = PirDatabase.random(params, num_records, RECORD_BYTES, seed=31)
-    protocol = PirProtocol(params, db, seed=32, backend="planned")
+    protocol = PirProtocol(params, db, seed=32, backend="eager")
     ring = protocol.server.ring
     setup = protocol.client.setup_message()
-    servers = {
-        "eager": PirServer(protocol.server.db, setup, backend="eager"),
-        "planned": protocol.server,
-    }
+    servers = {"eager": protocol.server}
+    if NATIVE_MISSING is None:
+        servers["native"] = PirServer(protocol.server.db, setup, backend="native")
 
     # -- preprocessing: batched (current) vs per-poly (reference) ---------
     start = time.monotonic()
@@ -133,7 +157,7 @@ def _run() -> dict:
     indices = [int(i) for i in rng.choice(num_records, size=NUM_QUERIES, replace=False)]
     queries = [protocol.client.build_query(i, db.layout) for i in indices]
     for server in servers.values():
-        server.answer(queries[0])  # warm caches (twiddles, plans, tensors)
+        server.answer(queries[0])  # warm caches (twiddles, kernel tables)
     protocol.server.answer_reference(queries[0])
 
     start = time.monotonic()
@@ -144,9 +168,28 @@ def _run() -> dict:
 
     decoded_ok = all(
         protocol.client.decode_response(resp, idx, db.layout) == db.record(idx)
-        for resp, idx in zip(responses["planned"], indices)
+        for name in servers
+        for resp, idx in zip(responses[name], indices)
     )
+    answer = {
+        "queries": NUM_QUERIES,
+        "reference_s_per_query": ref_s / NUM_QUERIES,
+        "eager": {
+            "s_per_query": timings["eager"] / NUM_QUERIES,
+            "speedup_vs_reference": ref_s / timings["eager"],
+            "byte_identical": _identical(responses["eager"], ref),
+        },
+        "decoded_ok": decoded_ok,
+    }
+    if "native" in servers:
+        answer["native"] = {
+            "s_per_query": timings["native"] / NUM_QUERIES,
+            "speedup_vs_reference": ref_s / timings["native"],
+            "speedup_vs_eager": timings["eager"] / timings["native"],
+            "byte_identical": _identical(responses["native"], ref),
+        }
     return {
+        "environment": {"commit": _commit(), "backend": get_backend().name},
         "params": {
             "n": params.n,
             "d0": params.d0,
@@ -155,22 +198,7 @@ def _run() -> dict:
             "record_bytes": RECORD_BYTES,
             "db_bytes": num_records * RECORD_BYTES,
         },
-        "answer": {
-            "queries": NUM_QUERIES,
-            "reference_s_per_query": ref_s / NUM_QUERIES,
-            "eager": {
-                "s_per_query": timings["eager"] / NUM_QUERIES,
-                "speedup_vs_reference": ref_s / timings["eager"],
-                "byte_identical": _identical(responses["eager"], ref),
-            },
-            "planned": {
-                "s_per_query": timings["planned"] / NUM_QUERIES,
-                "speedup_vs_reference": ref_s / timings["planned"],
-                "speedup_vs_eager": timings["eager"] / timings["planned"],
-                "byte_identical": _identical(responses["planned"], ref),
-            },
-            "decoded_ok": decoded_ok,
-        },
+        "answer": answer,
         "preprocess": {
             "fast_s": pre_fast_s,
             "reference_s": pre_ref_s,
@@ -201,29 +229,29 @@ def _run_paper() -> dict:
     num_records = params.num_db_polys  # one 8 KiB record per polynomial
     db = PirDatabase.random(params, num_records, PAPER_RECORD_BYTES, seed=41)
     ring = RingContext(params)
-    db.preprocess(ring, backend="planned")  # warm: plan build, page faults
+    db.preprocess(ring, backend="native")  # warm: kernel tables, page faults
 
     pre_s, pres = {}, {}
-    for name in ("planned", "eager"):
+    for name in ("native", "eager"):
         start = time.monotonic()
         pres[name] = db.preprocess(ring, backend=name)
         pre_s[name] = time.monotonic() - start
     pre_identical = all(
-        np.array_equal(pres["planned"].plane_tensor(p), pres["eager"].plane_tensor(p))
-        for p in range(pres["planned"].plane_count)
+        np.array_equal(pres["native"].plane_tensor(p), pres["eager"].plane_tensor(p))
+        for p in range(pres["native"].plane_count)
     )
     del pres["eager"]
 
-    protocol = PirProtocol(params, db, seed=42, backend="planned")
+    protocol = PirProtocol(params, db, seed=42, backend="native")
     setup = protocol.client.setup_message()
     servers = {
-        "eager": PirServer(pres["planned"], setup, backend="eager"),
-        "planned": PirServer(pres["planned"], setup, backend="planned"),
+        "eager": PirServer(pres["native"], setup, backend="eager"),
+        "native": PirServer(pres["native"], setup, backend="native"),
     }
     index = int(np.random.default_rng(43).integers(num_records))
     queries = [protocol.client.build_query(index, db.layout)]
     for server in servers.values():
-        server.answer(queries[0])  # warm caches (twiddles, plans, gathers)
+        server.answer(queries[0])  # warm caches (twiddles, kernel tables, gathers)
     timings, responses = _interleaved_best(servers, queries, 1 if SMOKE else 2)
 
     stage_s = {}
@@ -241,26 +269,26 @@ def _run_paper() -> dict:
             "num_dims": params.num_dims,
             "num_polys": params.num_db_polys,
             "record_bytes": PAPER_RECORD_BYTES,
-            "plane_tensor_bytes": pres["planned"].plane_tensor(0).nbytes,
+            "plane_tensor_bytes": pres["native"].plane_tensor(0).nbytes,
         },
         "answer": {
             "eager_s_per_query": timings["eager"],
-            "planned": {
-                "s_per_query": timings["planned"],
-                "speedup_vs_eager": timings["eager"] / timings["planned"],
+            "native": {
+                "s_per_query": timings["native"],
+                "speedup_vs_eager": timings["eager"] / timings["native"],
                 "byte_identical": _identical(
-                    responses["planned"], responses["eager"]
+                    responses["native"], responses["eager"]
                 ),
             },
             "decoded_ok": protocol.client.decode_response(
-                responses["planned"][0], index, db.layout
+                responses["native"][0], index, db.layout
             ) == db.record(index),
             "stage_s": stage_s,
         },
         "preprocess": {
             "eager_s": pre_s["eager"],
-            "planned_s": pre_s["planned"],
-            "speedup": pre_s["eager"] / pre_s["planned"],
+            "native_s": pre_s["native"],
+            "speedup": pre_s["eager"] / pre_s["native"],
             "identical": pre_identical,
         },
     }
@@ -288,7 +316,7 @@ def _run_window() -> dict:
     # -- plain: the toy rung's geometry, Q queries in one window ----------
     params = PirParams.small(n=256, d0=D0, num_dims=DIMS)
     db = PirDatabase.random(params, params.num_db_polys, RECORD_BYTES, seed=51)
-    protocol = PirProtocol(params, db, seed=52, backend="planned")
+    protocol = PirProtocol(params, db, seed=52)
     server = protocol.server
     rng = np.random.default_rng(53)
     indices = [int(i) for i in rng.integers(db.num_records, size=WINDOW_QUERIES)]
@@ -341,13 +369,24 @@ def _run_window() -> dict:
 def test_hotpath_speedup_and_equivalence(benchmark, report):
     result = run_once(
         benchmark,
-        lambda: {**_run(), "paper": _run_paper(), "window": _run_window()},
+        lambda: {
+            **_run(),
+            "paper": None if NATIVE_MISSING else _run_paper(),
+            "window": _run_window(),
+        },
     )
-    if not SMOKE:
+    written = not SMOKE and NATIVE_MISSING is None
+    if written:
         _OUT.write_text(json.dumps(result, indent=2) + "\n")
 
     p, ans, pre = result["params"], result["answer"], result["preprocess"]
-    eager, planned = ans["eager"], ans["planned"]
+    eager, fast = ans["eager"], ans.get("native")
+    ladder = (
+        f" -> native {fast['s_per_query'] * 1e3:.1f} ms"
+        f" ({fast['speedup_vs_eager']:.1f}x over eager,"
+        f" {fast['speedup_vs_reference']:.1f}x over reference)"
+        if fast else f"; native skipped: {NATIVE_MISSING}"
+    )
     report(
         "Compute-backend hot path — answer pipeline and preprocessing",
         [
@@ -355,43 +394,41 @@ def test_hotpath_speedup_and_equivalence(benchmark, report):
             f"n={p['n']}, {p['db_bytes'] / 2**20:.1f} MiB raw DB",
             f"answer (per query): reference {ans['reference_s_per_query'] * 1e3:.1f} ms"
             f" -> eager {eager['s_per_query'] * 1e3:.1f} ms"
-            f" ({eager['speedup_vs_reference']:.1f}x)"
-            f" -> planned {planned['s_per_query'] * 1e3:.1f} ms"
-            f" ({planned['speedup_vs_eager']:.1f}x over eager,"
-            f" {planned['speedup_vs_reference']:.1f}x over reference)",
-            f"transcripts byte-identical: eager {eager['byte_identical']}, "
-            f"planned {planned['byte_identical']}; "
-            f"decoded correctly: {ans['decoded_ok']}",
+            f" ({eager['speedup_vs_reference']:.1f}x){ladder}",
+            f"transcripts byte-identical: eager {eager['byte_identical']}"
+            + (f", native {fast['byte_identical']}" if fast else "")
+            + f"; decoded correctly: {ans['decoded_ok']}",
             f"preprocess: per-poly {pre['reference_s'] * 1e3:.0f} ms -> batched "
             f"{pre['fast_s'] * 1e3:.0f} ms = {pre['speedup']:.1f}x "
             f"(identical: {pre['identical']})",
-            "JSON skipped (smoke)" if SMOKE else f"JSON written to {_OUT.name}",
+            f"JSON written to {_OUT.name}" if written else "JSON skipped",
         ],
     )
 
     paper = result["paper"]
-    pp, pans, ppre = paper["params"], paper["answer"], paper["preprocess"]
-    pplanned = pans["planned"]
-    shares = ", ".join(
-        f"{stage} {pans['stage_s']['eager'].get(stage, 0) * 1e3:.0f}"
-        f" -> {pans['stage_s']['planned'].get(stage, 0) * 1e3:.0f}"
-        for stage in ("expand", "rowsel", "coltor", "ntt_fwd", "ntt_inv", "decompose")
-    )
-    report(
-        "Compute-backend hot path — paper-shaped rung (N = 2^12)",
-        [
-            f"geometry: D0={pp['d0']} x 2^{pp['num_dims']} = {pp['num_polys']} polys, "
-            f"n={pp['n']}, {pp['plane_tensor_bytes'] / 2**20:.0f} MiB plane tensor",
-            f"answer (per query): eager {pans['eager_s_per_query'] * 1e3:.0f} ms"
-            f" -> planned {pplanned['s_per_query'] * 1e3:.0f} ms"
-            f" ({pplanned['speedup_vs_eager']:.1f}x); byte-identical: "
-            f"{pplanned['byte_identical']}; decoded correctly: {pans['decoded_ok']}",
-            f"stage ms, eager -> planned (nested): {shares}",
-            f"preprocess: eager {ppre['eager_s']:.2f} s -> planned "
-            f"{ppre['planned_s']:.2f} s = {ppre['speedup']:.1f}x "
-            f"(identical: {ppre['identical']})",
-        ],
-    )
+    if paper:
+        pp, pans, ppre = paper["params"], paper["answer"], paper["preprocess"]
+        pfast = pans["native"]
+        shares = ", ".join(
+            f"{stage} {pans['stage_s']['eager'].get(stage, 0) * 1e3:.0f}"
+            f" -> {pans['stage_s']['native'].get(stage, 0) * 1e3:.0f}"
+            for stage in ("expand", "rowsel", "coltor", "ntt_fwd", "ntt_inv", "decompose")
+        )
+        report(
+            "Compute-backend hot path — paper-shaped rung (N = 2^12)",
+            [
+                f"geometry: D0={pp['d0']} x 2^{pp['num_dims']} = {pp['num_polys']} polys, "
+                f"n={pp['n']}, {pp['plane_tensor_bytes'] / 2**20:.0f} MiB plane tensor",
+                f"answer (per query): eager {pans['eager_s_per_query'] * 1e3:.0f} ms"
+                f" -> native {pfast['s_per_query'] * 1e3:.0f} ms"
+                f" ({pfast['speedup_vs_eager']:.1f}x); byte-identical: "
+                f"{pfast['byte_identical']}; decoded correctly: {pans['decoded_ok']}",
+                f"stage ms, eager -> native (nested): {shares}",
+                f"preprocess: eager {ppre['eager_s']:.2f} s -> native "
+                f"{ppre['native_s']:.2f} s = {ppre['speedup']:.1f}x "
+                f"(identical: {ppre['identical']})",
+            ],
+        )
 
     window = result["window"]
     wplain, wkv = window["plain"], window["kv"]
@@ -412,19 +449,23 @@ def test_hotpath_speedup_and_equivalence(benchmark, report):
     # No backend may ever diverge from the oracle...
     assert wplain["byte_identical"]
     assert wkv["byte_identical"]
-    assert pplanned["byte_identical"]
-    assert pans["decoded_ok"]
-    assert ppre["identical"]
     assert eager["byte_identical"]
-    assert planned["byte_identical"]
     assert ans["decoded_ok"]
     assert pre["identical"]
+    if paper:
+        assert pfast["byte_identical"]
+        assert pans["decoded_ok"]
+        assert ppre["identical"]
+        assert fast["byte_identical"]
     # ...and each must clear its speedup bound end to end.  A single tiny
     # query on a shared CI runner is not a stable timing sample, so the
     # smoke job only checks equivalence — the speedup claims are asserted
     # at full size.
     if not SMOKE:
         assert eager["speedup_vs_reference"] >= EAGER_BOUND, eager
-        assert planned["speedup_vs_eager"] >= PLANNED_BOUND, planned
         assert pre["speedup"] >= PREPROCESS_BOUND, pre
-        assert pplanned["speedup_vs_eager"] >= PAPER_PLANNED_BOUND, pplanned
+        if paper:
+            assert fast["speedup_vs_eager"] >= NATIVE_BOUND, fast
+            assert pfast["speedup_vs_eager"] >= PAPER_NATIVE_BOUND, pfast
+    if NATIVE_MISSING:
+        pytest.skip(NATIVE_MISSING)

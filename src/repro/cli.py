@@ -1169,7 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
     hintpir.add_argument(
         "--backend",
         help="compute backend name from the repro.he.backend registry "
-        "(default: native where a C compiler is found, else planned; "
+        "(default: native where a C compiler is found, else eager; "
         "unknown names exit 2 listing the registered ones)",
     )
     hintpir.set_defaults(func=cmd_hintpir)
@@ -1207,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend",
         help="compute backend name from the repro.he.backend registry "
-        "(default: native where a C compiler is found, else planned)",
+        "(default: native where a C compiler is found, else eager)",
     )
     serve.set_defaults(func=cmd_serve)
 
@@ -1233,7 +1233,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--backend",
         help="compute backend name, reconstructed inside each worker process "
-        "(default: native where a C compiler is found, else planned)",
+        "(default: native where a C compiler is found, else eager)",
     )
     cluster.set_defaults(func=cmd_cluster)
 
@@ -1348,7 +1348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         help="compute backend of every real and cluster deployment (sim mode "
         "ignores it; default: native where a C compiler is found, else "
-        "planned); unknown names exit 2 listing the registered ones",
+        "eager); unknown names exit 2 listing the registered ones",
     )
     loadtest.set_defaults(func=cmd_loadtest)
 

@@ -6,7 +6,7 @@ every stacked kernel lives on a :class:`ComputeBackend`, and
 — ``PirServer``, batchpir, kvpir, the hintpir/SimplePIR GEMM tier, the
 mutate re-NTT, client encode/decode and key generation, the serving
 registries and the cluster workers all resolve a backend (``native``
-where its library can be built, else ``planned``) and call its methods.
+where its library can be built, else ``eager``) and call its methods.
 The other layer is the per-polynomial stack (``he/poly`` + ``he/ntt`` +
 ``Gadget.decompose`` + ``subs.substitute`` /
 ``rgsw.external_product``, reached through
@@ -31,34 +31,14 @@ views, never re-stacked ciphertext lists.  ``external_product``,
 ``expand``, ``rowsel`` and ``coltor`` are the same ops behind
 single-query signatures, kept for the frozen ``benchmarks/e2e``.
 
-Three backends are registered:
+Two backends are registered:
 
 * ``eager`` — plain stacked numpy (lazy-reduction butterflies,
-  limb-iCRT decomposition, chunked int64 einsums): no precomputed state
-  beyond twiddle tables, exact on every valid parameter set;
-* ``planned`` — precomputed NTT *plans*, one per ring ``(n, moduli)``
-  and shared by every :class:`~repro.he.poly.RingContext` of it: the
-  twiddle/bit-reversal structure is folded once into transform matrices
-  (built by pushing unit vectors through the existing butterflies, so
-  output ordering is identical by construction), and transforms become
-  float64 GEMMs with Barrett reduction replacing the per-stage ``%``
-  (:mod:`repro.he.modred`).  Up to n = 512 the plan is one dense matrix
-  per modulus; above that, up to ``PLAN_MAX_N`` = 4096 (the paper's ring
-  degree), it is the four-step ``rows x cols`` factorisation — a common
-  matrix down the columns, a diagonal twist, a common matrix along the
-  rows.  Residues split into 14-bit halves so every accumulation
-  provably stays below the float64-exact bound (asserted when the plan
-  is built); dense-plan gadget digits (< z) ride one fused ``(batch*k,
-  n) @ (n, rns*n)`` dgemm.  Transforms walk the batch axis in
-  cache-sized blocks, and substitution applies X -> X^r in the NTT
-  domain as a gather of evaluation slots.  A ring no plan is exact on
-  (n > ``PLAN_MAX_N``, oversized moduli) runs the eager primitives —
-  never silently wrong, at most slower, and counted: each fallback
-  feeds a cliff counter of the installed metrics registry
-  (``he_plan_none``, ``he_decompose_eager``, ``he_inner_eager``, and
-  ``he_modular_gemm_bignum`` for the object-dtype GEMM; ``he_plan_build``
-  counts the plans built);
-* ``native`` — ``planned`` with the primitives the N = 2^12 profile
+  limb-iCRT decomposition, chunked int64 einsums, substitution as a
+  gather of NTT evaluation slots, the dense SimplePIR GEMM as chunked
+  float64 BLAS with Barrett tails): no precomputed state beyond twiddle
+  and slot tables, exact on every valid parameter set;
+* ``native`` — ``eager`` with the primitives the N = 2^12 profile
   names compiled: forward/inverse NTT as Harvey lazy butterflies over
   the ``NttContext`` twiddle tables themselves (slot order identical by
   construction), the broadcast-RNS digit/error/plaintext transform,
@@ -70,15 +50,19 @@ Three backends are registered:
   (:mod:`repro.he.native`).  One bound, ``4q < 2^32``, raised in
   :class:`~repro.he.native.NativeRing`'s constructor.  It is the default
   where the library builds and loads; where it does not
-  (``he_native_unavailable``, once per process) ``planned`` is, and a
-  ring or gadget outside the kernels' bounds runs the planned
+  (``he_native_unavailable``, once per process) ``eager`` is, and a
+  ring, gadget or operand outside the kernels' bounds runs the eager
   primitives (``he_native_none``).  Pipeline ops, the slot-gather
   automorphism and the dense GEMM are inherited.
 
-All backend arithmetic is exact modular arithmetic, so every backend is
-byte-identical; ``tests/pir/test_backend_parity.py`` asserts this across
-all four serving modes.  Kernel-stage labels carry the backend name
-(``ntt_fwd@planned``) so profiles attribute time to the implementation
+Every fallback is exact — never silently wrong, at most slower — and
+counted in the installed metrics registry: ``he_native_unavailable``,
+``he_native_none``, and ``he_modular_gemm_bignum`` for the object-dtype
+GEMM at moduli int64 cannot host.  All backend arithmetic is exact
+modular arithmetic, so both backends are byte-identical;
+``tests/pir/test_backend_parity.py`` asserts this across all four
+serving modes.  Kernel-stage labels carry the backend name
+(``ntt_fwd@native``) so profiles attribute time to the implementation
 that spent it; :func:`repro.obs.report.measured_vs_modeled` aggregates
 over the suffix.
 
@@ -96,8 +80,6 @@ including reconstruction inside spawned cluster workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ParameterError
@@ -105,17 +87,7 @@ from repro.he import native
 from repro.he.batched import BfvCiphertextVec, RnsPolyVec
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
-from repro.he.modred import (
-    FLOAT64_EXACT_MAX,
-    barrett_fold,
-    barrett_reduce,
-    barrett_reduce_nonneg,
-    barrett_store,
-    biased_quotient,
-    biased_reciprocal,
-    modred,
-    twist_mulmod,
-)
+from repro.he.modred import FLOAT64_EXACT_MAX, barrett_reduce, modred
 from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.he.rgsw import RgswCiphertext
 from repro.he.subs import SubsKey
@@ -124,15 +96,9 @@ from repro.obs.profile import kernel_stage
 
 _INT64_MAX = (1 << 63) - 1
 
-#: Largest ring degree the planned backend builds GEMM NTT plans for —
-#: the paper's N = 2^12.  The exactness bounds would admit larger rings;
-#: none is exercised, so above this the eager butterflies run.
+#: The paper's ring degree N = 2^12.  Nothing here reads it: the frozen
+#: ``benchmarks/e2e`` layer probes import it by name.
 PLAN_MAX_N = 4096
-
-#: Largest ring degree evaluated as one dense n x n GEMM per modulus
-#: (2n^2 float64 per direction: 4 MiB at 512).  Above it a plan factors
-#: n = rows x cols and the transform costs O(n * sqrt(n)) instead.
-_DENSE_MAX_N = 512
 
 
 def overflow_safe_chunk(modulus: int) -> int:
@@ -319,7 +285,7 @@ class ComputeBackend:
     ``coltor_window``) are implemented here once in terms of those
     primitives, so a backend that swaps a primitive retargets the whole
     ExpandQuery→RowSel→ColTor pipeline.  Every transform routes through
-    ``self`` so the backend's plan (and its profiler label) is always in
+    ``self`` so the backend's kernels (and its profiler label) are always in
     effect.
     """
 
@@ -672,10 +638,11 @@ class ComputeBackend:
 class EagerBackend(ComputeBackend):
     """The stacked-numpy kernels: butterflies, limb iCRT, int64 einsums.
 
-    Plain int64 numpy with no precomputed plan, exact on every valid
-    parameter set — which is what the planned backend falls back to and
-    is measured against.  A backend like any other, not a second oracle:
-    the independent reference is the per-poly stack.
+    Plain numpy with no precomputed state beyond twiddle and slot
+    tables, exact on every valid parameter set — which is what the
+    native backend falls back to and is measured against.  A backend
+    like any other, not a second oracle: the independent reference is
+    the per-poly stack.
     """
 
     name = "eager"
@@ -772,13 +739,16 @@ class EagerBackend(ComputeBackend):
     def automorphism(
         self, ctx: RingContext, cts: np.ndarray, r: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficient-domain scatter of ``RnsPoly.automorphism``, stacked."""
-        coeff = self.ntt_inverse(ctx, cts)
-        dest, negate = ctx.automorphism_indices(r)
-        out = np.empty_like(coeff)  # dest is a permutation: every slot is written
-        out[..., dest] = np.where(negate, -coeff, coeff)
-        out %= ctx._moduli_col
-        return out[0], self.ntt_forward(ctx, out[1])
+        """NTT-domain X -> X^r: a pure gather of evaluation slots.
+
+        The ``b`` half needs no transform at all and the ``a`` half only
+        the inverse that decomposition wants anyway.  The slot table is
+        the ring's own, so this holds whatever runs the inverse.
+        """
+        # take, not cts[..., slots]: fancy indexing leaves the indexed
+        # axis outermost in memory and costs 8x the time at N = 2^12.
+        gathered = np.take(cts, ctx.automorphism_slots(r), axis=-1)
+        return self.ntt_inverse(ctx, gathered[0]), gathered[1]
 
     def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
         """Gadget digits via an exact int64 limb iCRT.
@@ -908,465 +878,14 @@ class EagerBackend(ComputeBackend):
         return modred(out, moduli_col)
 
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-        return modular_gemm(a, b, q)
-
-
-@dataclass(frozen=True)
-class _NttFactors:
-    """One direction of a :class:`_GemmNttPlan`: its GEMMs in running order.
-
-    ``gemms`` holds one ``(mats, left)`` pair for a dense plan, two for
-    a four-step one.  ``mats`` is ``(rns, 2, k, k)`` float64 — per
-    modulus a ``(hi, lo)`` pair for the 14-bit halves of the operand,
-    the ``hi`` one pre-multiplied by ``2^14 mod q`` — and multiplies the
-    ``(rows, cols)`` view of a polynomial from the left (down the
-    columns, ``k = rows``) or the right (along the rows, ``k = cols``).
-    Between two GEMMs every element is multiplied by ``twist`` (``(rns,
-    rows, cols)`` int64; ``twist_over_q`` is its
-    :func:`~repro.he.modred.biased_quotient` table).
-    """
-
-    gemms: tuple[tuple[np.ndarray, bool], ...]
-    twist: np.ndarray | None = None
-    twist_over_q: np.ndarray | None = None
-
-
-class _GemmNttPlan:
-    """GEMM evaluation plan for one ring, cached per ``(n, moduli)``.
-
-    The negacyclic NTT is linear over Z_q, so pushing unit vectors
-    through the existing butterflies folds the twiddle tables, the
-    bit-reversed output order and ``n^-1`` into matrices that are
-    identical-by-construction to the eager transforms.  The plan's shape
-    follows from ``n`` alone:
-
-    * ``n <= 512`` — *dense* (``rows = 1``, ``cols = n``): the whole
-      transform is one ``n x n`` matrix per modulus.
-    * ``512 < n <= PLAN_MAX_N`` — *four-step* (``rows x cols = n``,
-      ``rows = 2^floor(log2(n)/2)``).  View a polynomial as a ``(rows,
-      cols)`` matrix.  The first ``log2(rows)`` butterfly stages only
-      pair elements ``cols`` apart under twiddles that depend on the
-      row pair alone: one common ``rows x rows`` matrix down every
-      column.  The remaining stages stay inside one row, and row ``i``'s
-      twiddles are row 0's after scaling input ``j`` by ``rho_i^j``
-      (``rho_i`` a power of ``psi``): a diagonal twist, then one common
-      ``cols x cols`` matrix along every row.  The inverse is the same
-      three factors in the opposite order, with ``n^-1`` kept in its row
-      matrix.  ``2 * n * (rows + cols)`` multiply-adds replace the dense
-      form's ``2 * n^2``.
-
-    Residues are too wide for a direct float64 product, so every GEMM
-    runs on 14-bit halves ``x = hi*2^14 + lo`` against a matrix whose
-    ``hi`` block pre-folds the factor (``(2^14 * M) % q``); the
-    constructor proves each one's accumulator stays below 2^53 and
-    raises :class:`~repro.errors.ParameterError` otherwise (the backend
-    then keeps such a ring on the eager primitives).  Gadget digits of a
-    dense plan share one coefficient row across the RNS axis and ride a
-    single unsplit dgemm against ``fwd_unit`` (all moduli hstacked to
-    ``(n, rns*n)``), exact while ``digit_coeff * max_digit < 2^53``.
-
-    Accumulators are reduced with the Barrett forms of
-    :mod:`repro.he.modred` — no per-stage ``%`` anywhere in the planned
-    transforms.
-    """
-
-    SPLIT_LOG2 = 14
-
-    def __init__(self, ctx: RingContext):
-        n = ctx.n
-        if n > PLAN_MAX_N:
-            raise ParameterError(
-                f"ring degree {n} above PLAN_MAX_N={PLAN_MAX_N}"
-            )
-        s = self.SPLIT_LOG2
-        rows = 1 if n <= _DENSE_MAX_N else 1 << ((n.bit_length() - 1) // 2)
-        cols = n // rows
-        self.n, self.rows, self.cols = n, rows, cols
-        self.moduli = [int(ntt.q) for ntt in ctx.ntts]
-        #: (rns, 1) int64, for canonicalising whole (.., rns, n) blocks.
-        self.moduli_col = np.asarray(self.moduli, dtype=np.int64)[:, None]
-        self.recips = [biased_reciprocal(q) for q in self.moduli]
-        qmax = max(self.moduli)
-        if 2 * qmax > 1 << 31:
-            raise ParameterError(
-                f"modulus {qmax} above 2^30: [0, 2q) residues are split "
-                f"through int32"
-            )
-        # One (contraction length, largest input) pair per GEMM: first
-        # GEMMs see canonical residues, second ones the [0, 2q) output
-        # of the twist.
-        gemms = [(cols, qmax - 1)]
-        if rows > 1:
-            gemms += [(rows, qmax - 1), (cols, 2 * qmax - 1), (rows, 2 * qmax - 1)]
-        for length, in_max in gemms:
-            worst = length * ((in_max >> s) + (1 << s) - 1) * (qmax - 1)
-            if worst >= FLOAT64_EXACT_MAX:
-                raise ParameterError(
-                    f"split GEMM of length {length} over moduli up to {qmax} "
-                    f"accumulates {worst} >= 2^53: not float64-exact"
-                )
-
-        # Unit vectors e_j (row 0, column j) and e_{i*cols} (row i,
-        # column 0).  forward(e_j) restricted to row i is column j of
-        # that row's late-stage transform, whose slot 0 is rho_i^j times
-        # row 0's; forward(e_{i*cols}) read at slot 0 of every row is
-        # column i of the early-stage matrix.  The inverse mirrors this,
-        # every entry carrying one n^-1 that `* n` takes back out.
-        e_row = np.zeros((cols, n), dtype=np.int64)
-        e_row[np.arange(cols), np.arange(cols)] = 1
-        e_col = np.zeros((rows, n), dtype=np.int64)
-        e_col[np.arange(rows), np.arange(rows) * cols] = 1
-        row_f, row_i, col_f, col_i, twist_f, twist_i = ([] for _ in range(6))
-        for ntt, q in zip(ctx.ntts, self.moduli):
-            from_row = ntt.forward(e_row)
-            row_f.append(from_row[:, :cols])
-            row_i.append(ntt.inverse(e_row)[:, :cols])
-            if rows > 1:
-                from_col = (ntt.inverse(e_col) * n) % q
-                col_f.append(ntt.forward(e_col)[:, ::cols].T)
-                col_i.append(from_col[:, ::cols].T)
-                twist_f.append((from_row[:, ::cols].T * from_col[0, :cols]) % q)
-                twist_i.append((from_col[:, :cols] * from_row[:, 0]) % q)
-        if rows == 1:
-            self.fwd = _NttFactors(((self._split_mats(row_f), False),))
-            self.inv = _NttFactors(((self._split_mats(row_i), False),))
-        else:
-            self.fwd = self._factors(
-                (col_f, True), (row_f, False), np.stack(twist_f)
-            )
-            self.inv = self._factors(
-                (row_i, False), (col_i, True), np.stack(twist_i)
-            )
-        #: Dense plans only: every modulus' forward matrix side by side.
-        self.fwd_unit = (
-            np.hstack(row_f).astype(np.float64) if rows == 1 else None
-        )
-        #: Multiply by the digit tensor's max value for the digit-GEMM bound.
-        self.digit_coeff = n * (qmax - 1)
-
-    def _split_mats(self, mats: list) -> np.ndarray:
-        s = self.SPLIT_LOG2
-        return np.stack([
-            np.stack([(mat << s) % q, mat]) for mat, q in zip(mats, self.moduli)
-        ]).astype(np.float64)
-
-    def _factors(self, first, second, twist: np.ndarray) -> _NttFactors:
-        return _NttFactors(
-            gemms=tuple((self._split_mats(m), left) for m, left in (first, second)),
-            twist=twist,
-            twist_over_q=np.stack([
-                biased_quotient(t, q) for t, q in zip(twist, self.moduli)
-            ]),
-        )
-
-    def block_polys(self, shared: bool) -> int:
-        """Polynomials per transform block under the ``BLOCK_BYTES`` budget.
-
-        Scratch per polynomial and modulus, in float64 words of n:
-        operand halves (2) and partial products (2), accumulator, float
-        scratch and int64 quotient (1 each), int32 staging (1/2) — plus,
-        for a ``shared`` four-step digit transform, second-GEMM halves
-        (2) that leave the broadcast first split alive across the moduli.
-        """
-        return max(1, BLOCK_BYTES // ((19 if shared else 15) * 4 * self.n))
-
-
-#: Plans by ring: ``(n, moduli) -> plan``, or None for a ring no plan
-#: is exact on.  Keyed on the ring, not the context instance, so every
-#: ``RingContext`` of one parameter set shares one plan.
-_PLANS: dict[tuple[int, tuple[int, ...]], _GemmNttPlan | None] = {}
-
-
-class PlannedBackend(EagerBackend):
-    """Plan-driven backend: NTTs as float64 GEMMs with Barrett reduction.
-
-    Inherits the eager primitives for the stages where int64 einsum
-    contraction already wins (the RowSel GEMM) and replaces the
-    transform-heavy stages with the per-ring plans of
-    :class:`_GemmNttPlan`; gadget decomposition keeps the eager limb
-    iCRT but canonicalises the lift on two packed int64 halves instead
-    of limb-wise comparisons.  A ring no plan is exact on runs the eager
-    primitives.
-    """
-
-    name = "planned"
-
-    def _plan(self, ctx: RingContext) -> _GemmNttPlan | None:
-        key = (ctx.n, tuple(ctx.params.moduli))
-        if key not in _PLANS:
-            count("he_plan_build")
-            try:
-                _PLANS[key] = _GemmNttPlan(ctx)
-            except ParameterError:
-                # Outside every plan's proven-exact range: eager primitives.
-                _PLANS[key] = None
-        plan = _PLANS[key]
-        if plan is None:
-            count("he_plan_none")
-        return plan
-
-    def _transform(
-        self, plan: _GemmNttPlan, way: _NttFactors, residues: np.ndarray,
-        partial: bool = False,
-    ) -> np.ndarray:
-        """Apply one direction of ``plan`` to ``(..., rns or 1, n)`` residues.
-
-        An RNS axis of length 1 broadcasts (gadget digits: one
-        coefficient row for every modulus).  The flattened batch axis is
-        walked in blocks of ``BLOCK_BYTES`` of scratch, one modulus at
-        a time, every elementwise pass in place.  ``partial`` leaves the
-        output in ``[0, 2q)``.
-        """
-        x = np.asarray(residues, dtype=np.int64)
-        n, rns = plan.n, len(plan.moduli)
-        lead = x.shape[:-2]
-        x = x.reshape(-1, x.shape[-2], n)
-        batch = x.shape[0]
-        out = np.empty((batch, rns, n), dtype=np.int64)
-        shared = x.shape[1] == 1 and plan.rows > 1
-        block = plan.block_polys(shared)
-        size = min(block, batch)
-        poly = (size, plan.rows, plan.cols)
-        halves = np.empty((size, 2) + poly[1:])
-        scratch = (
-            halves, np.empty_like(halves) if shared else halves,
-            np.empty_like(halves), np.empty(poly), np.empty(poly),
-            np.empty(poly, dtype=np.int64), np.empty(poly, dtype=np.int32),
-        )
-        moduli = plan.moduli_col[:, 0].astype(np.uint64)
-        for start in range(0, batch, block):
-            blk = x[start:start + block]
-            # Every split bound assumes canonical residues; read as
-            # unsigned, a negative one fails the same comparison.
-            if (blk.view(np.uint64).max(axis=(0, 2)) >= moduli).any():
-                blk = blk % plan.moduli_col
-            b = blk.shape[0]
-            views = tuple(buf[:b] for buf in scratch)
-            for m in range(rns):
-                if blk.shape[1] > 1:
-                    self._split(plan, blk[:, m], views[0], views[-1])
-                elif m == 0:  # one coefficient row: its halves serve every modulus
-                    self._split(plan, blk[:, 0], views[0], views[-1])
-                self._modulus(
-                    plan, way, m, out[start:start + b, m], views, partial
-                )
-        return out.reshape(lead + (rns, n))
-
-    @staticmethod
-    def _split(
-        plan: _GemmNttPlan, src: np.ndarray, halves: np.ndarray,
-        narrow: np.ndarray,
-    ) -> None:
-        """14-bit halves of ``src`` (b, n) into ``halves`` (b, 2, rows, cols).
-
-        ``src`` is int64 in ``[0, 2q)``, which the plan holds below 2^31:
-        staging it through the int32 ``narrow`` buys numpy's vectorised
-        32-bit shift/mask loops (its int64 ones are scalar).
-        """
-        s = plan.SPLIT_LOG2
-        np.copyto(narrow, src.reshape(narrow.shape), casting="unsafe")
-        np.right_shift(narrow, s, out=halves[:, 0], casting="unsafe")
-        np.bitwise_and(narrow, (1 << s) - 1, out=halves[:, 1], casting="unsafe")
-
-    @staticmethod
-    def _gemm(
-        mats: np.ndarray, left: bool, halves: np.ndarray,
-        prod: np.ndarray, acc: np.ndarray,
-    ) -> None:
-        """``acc = M_hi . hi + M_lo . lo``, ``M`` on the left or the right."""
-        b, _, rows, cols = halves.shape
-        if rows == 1:
-            # Dense: hi | lo of one polynomial are adjacent, so the pair
-            # is one (b, 2n) @ (2n, n) product and needs no addition.
-            np.matmul(
-                halves.reshape(b, 2 * cols), mats.reshape(2 * cols, cols),
-                out=acc.reshape(b, cols),
-            )
-            return
-        if left:
-            np.matmul(mats, halves, out=prod)
-        else:
-            np.matmul(halves, mats, out=prod)
-        np.add(prod[:, 0], prod[:, 1], out=acc)
-
-    def _modulus(
-        self, plan: _GemmNttPlan, way: _NttFactors, m: int,
-        out: np.ndarray, scratch: tuple, partial: bool,
-    ) -> None:
-        """One modulus of one block: split halves in, residues into ``out``."""
-        halves, halves_b, prod, acc, tmp, quot, narrow = scratch
-        q, recip = plan.moduli[m], plan.recips[m]
-        out = out.reshape(acc.shape)
-        (mats, left), *second = way.gemms
-        self._gemm(mats[m], left, halves, prod, acc)
-        for mats, left in second:
-            barrett_fold(acc, q, recip, tmp)
-            # `out` doubles as the twisted intermediate: the split
-            # consumes it before the final store overwrites it.
-            twist_mulmod(
-                acc, way.twist[m], way.twist_over_q[m], q, out, quot, tmp
-            )
-            self._split(plan, out, halves_b, narrow)
-            self._gemm(mats[m], left, halves_b, prod, acc)
-        barrett_store(acc, q, recip, out, quot, tmp, partial)
-
-    def ntt_forward(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
-        plan = self._plan(ctx)
-        if plan is None:
-            return super().ntt_forward(ctx, residues)
-        with kernel_stage(self._label("ntt_fwd"), getattr(residues, "nbytes", 0)):
-            return self._transform(plan, plan.fwd, residues)
-
-    def ntt_inverse(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
-        plan = self._plan(ctx)
-        if plan is None:
-            return super().ntt_inverse(ctx, residues)
-        with kernel_stage(self._label("ntt_inv"), getattr(residues, "nbytes", 0)):
-            return self._transform(plan, plan.inv, residues)
-
-    def digits_forward(self, ctx: RingContext, digits: np.ndarray) -> np.ndarray:
-        plan = self._plan(ctx)
-        if plan is None:
-            return super().digits_forward(ctx, digits)
-        with kernel_stage(self._label("ntt_fwd"), digits.nbytes):
-            if (
-                plan.fwd_unit is not None
-                and digits.size
-                and digits.min() >= 0
-                and plan.digit_coeff * int(digits.max()) < FLOAT64_EXACT_MAX
-            ):
-                batch, k, n = digits.shape
-                rns = ctx.rns_count
-                acc = digits.reshape(batch * k, n).astype(np.float64) \
-                    @ plan.fwd_unit
-                acc = acc.reshape(batch, k, rns, n)
-                out = np.empty((batch, k, rns, n), dtype=np.int64)
-                for m in range(rns):
-                    out[..., m, :] = barrett_reduce_nonneg(
-                        acc[..., m, :], plan.moduli[m], partial=True
-                    )
-                return out
-            # Partial [0, 2q) residues either way: this backend's
-            # ``inner`` sizes its chunks on the actual operand range,
-            # so canonicalising here would be a wasted pass.
-            return self._transform(
-                plan, plan.fwd, digits[:, :, None, :], partial=True
-            )
-
-    def automorphism(
-        self, ctx: RingContext, cts: np.ndarray, r: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """NTT-domain X -> X^r: a pure gather of evaluation slots.
-
-        The ``b`` half needs no transform at all and the ``a`` half only
-        the inverse that decomposition wants anyway.  The slot table is
-        the ring's own, so this holds whatever runs the inverse.
-        """
-        # take, not cts[..., slots]: fancy indexing leaves the indexed
-        # axis outermost in memory and costs 8x the time at N = 2^12.
-        gathered = np.take(cts, ctx.automorphism_slots(r), axis=-1)
-        return self.ntt_inverse(ctx, gathered[0]), gathered[1]
-
-    def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
-        """Limb-iCRT decomposition with half-packed canonicalisation.
-
-        Same Eq. 3 lift as the eager implementation, but after carry
-        propagation the base-z limbs are packed into two exact int64
-        halves ``S = high * z^lo + low``, so the ``rns_count - 1``
-        conditional subtractions of Q become a handful of full-width
-        integer ops instead of limb-wise lexicographic compare/borrow
-        chains.  Digits come back out via shifts and masks —
-        byte-identical to the eager path by construction.
-        """
-        tables = _limb_tables(gadget)
-        nlimbs = tables["nlimbs"]
-        blog = gadget.base_log2
-        lo_limbs = nlimbs // 2
-        hi_limbs = nlimbs - lo_limbs
-        # Each packed half must stay an exact int64: the low half is
-        # fully carried (< z^lo), the high half's top limb holds up to
-        # rns_count unpropagated carries (3 extra bits covers rns <= 7).
-        # Exotic bases fall back to the eager limb-wise path.
-        if (
-            not tables["limb_ok"]
-            or lo_limbs * blog > 62
-            or hi_limbs * blog + 3 > 62
-        ):
-            count("he_decompose_eager")
-            return super().decompose(gadget, vec)
-        residues = self._coeff_residues(vec)
-        with kernel_stage(self._label("decompose"), residues.nbytes):
-            z = gadget.base
-            moduli, qhat_inv = tables["moduli"], tables["qhat_inv"]
-            t = (residues * qhat_inv[:, None]) % moduli[:, None]
-            # Limb-major accumulation: acc[li] is a contiguous
-            # (batch, n) slab for the carry sweep below.
-            acc = np.einsum("bmn,ml->lbn", t, tables["qhat_limbs"])
-            for li in range(nlimbs - 1):
-                carry = acc[li] >> blog
-                acc[li] -= carry << blog
-                acc[li + 1] += carry
-            low = acc[0].copy()
-            for li in range(1, lo_limbs):
-                low += acc[li] << (blog * li)
-            high = acc[lo_limbs].copy()
-            for li in range(1, hi_limbs):
-                high += acc[lo_limbs + li] << (blog * li)
-            big_q = gadget.ctx.basis.modulus_product
-            z_lo = 1 << (blog * lo_limbs)
-            q_low, q_high = big_q % z_lo, big_q >> (blog * lo_limbs)
-            for _ in range(gadget.ctx.rns_count - 1):
-                ge = (high > q_high) | ((high == q_high) & (low >= q_low))
-                if not ge.any():
-                    break
-                gi = ge.astype(np.int64)
-                low -= q_low * gi
-                high -= q_high * gi
-                borrow = low < 0
-                low += z_lo * borrow
-                high -= borrow
-            digits = np.empty(
-                (len(residues), gadget.length, gadget.ctx.n), dtype=np.int64
-            )
-            mask = z - 1
-            for j in range(gadget.length):
-                src, shift = (
-                    (low, blog * j) if j < lo_limbs
-                    else (high, blog * (j - lo_limbs))
-                )
-                digits[:, j] = (src >> shift) & mask
-            return digits
-
-    def inner(
-        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Key-switch inner product sized on the *actual* operand range.
-
-        This backend's ``digits_forward`` hands over partially reduced
-        ``[0, 2q)`` digits, so the overflow-safe chunk is computed from
-        the operand maxima instead of assuming canonical inputs.  The
-        final reduction canonicalises, so results stay byte-identical.
-        """
-        per_term = int(digits.max(initial=0)) * int(rows.max(initial=0))
-        chunk = (_INT64_MAX - (int(moduli_col.max()) - 1)) // max(per_term, 1)
-        if chunk < 1:
-            # Out-of-range operands (never this backend's own digits):
-            # canonicalise and take the eager path.
-            count("he_inner_eager")
-            return super().inner(digits % moduli_col, rows, moduli_col, out)
-        return _chunked_einsum(
-            "gbkmn,gkmn->gbmn", digits, rows, chunk, moduli_col, out
-        )
-
-    def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         """Chunked float64 dgemm with Barrett tails; exact, BLAS-backed.
 
         int64 matmul in numpy is a scalar loop; float64 hits BLAS.  The
         inner axis is chunked so every partial accumulation stays below
         2^53 (float64-exact), each chunk Barrett-reduced before the
         next.  Operand ranges that cannot satisfy the bound take the
-        eager int64 path — identical results either way.
+        int64 :func:`modular_gemm` (and its bignum corner) — identical
+        results either way.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -1395,8 +914,8 @@ class PlannedBackend(EagerBackend):
         return acc
 
 
-class NativeBackend(PlannedBackend):
-    """The planned backend with its hottest primitives compiled.
+class NativeBackend(EagerBackend):
+    """The eager backend with its hottest primitives compiled.
 
     Forward/inverse NTT (broadcast RNS axis included), gadget
     decomposition, the key-switch inner product, the RowSel contraction
@@ -1405,14 +924,13 @@ class NativeBackend(PlannedBackend):
     the C99 kernels of :mod:`repro.he.native` — lazy butterflies over
     the same twiddle tables, so every slot is where the eager transforms
     put it.  Every pipeline op, the slot-gather automorphism and the
-    dense GEMM are inherited.  Nothing here builds a
-    :class:`_GemmNttPlan` for a ring the kernels cover.
+    dense GEMM are inherited.
 
-    What the kernels do not cover runs the planned primitives, exactly
+    What the kernels do not cover runs the eager primitives, exactly
     and counted: no library on this machine (``he_native_unavailable``,
     once per process, by :func:`repro.he.native.load_library`), or a
-    ring or gadget outside their bounds (``he_native_none`` per call —
-    ``4q < 2^32`` is the one that matters, raised as a
+    ring, gadget or operand outside their bounds (``he_native_none`` per
+    call — ``4q < 2^32`` is the one that matters, raised as a
     :class:`~repro.errors.ParameterError` by
     :class:`~repro.he.native.NativeRing`).
     """
@@ -1490,13 +1008,19 @@ class NativeBackend(PlannedBackend):
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """The compiled contraction for ``[0, 2q)`` digits against
-        canonical rows; anything wider is the planned backend's to size."""
+        canonical rows.
+
+        The eager einsum sizes its chunks for canonical operands, and
+        ``digits_forward`` leaves ``[0, 2q)``: whatever the kernel
+        refuses is reduced first, then handed over (counted).
+        """
         consts = self._consts(moduli_col)
         if consts is not None:
             result = native.inner(native.load_library(), consts, digits, rows, out)
             if result is not None:
                 return result
-        return super().inner(digits, rows, moduli_col, out)
+            count("he_native_none")
+        return super().inner(digits % moduli_col, rows, moduli_col, out)
 
     def rowsel_gemm(
         self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
@@ -1544,14 +1068,14 @@ _REGISTRY: dict[str, ComputeBackend] = {}
 
 
 def _default_name() -> str:
-    """``native`` where its library builds and loads, else ``planned``.
+    """``native`` where its library builds and loads, else ``eager``.
 
     A selection from what the platform can do, made on first use (the
     first call may run the C compiler) and fixed for the process.
     """
     if native.load_library() is not None:
         return NativeBackend.name
-    return PlannedBackend.name
+    return EagerBackend.name
 
 
 def __getattr__(name: str):
@@ -1598,5 +1122,4 @@ def resolve_backend(
 
 
 register_backend(EagerBackend())
-register_backend(PlannedBackend())
 register_backend(NativeBackend())

@@ -25,7 +25,7 @@ last wins, every loser having already loaded a complete file.  No
 compiler, an unwritable cache, a failed build or a failed load is not an
 error: the reason is logged once, ``he_native_unavailable`` is counted
 once, and the function returns None for the rest of the process —
-``planned`` then stays the default backend.
+``eager`` is then the default backend.
 
 **Exactness.**  One bound carries every kernel: ``4q < 2^32`` for each
 modulus, which keeps the lazy butterflies' ``[0, 4q)`` values in 32-bit
@@ -159,7 +159,7 @@ def load_library() -> ctypes.CDLL | None:
         reason = str(exc)
         if isinstance(exc, subprocess.CalledProcessError):
             reason += " " + exc.stderr.decode(errors="replace").strip()[-400:]
-        _log.warning("native kernels unavailable, using numpy plans: %s", reason)
+        _log.warning("native kernels unavailable, using eager numpy: %s", reason)
         count("he_native_unavailable")
         return None
 

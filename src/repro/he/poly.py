@@ -23,12 +23,12 @@ if TYPE_CHECKING:  # avoid a circular import; params depends on he.modmath
     from repro.params import PirParams
 
 
-#: Scratch budget of one block of a stacked kernel.  The planned
-#: transforms walk their batch axis in blocks whose float64/int64
-#: intermediates fit this many bytes, so they stay L2-resident however
-#: large the batch is; the stacked client encryption walks its rows, and
-#: the servers cut a dispatch window into query groups, under the same
-#: budget.
+#: Scratch budget of one block of a stacked kernel: intermediates that
+#: fit this many bytes stay L2-resident however large the batch is.  The
+#: eager RowSel widens its uint32 store one tile of this size at a time,
+#: database preprocessing transforms a block of it per call, the stacked
+#: client encryption walks its rows, and the servers cut a dispatch
+#: window into query groups, all under the same budget.
 BLOCK_BYTES = 1 << 21
 
 

@@ -30,18 +30,14 @@ _HEALTH_COUNTS = ("submitted", "rejected", "served", "failed")
 
 #: Cliff counters copied into every health row: queries per stacked PIR
 #: window and the groups the scratch budget cut them into, then the
-#: native backend's drops to the planned primitives (no library on this
-#: machine; a ring or gadget outside the kernels' bounds), the GEMM NTT
-#: plans built, and the planned backend's drops to eager or bignum kernels.
+#: native backend's drops to the eager primitives (no library on this
+#: machine; a ring, gadget or operand outside the kernels' bounds) and
+#: the dense GEMM's drops to object-dtype bignums.
 _CLIFF_COUNTERS = (
     "pir_window_queries",
     "pir_window_groups",
     "he_native_unavailable",
     "he_native_none",
-    "he_plan_build",
-    "he_plan_none",
-    "he_decompose_eager",
-    "he_inner_eager",
     "he_modular_gemm_bignum",
 )
 

@@ -231,7 +231,7 @@ def aggregate_kernel_profile(kernel_profile: dict) -> dict:
     """Sum per-stage stats across compute backends.
 
     Kernel-stage labels carry the backend that spent the time
-    (``ntt_fwd@planned``); model comparison and stage-level assertions
+    (``ntt_fwd@native``); model comparison and stage-level assertions
     want the base stage regardless of implementation, so fold
     ``stage@backend`` into ``stage`` by summing calls/seconds/bytes.
     """

@@ -8,7 +8,7 @@ the Table IV comparison and the Section VI-D claim that IVE's modular GEMM
 path covers SimplePIR's entire server computation.
 
 All server-side products are taken mod q through the resolved
-:class:`~repro.he.backend.ComputeBackend` (``planned`` runs them as
+:class:`~repro.he.backend.ComputeBackend` (every backend runs them as
 chunked BLAS dgemms with Barrett tails); :func:`modular_gemm` — re-
 exported from ``repro.he.backend`` — is the exact chunked-int64 form the
 client keeps using, and the oracle every backend matches byte for byte.

@@ -40,7 +40,7 @@ from repro.he.subs import generate_subs_key, substitute
 from repro.params import PirParams
 
 
-#: Backends under test; CI sets REPRO_BACKEND=eager / =planned.
+#: Backends under test; CI sets REPRO_BACKEND=eager / =native.
 BACKENDS = [
     get_backend(name)
     for name in (

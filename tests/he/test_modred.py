@@ -1,13 +1,13 @@
-"""Property tests pinning the Barrett forms against plain ``%``.
+"""Property tests pinning the ``%``-free reductions against plain ``%``.
 
-The planned backend's exactness rests entirely on these reductions
-(:mod:`repro.he.modred`): every GEMM-NTT accumulator is finished by
-``barrett_reduce``, so an off-by-one anywhere in the float/int64 dance
-would corrupt transcripts silently.  Hypothesis drives them across
-the full :class:`~repro.params.PirParams` modulus range *and* the
-adversarial edges — accumulators hugging the float64-exact bound, moduli
-just below the Barrett limits — where a rounding bug would
-hide from the fixed-seed pipeline tests.
+The dense SimplePIR/hintpir GEMM's exactness rests on ``barrett_reduce``
+(every chunk of its float64 dgemm is finished by it) and the stacked
+adds and subtracts on ``modred``, so an off-by-one anywhere would
+corrupt transcripts silently.  Hypothesis drives them across the full
+:class:`~repro.params.PirParams` modulus range *and* the adversarial
+edges — accumulators hugging the float64-exact bound, moduli just below
+the Barrett limits — where a rounding bug would hide from the
+fixed-seed pipeline tests.
 """
 
 import numpy as np
@@ -16,27 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.he.modred import (
-    FLOAT64_EXACT_MAX,
-    barrett_fold,
-    barrett_reduce,
-    barrett_reduce_nonneg,
-    biased_quotient,
-    biased_reciprocal,
-    modred,
-    twist_mulmod,
-)
+from repro.he.modred import FLOAT64_EXACT_MAX, barrett_reduce, modred
 from repro.params import PirParams
 
 #: Every NTT modulus the parameter sets can produce, plus edge moduli:
-#: tiny, the largest odd modulus under the 2^31 twist bound, and a
-#: Barrett-only modulus just under the float64-exact bound.
+#: tiny, 2^31 - 1, and a modulus just under the float64-exact bound.
 PIR_MODULI = sorted(set(PirParams.paper().moduli) | set(PirParams.small().moduli))
 EDGE_MODULI = [3, 17, (1 << 31) - 1, (1 << 52) + 1]
 
-#: Accumulators the GEMM plans feed Barrett: anywhere in the exact range,
-#: including negative values (the hi/lo split transform is canonical but
-#: signed inputs must still reduce correctly).
+#: Accumulators the chunked dgemm feeds Barrett: anywhere in the exact
+#: range, including negative values (delta matrices are signed).
 accumulators = st.integers(
     min_value=-(FLOAT64_EXACT_MAX - 1), max_value=FLOAT64_EXACT_MAX - 1
 )
@@ -113,112 +102,6 @@ class TestBarrett:
             barrett_reduce(
                 np.zeros((2, 1)), np.array([[5], [FLOAT64_EXACT_MAX]])
             )
-
-
-#: Non-negative accumulators for the biased-reciprocal fast path.
-nonneg_accumulators = st.integers(min_value=0, max_value=FLOAT64_EXACT_MAX - 1)
-
-
-class TestBarrettNonneg:
-    @given(
-        acc=st.lists(nonneg_accumulators, min_size=1, max_size=32),
-        q=st.sampled_from(
-            [m for m in PIR_MODULI + EDGE_MODULI if m >= (1 << 14)]
-        ),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_canonical_matches_plain_modulo(self, acc, q):
-        got = barrett_reduce_nonneg(np.array(acc, dtype=np.float64), q)
-        assert np.array_equal(got, np.array(acc, dtype=object) % q)
-
-    @given(
-        acc=st.lists(nonneg_accumulators, min_size=1, max_size=32),
-        q=st.sampled_from(
-            [m for m in PIR_MODULI + EDGE_MODULI if m >= (1 << 14)]
-        ),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_partial_is_congruent_and_below_2q(self, acc, q):
-        """partial=True may stop in [0, 2q) but must stay congruent."""
-        got = barrett_reduce_nonneg(
-            np.array(acc, dtype=np.float64), q, partial=True
-        )
-        assert np.all(got >= 0) and np.all(got < 2 * q)
-        assert np.array_equal(got % q, np.array(acc, dtype=object) % q)
-
-    @given(q=st.sampled_from([m for m in PIR_MODULI if m >= (1 << 14)]))
-    @settings(max_examples=50, deadline=None)
-    def test_exact_at_the_float64_bound(self, q):
-        edge = FLOAT64_EXACT_MAX - 2
-        acc = np.array([edge, edge - 1, q - 1, q, 2 * q - 1, 0], dtype=np.float64)
-        got = barrett_reduce_nonneg(acc, q)
-        assert np.array_equal(got, np.array([int(v) % q for v in acc]))
-
-    def test_rejects_out_of_range_moduli(self):
-        with pytest.raises(ParameterError, match="2\\^14"):
-            barrett_reduce_nonneg(np.zeros(1), (1 << 14) - 1)
-        with pytest.raises(ParameterError, match="float64-exact"):
-            barrett_reduce_nonneg(np.zeros(1), FLOAT64_EXACT_MAX)
-
-
-class TestFourStepReductions:
-    """The in-place forms between the two GEMMs of a four-step plan."""
-
-    @given(
-        acc=st.lists(nonneg_accumulators, min_size=1, max_size=32),
-        q=st.sampled_from(
-            [m for m in PIR_MODULI + EDGE_MODULI if m >= (1 << 14)]
-        ),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_fold_stays_float_exact_and_below_2q(self, acc, q):
-        arr = np.array(acc, dtype=np.float64)
-        got = barrett_fold(arr, q, biased_reciprocal(q), np.empty_like(arr))
-        assert got is arr and got.dtype == np.float64
-        assert np.all(got >= 0) and np.all(got < 2 * q)
-        assert np.array_equal(got.astype(np.int64) % q, np.array(acc, dtype=object) % q)
-
-    @given(
-        q=st.one_of(
-            st.sampled_from(PIR_MODULI),
-            st.integers(min_value=1 << 14, max_value=(1 << 31) - 1),
-        ),
-        data=st.data(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_twist_product_beyond_2_53_reduces_into_0_2q(self, q, data):
-        """v * twist reaches 2q^2 (2^63 at the top): only the quotient is float."""
-        v = data.draw(st.lists(
-            st.integers(min_value=0, max_value=2 * q - 1), min_size=1, max_size=16
-        ))
-        twist = np.array(data.draw(st.lists(
-            st.integers(min_value=0, max_value=q - 1),
-            min_size=len(v), max_size=len(v),
-        )), dtype=np.int64)
-        vf = np.array(v, dtype=np.float64)
-        out, quot = np.empty(len(v), dtype=np.int64), np.empty(len(v), dtype=np.int64)
-        got = twist_mulmod(
-            vf, twist, biased_quotient(twist, q), q, out, quot, np.empty_like(vf)
-        )
-        assert np.all(got >= 0) and np.all(got < 2 * q)
-        assert np.array_equal(got % q, (np.array(v, dtype=object) * twist) % q)
-
-    @pytest.mark.parametrize("q", PIR_MODULI + [(1 << 31) - 1])
-    def test_twist_extremes(self, q):
-        v = np.array([0, 1, q - 1, q, 2 * q - 1] * 2, dtype=np.float64)
-        twist = np.array([q - 1] * 5 + [0, 1, q // 2, q - 2, q - 1], dtype=np.int64)
-        got = twist_mulmod(
-            v, twist, biased_quotient(twist, q), q, np.empty(10, dtype=np.int64),
-            np.empty(10, dtype=np.int64), np.empty(10),
-        )
-        assert np.all(got >= 0) and np.all(got < 2 * q)
-        assert np.array_equal(got % q, (v.astype(np.int64).astype(object) * twist) % q)
-
-    def test_rejects_out_of_range_moduli(self):
-        with pytest.raises(ParameterError, match="2\\^14"):
-            biased_reciprocal((1 << 14) - 1)
-        with pytest.raises(ParameterError, match="fit int64"):
-            biased_quotient(np.array([1]), 1 << 31)
 
 
 class TestModred:

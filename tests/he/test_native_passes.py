@@ -4,8 +4,7 @@ Three primitives carry everything of an answer that is not a transform
 or a key switch: ``rowsel_gemm`` (the one-pass contraction over the
 uint32 database store), ``expand_butterfly`` (one ExpandQuery level) and
 ``modular_add`` (the ``b`` add of Subs, ColTor's ``ones - zeros`` and
-``+ zeros``).  ``planned`` inherits all three from ``eager`` and is held
-to it too.  The cases are the ones that bound the C arithmetic: the
+``+ zeros``).  The cases are the ones that bound the C arithmetic: the
 N = 256 / 3-moduli and N = 4096 / 4-moduli rings, residues 0 and q - 1,
 a shared plane, the non-contiguous per-query bucket views of the batch
 and keyword tiers, contractions long enough to need the overflow-safe
@@ -26,7 +25,6 @@ from repro.he.poly import BLOCK_BYTES, RingContext
 from repro.params import PirParams
 
 EAGER = get_backend("eager")
-PLANNED = get_backend("planned")
 NATIVE = get_backend("native")
 
 needs_native = pytest.mark.skipif(
@@ -64,9 +62,7 @@ def _residues(ring: RingContext, shape: tuple, seed: int, fill: str) -> np.ndarr
 
 
 FILLS = ("random", "zeros", "top", "striped")
-BACKENDS = pytest.mark.parametrize(
-    "backend", [PLANNED, NATIVE], ids=["planned", "native"]
-)
+BACKENDS = pytest.mark.parametrize("backend", [NATIVE], ids=["native"])
 
 
 class TestRowselGemm:

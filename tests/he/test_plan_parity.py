@@ -1,13 +1,12 @@
-"""The GEMM NTT plans against the eager butterflies, byte for byte.
+"""The backend under test against the eager butterflies, byte for byte.
 
-``planned`` replaces the transform primitives with per-ring plans
-(:class:`repro.he.backend._GemmNttPlan`): dense up to n = 512, four-step
-above, walked in blocks.  Every property here holds the backend under
-test to the ``eager`` oracle on exactly the inputs that distinguish the
-plan shapes: square and non-square factorisations, batches below, at and
-across the block size, empty batches, and residues that are unreduced or
-negative on arrival.  ``REPRO_BACKEND`` selects the backend (CI runs
-this file once per registered backend, like ``test_hotpath_equiv.py``).
+Every property here holds the backend under test to the ``eager``
+oracle at the ring degrees up to the paper's N = 2^12 (square and
+non-square ``2^a x 2^b`` shapes alike), on empty, single and odd-sized
+batches, and on residues that are unreduced or negative on arrival; the
+fallbacks to eager and bignum code are counted.  ``REPRO_BACKEND``
+selects the backend (CI runs this file once per registered backend,
+like ``test_hotpath_equiv.py``).
 
 The ``native`` backend's compiled kernels get their own edge vectors,
 bounds and build/cache/fallback cases at the bottom; those that need the
@@ -26,16 +25,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.he import modmath, native
-from repro.he.backend import (
-    _PLANS,
-    DEFAULT_BACKEND,
-    PLAN_MAX_N,
-    backend_names,
-    get_backend,
-)
+from repro.he.backend import DEFAULT_BACKEND, backend_names, get_backend
 from repro.he.batched import RnsPolyVec
 from repro.he.gadget import Gadget
-from repro.he.poly import Domain, RingContext
+from repro.he.poly import Domain, RingContext, RnsPoly
 from repro.obs.metrics import MetricsRegistry, install
 from repro.params import PirParams
 from repro.pir.database import PirDatabase
@@ -44,7 +37,6 @@ from repro.pir.protocol import PirProtocol
 
 BACKEND = get_backend(os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND))
 EAGER = get_backend("eager")
-PLANNED = get_backend("planned")
 NATIVE = get_backend("native")
 
 needs_native = pytest.mark.skipif(
@@ -53,7 +45,7 @@ needs_native = pytest.mark.skipif(
     "the build or load failed): nothing compiled to test",
 )
 
-#: Four-step rings: 32 x 32, the non-square 32 x 64, and the paper's 64 x 64.
+#: The rings 2^10 .. 2^12, up to the paper's ring degree.
 RINGS = {
     1024: RingContext(PirParams.small(n=1024)),
     2048: RingContext(PirParams.small(n=2048)),
@@ -61,9 +53,8 @@ RINGS = {
 }
 
 
-def _batches(ring: RingContext, shared: bool) -> list[int]:
-    block = PLANNED._plan(ring).block_polys(shared)
-    return [0, 1, block - 1, block, block + 1, 2 * block + 1]
+#: Empty, single, and odd and even batches on both sides of eight.
+BATCHES = [0, 1, 7, 8, 9, 17]
 
 
 def _residues(ring: RingContext, batch: int, seed: int, kind: str) -> np.ndarray:
@@ -87,27 +78,18 @@ def counters():
 
 cases = given(
     n=st.sampled_from(sorted(RINGS)),
-    batch_index=st.integers(min_value=0, max_value=5),
+    batch_index=st.integers(min_value=0, max_value=len(BATCHES) - 1),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kind=st.sampled_from(["canonical", "unreduced", "signed"]),
 )
 
 
 class TestFourStepParity:
-    def test_plan_shapes_follow_from_n(self):
-        shapes = {n: PLANNED._plan(ring) for n, ring in RINGS.items()}
-        assert [(p.rows, p.cols) for p in shapes.values()] == [
-            (32, 32), (32, 64), (64, 64)
-        ]
-        small = PLANNED._plan(RingContext(PirParams.small(n=256)))
-        assert (small.rows, small.cols) == (1, 256)
-        assert max(RINGS) == PLAN_MAX_N
-
     @cases
     @settings(max_examples=40, deadline=None)
     def test_forward_matches_eager(self, n, batch_index, seed, kind):
         ring = RINGS[n]
-        x = _residues(ring, _batches(ring, False)[batch_index], seed, kind)
+        x = _residues(ring, BATCHES[batch_index], seed, kind)
         got = BACKEND.ntt_forward(ring, x)
         assert got.dtype == np.int64 and got.shape == x.shape
         assert np.array_equal(got, EAGER.ntt_forward(ring, x))
@@ -116,7 +98,7 @@ class TestFourStepParity:
     @settings(max_examples=40, deadline=None)
     def test_inverse_matches_eager(self, n, batch_index, seed, kind):
         ring = RINGS[n]
-        x = _residues(ring, _batches(ring, False)[batch_index], seed, kind)
+        x = _residues(ring, BATCHES[batch_index], seed, kind)
         got = BACKEND.ntt_inverse(ring, x)
         assert got.dtype == np.int64 and got.shape == x.shape
         assert np.array_equal(got, EAGER.ntt_inverse(ring, x))
@@ -130,7 +112,7 @@ class TestFourStepParity:
         high = {"canonical": ring.params.gadget_base, "unreduced": 1 << 40}
         digits = rng.integers(
             -(1 << 40) if kind == "signed" else 0, high.get(kind, 1 << 40),
-            size=(_batches(ring, True)[batch_index], 3, n),
+            size=(BATCHES[batch_index], 3, n),
         )
         got = BACKEND.digits_forward(ring, digits)
         assert got.shape == (digits.shape[0], 3, ring.rns_count, n)
@@ -149,30 +131,32 @@ class TestFourStepParity:
 
 
 class TestPlanCache:
+    """The native backend's per-ring tables (its plan) and their bound."""
+
+    @needs_native
     def test_contexts_of_equal_params_share_one_plan(self):
         first = RingContext(PirParams.functional())
         second = RingContext(PirParams.functional(d0=16, num_dims=3))
         assert first is not second
-        assert PLANNED._plan(first) is PLANNED._plan(second)
-        assert PLANNED._plan(first) is not PLANNED._plan(RINGS[2048])
+        assert NATIVE._ring(first) is NATIVE._ring(second)
+        assert NATIVE._ring(first) is not NATIVE._ring(RINGS[2048])
 
-    @pytest.mark.parametrize("n, bits, planned", [
-        # 30-bit primes: the 32 x 32 bound (2^52.2) still holds ...
+    @pytest.mark.parametrize("n, bits, covered", [
+        # 30-bit primes keep 4q below 2^32 at any ring degree ...
         (1024, 30, True),
-        # ... the 64 x 64 one (2^53.2) does not, nor does any at 31 bits
-        # (a [0, 2q) residue no longer fits the int32 staging).
-        (4096, 30, False),
+        (4096, 30, True),
+        # ... 31-bit ones do not.
         (256, 31, False),
     ])
     def test_rings_beyond_the_exactness_bounds_run_eager(
-        self, n, bits, planned, counters
+        self, n, bits, covered, counters
     ):
         moduli = modmath.find_ntt_primes(bits, 2 * n, 3)
         ring = RingContext(PirParams(
             n=n, moduli=moduli, plain_modulus=65537, gadget_base_log2=16,
             gadget_len=6, d0=8, num_dims=1,
         ))
-        assert (PLANNED._plan(ring) is not None) == planned
+        loaded = native.load_library() is not None
         x = _residues(ring, 3, seed=bits, kind="signed")
         digits = np.random.default_rng(bits).integers(0, 1 << 16, size=(3, 2, n))
         assert np.array_equal(
@@ -185,44 +169,40 @@ class TestPlanCache:
             BACKEND.digits_forward(ring, digits) % ring._moduli_col,
             EAGER.digits_forward(ring, digits),
         )
-        before = counters("he_plan_none")
-        PLANNED.ntt_forward(ring, x)
-        assert counters("he_plan_none") - before == (0 if planned else 1)
+        assert (NATIVE._ring(ring) is not None) == (covered and loaded)
+        before = counters("he_native_none")
+        assert np.array_equal(NATIVE.ntt_forward(ring, x), EAGER.ntt_forward(ring, x))
+        assert counters("he_native_none") - before == (0 if covered or not loaded else 1)
 
 
 class TestFallbackCounters:
-    """Each drop from a planned kernel to the eager or bignum code is counted."""
-
-    def test_paper_gadget_decompose_takes_the_eager_limbs(self, counters, small_params):
-        # 2^22 base, l = 5: six limbs pack as 3 + 3, and 66 bits > 62.
-        gadget = Gadget(RingContext(PirParams.paper()))
-        ring = gadget.ctx
-        vec = RnsPolyVec(
-            ring, _residues(ring, 2, seed=5, kind="canonical"), Domain.COEFF
-        )
-        digits = PLANNED.decompose(gadget, vec)
-        assert counters("he_decompose_eager") == 1
-        assert np.array_equal(digits, EAGER.decompose(gadget, vec))
-        # 2^14 base, l = 6: the packed halves fit and nothing is counted.
-        packed = Gadget(RingContext(small_params))
-        PLANNED.decompose(packed, RnsPolyVec(
-            packed.ctx, _residues(packed.ctx, 2, seed=6, kind="canonical"),
-            Domain.COEFF,
-        ))
-        assert counters("he_decompose_eager") == 1
+    """Each drop from a native kernel to the eager or bignum code is counted."""
 
     def test_out_of_range_inner_operands_take_the_eager_einsum(self, counters):
         ring = RINGS[1024]
         rng = np.random.default_rng(7)
         shape = (1, 2, 3, ring.rns_count, ring.n)
         digits = rng.integers(0, 1 << 40, size=shape)  # one product is 2^70
-        rows = rng.integers(0, 1 << 30, size=shape[:1] + shape[2:])
-        got = PLANNED.inner(digits, rows, ring._moduli_col)
-        assert counters("he_inner_eager") == 1
+        rows = rng.integers(0, ring._moduli_col, size=shape[:1] + shape[2:])
+        got = NATIVE.inner(digits, rows, ring._moduli_col)
+        drops = int(native.load_library() is not None)
+        assert counters("he_native_none") == drops
         want = EAGER.inner(digits % ring._moduli_col, rows, ring._moduli_col)
         assert np.array_equal(got, want)
-        PLANNED.inner(digits % ring._moduli_col, rows, ring._moduli_col)
-        assert counters("he_inner_eager") == 1
+        NATIVE.inner(digits % ring._moduli_col, rows, ring._moduli_col)
+        assert counters("he_native_none") == drops
+
+    @needs_native
+    def test_a_gadget_outside_the_limb_walk_takes_the_eager_limbs(self, counters):
+        # Five moduli: the kernel's limb walk covers at most four.
+        ring = RingContext(PirParams(
+            n=256, moduli=modmath.find_ntt_primes(28, 512, 5), plain_modulus=65537,
+            gadget_base_log2=16, gadget_len=9, d0=8, num_dims=1,
+        ))
+        gadget = Gadget(ring)
+        vec = RnsPolyVec(ring, _residues(ring, 2, seed=9, kind="canonical"), Domain.COEFF)
+        assert np.array_equal(NATIVE.decompose(gadget, vec), EAGER.decompose(gadget, vec))
+        assert counters("he_native_none") == 1
 
     def test_oversized_q_gemm_takes_object_bignums(self, counters):
         q = (1 << 45) + 59
@@ -230,10 +210,10 @@ class TestFallbackCounters:
         a = rng.integers(0, q, size=(3, 5))
         b = rng.integers(0, q, size=(5, 2))
         exact = ((a.astype(object) @ b.astype(object)) % q).astype(np.int64)
-        for position, backend in enumerate((EAGER, PLANNED), start=1):
+        for position, backend in enumerate((EAGER, NATIVE), start=1):
             assert np.array_equal(backend.modular_gemm(a, b, q), exact)
             assert counters("he_modular_gemm_bignum") == position
-        PLANNED.modular_gemm(a % 256, b, q)  # a p-sized operand stays in range
+        NATIVE.modular_gemm(a % 256, b, q)  # a p-sized operand stays in range
         assert counters("he_modular_gemm_bignum") == 2
 
 
@@ -244,16 +224,24 @@ class TestNttDomainAutomorphism:
     def test_gather_matches_coefficient_scatter_for_every_expand_power(
         self, params
     ):
+        """The slot gather both backends run, against the per-poly
+        coefficient scatter of ``RnsPoly.automorphism``."""
         ring = RingContext(params)
         levels = modmath.ilog2(params.d0)
         cts = _residues(ring, 4, seed=params.n, kind="canonical").reshape(
             (2, 2, ring.rns_count, ring.n)
         )
         for r in expansion_powers(params.n, levels):
-            got_a, got_b = BACKEND.automorphism(ring, cts, r)
-            want_a, want_b = EAGER.automorphism(ring, cts, r)
-            assert np.array_equal(got_a, want_a), r
-            assert np.array_equal(got_b, want_b), r
+            want = [
+                [RnsPoly(ring, row, Domain.NTT).to_coeff().automorphism(r) for row in half]
+                for half in cts
+            ]
+            want_a = np.stack([p.residues for p in want[0]])
+            want_b = np.stack([p.to_ntt().residues for p in want[1]])
+            for backend in {BACKEND, EAGER}:
+                got_a, got_b = backend.automorphism(ring, cts, r)
+                assert np.array_equal(got_a, want_a), (backend.name, r)
+                assert np.array_equal(got_b, want_b), (backend.name, r)
 
 
 def _ring_of(bits: int, n: int = 256, count: int = 3) -> RingContext:
@@ -364,7 +352,6 @@ class TestNativeKernels:
         for poly, digits in zip(vec.polys(), got):
             want = np.stack([d.residues[0] for d in gadget.decompose(poly)])
             assert np.array_equal(digits, want)
-        assert counters("he_decompose_eager") == 0
         assert counters("he_native_none") == 0
 
     def test_inner_takes_partial_digits_and_hands_wider_ones_on(self, counters):
@@ -380,7 +367,8 @@ class TestNativeKernels:
         out = np.empty((2, 2, 3, ring.rns_count, ring.n), dtype=np.int64)
         NATIVE.inner(digits, rows, ring._moduli_col, out=out[:, 1])  # a strided out
         assert np.array_equal(out[:, 1], want)
-        wide = digits + (1 << 40)  # beyond the kernel's range: planned sizes it
+        assert counters("he_native_none") == 0
+        wide = digits + (1 << 40)  # beyond the kernel's range: reduced, then eager
         assert np.array_equal(
             NATIVE.inner(wide, rows, ring._moduli_col),
             EAGER.inner(wide % ring._moduli_col, rows, ring._moduli_col),
@@ -389,6 +377,7 @@ class TestNativeKernels:
             NATIVE.inner(-digits, rows, ring._moduli_col),
             EAGER.inner(-digits % ring._moduli_col, rows, ring._moduli_col),
         )
+        assert counters("he_native_none") == 2
 
     def test_malformed_tensors_are_typed_errors_not_pointer_reads(self):
         ring = RINGS[1024]
@@ -403,7 +392,7 @@ class TestNativeKernels:
 
 class TestNativeBounds:
     """4q < 2^32 is the kernels' one bound: a ring outside it is refused by
-    type, counted, and served by the planned primitives byte for byte."""
+    type, counted, and served by the eager primitives byte for byte."""
 
     @needs_native
     def test_the_constructor_raises_the_bound(self):
@@ -433,24 +422,6 @@ class TestNativeBounds:
         assert under_test.client.decode_response(fast, 9, db.layout) == db.record(9)
         assert counters("he_native_none") > before
 
-    @needs_native
-    def test_a_ring_inside_the_bound_builds_no_gemm_plan(self, counters):
-        ring = _ring_of(29, n=512)
-        key = (ring.n, tuple(ring.params.moduli))
-        _PLANS.pop(key, None)
-        gadget = Gadget(ring)
-        cts = _residues(ring, 4, seed=29, kind="canonical").reshape(
-            (2, 2, ring.rns_count, ring.n)
-        )
-        a, b = NATIVE.automorphism(ring, cts, 3)
-        NATIVE.key_switch(gadget, a[None, None], _residues(
-            ring, 2 * gadget.length, seed=1, kind="canonical"
-        ).reshape((2, 1, gadget.length, ring.rns_count, ring.n)))
-        assert key not in _PLANS and counters("he_plan_build") == 0
-        PLANNED.ntt_forward(ring, cts)
-        PLANNED.ntt_forward(ring, cts)
-        assert key in _PLANS and counters("he_plan_build") == 1
-
 
 @pytest.fixture
 def hidden_compiler(tmp_path):
@@ -467,18 +438,18 @@ class TestNativeBuildAndFallback:
     def test_native_is_registered_and_default_where_it_loads(self):
         assert "native" in backend_names()
         loaded = native.load_library() is not None
-        assert DEFAULT_BACKEND == ("native" if loaded else "planned")
+        assert DEFAULT_BACKEND == ("native" if loaded else "eager")
         assert get_backend().name == DEFAULT_BACKEND
 
-    def test_no_compiler_is_counted_once_and_falls_back_to_planned(
+    def test_no_compiler_is_counted_once_and_falls_back_to_eager(
         self, hidden_compiler, counters, caplog
     ):
         from repro.he import backend as backend_module
 
         with caplog.at_level("WARNING", logger="repro.he.native"):
             backend = get_backend("native")  # never an exception
-            assert backend_module.DEFAULT_BACKEND == "planned"
-            assert get_backend().name == "planned"
+            assert backend_module.DEFAULT_BACKEND == "eager"
+            assert get_backend().name == "eager"
             ring = RINGS[1024]
             x = _residues(ring, 2, seed=4, kind="signed")
             assert np.array_equal(

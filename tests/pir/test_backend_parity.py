@@ -33,7 +33,7 @@ def _assert_pir_responses_equal(fast, ref):
 
 class TestRegistry:
     def test_both_builtin_backends_registered(self):
-        assert {"eager", "planned"} <= set(BACKENDS)
+        assert set(BACKENDS) == {"eager", "native"}
 
     def test_unknown_backend_is_a_typed_error_listing_the_registry(self):
         with pytest.raises(ParameterError, match="unknown compute backend"):

@@ -23,7 +23,7 @@ from repro.pir.protocol import PirProtocol
 from repro.pir.rowsel import num_rowsel_cols, row_select, rowsel_plane_tensor
 from repro.pir.server import PirServer
 
-#: Backend under test; CI sets REPRO_BACKEND=eager / =planned.
+#: Backend under test; CI sets REPRO_BACKEND=eager / =native.
 BACKEND = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
 
 

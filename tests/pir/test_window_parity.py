@@ -34,7 +34,7 @@ from repro.pir.database import PirDatabase
 from repro.pir.server import PirServer
 from repro.serve.metrics import ServeMetrics
 
-#: Backends under test; CI sets REPRO_BACKEND=eager / =planned.
+#: Backends under test; CI sets REPRO_BACKEND=eager / =native.
 BACKENDS = (
     [os.environ["REPRO_BACKEND"]] if "REPRO_BACKEND" in os.environ else backend_names()
 )
@@ -121,11 +121,11 @@ class TestPlainWindow:
 
 class TestWindowValidation:
     def test_empty_window(self, plain):
-        assert plain[2]["planned"].answer_batch([]) == []
+        assert plain[2]["native"].answer_batch([]) == []
 
     def test_bad_query_is_named_before_any_work(self, plain, monkeypatch):
         db, client, servers = plain
-        server = servers["planned"]
+        server = servers["native"]
         queries = client.build_queries([1, 2, 3, 4], [db.layout] * 4)
         queries[2] = PirQuery(queries[2].packed, queries[2].selection_bits[:-1])
         monkeypatch.setattr(
@@ -145,7 +145,7 @@ class TestWindowValidation:
         good = client.build_query(0, db.layout)
         assert len(alien.selection_bits) == len(good.selection_bits)
         with pytest.raises(ParameterError, match="query 1 of the window"):
-            servers["planned"].answer_batch([good, alien])
+            servers["native"].answer_batch([good, alien])
 
     def test_mixed_layout_pass_is_typed(self, plain):
         db, client, _ = plain
@@ -246,7 +246,7 @@ class TestKvWindow:
 class TestWindowCounters:
     def test_window_larger_than_one_group_is_counted_and_exported(self, plain):
         db, client, servers = plain
-        server = servers["planned"]
+        server = servers["native"]
         queries = client.build_queries([0] * 7, [db.layout] * 7)
         metrics = ServeMetrics()
         previous = obs_metrics.install(metrics.registry)
@@ -263,12 +263,12 @@ class TestWindowCounters:
         assert "repro_pir_window_groups_total 4" in prom
         row = health_snapshot(1.0, metrics, 1.0)
         assert row["pir_window_queries"] == 8 and row["pir_window_groups"] == 4
-        # The kernel-fallback counters ride along; this geometry trips none.
-        for name in ("plan_none", "decompose_eager", "inner_eager", "modular_gemm_bignum"):
+        # The kernel-fallback counters ride along; this geometry trips none
+        # (a missing library was counted once, before this registry).
+        prom = render_prometheus(metrics.registry.snapshot())
+        for name in ("native_unavailable", "native_none", "modular_gemm_bignum"):
             assert row[f"he_{name}"] == 0
-        assert "repro_he_decompose_eager_total 0" in render_prometheus(
-            metrics.registry.snapshot()
-        )
+            assert f"repro_he_{name}_total 0" in prom
         # Uninstalled again: a later window is nobody's to count.
         server.answer(queries[0])
         assert metrics.registry.snapshot()["pir_window_queries"] == 8

@@ -33,7 +33,7 @@ from repro.pir.simplepir import SimplePirParams
 from repro.serve import RealCryptoBackend, RealShardRegistry, ServeRuntime, ServingMode
 from repro.systems.batching import BatchPolicy
 
-#: Backends under test; CI sets REPRO_BACKEND=eager / =planned.
+#: Backends under test; CI sets REPRO_BACKEND=eager / =native.
 BACKENDS = (
     [os.environ["REPRO_BACKEND"]] if "REPRO_BACKEND" in os.environ else backend_names()
 )

@@ -23,7 +23,7 @@ class TestClassification:
         for path in (
             "answer.byte_identical",
             "answer.eager.byte_identical",
-            "answer.planned.byte_identical",
+            "answer.native.byte_identical",
             "answer.decoded_ok",
             "preprocess.identical",
             "correct",
@@ -37,7 +37,7 @@ class TestClassification:
     def test_perf_leaves_are_advisory(self):
         for path in (
             "answer.speedup",
-            "answer.planned.s_per_query",
+            "answer.native.s_per_query",
             "preprocess.fast_s",
             "qps",
             "latency.p99_s",

@@ -143,15 +143,16 @@ class TestCli:
     def test_unknown_backend_exits_2_listing_registered(self, capsys):
         from repro.he.backend import backend_names
 
-        assert (
-            main(["serve", "--records", "8", "--queries", "2",
-                  "--backend", "warp-drive"])
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "unknown compute backend 'warp-drive'" in err
-        for name in backend_names():
-            assert name in err
+        for unknown in ("warp-drive", "planned"):
+            assert (
+                main(["serve", "--records", "8", "--queries", "2",
+                      "--backend", unknown])
+                == 2
+            )
+            err = capsys.readouterr().err
+            assert f"unknown compute backend '{unknown}'" in err
+            for name in backend_names():
+                assert name in err
 
     def test_loadtest_unknown_backend_exits_2(self, capsys):
         assert (
