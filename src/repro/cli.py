@@ -1,28 +1,25 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``demo``        run a functional private retrieval end to end
-``qps``         model IVE throughput for a DB size and batch
-``figures``     list every reproduced table/figure and its bench target
-``workloads``   show the Table III application workloads on the cluster
-``area``        print the Table II area/power breakdown
-``serve``       real-crypto smoke of the multi-shard serving runtime
-``cluster``     multi-process coordinator/worker serving smoke (real crypto)
-``loadtest``    open-loop load test (sim clock, real crypto, or cluster)
+One command per purpose:
+
+``demo``        one functional private retrieval, end to end
+``loadtest``    all real traffic: every (--serving tier) x (--mode sim, real,
+                cluster) cell deploys from one table, and real and cluster
+                runs audit every response against ground truth
+``qps``         modeled IVE serving numbers at a DB size: the plain tier's
+                breakdown, then each tier's table (batch amortization,
+                keyword overhead, hint speedup and refresh, update cost)
+``figures``     the reproduced paper figures and their bench targets, then
+                the modeled Table II area/power and Table III workloads
 ``obs-report``  validate + render a traced loadtest's exported artifacts
 ``obs-watch``   live (or --replay) terminal dashboard over a health JSONL
-``batchpir``    cuckoo-batched multi-record retrieval + amortization model
-``kvpir``       keyword PIR over a key-value store + keyword-overhead model
-``hintpir``     hint-tier PIR (SimplePIR) + epoch refresh economics model
-``update-churn``  online delta-apply vs full re-preprocess under churn
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.errors import ParameterError, ReproError
 from repro.params import PirParams
@@ -94,18 +91,133 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _batch_table(params: PirParams) -> list[str]:
+    from repro.batchpir import amortized_cost_curve
+
+    lines = [
+        f"  {'k':>4s} {'buckets':>8s} {'single ms':>10s} {'amort ms':>9s} "
+        f"{'speedup':>8s} {'placement':>9s}"
+    ]
+    for p in amortized_cost_curve(params, ks=(4, 16, 64)):
+        lines.append(
+            f"  {p.k:>4d} {p.num_buckets:>8d} {p.single_query_s * 1e3:>10.2f} "
+            f"{p.amortized_per_query_s * 1e3:>9.3f} {p.speedup:>7.1f}x "
+            f"{p.placement:>9s}"
+        )
+    return lines
+
+
+def _keyword_table(params: PirParams) -> list[str]:
+    from repro.kvpir import keyword_overhead_curve
+
+    lines = [
+        f"  {'k':>4s} {'index ms':>9s} {'lookup ms':>10s} {'overhead':>9s} "
+        f"{'placement':>11s}"
+    ]
+    points = keyword_overhead_curve(params, ks=(4, 16, 64))
+    for p in points:
+        lines.append(
+            f"  {p.k:>4d} {p.amortized_index_s * 1e3:>9.3f} "
+            f"{p.amortized_lookup_s * 1e3:>10.3f} {p.amortized_overhead:>8.1f}x "
+            f"{p.index_placement + '->' + p.kv_placement:>11s}"
+        )
+    single = points[-1]
+    lines.append(
+        f"standalone: index {single.index_query_s * 1e3:.2f} ms, lookup "
+        f"{single.lookup_s * 1e3:.2f} ms ({single.standalone_overhead:.1f}x, "
+        f"{single.candidates} probes)"
+    )
+    return lines
+
+
+def _hint_table(params: PirParams) -> list[str]:
+    from repro.hintpir import churn_refresh_curve, crossover_churn, hintpir_vs_full
+
+    lines = [
+        f"  {'batch':>6s} {'window ms':>10s} {'per-query ms':>13s} "
+        f"{'vs full pass':>12s}"
+    ]
+    for p in hintpir_vs_full(params, batches=(1, 16, 64, 256)):
+        lines.append(
+            f"  {p.batch:>6d} {p.online_s * 1e3:>10.3f} "
+            f"{p.per_query_s * 1e3:>13.4f} {p.speedup:>11.1f}x"
+        )
+    curve = churn_refresh_curve(params)
+    lines.append("modeled hint refresh economics (per epoch, per client):")
+    lines.append(
+        f"  {'churn':>8s} {'dirty':>7s} {'mode':>6s} {'refresh MiB':>12s} "
+        f"{'online MiB':>11s} {'refresh %':>10s}"
+    )
+    for p in curve:
+        lines.append(
+            f"  {p.churn:>8.4%} {p.dirty_records:>7d} {p.refresh_mode:>6s} "
+            f"{p.refresh_bytes / 2**20:>12.3f} {p.online_bytes / 2**20:>11.3f} "
+            f"{p.refresh_fraction:>9.1%}"
+        )
+    crossover = crossover_churn(curve)
+    lines.append(
+        "refresh dominates the client's wire budget beyond "
+        f"{crossover:.2%} churn/epoch"
+        if crossover is not None
+        else "refresh never dominates across the swept churn range"
+    )
+    return lines
+
+
+def _update_table(params: PirParams) -> list[str]:
+    from repro.mutate import churn_update_curve
+
+    lines = [
+        f"  {'churn':>7s} {'dirty polys':>12s} {'apply ms':>9s} {'full ms':>8s} "
+        f"{'speedup':>8s}"
+    ]
+    for p in churn_update_curve(params, churns=(0.001, 0.01, 0.1)):
+        lines.append(
+            f"  {p.churn:>6.2%} {p.dirty_polys:>12d} {p.apply_s * 1e3:>9.2f} "
+            f"{p.full_s * 1e3:>8.1f} {p.speedup:>7.1f}x ({p.placement})"
+        )
+    return lines
+
+
+#: ``qps`` after the plain breakdown: (heading, the tier's modeled table).
+_TIER_MODELS = (
+    ("batchpir: modeled on IVE, {} DB (amortized batch pass)", _batch_table),
+    ("kvpir: modeled on IVE, {} live records (keyword vs index)", _keyword_table),
+    (
+        "hintpir: modeled on IVE, {} DB (hint-tier online vs full RowSel/ColTor pass)",
+        _hint_table,
+    ),
+    (
+        "plain updates: modeled on IVE, {} DB (delta apply vs full re-preprocess)",
+        _update_table,
+    ),
+)
+
+
 def cmd_qps(args: argparse.Namespace) -> int:
+    """Every modeled serving number at ``--db-gib``: the plain tier's
+    breakdown, then one table per tier.  A tier whose store outgrows one
+    IVE system says so in place of its table."""
     from repro.arch.energy import energy_per_query
     from repro.systems.scale_up import ScaleUpSystem
 
-    system = ScaleUpSystem(_paper_params(args.db_gib))  # picks HBM or LPDDR
+    params = _paper_params(args.db_gib)
+    db = f"{args.db_gib} GiB"
+    system = ScaleUpSystem(params)  # picks HBM or LPDDR
     lat = system.latency(args.batch)
-    print(f"IVE, {args.db_gib} GiB DB ({system.placement.value}), batch {args.batch}:")
+    print(f"plain: modeled on IVE, {db} DB ({system.placement.value}), batch {args.batch}:")
     print(f"  latency  {lat.total_s * 1e3:8.2f} ms")
     print(f"  QPS      {lat.qps:8.1f}")
     for name, value in lat.breakdown().items():
         print(f"  {name:<12s} {value * 1e3:8.2f} ms")
     print(f"  energy   {energy_per_query(system.simulator, args.batch):8.4f} J/query")
+    for heading, table in _TIER_MODELS:
+        print(heading.format(db) + ":")
+        try:
+            lines = table(params)
+        except ParameterError as exc:
+            lines = [f"  not modeled: {exc}"]
+        print("\n".join(lines))
     return 0
 
 
@@ -115,8 +227,8 @@ def cmd_qps(args: argparse.Namespace) -> int:
 # --record-bytes, --shards, --seed, --backend) at the CLI's toy geometry and
 # says what a load item is: ``keys`` is None where items are record indices,
 # else the key a drawn index stands for.  An executor column says what hosts
-# the window; a cell with no host is refused by ``_deploy``.  ``serve``,
-# ``cluster`` and ``loadtest`` all deploy through here.
+# the window; a cell with no host is refused by ``_deploy``.  ``loadtest``
+# deploys through here.
 
 
 def _shape(args: argparse.Namespace) -> dict:
@@ -142,7 +254,8 @@ def _tier_batch(args: argparse.Namespace, publishes: bool):
     # One cuckoo pass is sized for the window, but no larger than a shard.
     design = max(1, min(args.max_batch, args.records // args.shards))
     registry = BatchServeRegistry.random(
-        _toy_params(), max_batch=design, backend=args.backend, **_shape(args)
+        _toy_params(), max_batch=design, hash_seed=args.seed, backend=args.backend,
+        **_shape(args),
     )
     return registry, None
 
@@ -193,7 +306,7 @@ class _Deployment:
     coordinator: object = None
 
 
-def _sim_column(args, serving, publishes, replication, obs) -> _Deployment:
+def _sim_column(args, serving, publishes, obs) -> _Deployment:
     from repro.serve import SimShardRegistry, SimulatedBackend
     from repro.systems.batching import BatchPolicy
 
@@ -216,7 +329,7 @@ def _window_policy(args):
     )
 
 
-def _real_column(args, serving, publishes, replication, obs) -> _Deployment:
+def _real_column(args, serving, publishes, obs) -> _Deployment:
     from repro.serve import RealCryptoBackend
 
     registry, keys = _TIERS[serving](args, publishes)
@@ -224,7 +337,7 @@ def _real_column(args, serving, publishes, replication, obs) -> _Deployment:
     return _Deployment(registry, executor, _window_policy(args), keys)
 
 
-def _cluster_column(args, serving, publishes, replication, obs) -> _Deployment:
+def _cluster_column(args, serving, publishes, obs) -> _Deployment:
     # Replicas live in worker processes, which host the plain tier only
     # (ROADMAP ServingMode (a): ship a tier's window state to workers, and
     # the other rows gain this column).
@@ -232,11 +345,7 @@ def _cluster_column(args, serving, publishes, replication, obs) -> _Deployment:
 
     registry = ClusterRegistry.random(_toy_params(), **_shape(args))
     coordinator = ClusterCoordinator(
-        registry,
-        num_workers=args.workers,
-        replication=replication,
-        backend=args.backend,
-        **obs,
+        registry, num_workers=args.workers, backend=args.backend, **obs
     )
     return _Deployment(
         registry, coordinator, _window_policy(args), coordinator=coordinator
@@ -255,8 +364,7 @@ def _deploy(
     args: argparse.Namespace,
     serving: str,
     mode: str,
-    publishes: bool = False,
-    replication: int = 1,
+    publishes: bool,
     **obs,
 ) -> _Deployment:
     """Build the (``serving``, ``mode``) cell; a hostless one is refused typed.
@@ -269,7 +377,7 @@ def _deploy(
             f"no host for --serving {serving} in --mode {mode}: the {mode} "
             f"executor hosts {', '.join(hosted)}"
         )
-    deployment = column(args, serving, publishes, replication, obs)
+    deployment = column(args, serving, publishes, obs)
     if publishes and not hasattr(deployment.registry, "publish"):
         raise ParameterError(
             f"--publish-period: --serving {serving} in --mode {mode} has no publish"
@@ -324,89 +432,10 @@ def _audit(registry, results) -> dict:
     }
 
 
-async def _serve_smoke(deployment: _Deployment, queries: int):
-    """Serve ``queries`` records round-robin through a fresh runtime;
-    ``(metrics, how many were served, how many of them audit correct)``."""
-    import asyncio
-
-    from repro.serve import ServeRuntime
-
-    registry = deployment.registry
-    runtime = ServeRuntime(registry, deployment.executor, deployment.policy)
-    async with runtime:
-        results = await asyncio.gather(
-            *(runtime.serve_index(i % registry.num_records) for i in range(queries))
-        )
-    return runtime.metrics, len(results), _audit(registry, results)["decoded_correct"]
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Byte-correct records through the full serve path (real crypto)."""
-    import asyncio
-
-    deployment = _deploy(args, "plain", "real")
-    metrics, total, correct = asyncio.run(_serve_smoke(deployment, args.queries))
-    print(
-        f"served {metrics.served} queries on {deployment.registry.num_shards} "
-        f"shards: {correct}/{total} byte-correct "
-        f"({'OK' if correct == total else 'MISMATCH'})"
-    )
-    lat = metrics.latency_percentiles()
-
-    def ms(value: float | None) -> str:
-        # Percentiles are None (not 0.0) when nothing was served.
-        return "n/a" if value is None else f"{value * 1e3:.0f} ms"
-
-    print(
-        f"mean batch {metrics.mean_batch:.1f}, p50 {ms(lat['p50_s'])}, "
-        f"p95 {ms(lat['p95_s'])}, achieved {metrics.achieved_qps:.1f} QPS"
-    )
-    return 0 if correct == total else 1
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    """Byte-correct records through the multi-process cluster runtime."""
-    import asyncio
-
-    from repro.mutate import UpdateLog
-
-    deployment = _deploy(args, "plain", "cluster", replication=args.replication)
-    registry, coordinator = deployment.registry, deployment.coordinator
-
-    async def run():
-        async with coordinator:
-            _, total, correct = await _serve_smoke(deployment, args.queries)
-            publish_ok = True
-            if args.publish:
-                # Record 0 is the first the one-query smoke asks for.
-                log = UpdateLog().put(0, b"\x42" * registry.record_bytes)
-                await coordinator.publish(log)
-                _, _, fresh = await _serve_smoke(deployment, 1)
-                publish_ok = fresh == 1
-            return correct, total, publish_ok, coordinator.stats
-
-    correct, total, publish_ok, stats = asyncio.run(run())
-    ok = correct == total and publish_ok
-    print(
-        f"served {total} queries on {registry.num_shards} shards across "
-        f"{args.workers} worker processes: {correct}/{total} byte-correct"
-    )
-    if args.publish:
-        print(
-            f"epoch publish to {registry.current_epoch}: "
-            f"{'OK' if publish_ok else 'MISMATCH'}"
-        )
-    print(
-        f"batches {stats.batches_sent}, retried {stats.batches_retried}, "
-        f"deaths {stats.worker_deaths}, epochs {stats.epochs_published} "
-        f"({'OK' if ok else 'MISMATCH'})"
-    )
-    return 0 if ok else 1
-
-
 def cmd_loadtest(args: argparse.Namespace) -> int:
     """Open-loop load test; prints a JSON report to stdout."""
     import asyncio
+    import contextlib
     import json
     import time
 
@@ -461,16 +490,16 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     publishes = args.publish_period is not None
     epochs_published = 0
 
-    async def run(deployment: _Deployment):
+    async def run(deployment: _Deployment, items: list):
         registry, coordinator = deployment.registry, deployment.coordinator
-        if coordinator is not None:
-            await coordinator.start()
-        try:
-            runtime = ServeRuntime(
-                registry, deployment.executor, deployment.policy, admission,
-                tracer=tracer, recorder=recorder,
-            )
-            runtime.start()
+        runtime = ServeRuntime(
+            registry, deployment.executor, deployment.policy, admission,
+            tracer=tracer, recorder=recorder,
+        )
+        # The fleet starts before the runtime and drains after it; either
+        # drains on the way out of an error too, so no task is left pending.
+        fleet = contextlib.nullcontext() if coordinator is None else coordinator
+        async with fleet, runtime:
             evaluator = None
             if slo_specs:
                 from repro.obs.slo import SloEvaluator
@@ -517,16 +546,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 sampler_task = asyncio.create_task(
                     sample_health(), name="health-sampler"
                 )
-            if args.distribution == "zipf":
-                draws = loadgen.zipf_indices(
-                    registry.num_records, args.queries, a=args.zipf_a, seed=args.seed
-                )
-            else:
-                draws = loadgen.uniform_indices(
-                    registry.num_records, args.queries, seed=args.seed
-                )
-            keys = deployment.keys
-            items = draws.tolist() if keys is None else [keys[i] for i in draws]
             publisher_task = None
             stop_publishing = asyncio.Event()
             if publishes:
@@ -572,29 +591,40 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             cluster_snap = (
                 coordinator.cluster_snapshot() if coordinator is not None else None
             )
-            return report, runtime, cluster_snap, evaluator
-        finally:
-            if coordinator is not None:
-                await coordinator.aclose()
+        return report, runtime, cluster_snap, evaluator
 
     try:
         deployment = _deploy(
             args, args.serving, args.mode, publishes,
             tracer=tracer, profiler=profiler, recorder=recorder,
         )
+        registry, coordinator = deployment.registry, deployment.coordinator
+        # Drawn before anything starts: a bad argument here exits 2 with
+        # no dispatcher, worker or timer task to leave behind.
+        if args.distribution == "zipf":
+            draws = loadgen.zipf_indices(
+                registry.num_records, args.queries, a=args.zipf_a, seed=args.seed
+            )
+        else:
+            draws = loadgen.uniform_indices(
+                registry.num_records, args.queries, seed=args.seed
+            )
+        keys = deployment.keys
+        items = draws.tolist() if keys is None else [keys[i] for i in draws]
         if sim:
             from repro.serve import run_in_virtual_time
 
             (report, runtime, cluster_snap, evaluator), virtual_s = (
-                run_in_virtual_time(run(deployment))
+                run_in_virtual_time(run(deployment, items))
             )
         else:
-            report, runtime, cluster_snap, evaluator = asyncio.run(run(deployment))
+            report, runtime, cluster_snap, evaluator = asyncio.run(
+                run(deployment, items)
+            )
             virtual_s = None
     finally:
         if args.trace:
             install_profiler(previous_profiler)
-    registry, coordinator = deployment.registry, deployment.coordinator
 
     out = {
         "mode": args.mode,
@@ -648,16 +678,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             )
         out["prom_out"] = args.prom_out
     if coordinator is not None:
-        stats = coordinator.stats
-        out["cluster"] = {
-            "workers": args.workers,
-            "batches_sent": stats.batches_sent,
-            "batches_retried": stats.batches_retried,
-            "worker_deaths": stats.worker_deaths,
-            "heartbeat_timeouts": stats.heartbeat_timeouts,
-            "rebalanced_shards": stats.rebalanced_shards,
-            "epochs_published": stats.epochs_published,
-        }
+        out["cluster"] = {"workers": args.workers, **asdict(coordinator.stats)}
     if args.trace:
         spans_path = f"{args.obs_out}.spans.jsonl"
         trace_path = f"{args.obs_out}.trace.json"
@@ -769,343 +790,35 @@ def cmd_obs_watch(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
-def cmd_batchpir(args: argparse.Namespace) -> int:
-    """Cuckoo-batched multi-record retrieval: real crypto + amortization model."""
-    import time
-
-    import numpy as np
-
-    from repro.batchpir import BatchPirProtocol, amortized_cost_curve
-
-    model_params = _paper_params(args.db_gib)
-    params = _toy_params()
-    rng = np.random.default_rng(args.seed)
-    records = [rng.bytes(args.record_bytes) for _ in range(args.records)]
-    protocol = BatchPirProtocol(
-        params, records, max_batch=args.k, record_bytes=args.record_bytes,
-        hash_seed=args.seed, seed=args.seed,
-    )
-    k = min(args.k, args.records)
-    indices = [int(i) for i in rng.choice(args.records, size=k, replace=False)]
-    start = time.monotonic()
-    result = protocol.retrieve_batch(indices)
-    elapsed = time.monotonic() - start
-    ok = all(rec == records[g] for rec, g in zip(result.records, indices))
-    layout = protocol.layout
-    print(
-        f"retrieved {k} records from {args.records} across "
-        f"{layout.num_buckets} buckets ({result.num_rounds} round"
-        f"{'s' if result.num_rounds != 1 else ''}): "
-        f"{'OK' if ok else 'MISMATCH'} in {elapsed:.2f}s"
-    )
-    print(
-        f"replication {layout.replication_factor:.2f}x, bucket geometry "
-        f"D0={layout.bucket_params.d0} d={layout.bucket_params.num_dims}, "
-        f"{protocol.transcript.per_query_online_bytes() / 1024:.0f} KiB "
-        "online/query"
-    )
-    points = amortized_cost_curve(model_params, ks=(4, 16, 64))
-    print(f"modeled on IVE, {args.db_gib} GiB DB (amortized batch pass):")
-    print(
-        f"  {'k':>4s} {'buckets':>8s} {'single ms':>10s} {'amort ms':>9s} "
-        f"{'speedup':>8s} {'placement':>9s}"
-    )
-    for p in points:
-        print(
-            f"  {p.k:>4d} {p.num_buckets:>8d} {p.single_query_s * 1e3:>10.2f} "
-            f"{p.amortized_per_query_s * 1e3:>9.3f} {p.speedup:>7.1f}x "
-            f"{p.placement:>9s}"
-        )
-    return 0 if ok else 1
-
-
-def cmd_kvpir(args: argparse.Namespace) -> int:
-    """Keyword PIR over a key-value store: real crypto + keyword-overhead model."""
-    import time
-
-    import numpy as np
-
-    from repro.errors import KeyNotFound
-    from repro.kvpir import KvPirProtocol, keyword_overhead_curve
-    from repro.kvpir.layout import random_items
-
-    model_params = _paper_params(args.db_gib)
-    params = _toy_params()
-    rng = np.random.default_rng(args.seed)
-    items = random_items(args.keys, args.value_bytes, seed=args.seed)
-    protocol = KvPirProtocol(
-        params,
-        items,
-        tag_bytes=args.tag_bytes,
-        max_lookup_batch=args.k,
-        hash_seed=args.seed,
-        seed=args.seed,
-    )
-    keys = list(items)
-    k = min(args.k, len(keys))
-    wanted = [keys[int(i)] for i in rng.choice(len(keys), size=k, replace=False)]
-    start = time.monotonic()
-    result = protocol.lookup_many(wanted)
-    elapsed = time.monotonic() - start
-    ok = not result.missing and all(
-        result.values[key] == items[key] for key in wanted
-    )
-    try:  # an absent key must surface as the typed miss, never as bytes
-        protocol.lookup(rng.bytes(13))
-        ok = False
-        print("absent key decoded to a value (tag collision?)", file=sys.stderr)
-    except KeyNotFound:
-        pass
-    layout = protocol.layout
-    print(
-        f"looked up {k}/{len(keys)} keys across {layout.num_slots} slots "
-        f"({layout.stash_slots} stash): {'OK' if ok else 'MISMATCH'} in "
-        f"{elapsed:.2f}s; absent key -> KeyNotFound"
-    )
-    print(
-        f"{layout.slot_expansion:.2f}x slots/key, "
-        f"<= {layout.candidates_per_lookup} probes/lookup, tag {layout.tag_bytes} B, "
-        f"{protocol.transcript.per_query_online_bytes() / 1024:.0f} KiB online/lookup"
-    )
-    points = keyword_overhead_curve(model_params, ks=(4, 16, 64))
-    print(f"modeled on IVE, {args.db_gib} GiB live records (keyword vs index):")
-    print(
-        f"  {'k':>4s} {'index ms':>9s} {'lookup ms':>10s} {'overhead':>9s} "
-        f"{'placement':>11s}"
-    )
-    for p in points:
-        print(
-            f"  {p.k:>4d} {p.amortized_index_s * 1e3:>9.3f} "
-            f"{p.amortized_lookup_s * 1e3:>10.3f} {p.amortized_overhead:>8.1f}x "
-            f"{p.index_placement + '->' + p.kv_placement:>11s}"
-        )
-    single = points[-1]
-    print(
-        f"standalone: index {single.index_query_s * 1e3:.2f} ms, lookup "
-        f"{single.lookup_s * 1e3:.2f} ms ({single.standalone_overhead:.1f}x, "
-        f"{single.candidates} probes)"
-    )
-    return 0 if ok else 1
-
-
-def cmd_hintpir(args: argparse.Namespace) -> int:
-    """Hint-tier PIR: real offline/online roundtrip + refresh economics model."""
-    import time
-
-    import numpy as np
-
-    from repro.errors import HintStale
-    from repro.hintpir import (
-        HintPirClient,
-        HintPirProtocol,
-        churn_refresh_curve,
-        crossover_churn,
-        hintpir_vs_full,
-    )
-    from repro.mutate import UpdateLog
-    from repro.pir.simplepir import SimplePirParams
-
-    model_params = _paper_params(args.db_gib)
-    params = SimplePirParams(lwe_dim=args.lwe_dim)
-    rng = np.random.default_rng(args.seed)
-    records = [rng.bytes(args.record_bytes) for _ in range(args.records)]
-    protocol = HintPirProtocol(
-        records, args.record_bytes, params, seed=args.seed,
-        retain_epochs=args.retain, client_seed=args.seed + 1,
-        backend=args.backend,
-    )
-    t = protocol.server.transcript()
-    print(
-        f"{args.records} records x {args.record_bytes} B: offline "
-        f"{t.offline_bytes / 1024:.1f} KiB hint, online "
-        f"{t.online_bytes / 1024:.2f} KiB/query "
-        f"(DB {t.db_bytes / 1024:.1f} KiB)"
-    )
-
-    # Online phase: one batched window over k random records.
-    k = min(args.k, args.records)
-    picks = [int(i) for i in rng.choice(args.records, size=k, replace=False)]
-    start = time.monotonic()
-    queries = [protocol.client.build_query(i) for i in picks]
-    answers = protocol.server.answer_window(queries)
-    decoded = [
-        protocol.client.decode(q, a) for q, a in zip(queries, answers)
-    ]
-    elapsed = time.monotonic() - start
-    ok = all(value == records[i] for value, i in zip(decoded, picks))
-    print(
-        f"answered {k} queries in one batched window: "
-        f"{'OK' if ok else 'MISMATCH'} in {elapsed * 1e3:.1f} ms"
-    )
-
-    # Epoch publishes: delta-patched decode, then the typed stale rejection.
-    laggard = HintPirClient(protocol.server, seed=args.seed + 2)
-    truth = list(records)
-    dirty_per_epoch = max(1, round(args.churn * args.records))
-    for _ in range(args.epochs):
-        log = UpdateLog()
-        for idx in rng.choice(args.records, size=dirty_per_epoch, replace=False):
-            record = rng.bytes(args.record_bytes)
-            log.put(int(idx), record)
-            truth[int(idx)] = record
-        report = protocol.publish(log)
-    target = int(rng.integers(args.records))
-    patched_ok = (
-        protocol.fetch(target) == truth[target]
-        and protocol.client.hint_epoch == protocol.server.epoch
-    )
-    print(
-        f"published {args.epochs} epochs at {args.churn:.1%} churn "
-        f"({dirty_per_epoch} writes, {report.patch_bytes} B delta-hint each); "
-        f"client delta-patched to epoch {protocol.client.hint_epoch}: "
-        f"{'OK' if patched_ok else 'MISMATCH'}"
-    )
-    stale_ok = False
-    if args.epochs > args.retain:
-        outcome = protocol.server.answer(laggard.build_query(target))
-        stale_ok = isinstance(outcome, HintStale)
-        print(
-            f"laggard at epoch 0 past the {args.retain}-epoch window -> "
-            f"{'typed HintStale (OK)' if stale_ok else 'MISMATCH: answered'}"
-        )
-    else:
-        stale_ok = True
-
-    points = hintpir_vs_full(model_params, batches=(1, 16, 64, 256))
-    print(
-        f"modeled on IVE, {args.db_gib} GiB DB (hint-tier online vs full "
-        f"RowSel/ColTor pass):"
-    )
-    print(
-        f"  {'batch':>6s} {'window ms':>10s} {'per-query ms':>13s} "
-        f"{'vs full pass':>12s}"
-    )
-    for p in points:
-        print(
-            f"  {p.batch:>6d} {p.online_s * 1e3:>10.3f} "
-            f"{p.per_query_s * 1e3:>13.4f} {p.speedup:>11.1f}x"
-        )
-    curve = churn_refresh_curve(model_params)
-    print("hint refresh economics (per epoch, per client):")
-    print(
-        f"  {'churn':>8s} {'dirty':>7s} {'mode':>6s} {'refresh MiB':>12s} "
-        f"{'online MiB':>11s} {'refresh %':>10s}"
-    )
-    for p in curve:
-        print(
-            f"  {p.churn:>8.4%} {p.dirty_records:>7d} {p.refresh_mode:>6s} "
-            f"{p.refresh_bytes / 2**20:>12.3f} {p.online_bytes / 2**20:>11.3f} "
-            f"{p.refresh_fraction:>9.1%}"
-        )
-    crossover = crossover_churn(curve)
-    print(
-        "refresh dominates the client's wire budget beyond "
-        f"{crossover:.2%} churn/epoch"
-        if crossover is not None
-        else "refresh never dominates across the swept churn range"
-    )
-    return 0 if ok and patched_ok and stale_ok else 1
-
-
-def cmd_update_churn(args: argparse.Namespace) -> int:
-    """Mutable-database churn: real delta applies + the IVE update model."""
-    import time
-
-    import numpy as np
-
-    from repro.he.poly import RingContext
-    from repro.mutate import UpdateLog, VersionedDatabase, churn_update_curve
-    from repro.pir.database import PirDatabase
-
-    model_params = _paper_params(args.db_gib)
-    params = PirParams.small(n=256, d0=8, num_dims=4)
-    rng = np.random.default_rng(args.seed)
-    records = [rng.bytes(args.record_bytes) for _ in range(args.records)]
-    ring = RingContext(params)
-
-    vdb = VersionedDatabase(params, records, args.record_bytes, ring=ring)
-    start = time.monotonic()
-    vdb.current.db.preprocess(ring)  # the full-rebuild baseline, timed
-    full_s = time.monotonic() - start
-    updates_per_batch = max(1, round(args.churn * args.records))
-    print(
-        f"{args.records} records x {args.record_bytes} B, full preprocess "
-        f"{full_s * 1e3:.0f} ms; churn {args.churn:.2%} "
-        f"({updates_per_batch} writes/batch)"
-    )
-    print(
-        f"  {'epoch':>5s} {'dirty':>6s} {'of':>5s} {'work':>6s} "
-        f"{'apply ms':>9s} {'speedup':>8s}"
-    )
-    ok = True
-    for _ in range(args.batches):
-        log = UpdateLog()
-        for idx in rng.choice(args.records, size=updates_per_batch, replace=False):
-            log.put(int(idx), rng.bytes(args.record_bytes))
-        start = time.monotonic()
-        snap = vdb.apply(log)
-        apply_s = time.monotonic() - start
-        cost = snap.cost
-        print(
-            f"  {snap.epoch:>5d} {cost.polys_repacked:>6d} {cost.full_polys:>5d} "
-            f"{cost.delta_fraction:>6.1%} {apply_s * 1e3:>9.2f} "
-            f"{full_s / apply_s:>7.1f}x"
-        )
-    fresh = PirDatabase.from_records(
-        [vdb.record(i) for i in range(vdb.num_records)], params, args.record_bytes
-    )
-    identical = bool(np.array_equal(fresh.planes, vdb.current.db.planes))
-    ok = ok and identical
-    print(f"planes byte-identical to a fresh rebuild: {'OK' if identical else 'MISMATCH'}")
-
-    model_churns = tuple(sorted({0.001, args.churn, 0.1}))
-    points = churn_update_curve(model_params, churns=model_churns)
-    print(f"modeled on IVE, {args.db_gib} GiB DB (delta apply vs full re-preprocess):")
-    print(f"  {'churn':>7s} {'dirty polys':>12s} {'apply ms':>9s} {'full ms':>8s} {'speedup':>8s}")
-    for p in points:
-        print(
-            f"  {p.churn:>6.2%} {p.dirty_polys:>12d} {p.apply_s * 1e3:>9.2f} "
-            f"{p.full_s * 1e3:>8.1f} {p.speedup:>7.1f}x ({p.placement})"
-        )
-    return 0 if ok else 1
-
-
 def cmd_figures(_: argparse.Namespace) -> int:
+    """The figure -> bench target list, then the modeled paper tables."""
+    from repro.analysis.workloads import REAL_WORKLOADS
+    from repro.arch.area import area
+    from repro.arch.config import IveConfig
+    from repro.arch.power import power
+    from repro.systems.cluster import IveCluster
+
     width = max(len(k) for k in _FIGURES)
     for figure, target in _FIGURES.items():
         print(f"{figure:<{width}}  {target}")
     print("\nrun all:  pytest benchmarks/ --benchmark-only")
-    return 0
-
-
-def cmd_workloads(_: argparse.Namespace) -> int:
-    from repro.analysis.workloads import REAL_WORKLOADS
-    from repro.systems.cluster import IveCluster
-
-    base = PirParams.paper()
-    print(f"{'workload':>8s} {'DB':>9s} {'record':>7s} {'QPS':>8s} {'latency':>9s}")
-    for workload in REAL_WORKLOADS:
-        cluster = IveCluster(workload.geometry(base), 16)
-        lat = cluster.latency(128)
-        print(
-            f"{workload.name:>8s} {workload.db_bytes / (1 << 30):>6.0f}GiB "
-            f"{workload.record_bytes:>6d}B {lat.qps:>8.1f} {lat.total_s:>8.2f}s"
-        )
-    print("(16-system IVE cluster, batch 128 — Table III)")
-    return 0
-
-
-def cmd_area(_: argparse.Namespace) -> int:
-    from repro.arch.area import area
-    from repro.arch.config import IveConfig
-    from repro.arch.power import power
 
     a, p = area(IveConfig.ive()), power(IveConfig.ive())
+    print("\nTable II, modeled IVE area/power:")
     print(f"{'component':>14s} {'area mm2':>9s} {'peak W':>7s}")
     for name in a.per_core:
         print(f"{name:>14s} {a.per_core[name]:>9.2f} {p.per_core.get(name, 0):>7.2f}")
     print(f"{'1 core':>14s} {a.core_total:>9.2f} {p.core_total:>7.2f}")
     print(f"{'chip total':>14s} {a.total:>9.1f} {p.total:>7.1f}")
+
+    print("\nTable III, modeled on a 16-system IVE cluster at batch 128:")
+    print(f"{'workload':>8s} {'DB':>9s} {'record':>7s} {'QPS':>8s} {'latency':>9s}")
+    for workload in REAL_WORKLOADS:
+        lat = IveCluster(workload.geometry(PirParams.paper()), 16).latency(128)
+        print(
+            f"{workload.name:>8s} {workload.db_bytes / (1 << 30):>6.0f}GiB "
+            f"{workload.record_bytes:>6d}B {lat.qps:>8.1f} {lat.total_s:>8.2f}s"
+        )
     return 0
 
 
@@ -1122,122 +835,21 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--index", type=int, default=7)
     demo.set_defaults(func=cmd_demo)
 
-    qps = sub.add_parser("qps", help="model IVE throughput")
+    qps = sub.add_parser(
+        "qps", help="modeled IVE serving numbers, one table per tier"
+    )
     qps.add_argument("--db-gib", type=int, default=2)
     qps.add_argument("--batch", type=int, default=64)
     qps.set_defaults(func=cmd_qps)
 
-    batchpir = sub.add_parser(
-        "batchpir", help="cuckoo-batched multi-record retrieval"
+    figures = sub.add_parser(
+        "figures", help="reproduced figures + modeled Table II/III"
     )
-    batchpir.add_argument("--records", type=int, default=256)
-    batchpir.add_argument("--record-bytes", type=int, default=32)
-    batchpir.add_argument("--k", type=int, default=16, help="records per batch")
-    batchpir.add_argument("--seed", type=int, default=0)
-    batchpir.add_argument("--db-gib", type=int, default=2, help="model DB size")
-    batchpir.set_defaults(func=cmd_batchpir)
-
-    kvpir = sub.add_parser(
-        "kvpir", help="keyword PIR over a sparse key-value store"
-    )
-    kvpir.add_argument("--keys", type=int, default=256)
-    kvpir.add_argument("--value-bytes", type=int, default=24)
-    kvpir.add_argument("--tag-bytes", type=int, default=8)
-    kvpir.add_argument("--k", type=int, default=8, help="lookups per batch")
-    kvpir.add_argument("--seed", type=int, default=0)
-    kvpir.add_argument("--db-gib", type=int, default=2, help="model DB size")
-    kvpir.set_defaults(func=cmd_kvpir)
-
-    hintpir = sub.add_parser(
-        "hintpir", help="hint-tier PIR: offline hint + sublinear online phase"
-    )
-    hintpir.add_argument("--records", type=int, default=128)
-    hintpir.add_argument("--record-bytes", type=int, default=32)
-    hintpir.add_argument("--lwe-dim", type=int, default=128)
-    hintpir.add_argument("--k", type=int, default=16, help="queries per window")
-    hintpir.add_argument(
-        "--epochs", type=int, default=3, help="mutation epochs to publish"
-    )
-    hintpir.add_argument(
-        "--churn", type=_fraction, default=0.05, help="fraction of records per epoch"
-    )
-    hintpir.add_argument(
-        "--retain", type=int, default=2, help="delta-hint retain window (epochs)"
-    )
-    hintpir.add_argument("--seed", type=int, default=0)
-    hintpir.add_argument("--db-gib", type=int, default=2, help="model DB size")
-    hintpir.add_argument(
-        "--backend",
-        help="compute backend name from the repro.he.backend registry "
-        "(default: native where a C compiler is found, else eager; "
-        "unknown names exit 2 listing the registered ones)",
-    )
-    hintpir.set_defaults(func=cmd_hintpir)
-
-    churn = sub.add_parser(
-        "update-churn", help="online database updates: delta apply vs re-preprocess"
-    )
-    churn.add_argument("--records", type=int, default=512)
-    churn.add_argument("--record-bytes", type=int, default=64)
-    churn.add_argument(
-        "--churn", type=_fraction, default=0.01, help="fraction of records per batch"
-    )
-    churn.add_argument("--batches", type=int, default=3)
-    churn.add_argument("--seed", type=int, default=0)
-    churn.add_argument("--db-gib", type=int, default=2, help="model DB size")
-    churn.set_defaults(func=cmd_update_churn)
-
-    figures = sub.add_parser("figures", help="list reproduced tables/figures")
     figures.set_defaults(func=cmd_figures)
 
-    workloads = sub.add_parser("workloads", help="Table III application workloads")
-    workloads.set_defaults(func=cmd_workloads)
-
-    area_cmd = sub.add_parser("area", help="Table II area/power breakdown")
-    area_cmd.set_defaults(func=cmd_area)
-
-    serve = sub.add_parser("serve", help="real-crypto serving runtime smoke")
-    serve.add_argument("--records", type=int, default=16)
-    serve.add_argument("--record-bytes", type=int, default=64)
-    serve.add_argument("--shards", type=int, default=2)
-    serve.add_argument("--queries", type=int, default=16)
-    serve.add_argument("--window-ms", type=float, default=10.0)
-    serve.add_argument("--max-batch", type=int, default=8)
-    serve.add_argument("--seed", type=int, default=3)
-    serve.add_argument(
-        "--backend",
-        help="compute backend name from the repro.he.backend registry "
-        "(default: native where a C compiler is found, else eager)",
+    loadtest = sub.add_parser(
+        "loadtest", help="all real traffic: open-loop load test, tier x executor"
     )
-    serve.set_defaults(func=cmd_serve)
-
-    cluster = sub.add_parser(
-        "cluster", help="multi-process cluster serving smoke (real crypto)"
-    )
-    cluster.add_argument("--records", type=int, default=16)
-    cluster.add_argument("--record-bytes", type=int, default=64)
-    cluster.add_argument("--shards", type=int, default=2)
-    cluster.add_argument("--workers", type=int, default=2)
-    cluster.add_argument(
-        "--replication", type=int, default=1, help="replicas per shard"
-    )
-    cluster.add_argument("--queries", type=int, default=16)
-    cluster.add_argument("--window-ms", type=float, default=10.0)
-    cluster.add_argument("--max-batch", type=int, default=8)
-    cluster.add_argument("--seed", type=int, default=3)
-    cluster.add_argument(
-        "--publish",
-        action="store_true",
-        help="also broadcast an epoch publish and re-read the updated record",
-    )
-    cluster.add_argument(
-        "--backend",
-        help="compute backend name, reconstructed inside each worker process "
-        "(default: native where a C compiler is found, else eager)",
-    )
-    cluster.set_defaults(func=cmd_cluster)
-
-    loadtest = sub.add_parser("loadtest", help="open-loop serving load test")
     loadtest.add_argument(
         "--mode", choices=("sim", "real", "cluster"), default="sim"
     )
@@ -1381,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the whole file strictly and exit (default: live tail)",
     )
     obs_watch.add_argument(
-        "--interval", type=float, default=0.5, help="live-tail poll seconds"
+        "--interval", type=_seconds, default=0.5, help="live-tail poll seconds"
     )
     obs_watch.add_argument(
         "--timeout",

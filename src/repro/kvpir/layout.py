@@ -160,11 +160,6 @@ class KvLayout:
         return self.table.num_buckets + self.stash_slots
 
     @property
-    def slot_expansion(self) -> float:
-        """Stored slots per live key (the ~1.5x table provisioning)."""
-        return self.num_slots / self.num_keys
-
-    @property
     def candidates_per_lookup(self) -> int:
         """Upper bound on slots one lookup probes (hash collisions dedupe)."""
         return self.table.num_hashes + self.stash_slots

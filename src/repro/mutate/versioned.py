@@ -51,11 +51,6 @@ class UpdateCost:
     #: from the sublinear ``polys_repacked``/``polys_ntted`` work counters.
     tensor_polys_copied: int = 0
 
-    @property
-    def delta_fraction(self) -> float:
-        """Fraction of the full preprocessing work this apply performed."""
-        return self.polys_repacked / self.full_polys if self.full_polys else 0.0
-
     def merge(self, other: "UpdateCost") -> "UpdateCost":
         """Combine accounting across shards / buckets of one logical apply."""
         return UpdateCost(

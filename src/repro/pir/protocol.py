@@ -26,15 +26,6 @@ class Transcript:
     response_bytes: int = 0
     queries_served: int = 0
 
-    @property
-    def total_online_bytes(self) -> int:
-        return self.query_bytes + self.response_bytes
-
-    def per_query_online_bytes(self) -> float:
-        if self.queries_served == 0:
-            return 0.0
-        return self.total_online_bytes / self.queries_served
-
 
 @dataclass
 class RetrievalResult:
@@ -103,17 +94,3 @@ class PirProtocol:
         )
         self.transcript.queries_served += 1
         return record
-
-    def retrieve_batch(self, record_indices: list[int]) -> list[bytes]:
-        """Multi-client-style batch: one expansion per query, shared DB scan."""
-        queries = [self.client.build_query(i, self.db.layout) for i in record_indices]
-        responses = self.server.answer_batch(queries)
-        records = [
-            self.client.decode_response(resp, idx, self.db.layout)
-            for idx, resp in zip(record_indices, responses)
-        ]
-        for query, response in zip(queries, responses):
-            self.transcript.query_bytes += query.size_bytes(self.params)
-            self.transcript.response_bytes += response.size_bytes(self.params)
-            self.transcript.queries_served += 1
-        return records

@@ -91,4 +91,4 @@ class TestKvDatabase:
     def test_random_builds_distinct_keys(self, params):
         db = KvDatabase.random(params, num_keys=30, value_bytes=8, seed=3)
         assert len(db.keys()) == 30
-        assert db.layout.slot_expansion >= 1.5
+        assert db.layout.num_slots >= 1.5 * db.layout.num_keys

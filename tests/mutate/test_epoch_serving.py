@@ -36,7 +36,7 @@ class TestEpochLifecycle:
         assert published.epoch == 1
         assert registry.current_epoch == 1
         assert published.cost.polys_repacked >= 1
-        assert 0.0 < published.cost.delta_fraction < 1.0
+        assert 0 < published.cost.polys_repacked < published.cost.full_polys
         assert registry.expected(3) == b"\x42" * 32
         assert registry.expected(3, epoch=0) != b"\x42" * 32
 

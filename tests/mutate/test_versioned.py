@@ -143,7 +143,7 @@ class TestCostAccounting:
         assert snap.cost.polys_repacked == 1
         assert snap.cost.polys_ntted == 1
         assert snap.cost.full_polys == 32  # d0 * 2^dims = 32 polys, 1 plane
-        assert snap.cost.delta_fraction == 1 / 32
+        assert snap.cost.polys_repacked / snap.cost.full_polys == 1 / 32
 
     def test_rewriting_identical_bytes_is_free(self, params):
         records = _records(12, size=32)

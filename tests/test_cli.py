@@ -1,8 +1,27 @@
 """CLI smoke tests (python -m repro ...)."""
 
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: One command per purpose: the whole front door.
+COMMANDS = ["demo", "qps", "figures", "loadtest", "obs-report", "obs-watch"]
+
+
+def _real_audit(capsys, *argv) -> dict:
+    """``loadtest --mode real`` + ``argv``; the audit of a clean run."""
+    import json
+
+    assert main(["loadtest", "--mode", "real", *argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["errored"] == 0 and out["audit"]["wrong_bytes"] == 0
+    return out["audit"]
 
 
 class TestCli:
@@ -23,28 +42,40 @@ class TestCli:
     def test_qps_rejects_unknown_size(self, capsys):
         assert main(["qps", "--db-gib", "3"]) == 2
 
+    def test_qps_prints_hint_and_update_models(self, capsys):
+        assert main(["qps"]) == 0
+        out = capsys.readouterr().out
+        assert "hintpir: modeled on IVE, 2 GiB DB" in out and "vs full pass" in out
+        assert "refresh dominates the client's wire budget beyond 3.00%" in out
+        assert "plain updates: modeled on IVE, 2 GiB DB" in out
+        assert "1.00%" in out and "dirty polys" in out
+
+    def test_qps_tier_that_outgrows_one_system_says_so(self, capsys):
+        """The batch and keyword stores replicate records, so at 64 GiB they
+        exceed one system's LPDDR; the other tables still print."""
+        assert main(["qps", "--db-gib", "64"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("not modeled: preprocessed DB") == 2
+        assert "hintpir: modeled on IVE, 64 GiB DB" in out
+        assert "plain updates: modeled on IVE, 64 GiB DB" in out
+
     def test_figures(self, capsys):
         assert main(["figures"]) == 0
         out = capsys.readouterr().out
         assert "Table II" in out and "bench_fig12_throughput" in out
 
     def test_area(self, capsys):
-        assert main(["area"]) == 0
+        assert main(["figures"]) == 0
         out = capsys.readouterr().out
+        assert "Table II, modeled" in out
         assert "sysNTTU" in out and "chip total" in out
 
     def test_workloads(self, capsys):
-        assert main(["workloads"]) == 0
+        assert main(["figures"]) == 0
         out = capsys.readouterr().out
+        assert "Table III, modeled" in out
         for name in ("Vcall", "Comm", "Fsys"):
             assert name in out
-
-    def test_serve_real_crypto_smoke(self, capsys):
-        assert (
-            main(["serve", "--records", "8", "--shards", "2", "--queries", "8"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "byte-correct" in out and "OK" in out
 
     def test_loadtest_sim_reports_json_metrics(self, capsys):
         import json
@@ -104,49 +135,20 @@ class TestCli:
         assert out["distribution"] == "zipf"
         assert out["completed"] == 500
 
-    def test_batchpir_round_trip_and_model(self, capsys):
-        assert (
-            main(["batchpir", "--records", "64", "--record-bytes", "16", "--k", "8"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "OK" in out
-        assert "speedup" in out
-
-    def test_batchpir_rejects_unknown_db_size(self, capsys):
-        assert (
-            main(["batchpir", "--records", "32", "--k", "4", "--db-gib", "3"]) == 2
-        )
-
-    def test_batchpir_seed_threads_into_cuckoo_config(self, capsys):
-        assert (
-            main(
-                [
-                    "batchpir", "--records", "64", "--record-bytes", "16",
-                    "--k", "4", "--seed", "7",
-                ]
-            )
-            == 0
-        )
-        assert "OK" in capsys.readouterr().out
-
     def test_serve_accepts_backend(self, capsys):
-        assert (
-            main(
-                ["serve", "--records", "8", "--shards", "2", "--queries", "4",
-                 "--backend", "eager"]
-            )
-            == 0
+        audit = _real_audit(
+            capsys, "--records", "8", "--shards", "2", "--queries", "4",
+            "--backend", "eager",
         )
-        assert "OK" in capsys.readouterr().out
+        assert audit["decoded_correct"] == 4
 
     def test_unknown_backend_exits_2_listing_registered(self, capsys):
         from repro.he.backend import backend_names
 
         for unknown in ("warp-drive", "planned"):
             assert (
-                main(["serve", "--records", "8", "--queries", "2",
-                      "--backend", unknown])
+                main(["loadtest", "--mode", "real", "--records", "8",
+                      "--queries", "2", "--backend", unknown])
                 == 2
             )
             err = capsys.readouterr().err
@@ -163,26 +165,47 @@ class TestCli:
         assert "unknown compute backend" in capsys.readouterr().err
 
     def test_serve_accepts_seed(self, capsys):
-        assert (
-            main(
-                ["serve", "--records", "8", "--shards", "2", "--queries", "4",
-                 "--seed", "11"]
-            )
-            == 0
+        audit = _real_audit(
+            capsys, "--records", "8", "--shards", "2", "--queries", "4",
+            "--seed", "11",
         )
-        assert "OK" in capsys.readouterr().out
+        assert audit["decoded_correct"] == 4
+
+    def test_batchpir_round_trip_and_model(self, capsys):
+        audit = _real_audit(
+            capsys, "--serving", "batchpir", "--records", "64",
+            "--record-bytes", "16", "--max-batch", "8", "--queries", "8",
+        )
+        assert audit["decoded_correct"] == 8
+        assert main(["qps"]) == 0
+        out = capsys.readouterr().out
+        assert "batchpir: modeled on IVE" in out and "speedup" in out
+
+    def test_batchpir_rejects_unknown_db_size(self, capsys):
+        argv = ["loadtest", "--mode", "sim", "--serving", "batchpir", "--db-gib", "3"]
+        assert main(argv) == 2
+
+    def test_batchpir_seed_threads_into_cuckoo_config(self, capsys):
+        audit = _real_audit(
+            capsys, "--serving", "batchpir", "--records", "64",
+            "--record-bytes", "16", "--max-batch", "4", "--queries", "8",
+            "--seed", "7",
+        )
+        assert audit["decoded_correct"] == 8
 
     def test_kvpir_round_trip_and_model(self, capsys):
-        assert (
-            main(["kvpir", "--keys", "64", "--value-bytes", "16", "--k", "4"]) == 0
+        audit = _real_audit(
+            capsys, "--serving", "kvpir", "--records", "64",
+            "--record-bytes", "16", "--max-batch", "4", "--queries", "8",
         )
+        assert audit["decoded_correct"] == 8
+        assert main(["qps"]) == 0
         out = capsys.readouterr().out
-        assert "OK" in out
-        assert "KeyNotFound" in out
-        assert "overhead" in out
+        assert "kvpir: modeled on IVE" in out and "overhead" in out
 
     def test_kvpir_rejects_unknown_db_size(self, capsys):
-        assert main(["kvpir", "--keys", "32", "--k", "4", "--db-gib", "3"]) == 2
+        argv = ["loadtest", "--mode", "sim", "--serving", "kvpir", "--db-gib", "3"]
+        assert main(argv) == 2
 
     def test_loadtest_sim_kvpir_serving(self, capsys):
         import json
@@ -238,7 +261,8 @@ class TestCli:
             ["loadtest", "--health-out", "unused", "--health-interval", "0"],
             ["loadtest", "--mode", "real", "--serving", "hintpir",
              "--publish-period", "0.05", "--publish-churn", "2.0"],
-            ["hintpir", "--churn", "2"],
+            ["obs-watch", "unused", "--interval", "-1"],
+            ["obs-watch", "unused", "--interval", "0"],
         ],
     )
     def test_bad_periods_and_fractions_exit_2(self, argv, capsys):
@@ -252,3 +276,29 @@ class TestCli:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_one_front_door_per_purpose(self, capsys):
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert list(sub.choices) == COMMANDS
+        for command in COMMANDS:
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--help"])
+            assert exit_info.value.code == 0
+
+    def test_loadtest_bad_argument_leaves_no_task_pending(self):
+        """A typed error after the deployment is built used to leave every
+        shard's dispatcher task pending when the event loop closed."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "loadtest", "--mode", "sim",
+             "--distribution", "zipf", "--zipf-a", "1.0", "--queries", "10"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "error: Zipf exponent must be greater than 1" in done.stderr
+        assert "Task was destroyed" not in done.stderr
+        assert "Traceback" not in done.stderr

@@ -3,7 +3,7 @@
 Every function (``def`` and ``async def``), class, public method and
 module-level name binding defined in the functional stack — ``he``,
 ``pir``, ``hashing``, the four tiers, ``mutate``, ``serve``,
-``cluster``, ``obs``, ``params.py``, ``errors.py`` — must be named
+``cluster``, ``obs``, ``params.py``, ``errors.py``, and the CLI — must be named
 somewhere in ``src/repro`` outside its own body — ``__init__``
 re-exports do not count — or appear in ``ALLOWED`` with the reason it
 stays.  The match is by name (an ``ast.Name``, an attribute access or a
@@ -21,7 +21,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 SCOPES = (
     "he", "pir", "hashing", "batchpir", "kvpir", "hintpir", "mutate",
-    "serve", "cluster", "obs", "params.py", "errors.py",
+    "serve", "cluster", "obs", "params.py", "errors.py", "cli.py",
 )
 
 _ORACLE = "per-poly oracle surface the stacked kernels are compared against in "
@@ -30,6 +30,7 @@ _BINDING = (
     "name binding of RealCryptoBackend the frozen benchmarks/e2e "
     "(e2e_workloads.py) imports; goes with Benchmark v2 (b)"
 )
+_LIBRARY = "one-object client+server round trip of the library API, used in "
 _MODSWITCH = (
     "response compression, off every serving path; its adopt-or-delete "
     "call belongs to the online_bytes_per_rec perf item (ROADMAP)"
@@ -96,6 +97,22 @@ ALLOWED = {
     "obs.profile.profiled": "scoped-profiler context manager of "
     "benchmarks/bench_hotpath.py, tests/pir/test_hotpath_equiv.py and "
     "tests/obs/test_profile.py",
+    # -- per-tier library entry points; real traffic reaches each tier
+    # through its ServeRegistry (``repro loadtest --serving``) ------------
+    "batchpir.server.BatchPirProtocol": _LIBRARY
+    + "the README Quickstart, benchmarks/bench_batchpir.py and bench_kvpir.py",
+    "batchpir.server.BatchPirProtocol.retrieve_batch": _LIBRARY
+    + "the README Quickstart and tests/batchpir/test_batch_e2e.py",
+    "batchpir.layout.BatchLayout.replication_factor": "cuckoo storage overhead "
+    "printed by benchmarks/bench_batchpir.py; tests/batchpir/test_layout.py",
+    "kvpir.server.KvPirProtocol": _LIBRARY
+    + "the README Quickstart, benchmarks/bench_kvpir.py and bench_hotpath.py",
+    "kvpir.server.KvPirProtocol.lookup": _LIBRARY
+    + "the README Quickstart and benchmarks/bench_kvpir.py (typed miss)",
+    "hintpir.protocol.HintPirProtocol": _LIBRARY
+    + "the README Quickstart and tests/hintpir/test_hint_protocol.py",
+    "hintpir.protocol.HintPirProtocol.fetch": _LIBRARY
+    + "the README Quickstart and tests/hintpir/test_hint_protocol.py",
 }
 
 
@@ -189,4 +206,5 @@ def test_the_gate_sees_async_defs_and_every_scope():
     assert "serve.loadgen.run_open_loop" in names  # an ``async def``
     assert "cluster.coordinator.ClusterCoordinator.aclose" in names
     assert "params.PirParams.small" in names and "errors.ReproError" in names
+    assert "cli._deploy" in names and "cli._audit" in names
     assert not any("Registry" in entry or entry.startswith("mutate.") for entry in ALLOWED)
