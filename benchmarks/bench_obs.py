@@ -20,6 +20,7 @@ import numpy as np
 
 from conftest import run_once
 
+from repro.he.backend import get_backend
 from repro.obs import KernelProfiler, Tracer
 from repro.obs.profile import install as install_profiler
 from repro.params import PirParams
@@ -148,8 +149,11 @@ def test_observability_overhead(benchmark, report):
     assert traced["correct"] == NUM_QUERIES
     # The instrumented run actually observed the work it claims to.
     assert traced["spans"] >= NUM_QUERIES  # at least one span per request
+    # Kernel stages are labelled ``stage@backend`` (the default backend here).
+    backend = get_backend()
     for stage in ("expand", "rowsel", "coltor", "gemm"):
-        assert traced["kernel_profile"][stage]["calls"] > 0, stage
+        label = f"{stage}@{backend.name}"
+        assert traced["kernel_profile"][label]["calls"] > 0, label
     assert bare["spans"] == 0 and bare["kernel_profile"] == {}
     # The ISSUE's overhead bar (skipped in smoke: one tiny burst is noise).
     if not SMOKE:

@@ -46,7 +46,9 @@ Two backends are registered:
   inner product, the one-pass RowSel contraction over the uint32
   database store, the expansion-level butterfly and the modular
   add/subtract — portable C99 in ``native_kernels.c``, built on first
-  use by the system C compiler and loaded with ``ctypes``
+  use by the system C compiler for the host's ISA (``-march=native``
+  where the compiler takes it, else portable and counted,
+  ``he_native_portable``) and loaded with ``ctypes``
   (:mod:`repro.he.native`).  One bound, ``4q < 2^32``, raised in
   :class:`~repro.he.native.NativeRing`'s constructor.  It is the default
   where the library builds and loads; where it does not

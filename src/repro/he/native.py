@@ -12,18 +12,27 @@ kernel in a function that validates shapes, dtypes and strides before a
 pointer crosses over.  :class:`~repro.he.backend.NativeBackend` is the
 only caller.
 
-**Build and cache.**  :func:`load_library` compiles with fixed portable
-flags (``-O3``, no ``-march``; at ``-O2`` gcc leaves the butterflies
-unvectorised and 1.5x slower) into the per-user cache directory
-(``$XDG_CACHE_HOME`` or ``~/.cache``, under ``repro-ive/``), to a name
-that hashes the source, the flags, the compiler's identity and the
-machine, so a changed source or toolchain never loads a stale build.
-The compiler writes to a temporary name and the result is renamed into
+**Build and cache.**  :func:`load_library` compiles for the host's own
+ISA, derived rather than configured: it first asks the compiler for its
+predefined macros under ``-march=native`` (``cc -march=native -dM -E``),
+and when that works builds with ``-O3 -march=native`` (baseline x86-64
+has no 32-bit lane multiply, and one N = 2^12 NTT costs twice as much
+without it; at ``-O2`` gcc leaves the butterflies unvectorised).  The
+library goes into the per-user cache directory (``$XDG_CACHE_HOME`` or
+``~/.cache``, under ``repro-ive/``), to a name that hashes the source,
+the flags, the compiler's identity, the machine and that macro dump, so
+a changed source or toolchain never loads a stale build and a cache
+shared between hosts never loads a build for another ISA (which would
+die on an illegal instruction rather than fall back).  A compiler that
+refuses the probe or the targeted build gets one more try with the
+portable flags alone; the reason is logged once and
+``he_native_portable`` counted once (the kernels still run, slower).  The
+compiler writes to a temporary name and the result is renamed into
 place: processes racing on an empty cache (benchmark subprocesses,
 cluster workers) each build their own copy and whichever rename lands
 last wins, every loser having already loaded a complete file.  No
-compiler, an unwritable cache, a failed build or a failed load is not an
-error: the reason is logged once, ``he_native_unavailable`` is counted
+compiler, an unwritable cache, a failed portable build or a failed load is
+not an error: the reason is logged once, ``he_native_unavailable`` is counted
 once, and the function returns None for the rest of the process —
 ``eager`` is then the default backend.
 
@@ -56,6 +65,7 @@ from repro.obs.metrics import count
 
 _SOURCE = Path(__file__).with_name("native_kernels.c")
 _FLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
+_NATIVE_ISA = "-march=native"
 _BUILD_TIMEOUT_S = 120
 
 #: Mirrors of the C file's ``consts`` row layout, ``MAX_RNS`` and
@@ -109,14 +119,23 @@ def _compiler() -> list[str] | None:
     return None
 
 
-def _build(compiler: list[str], target: Path) -> None:
+def _isa(compiler: list[str]) -> bytes:
+    """The compiler's predefined macros under ``-march=native``: the dump
+    names the host ISA it targets, and failing says it cannot target it."""
+    return subprocess.run(
+        compiler + [_NATIVE_ISA, "-dM", "-E", "-x", "c", os.devnull],
+        check=True, capture_output=True, timeout=_BUILD_TIMEOUT_S,
+    ).stdout
+
+
+def _build(compiler: list[str], flags: tuple[str, ...], target: Path) -> None:
     """Compile the kernels to ``target`` through a same-directory rename."""
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, scratch = tempfile.mkstemp(dir=target.parent, suffix=".so")
     os.close(fd)
     try:
         subprocess.run(
-            compiler + list(_FLAGS) + ["-o", scratch, str(_SOURCE)],
+            compiler + list(flags) + ["-o", scratch, str(_SOURCE)],
             check=True, capture_output=True, timeout=_BUILD_TIMEOUT_S,
         )
         os.replace(scratch, target)
@@ -125,25 +144,50 @@ def _build(compiler: list[str], target: Path) -> None:
             os.unlink(scratch)
 
 
-def _build_and_load() -> ctypes.CDLL:
-    compiler = _compiler()
-    if compiler is None:
-        raise OSError("no C compiler found ($CC, cc, gcc, clang)")
+def _load(compiler: list[str], flags: tuple[str, ...], isa: bytes) -> ctypes.CDLL:
+    """The library built with ``flags`` for the ``isa`` macro dump (empty
+    for a portable build), from the cache or compiled into it."""
     driver = os.stat(os.path.realpath(compiler[0]))
     key = hashlib.sha256(repr((
-        _SOURCE.read_bytes(), _FLAGS, compiler, driver.st_size,
-        driver.st_mtime_ns, platform.machine(), platform.system(),
+        _SOURCE.read_bytes(), flags, compiler, driver.st_size,
+        driver.st_mtime_ns, platform.machine(), platform.system(), isa,
     )).encode()).hexdigest()[:20]
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
     target = Path(cache) / "repro-ive" / f"native-{key}.so"
     if not target.exists():
-        _build(compiler, target)
+        _build(compiler, flags, target)
     lib = ctypes.CDLL(str(target))
     for name, (restype, argtypes) in _SIGNATURES.items():
         function = getattr(lib, name)
         function.restype, function.argtypes = restype, argtypes
+    return lib
+
+
+#: What a build can fail with: no compiler, an unwritable cache, a failed or
+#: timed-out build, a file that does not load or lacks a symbol.
+_BUILD_ERRORS = (OSError, subprocess.SubprocessError, AttributeError)
+
+
+def _reason(exc: Exception) -> str:
+    reason = str(exc)
+    if isinstance(exc, subprocess.CalledProcessError):
+        reason += " " + exc.stderr.decode(errors="replace").strip()[-400:]
+    return reason
+
+
+def _build_and_load() -> ctypes.CDLL:
+    compiler = _compiler()
+    if compiler is None:
+        raise OSError("no C compiler found ($CC, cc, gcc, clang)")
+    try:
+        return _load(compiler, _FLAGS + (_NATIVE_ISA,), _isa(compiler))
+    except _BUILD_ERRORS as exc:
+        reason = _reason(exc)
+    lib = _load(compiler, _FLAGS, b"")
+    _log.warning("native kernels built without %s: %s", _NATIVE_ISA, reason)
+    count("he_native_portable")
     return lib
 
 
@@ -153,13 +197,10 @@ def load_library() -> ctypes.CDLL | None:
     this machine cannot produce one (decided once per process)."""
     try:
         return _build_and_load()
-    except (OSError, subprocess.SubprocessError, AttributeError) as exc:
-        # No compiler, an unwritable cache, a failed or timed-out build, a
-        # file that does not load or lacks a symbol.
-        reason = str(exc)
-        if isinstance(exc, subprocess.CalledProcessError):
-            reason += " " + exc.stderr.decode(errors="replace").strip()[-400:]
-        _log.warning("native kernels unavailable, using eager numpy: %s", reason)
+    except _BUILD_ERRORS as exc:
+        _log.warning(
+            "native kernels unavailable, using eager numpy: %s", _reason(exc)
+        )
         count("he_native_unavailable")
         return None
 

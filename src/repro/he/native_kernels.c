@@ -7,8 +7,11 @@
  * ExpandQuery level's butterfly, and the modular add/subtract of Subs and
  * ColTor.
  *
- * Portable C99: no intrinsics, no threads, no allocation, no globals.  Every
- * tensor is the repo's (..., rns, n) layout with the coefficient axis
+ * Portable C99: no intrinsics, no threads, no allocation, no globals.  The
+ * vector unit is the compiler's business: every hot loop is a plain
+ * fixed-stride loop over 32-bit words, the butterflies' short spans included,
+ * and repro.he.native builds with -march=native where the compiler takes it
+ * (32-bit lane multiplies need more than baseline x86-64).  Every tensor is the repo's (..., rns, n) layout with the coefficient axis
  * contiguous -- int64 everywhere but the database, which is uint32; outer axes
  * come with explicit element strides where a caller hands views, so views and
  * a broadcast RNS axis (stride 0) are read where they lie.
@@ -86,27 +89,73 @@ static inline u32 reduce64(u64 v, const u32 *c)
 }
 
 /*
+ * One butterfly stage of span T over all n / 2T blocks, block i on twiddle
+ * w[n / 2T + i]: Cooley-Tukey forward ([0, 4q) in and out) and Gentleman-Sande
+ * inverse ([0, 2q) in and out).  Each macro instantiates the stage twice
+ * over: at the run-time span t (the long spans, 16 and up) and at the fixed
+ * spans 8, 4 and 2, which ignore t.  A run-time j loop shorter than the vector
+ * is left scalar and costs 2-3x the long stages per butterfly; at a constant
+ * span the compiler vectorises it like the others.
+ */
+#define FORWARD_STAGE(name, T)                                                \
+static void name(u32 *a, size_t n, size_t t, const u32 *w, const u32 *ws,    \
+                 u32 q)                                                       \
+{                                                                             \
+    size_t m = n / (2 * (T));                                                 \
+    (void)t;                                                                  \
+    for (size_t i = 0; i < m; i++) {                                          \
+        u32 wi = w[m + i], wsi = ws[m + i];                                   \
+        u32 *x = a + 2 * i * (T), *y = x + (T);                               \
+        for (size_t j = 0; j < (T); j++) {                                    \
+            u32 u = cond_sub(x[j], 2 * q);                                    \
+            u32 v = mul_shoup(y[j], wi, wsi, q);                              \
+            x[j] = u + v;                                                     \
+            y[j] = u - v + 2 * q;                                             \
+        }                                                                     \
+    }                                                                         \
+}
+#define INVERSE_STAGE(name, T)                                                \
+static void name(u32 *a, size_t n, size_t t, const u32 *w, const u32 *ws,    \
+                 u32 q)                                                       \
+{                                                                             \
+    size_t h = n / (2 * (T));                                                 \
+    (void)t;                                                                  \
+    for (size_t i = 0; i < h; i++) {                                          \
+        u32 wi = w[h + i], wsi = ws[h + i];                                   \
+        u32 *x = a + 2 * i * (T), *y = x + (T);                               \
+        for (size_t j = 0; j < (T); j++) {                                    \
+            u32 u = x[j], v = y[j];                                           \
+            x[j] = cond_sub(u + v, 2 * q);                                    \
+            y[j] = mul_shoup(u - v + 2 * q, wi, wsi, q);                      \
+        }                                                                     \
+    }                                                                         \
+}
+FORWARD_STAGE(forward_stage, t)
+FORWARD_STAGE(forward_span_8, 8)
+FORWARD_STAGE(forward_span_4, 4)
+FORWARD_STAGE(forward_span_2, 2)
+INVERSE_STAGE(inverse_stage, t)
+INVERSE_STAGE(inverse_span_2, 2)
+INVERSE_STAGE(inverse_span_4, 4)
+INVERSE_STAGE(inverse_span_8, 8)
+
+/*
  * Cooley-Tukey stages over the bit-reversed table w: [0, q) in, [0, 4q) out.
- * The last stage (t = 1, a twiddle per butterfly) is written over adjacent
- * pairs so that it vectorises like the j loops of the others.
+ * Spans 8, 4 and 2 are fixed-width stages; the last (t = 1, a twiddle per
+ * butterfly) runs over adjacent pairs so that it vectorises like the others.
  */
 static void forward_stages(u32 *a, size_t n, const u32 *w, const u32 *ws, u32 q)
 {
     u32 two_q = 2 * q;
-    size_t m = 1;
-    for (size_t t = n >> 1; t > 1; m <<= 1, t >>= 1) {
-        for (size_t i = 0; i < m; i++) {
-            u32 wi = w[m + i], wsi = ws[m + i];
-            u32 *x = a + 2 * i * t, *y = x + t;
-            for (size_t j = 0; j < t; j++) {
-                u32 u = cond_sub(x[j], two_q);
-                u32 v = mul_shoup(y[j], wi, wsi, q);
-                x[j] = u + v;
-                y[j] = u - v + two_q;
-            }
-        }
-    }
-    for (size_t i = 0; i < n >> 1; i++) {
+    for (size_t t = n >> 1; t > 8; t >>= 1)
+        forward_stage(a, n, t, w, ws, q);
+    if (n >= 16)
+        forward_span_8(a, n, 8, w, ws, q);
+    if (n >= 8)
+        forward_span_4(a, n, 4, w, ws, q);
+    if (n >= 4)
+        forward_span_2(a, n, 2, w, ws, q);
+    for (size_t i = 0, m = n >> 1; i < m; i++) {
         u32 u = cond_sub(a[2 * i], two_q);
         u32 v = mul_shoup(a[2 * i + 1], w[m + i], ws[m + i], q);
         a[2 * i] = u + v;
@@ -116,13 +165,14 @@ static void forward_stages(u32 *a, size_t n, const u32 *w, const u32 *ws, u32 q)
 
 /*
  * Gentleman-Sande stages, [0, q) in and out: values stay in [0, 2q), the first
- * stage (t = 1) runs over adjacent pairs and the last folds n^-1 in.
+ * stage (t = 1) runs over adjacent pairs, spans 2, 4 and 8 are fixed-width
+ * stages, and the last (t = n / 2) folds n^-1 in.
  */
 static void inverse_stages(u32 *a, size_t n, const u32 *w, const u32 *ws,
                            const u32 *c)
 {
     u32 q = c[C_Q], two_q = 2 * q;
-    size_t h = n >> 1, t = 2;
+    size_t h = n >> 1, t = n >> 1;
     if (n < 2)
         return;
     if (n > 2)
@@ -131,18 +181,14 @@ static void inverse_stages(u32 *a, size_t n, const u32 *w, const u32 *ws,
             a[2 * i] = cond_sub(u + v, two_q);
             a[2 * i + 1] = mul_shoup(u - v + two_q, w[h + i], ws[h + i], q);
         }
-    for (h >>= 1; h > 1; h >>= 1, t <<= 1) {
-        for (size_t i = 0; i < h; i++) {
-            u32 wi = w[h + i], wsi = ws[h + i];
-            u32 *x = a + 2 * i * t, *y = x + t;
-            for (size_t j = 0; j < t; j++) {
-                u32 u = x[j], v = y[j];
-                x[j] = cond_sub(u + v, two_q);
-                y[j] = mul_shoup(u - v + two_q, wi, wsi, q);
-            }
-        }
-    }
-    t = n >> 1;
+    if (n > 4)
+        inverse_span_2(a, n, 2, w, ws, q);
+    if (n > 8)
+        inverse_span_4(a, n, 4, w, ws, q);
+    if (n > 16)
+        inverse_span_8(a, n, 8, w, ws, q);
+    for (size_t s = 16; s < t; s <<= 1)
+        inverse_stage(a, n, s, w, ws, q);
     for (size_t j = 0; j < t; j++) {
         u32 u = a[j], v = a[j + t];
         a[j] = cond_sub(mul_shoup(u + v, c[C_NINV], c[C_NINV_S], q), q);

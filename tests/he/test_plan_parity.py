@@ -14,6 +14,7 @@ library skip, with the reason, on a machine that cannot build it.
 """
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -327,12 +328,24 @@ class TestNativeKernels:
                     getattr(NATIVE, op)(ring, view), getattr(EAGER, op)(ring, dense)
                 ), (name, op)
 
-    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("n", [1 << k for k in range(1, 10)])
     def test_rings_shorter_than_a_vector(self, n):
+        """Every ring from 2 to 512 (RINGS covers 1024 up): where each of the
+        fixed-span stages (t = 8, 4, 2) first runs, and rings too short to
+        run them all.  The partial digit transform leaves [0, 2q), so it is
+        held to eager's bytes mod q."""
         ring = _ring_of(20, n=n, count=2)
         x = _residues(ring, 5, seed=n, kind="signed")
         assert np.array_equal(NATIVE.ntt_forward(ring, x), EAGER.ntt_forward(ring, x))
         assert np.array_equal(NATIVE.ntt_inverse(ring, x), EAGER.ntt_inverse(ring, x))
+        z = ring.params.gadget_base
+        digits = np.random.default_rng(n).integers(0, z, size=(5, 3, n))
+        digits[0, 0], digits[0, 1] = 0, z - 1
+        got = NATIVE.digits_forward(ring, digits)
+        assert np.all(got >= 0) and np.all(got < 2 * ring._moduli_col)
+        assert np.array_equal(
+            got % ring._moduli_col, EAGER.digits_forward(ring, digits)
+        )
 
     @pytest.mark.parametrize("params", [
         PirParams.small(), PirParams.paper(),
@@ -424,14 +437,19 @@ class TestNativeBounds:
 
 
 @pytest.fixture
-def hidden_compiler(tmp_path):
-    """No working C compiler and an empty cache, for one test."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("CC", "/bin/false")
-        patch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        native.load_library.cache_clear()
-        yield
+def empty_cache(tmp_path, monkeypatch):
+    """An empty kernel cache for one test, ``load_library`` decided afresh
+    in it (and again, from the usual cache, after the test)."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     native.load_library.cache_clear()
+    yield tmp_path / "repro-ive"
+    native.load_library.cache_clear()
+
+
+@pytest.fixture
+def hidden_compiler(empty_cache, monkeypatch):
+    """No working C compiler and an empty cache, for one test."""
+    monkeypatch.setenv("CC", "/bin/false")
 
 
 class TestNativeBuildAndFallback:
@@ -469,6 +487,44 @@ class TestNativeBuildAndFallback:
         assert counters("he_native_none") == 0
         reasons = [r for r in caplog.records if "native kernels unavailable" in r.message]
         assert len(reasons) == 1 and "/bin/false" in reasons[0].getMessage()
+
+    @needs_native
+    def test_each_host_isa_builds_to_its_own_cache_file(
+        self, empty_cache, monkeypatch
+    ):
+        """The probe's macro dump is in the cache key: a cache shared with a
+        host of another ISA never hands this one a build it cannot run."""
+        for dump in (b"#define __AVX2__ 1\n", b"#define __AVX512F__ 1\n"):
+            monkeypatch.setattr(native, "_isa", lambda compiler, dump=dump: dump)
+            assert native._build_and_load() is not None
+        built = sorted(p.name for p in empty_cache.iterdir())
+        assert len(built) == 2 and built[0] != built[1], built
+
+    @needs_native
+    def test_a_compiler_refusing_the_host_isa_builds_portable(
+        self, empty_cache, monkeypatch, tmp_path, counters, caplog
+    ):
+        wrapper = tmp_path / "cc-without-march"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do [ "$arg" = -march=native ] && exit 1; done\n'
+            f'exec {shlex.join(native._compiler())} "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", str(wrapper))
+        with caplog.at_level("WARNING", logger="repro.he.native"):
+            lib = native.load_library()
+        assert lib is not None
+        assert counters("he_native_portable") == 1
+        assert counters("he_native_unavailable") == 0
+        assert len(list(empty_cache.iterdir())) == 1  # the portable build only
+        reasons = [r for r in caplog.records if "without -march=native" in r.message]
+        assert len(reasons) == 1
+        ring = RINGS[4096]
+        x = _residues(ring, 3, seed=6, kind="signed")
+        assert np.array_equal(
+            native.NativeRing(lib, ring).transform(x), EAGER.ntt_forward(ring, x)
+        )
 
     @needs_native
     def test_two_processes_racing_on_an_empty_cache_both_load(self, tmp_path):

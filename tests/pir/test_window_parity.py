@@ -266,7 +266,10 @@ class TestWindowCounters:
         # The kernel-fallback counters ride along; this geometry trips none
         # (a missing library was counted once, before this registry).
         prom = render_prometheus(metrics.registry.snapshot())
-        for name in ("native_unavailable", "native_none", "modular_gemm_bignum"):
+        for name in (
+            "native_unavailable", "native_portable", "native_none",
+            "modular_gemm_bignum",
+        ):
             assert row[f"he_{name}"] == 0
             assert f"repro_he_{name}_total 0" in prom
         # Uninstalled again: a later window is nobody's to count.
