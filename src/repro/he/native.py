@@ -171,6 +171,7 @@ _BUILD_ERRORS = (OSError, subprocess.SubprocessError, AttributeError)
 
 
 def _reason(exc: Exception) -> str:
+    """The log line for a failed build: the error and the compiler's stderr."""
     reason = str(exc)
     if isinstance(exc, subprocess.CalledProcessError):
         reason += " " + exc.stderr.decode(errors="replace").strip()[-400:]

@@ -172,7 +172,7 @@ static void inverse_stages(u32 *a, size_t n, const u32 *w, const u32 *ws,
                            const u32 *c)
 {
     u32 q = c[C_Q], two_q = 2 * q;
-    size_t h = n >> 1, t = n >> 1;
+    size_t h = n >> 1;
     if (n < 2)
         return;
     if (n > 2)
@@ -187,12 +187,12 @@ static void inverse_stages(u32 *a, size_t n, const u32 *w, const u32 *ws,
         inverse_span_4(a, n, 4, w, ws, q);
     if (n > 16)
         inverse_span_8(a, n, 8, w, ws, q);
-    for (size_t s = 16; s < t; s <<= 1)
-        inverse_stage(a, n, s, w, ws, q);
-    for (size_t j = 0; j < t; j++) {
-        u32 u = a[j], v = a[j + t];
+    for (size_t t = 16; t < h; t <<= 1)
+        inverse_stage(a, n, t, w, ws, q);
+    for (size_t j = 0; j < h; j++) {
+        u32 u = a[j], v = a[j + h];
         a[j] = cond_sub(mul_shoup(u + v, c[C_NINV], c[C_NINV_S], q), q);
-        a[j + t] = cond_sub(
+        a[j + h] = cond_sub(
             mul_shoup(u - v + two_q, c[C_WNINV], c[C_WNINV_S], q), q);
     }
 }
