@@ -33,8 +33,9 @@ query already outgrows the budget — groups of seven on the kv buckets).
 Also timed: database preprocessing (one batched CRT+NTT per plane vs one
 call per polynomial on the toy rung, ``native`` vs ``eager`` on the
 paper rung), the cost the serving layer sees on every epoch build.
-Results land in BENCH_hotpath.json, stamped with the commit and the
-default backend, so future PRs have a trajectory; ``bench_guard`` holds
+Results land in BENCH_hotpath.json, stamped with the commit, the
+default backend and the cores the native kernels fan over, so future PRs
+have a trajectory; ``bench_guard`` holds
 the ``byte_identical`` / ``decoded_ok`` / ``identical`` leaves to exact
 match.
 """
@@ -189,7 +190,11 @@ def _run() -> dict:
             "byte_identical": _identical(responses["native"], ref),
         }
     return {
-        "environment": {"commit": _commit(), "backend": get_backend().name},
+        "environment": {
+            "commit": _commit(),
+            "backend": get_backend().name,
+            "cores": native.fan_width(),
+        },
         "params": {
             "n": params.n,
             "d0": params.d0,

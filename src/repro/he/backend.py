@@ -979,6 +979,26 @@ class NativeBackend(EagerBackend):
         with kernel_stage(self._label("ntt_fwd"), digits.nbytes):
             return ring.transform(digits[:, :, None, :], partial=True)
 
+    def key_switch(
+        self, gadget: Gadget, coeff: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """One C call for decompose -> digit NTTs -> inner, a ciphertext at
+        a time (:meth:`repro.he.native.NativeRing.key_switch`): the digit
+        tensor of the whole batch is never allocated.
+
+        A gadget the limb walk does not cover takes the inherited three-call
+        path, whose decomposition counts it; a key row the kernel refuses
+        is counted once here and the eager backend's key switch runs.
+        """
+        ring = self._ring(gadget.ctx)
+        if ring is None or not ring.covers(gadget):
+            return super().key_switch(gadget, coeff, rows)
+        out = ring.key_switch(gadget, coeff, rows)
+        if out is not None:
+            return out
+        count("he_native_none")
+        return get_backend(EagerBackend.name).key_switch(gadget, coeff, rows)
+
     def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
         ring = self._ring(gadget.ctx)
         if ring is None:
@@ -1036,6 +1056,7 @@ class NativeBackend(EagerBackend):
                 result = native.rowsel_gemm(native.load_library(), consts, db, query, out)
             if result is not None:
                 return result
+            count("he_native_none")
         return super().rowsel_gemm(db, query, moduli_col, out)
 
     def expand_butterfly(
@@ -1046,6 +1067,7 @@ class NativeBackend(EagerBackend):
             grown = ring.butterfly(vec, swapped, step, ctx.monomial_ntt(-step))
             if grown is not None:
                 return grown
+            count("he_native_none")
         return super().expand_butterfly(ctx, vec, swapped, step)
 
     def modular_add(

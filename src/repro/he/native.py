@@ -2,15 +2,17 @@
 
 ``native_kernels.c`` (next to this file) holds the portable-C99 kernels:
 lazy-butterfly forward/inverse NTT, limb-iCRT gadget decomposition and
-the key-switch inner product, plus the three passes around the key
-switch — the RowSel contraction that reads each word of the uint32
-database store once for both ciphertext halves, one ExpandQuery level's
-butterfly, and the modular add/subtract.  This module is everything
-foreign about them: it builds the shared library with the system C
-compiler on first use, loads it through :mod:`ctypes`, and wraps each
-kernel in a function that validates shapes, dtypes and strides before a
-pointer crosses over.  :class:`~repro.he.backend.NativeBackend` is the
-only caller.
+the key-switch inner product, the key switch fused from those three (one
+ciphertext at a time, its digits never leaving cache), plus the three
+passes around the key switch — the RowSel contraction that reads each
+word of the uint32 database store once for both ciphertext halves, one
+ExpandQuery level's butterfly, and the modular add/subtract.  This
+module is everything foreign about them: it builds the shared library
+with the system C compiler on first use, loads it through :mod:`ctypes`,
+wraps each kernel in a function that validates shapes, dtypes and
+strides before a pointer crosses over, and splits the large calls
+across the cores.  :class:`~repro.he.backend.NativeBackend` is the only
+caller.
 
 **Build and cache.**  :func:`load_library` compiles for the host's own
 ISA, derived rather than configured: it first asks the compiler for its
@@ -36,6 +38,29 @@ not an error: the reason is logged once, ``he_native_unavailable`` is counted
 once, and the function returns None for the rest of the process —
 ``eager`` is then the default backend.
 
+**Fan-out.**  :func:`fan_out` splits one kernel call into contiguous
+slices of its outermost independent axis — the key switch over
+ciphertexts, RowSel over queries (over columns when there is one query),
+the NTT over rows, the butterfly over query halves — and runs them at
+once: ``ctypes`` drops the GIL for the call, so the slices run on
+different cores.  The width is the number of cores the process may run
+on (:func:`fan_width`: ``os.sched_getaffinity``, else ``os.cpu_count()``),
+read once; a call splits only when it has two units and every slice
+carries ``FAN_FLOOR_WORDS``, derived from the measured handoff cost.  The
+calling thread runs the first slice; the other ``width - 1`` run on one
+process-wide thread pool, started on the first call that splits (never
+at import, never on a one-core process, never without the library) and
+reset in a forked child.  Each slice gets its own work buffers and
+writes outputs no other slice touches, and the kernels' status flags are
+ORed, so a split call is byte-identical to the whole one and a refused
+operand in any slice sends the whole call to its fallback, counted once.
+Pool tasks are kernel calls only and never submit to the pool, so any
+number of concurrent callers (serving threads, tests) share it without
+deadlock.  ``ive_mod_add`` is never split: with ``out`` aliasing an
+input, its promise that nothing is written unless every operand is
+canonical holds only for the whole call.  There is no option for any of
+it.
+
 **Exactness.**  One bound carries every kernel: ``4q < 2^32`` for each
 modulus, which keeps the lazy butterflies' ``[0, 4q)`` values in 32-bit
 words (see the C file).  :class:`NativeRing` raises
@@ -54,6 +79,8 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -93,9 +120,14 @@ _SIGNATURES = {
         _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _PTR,
         ctypes.c_uint, ctypes.c_uint, _SIZE,
     ]),
+    "ive_key_switch": (ctypes.c_int, [
+        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
+        _PTR, _PTR, _PTR, ctypes.c_uint, _PTR, _PTR, _SIZE, ctypes.c_uint,
+        _SIZE, ctypes.c_uint, ctypes.c_uint, _SIZE, _PTR, _PTR, _PTR,
+    ]),
     "ive_rowsel": (ctypes.c_int, [
-        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
-        _STRIDE, _STRIDE, _STRIDE, _STRIDE, _PTR, ctypes.c_uint,
+        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
+        _SIZE, _STRIDE, _STRIDE, _STRIDE, _STRIDE, _PTR, ctypes.c_uint,
         ctypes.c_uint, _SIZE, _PTR,
     ]),
     "ive_butterfly": (ctypes.c_int, [
@@ -233,6 +265,81 @@ def modulus_consts(moduli: tuple[int, ...]) -> np.ndarray:
     return table
 
 
+#: Words a slice must carry before a kernel call fans out, counted as the
+#: operand words a unit of the kernel reads and writes (residues, key rows,
+#: store words).  Handing a slice to a pool thread and collecting it costs
+#: ~60 µs (median; ~125 µs at p90) on a 2-vCPU AVX-512 Xeon, and the key
+#: switch and the NTT, most of an N = 2^12 answer, spend ~3.5 ns a word
+#: there.  A handoff is then at most 5 % of a slice of 20 * 60 µs / 3.5 ns
+#: words.  RowSel (~1.5 ns a word) and the butterfly (~1 ns) get shorter
+#: slices at the same floor, where the handoff is 10-20 % and the split
+#: still wins (EXPERIMENTS.md, "One fused key switch, fanned").
+FAN_FLOOR_WORDS = 20 * 60_000 * 10 // 35
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+@functools.cache
+def fan_width() -> int:
+    """How many cores this process may run on: its affinity mask, read once
+    (``os.cpu_count()`` where the platform has no affinity call)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: start afresh."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The process's fan-out pool, started on its first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max(1, fan_width() - 1), thread_name_prefix="repro-fan"
+            )
+        return _pool
+
+
+def fan_out(units: int, unit_words: int, run) -> int:
+    """``run(lo, hi)`` over ``[0, units)``, split across the cores.
+
+    ``run`` calls one kernel on the units ``[lo, hi)`` with buffers of its
+    own and returns the kernel's status; slices write disjoint outputs.
+    The call splits into at most :func:`fan_width` contiguous slices, each
+    of at least ``FAN_FLOOR_WORDS`` (a unit being ``unit_words``) — below
+    that it runs whole on the calling thread.  The calling thread runs the
+    first slice and the pool the rest; pool tasks are kernel calls and never
+    submit to the pool, so concurrent callers cannot deadlock on it.
+    Returns the OR of the slices' statuses.
+    """
+    slices = min(fan_width(), units)
+    if FAN_FLOOR_WORDS:
+        slices = min(slices, units * unit_words // FAN_FLOOR_WORDS)
+    if slices < 2:
+        return run(0, units)
+    bounds = [units * i // slices for i in range(slices + 1)]
+    pool = _executor()
+    futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        status = run(bounds[0], bounds[1])
+    finally:
+        wait(futures)  # no slice may outlive the buffers it writes
+    for future in futures:
+        status |= future.result()
+    return status
+
+
 def _address(array: np.ndarray) -> int:
     return array.ctypes.data
 
@@ -327,14 +434,21 @@ class NativeRing:
         """NTT every row under every modulus into a new ``(..., rns, n)``
         tensor; a ``partial`` forward leaves ``[0, 2q)``."""
         x, lead, row_stride, mod_stride = self._rows(residues)
+        poly = self.rns * self.n
         out = np.empty((x.shape[0], self.rns, self.n), dtype=np.int64)
-        work = np.empty(self.n, dtype=np.uint32)
         twiddles = self.twiddles[inverse]
-        self.lib.ive_ntt(
-            _address(out), _address(x), x.shape[0], row_stride, mod_stride,
-            self.rns, self.n, _address(twiddles), _address(self.consts),
-            inverse, partial, _address(work),
-        )
+
+        def rows(lo: int, hi: int) -> int:
+            work = np.empty(self.n, dtype=np.uint32)
+            self.lib.ive_ntt(
+                _address(out) + 8 * lo * poly, _address(x) + 8 * lo * row_stride,
+                hi - lo, row_stride, mod_stride, self.rns, self.n,
+                _address(twiddles), _address(self.consts), inverse, partial,
+                _address(work),
+            )
+            return 0
+
+        fan_out(x.shape[0], 2 * poly, rows)
         return out.reshape(lead + (self.rns, self.n))
 
     def _gadget(self, gadget: Gadget) -> tuple | None:
@@ -368,6 +482,60 @@ class NativeRing:
                 np.array(split(big_q), dtype=np.uint32),
             )
         return self._gadgets[key]
+
+    def covers(self, gadget: Gadget) -> bool:
+        """Whether the limb walk (so :meth:`decompose` and
+        :meth:`key_switch`) takes this gadget."""
+        return self._gadget(gadget) is not None
+
+    def key_switch(
+        self, gadget: Gadget, coeff: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray | None:
+        """The fused key switch, ``ComputeBackend.key_switch``'s contract.
+
+        ``coeff`` is ``(parts, groups, batch, rns, n)`` coefficient
+        residues, ``rows`` ``(2, groups, parts * ℓ, rns, n)`` canonical key
+        rows of a gadget the limb walk covers (:meth:`covers`); returns the
+        ``(2, groups, batch, rns, n)`` NTT-form result, or None — the
+        caller's path then runs — when a key row is outside ``[0, q)``.
+        Fanned over ciphertexts, each slice with its own digit tile.
+        """
+        coeff = np.ascontiguousarray(coeff, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        parts, groups, batch = coeff.shape[:3]
+        poly = (self.rns, self.n)
+        k = parts * gadget.length
+        if coeff.shape[3:] != poly or rows.shape != (2, groups, k) + poly:
+            raise ParameterError(
+                f"key switch shape mismatch: coeff {coeff.shape} vs key rows "
+                f"{rows.shape} for a length-{gadget.length} gadget"
+            )
+        out = np.empty((2, groups, batch) + poly, dtype=np.int64)
+        if out.size == 0:
+            return out
+        shift, recip, qhat, q_limbs = self._gadget(gadget)
+        qmax = int(self.consts[:, _C_Q].max())
+        digit_bits, key_bits = (2 * qmax - 1).bit_length(), (qmax - 1).bit_length()
+
+        def cts(lo: int, hi: int) -> int:
+            digits = np.empty((k, self.n), dtype=np.int64)
+            tile = np.empty((k,) + poly, dtype=np.int64)
+            work = np.empty(self.n, dtype=np.uint32)
+            return self.lib.ive_key_switch(
+                _address(out), _address(coeff), _address(rows), parts,
+                groups * batch, batch, lo, hi, self.rns, self.n,
+                _address(self.twiddles[0]), _address(self.consts),
+                _address(recip), shift, _address(qhat), _address(q_limbs),
+                len(q_limbs), gadget.base_log2, gadget.length, digit_bits,
+                key_bits, _chunk(qmax, digit_bits, key_bits), _address(digits),
+                _address(tile), _address(work),
+            )
+
+        # Per ciphertext: its coefficients, both halves' key rows, its output.
+        words = (parts + 2 * k + 2) * self.rns * self.n
+        if fan_out(groups * batch, words, cts):
+            return None
+        return out
 
     def decompose(self, gadget: Gadget, residues: np.ndarray) -> np.ndarray | None:
         """Gadget digits ``(batch, ℓ, n)`` of ``(batch, rns, n)`` coefficient
@@ -414,11 +582,16 @@ class NativeRing:
         vec = np.ascontiguousarray(vec, dtype=np.int64)
         swapped = np.ascontiguousarray(swapped, dtype=np.int64)
         out = np.empty(vec.shape[:2] + (2 * step,) + vec.shape[3:], dtype=np.int64)
-        if self.lib.ive_butterfly(
-            _address(out), _address(vec), _address(swapped),
-            vec.shape[0] * vec.shape[1], step, self.rns, self.n,
-            _address(self._monomials[step]), _address(self.consts),
-        ):
+        run = step * self.rns * self.n
+
+        def groups(lo: int, hi: int) -> int:
+            return self.lib.ive_butterfly(
+                _address(out) + 16 * lo * run, _address(vec) + 8 * lo * run,
+                _address(swapped) + 8 * lo * run, hi - lo, step, self.rns,
+                self.n, _address(self._monomials[step]), _address(self.consts),
+            )
+
+        if fan_out(vec.shape[0] * vec.shape[1], 4 * run, groups):
             return None
         return out
 
@@ -461,12 +634,22 @@ def rowsel_gemm(
     dense = _dense_out(out, (halves, queries, cols, rns, n))
     qmax = int(consts[:, _C_Q].max())
     bits = (qmax - 1).bit_length()
-    work = np.empty(halves * rows * min(n, _ROWSEL_TILE), dtype=np.uint32)
-    if lib.ive_rowsel(
-        _address(dense), _address(db), _address(query), halves, queries,
-        cols, rows, rns, n, *steps, _address(consts), bits, bits,
-        _chunk(qmax, bits, bits), _address(work),
-    ):
+    # Split over queries, or over the columns of the one query: a unit is
+    # a run of outputs on the flat (queries * cols) axis.
+    units, per_unit = (queries, cols) if queries > 1 else (cols, 1)
+
+    def outputs(lo: int, hi: int) -> int:
+        work = np.empty(halves * rows * min(n, _ROWSEL_TILE), dtype=np.uint32)
+        return lib.ive_rowsel(
+            _address(dense), _address(db), _address(query), halves, queries,
+            cols, lo * per_unit, hi * per_unit, rows, rns, n, *steps,
+            _address(consts), bits, bits, _chunk(qmax, bits, bits),
+            _address(work),
+        )
+
+    # Per output: one column's store words, and its output words.
+    words = per_unit * (rows + halves) * rns * n
+    if fan_out(units, words, outputs):
         return None
     return _deliver(dense, out)
 

@@ -1,20 +1,27 @@
 /*
  * Kernels of the `native` compute backend (repro.he.native loads this file).
  *
- * Six entry points: the forward/inverse NTT, gadget decomposition and the
- * key-switch inner product the key switch is made of, and the three passes
- * around it -- the RowSel contraction over the uint32 database store, one
- * ExpandQuery level's butterfly, and the modular add/subtract of Subs and
- * ColTor.
+ * Seven entry points: the forward/inverse NTT, gadget decomposition and the
+ * key-switch inner product the key switch is made of, the key switch itself
+ * fused from the three (one ciphertext at a time, its digits cache-resident),
+ * and the three passes around it -- the RowSel contraction over the uint32
+ * database store, one ExpandQuery level's butterfly, and the modular
+ * add/subtract of Subs and ColTor.  Each entry point shares its loop body with
+ * the others through static row helpers, so no loop exists twice.
  *
- * Portable C99: no intrinsics, no threads, no allocation, no globals.  The
- * vector unit is the compiler's business: every hot loop is a plain
- * fixed-stride loop over 32-bit words, the butterflies' short spans included,
- * and repro.he.native builds with -march=native where the compiler takes it
- * (32-bit lane multiplies need more than baseline x86-64).  Every tensor is the repo's (..., rns, n) layout with the coefficient axis
- * contiguous -- int64 everywhere but the database, which is uint32; outer axes
- * come with explicit element strides where a caller hands views, so views and
- * a broadcast RNS axis (stride 0) are read where they lie.
+ * Portable C99: no intrinsics, no threads, no allocation, no globals.  Every
+ * buffer comes from the caller.  repro.he.native splits the large calls over
+ * the cores itself: the entry points it splits take a slice of their outermost
+ * axis (a range, or a pointer into it), and slices write disjoint outputs, so
+ * a split call is byte-identical to the whole one.  The vector unit is the
+ * compiler's business: every hot loop is a plain fixed-stride loop over 32-bit
+ * words, the butterflies' short spans included, and repro.he.native builds
+ * with -march=native where the compiler takes it (32-bit lane multiplies need
+ * more than baseline x86-64).  Every tensor is the repo's (..., rns, n) layout
+ * with the coefficient axis contiguous -- int64 everywhere but the database,
+ * which is uint32; outer axes come with explicit element strides where a
+ * caller hands views, so views and a broadcast RNS axis (stride 0) are read
+ * where they lie.
  *
  * One exactness bound carries every kernel: 4q < 2^32 for each modulus q
  * (repro.he.native.NativeRing raises ParameterError otherwise).  Residues then
@@ -198,6 +205,31 @@ static void inverse_stages(u32 *a, size_t n, const u32 *w, const u32 *ws,
 }
 
 /*
+ * One row's NTT under one modulus: n int64 of any size from `in` (load_row)
+ * into n words of `out`, forward or inverse, through the n words of `work`.
+ * `w` is the modulus' (2, n) twiddles and companions, `c` its consts row.
+ */
+static void ntt_row(i64 *out, const i64 *in, size_t n, const u32 *w,
+                    const u32 *c, int inverse, int partial, u32 *work)
+{
+    u32 q = c[C_Q];
+    load_row(work, in, n, c);
+    if (inverse) {
+        inverse_stages(work, n, w, w + n, c);
+        for (size_t j = 0; j < n; j++)
+            out[j] = work[j];
+    } else {
+        forward_stages(work, n, w, w + n, q);
+        if (partial)
+            for (size_t j = 0; j < n; j++)
+                out[j] = cond_sub(work[j], 2 * q);
+        else
+            for (size_t j = 0; j < n; j++)
+                out[j] = cond_sub(cond_sub(work[j], 2 * q), q);
+    }
+}
+
+/*
  * NTT of `rows` polynomials under each of `rns` moduli, forward or inverse.
  *
  * src[r * src_row + m * src_mod + j] is any int64 (src_mod = 0 broadcasts one
@@ -210,29 +242,12 @@ void ive_ntt(i64 *dst, const i64 *src, size_t rows, ptrdiff_t src_row,
              ptrdiff_t src_mod, size_t rns, size_t n, const u32 *tw,
              const u32 *consts, int inverse, int partial, u32 *work)
 {
-    for (size_t r = 0; r < rows; r++) {
-        for (size_t m = 0; m < rns; m++) {
-            const i64 *in = src + (ptrdiff_t)r * src_row + (ptrdiff_t)m * src_mod;
-            i64 *out = dst + (r * rns + m) * n;
-            const u32 *c = consts + m * CONSTS;
-            const u32 *w = tw + m * 2 * n;
-            u32 q = c[C_Q];
-            load_row(work, in, n, c);
-            if (inverse) {
-                inverse_stages(work, n, w, w + n, c);
-                for (size_t j = 0; j < n; j++)
-                    out[j] = work[j];
-            } else {
-                forward_stages(work, n, w, w + n, q);
-                if (partial)
-                    for (size_t j = 0; j < n; j++)
-                        out[j] = cond_sub(work[j], 2 * q);
-                else
-                    for (size_t j = 0; j < n; j++)
-                        out[j] = cond_sub(cond_sub(work[j], 2 * q), q);
-            }
-        }
-    }
+    for (size_t r = 0; r < rows; r++)
+        for (size_t m = 0; m < rns; m++)
+            ntt_row(dst + (r * rns + m) * n,
+                    src + (ptrdiff_t)r * src_row + (ptrdiff_t)m * src_mod, n,
+                    tw + m * 2 * n, consts + m * CONSTS, inverse, partial,
+                    work);
 }
 
 /* Most moduli ive_decompose takes: their products below 2^62 sum in a uint64.
@@ -242,8 +257,15 @@ void ive_ntt(i64 *dst, const i64 *src, size_t rows, ptrdiff_t src_row,
  * array over the tile, so each step below is a plain loop that vectorises. */
 #define DIGIT_TILE 64
 
+/* One gadget's limb-walk tables, as ive_decompose takes them. */
+typedef struct {
+    const u32 *recip, *qhat, *q_limbs;
+    unsigned recip_shift, base_log2;
+    size_t limbs, length;
+} limb_walk;
+
 /*
- * Gadget digits of `rows` coefficient-domain polynomials by limb iCRT.
+ * Gadget digits of one coefficient-domain polynomial by limb iCRT.
  *
  * Per coefficient x (Eq. 3): t_i = x_i * (Q/q_i)^-1 mod q_i, and the lift is
  * S = sum_i t_i * (Q/q_i) - k * Q with k = floor(sum_i t_i / q_i).  `recip`
@@ -255,17 +277,17 @@ void ive_ntt(i64 *dst, const i64 *src, size_t rows, ptrdiff_t src_row,
  * 32-bit limbs (qhat is (rns, limbs), q_limbs Q itself; rns <= MAX_RNS, so
  * limbs <= MAX_RNS hold rns * Q) with a carry that is signed in two's
  * complement, and the base-2^base_log2 digits (base_log2 <= 32) are read off
- * the limbs.  src is (rows, rns, n) by strides; digits is dense
- * (rows, length, n).
+ * the limbs.  src is (rns, n) at modulus stride src_mod; digits is dense
+ * (length, n).
  */
-void ive_decompose(i64 *digits, const i64 *src, size_t rows, ptrdiff_t src_row,
-                   ptrdiff_t src_mod, size_t rns, size_t n, const u32 *consts,
-                   const u32 *recip, unsigned recip_shift, const u32 *qhat,
-                   const u32 *q_limbs, size_t limbs, unsigned base_log2,
-                   size_t length)
+static void decompose_row(i64 *digits, const i64 *src, ptrdiff_t src_mod,
+                          size_t rns, size_t n, const u32 *consts,
+                          const limb_walk *g)
 {
+    const u32 *recip = g->recip, *qhat = g->qhat, *q_limbs = g->q_limbs;
+    size_t limbs = g->limbs;
+    unsigned base_log2 = g->base_log2;
     u64 mask = ((u64)1 << base_log2) - 1;
-    for (size_t r = 0; r < rows; r++)
     for (size_t j0 = 0; j0 < n; j0 += DIGIT_TILE) {
         size_t len = n - j0 < DIGIT_TILE ? n - j0 : DIGIT_TILE;
         u32 t[MAX_RNS][DIGIT_TILE], k[DIGIT_TILE];
@@ -273,8 +295,7 @@ void ive_decompose(i64 *digits, const i64 *src, size_t rows, ptrdiff_t src_row,
         u64 sum[DIGIT_TILE] = {0}, carry[DIGIT_TILE] = {0};
         for (size_t i = 0; i < rns; i++) {
             const u32 *c = consts + i * CONSTS;
-            const i64 *in = src + (ptrdiff_t)r * src_row
-                + (ptrdiff_t)i * src_mod + (ptrdiff_t)j0;
+            const i64 *in = src + (ptrdiff_t)i * src_mod + (ptrdiff_t)j0;
             u32 q = c[C_Q], w = c[C_QHATINV], ws = c[C_QHATINV_S];
             load_row(t[i], in, len, c);
             for (size_t j = 0; j < len; j++) {
@@ -283,7 +304,7 @@ void ive_decompose(i64 *digits, const i64 *src, size_t rows, ptrdiff_t src_row,
             }
         }
         for (size_t j = 0; j < len; j++)
-            k[j] = (u32)(sum[j] >> recip_shift);
+            k[j] = (u32)(sum[j] >> g->recip_shift);
         for (size_t l = 0; l < limbs; l++) {
             u32 q_limb = q_limbs[l];
             for (size_t j = 0; j < len; j++)
@@ -314,20 +335,68 @@ void ive_decompose(i64 *digits, const i64 *src, size_t rows, ptrdiff_t src_row,
                 u64 keep = 0 - carry[j];  /* all ones where S < Q */
                 s[l][j] = (s[l][j] & keep) | (less[l][j] & ~keep);
             }
-        for (size_t d = 0; d < length; d++) {
+        for (size_t d = 0; d < g->length; d++) {
             /* Digits past the limbs (z^length far above Q) read the zero pad. */
             size_t l = d * base_log2 >> 5 < limbs ? d * base_log2 >> 5 : limbs;
             unsigned shift = d * base_log2 & 31;
             const u64 *low = s[l], *high = s[l < limbs ? l + 1 : l];
-            i64 *out = digits + (r * length + d) * n + j0;
+            i64 *out = digits + d * n + j0;
             for (size_t j = 0; j < len; j++)
                 out[j] = (i64)(((low[j] | high[j] << 32) >> shift) & mask);
         }
     }
 }
 
+/* Gadget digits of `rows` polynomials (decompose_row): src is (rows, rns, n)
+ * by strides, digits dense (rows, length, n). */
+void ive_decompose(i64 *digits, const i64 *src, size_t rows, ptrdiff_t src_row,
+                   ptrdiff_t src_mod, size_t rns, size_t n, const u32 *consts,
+                   const u32 *recip, unsigned recip_shift, const u32 *qhat,
+                   const u32 *q_limbs, size_t limbs, unsigned base_log2,
+                   size_t length)
+{
+    limb_walk g = {recip, qhat, q_limbs, recip_shift, base_log2, limbs, length};
+    for (size_t r = 0; r < rows; r++)
+        decompose_row(digits + r * length * n, src + (ptrdiff_t)r * src_row,
+                      src_mod, rns, n, consts, &g);
+}
+
 /* Coefficients per pass of ive_inner: its accumulators stay in L1. */
 #define INNER_TILE 256
+
+/*
+ * One output row of the key-switch inner product under one modulus:
+ * o[j] = sum_kk d[kk * step + j] * key[kk * step + j] mod q over k terms,
+ * reduced every `chunk` terms.  Every operand word is ORed into seen[0]
+ * (digits) and seen[1] (keys), for the caller's range check.
+ */
+static void inner_row(i64 *restrict o, const i64 *restrict d,
+                      const i64 *restrict key, size_t k, size_t step, size_t n,
+                      const u32 *c, size_t chunk, u64 *seen)
+{
+    u64 seen_digits = 0, seen_keys = 0;
+    for (size_t j0 = 0; j0 < n; j0 += INNER_TILE) {
+        size_t len = n - j0 < INNER_TILE ? n - j0 : INNER_TILE;
+        u64 acc[INNER_TILE] = {0};
+        for (size_t lo = 0; lo < k; lo += chunk) {
+            size_t hi = lo + chunk < k ? lo + chunk : k;
+            for (size_t kk = lo; kk < hi; kk++) {
+                const i64 *x = d + kk * step + j0, *y = key + kk * step + j0;
+                for (size_t j = 0; j < len; j++) {
+                    seen_digits |= (u64)x[j];
+                    seen_keys |= (u64)y[j];
+                    acc[j] += (u64)(u32)x[j] * (u32)y[j];
+                }
+            }
+            for (size_t j = 0; j < len; j++)
+                acc[j] = reduce64(acc[j], c);
+        }
+        for (size_t j = 0; j < len; j++)
+            o[j0 + j] = (i64)acc[j];
+    }
+    seen[0] |= seen_digits;
+    seen[1] |= seen_keys;
+}
 
 /*
  * Key-switch inner product out[g, b] = sum_k digits[g, b, k] * keys[g, k] mod q.
@@ -343,35 +412,62 @@ int ive_inner(i64 *restrict out, const i64 *restrict digits,
               size_t rns, size_t n, const u32 *consts, unsigned digit_bits,
               unsigned key_bits, size_t chunk)
 {
-    u64 seen_digits = 0, seen_keys = 0;
+    u64 seen[2] = {0, 0};
     size_t step = rns * n;
     for (size_t g = 0; g < groups; g++)
     for (size_t b = 0; b < batch; b++)
     for (size_t m = 0; m < rns; m++)
-    for (size_t j0 = 0; j0 < n; j0 += INNER_TILE) {
-        const u32 *c = consts + m * CONSTS;
-        const i64 *d = digits + ((g * batch + b) * k * rns + m) * n + j0;
-        const i64 *key = keys + (g * k * rns + m) * n + j0;
-        i64 *o = out + ((g * batch + b) * rns + m) * n + j0;
-        size_t len = n - j0 < INNER_TILE ? n - j0 : INNER_TILE;
-        u64 acc[INNER_TILE] = {0};
-        for (size_t lo = 0; lo < k; lo += chunk) {
-            size_t hi = lo + chunk < k ? lo + chunk : k;
-            for (size_t kk = lo; kk < hi; kk++) {
-                const i64 *x = d + kk * step, *y = key + kk * step;
-                for (size_t j = 0; j < len; j++) {
-                    seen_digits |= (u64)x[j];
-                    seen_keys |= (u64)y[j];
-                    acc[j] += (u64)(u32)x[j] * (u32)y[j];
-                }
-            }
-            for (size_t j = 0; j < len; j++)
-                acc[j] = reduce64(acc[j], c);
-        }
-        for (size_t j = 0; j < len; j++)
-            o[j] = (i64)acc[j];
+        inner_row(out + ((g * batch + b) * rns + m) * n,
+                  digits + ((g * batch + b) * k * rns + m) * n,
+                  keys + (g * k * rns + m) * n, k, step, n,
+                  consts + m * CONSTS, chunk, seen);
+    return (seen[0] >> digit_bits) != 0 || (seen[1] >> key_bits) != 0;
+}
+
+/*
+ * The whole key switch, out[h, f] = sum_k Dcp(coeff[:, f])_k * keys[h, g, k]
+ * with g = f / batch, for the ciphertexts f in [lo, hi) of the flat
+ * (groups * batch) axis, one ciphertext at a time (the paper's reduction
+ * overlapping, Section IV-A): its `parts` coefficient-domain polynomials are
+ * decomposed into the `digits` tile (k = parts * length rows of n), which is
+ * forward-transformed, partially ([0, 2q)), into `tile` (k, rns, n) and
+ * contracted against both halves' key rows of group g while it is still in
+ * cache.  No digit tensor of the whole batch exists.
+ *
+ * coeff is dense (parts, cts, rns, n), keys dense (2, cts / batch, k, rns, n),
+ * out dense (2, cts, rns, n); `tw` the forward twiddles (ive_ntt), the gadget
+ * tables those of ive_decompose, `digit_bits`, `key_bits` and `chunk` those
+ * of ive_inner, `work` n words.  Returns nonzero, with this slice of `out`
+ * unspecified, when a key word was negative or out of range.
+ */
+int ive_key_switch(i64 *restrict out, const i64 *restrict coeff,
+                   const i64 *restrict keys, size_t parts, size_t cts,
+                   size_t batch, size_t lo, size_t hi, size_t rns, size_t n,
+                   const u32 *tw, const u32 *consts, const u32 *recip,
+                   unsigned recip_shift, const u32 *qhat, const u32 *q_limbs,
+                   size_t limbs, unsigned base_log2, size_t length,
+                   unsigned digit_bits, unsigned key_bits, size_t chunk,
+                   i64 *restrict digits, i64 *restrict tile, u32 *work)
+{
+    limb_walk g = {recip, qhat, q_limbs, recip_shift, base_log2, limbs, length};
+    size_t poly = rns * n, k = parts * length, half = cts / batch * k * poly;
+    u64 seen[2] = {0, 0};
+    for (size_t f = lo; f < hi; f++) {
+        const i64 *key = keys + f / batch * k * poly;
+        for (size_t p = 0; p < parts; p++)
+            decompose_row(digits + p * length * n, coeff + (p * cts + f) * poly,
+                          (ptrdiff_t)n, rns, n, consts, &g);
+        for (size_t d = 0; d < k; d++)
+            for (size_t m = 0; m < rns; m++)
+                ntt_row(tile + (d * rns + m) * n, digits + d * n, n,
+                        tw + m * 2 * n, consts + m * CONSTS, 0, 1, work);
+        for (size_t h = 0; h < 2; h++)
+            for (size_t m = 0; m < rns; m++)
+                inner_row(out + ((h * cts + f) * rns + m) * n, tile + m * n,
+                          key + h * half + m * n, k, poly, n,
+                          consts + m * CONSTS, chunk, seen);
     }
-    return (seen_digits >> digit_bits) != 0 || (seen_keys >> key_bits) != 0;
+    return (seen[0] >> digit_bits) != 0 || (seen[1] >> key_bits) != 0;
 }
 
 /* Coefficients per tile of ive_rowsel: the tile's query words (both halves,
@@ -384,7 +480,8 @@ int ive_inner(i64 *restrict out, const i64 *restrict digits,
  * db is the uint32 store, (queries or 1, cols, rows, rns, n) by element
  * strides db_q (0: one plane every query shares), db_c, db_r and db_m, the
  * coefficient axis contiguous; query is dense (halves, queries, rows, rns, n),
- * out dense (halves, queries, cols, rns, n), halves <= 2.  Per coefficient
+ * out dense (halves, queries, cols, rns, n), halves <= 2; only the outputs
+ * [lo, hi) of the flat (queries * cols) axis are computed.  Per coefficient
  * tile the query is first packed into `work` (halves * rows * ROWSEL_TILE
  * words), so the MAC loop is a 32 x 32 -> 64-bit product of two word arrays;
  * then each DB word is loaded once and feeds every half's accumulator.
@@ -395,17 +492,21 @@ int ive_inner(i64 *restrict out, const i64 *restrict digits,
  */
 int ive_rowsel(i64 *restrict out, const u32 *restrict db,
                const i64 *restrict query, size_t halves, size_t queries,
-               size_t cols, size_t rows, size_t rns, size_t n, ptrdiff_t db_q,
-               ptrdiff_t db_c, ptrdiff_t db_r, ptrdiff_t db_m,
+               size_t cols, size_t lo, size_t hi, size_t rows, size_t rns,
+               size_t n, ptrdiff_t db_q, ptrdiff_t db_c, ptrdiff_t db_r,
+               ptrdiff_t db_m,
                const u32 *consts, unsigned db_bits, unsigned query_bits,
                size_t chunk, u32 *restrict work)
 {
     u64 seen_query = 0;
     u32 seen_db = 0;
     size_t poly = rns * n;
-    for (size_t qi = 0; qi < queries; qi++)
+    for (size_t u = lo; u < hi; u = (u / cols + 1) * cols)
     for (size_t m = 0; m < rns; m++)
     for (size_t j0 = 0; j0 < n; j0 += ROWSEL_TILE) {
+        size_t qi = u / cols, end = hi - qi * cols;
+        if (end > cols)
+            end = cols;
         const u32 *c = consts + m * CONSTS;
         size_t len = n - j0 < ROWSEL_TILE ? n - j0 : ROWSEL_TILE;
         for (size_t h = 0; h < halves; h++)
@@ -418,13 +519,13 @@ int ive_rowsel(i64 *restrict out, const u32 *restrict db,
                     w[j] = (u32)y[j];
                 }
             }
-        for (size_t col = 0; col < cols; col++) {
+        for (size_t col = u - qi * cols; col < end; col++) {
             const u32 *x0 = db + (ptrdiff_t)qi * db_q + (ptrdiff_t)col * db_c
                 + (ptrdiff_t)m * db_m + (ptrdiff_t)j0;
             u64 acc[2][ROWSEL_TILE] = {{0}};
-            for (size_t lo = 0; lo < rows; lo += chunk) {
-                size_t hi = lo + chunk < rows ? lo + chunk : rows;
-                for (size_t r = lo; r < hi; r++) {
+            for (size_t r0 = 0; r0 < rows; r0 += chunk) {
+                size_t r1 = r0 + chunk < rows ? r0 + chunk : rows;
+                for (size_t r = r0; r < r1; r++) {
                     const u32 *x = x0 + (ptrdiff_t)r * db_r;
                     for (size_t j = 0; j < len; j++)
                         seen_db |= x[j];

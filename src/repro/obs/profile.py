@@ -12,9 +12,10 @@ dominant tensors moved, giving the measured side of the
 measured-vs-modeled table next to :class:`~repro.arch.simulator.
 IveSimulator`'s analytic per-stage predictions.
 
-Stages intentionally nest (``subs`` contains ``ntt_fwd`` and
-``decompose``; ``rowsel`` contains ``gemm``), so per-stage seconds
-overlap and do not sum to wall time — the report says so.
+Stages intentionally nest (``subs`` contains ``ntt_inv``, and on
+``eager`` also ``ntt_fwd`` and ``decompose``, which ``native`` fuses
+into one key-switch call; ``rowsel`` contains ``gemm``), so per-stage
+seconds overlap and do not sum to wall time — the report says so.
 
 Worker processes install their own profiler at spawn when
 ``WorkerConfig.profile`` is set and ship :meth:`KernelProfiler.
