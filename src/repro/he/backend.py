@@ -43,10 +43,12 @@ Two backends are registered:
   the ``NttContext`` twiddle tables themselves (slot order identical by
   construction), the broadcast-RNS digit/error/plaintext transform,
   limb-iCRT decomposition at any base up to 2^32, the key-switch
-  inner product, the one-pass RowSel contraction over the uint32
-  database store, the expansion-level butterfly and the modular
-  add/subtract — portable C99 in ``native_kernels.c``, built on first
-  use by the system C compiler for the host's ISA (``-march=native``
+  inner product and the whole key switch fused from those three (one
+  ciphertext at a time, no batch digit tensor), the one-pass RowSel
+  contraction over the uint32 database store, the expansion-level
+  butterfly and the modular add/subtract, the large calls split across
+  the process's cores — portable C99 in ``native_kernels.c``, built on
+  first use by the system C compiler for the host's ISA (``-march=native``
   where the compiler takes it, else portable and counted,
   ``he_native_portable``) and loaded with ``ctypes``
   (:mod:`repro.he.native`).  One bound, ``4q < 2^32``, raised in
@@ -54,8 +56,9 @@ Two backends are registered:
   where the library builds and loads; where it does not
   (``he_native_unavailable``, once per process) ``eager`` is, and a
   ring, gadget or operand outside the kernels' bounds runs the eager
-  primitives (``he_native_none``).  Pipeline ops, the slot-gather
-  automorphism and the dense GEMM are inherited.
+  primitives (``he_native_none``).  The pipeline ops but the key
+  switch, the slot-gather automorphism and the dense GEMM are
+  inherited.
 
 Every fallback is exact — never silently wrong, at most slower — and
 counted in the installed metrics registry: ``he_native_unavailable``,
@@ -920,13 +923,15 @@ class NativeBackend(EagerBackend):
     """The eager backend with its hottest primitives compiled.
 
     Forward/inverse NTT (broadcast RNS axis included), gadget
-    decomposition, the key-switch inner product, the RowSel contraction
-    over the uint32 store (each DB word read once for both ciphertext
-    halves), the expansion butterfly and the modular add/subtract run
-    the C99 kernels of :mod:`repro.he.native` — lazy butterflies over
-    the same twiddle tables, so every slot is where the eager transforms
-    put it.  Every pipeline op, the slot-gather automorphism and the
-    dense GEMM are inherited.
+    decomposition, the key-switch inner product, the whole key switch
+    (one fused call), the RowSel contraction over the uint32 store (each
+    DB word read once for both ciphertext halves), the expansion
+    butterfly and the modular add/subtract run the C99 kernels of
+    :mod:`repro.he.native` — lazy butterflies over the same twiddle
+    tables, so every slot is where the eager transforms put it — and
+    the large calls split across the cores (:func:`repro.he.native.
+    fan_out`).  The other pipeline ops, the slot-gather automorphism and
+    the dense GEMM are inherited.
 
     What the kernels do not cover runs the eager primitives, exactly
     and counted: no library on this machine (``he_native_unavailable``,

@@ -323,9 +323,7 @@ def fan_out(units: int, unit_words: int, run) -> int:
     submit to the pool, so concurrent callers cannot deadlock on it.
     Returns the OR of the slices' statuses.
     """
-    slices = min(fan_width(), units)
-    if FAN_FLOOR_WORDS:
-        slices = min(slices, units * unit_words // FAN_FLOOR_WORDS)
+    slices = min(fan_width(), units, units * unit_words // max(FAN_FLOOR_WORDS, 1))
     if slices < 2:
         return run(0, units)
     bounds = [units * i // slices for i in range(slices + 1)]

@@ -240,15 +240,16 @@ class TestButterfly:
 
 
 class TestPool:
-    def test_two_servers_answer_at_once_through_the_shared_pool(self, split):
-        """Two threads, each with its own server, split every kernel over
-        the one pool at the same time; nothing deadlocks and every response
-        is the serial run's."""
+    def test_servers_answer_at_once_through_the_shared_pool(self, split):
+        """Three threads — more callers than cores — each with its own
+        server, split every kernel over the one pool at the same time, with
+        the interpreter switching threads as often as it can: nothing
+        deadlocks and every response is the serial run's."""
         backend = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
         params = PirParams.small(n=256, d0=8, num_dims=2)
         rng = np.random.default_rng(40)
         deployments = []
-        for seed in (1, 2):
+        for seed in (1, 2, 3):
             records = [rng.bytes(64) for _ in range(32)]
             client = PirClient(params, seed=seed)
             db = PirDatabase.from_records(records, params, 64)
@@ -256,23 +257,30 @@ class TestPool:
             queries = [client.build_query(i * 5 % 32, db.layout) for i in range(4)]
             deployments.append((server, queries))
         serial = [[server.answer(q) for q in queries] for server, queries in deployments]
-        concurrent = [None, None]
+        concurrent = [None] * len(deployments)
 
         def serve(slot):
             server, queries = deployments[slot]
             concurrent[slot] = [server.answer(q) for q in queries]
 
-        threads = [threading.Thread(target=serve, args=(slot,)) for slot in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-            assert not thread.is_alive(), "a fanned answer did not finish"
-        for got_all, want_all in zip(concurrent, serial):
-            for got, want in zip(got_all, want_all):
-                for g, w in zip(got.plane_cts, want.plane_cts):
+        threads = [threading.Thread(target=serve, args=(slot,)) for slot in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "a fanned answer did not finish"
+        finally:
+            sys.setswitchinterval(interval)
+        for got_all, want_all in zip(concurrent, serial, strict=True):
+            for got, want in zip(got_all, want_all, strict=True):
+                for g, w in zip(got.plane_cts, want.plane_cts, strict=True):
                     assert np.array_equal(g.a.residues, w.a.residues)
                     assert np.array_equal(g.b.residues, w.b.residues)
+        if backend == "native":
+            assert split.submits > 0
 
     def test_one_core_starts_no_pool_thread(self, monkeypatch):
         monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0}, raising=False)
