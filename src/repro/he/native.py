@@ -267,14 +267,14 @@ def modulus_consts(moduli: tuple[int, ...]) -> np.ndarray:
 
 #: Words a slice must carry before a kernel call fans out, counted as the
 #: operand words a unit of the kernel reads and writes (residues, key rows,
-#: store words).  Handing a slice to a pool thread and collecting it costs
-#: ~60 µs (median; ~125 µs at p90) on a 2-vCPU AVX-512 Xeon, and the key
-#: switch and the NTT, most of an N = 2^12 answer, spend ~3.5 ns a word
-#: there.  A handoff is then at most 5 % of a slice of 20 * 60 µs / 3.5 ns
-#: words.  RowSel (~1.5 ns a word) and the butterfly (~1 ns) get shorter
-#: slices at the same floor, where the handoff is 10-20 % and the split
-#: still wins (EXPERIMENTS.md, "One fused key switch, fanned").
-FAN_FLOOR_WORDS = 20 * 60_000 * 10 // 35
+#: store words).  Handing a slice to a pool thread and collecting it took
+#: 49-58 µs at the median (68-254 µs at p90) on a 2-vCPU AVX-512 Xeon, and
+#: the key switch and the NTT, most of an N = 2^12 answer, spend ~3.5 ns a
+#: word there.  A 60 µs handoff is then at most 5 % of a slice of
+#: 20 * 60 µs / 3.5 ns words.  RowSel (~1.5 ns a word) and the butterfly
+#: (0.6-1 ns) get shorter slices at the same floor, where the handoff is
+#: 10-20 % (EXPERIMENTS.md, "One fused key switch, fanned over the cores").
+FAN_FLOOR_WORDS = int(20 * 60e-6 / 3.5e-9)
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -291,9 +291,10 @@ def fan_width() -> int:
 
 
 def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: start afresh."""
-    global _pool
-    _pool = None
+    """A forked child has none of its parent's threads, and may have
+    forked while one held the lock: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -495,7 +496,8 @@ class NativeRing:
         residues, ``rows`` ``(2, groups, parts * ℓ, rns, n)`` canonical key
         rows of a gadget the limb walk covers (:meth:`covers`); returns the
         ``(2, groups, batch, rns, n)`` NTT-form result, or None — the
-        caller's path then runs — when a key row is outside ``[0, q)``.
+        caller's path then runs — when a key word is negative or wider
+        than the largest modulus.
         Fanned over ciphertexts, each slice with its own digit tile.
         """
         coeff = np.ascontiguousarray(coeff, dtype=np.int64)
