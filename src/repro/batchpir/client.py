@@ -128,10 +128,10 @@ class BatchPirClient:
             )
         records: dict[int, bytes] = {}
         for slots, responses in zip(plan.rounds, response.rounds):
-            for bucket, g in slots.items():
-                records[g] = self.pir.decode_response(
-                    responses[bucket],
-                    self.layout.local_index(bucket, g),
-                    self.layout.bucket_layouts[bucket],
-                )
+            # One stacked decode per round: the planned buckets' responses.
+            records.update(zip(slots.values(), self.pir.decode_responses(
+                [responses[bucket] for bucket in slots],
+                [self.layout.local_index(bucket, g) for bucket, g in slots.items()],
+                [self.layout.bucket_layouts[bucket] for bucket in slots],
+            )))
         return records

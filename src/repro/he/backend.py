@@ -393,6 +393,23 @@ class ComputeBackend:
         """Dense ``(a @ b) % q`` (the SimplePIR/hintpir server tier)."""
         raise NotImplementedError
 
+    def encrypt_rows(
+        self, ctx: RingContext, key_ntt: np.ndarray, rows: np.ndarray,
+        errors: np.ndarray, shift: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The client's RLWE encryptions of zero, written into ``rows``.
+
+        ``rows`` is ``(2, count, rns, n)`` with the uniform ``a``
+        polynomials (NTT form) already in ``rows[0]``, ``errors`` the
+        ``(count, n)`` signed error rows and ``key_ntt`` the ``(rns, n)``
+        NTT-form secret.  Writes ``b = NTT(e) - a*s`` mod q into
+        ``rows[1]``; ``shift``, when given, is ``(count, 2, rns)``
+        per-row constants added to ``a`` and ``b`` (a constant's NTT form
+        is that constant in every slot) — the RGSW gadget terms.  Returns
+        ``rows``.
+        """
+        raise NotImplementedError
+
     # -- the key-switch kernel --------------------------------------------
     def key_switch(
         self, gadget: Gadget, coeff: np.ndarray, rows: np.ndarray
@@ -882,6 +899,29 @@ class EagerBackend(ComputeBackend):
             out -= moduli_col
         return modred(out, moduli_col)
 
+    def encrypt_rows(
+        self, ctx: RingContext, key_ntt: np.ndarray, rows: np.ndarray,
+        errors: np.ndarray, shift: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Blocked numpy: the rows are walked in blocks whose temporaries
+        (transformed errors, the ``a*s`` products) fit the scratch budget."""
+        moduli_col = ctx._moduli_col
+        block = max(1, BLOCK_BYTES // (3 * 8 * ctx.rns_count * ctx.n))
+        for lo in range(0, rows.shape[1], block):
+            a, b = rows[0, lo:lo + block], rows[1, lo:lo + block]
+            b[...] = self.ntt_forward(ctx, errors[lo:lo + block, None, :])
+            prod = a * key_ntt
+            prod %= moduli_col
+            b -= prod
+            modred(b, moduli_col)
+            if shift is None:
+                continue
+            for half, target in enumerate((a, b)):
+                target += shift[lo:lo + block, half, :, None]
+                target -= moduli_col
+                modred(target, moduli_col)
+        return rows
+
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         """Chunked float64 dgemm with Barrett tails; exact, BLAS-backed.
 
@@ -1087,6 +1127,21 @@ class NativeBackend(EagerBackend):
             if result is not None:
                 return result
         return super().modular_add(a, b, moduli_col, out, subtract)
+
+    def encrypt_rows(
+        self, ctx: RingContext, key_ntt: np.ndarray, rows: np.ndarray,
+        errors: np.ndarray, shift: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """One C pass per row (:meth:`repro.he.native.NativeRing.encrypt`),
+        fanned over rows; an operand the kernel refuses is counted and the
+        eager blocks run on the rows as they were."""
+        ring = self._ring(ctx)
+        if ring is not None:
+            with kernel_stage(self._label("encrypt"), rows.nbytes):
+                if ring.encrypt(key_ntt, rows, errors, shift):
+                    return rows
+            count("he_native_none")
+        return super().encrypt_rows(ctx, key_ntt, rows, errors, shift)
 
 
 # ---------------------------------------------------------------------------

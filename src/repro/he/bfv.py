@@ -3,6 +3,16 @@
 A ciphertext is a pair (a, b) in R_Q^2 with phase b + a*s = Δ*m + e for
 plaintext m in R_P and Δ = floor(Q/P).  Both polynomials are kept in NTT
 form so repeated multiplications need no conversions (Section II-B).
+
+Encryption is one compute-backend op over a whole stack of rows
+(:meth:`BfvContext.encrypt_zeros`).  Decryption rounds ``phase * P / Q``
+exactly in RNS, with no big integer on the common path
+(:meth:`BfvContext.round_phase`): the CRT lift splits into per-modulus
+int64 quotients and remainders, the remainders' fractions are summed in
+float64, and Q being odd means that sum is never on a rounding boundary;
+any coefficient within a 2^-40 guard band of one (the float sum is off by
+under 2^-48) is rounded again with big integers, so every result is the
+big-int formula's bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +25,11 @@ from repro.errors import NoiseOverflowError, ParameterError
 from repro.he.modred import modred
 from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.he.sampling import Sampler
+
+#: How close to a rounding boundary :meth:`BfvContext.round_phase`'s
+#: float64 sum may come before the coefficient is rounded with big
+#: integers instead; the sum itself is off by less than 2^-48.
+ROUNDING_GUARD = 2.0 ** -40
 
 
 def default_backend():
@@ -118,33 +133,30 @@ class BfvContext:
             RnsPoly(self.ctx, rows[1, index], Domain.NTT),
         )
 
-    def encrypt_zeros(self, key: SecretKey, count: int) -> np.ndarray:
+    def encrypt_zeros(
+        self, key: SecretKey, count: int, shift: np.ndarray | None = None
+    ) -> np.ndarray:
         """``count`` RLWE encryptions of zero as one ``(2, count, rns, n)`` tensor.
 
         ``rows[0]`` holds the uniform ``a`` polynomials and ``rows[1]``
-        ``b = e - a*s``, all in NTT form.  The sampler is asked for every
-        uniform row first and every error row second, and the error
-        transforms go through the compute backend.  Draws and arithmetic
-        both walk the rows in blocks whose temporaries (bounded draws,
-        transformed errors, the ``a*s`` products) fit the backend's
-        scratch budget, so a whole query pass costs no more transient
-        memory than one RGSW.
+        ``b = e - a*s``, all in NTT form; ``shift``, ``(count, 2, rns)``
+        per-row constants onto ``a`` and ``b``, turns zero rows into RGSW
+        rows (:func:`repro.he.rgsw.gadget_shift`).  The sampler is asked
+        for every uniform row first, in blocks that fit the scratch
+        budget, and every error row second, in one draw (the same stream
+        as one draw per block); the rest is one
+        :meth:`~repro.he.backend.ComputeBackend.encrypt_rows` call that
+        writes the tensor in place.
         """
-        ctx, backend = self.ctx, default_backend()
-        moduli_col = ctx._moduli_col
+        ctx = self.ctx
         rows = np.empty((2, count, ctx.rns_count, ctx.n), dtype=np.int64)
         block = max(1, BLOCK_BYTES // (3 * 8 * ctx.rns_count * ctx.n))
         for lo in range(0, count, block):
             self.sampler.uniform_rows(rows[0, lo:lo + block])
-        for lo in range(0, count, block):
-            a, b = rows[0, lo:lo + block], rows[1, lo:lo + block]
-            errors = self.sampler.error_rows(len(a))
-            b[...] = backend.ntt_forward(ctx, errors[:, None, :])
-            prod = a * key.ntt.residues
-            prod %= moduli_col
-            b -= prod
-            modred(b, moduli_col)
-        return rows
+        errors = self.sampler.error_rows(count)
+        return default_backend().encrypt_rows(
+            ctx, key.ntt.residues, rows, errors, shift
+        )
 
     # -- decryption -------------------------------------------------------
     def phase(self, ct: BfvCiphertext, key: SecretKey) -> np.ndarray:
@@ -158,10 +170,73 @@ class BfvContext:
 
     def decrypt(self, ct: BfvCiphertext, key: SecretKey) -> np.ndarray:
         """Rounded decode: m = round(phase * P / Q) mod P, int64 array."""
+        return self.decrypt_many([ct], key)[0]
+
+    def decrypt_many(
+        self, cts: list[BfvCiphertext], key: SecretKey
+    ) -> np.ndarray:
+        """:meth:`decrypt` of every ciphertext at once, ``(len(cts), n)``:
+        one phase tensor, one inverse NTT, one rounding."""
+        ctx = self.ctx
+        if not cts:
+            return np.empty((0, ctx.n), dtype=np.int64)
+        phase = np.empty((len(cts), ctx.rns_count, ctx.n), dtype=np.int64)
+        for out, ct in zip(phase, cts):
+            np.multiply(ct.a.residues, key.ntt.residues, out=out)
+            out += ct.b.residues
+        phase %= ctx._moduli_col
+        return self.round_phase(default_backend().ntt_inverse(ctx, phase))
+
+    def round_phase(self, residues: np.ndarray) -> np.ndarray:
+        """``⌊(x·P + (Q-1)/2) / Q⌋ mod P`` of coefficient-domain phases
+        ``x``, given as ``(count, rns, n)`` residues; ``(count, n)`` int64.
+
+        Exact, and in RNS with no big integer on the common path.  With
+        ``t_i = x_i·(Q/q_i)^-1 mod q_i`` the CRT lift is ``x = Σ t_i·Q/q_i
+        - k·Q`` for an integer ``k``, so ``x·P/Q = Σ t_i·P/q_i - k·P``.
+        Splitting ``t_i·P = w_i·q_i + r_i`` in int64 (safe while ``max
+        q·P < 2^62``) gives ``m = (Σ w_i + ⌊Σ r_i/q_i + ½⌋) mod P``.  That
+        is the formula above: ``Q`` is odd, so ``x·P/Q + ½ = (2xP + Q) /
+        2Q`` has an odd numerator over an even denominator and is never
+        an integer, hence adding ``½`` and adding ``(Q-1)/2Q`` floor alike.
+
+        Guard band: ``Σ r_i/q_i + ½`` is summed in float64, off from the
+        true value by less than 2^-48 (at most four terms below one, each
+        rounded once, and three additions below 4.5).  A coefficient
+        whose sum lies within 2^-40 of an integer — of a rounding
+        boundary — is recomputed by :meth:`_round_exact`, the big-int
+        formula; everywhere else the float floor is the true one.  So
+        the result is bit-identical to the big-int formula in every case.
+        Where ``max q·P ≥ 2^62`` the whole call takes the big-int path.
+        """
+        params, basis = self.params, self.ctx.basis
+        p, moduli_col = params.plain_modulus, self.ctx._moduli_col
+        count, rns, n = residues.shape
+        if max(params.moduli) * p >= 1 << 62:
+            lifted = self._round_exact(residues.transpose(1, 0, 2).reshape(rns, -1))
+            return lifted.reshape(count, n)
+        t = residues * basis._q_hat_inv_arr[:, None]
+        t %= moduli_col
+        t *= p
+        w, r = np.divmod(t, moduli_col)
+        total = (r / moduli_col).sum(axis=1)
+        total += 0.5
+        plain = w.sum(axis=1)
+        plain += np.floor(total).astype(np.int64)
+        plain %= p
+        near = np.abs(total - np.rint(total)) < ROUNDING_GUARD
+        if near.any():
+            rows, cols = np.nonzero(near)
+            plain[rows, cols] = self._round_exact(residues[rows, :, cols].T)
+        return plain
+
+    def _round_exact(self, residues: np.ndarray) -> np.ndarray:
+        """The big-int rounding of ``(rns, k)`` residue columns: ``(k,)``."""
         q, p = self.params.q, self.params.plain_modulus
-        phase = self.phase(ct, key)
-        decoded = [int((int(c) * p + q // 2) // q) % p for c in phase]
-        return np.array(decoded, dtype=np.int64)
+        return np.array(
+            [(int(c) * p + q // 2) // q % p for c in self.ctx.basis.from_rns(residues)],
+            dtype=np.int64,
+        )
 
     def noise(self, ct: BfvCiphertext, key: SecretKey) -> int:
         """Max-norm of the error term e = phase - Δ*m (m from rounding)."""

@@ -1,12 +1,14 @@
 """The compiled kernels behind the ``native`` compute backend.
 
-``native_kernels.c`` (next to this file) holds the portable-C99 kernels:
-lazy-butterfly forward/inverse NTT, limb-iCRT gadget decomposition and
-the key-switch inner product, the key switch fused from those three (one
-ciphertext at a time, its digits never leaving cache), plus the three
-passes around the key switch — the RowSel contraction that reads each
-word of the uint32 database store once for both ciphertext halves, one
-ExpandQuery level's butterfly, and the modular add/subtract.  This
+``native_kernels.c`` (next to this file) holds the eight portable-C99
+kernels: lazy-butterfly forward/inverse NTT, limb-iCRT gadget
+decomposition and the key-switch inner product, the key switch fused from
+those three (one ciphertext at a time, its digits never leaving cache),
+the three passes around the key switch — the RowSel contraction that
+reads each word of the uint32 database store once for both ciphertext
+halves, one ExpandQuery level's butterfly, and the modular add/subtract
+— and the client's one-pass encryption of zero rows (error transform,
+``b = e - a*s`` and the RGSW gadget constants, written in place).  This
 module is everything foreign about them: it builds the shared library
 with the system C compiler on first use, loads it through :mod:`ctypes`,
 wraps each kernel in a function that validates shapes, dtypes and
@@ -41,25 +43,28 @@ once, and the function returns None for the rest of the process —
 **Fan-out.**  :func:`fan_out` splits one kernel call into contiguous
 slices of its outermost independent axis — the key switch over
 ciphertexts, RowSel over queries (over columns when there is one query),
-the NTT over rows, the butterfly over query halves — and runs them at
-once: ``ctypes`` drops the GIL for the call, so the slices run on
-different cores.  The width is the number of cores the process may run
-on (:func:`fan_width`: ``os.sched_getaffinity``, else ``os.cpu_count()``),
-read once; a call splits only when it has two units and every slice
-carries ``FAN_FLOOR_WORDS``, derived from the measured handoff cost.  The
-calling thread runs the first slice; the other ``width - 1`` run on one
-process-wide thread pool, started on the first call that splits (never
-at import, never on a one-core process, never without the library) and
-reset in a forked child.  Each slice gets its own work buffers and
-writes outputs no other slice touches, and the kernels' status flags are
-ORed, so a split call is byte-identical to the whole one and a refused
-operand in any slice sends the whole call to its fallback, counted once.
-Pool tasks are kernel calls only and never submit to the pool, so any
-number of concurrent callers (serving threads, tests) share it without
-deadlock.  ``ive_mod_add`` is never split: with ``out`` aliasing an
-input, its promise that nothing is written unless every operand is
-canonical holds only for the whole call.  There is no option for any of
-it.
+the NTT and the encryption over rows, the butterfly over query halves —
+and runs them at once: ``ctypes`` drops the GIL for the call, so the
+slices run on different cores.  The width is the number of cores the
+process may run on (:func:`fan_width`: ``os.sched_getaffinity``, else
+``os.cpu_count()``), read once; a call splits only when it has two units
+and every slice carries ``FAN_FLOOR_WORDS``, derived from the measured
+handoff cost.  The calling thread runs the first slice; the other
+``width - 1`` run on one process-wide thread pool, started on the first
+call that splits (never at import, never on a one-core process, never
+without the library) and reset in a forked child.  Each slice gets its
+own work buffers and writes outputs no other slice touches, and the
+kernels' status flags are ORed, so a split call is byte-identical to the
+whole one and a refused operand in any slice sends the whole call to its
+fallback, counted once (``ive_encrypt`` writes its inputs' rows in
+place: a slice that refuses writes nothing, and the gadget constants the
+finished slices added to ``a`` are taken off again before the fallback
+reads it).  Pool tasks are kernel calls only and never submit to the
+pool, so any number of concurrent callers (serving threads, tests) share
+it without deadlock.  ``ive_mod_add`` is never split: with ``out``
+aliasing an input, its promise that nothing is written unless every
+operand is canonical holds only for the whole call.  There is no option
+for any of it.
 
 **Exactness.**  One bound carries every kernel: ``4q < 2^32`` for each
 modulus, which keeps the lazy butterflies' ``[0, 4q)`` values in 32-bit
@@ -87,6 +92,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.he.gadget import Gadget
+from repro.he.modred import modred
 from repro.he.poly import RingContext
 from repro.obs.metrics import count
 
@@ -136,6 +142,10 @@ _SIGNATURES = {
     "ive_mod_add": (ctypes.c_int, [
         _PTR, _STRIDE, _PTR, _STRIDE, _PTR, _STRIDE, _SIZE, _SIZE, _SIZE,
         _PTR, ctypes.c_int,
+    ]),
+    "ive_encrypt": (ctypes.c_int, [
+        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR, _PTR,
+        _PTR,
     ]),
 }
 
@@ -449,6 +459,63 @@ class NativeRing:
 
         fan_out(x.shape[0], 2 * poly, rows)
         return out.reshape(lead + (self.rns, self.n))
+
+    def encrypt(
+        self, key: np.ndarray, rows: np.ndarray, errors: np.ndarray,
+        shift: np.ndarray | None,
+    ) -> bool:
+        """``ComputeBackend.encrypt_rows`` in place: ``rows`` ``(2, count,
+        rns, n)`` C-contiguous int64 with the uniform ``a`` in ``rows[0]``,
+        ``errors`` ``(count, n)``, ``shift`` None or ``(count, 2, rns)``.
+
+        False, with ``rows[0]`` as it was, when the kernel cannot take an
+        operand: a layout other than that, or a word of the key, an ``a``
+        row or the constants that is not canonical.  Fanned over rows.
+        """
+        count = rows.shape[1] if rows.ndim == 4 else 0
+        poly = (self.rns, self.n)
+        if (
+            rows.shape != (2, count) + poly or rows.dtype != np.int64
+            or not rows.flags.c_contiguous
+            or np.any((key < 0) | (key >= self._moduli_col))
+        ):
+            return False
+        errors = np.ascontiguousarray(errors, dtype=np.int64)
+        if shift is not None:
+            shift = np.ascontiguousarray(shift, dtype=np.int64)
+        if errors.shape != (count, self.n) or (
+            shift is not None and shift.shape != (count, 2, self.rns)
+        ):
+            raise ParameterError(
+                f"expected ({count}, {self.n}) errors and ({count}, 2, "
+                f"{self.rns}) constants, got {errors.shape} and "
+                f"{None if shift is None else shift.shape}"
+            )
+        table = np.ascontiguousarray(np.stack(
+            [key, _shoup(key, self._moduli_col)], axis=1
+        ).astype(np.uint32))
+        finished = []
+
+        def slice_rows(lo: int, hi: int) -> int:
+            work = np.empty(self.n, dtype=np.uint32)
+            status = self.lib.ive_encrypt(
+                _address(rows), _address(errors),
+                None if shift is None else _address(shift), count, lo, hi,
+                self.rns, self.n, _address(table), _address(self.twiddles[0]),
+                _address(self.consts), _address(work),
+            )
+            if not status:
+                finished.append((lo, hi))
+            return status
+
+        # Per row: its a and b words in and out, and the error transform's.
+        if not fan_out(count, 3 * self.rns * self.n, slice_rows):
+            return True
+        for lo, hi in finished if shift is not None else ():
+            a = rows[0, lo:hi]
+            a -= shift[lo:hi, 0, :, None]
+            modred(a, self._moduli_col)
+        return False
 
     def _gadget(self, gadget: Gadget) -> tuple | None:
         """Tables of one gadget's limb walk, or None outside its bounds.

@@ -1,13 +1,14 @@
 /*
  * Kernels of the `native` compute backend (repro.he.native loads this file).
  *
- * Seven entry points: the forward/inverse NTT, gadget decomposition and the
+ * Eight entry points: the forward/inverse NTT, gadget decomposition and the
  * key-switch inner product the key switch is made of, the key switch itself
  * fused from the three (one ciphertext at a time, its digits cache-resident),
- * and the three passes around it -- the RowSel contraction over the uint32
+ * the three passes around it -- the RowSel contraction over the uint32
  * database store, one ExpandQuery level's butterfly, and the modular
- * add/subtract of Subs and ColTor.  Each entry point shares its loop body with
- * the others through static row helpers, so no loop exists twice.
+ * add/subtract of Subs and ColTor -- and the client's encryption of zero rows.
+ * Each entry point shares its loop body with the others through static row
+ * helpers, so no loop exists twice.
  *
  * Portable C99: no intrinsics, no threads, no allocation, no globals.  Every
  * buffer comes from the caller.  repro.he.native splits the large calls over
@@ -248,6 +249,55 @@ void ive_ntt(i64 *dst, const i64 *src, size_t rows, ptrdiff_t src_row,
                     src + (ptrdiff_t)r * src_row + (ptrdiff_t)m * src_mod, n,
                     tw + m * 2 * n, consts + m * CONSTS, inverse, partial,
                     work);
+}
+
+/*
+ * RLWE encryptions of zero in place, rows [lo, hi) of rows (2, count, rns, n)
+ * whose rows[0] holds the uniform a (NTT form): per modulus, the signed error
+ * row is loaded and transformed, b = NTT(e) - a*s mod q written to rows[1],
+ * and the row's constants shift[r] = (to a, to b), each (rns,), added to both
+ * halves (the RGSW gadget terms; shift may be NULL).  errors is dense (count,
+ * n), shift (count, 2, rns), key (rns, 2, n): s in NTT form and its Shoup
+ * companions; tw the forward twiddles, work n words.  Returns nonzero, the
+ * slice untouched, when an a or shift word of it is not a canonical residue.
+ */
+int ive_encrypt(i64 *restrict rows, const i64 *restrict errors,
+                const i64 *restrict shift, size_t count, size_t lo, size_t hi,
+                size_t rns, size_t n, const u32 *key, const u32 *tw,
+                const u32 *consts, u32 *work)
+{
+    i64 *a = rows, *b = rows + count * rns * n;
+    u32 bad = 0;
+    for (size_t r = lo; r < hi; r++)
+        for (size_t m = 0; m < rns; m++) {
+            u64 q = consts[m * CONSTS + C_Q];
+            const i64 *x = a + (r * rns + m) * n;
+            for (size_t j = 0; j < n; j++)
+                bad |= (u32)((u64)x[j] >= q);
+            if (shift)
+                bad |= (u32)((u64)shift[2 * r * rns + m] >= q)
+                    | (u32)((u64)shift[(2 * r + 1) * rns + m] >= q);
+        }
+    if (bad)
+        return 1;
+    for (size_t r = lo; r < hi; r++)
+        for (size_t m = 0; m < rns; m++) {
+            const u32 *c = consts + m * CONSTS, *w = tw + m * 2 * n;
+            const u32 *s = key + m * 2 * n, *ss = s + n;
+            u32 q = c[C_Q];
+            u32 to_a = shift ? (u32)shift[2 * r * rns + m] : 0;
+            u32 to_b = shift ? (u32)shift[(2 * r + 1) * rns + m] : 0;
+            i64 *x = a + (r * rns + m) * n, *y = b + (r * rns + m) * n;
+            load_row(work, errors + r * n, n, c);
+            forward_stages(work, n, w, w + n, q);
+            for (size_t j = 0; j < n; j++) {
+                u32 e = cond_sub(cond_sub(work[j], 2 * q), q);
+                u32 as = cond_sub(mul_shoup((u32)x[j], s[j], ss[j], q), q);
+                y[j] = cond_sub(cond_sub(e + to_b + q - as, 2 * q), q);
+                x[j] = cond_sub((u32)x[j] + to_a, q);
+            }
+        }
+    return 0;
 }
 
 /* Most moduli ive_decompose takes: their products below 2^62 sum in a uint64.

@@ -17,7 +17,6 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
-from repro.he.modred import modred
 from repro.he.poly import Domain, RingContext, RnsPoly
 
 
@@ -52,33 +51,29 @@ class RgswCiphertext:
         return key_row_views(self.ctx, self.rows, 1)
 
 
-def add_gadget(gadget: Gadget, rows: np.ndarray, messages) -> None:
-    """Turn zero encryptions into RGSW encryptions of ``messages``, in place.
+def gadget_shift(gadget: Gadget, messages) -> np.ndarray:
+    """The constants that make zero rows RGSW encryptions of ``messages``.
 
-    ``rows`` is ``(2, ..., 2ℓ, rns, n)`` fresh zero rows and ``messages``
-    small scalars matching the ``...`` axes.  Row ``i < ℓ`` gets
-    ``m * z^i`` on its ``a`` slot and row ``ℓ + i`` on its ``b`` slot; a
-    constant's NTT form is that constant in every slot.
+    ``messages`` are small scalars of any shape ``...``; returns ``(...,
+    2ℓ, 2, rns)`` for :meth:`BfvContext.encrypt_zeros`: row ``i < ℓ``
+    gets ``m * z^i`` on its ``a`` slot and row ``ℓ + i`` on its ``b``
+    slot (a constant's NTT form is that constant in every slot).
     """
     ell = gadget.length
-    moduli = gadget.ctx._moduli_col
-    shift = (
-        np.asarray(messages, dtype=np.int64)[..., None, None, None]
-        * gadget.powers_col
-    ) % moduli
-    for half, span in ((0, slice(0, ell)), (1, slice(ell, 2 * ell))):
-        target = rows[half][..., span, :, :]
-        target += shift
-        target -= moduli
-        modred(target, moduli)
+    messages = np.asarray(messages, dtype=np.int64)
+    terms = messages[..., None, None] * gadget.powers_col[..., 0]
+    terms %= gadget.ctx._moduli_col[:, 0]
+    shift = np.zeros(messages.shape + (2 * ell, 2, gadget.ctx.rns_count), dtype=np.int64)
+    shift[..., :ell, 0, :] = terms
+    shift[..., ell:, 1, :] = terms
+    return shift
 
 
 def rgsw_encrypt(
     bfv: BfvContext, gadget: Gadget, message: int, key: SecretKey
 ) -> RgswCiphertext:
     """Encrypt a small scalar (typically a selection bit) as RGSW."""
-    rows = bfv.encrypt_zeros(key, 2 * gadget.length)
-    add_gadget(gadget, rows, message)
+    rows = bfv.encrypt_zeros(key, 2 * gadget.length, gadget_shift(gadget, message))
     return RgswCiphertext(bfv.ctx, rows)
 
 

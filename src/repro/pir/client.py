@@ -19,7 +19,7 @@ from repro.he import modmath
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, RingContext
-from repro.he.rgsw import RgswCiphertext, add_gadget
+from repro.he.rgsw import RgswCiphertext, gadget_shift
 from repro.he.sampling import Sampler
 from repro.he.subs import SubsKey, generate_subs_keys
 from repro.params import PirParams
@@ -92,10 +92,11 @@ class PirClient:
         The pass is cut into blocks of queries whose RLWE rows — per
         query the packed ciphertext and ``d`` RGSW bits of ``2ℓ`` rows —
         fill the kernels' scratch budget; each block is one
-        :meth:`~repro.he.bfv.BfvContext.encrypt_zeros` tensor with the
-        one-hot plaintexts and gadget terms added in place, and its
-        queries are views into it.  (One tensor for a whole 36-query
-        pass measured no faster and cost 9 MiB more peak RSS.)
+        :meth:`~repro.he.bfv.BfvContext.encrypt_zeros` tensor — the
+        gadget terms added by the encryption pass itself, the one-hot
+        plaintexts in place after it — and its queries are views into
+        it.  (One tensor for a whole 36-query pass measured no faster
+        and cost 9 MiB more peak RSS.)
         """
         params, ell, dims = self.params, self.gadget.length, self.params.num_dims
         if len(record_indices) != len(layouts):
@@ -123,13 +124,16 @@ class PirClient:
         """Queries for plaintext rows ``onehot`` and bit rows ``bits``: one
         stacked encryption, the messages added in place."""
         count, dims = bits.shape
-        ell = self.gadget.length
+        ell, rns = self.gadget.length, self.ring.rns_count
         per_query = 1 + dims * 2 * ell
-        rows = self.bfv.encrypt_zeros(self.secret_key, count * per_query)
+        shift = np.zeros((count, per_query, 2, rns), dtype=np.int64)
+        shift[:, 1:] = gadget_shift(self.gadget, bits).reshape(count, -1, 2, rns)
+        rows = self.bfv.encrypt_zeros(
+            self.secret_key, count * per_query, shift.reshape(-1, 2, rns)
+        )
         rows = rows.reshape((2, count, per_query) + rows.shape[2:])
         self.bfv.add_plain(rows[1, :, 0], onehot)
         rgsw = rows[:, :, 1:].reshape((2, count, dims, 2 * ell) + rows.shape[3:])
-        add_gadget(self.gadget, rgsw, bits)
         return [
             PirQuery(
                 packed=self.bfv.row_ct(rows[:, i], 0),
@@ -151,8 +155,30 @@ class PirClient:
     def decode_response(
         self, response: PirResponse, record_index: int, layout: RecordLayout
     ) -> bytes:
-        plain = [self.bfv.decrypt(ct, self.secret_key) for ct in response.plane_cts]
-        return self.assemble_record(plain, record_index, layout)
+        return self.decode_responses([response], [record_index], [layout])[0]
+
+    def decode_responses(
+        self, responses: list[PirResponse], record_indices: list[int],
+        layouts: list[RecordLayout],
+    ) -> list[bytes]:
+        """Records from a stack of responses (a batch round): every plane
+        of every response decrypted together — one phase tensor, one
+        inverse NTT — then each record assembled from its planes."""
+        if not len(responses) == len(record_indices) == len(layouts):
+            raise LayoutError(
+                f"{len(responses)} responses for {len(record_indices)} record "
+                f"indices and {len(layouts)} layouts"
+            )
+        plain = self.bfv.decrypt_many(
+            [ct for response in responses for ct in response.plane_cts],
+            self.secret_key,
+        )
+        records, at = [], 0
+        for response, index, layout in zip(responses, record_indices, layouts):
+            planes = len(response.plane_cts)
+            records.append(self.assemble_record(plain[at:at + planes], index, layout))
+            at += planes
+        return records
 
     def assemble_record(
         self, plane_coeffs: list, record_index: int, layout: RecordLayout

@@ -136,12 +136,25 @@ class RecordLayout:
         return coeffs
 
     def unpack_poly(self, coeffs: np.ndarray, nbytes: int) -> bytes:
-        """Coefficient vector -> first ``nbytes`` bytes of record data."""
+        """Coefficient vector -> first ``nbytes`` bytes of record data.
+
+        The inverse of :meth:`pack_polys`, vectorised: each coefficient's
+        little-endian bytes, the first ``coeff_bytes`` of them.  A
+        coefficient outside ``[0, 2^(8 * coeff_bytes))`` carries no record
+        bytes (a wrong key or a corrupt response decrypts to such values)
+        and raises :class:`~repro.errors.LayoutError`; nothing is
+        truncated.
+        """
         cb = self.coeff_bytes
-        out = bytearray()
-        for c in coeffs[: math.ceil(nbytes / cb)]:
-            out.extend(int(c).to_bytes(cb, "little"))
-        return bytes(out[:nbytes])
+        used = np.asarray(coeffs, dtype=np.int64)[: math.ceil(nbytes / cb)]
+        if used.size and (used.min() < 0 or int(used.max()) >= 1 << 8 * cb):
+            raise LayoutError(
+                f"decoded coefficient outside [0, 2^{8 * cb}): not "
+                f"{cb}-byte record data"
+            )
+        raw = np.zeros((used.size, max(cb, 8)), dtype=np.uint8)
+        raw[:, :8] = used.astype("<u8")[:, None].view(np.uint8)
+        return raw[:, :cb].tobytes()[:nbytes]
 
     # -- multi-dimensional decomposition -------------------------------------
     def dimension_indices(self, record_index: int) -> tuple[int, list[int]]:

@@ -4,8 +4,10 @@
 of its outermost axis, runs the first on the calling thread and the rest
 on a pool, and ORs their statuses.  Every split here is forced — the fan
 width patched to 2 and 3 and the per-slice floor to 0 — and each fanned
-entry point (the fused key switch, RowSel, the NTT and the expansion
-butterfly) is held to ``eager`` and to the same call unsplit.  Then the
+entry point (the fused key switch, RowSel, the NTT, the expansion
+butterfly and the client's encryption pass) is held to ``eager`` and to
+the same call unsplit, and seeded client keys and queries to the eager
+build.  Then the
 failure paths inside a split (an operand the kernel refuses, in the last
 slice only), the pool under concurrent callers, and the pool's lifecycle:
 no thread at import, none where the process may run on one core.
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.he import backend as backend_module
 from repro.he import modmath, native
 from repro.he.backend import DEFAULT_BACKEND, get_backend
 from repro.he.gadget import Gadget
@@ -28,6 +31,7 @@ from repro.obs.metrics import MetricsRegistry, install
 from repro.params import PirParams
 from repro.pir.client import PirClient
 from repro.pir.database import PirDatabase
+from repro.pir.layout import RecordLayout
 from repro.pir.server import PirServer
 
 EAGER = get_backend("eager")
@@ -237,6 +241,78 @@ class TestButterfly:
         assert np.array_equal(NATIVE.expand_butterfly(ring, vec, swapped, 2), want)
         assert counters("he_native_none") == 1
         assert split.submits > 0
+
+
+def _encrypt_operands(ring: RingContext, count: int, seed: int, shifted: bool):
+    """``encrypt_rows`` operands: key, rows with uniform ``a``, errors and
+    (when ``shifted``) canonical per-row constants."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((2, count, ring.rns_count, ring.n), dtype=np.int64)
+    rows[0] = _residues(ring, (count,), seed)
+    errors = np.rint(rng.normal(0.0, 3.2, size=(count, ring.n))).astype(np.int64)
+    shift = None
+    if shifted:
+        moduli = np.array(ring.params.moduli)
+        shift = rng.integers(0, 1 << 62, size=(count, 2, ring.rns_count)) % moduli
+    return _residues(ring, (), seed + 1), rows, errors, shift
+
+
+class TestEncrypt:
+    @pytest.mark.parametrize("n", sorted(RINGS))
+    @pytest.mark.parametrize("shifted", [False, True], ids=["zeros", "shifted"])
+    def test_matches_eager_and_the_unsplit_call(self, split, monkeypatch, n, shifted):
+        ring = RINGS[n]
+        counts = (1, 2, 3, 17, 50) if n == 4096 else range(1, 51)
+        for count in counts:
+            key, rows, errors, shift = _encrypt_operands(ring, count, n + count, shifted)
+            want = EAGER.encrypt_rows(ring, key, rows.copy(), errors, shift)
+            got = rows.copy()
+            assert NATIVE.encrypt_rows(ring, key, got, errors, shift) is got
+            assert np.array_equal(got, want), count
+            whole = rows.copy()
+            _unsplit(monkeypatch, lambda: NATIVE.encrypt_rows(ring, key, whole, errors, shift))
+            assert np.array_equal(whole, want), count
+        assert split.submits > 0
+
+    @pytest.mark.parametrize("operand", ["a", "shift"])
+    def test_a_bad_word_in_the_last_slice_falls_back_once(self, split, counters, operand):
+        """The first slices finish and add their constants to ``a`` in
+        place; the fallback must still see ``a`` as it was."""
+        ring = RINGS[256]
+        key, rows, errors, shift = _encrypt_operands(ring, 6, 60, True)
+        if operand == "a":
+            rows[0, 5, 1, 9] = ring.params.moduli[1]  # the last row: the last slice
+        else:
+            shift[5, 1, 1] = -1
+        want = EAGER.encrypt_rows(ring, key, rows.copy(), errors, shift)
+        assert np.array_equal(NATIVE.encrypt_rows(ring, key, rows.copy(), errors, shift), want)
+        assert counters("he_native_none") == 1
+        assert split.submits > 0
+
+    @pytest.mark.parametrize("preset", ["small", "functional"])
+    def test_seeded_queries_and_keys_are_the_eager_builds(self, split, monkeypatch, preset):
+        params = PirParams.small() if preset == "small" else PirParams.functional()
+        layout = RecordLayout(params, 64, 32)
+        indices = [0, 5, 17] if preset == "small" else [9]
+
+        def build():
+            client = PirClient(params, seed=41)
+            queries = client.build_queries(indices, [layout] * len(indices))
+            return client.setup_message().evks, queries
+
+        native_keys, native_queries = build()
+        assert split.submits > 0
+        monkeypatch.setattr(backend_module, "_default_name", lambda: "eager")
+        eager_keys, eager_queries = build()
+        assert native_keys.keys() == eager_keys.keys()
+        for r in eager_keys:
+            assert np.array_equal(native_keys[r].rows, eager_keys[r].rows), r
+        for got, want in zip(native_queries, eager_queries, strict=True):
+            for half in ("a", "b"):
+                g, w = getattr(got.packed, half), getattr(want.packed, half)
+                assert np.array_equal(g.residues, w.residues), half
+            for g, w in zip(got.selection_bits, want.selection_bits, strict=True):
+                assert np.array_equal(g.rows, w.rows)
 
 
 class TestPool:

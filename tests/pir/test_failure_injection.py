@@ -9,10 +9,14 @@ integrity guarantee — corruption must not crash the pipeline), and
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError
+from repro.errors import LayoutError, ParameterError
+from repro.he.bfv import BfvCiphertext
 from repro.he.rgsw import rgsw_encrypt
-from repro.pir.client import PirClient
+from repro.he.sampling import Sampler
+from repro.params import PirParams
+from repro.pir.client import PirClient, PirResponse
 from repro.pir.database import PirDatabase
+from repro.pir.layout import RecordLayout
 from repro.pir.protocol import PirProtocol
 
 
@@ -98,8 +102,6 @@ class TestStructuralRejection:
             protocol.server.answer(query)
 
     def test_response_plane_mismatch_rejected(self, setup):
-        from repro.errors import LayoutError
-
         protocol, db = setup
         query = protocol.client.build_query(0, db.layout)
         response = protocol.server.answer(query)
@@ -132,3 +134,37 @@ class TestNoiseExhaustion:
             assert bfv.noise_budget_bits(ct, key) < 2.0
         except NoiseOverflowError:
             pass
+
+
+class TestUndecodableResponse:
+    """A response decrypting to coefficients wider than ``coeff_bytes`` is a
+    typed :class:`LayoutError` — never a bare ``OverflowError`` from the byte
+    packing, never silently truncated bytes."""
+
+    PRESETS = {"small": PirParams.small(), "functional": PirParams.functional()}
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_uniform_junk(self, preset):
+        params = self.PRESETS[preset]
+        client = PirClient(params, seed=51)
+        layout = RecordLayout(params, 64, 16)
+        junk = Sampler(client.ring, seed=52)
+        response = PirResponse(plane_cts=[
+            BfvCiphertext(junk.uniform_poly(), junk.uniform_poly())
+        ])
+        if preset == "functional":  # P = 786433: 11 in 12 junk values >= 2^16
+            with pytest.raises(LayoutError, match="outside"):
+                client.decode_response(response, 0, layout)
+        else:  # P = 65537: every value but P - 1 = 2^16 is two bytes of junk
+            assert len(client.decode_response(response, 0, layout)) == 64
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_a_coefficient_past_the_record_bytes(self, preset):
+        params = self.PRESETS[preset]
+        client = PirClient(params, seed=53)
+        layout = RecordLayout(params, 64, 16)
+        plain = np.zeros(params.n, dtype=np.int64)
+        plain[5] = params.plain_modulus - 1  # >= 2^16 at both presets
+        response = PirResponse(plane_cts=[client.bfv.encrypt(plain, client.secret_key)])
+        with pytest.raises(LayoutError, match="outside"):
+            client.decode_response(response, 0, layout)
