@@ -44,10 +44,12 @@ Two backends are registered:
   construction), the broadcast-RNS digit/error/plaintext transform,
   limb-iCRT decomposition at any base up to 2^32, the key-switch
   inner product and the whole key switch fused from those three (one
-  ciphertext at a time, no batch digit tensor), the one-pass RowSel
-  contraction over the uint32 database store, the expansion-level
-  butterfly and the modular add/subtract, the large calls split across
-  the process's cores — portable C99 in ``native_kernels.c``, built on
+  ciphertext at a time, no batch digit tensor), a whole expansion level
+  and a whole ColTor round as one call each (automorphism gather, Subs
+  ``b`` add, butterfly and cmux adds folded around that key switch), the
+  one-pass RowSel contraction over the uint32 database store, the large
+  calls split across the process's cores — portable C99 in
+  ``native_kernels.c``, built on
   first use by the system C compiler for the host's ISA (``-march=native``
   where the compiler takes it, else portable and counted,
   ``he_native_portable``) and loaded with ``ctypes``
@@ -57,7 +59,8 @@ Two backends are registered:
   (``he_native_unavailable``, once per process) ``eager`` is, and a
   ring, gadget or operand outside the kernels' bounds runs the eager
   primitives (``he_native_none``).  The pipeline ops but the key
-  switch, the slot-gather automorphism and the dense GEMM are
+  switch, the expansion level and the ColTor round, the slot-gather
+  automorphism, the butterfly, the modular add and the dense GEMM are
   inherited.
 
 Every fallback is exact — never silently wrong, at most slower — and
@@ -496,19 +499,14 @@ class ComputeBackend:
 
         ``packed`` is ``(2, Q, rns, n)``; the result ``(2, Q * 2^levels,
         rns, n)`` holds query ``q``'s one-hot ciphertexts at
-        ``[q * 2^levels, (q + 1) * 2^levels)``.  Every level is one
-        Subs over all live ciphertexts of all queries (they share the
-        evaluation key), one add/subtract pair and one monomial
-        multiply (one ``expand_butterfly``), written straight into the
-        next level's tensor.
+        ``[q * 2^levels, (q + 1) * 2^levels)``, one :meth:`_expand_level`
+        per level.
         """
-        ctx = gadget.ctx
-        n = ctx.n
+        n = gadget.ctx.n
         if (1 << levels) > n:
             raise ParameterError(
                 f"cannot expand {levels} levels in a degree-{n} ring"
             )
-        queries, poly = packed.shape[1], packed.shape[2:]
         with kernel_stage(self._label("expand"), packed.nbytes):
             vec = packed
             for a in range(levels):
@@ -517,13 +515,26 @@ class ComputeBackend:
                     raise ParameterError(
                         f"missing evk for substitution power r={r}"
                     )
-                step = 1 << a
-                shape = (2, queries, step) + poly
-                swapped = self.substitute_stacked(vec, evks[r], gadget)
-                vec = self.expand_butterfly(
-                    ctx, vec.reshape(shape), swapped.reshape(shape), step
-                ).reshape((2, -1) + poly)
+                vec = self._expand_level(vec, evks[r], 1 << a, gadget)
             return vec
+
+    def _expand_level(
+        self, vec: np.ndarray, evk: SubsKey, step: int, gadget: Gadget
+    ) -> np.ndarray:
+        """One ExpandQuery level: ``(2, Q * step, rns, n)`` -> ``(2, Q * 2
+        * step, rns, n)``.
+
+        One Subs over all live ciphertexts of all queries (they share the
+        evaluation key), then one add/subtract pair and one monomial
+        multiply (one ``expand_butterfly``), written straight into the
+        next level's tensor.
+        """
+        poly = vec.shape[2:]
+        shape = (2, vec.shape[1] // step, step) + poly
+        swapped = self.substitute_stacked(vec, evk, gadget)
+        return self.expand_butterfly(
+            gadget.ctx, vec.reshape(shape), swapped.reshape(shape), step
+        ).reshape((2, -1) + poly)
 
     def rowsel_window(
         self, expanded: np.ndarray, planes: np.ndarray, moduli_col: np.ndarray
@@ -574,14 +585,9 @@ class ComputeBackend:
         """Tournaments of Q queries: ``(2, Q * 2^d, rns, n)`` -> ``(2, Q, rns, n)``.
 
         ``bits[k][q]`` is the ``(2, 2ℓ, rns, n)`` row tensor of query
-        ``q``'s k-th RGSW selection bit; a round stacks its Q of them
-        into the key-switch's group axis and drops the stack when it is
-        done.  Each round is one grouped cmux — bit ⊡ (ones - zeros) +
-        zeros — over the residue-tensor views of the surviving even/odd
-        entries; nothing is re-stacked between rounds.
+        ``q``'s k-th RGSW selection bit; round ``k`` is one
+        :meth:`_coltor_round` over them.
         """
-        ctx = gadget.ctx
-        moduli_col = ctx._moduli_col
         queries = len(bits[0]) if bits else 1
         poly = entries.shape[2:]
         if entries.shape[1] % queries:
@@ -593,15 +599,27 @@ class ComputeBackend:
         with kernel_stage(self._label("coltor"), entries.nbytes):
             current = entries.reshape((2, queries, -1) + poly)
             for round_bits in bits:
-                rows = np.stack(round_bits, axis=1)
-                zeros, ones = current[:, :, 0::2], current[:, :, 1::2]
-                current = self.external_product_stacked(
-                    rows,
-                    self.modular_add(ones, zeros, moduli_col, subtract=True),
-                    gadget,
-                )
-                self.modular_add(current, zeros, moduli_col, out=current)
+                current = self._coltor_round(current, round_bits, gadget)
             return current[:, :, 0]
+
+    def _coltor_round(
+        self, current: np.ndarray, bits: list[np.ndarray], gadget: Gadget
+    ) -> np.ndarray:
+        """One tournament round: ``(2, Q, count, rns, n)`` -> ``(2, Q,
+        count / 2, rns, n)`` under query ``q``'s bit rows ``bits[q]``.
+
+        One grouped cmux — bit ⊡ (ones - zeros) + zeros — over the
+        residue-tensor views of the even/odd entries; the Q bits are
+        stacked into the key switch's group axis for the round alone.
+        """
+        moduli_col = gadget.ctx._moduli_col
+        zeros, ones = current[:, :, 0::2], current[:, :, 1::2]
+        out = self.external_product_stacked(
+            np.stack(bits, axis=1),
+            self.modular_add(ones, zeros, moduli_col, subtract=True),
+            gadget,
+        )
+        return self.modular_add(out, zeros, moduli_col, out=out)
 
     # -- pipeline ops: single-query signatures ----------------------------
     #
@@ -964,14 +982,18 @@ class NativeBackend(EagerBackend):
 
     Forward/inverse NTT (broadcast RNS axis included), gadget
     decomposition, the key-switch inner product, the whole key switch
-    (one fused call), the RowSel contraction over the uint32 store (each
-    DB word read once for both ciphertext halves), the expansion
-    butterfly and the modular add/subtract run the C99 kernels of
-    :mod:`repro.he.native` — lazy butterflies over the same twiddle
-    tables, so every slot is where the eager transforms put it — and
-    the large calls split across the cores (:func:`repro.he.native.
-    fan_out`).  The other pipeline ops, the slot-gather automorphism and
-    the dense GEMM are inherited.
+    (one fused call), one whole expansion level and one whole ColTor
+    round (one fused call each: the slot gather, Subs' ``b`` add and
+    the butterfly, or ``ones - zeros`` and ``+ zeros``, around that key
+    switch, a ciphertext at a time) and the RowSel contraction over the
+    uint32 store (each DB word read once for both ciphertext halves) run
+    the C99 kernels of :mod:`repro.he.native` — lazy butterflies over
+    the same twiddle tables, so every slot is where the eager transforms
+    put it — and the large calls split across the cores
+    (:func:`repro.he.native.fan_out`).  The window loops, the other
+    pipeline ops, the slot-gather automorphism, the butterfly and
+    modular add (which only the eager steps call) and the dense GEMM
+    are inherited.
 
     What the kernels do not cover runs the eager primitives, exactly
     and counted: no library on this machine (``he_native_unavailable``,
@@ -1104,29 +1126,50 @@ class NativeBackend(EagerBackend):
             count("he_native_none")
         return super().rowsel_gemm(db, query, moduli_col, out)
 
-    def expand_butterfly(
-        self, ctx: RingContext, vec: np.ndarray, swapped: np.ndarray, step: int
+    def _expand_level(
+        self, vec: np.ndarray, evk: SubsKey, step: int, gadget: Gadget
     ) -> np.ndarray:
-        ring = self._ring(ctx)
-        if ring is not None:
-            grown = ring.butterfly(vec, swapped, step, ctx.monomial_ntt(-step))
-            if grown is not None:
-                return grown
-            count("he_native_none")
-        return super().expand_butterfly(ctx, vec, swapped, step)
+        """One C call for the whole level
+        (:meth:`repro.he.native.NativeRing.expand_level`): slot gather,
+        Subs, the ``b`` add and the butterfly a ciphertext at a time,
+        timed as the level's Subs.
 
-    def modular_add(
-        self, a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
-        out: np.ndarray | None = None, subtract: bool = False,
-    ) -> np.ndarray:
-        consts = self._consts(moduli_col)
-        if consts is not None:
-            result = native.mod_add(
-                native.load_library(), consts, a, b, out, subtract
+        A gadget the limb walk does not cover takes the inherited
+        per-primitive level; an operand the kernel refuses is counted once
+        here and the eager backend's level runs.
+        """
+        ctx = gadget.ctx
+        ring = self._ring(ctx)
+        if ring is None or not ring.covers(gadget):
+            return super()._expand_level(vec, evk, step, gadget)
+        with kernel_stage(self._label("subs"), vec.nbytes):
+            grown = ring.expand_level(
+                gadget, vec, evk.rows, ctx.automorphism_slots(evk.r), evk.r,
+                ctx.monomial_ntt(-step), step,
             )
-            if result is not None:
-                return result
-        return super().modular_add(a, b, moduli_col, out, subtract)
+        if grown is not None:
+            return grown
+        count("he_native_none")
+        return get_backend(EagerBackend.name)._expand_level(vec, evk, step, gadget)
+
+    def _coltor_round(
+        self, current: np.ndarray, bits: list[np.ndarray], gadget: Gadget
+    ) -> np.ndarray:
+        """One C call for the whole round
+        (:meth:`repro.he.native.NativeRing.cmux_round`): ``ones - zeros``,
+        the external product and ``+ zeros`` an output ciphertext at a
+        time, the bit rows read where they lie, timed as the round's
+        external product.  Fallbacks as in :meth:`_expand_level`.
+        """
+        ring = self._ring(gadget.ctx)
+        if ring is None or not ring.covers(gadget):
+            return super()._coltor_round(current, bits, gadget)
+        with kernel_stage(self._label("ext_product"), current.nbytes // 2):
+            result = ring.cmux_round(gadget, current, bits)
+        if result is not None:
+            return result
+        count("he_native_none")
+        return get_backend(EagerBackend.name)._coltor_round(current, bits, gadget)
 
     def encrypt_rows(
         self, ctx: RingContext, key_ntt: np.ndarray, rows: np.ndarray,

@@ -2,19 +2,21 @@
 
 ``native_kernels.c`` (next to this file) holds the eight portable-C99
 kernels: lazy-butterfly forward/inverse NTT, limb-iCRT gadget
-decomposition and the key-switch inner product, the key switch fused from
-those three (one ciphertext at a time, its digits never leaving cache),
-the three passes around the key switch — the RowSel contraction that
-reads each word of the uint32 database store once for both ciphertext
-halves, one ExpandQuery level's butterfly, and the modular add/subtract
-— and the client's one-pass encryption of zero rows (error transform,
-``b = e - a*s`` and the RGSW gadget constants, written in place).  This
-module is everything foreign about them: it builds the shared library
-with the system C compiler on first use, loads it through :mod:`ctypes`,
-wraps each kernel in a function that validates shapes, dtypes and
-strides before a pointer crosses over, and splits the large calls
-across the cores.  :class:`~repro.he.backend.NativeBackend` is the only
-caller.
+decomposition and the key-switch inner product; the key switch fused
+from those three (one ciphertext at a time, its digits never leaving
+cache); the two window steps fused around it — one ExpandQuery level
+(slot-gather automorphism, Subs, the ``b`` add and the level's
+butterfly) and one ColTor round (``ones - zeros``, the external product
+against each query's bit rows read where they lie, ``+ zeros``), each a
+ciphertext at a time; the RowSel contraction that reads each word of the
+uint32 database store once for both ciphertext halves; and the client's
+one-pass encryption of zero rows (error transform, ``b = e - a*s`` and
+the RGSW gadget constants, written in place).  This module is everything
+foreign about them: it builds the shared library with the system C
+compiler on first use, loads it through :mod:`ctypes`, wraps each kernel
+in a function that validates shapes, dtypes and strides before a pointer
+crosses over, and splits the large calls across the cores.
+:class:`~repro.he.backend.NativeBackend` is the only caller.
 
 **Build and cache.**  :func:`load_library` compiles for the host's own
 ISA, derived rather than configured: it first asks the compiler for its
@@ -41,30 +43,29 @@ once, and the function returns None for the rest of the process —
 ``eager`` is then the default backend.
 
 **Fan-out.**  :func:`fan_out` splits one kernel call into contiguous
-slices of its outermost independent axis — the key switch over
-ciphertexts, RowSel over queries (over columns when there is one query),
-the NTT and the encryption over rows, the butterfly over query halves —
-and runs them at once: ``ctypes`` drops the GIL for the call, so the
-slices run on different cores.  The width is the number of cores the
-process may run on (:func:`fan_width`: ``os.sched_getaffinity``, else
-``os.cpu_count()``), read once; a call splits only when it has two units
-and every slice carries ``FAN_FLOOR_WORDS``, derived from the measured
-handoff cost.  The calling thread runs the first slice; the other
-``width - 1`` run on one process-wide thread pool, started on the first
-call that splits (never at import, never on a one-core process, never
-without the library) and reset in a forked child.  Each slice gets its
-own work buffers and writes outputs no other slice touches, and the
-kernels' status flags are ORed, so a split call is byte-identical to the
-whole one and a refused operand in any slice sends the whole call to its
-fallback, counted once (``ive_encrypt`` writes its inputs' rows in
-place: a slice that refuses writes nothing, and the gadget constants the
-finished slices added to ``a`` are taken off again before the fallback
-reads it).  Pool tasks are kernel calls only and never submit to the
-pool, so any number of concurrent callers (serving threads, tests) share
-it without deadlock.  ``ive_mod_add`` is never split: with ``out``
-aliasing an input, its promise that nothing is written unless every
-operand is canonical holds only for the whole call.  There is no option
-for any of it.
+slices of its outermost independent axis — the key switch, the
+expansion level and the ColTor round over ciphertexts, RowSel over
+queries (over columns when there is one query), the NTT and the
+encryption over rows — and runs them at once: ``ctypes`` drops the GIL
+for the call, so the slices run on different cores.  The width is the
+number of cores the process may run on (:func:`fan_width`:
+``os.sched_getaffinity``, else ``os.cpu_count()``), read once; a call
+splits only when it has two units and every slice carries
+``FAN_FLOOR_WORDS``, derived from the measured handoff cost.  The
+calling thread runs the first slice; the other ``width - 1`` run on one
+process-wide thread pool, started on the first call that splits (never
+at import, never on a one-core process, never without the library) and
+reset in a forked child.  Each slice gets its own work buffers and
+writes outputs no other slice touches, and the kernels' status flags are
+ORed, so a split call is byte-identical to the whole one and a refused
+operand in any slice sends the whole call to its fallback, counted once
+(every fanned kernel but ``ive_encrypt`` writes a fresh output;
+``ive_encrypt`` writes its inputs' rows in place: a slice that refuses
+writes nothing, and the gadget constants the finished slices added to
+``a`` are taken off again before the fallback reads it).  Pool tasks are
+kernel calls only and never submit to the pool, so any number of
+concurrent callers (serving threads, tests) share it without deadlock.
+There is no option for any of it.
 
 **Exactness.**  One bound carries every kernel: ``4q < 2^32`` for each
 modulus, which keeps the lazy butterflies' ``[0, 4q)`` values in 32-bit
@@ -136,12 +137,16 @@ _SIGNATURES = {
         _SIZE, _STRIDE, _STRIDE, _STRIDE, _STRIDE, _PTR, ctypes.c_uint,
         ctypes.c_uint, _SIZE, _PTR,
     ]),
-    "ive_butterfly": (ctypes.c_int, [
-        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR,
+    "ive_expand_level": (ctypes.c_int, [
+        _PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
+        _PTR, _PTR, _PTR, _PTR, _PTR, ctypes.c_uint, _PTR, _PTR, _SIZE,
+        ctypes.c_uint, _SIZE, ctypes.c_uint, ctypes.c_uint, _SIZE, _PTR, _PTR,
+        _PTR, _PTR,
     ]),
-    "ive_mod_add": (ctypes.c_int, [
-        _PTR, _STRIDE, _PTR, _STRIDE, _PTR, _STRIDE, _SIZE, _SIZE, _SIZE,
-        _PTR, ctypes.c_int,
+    "ive_cmux_round": (ctypes.c_int, [
+        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _PTR,
+        _PTR, _PTR, _PTR, ctypes.c_uint, _PTR, _PTR, _SIZE, ctypes.c_uint,
+        _SIZE, ctypes.c_uint, ctypes.c_uint, _SIZE, _PTR, _PTR, _PTR, _PTR,
     ]),
     "ive_encrypt": (ctypes.c_int, [
         _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR, _PTR,
@@ -281,9 +286,9 @@ def modulus_consts(moduli: tuple[int, ...]) -> np.ndarray:
 #: 49-58 µs at the median (68-254 µs at p90) on a 2-vCPU AVX-512 Xeon, and
 #: the key switch and the NTT, most of an N = 2^12 answer, spend ~3.5 ns a
 #: word there.  A 60 µs handoff is then at most 5 % of a slice of
-#: 20 * 60 µs / 3.5 ns words.  RowSel (~1.5 ns a word) and the butterfly
-#: (0.6-1 ns) get shorter slices at the same floor, where the handoff is
-#: 10-20 % (EXPERIMENTS.md, "One fused key switch, fanned over the cores").
+#: 20 * 60 µs / 3.5 ns words.  RowSel (~1.5 ns a word) gets shorter
+#: slices at the same floor, where the handoff is 10-20 % (EXPERIMENTS.md,
+#: "One fused key switch, fanned over the cores").
 FAN_FLOOR_WORDS = int(20 * 60e-6 / 3.5e-9)
 
 _pool: ThreadPoolExecutor | None = None
@@ -361,13 +366,13 @@ def _strided(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _blocks(array: np.ndarray, poly: tuple[int, int]) -> np.ndarray:
-    """``(..., rns, n)`` int64 as ``(rows, rns, n)`` with each ``(rns, n)``
-    block contiguous, a view wherever the leading axes merge."""
-    rows = np.asarray(array, dtype=np.int64).reshape((-1,) + poly)
-    if rows.strides[1:] != (8 * poly[1], 8) or rows.strides[0] % 8:
-        return np.ascontiguousarray(rows)
-    return rows
+def _key_table(keys: list[np.ndarray]) -> tuple[list, np.ndarray]:
+    """``(2, k, rns, n)`` key tensors as the fused kernels take them: each
+    half's ``(k, rns, n)`` block — read where it lies when it is
+    contiguous int64, else copied — and the table of their addresses, two
+    per key.  The caller holds the blocks while the kernel runs."""
+    blocks = [np.ascontiguousarray(half, dtype=np.int64) for key in keys for half in key]
+    return blocks, np.array([_address(b) for b in blocks], dtype=np.uintp)
 
 
 def _chunk(qmax: int, left_bits: int, right_bits: int) -> int:
@@ -420,8 +425,10 @@ class NativeRing:
         self._basis = ctx.basis
         self._moduli_col = ctx._moduli_col
         self._gadgets: dict[tuple[int, int], tuple | None] = {}
-        #: ``(rns, 2, n)`` NTT-form monomials and their companions, by power.
+        #: ``(rns, 2, n)`` NTT-form monomials ``X^-step`` and their
+        #: companions, by step; ``(n,)`` automorphism slot tables, by power.
         self._monomials: dict[int, np.ndarray] = {}
+        self._slots: dict[int, np.ndarray] = {}
 
     def _rows(self, residues: np.ndarray) -> tuple[np.ndarray, tuple, int, int]:
         """``(..., rns or 1, n)`` -> ``(rows, rns or 1, n)`` view, lead shape
@@ -580,27 +587,146 @@ class NativeRing:
         out = np.empty((2, groups, batch) + poly, dtype=np.int64)
         if out.size == 0:
             return out
-        shift, recip, qhat, q_limbs = self._gadget(gadget)
-        qmax = int(self.consts[:, _C_Q].max())
-        digit_bits, key_bits = (2 * qmax - 1).bit_length(), (qmax - 1).bit_length()
+        walk = self._walk(gadget)
 
         def cts(lo: int, hi: int) -> int:
-            digits = np.empty((k, self.n), dtype=np.int64)
-            tile = np.empty((k,) + poly, dtype=np.int64)
-            work = np.empty(self.n, dtype=np.uint32)
+            digits, tile, _, work = self._tiles(k, 0)
             return self.lib.ive_key_switch(
                 _address(out), _address(coeff), _address(rows), parts,
                 groups * batch, batch, lo, hi, self.rns, self.n,
-                _address(self.twiddles[0]), _address(self.consts),
-                _address(recip), shift, _address(qhat), _address(q_limbs),
-                len(q_limbs), gadget.base_log2, gadget.length, digit_bits,
-                key_bits, _chunk(qmax, digit_bits, key_bits), _address(digits),
-                _address(tile), _address(work),
+                _address(self.twiddles[0]), _address(self.consts), *walk,
+                _address(digits), _address(tile), _address(work),
             )
 
         # Per ciphertext: its coefficients, both halves' key rows, its output.
         words = (parts + 2 * k + 2) * self.rns * self.n
         if fan_out(groups * batch, words, cts):
+            return None
+        return out
+
+    def _walk(self, gadget: Gadget) -> tuple:
+        """The key-switching kernels' gadget arguments, in their order: the
+        limb walk's tables, then the inner product's operand bounds and
+        chunk (``[0, 2q)`` digits against keys below the largest modulus)."""
+        shift, recip, qhat, q_limbs = self._gadget(gadget)
+        qmax = int(self.consts[:, _C_Q].max())
+        digit_bits, key_bits = (2 * qmax - 1).bit_length(), (qmax - 1).bit_length()
+        return (
+            _address(recip), shift, _address(qhat), _address(q_limbs),
+            len(q_limbs), gadget.base_log2, gadget.length, digit_bits,
+            key_bits, _chunk(qmax, digit_bits, key_bits),
+        )
+
+    def _tiles(self, k: int, held: int) -> tuple:
+        """One slice's work buffers for ``k`` digit rows: the digits, their
+        transforms, ``held`` whole ``(rns, n)`` polynomials and ``n`` words."""
+        poly = (self.rns, self.n)
+        return (
+            np.empty((k, self.n), dtype=np.int64),
+            np.empty((k,) + poly, dtype=np.int64),
+            np.empty((held,) + poly, dtype=np.int64),
+            np.empty(self.n, dtype=np.uint32),
+        )
+
+    def expand_level(
+        self, gadget: Gadget, vec: np.ndarray, keys: np.ndarray,
+        slots: np.ndarray, r: int, monomial: np.ndarray, step: int,
+    ) -> np.ndarray | None:
+        """One ExpandQuery level as one fanned call (``ive_expand_level``).
+
+        ``vec`` is the ``(2, Q * step, rns, n)`` NTT-form level input,
+        ``keys`` the ``(2, ℓ, rns, n)`` evaluation key of ``X -> X^r``
+        (read where it lies, :func:`_key_table`),
+        ``slots`` that automorphism's NTT slot table and ``monomial`` the
+        NTT-form ``X^-step``.  Returns the ``(2, Q * 2 * step, rns, n)``
+        next level — per query ``vec + Subs(vec)`` then ``(vec -
+        Subs(vec)) * X^-step`` — or None, the caller's path then running,
+        when a ``vec`` word is not canonical or a key word is wider than
+        the largest modulus.  Fanned over ciphertexts, each slice with its
+        own tiles.
+        """
+        vec = np.ascontiguousarray(vec, dtype=np.int64)
+        poly = (self.rns, self.n)
+        cts, k = vec.shape[1], gadget.length
+        if (
+            vec.shape != (2, cts) + poly or cts % step
+            or keys.shape != (2, k) + poly
+        ):
+            raise ParameterError(
+                f"expected a (2, Q * {step}, {self.rns}, {self.n}) level and "
+                f"(2, {k}, {self.rns}, {self.n}) key rows, got {vec.shape} and "
+                f"{keys.shape}"
+            )
+        if r not in self._slots:
+            self._slots[r] = slots.astype(np.uint32)
+        if step not in self._monomials:
+            self._monomials[step] = np.ascontiguousarray(np.stack(
+                [monomial, _shoup(monomial, self._moduli_col)], axis=1
+            ).astype(np.uint32))
+        slots, mono = self._slots[r], self._monomials[step]
+        blocks, table = _key_table([keys])
+        out = np.empty((2, 2 * cts) + poly, dtype=np.int64)
+        walk = self._walk(gadget)
+
+        def level(lo: int, hi: int) -> int:
+            digits, tile, held, work = self._tiles(k, 3)
+            return self.lib.ive_expand_level(
+                _address(out), _address(vec), _address(table), _address(slots),
+                cts, step, lo, hi, self.rns, self.n,
+                _address(self.twiddles[0]), _address(self.twiddles[1]),
+                _address(self.consts), _address(mono), *walk,
+                _address(digits), _address(tile), _address(held),
+                _address(work),
+            )
+
+        # Per ciphertext: its two halves, both key halves, its two outputs.
+        if fan_out(cts, (2 + 2 * k + 4) * self.rns * self.n, level):
+            return None
+        return out
+
+    def cmux_round(
+        self, gadget: Gadget, cur: np.ndarray, bits: list[np.ndarray]
+    ) -> np.ndarray | None:
+        """One ColTor round as one fanned call (``ive_cmux_round``).
+
+        ``cur`` is the ``(2, Q, count, rns, n)`` NTT-form round input and
+        ``bits[q]`` query ``q``'s ``(2, 2ℓ, rns, n)`` RGSW rows, read where
+        they lie (:func:`_key_table`).  Returns ``(2, Q, count / 2, rns, n)``: per pair of
+        entries ``bit ⊡ (ones - zeros) + zeros`` — or None, the caller's
+        path then running, when a ``cur`` word is not canonical or a key
+        word is wider than the largest modulus.  Fanned over output
+        ciphertexts, each slice with its own tiles.
+        """
+        cur = np.ascontiguousarray(cur, dtype=np.int64)
+        poly = (self.rns, self.n)
+        queries, entries, k = cur.shape[1], cur.shape[2], 2 * gadget.length
+        if (
+            cur.shape != (2, queries, entries) + poly or entries % 2
+            or len(bits) != queries
+            or any(b.shape != (2, k) + poly for b in bits)
+        ):
+            raise ParameterError(
+                f"expected a (2, Q, even count, {self.rns}, {self.n}) round "
+                f"and Q (2, {k}, {self.rns}, {self.n}) bits, got {cur.shape} "
+                f"and {[np.shape(b) for b in bits]}"
+            )
+        blocks, table = _key_table(bits)
+        outputs = queries * entries // 2
+        out = np.empty((2, queries, entries // 2) + poly, dtype=np.int64)
+        walk = self._walk(gadget)
+
+        def pairs(lo: int, hi: int) -> int:
+            digits, tile, held, work = self._tiles(k, 4)
+            return self.lib.ive_cmux_round(
+                _address(out), _address(cur), _address(table), queries,
+                entries, lo, hi, self.rns, self.n,
+                _address(self.twiddles[0]), _address(self.twiddles[1]),
+                _address(self.consts), *walk, _address(digits),
+                _address(tile), _address(held), _address(work),
+            )
+
+        # Per output: its two entries' halves, both halves' key rows, itself.
+        if fan_out(outputs, (4 + 2 * k + 2) * self.rns * self.n, pairs):
             return None
         return out
 
@@ -625,42 +751,6 @@ class NativeRing:
             gadget.base_log2, gadget.length,
         )
         return digits
-
-    def butterfly(
-        self, vec: np.ndarray, swapped: np.ndarray, step: int,
-        monomial: np.ndarray,
-    ) -> np.ndarray | None:
-        """One expansion level: ``(2, Q, step, rns, n)`` ``vec`` and its
-        substituted twin -> ``(2, Q, 2 * step, rns, n)``, each query's
-        ``vec + swapped`` then ``(vec - swapped) * monomial`` mod q.
-
-        ``monomial`` is the NTT-form ``X^-step`` (``(rns, n)``).  None —
-        the caller's path then runs — when an operand is not canonical.
-        """
-        if vec.shape != swapped.shape or vec.shape[2:] != (step, self.rns, self.n):
-            raise ParameterError(
-                f"expected two (2, Q, {step}, {self.rns}, {self.n}) tensors, "
-                f"got {vec.shape} and {swapped.shape}"
-            )
-        if step not in self._monomials:
-            self._monomials[step] = np.ascontiguousarray(np.stack(
-                [monomial, _shoup(monomial, self._moduli_col)], axis=1
-            ).astype(np.uint32))
-        vec = np.ascontiguousarray(vec, dtype=np.int64)
-        swapped = np.ascontiguousarray(swapped, dtype=np.int64)
-        out = np.empty(vec.shape[:2] + (2 * step,) + vec.shape[3:], dtype=np.int64)
-        run = step * self.rns * self.n
-
-        def groups(lo: int, hi: int) -> int:
-            return self.lib.ive_butterfly(
-                _address(out) + 16 * lo * run, _address(vec) + 8 * lo * run,
-                _address(swapped) + 8 * lo * run, hi - lo, step, self.rns,
-                self.n, _address(self._monomials[step]), _address(self.consts),
-            )
-
-        if fan_out(vec.shape[0] * vec.shape[1], 4 * run, groups):
-            return None
-        return out
 
 
 def rowsel_gemm(
@@ -717,28 +807,6 @@ def rowsel_gemm(
     # Per output: one column's store words, and its output words.
     words = per_unit * (rows + halves) * rns * n
     if fan_out(units, words, outputs):
-        return None
-    return _deliver(dense, out)
-
-
-def mod_add(
-    lib: ctypes.CDLL, consts: np.ndarray, a: np.ndarray, b: np.ndarray,
-    out: np.ndarray | None, subtract: bool,
-) -> np.ndarray | None:
-    """``a + b`` (or ``a - b``) mod each modulus over ``(..., rns, n)``
-    residues of one shape; ``out`` may be ``a`` or ``b``.  None — ``out``
-    then holds garbage — when an operand is not canonical."""
-    if a.shape != b.shape or a.ndim < 2 or a.shape[-2] != len(consts):
-        raise ParameterError(
-            f"modular add of {a.shape} and {b.shape} over {len(consts)} moduli"
-        )
-    poly = a.shape[-2:]
-    dense = _dense_out(out, a.shape)
-    rows = [_blocks(x, poly) for x in (dense, a, b)]
-    if lib.ive_mod_add(
-        *(v for x in rows for v in (_address(x), x.strides[0] // 8)),
-        len(rows[0]), *poly, _address(consts), subtract,
-    ):
         return None
     return _deliver(dense, out)
 

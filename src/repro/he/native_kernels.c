@@ -2,13 +2,17 @@
  * Kernels of the `native` compute backend (repro.he.native loads this file).
  *
  * Eight entry points: the forward/inverse NTT, gadget decomposition and the
- * key-switch inner product the key switch is made of, the key switch itself
- * fused from the three (one ciphertext at a time, its digits cache-resident),
- * the three passes around it -- the RowSel contraction over the uint32
- * database store, one ExpandQuery level's butterfly, and the modular
- * add/subtract of Subs and ColTor -- and the client's encryption of zero rows.
- * Each entry point shares its loop body with the others through static row
- * helpers, so no loop exists twice.
+ * key-switch inner product the key switch is made of; the key switch itself
+ * fused from the three (one ciphertext at a time, its digits cache-resident);
+ * the two window steps built around that fused key switch -- one ExpandQuery
+ * level (slot-gather automorphism, Subs, the b add and the level's butterfly)
+ * and one ColTor round (ones - zeros, the external product, + zeros), each a
+ * ciphertext at a time with every intermediate in that ciphertext's tiles;
+ * the RowSel contraction over the uint32 database store; and the client's
+ * encryption of zero rows.  The three key-switching entry points share one
+ * static per-ciphertext helper (switch_one), and every entry point shares its
+ * loop bodies with the others through static row helpers, so no loop exists
+ * twice.
  *
  * Portable C99: no intrinsics, no threads, no allocation, no globals.  Every
  * buffer comes from the caller.  repro.he.native splits the large calls over
@@ -94,6 +98,18 @@ static inline u32 reduce64(u64 v, const u32 *c)
     u32 hi = mul_shoup((u32)(v >> 32), c[C_R32], c[C_R32_S], q);
     u32 lo = mul_shoup((u32)v, 1, c[C_ONE_S], q);
     return cond_sub(cond_sub(hi + lo, 2 * q), q);
+}
+
+/* Nonzero when a word of the (rns, n) block x is not a canonical residue. */
+static u32 noncanonical(const i64 *x, size_t rns, size_t n, const u32 *consts)
+{
+    u32 bad = 0;
+    for (size_t m = 0; m < rns; m++) {
+        u64 q = consts[m * CONSTS + C_Q];
+        for (size_t j = 0; j < n; j++)
+            bad |= (u32)((u64)x[m * n + j] >= q);
+    }
+    return bad;
 }
 
 /*
@@ -268,16 +284,14 @@ int ive_encrypt(i64 *restrict rows, const i64 *restrict errors,
 {
     i64 *a = rows, *b = rows + count * rns * n;
     u32 bad = 0;
-    for (size_t r = lo; r < hi; r++)
-        for (size_t m = 0; m < rns; m++) {
+    for (size_t r = lo; r < hi; r++) {
+        bad |= noncanonical(a + r * rns * n, rns, n, consts);
+        for (size_t m = 0; shift && m < rns; m++) {
             u64 q = consts[m * CONSTS + C_Q];
-            const i64 *x = a + (r * rns + m) * n;
-            for (size_t j = 0; j < n; j++)
-                bad |= (u32)((u64)x[j] >= q);
-            if (shift)
-                bad |= (u32)((u64)shift[2 * r * rns + m] >= q)
-                    | (u32)((u64)shift[(2 * r + 1) * rns + m] >= q);
+            bad |= (u32)((u64)shift[2 * r * rns + m] >= q)
+                | (u32)((u64)shift[(2 * r + 1) * rns + m] >= q);
         }
+    }
     if (bad)
         return 1;
     for (size_t r = lo; r < hi; r++)
@@ -475,20 +489,83 @@ int ive_inner(i64 *restrict out, const i64 *restrict digits,
 }
 
 /*
+ * What the key switches of one slice share: the ring (its forward twiddles
+ * `tw`, (rns, 2, n) as in ive_ntt, and consts), the gadget's limb walk, the
+ * inner product's operand bounds and `chunk` (those of ive_inner), the slice's
+ * own tiles -- `digits` (k, n) and `tile` (k, rns, n) for the k digit rows of
+ * one ciphertext, `work` n words -- and the OR of every operand word the inner
+ * products read (digits, keys).
+ */
+typedef struct {
+    size_t rns, n;
+    const u32 *tw, *consts;
+    limb_walk g;
+    unsigned digit_bits, key_bits;
+    size_t chunk;
+    i64 *digits, *tile;
+    u32 *work;
+    u64 seen[2];
+} switcher;
+
+/*
+ * The key switch of one ciphertext (the paper's reduction overlapping,
+ * Section IV-A): its `parts` coefficient-domain polynomials, (rns, n) each and
+ * `part` words apart, are decomposed into the digits tile (k = parts * length
+ * rows, a part's digits after the previous part's), which is forward-
+ * transformed, partially ([0, 2q)), into `tile` and contracted against the key
+ * rows of both halves -- key[h] dense (k, rns, n) -- while it is still in
+ * cache.  out is (rns, n) per half, `out_half` words apart, canonical.
+ */
+static void switch_one(i64 *out, ptrdiff_t out_half, const i64 *coeff,
+                       ptrdiff_t part, size_t parts, const i64 *const key[2],
+                       switcher *s)
+{
+    size_t rns = s->rns, n = s->n, k = parts * s->g.length;
+    for (size_t p = 0; p < parts; p++)
+        decompose_row(s->digits + p * s->g.length * n,
+                      coeff + (ptrdiff_t)p * part, (ptrdiff_t)n, rns, n,
+                      s->consts, &s->g);
+    for (size_t d = 0; d < k; d++)
+        for (size_t m = 0; m < rns; m++)
+            ntt_row(s->tile + (d * rns + m) * n, s->digits + d * n, n,
+                    s->tw + m * 2 * n, s->consts + m * CONSTS, 0, 1, s->work);
+    for (size_t h = 0; h < 2; h++)
+        for (size_t m = 0; m < rns; m++)
+            inner_row(out + (ptrdiff_t)h * out_half + m * n, s->tile + m * n,
+                      key[h] + m * n, k, rns * n, n, s->consts + m * CONSTS,
+                      s->chunk, s->seen);
+}
+
+/* Nonzero when an inner product of the slice read a digit or key word at or
+ * above its bound (a negative one included). */
+static int refused(const switcher *s)
+{
+    return (s->seen[0] >> s->digit_bits) != 0 || (s->seen[1] >> s->key_bits) != 0;
+}
+
+/*
+ * Inverse NTT of one canonical residue row held in `work`, written to the n
+ * int64 of out as canonical coefficients.  `itw` is the modulus' (2, n)
+ * inverse twiddles and companions, `c` its consts row.
+ */
+static void inverse_into(i64 *out, u32 *work, size_t n, const u32 *itw,
+                         const u32 *c)
+{
+    inverse_stages(work, n, itw, itw + n, c);
+    for (size_t j = 0; j < n; j++)
+        out[j] = work[j];
+}
+
+/*
  * The whole key switch, out[h, f] = sum_k Dcp(coeff[:, f])_k * keys[h, g, k]
  * with g = f / batch, for the ciphertexts f in [lo, hi) of the flat
- * (groups * batch) axis, one ciphertext at a time (the paper's reduction
- * overlapping, Section IV-A): its `parts` coefficient-domain polynomials are
- * decomposed into the `digits` tile (k = parts * length rows of n), which is
- * forward-transformed, partially ([0, 2q)), into `tile` (k, rns, n) and
- * contracted against both halves' key rows of group g while it is still in
- * cache.  No digit tensor of the whole batch exists.
+ * (groups * batch) axis, one ciphertext at a time (switch_one).  No digit
+ * tensor of the whole batch exists.
  *
  * coeff is dense (parts, cts, rns, n), keys dense (2, cts / batch, k, rns, n),
- * out dense (2, cts, rns, n); `tw` the forward twiddles (ive_ntt), the gadget
- * tables those of ive_decompose, `digit_bits`, `key_bits` and `chunk` those
- * of ive_inner, `work` n words.  Returns nonzero, with this slice of `out`
- * unspecified, when a key word was negative or out of range.
+ * out dense (2, cts, rns, n); the remaining operands fill a switcher.  Returns
+ * nonzero, with this slice of `out` unspecified, when a key word was negative
+ * or out of range.
  */
 int ive_key_switch(i64 *restrict out, const i64 *restrict coeff,
                    const i64 *restrict keys, size_t parts, size_t cts,
@@ -499,25 +576,159 @@ int ive_key_switch(i64 *restrict out, const i64 *restrict coeff,
                    unsigned digit_bits, unsigned key_bits, size_t chunk,
                    i64 *restrict digits, i64 *restrict tile, u32 *work)
 {
-    limb_walk g = {recip, qhat, q_limbs, recip_shift, base_log2, limbs, length};
+    switcher s = {rns, n, tw, consts,
+                  {recip, qhat, q_limbs, recip_shift, base_log2, limbs, length},
+                  digit_bits, key_bits, chunk, digits, tile, work, {0, 0}};
     size_t poly = rns * n, k = parts * length, half = cts / batch * k * poly;
-    u64 seen[2] = {0, 0};
     for (size_t f = lo; f < hi; f++) {
-        const i64 *key = keys + f / batch * k * poly;
-        for (size_t p = 0; p < parts; p++)
-            decompose_row(digits + p * length * n, coeff + (p * cts + f) * poly,
-                          (ptrdiff_t)n, rns, n, consts, &g);
-        for (size_t d = 0; d < k; d++)
-            for (size_t m = 0; m < rns; m++)
-                ntt_row(tile + (d * rns + m) * n, digits + d * n, n,
-                        tw + m * 2 * n, consts + m * CONSTS, 0, 1, work);
-        for (size_t h = 0; h < 2; h++)
-            for (size_t m = 0; m < rns; m++)
-                inner_row(out + ((h * cts + f) * rns + m) * n, tile + m * n,
-                          key + h * half + m * n, k, poly, n,
-                          consts + m * CONSTS, chunk, seen);
+        const i64 *key[2] = {keys + f / batch * k * poly,
+                             keys + half + f / batch * k * poly};
+        switch_one(out + f * poly, (ptrdiff_t)(cts * poly),
+                   coeff + f * poly, (ptrdiff_t)(cts * poly), parts, key, &s);
     }
-    return (seen[0] >> digit_bits) != 0 || (seen[1] >> key_bits) != 0;
+    return refused(&s);
+}
+
+/*
+ * One ExpandQuery level (Fig. 2-(1)) for the ciphertexts f in [lo, hi) of
+ * vec, dense (2, cts, rns, n) in NTT form, queries of `step` ciphertexts each:
+ * Subs(v) = KeySwitch(a o r) + (b o r) under the evaluation key -- keys[h] the
+ * dense (length, rns, n) rows of half h -- then even = v + Subs(v) and odd =
+ * (v - Subs(v)) * X^-step, mod q, written to out, dense (2, cts / step,
+ * 2 * step, rns, n), a query's evens before its odds.  The automorphism
+ * X -> X^r is the gather of NTT slots `slots` (n words, one table for every
+ * modulus): the gathered a is inverse-transformed and key-switched
+ * (switch_one), the gathered b added to the second half.  mono is (rns, 2, n):
+ * X^-step in NTT form and its Shoup companions; itw the inverse twiddles,
+ * (rns, 2, n).  `held` holds 3 * rns * n int64: the gathered a's coefficients
+ * and the key switch's two halves.  Returns nonzero, with this slice of `out`
+ * unspecified, when a word of the slice's vec is not a canonical residue
+ * (checked before anything is written) or a key word was out of range.
+ */
+int ive_expand_level(i64 *restrict out, const i64 *restrict vec,
+                     const i64 *const *keys, const u32 *slots, size_t cts,
+                     size_t step, size_t lo, size_t hi, size_t rns, size_t n,
+                     const u32 *tw, const u32 *itw, const u32 *consts,
+                     const u32 *mono, const u32 *recip, unsigned recip_shift,
+                     const u32 *qhat, const u32 *q_limbs, size_t limbs,
+                     unsigned base_log2, size_t length, unsigned digit_bits,
+                     unsigned key_bits, size_t chunk, i64 *restrict digits,
+                     i64 *restrict tile, i64 *restrict held, u32 *work)
+{
+    switcher s = {rns, n, tw, consts,
+                  {recip, qhat, q_limbs, recip_shift, base_log2, limbs, length},
+                  digit_bits, key_bits, chunk, digits, tile, work, {0, 0}};
+    size_t poly = rns * n;
+    i64 *coeff = held, *sub = held + poly;
+    u32 bad = 0;
+    for (size_t f = lo; f < hi; f++)
+        bad |= noncanonical(vec + f * poly, rns, n, consts)
+            | noncanonical(vec + (cts + f) * poly, rns, n, consts);
+    if (bad)
+        return 1;
+    for (size_t f = lo; f < hi; f++) {
+        const i64 *a = vec + f * poly, *b = vec + (cts + f) * poly;
+        for (size_t m = 0; m < rns; m++) {
+            const i64 *x = a + m * n;
+            for (size_t j = 0; j < n; j++)
+                work[j] = (u32)x[slots[j]];
+            inverse_into(coeff + m * n, work, n, itw + m * 2 * n,
+                         consts + m * CONSTS);
+        }
+        switch_one(sub, (ptrdiff_t)poly, coeff, 0, 1, keys, &s);
+        for (size_t m = 0; m < rns; m++) {
+            u32 q = consts[m * CONSTS + C_Q];
+            const i64 *x = b + m * n;
+            i64 *y = sub + poly + m * n;
+            for (size_t j = 0; j < n; j++)
+                y[j] = cond_sub((u32)y[j] + (u32)x[slots[j]], q);
+        }
+        for (size_t h = 0; h < 2; h++)
+            for (size_t m = 0; m < rns; m++) {
+                u32 q = consts[m * CONSTS + C_Q];
+                const u32 *mw = mono + m * 2 * n, *ms = mw + n;
+                const i64 *v = vec + (h * cts + f) * poly + m * n;
+                const i64 *w = sub + h * poly + m * n;
+                i64 *even = out + (h * 2 * cts + f / step * 2 * step + f % step)
+                    * poly + m * n;
+                i64 *odd = even + step * poly;
+                for (size_t j = 0; j < n; j++) {
+                    u32 x = (u32)v[j], y = (u32)w[j];
+                    even[j] = cond_sub(x + y, q);
+                    odd[j] = cond_sub(mul_shoup(x - y + q, mw[j], ms[j], q), q);
+                }
+            }
+    }
+    return refused(&s);
+}
+
+/*
+ * One ColTor round (Fig. 2-(3)) for the outputs f in [lo, hi) of the flat
+ * (queries * count / 2) axis: the cmux bit (x) (ones - zeros) + zeros of each
+ * pair (zeros, ones) = entries (2i, 2i + 1) of query f / (count / 2).  cur is
+ * dense (2, queries, count, rns, n) in NTT form, out dense (2, queries,
+ * count / 2, rns, n); keys holds two addresses per query, its RGSW bit's rows
+ * in each half, dense (2 * length, rns, n) each.  Per output, ones - zeros is
+ * taken on both halves, inverse-transformed and key-switched as two parts
+ * (switch_one) against the query's rows, and zeros added back.  itw is the
+ * inverse twiddles, (rns, 2, n); `held` holds 4 * rns * n int64: the
+ * difference's coefficients and the key switch's two halves.  Returns nonzero,
+ * with this slice of `out` unspecified, when a word of the slice's entries is
+ * not a canonical residue (checked before anything is written) or a key word
+ * was out of range.
+ */
+int ive_cmux_round(i64 *restrict out, const i64 *restrict cur,
+                   const i64 *const *keys, size_t queries, size_t count,
+                   size_t lo, size_t hi, size_t rns, size_t n, const u32 *tw,
+                   const u32 *itw, const u32 *consts, const u32 *recip,
+                   unsigned recip_shift, const u32 *qhat, const u32 *q_limbs,
+                   size_t limbs, unsigned base_log2, size_t length,
+                   unsigned digit_bits, unsigned key_bits, size_t chunk,
+                   i64 *restrict digits, i64 *restrict tile,
+                   i64 *restrict held, u32 *work)
+{
+    switcher s = {rns, n, tw, consts,
+                  {recip, qhat, q_limbs, recip_shift, base_log2, limbs, length},
+                  digit_bits, key_bits, chunk, digits, tile, work, {0, 0}};
+    size_t poly = rns * n, pairs = count / 2, outs = queries * pairs;
+    i64 *coeff = held, *prod = held + 2 * poly;
+    u32 bad = 0;
+    for (size_t f = lo; f < hi; f++)
+        for (size_t h = 0; h < 2; h++) {
+            const i64 *zeros = cur
+                + ((h * queries + f / pairs) * count + 2 * (f % pairs)) * poly;
+            bad |= noncanonical(zeros, rns, n, consts)
+                | noncanonical(zeros + poly, rns, n, consts);
+        }
+    if (bad)
+        return 1;
+    for (size_t f = lo; f < hi; f++) {
+        size_t qi = f / pairs, entry = 2 * (f % pairs);
+        for (size_t h = 0; h < 2; h++)
+            for (size_t m = 0; m < rns; m++) {
+                u32 q = consts[m * CONSTS + C_Q];
+                const i64 *zeros = cur
+                    + ((h * queries + qi) * count + entry) * poly + m * n;
+                const i64 *ones = zeros + poly;
+                for (size_t j = 0; j < n; j++)
+                    work[j] = cond_sub((u32)ones[j] - (u32)zeros[j] + q, q);
+                inverse_into(coeff + h * poly + m * n, work, n,
+                             itw + m * 2 * n, consts + m * CONSTS);
+            }
+        switch_one(prod, (ptrdiff_t)poly, coeff, (ptrdiff_t)poly, 2,
+                   keys + 2 * qi, &s);
+        for (size_t h = 0; h < 2; h++)
+            for (size_t m = 0; m < rns; m++) {
+                u32 q = consts[m * CONSTS + C_Q];
+                const i64 *zeros = cur
+                    + ((h * queries + qi) * count + entry) * poly + m * n;
+                const i64 *x = prod + h * poly + m * n;
+                i64 *o = out + (h * outs + f) * poly + m * n;
+                for (size_t j = 0; j < n; j++)
+                    o[j] = cond_sub((u32)x[j] + (u32)zeros[j], q);
+            }
+    }
+    return refused(&s);
 }
 
 /* Coefficients per tile of ive_rowsel: the tile's query words (both halves,
@@ -599,79 +810,4 @@ int ive_rowsel(i64 *restrict out, const u32 *restrict db,
         }
     }
     return (seen_db >> db_bits) != 0 || (seen_query >> query_bits) != 0;
-}
-
-/*
- * One ExpandQuery level over `groups` runs of `step` ciphertext polynomials:
- * even = v + s and odd = (v - s) * X^-step, mod q, for v = vec and s its
- * substituted twin (Fig. 2-(1)).  vec and swapped are dense
- * (groups, step, rns, n), out dense (groups, 2 * step, rns, n) with a group's
- * evens before its odds.  mono is (rns, 2, n): X^-step in NTT form and its
- * Shoup companions.  Returns nonzero, with `out` unspecified, when an operand
- * was not a canonical residue.
- */
-int ive_butterfly(i64 *restrict out, const i64 *restrict vec,
-                  const i64 *restrict swapped, size_t groups, size_t step,
-                  size_t rns, size_t n, const u32 *mono, const u32 *consts)
-{
-    u64 wide = 0;
-    u32 bad = 0;
-    for (size_t g = 0; g < groups; g++)
-    for (size_t s = 0; s < step; s++)
-    for (size_t m = 0; m < rns; m++) {
-        u32 q = consts[m * CONSTS + C_Q];
-        size_t in = ((g * step + s) * rns + m) * n;
-        const i64 *v = vec + in, *w = swapped + in;
-        i64 *even = out + ((g * 2 * step + s) * rns + m) * n;
-        i64 *odd = even + step * rns * n;
-        const u32 *mw = mono + m * 2 * n, *ms = mw + n;
-        for (size_t j = 0; j < n; j++) {
-            u32 x = (u32)v[j], y = (u32)w[j];
-            wide |= ((u64)v[j] | (u64)w[j]) >> 32;
-            bad |= (u32)(x >= q) | (u32)(y >= q);
-            even[j] = cond_sub(x + y, q);
-            odd[j] = cond_sub(mul_shoup(x - y + q, mw[j], ms[j], q), q);
-        }
-    }
-    return (wide | bad) != 0;
-}
-
-/*
- * out = a + b, or a - b when `subtract`, mod q over `rows` (rns, n) blocks at
- * the given element strides, each block contiguous.  Returns nonzero when an
- * operand was not a canonical residue; every operand is checked before
- * anything is written, so out may be a or b and both are intact then.
- */
-int ive_mod_add(i64 *out, ptrdiff_t out_row, const i64 *a, ptrdiff_t a_row,
-                const i64 *b, ptrdiff_t b_row, size_t rows, size_t rns,
-                size_t n, const u32 *consts, int subtract)
-{
-    u64 wide = 0;
-    u32 bad = 0;
-    for (size_t r = 0; r < rows; r++)
-    for (size_t m = 0; m < rns; m++) {
-        u32 q = consts[m * CONSTS + C_Q];
-        const i64 *x = a + (ptrdiff_t)r * a_row + m * n;
-        const i64 *y = b + (ptrdiff_t)r * b_row + m * n;
-        for (size_t j = 0; j < n; j++) {
-            wide |= ((u64)x[j] | (u64)y[j]) >> 32;
-            bad |= (u32)((u32)x[j] >= q) | (u32)((u32)y[j] >= q);
-        }
-    }
-    if (wide | bad)
-        return 1;
-    for (size_t r = 0; r < rows; r++)
-    for (size_t m = 0; m < rns; m++) {
-        u32 q = consts[m * CONSTS + C_Q];
-        const i64 *x = a + (ptrdiff_t)r * a_row + m * n;
-        const i64 *y = b + (ptrdiff_t)r * b_row + m * n;
-        i64 *o = out + (ptrdiff_t)r * out_row + m * n;
-        if (subtract)
-            for (size_t j = 0; j < n; j++)
-                o[j] = cond_sub((u32)x[j] - (u32)y[j] + q, q);
-        else
-            for (size_t j = 0; j < n; j++)
-                o[j] = cond_sub((u32)x[j] + (u32)y[j], q);
-    }
-    return 0;
 }

@@ -83,6 +83,14 @@ class PirServer:
                 f"geometry: this server stacks {poly} polynomials and "
                 f"{rgsw} RGSW bits"
             )
+        moduli = self.ring._moduli_col
+        for half in ("a", "b"):
+            residues = getattr(query.packed, half).residues
+            if np.any((residues < 0) | (residues >= moduli)):
+                raise ParameterError(
+                    f"query {position} of the window has a packed {half} "
+                    f"residue outside [0, q): not a ciphertext of this ring"
+                )
 
     @property
     def group_size(self) -> int:

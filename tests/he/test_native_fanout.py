@@ -4,13 +4,15 @@
 of its outermost axis, runs the first on the calling thread and the rest
 on a pool, and ORs their statuses.  Every split here is forced — the fan
 width patched to 2 and 3 and the per-slice floor to 0 — and each fanned
-entry point (the fused key switch, RowSel, the NTT, the expansion
-butterfly and the client's encryption pass) is held to ``eager`` and to
-the same call unsplit, and seeded client keys and queries to the eager
-build.  Then the
-failure paths inside a split (an operand the kernel refuses, in the last
-slice only), the pool under concurrent callers, and the pool's lifecycle:
-no thread at import, none where the process may run on one core.
+entry point (the fused key switch, the fused expansion level and ColTor
+round, RowSel, the NTT and the client's encryption pass) is held to
+``eager`` and to the same call unsplit, and seeded client keys and
+queries to the eager build.  Then the failure paths inside a split (an
+operand the kernel refuses, in the last slice only), one production
+answer at N = 2^12 (one C call per level and per round, no gather or
+stack copy around them), the pool under concurrent callers, and the
+pool's lifecycle: no thread at import, none where the process may run on
+one core.
 """
 
 import os
@@ -27,6 +29,7 @@ from repro.he import modmath, native
 from repro.he.backend import DEFAULT_BACKEND, get_backend
 from repro.he.gadget import Gadget
 from repro.he.poly import RingContext
+from repro.he.subs import SubsKey
 from repro.obs.metrics import MetricsRegistry, install
 from repro.params import PirParams
 from repro.pir.client import PirClient
@@ -217,30 +220,190 @@ class TestNtt:
         assert split.submits > 0
 
 
+def _evks(ring: RingContext, levels: int, seed: int) -> dict:
+    """Evaluation keys of the first ``levels`` expansion levels (canonical
+    rows: the fused level is exact arithmetic on any key)."""
+    ell = Gadget(ring).length
+    powers = [ring.n // (1 << a) + 1 for a in range(levels)]
+    return {r: SubsKey(r, ring, _residues(ring, (2, ell), seed + r)) for r in powers}
+
+
+def _bit_views(ring: RingContext, rounds: int, queries: int, seed: int) -> list:
+    """Per round, each query's RGSW rows as a strided view into one tensor:
+    what the kernel must read where it lies, never a stack."""
+    rows = _residues(ring, (rounds, 2, queries, 2 * Gadget(ring).length), seed)
+    return [[rows[k, :, q] for q in range(queries)] for k in range(rounds)]
+
+
+def _expand(backend, ring, packed, evks, levels):
+    return backend.expand_window(packed, evks, levels, Gadget(ring))
+
+
+def _coltor(backend, ring, entries, bits):
+    return backend.coltor_window(entries, bits, Gadget(ring))
+
+
+#: Per ring degree, blocks of (query counts, level counts, round counts):
+#: every query count 1-5 at every level count the ring allows and 1-4
+#: ColTor rounds; at N = 2^12, where an eager level of five queries costs a
+#: second, every count at Q = 1 and the first two at Q = 1-5.
+GRID = {
+    4: [((1, 2, 3, 4, 5), (1, 2), (1, 2, 3, 4))],
+    16: [((1, 2, 3, 4, 5), (1, 2, 3, 4), (1, 2, 3, 4))],
+    256: [((1, 2, 3, 4, 5), tuple(range(1, 9)), (1, 2, 3, 4))],
+    4096: [((1,), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4)), ((2, 3, 4, 5), (1, 2), (1, 2))],
+}
+
+
 class TestButterfly:
+    """The expansion level (its butterfly inside ``ive_expand_level``),
+    split over ciphertexts."""
+
     @pytest.mark.parametrize("queries", [1, 2, 3])
     @pytest.mark.parametrize("step", [1, 4])
     def test_groups_split(self, split, monkeypatch, queries, step):
+        """Up to a level of ``2 * step`` ciphertexts per query: every
+        query count has a level of two or more to split."""
         ring = RINGS[256]
-        vec = _residues(ring, (2, queries, step), 30 + step)
-        swapped = _residues(ring, (2, queries, step), 31 + step)
-        want = EAGER.expand_butterfly(ring, vec, swapped, step)
-        assert np.array_equal(NATIVE.expand_butterfly(ring, vec, swapped, step), want)
-        whole = _unsplit(
-            monkeypatch, lambda: NATIVE.expand_butterfly(ring, vec, swapped, step)
-        )
+        levels = step.bit_length() + 1
+        packed = _residues(ring, (2, queries), 30 + step)
+        evks = _evks(ring, levels, 31 + step)
+        want = _expand(EAGER, ring, packed, evks, levels)
+        assert np.array_equal(_expand(NATIVE, ring, packed, evks, levels), want)
+        whole = _unsplit(monkeypatch, lambda: _expand(NATIVE, ring, packed, evks, levels))
         assert np.array_equal(whole, want)
         assert split.submits > 0
 
     def test_a_bad_operand_in_the_last_group_falls_back_once(self, split, counters):
         ring = RINGS[256]
-        vec = _residues(ring, (2, 2, 2), 32)
-        swapped = _residues(ring, (2, 2, 2), 33)
-        swapped[1, 1, 1, 1, 40] = ring.params.moduli[1]  # the last group
-        want = EAGER.expand_butterfly(ring, vec, swapped, 2)
-        assert np.array_equal(NATIVE.expand_butterfly(ring, vec, swapped, 2), want)
+        packed = _residues(ring, (2, 2), 32)
+        packed[1, 1, 1, 40] = ring.params.moduli[1]  # the last query: the last slice
+        evks = _evks(ring, 1, 33)
+        want = _expand(EAGER, ring, packed, evks, 1)
+        assert np.array_equal(_expand(NATIVE, ring, packed, evks, 1), want)
         assert counters("he_native_none") == 1
         assert split.submits > 0
+
+
+class TestExpandLevel:
+    @pytest.mark.parametrize("n", sorted(GRID))
+    def test_matches_eager_and_the_unsplit_call(self, split, monkeypatch, n):
+        ring = RINGS[n]
+        for query_counts, depths, _ in GRID[n]:
+            for queries in query_counts:
+                packed = _residues(ring, (2, queries), n + queries)
+                evks = _evks(ring, max(depths), n + queries)
+                for levels in depths:
+                    want = _expand(EAGER, ring, packed, evks, levels)
+                    got = _expand(NATIVE, ring, packed, evks, levels)
+                    assert np.array_equal(got, want), (queries, levels)
+                whole = _unsplit(
+                    monkeypatch, lambda: _expand(NATIVE, ring, packed, evks, levels)
+                )
+                assert np.array_equal(whole, want), queries
+        assert split.submits > 0
+
+    @pytest.mark.parametrize("operand", ["vec", "key"])
+    def test_a_refused_word_in_the_last_slice_falls_back_once(
+        self, split, counters, operand
+    ):
+        """A non-canonical ``vec`` word, or a key word at or above
+        2^key_bits, in the last ciphertext of the level's last slice."""
+        ring = RINGS[256]
+        packed = _residues(ring, (2, 3), 34)
+        evks = _evks(ring, 2, 35)
+        if operand == "vec":
+            packed[0, 2, 1, 200] = -5
+            levels = 1
+        else:
+            key_bits = (max(ring.params.moduli) - 1).bit_length()
+            evks[ring.n // 2 + 1].rows[1, -1, 0, 3] = 1 << key_bits
+            levels = 2
+        want = _expand(EAGER, ring, packed, evks, levels)
+        assert np.array_equal(_expand(NATIVE, ring, packed, evks, levels), want)
+        assert counters("he_native_none") == 1
+        assert split.submits > 0
+
+
+class TestCmuxRound:
+    @pytest.mark.parametrize("n", sorted(GRID))
+    def test_matches_eager_and_the_unsplit_call(self, split, monkeypatch, n):
+        """Bit rows per query are views, never a stack; at Q = 1 the one
+        query's rows are a view too."""
+        ring = RINGS[n]
+        for query_counts, _, round_counts in GRID[n]:
+            for queries in query_counts:
+                for rounds in round_counts:
+                    seed = n + 10 * queries + rounds
+                    entries = _residues(ring, (2, queries << rounds), seed)
+                    bits = _bit_views(ring, rounds, queries, seed)
+                    assert not bits[0][0].flags.c_contiguous or queries == 1
+                    want = _coltor(EAGER, ring, entries, bits)
+                    assert want.shape == (2, queries, ring.rns_count, n)
+                    got = _coltor(NATIVE, ring, entries, bits)
+                    assert np.array_equal(got, want), (queries, rounds)
+                whole = _unsplit(
+                    monkeypatch, lambda: _coltor(NATIVE, ring, entries, bits)
+                )
+                assert np.array_equal(whole, want), queries
+        assert split.submits > 0
+
+    @pytest.mark.parametrize("operand", ["cur", "key"])
+    def test_a_refused_word_in_the_last_slice_falls_back_once(
+        self, split, counters, operand
+    ):
+        """A non-canonical entry word, or a key word at or above
+        2^key_bits, in the round's last output (the last slice)."""
+        ring = RINGS[256]
+        entries = _residues(ring, (2, 3 * 2), 36)
+        bits = _bit_views(ring, 1, 3, 37)
+        if operand == "cur":
+            entries[1, 5, 0, 11] = ring.params.moduli[0]
+        else:
+            key_bits = (max(ring.params.moduli) - 1).bit_length()
+            bits[0][2][0, 3, 1, 8] = 1 << key_bits
+        want = _coltor(EAGER, ring, entries, bits)
+        assert np.array_equal(_coltor(NATIVE, ring, entries, bits), want)
+        assert counters("he_native_none") == 1
+        assert split.submits > 0
+
+
+class TestProductionAnswer:
+    def test_one_call_per_level_and_per_round(self, monkeypatch):
+        """One N = 2^12 answer: ``levels`` level calls, ``num_dims`` round
+        calls, and no ``np.take`` gather or ``np.stack`` of bit rows in the
+        compiled backend around them."""
+        params = PirParams.functional()
+        client = PirClient(params, seed=42)
+        rng = np.random.default_rng(43)
+        records = [rng.bytes(64) for _ in range(64)]
+        db = PirDatabase.from_records(records, params, 64)
+        server = PirServer(db.preprocess(client.ring), client.setup_message(), NATIVE)
+        query = client.build_query(9, db.layout)
+        server.answer(query)  # warm the slot and monomial tables
+        calls = {"expand_level": 0, "cmux_round": 0, "take": 0, "stack": 0}
+
+        def spy(owner, name, key, here=None):
+            real = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                caller = Path(sys._getframe(1).f_code.co_filename).parent
+                if here is None or caller == here:
+                    calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        he = Path(native.__file__).parent
+        spy(native.NativeRing, "expand_level", "expand_level")
+        spy(native.NativeRing, "cmux_round", "cmux_round")
+        spy(np, "take", "take", he)
+        spy(np, "stack", "stack", he)
+        response = server.answer(query)
+        assert calls == {
+            "expand_level": 6, "cmux_round": params.num_dims, "take": 0, "stack": 0
+        }
+        assert client.decode_response(response, 9, db.layout) == records[9]
 
 
 def _encrypt_operands(ring: RingContext, count: int, seed: int, shifted: bool):

@@ -1,16 +1,19 @@
 """The answer's non-NTT passes, ``native`` against ``eager``, byte for byte.
 
-Three primitives carry everything of an answer that is not a transform
-or a key switch: ``rowsel_gemm`` (the one-pass contraction over the
-uint32 database store), ``expand_butterfly`` (one ExpandQuery level) and
-``modular_add`` (the ``b`` add of Subs, ColTor's ``ones - zeros`` and
-``+ zeros``).  The cases are the ones that bound the C arithmetic: the
-N = 256 / 3-moduli and N = 4096 / 4-moduli rings, residues 0 and q - 1,
-a shared plane, the non-contiguous per-query bucket views of the batch
-and keyword tiers, contractions long enough to need the overflow-safe
-reduction, non-canonical operands (which must fall back, not corrupt),
-and the frozen staged replay's own ``np.array(params.moduli)[:, None]``
-modulus column.
+Three passes carry everything of an answer that is not a transform or a
+key switch: ``rowsel_gemm`` (the one-pass contraction over the uint32
+database store), one ExpandQuery level's butterfly and the modular adds
+(the ``b`` add of Subs, ColTor's ``ones - zeros`` and ``+ zeros``).  On
+``native`` the last two live inside the fused window steps —
+``expand_level`` (one C call per level) and ``coltor_round`` (one per
+round) — so they are held to ``eager`` through ``expand_window`` and
+``coltor_window``.  The cases are the ones that bound the C arithmetic:
+the N = 256 / 3-moduli and N = 4096 / 4-moduli rings, residues 0 and
+q - 1, a shared plane, the non-contiguous per-query bucket views of the
+batch and keyword tiers, contractions long enough to need the
+overflow-safe reduction, non-canonical operands (which must fall back,
+not corrupt), and the frozen staged replay's own
+``np.array(params.moduli)[:, None]`` modulus column.
 """
 
 import tracemalloc
@@ -21,7 +24,9 @@ import pytest
 from repro.errors import ParameterError
 from repro.he import native
 from repro.he.backend import get_backend
+from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, RingContext
+from repro.he.subs import SubsKey
 from repro.params import PirParams
 
 EAGER = get_backend("eager")
@@ -188,19 +193,51 @@ class TestRowselGemm:
         assert peak < view.nbytes // 4, (peak, view.nbytes)
 
 
+def _evks(ring: RingContext, levels: int, seed: int, fill: str) -> dict:
+    """Evaluation keys of the first ``levels`` expansion levels: rows of
+    canonical residues (the ops are exact arithmetic on any key)."""
+    gadget = Gadget(ring)
+    return {
+        ring.n // (1 << a) + 1: SubsKey(
+            ring.n // (1 << a) + 1, ring,
+            _residues(ring, (2, gadget.length), seed + a, fill),
+        )
+        for a in range(levels)
+    }
+
+
+def _bits(ring: RingContext, queries: int, seed: int, fill: str) -> list:
+    """One round's per-query RGSW rows, each a view into one tensor."""
+    rows = _residues(ring, (2, queries, 2 * Gadget(ring).length), seed, fill)
+    return [rows[:, q] for q in range(queries)]
+
+
+def _expand(backend, ring: RingContext, packed: np.ndarray, evks: dict, levels: int):
+    return backend.expand_window(packed, evks, levels, Gadget(ring))
+
+
+def _coltor(backend, ring: RingContext, entries: np.ndarray, bits: list):
+    return backend.coltor_window(entries, bits, Gadget(ring))
+
+
 class TestExpandButterfly:
+    """The level's butterfly — ``vec + Subs(vec)``, ``(vec - Subs(vec)) *
+    X^-step`` — which ``native`` runs inside ``ive_expand_level``."""
+
     @BACKENDS
     @pytest.mark.parametrize("n", sorted(RINGS))
     @pytest.mark.parametrize("step", [1, 2, 4])
     def test_matches_eager(self, backend, n, step):
+        """Up to the level of ``step`` ciphertexts per query."""
         ring = RINGS[n]
+        levels = step.bit_length()
         for fills in (("random", "random"), ("zeros", "top"), ("top", "zeros"),
                       ("top", "top"), ("striped", "random")):
-            vec = _residues(ring, (2, 3, step), step, fills[0])
-            swapped = _residues(ring, (2, 3, step), step + 1, fills[1])
-            want = EAGER.expand_butterfly(ring, vec, swapped, step)
-            assert want.shape == (2, 3, 2 * step, ring.rns_count, n)
-            got = backend.expand_butterfly(ring, vec, swapped, step)
+            packed = _residues(ring, (2, 3), step, fills[0])
+            evks = _evks(ring, levels, step + 1, fills[1])
+            want = _expand(EAGER, ring, packed, evks, levels)
+            assert want.shape == (2, 3 * 2 * step, ring.rns_count, n)
+            got = _expand(backend, ring, packed, evks, levels)
             assert got.dtype == np.int64 and np.array_equal(got, want), fills
 
     def test_eager_is_the_level_definition(self):
@@ -217,24 +254,28 @@ class TestExpandButterfly:
     @BACKENDS
     def test_views_match_eager(self, backend):
         ring = RINGS[256]
-        base = _residues(ring, (2, 4, 2), 22, "random")
-        vec, swapped = base[:, ::2], base[:, 1::2]
-        want = EAGER.expand_butterfly(
-            ring, np.ascontiguousarray(vec), np.ascontiguousarray(swapped), 2
-        )
-        assert np.array_equal(backend.expand_butterfly(ring, vec, swapped, 2), want)
+        base = _residues(ring, (2, 4), 22, "random")
+        packed = base[:, ::2]
+        assert not packed.flags.c_contiguous
+        evks = _evks(ring, 2, 23, "random")
+        want = _expand(EAGER, ring, np.ascontiguousarray(packed), evks, 2)
+        assert np.array_equal(_expand(backend, ring, packed, evks, 2), want)
 
     @needs_native
     def test_a_non_canonical_operand_falls_back(self):
         ring = RINGS[256]
-        vec = _residues(ring, (2, 1, 1), 23, "random")
-        swapped = _residues(ring, (2, 1, 1), 24, "random")
-        swapped[0, 0, 0, 1, 9] = ring.params.moduli[1]
-        want = EAGER.expand_butterfly(ring, vec, swapped, 1)
-        assert np.array_equal(NATIVE.expand_butterfly(ring, vec, swapped, 1), want)
+        packed = _residues(ring, (2, 1), 23, "random")
+        packed[1, 0, 1, 9] = ring.params.moduli[1]
+        evks = _evks(ring, 1, 24, "random")
+        want = _expand(EAGER, ring, packed, evks, 1)
+        assert np.array_equal(_expand(NATIVE, ring, packed, evks, 1), want)
 
 
 class TestModularAdd:
+    """The modular adds ``native`` folds into the window steps: Subs'
+    ``b`` add inside a level (``subtract`` False) and ColTor's ``ones -
+    zeros`` / ``+ zeros`` inside a round (``subtract`` True)."""
+
     @BACKENDS
     @pytest.mark.parametrize("n", sorted(RINGS))
     @pytest.mark.parametrize("subtract", [False, True])
@@ -242,52 +283,61 @@ class TestModularAdd:
         ring = RINGS[n]
         for fa in FILLS:
             for fb in FILLS:
-                a = _residues(ring, (2, 3), 30, fa)
-                b = _residues(ring, (2, 3), 31, fb)
-                for kind in ("ring", "replay"):
-                    moduli = _moduli(ring, kind)
-                    want = EAGER.modular_add(a, b, moduli, subtract=subtract)
-                    got = backend.modular_add(a, b, moduli, subtract=subtract)
-                    assert np.array_equal(got, want), (fa, fb, kind)
+                if subtract:  # fa the zeros entries, fb the ones entries
+                    entries = np.stack([
+                        _residues(ring, (2, 2), 30, fa),
+                        _residues(ring, (2, 2), 31, fb),
+                    ], axis=2).reshape((2, 4, ring.rns_count, n))
+                    bits = [_bits(ring, 2, 32, "random")]
+                    want = _coltor(EAGER, ring, entries, bits)
+                    got = _coltor(backend, ring, entries, bits)
+                else:  # fa the a halves, fb the b halves Subs gathers and adds
+                    packed = np.stack([
+                        _residues(ring, (2,), 30, fa), _residues(ring, (2,), 31, fb)
+                    ])
+                    evks = _evks(ring, 1, 32, "random")
+                    want = _expand(EAGER, ring, packed, evks, 1)
+                    got = _expand(backend, ring, packed, evks, 1)
+                assert np.array_equal(got, want), (fa, fb)
 
     @BACKENDS
-    @pytest.mark.parametrize("subtract", [False, True])
-    def test_coltor_views_and_in_place_out(self, backend, subtract):
-        """ColTor's ``current[:, :, 1::2] - current[:, :, 0::2]`` and the
-        Subs add into ``out[1]``: strided operands, ``out`` aliasing ``a``."""
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_coltor_views_and_in_place_out(self, backend, shared):
+        """Strided entries, and per-query bit rows that are views — one
+        query's own tensor (``shared`` False) or slices of one tensor all
+        queries share (True) — are read where they lie; the round's input
+        is never written."""
         ring = RINGS[256]
-        current = _residues(ring, (2, 3, 4), 32, "random")
-        zeros, ones = current[:, :, 0::2], current[:, :, 1::2]
-        want = EAGER.modular_add(ones, zeros, ring._moduli_col, subtract=subtract)
-        assert np.array_equal(
-            backend.modular_add(ones, zeros, ring._moduli_col, subtract=subtract),
-            want,
-        )
-        target = _residues(ring, (2, 3), 33, "top")
-        other = _residues(ring, (3,), 34, "random")
-        want = EAGER.modular_add(target[1], other, ring._moduli_col, subtract=subtract)
-        got = backend.modular_add(
-            target[1], other, ring._moduli_col, out=target[1], subtract=subtract
-        )
-        assert np.shares_memory(got, target) and np.array_equal(target[1], want)
+        queries = 3 if shared else 1
+        base = _residues(ring, (2, queries, 8), 32, "random")
+        entries = base[:, :, ::2].reshape((2, queries * 4, ring.rns_count, ring.n))
+        before = base.copy()
+        if shared:
+            bits = [_bits(ring, queries, 33 + k, "random") for k in range(2)]
+        else:
+            rows = 4 * Gadget(ring).length
+            bits = [[_residues(ring, (2, rows), 33 + k, "random")[:, ::2]] for k in range(2)]
+        want = _coltor(EAGER, ring, np.ascontiguousarray(entries), bits)
+        assert np.array_equal(_coltor(backend, ring, entries, bits), want)
+        assert np.array_equal(base, before)
 
     @needs_native
     def test_a_non_canonical_operand_falls_back_and_leaves_out_intact(
         self, monkeypatch
     ):
-        """With ``out`` aliasing ``a``, the kernel writes nothing unless
-        every operand is canonical — also where the fan-out could split the
-        call (width 2 or 3, no floor): the add stays whole, so a bad word in
-        the last row cannot follow a slice that already wrote ``a``."""
+        """A refused entry word in the last output — also where the
+        fan-out splits the round (width 2 or 3, no floor), so that the
+        first slices finish before the last one refuses — gives eager's
+        round, and the round's input is as it was."""
         ring = RINGS[256]
         monkeypatch.setattr(native, "FAN_FLOOR_WORDS", 0)
         for width in (1, 2, 3):
             monkeypatch.setattr(native, "fan_width", lambda: width)
-            a = _residues(ring, (4,), 35, "random")
-            b = _residues(ring, (4,), 36, "random")
-            b[3, 2, 7] = -1
-            b_before = b.copy()
-            want = EAGER.modular_add(a.copy(), b, ring._moduli_col)
-            got = NATIVE.modular_add(a, b, ring._moduli_col, out=a)
+            entries = _residues(ring, (2, 8), 35, "random")
+            entries[1, 7, 2, 7] = -1
+            before = entries.copy()
+            bits = [_bits(ring, 1, 36 + k, "random") for k in range(3)]
+            want = _coltor(EAGER, ring, entries.copy(), bits)
+            got = _coltor(NATIVE, ring, entries, bits)
             assert np.array_equal(got, want), width
-            assert np.array_equal(a, want) and np.array_equal(b, b_before), width
+            assert np.array_equal(entries, before), width

@@ -13,11 +13,15 @@ from repro.errors import LayoutError, ParameterError
 from repro.he.bfv import BfvCiphertext
 from repro.he.rgsw import rgsw_encrypt
 from repro.he.sampling import Sampler
+from repro.kvpir.client import KvPirClient
+from repro.kvpir.layout import KvDatabase
+from repro.kvpir.server import KvPirServer
 from repro.params import PirParams
-from repro.pir.client import PirClient, PirResponse
+from repro.pir.client import ClientSetup, PirClient, PirResponse
 from repro.pir.database import PirDatabase
 from repro.pir.layout import RecordLayout
 from repro.pir.protocol import PirProtocol
+from repro.pir.server import PirServer
 
 
 @pytest.fixture()
@@ -100,6 +104,40 @@ class TestStructuralRejection:
         )
         with pytest.raises(ParameterError):
             protocol.server.answer(query)
+
+    @pytest.mark.parametrize("backend", ["eager", "native"])
+    @pytest.mark.parametrize("shift", ["+q", "-q", "2^40"])
+    def test_a_packed_residue_outside_the_ring_is_refused(self, setup, backend, shift):
+        """A packed word moved off [0, q) is a typed refusal naming its
+        window position, on every backend: shifted by +-q the backends'
+        answers would differ, shifted far both would decode a wrong record."""
+        protocol, db = setup
+        client = protocol.client
+        server = PirServer(
+            protocol.preprocessed, ClientSetup(evks=protocol.server.evks), backend
+        )
+        window = [client.build_query(i, db.layout) for i in (0, 1, 2)]
+        q = protocol.params.moduli[1]
+        residues = window[2].packed.b.residues
+        residues[1, 17] += {"+q": q, "-q": -q, "2^40": 1 << 40}[shift]
+        if shift == "-q" and residues[1, 17] >= 0:
+            residues[1, 17] -= q
+        with pytest.raises(ParameterError, match="query 2 of the window"):
+            server.answer_batch(window)
+
+    @pytest.mark.parametrize("backend", ["eager", "native"])
+    def test_the_keyword_window_refuses_it_too(self, backend):
+        rng = np.random.default_rng(25)
+        items = {rng.bytes(8): rng.bytes(32) for _ in range(16)}
+        params = PirParams.small(n=256, d0=8, num_dims=1)
+        db = KvDatabase.from_items(params, items, max_lookup_batch=2)
+        client = KvPirClient(db.layout, seed=26)
+        server = KvPirServer(db, client.batch.pir.ring, client.setup_message(), backend)
+        query = client.build_queries(client.plan(list(items)[:2]))
+        window = query.chunks[0].rounds[0]
+        window[-1].packed.a.residues[0, 3] = -1
+        with pytest.raises(ParameterError, match=f"query {len(window) - 1} of the window"):
+            server.answer(query)
 
     def test_response_plane_mismatch_rejected(self, setup):
         protocol, db = setup
