@@ -401,7 +401,8 @@ class TestProductionAnswer:
         spy(np, "stack", "stack", he)
         response = server.answer(query)
         assert calls == {
-            "expand_level": 6, "cmux_round": params.num_dims, "take": 0, "stack": 0
+            "expand_level": modmath.ilog2(params.d0), "cmux_round": params.num_dims,
+            "take": 0, "stack": 0,
         }
         assert client.decode_response(response, 9, db.layout) == records[9]
 
