@@ -5,7 +5,8 @@ plaintext m in R_P and Δ = floor(Q/P).  Both polynomials are kept in NTT
 form so repeated multiplications need no conversions (Section II-B).
 
 Encryption is one compute-backend op over a whole stack of rows
-(:meth:`BfvContext.encrypt_zeros`).  Decryption rounds ``phase * P / Q``
+(:meth:`BfvContext.encrypt_zeros`), whose ``a`` halves are expanded from
+seeds (:func:`repro.he.sampling.expand_a`).  Decryption rounds ``phase * P / Q``
 exactly in RNS, with no big integer on the common path
 (:meth:`BfvContext.round_phase`): the CRT lift splits into per-modulus
 int64 quotients and remainders, the remainders' fractions are summed in
@@ -23,8 +24,8 @@ import numpy as np
 
 from repro.errors import NoiseOverflowError, ParameterError
 from repro.he.modred import modred
-from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
-from repro.he.sampling import Sampler
+from repro.he.poly import Domain, RingContext, RnsPoly
+from repro.he.sampling import Sampler, expand_a
 
 #: How close to a rounding boundary :meth:`BfvContext.round_phase`'s
 #: float64 sum may come before the coefficient is rounded with big
@@ -134,25 +135,40 @@ class BfvContext:
         )
 
     def encrypt_zeros(
-        self, key: SecretKey, count: int, shift: np.ndarray | None = None
+        self, key: SecretKey, count: int, shift: np.ndarray | None = None,
+        seeds: list[bytes] | None = None,
     ) -> np.ndarray:
         """``count`` RLWE encryptions of zero as one ``(2, count, rns, n)`` tensor.
 
         ``rows[0]`` holds the uniform ``a`` polynomials and ``rows[1]``
         ``b = e - a*s``, all in NTT form; ``shift``, ``(count, 2, rns)``
         per-row constants onto ``a`` and ``b``, turns zero rows into RGSW
-        rows (:func:`repro.he.rgsw.gadget_shift`).  The sampler is asked
-        for every uniform row first, in blocks that fit the scratch
-        budget, and every error row second, in one draw (the same stream
-        as one draw per block); the rest is one
+        rows (:func:`repro.he.rgsw.gadget_shift`).  The ``a`` rows are
+        seeded: ``seeds`` (one fresh sampler seed when omitted) split the
+        rows evenly, and seed ``k``'s rows are exactly
+        :func:`~repro.he.sampling.expand_a` of it, shifted rows included —
+        their ``a`` constant is subtracted before the encryption pass adds
+        it back, so ``b`` absorbs ``m·s`` and an upload needs only the
+        seed and ``b``.  The sampler is asked for the seeds first and every
+        error row second, in one draw; the rest is one
         :meth:`~repro.he.backend.ComputeBackend.encrypt_rows` call that
         writes the tensor in place.
         """
         ctx = self.ctx
+        if seeds is None:
+            seeds = [self.sampler.seed()]
+        per_seed, rest = divmod(count, len(seeds))
+        if rest:
+            raise ParameterError(f"{count} rows do not split over {len(seeds)} seeds")
         rows = np.empty((2, count, ctx.rns_count, ctx.n), dtype=np.int64)
-        block = max(1, BLOCK_BYTES // (3 * 8 * ctx.rns_count * ctx.n))
-        for lo in range(0, count, block):
-            self.sampler.uniform_rows(rows[0, lo:lo + block])
+        for k, seed in enumerate(seeds):
+            expand_a(seed, per_seed, ctx, out=rows[0, k * per_seed:(k + 1) * per_seed])
+        if shift is not None:
+            shifted = np.flatnonzero(shift[:, 0].any(axis=1))
+            a = rows[0, shifted]
+            a -= shift[shifted, 0, :, None]
+            modred(a, ctx._moduli_col)
+            rows[0, shifted] = a
         errors = self.sampler.error_rows(count)
         return default_backend().encrypt_rows(
             ctx, key.ntt.residues, rows, errors, shift

@@ -52,14 +52,24 @@ class SubsKey:
 def generate_subs_keys(
     bfv: BfvContext, gadget: Gadget, key: SecretKey, powers: list[int]
 ) -> dict[int, SubsKey]:
-    """evk_r for every r in ``powers``: rows (a_i, -a_i*s + e_i + z^i * s(X^r)).
+    """evk_r for every r in ``powers``, from a fresh sampler seed."""
+    return subs_keys(
+        bfv.ctx, powers, subs_key_rows(bfv, gadget, key, powers, bfv.sampler.seed())
+    )
 
-    All keys come out of one stacked :meth:`BfvContext.encrypt_zeros`
-    draw; each :class:`SubsKey` is a view of that tensor.
+
+def subs_key_rows(
+    bfv: BfvContext, gadget: Gadget, key: SecretKey, powers: list[int], seed: bytes
+) -> np.ndarray:
+    """The keys for ``powers`` as one ``(2, len(powers)·ℓ, rns, n)`` tensor.
+
+    Rows ``(a_i, -a_i*s + e_i + z^i * s(X^r))``, ℓ per power in the order
+    given, out of one stacked :meth:`BfvContext.encrypt_zeros` draw whose
+    ``a`` rows are expanded from ``seed``.
     """
     ctx, ell = bfv.ctx, gadget.length
     moduli = ctx._moduli_col
-    rows = bfv.encrypt_zeros(key, len(powers) * ell)
+    rows = bfv.encrypt_zeros(key, len(powers) * ell, seeds=[seed])
     keyed = rows.reshape((2, len(powers), ell) + rows.shape[2:])
     # s(X^r) for every power as one stacked transform of the ternary
     # secret's permuted coefficients (broadcast RNS axis).
@@ -72,6 +82,12 @@ def generate_subs_keys(
     b += (s_rot[:, None] * gadget.powers_col) % moduli
     b -= moduli
     modred(b, moduli)
+    return rows
+
+
+def subs_keys(ctx: RingContext, powers: list[int], rows: np.ndarray) -> dict[int, SubsKey]:
+    """Views of a :func:`subs_key_rows` tensor, one :class:`SubsKey` per power."""
+    keyed = rows.reshape((2, len(powers), ctx.params.gadget_len) + rows.shape[2:])
     return {
         r: SubsKey(r=r, ctx=ctx, rows=keyed[:, index])
         for index, r in enumerate(powers)

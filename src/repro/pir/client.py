@@ -6,6 +6,28 @@ subsequent-dimension selection bits as direct RGSW encryptions — the
 paper's practical D_i = 2 construction (Section II-C), which needs exactly
 one RGSW ciphertext per dimension.  Evaluation keys for ExpandQuery
 (one per tree depth, Section II-A) are shipped once at setup.
+
+Wire format.  Every upload — a :class:`PirQuery`, and the evaluation
+keys of :class:`ClientSetup` — is one 32-byte seed plus the ``b`` rows
+of its RLWE ciphertexts.  The ``a`` rows are uniform, so the client
+draws a seed from its sampler, expands it
+(:func:`repro.he.sampling.expand_a`) and encrypts under those rows; the
+server expands the same seed back (:func:`upload_rows`).  An RGSW row
+``i < ℓ`` carries its gadget term ``m·z^i`` on ``a``: the client
+subtracts it from the expanded ``a`` before encrypting and the
+encryption pass adds it back, so the sent ``a`` is exactly the
+expansion and ``b`` absorbs ``m·z^i·s`` — the rows' joint distribution
+is unchanged.  The hint tier ships its LWE matrix the same way
+(:func:`repro.pir.simplepir.lwe_public_matrix`).
+
+The expansion, like every stream in this repo (secrets included), is a
+numpy bit generator, not a cryptographic PRG, so seeding changes no
+security claim the repo makes; a deployment would expand the seed with
+SHAKE-128 or AES-CTR.  ``size_bytes`` counts what a message holds —
+its ``b`` rows at :attr:`~repro.params.PirParams.poly_bytes` each plus
+32 bytes per seed — while the performance models keep the paper's full
+ciphertext sizes (``PirParams.ct_bytes`` / ``rgsw_bytes`` /
+``evk_bytes``).
 """
 
 from __future__ import annotations
@@ -18,34 +40,103 @@ from repro.errors import LayoutError
 from repro.he import modmath
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
-from repro.he.poly import BLOCK_BYTES, RingContext
+from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.he.rgsw import RgswCiphertext, gadget_shift
-from repro.he.sampling import Sampler
-from repro.he.subs import SubsKey, generate_subs_keys
+from repro.he.sampling import SEED_BYTES, Sampler, expand_a
+from repro.he.subs import SubsKey, subs_key_rows, subs_keys
 from repro.params import PirParams
 from repro.pir.expand import expansion_powers
 from repro.pir.layout import RecordLayout
 
 
+def upload_rows(
+    ring: RingContext, seed: bytes, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The ``(2, rows, rns, n)`` RLWE rows a seeded upload stands for: the
+    ``a`` rows expanded from ``seed`` beside the sent ``b`` rows (written
+    into ``out`` when given)."""
+    if out is None:
+        out = np.empty((2,) + b.shape, dtype=np.int64)
+    expand_a(seed, len(b), ring, out=out[0])
+    out[1] = b
+    return out
+
+
+def b_half(rows: np.ndarray) -> np.ndarray:
+    """The ``b`` rows of a fresh ``(2, count, rns, n)`` encryption tensor,
+    kept in that tensor's own buffer: ``b`` moves over ``a`` and the
+    buffer shrinks to it (numpy refuses while any view of it lives), so
+    an upload holds no ``a`` row and costs no second allocation."""
+    rows[0] = rows[1]
+    rows.resize(rows.shape[1:])
+    return rows
+
+
+def upload_bytes(b: np.ndarray, params: PirParams) -> int:
+    """Wire size of a seeded upload: its ``b`` rows and one seed."""
+    return len(b) * params.poly_bytes + SEED_BYTES
+
+
 @dataclass
 class ClientSetup:
-    """One-time public material the client uploads to the server."""
+    """One-time public material the client uploads: the evaluation keys.
 
-    evks: dict[int, SubsKey]
+    ``b`` is ``(levels·ℓ, rns, n)``, ℓ key rows per ExpandQuery level in
+    level order (powers ``N+1, N/2+1, ...``); their ``a`` rows are
+    :func:`expand_a` of ``seed``.
+    """
+
+    ring: RingContext
+    seed: bytes
+    b: np.ndarray
 
     def size_bytes(self, params: PirParams) -> int:
-        return len(self.evks) * params.evk_bytes
+        return upload_bytes(self.b, params)
+
+    @property
+    def evks(self) -> dict[int, SubsKey]:
+        """The keys the message stands for, ``a`` rows regenerated."""
+        levels = len(self.b) // self.ring.params.gadget_len
+        return subs_keys(
+            self.ring, expansion_powers(self.ring.n, levels),
+            upload_rows(self.ring, self.seed, self.b),
+        )
 
 
 @dataclass
 class PirQuery:
-    """Per-retrieval message: one packed BFV ct + d RGSW selection bits."""
+    """Per-retrieval upload: one packed BFV ct + d RGSW selection bits,
+    as one seed and their ``b`` rows.
 
-    packed: BfvCiphertext
-    selection_bits: list[RgswCiphertext]
+    ``b`` is ``(1 + d·2ℓ, rns, n)``: the packed ciphertext's row, then
+    each bit's ``2ℓ`` rows.  ``packed`` and ``selection_bits`` regenerate
+    the ciphertexts (what the per-poly oracle reads); the server expands
+    a whole window's ``a`` rows itself.
+    """
+
+    ring: RingContext
+    seed: bytes
+    b: np.ndarray
 
     def size_bytes(self, params: PirParams) -> int:
-        return params.ct_bytes + len(self.selection_bits) * params.rgsw_bytes
+        return upload_bytes(self.b, params)
+
+    @property
+    def packed(self) -> BfvCiphertext:
+        rows = upload_rows(self.ring, self.seed, self.b)
+        return BfvCiphertext(
+            RnsPoly(self.ring, rows[0, 0], Domain.NTT),
+            RnsPoly(self.ring, rows[1, 0], Domain.NTT),
+        )
+
+    @property
+    def selection_bits(self) -> list[RgswCiphertext]:
+        rows = upload_rows(self.ring, self.seed, self.b)
+        width = 2 * self.ring.params.gadget_len
+        return [
+            RgswCiphertext(self.ring, rows[:, lo:lo + width])
+            for lo in range(1, len(self.b), width)
+        ]
 
 
 @dataclass
@@ -69,13 +160,14 @@ class PirClient:
         self.gadget = Gadget(self.ring)
         self.secret_key = SecretKey.generate(self.ring, self.sampler)
         levels = modmath.ilog2(params.d0)
-        self._evks = generate_subs_keys(
+        self._evk_seed = self.sampler.seed()
+        self._evk_b = b_half(subs_key_rows(
             self.bfv, self.gadget, self.secret_key,
-            expansion_powers(params.n, levels),
-        )
+            expansion_powers(params.n, levels), self._evk_seed,
+        ))
 
     def setup_message(self) -> ClientSetup:
-        return ClientSetup(evks=dict(self._evks))
+        return ClientSetup(self.ring, self._evk_seed, self._evk_b)
 
     # -- query construction -------------------------------------------------
     def build_query(self, record_index: int, layout: RecordLayout) -> PirQuery:
@@ -92,11 +184,12 @@ class PirClient:
         The pass is cut into blocks of queries whose RLWE rows — per
         query the packed ciphertext and ``d`` RGSW bits of ``2ℓ`` rows —
         fill the kernels' scratch budget; each block is one
-        :meth:`~repro.he.bfv.BfvContext.encrypt_zeros` tensor — the
-        gadget terms added by the encryption pass itself, the one-hot
-        plaintexts in place after it — and its queries are views into
-        it.  (One tensor for a whole 36-query pass measured no faster
-        and cost 9 MiB more peak RSS.)
+        :meth:`~repro.he.bfv.BfvContext.encrypt_zeros` tensor, one seed
+        per query — the gadget terms added by the encryption pass itself,
+        the one-hot plaintexts in place after it — and its queries hold
+        views of the block's ``b`` half, which :func:`b_half` leaves alone
+        in the tensor's buffer.  (One tensor for a whole 36-query pass measured no faster and
+        cost 9 MiB more peak RSS.)
         """
         params, ell, dims = self.params, self.gadget.length, self.params.num_dims
         if len(record_indices) != len(layouts):
@@ -128,21 +221,13 @@ class PirClient:
         per_query = 1 + dims * 2 * ell
         shift = np.zeros((count, per_query, 2, rns), dtype=np.int64)
         shift[:, 1:] = gadget_shift(self.gadget, bits).reshape(count, -1, 2, rns)
-        rows = self.bfv.encrypt_zeros(
-            self.secret_key, count * per_query, shift.reshape(-1, 2, rns)
-        )
-        rows = rows.reshape((2, count, per_query) + rows.shape[2:])
-        self.bfv.add_plain(rows[1, :, 0], onehot)
-        rgsw = rows[:, :, 1:].reshape((2, count, dims, 2 * ell) + rows.shape[3:])
-        return [
-            PirQuery(
-                packed=self.bfv.row_ct(rows[:, i], 0),
-                selection_bits=[
-                    RgswCiphertext(self.ring, rgsw[:, i, dim]) for dim in range(dims)
-                ],
-            )
-            for i in range(count)
-        ]
+        seeds = [self.sampler.seed() for _ in range(count)]
+        b = b_half(self.bfv.encrypt_zeros(
+            self.secret_key, count * per_query, shift.reshape(-1, 2, rns), seeds
+        ))
+        self.bfv.add_plain(b[::per_query], onehot)
+        b = b.reshape((count, per_query) + b.shape[1:])
+        return [PirQuery(self.ring, seed, b[i]) for i, seed in enumerate(seeds)]
 
     def _query_scale(self) -> int:
         """Compensation for the D0 factor ExpandQuery introduces."""

@@ -41,7 +41,8 @@ from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, Domain, RnsPoly
 from repro.obs.metrics import count
-from repro.pir.client import ClientSetup, PirQuery, PirResponse
+from repro.he.sampling import SEED_BYTES
+from repro.pir.client import ClientSetup, PirQuery, PirResponse, upload_rows
 from repro.pir.coltor import column_tournament_reference
 from repro.pir.database import PreprocessedDatabase
 from repro.pir.expand import expand_query
@@ -61,36 +62,57 @@ class PirServer:
         self.params = db.layout.params
         self.ring = db.ring
         self.gadget = Gadget(self.ring)
-        self.evks = setup.evks
         self.backend = resolve_backend(backend)
         self._levels = modmath.ilog2(self.params.d0)
+        self._check_upload(
+            "the client setup", setup.seed, setup.b,
+            self._levels * self.gadget.length,
+            f"{self._levels} evaluation keys of {self.gadget.length} rows",
+        )
+        self.evks = setup.evks
 
-    def _check_query(self, query: PirQuery, position: int = 0) -> None:
-        if len(query.selection_bits) != self.params.num_dims:
+    def _check_upload(
+        self, what: str, seed, b, rows: int, needs: str
+    ) -> None:
+        """A seeded upload this server can expand, or a typed refusal: a
+        32-byte seed, ``rows`` canonical int64 ``b`` rows of this ring."""
+        if not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
+            size = len(seed) if isinstance(seed, bytes) else type(seed).__name__
             raise ParameterError(
-                f"query {position} of the window has "
-                f"{len(query.selection_bits)} selection bits, database "
-                f"geometry needs {self.params.num_dims}"
+                f"{what} carries a seed of {size}; uploads expand their a "
+                f"rows from {SEED_BYTES} bytes"
             )
         poly = (self.ring.rns_count, self.ring.n)
-        rgsw = (2, 2 * self.gadget.length) + poly
-        shapes = [query.packed.a.residues.shape, query.packed.b.residues.shape]
-        if shapes != [poly, poly] or any(
-            bit.rows.shape != rgsw for bit in query.selection_bits
+        if not isinstance(b, np.ndarray) or b.ndim != 3 or b.shape[1:] != poly:
+            shape = b.shape if isinstance(b, np.ndarray) else type(b).__name__
+            raise ParameterError(
+                f"{what} was built for another geometry: b rows of {shape}, "
+                f"this server stacks {poly} polynomials"
+            )
+        if b.dtype != np.int64:
+            raise ParameterError(f"{what} has {b.dtype} b rows, not int64 residues")
+        if len(b) != rows:
+            raise ParameterError(
+                f"{what} has {len(b)} b rows; this server needs {rows} "
+                f"({needs})"
+            )
+        # As unsigned words a negative residue is past every modulus too.
+        if rows and np.any(
+            b.view(np.uint64).max(axis=(0, 2))
+            >= self.ring._moduli_col[:, 0].astype(np.uint64)
         ):
             raise ParameterError(
-                f"query {position} of the window was built for another "
-                f"geometry: this server stacks {poly} polynomials and "
-                f"{rgsw} RGSW bits"
+                f"{what} has a b residue outside [0, q): not a ciphertext "
+                f"of this ring"
             )
-        moduli = self.ring._moduli_col
-        for half in ("a", "b"):
-            residues = getattr(query.packed, half).residues
-            if np.any((residues < 0) | (residues >= moduli)):
-                raise ParameterError(
-                    f"query {position} of the window has a packed {half} "
-                    f"residue outside [0, q): not a ciphertext of this ring"
-                )
+
+    def _check_query(self, query: PirQuery, position: int = 0) -> None:
+        ell, dims = self.gadget.length, self.params.num_dims
+        self._check_upload(
+            f"query {position} of the window", query.seed, query.b,
+            1 + dims * 2 * ell,
+            f"the packed ciphertext and {dims} selection bits of {2 * ell} rows",
+        )
 
     @property
     def group_size(self) -> int:
@@ -160,16 +182,23 @@ class PirServer:
     def _answer_group(
         self, queries: list[PirQuery], planes: list[np.ndarray]
     ) -> list[PirResponse]:
-        """One stacked pass: every stage sees all of the group's queries."""
+        """One stacked pass: every stage sees all of the group's queries.
+
+        Each query's ``a`` rows are expanded from its seed into the group
+        tensor beside its ``b`` rows; the packed ciphertexts and the RGSW
+        bits are read out of it.
+        """
         backend, gadget, ring = self.backend, self.gadget, self.ring
-        packed = np.stack([
-            [q.packed.a.residues for q in queries],
-            [q.packed.b.residues for q in queries],
-        ])
-        expanded = backend.expand_window(packed, self.evks, self._levels, gadget)
+        uploads = np.empty((2, len(queries)) + queries[0].b.shape, dtype=np.int64)
+        for i, query in enumerate(queries):
+            upload_rows(ring, query.seed, query.b, out=uploads[:, i])
+        expanded = backend.expand_window(
+            np.ascontiguousarray(uploads[:, :, 0]), self.evks, self._levels, gadget
+        )
+        width = 2 * gadget.length
         bits = [
-            [q.selection_bits[dim].rows for q in queries]
-            for dim in range(self.params.num_dims)
+            [uploads[:, i, lo:lo + width] for i in range(len(queries))]
+            for lo in range(1, uploads.shape[2], width)
         ]
         results = []
         for plane in planes:

@@ -31,10 +31,9 @@ PARAMS = PirParams.small(n=256, d0=8, num_dims=2)
 
 
 def query_shape(query) -> tuple:
-    """Everything the server can see of one bucket query but its bytes."""
-    tensors = [query.packed.a.residues, query.packed.b.residues]
-    tensors += [bit.rows for bit in query.selection_bits]
-    return tuple((t.shape, t.dtype.str) for t in tensors)
+    """Everything the server can see of one bucket query but its bytes:
+    the seed's length and the b rows' shape."""
+    return len(query.seed), query.b.shape, query.b.dtype.str
 
 
 def pass_shapes(batch_query) -> list[list[tuple]]:
@@ -90,11 +89,11 @@ class TestPassShape:
         assert dummies and reals
         assert {query_shape(q) for q in dummies} == {query_shape(q) for q in reals}
         # No residue pattern gives a dummy away either: both kinds fill
-        # [0, q) evenly, halves and all.
+        # [0, q) evenly, the sent b rows and the a rows their seed expands to.
         moduli = np.array(batch_client.layout.bucket_params.moduli)[:, None]
         for query in dummies + reals:
-            tensors = [query.packed.a.residues, query.packed.b.residues]
-            tensors += [bit.rows for bit in query.selection_bits]
+            tensors = [query.b, query.packed.a.residues]
+            tensors += [bit.rows[0] for bit in query.selection_bits]
             upper = np.concatenate([(t >= moduli // 2).ravel() for t in tensors])
             assert abs(upper.mean() - 0.5) < 0.02
 
@@ -119,8 +118,10 @@ class TestStackedDraws:
 
     def test_noise_budget_after_deepest_coltor(self):
         """d0 = 32 and six ColTor rounds (the benchmark's serving geometry).
-        The parent commit measured 18.37-19.06 bits over eight seeds; the
-        stacked draws must leave no less."""
+        Over client seeds 0-63 the unseeded uploads left 17.85-19.39 bits
+        (median 18.60) and the seeded ones 17.80-19.33 (median 18.61): one
+        distribution.  The bound sits ~0.35 bit under that minimum, as the
+        earlier 18.0 sat under the first eight seeds' 18.37."""
         params = PirParams.small(n=256, d0=32, num_dims=6)
         db = PirDatabase.random(params, params.num_db_polys, 64, seed=1)
         for seed in range(3):
@@ -130,4 +131,4 @@ class TestStackedDraws:
             response = server.answer(client.build_query(index, db.layout))
             assert client.decode_response(response, index, db.layout) == db.record(index)
             budget = client.bfv.noise_budget_bits(response.plane_cts[0], client.secret_key)
-            assert budget >= 18.0
+            assert budget >= 17.5

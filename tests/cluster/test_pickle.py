@@ -7,6 +7,7 @@ re-attaches unpickled polynomials to the process-local interned context
 for their parameter set (see ``repro.he.poly``).
 """
 
+import io
 import pickle
 
 import numpy as np
@@ -139,3 +140,84 @@ class TestBatchKvRoundTrip:
         response = roundtrip(protocol.server.answer(query))
         values = protocol.client.decode(plan, response)
         assert values == {k: items[k] for k in keys}
+
+
+class _Recorder(pickle.Pickler):
+    """A pickler that notes every array it serialises."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.arrays = []
+
+    def reducer_override(self, obj):
+        if isinstance(obj, np.ndarray):
+            self.arrays.append(obj)
+        return NotImplemented
+
+
+def pickled_arrays(obj) -> list[np.ndarray]:
+    recorder = _Recorder(io.BytesIO())
+    recorder.dump(obj)
+    return recorder.arrays
+
+
+class TestSeededTraffic:
+    """What crosses a process boundary is each upload's 32-byte seed and its
+    ``b`` rows: no ``a`` half can be reached from a pickled message, and
+    ``size_bytes`` counts exactly what the message holds."""
+
+    def test_a_pickled_query_holds_its_b_rows_and_seed_only(self, proto):
+        protocol, db = proto
+        params = protocol.params
+        query = protocol.client.build_query(7, db.layout)
+        (array,) = pickled_arrays(query)
+        assert array is query.b
+        assert len(query.seed) == 32
+        # The buffer behind b is b alone: no a half of the client's
+        # encryption tensor rides along (one query is one block).
+        owner = query.b if query.b.base is None else query.b.base
+        assert owner.nbytes == query.b.nbytes
+        np.testing.assert_array_equal(query.packed.b.residues, array[0])
+        assert len(query.b) == 1 + params.num_dims * 2 * params.gadget_len
+        assert query.size_bytes(params) == len(query.b) * params.poly_bytes + 32
+        back = roundtrip(query)
+        assert back.seed == query.seed
+        np.testing.assert_array_equal(back.packed.a.residues, query.packed.a.residues)
+
+    def test_a_pickled_setup_holds_its_b_rows_and_seed_only(self, proto):
+        protocol, _ = proto
+        params = protocol.params
+        setup = protocol.client.setup_message()
+        (array,) = pickled_arrays(setup)
+        assert array is setup.b
+        assert setup.b.base is None
+        assert len(setup.b) == params.num_evks * params.gadget_len
+        assert setup.size_bytes(params) == len(setup.b) * params.poly_bytes + 32
+        for key in setup.evks.values():
+            assert not np.shares_memory(key.rows, setup.b)
+
+    def test_batch_and_keyword_passes_are_seeded_queries(self, small_params):
+        from repro.kvpir import KvPirProtocol
+        from repro.kvpir.layout import random_items
+
+        items = random_items(24, 16, seed=3)
+        protocol = KvPirProtocol(
+            small_params, items, max_lookup_batch=4, hash_seed=4, seed=5
+        )
+        query = protocol.client.build_queries(protocol.client.plan(list(items)[:3]))
+        bucket_queries = [q for chunk in query.chunks for rnd in chunk.rounds for q in rnd]
+        arrays = pickled_arrays(query)
+        assert len(arrays) == len(bucket_queries)
+        assert all(a is q.b for a, q in zip(arrays, bucket_queries))
+
+    def test_modelled_sizes_stay_the_papers(self):
+        """The performance models size full ciphertexts, as the paper does."""
+        from repro.params import PirParams
+        from repro.systems.scale_up import ScaleUpSystem
+
+        paper = PirParams.paper()
+        assert (paper.ct_bytes, paper.rgsw_bytes, paper.evk_bytes) == (
+            114688, 1146880, 573440
+        )
+        assert ScaleUpSystem(PirParams.paper(256, 9)).qps(64) == 4433.379517325558
+        assert ScaleUpSystem(PirParams.paper(256, 13)).qps(64) == 203.0943965939152

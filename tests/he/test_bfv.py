@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
+from repro.he.gadget import Gadget
 from repro.he.poly import Domain, RingContext, RnsPoly
-from repro.he.sampling import Sampler
+from repro.he.rgsw import gadget_shift
+from repro.he.sampling import SEED_BYTES, Sampler, expand_a
 from repro.params import PirParams
 
 
@@ -51,15 +53,12 @@ class TestEncryptDecrypt:
         assert stacked.encrypt_zero(secret_key).b == single.encrypt_zero(secret_key).b
 
     def test_encrypt_zeros_draws_uniform_rows_then_error_rows(self, ring, secret_key):
-        """The documented draw order of a stack: every uniform row (one
-        bounded draw per modulus), then every error row."""
+        """The documented draw order of a stack: one seed whose expansion
+        is every uniform row, then every error row."""
         count = 4
         rows = BfvContext(ring, Sampler(ring, seed=78)).encrypt_zeros(secret_key, count)
         rng = np.random.default_rng(78)
-        uniform = np.stack(
-            [rng.integers(0, q, size=(count, ring.n)) for q in ring.params.moduli],
-            axis=1,
-        )
+        uniform = expand_a(rng.bytes(SEED_BYTES), count, ring)
         errors = np.rint(
             rng.normal(0.0, ring.params.error_std, size=(count, ring.n))
         ).astype(np.int64)
@@ -68,6 +67,27 @@ class TestEncryptDecrypt:
             a = RnsPoly(ring, uniform[i], Domain.NTT)
             e = ring.from_small_coeffs(errors[i], domain=Domain.NTT)
             assert np.array_equal(rows[1, i], (-(a * secret_key.ntt) + e).residues)
+
+    def test_shifted_rows_keep_their_expanded_a(self, ring, secret_key):
+        """RGSW rows carry a gadget term on ``a``; it is subtracted before
+        the encryption pass adds it back, so every ``a`` row is still the
+        seeds' expansion and ``b`` holds ``e - a·s + m·z^i·s``."""
+        gadget = Gadget(ring)
+        count = 2 * gadget.length
+        shift = np.concatenate([gadget_shift(gadget, 1), gadget_shift(gadget, 0)])
+        seeds = [bytes([1]) * SEED_BYTES, bytes([2]) * SEED_BYTES]
+        bfv = BfvContext(ring, Sampler(ring, seed=79))
+        rows = bfv.encrypt_zeros(secret_key, 2 * count, shift, seeds)
+        for k, seed in enumerate(seeds):
+            assert np.array_equal(rows[0, k * count:(k + 1) * count], expand_a(seed, count, ring))
+        moduli, key = ring._moduli_col, secret_key.ntt.residues
+        for i in range(2 * count):
+            a, b = rows[:, i]
+            shift_a, shift_b = shift[i, 0][:, None], shift[i, 1][:, None]
+            e_ntt = (b + a * key - shift_b - shift_a * key) % moduli
+            for j, q in enumerate(ring.params.moduli):
+                e = ring.ntts[j].inverse(e_ntt[j])
+                assert np.abs(np.where(e > q // 2, e - q, e)).max() < 64
 
     def test_max_plaintext_value(self, ring, bfv, secret_key):
         p = ring.params.plain_modulus

@@ -11,13 +11,13 @@ import pytest
 
 from repro.errors import LayoutError, ParameterError
 from repro.he.bfv import BfvCiphertext
-from repro.he.rgsw import rgsw_encrypt
+from repro.he.rgsw import gadget_shift
 from repro.he.sampling import Sampler
 from repro.kvpir.client import KvPirClient
 from repro.kvpir.layout import KvDatabase
 from repro.kvpir.server import KvPirServer
 from repro.params import PirParams
-from repro.pir.client import ClientSetup, PirClient, PirResponse
+from repro.pir.client import PirClient, PirResponse
 from repro.pir.database import PirDatabase
 from repro.pir.layout import RecordLayout
 from repro.pir.protocol import PirProtocol
@@ -40,8 +40,14 @@ class TestCorruptedInputs:
         client, layout = protocol.client, db.layout
         index = 5  # poly 5: row 5, col 0 -> flipping bit 0 selects col 1
         query = client.build_query(index, layout)
-        flipped = rgsw_encrypt(client.bfv, client.gadget, 1, client.secret_key)
-        query.selection_bits[0] = flipped
+        # Bit 0 re-encrypted as a 1 under the query's own seeded a rows.
+        width = 2 * client.gadget.length
+        shift = np.zeros((len(query.b), 2, client.ring.rns_count), dtype=np.int64)
+        shift[1:1 + width] = gadget_shift(client.gadget, 1)
+        rows = client.bfv.encrypt_zeros(
+            client.secret_key, len(query.b), shift, [query.seed]
+        )
+        query.b[1:1 + width] = rows[1, 1:1 + width]
         response = protocol.server.answer(query)
         record = client.decode_response(response, index, layout)
         sibling = index + small_params.d0  # same row, next column
@@ -52,12 +58,12 @@ class TestCorruptedInputs:
         protocol, db = setup
         client, layout = protocol.client, db.layout
         query = client.build_query(3, layout)
-        # Replace the packed ct with an encryption of a non-one-hot mess.
+        # Replace the packed ct with an encryption of a non-one-hot mess
+        # under the query's own seeded a row.
         noise = np.arange(protocol.params.n, dtype=np.int64) % 7
-        query = type(query)(
-            packed=client.bfv.encrypt(noise, client.secret_key),
-            selection_bits=query.selection_bits,
-        )
+        rows = client.bfv.encrypt_zeros(client.secret_key, len(query.b), seeds=[query.seed])
+        client.bfv.add_plain(rows[1, :1], noise[None])
+        query.b[0] = rows[1, 0]
         response = protocol.server.answer(query)
         record = client.decode_response(response, 3, layout)
         assert record != db.record(3)
@@ -91,18 +97,17 @@ class TestStructuralRejection:
     def test_missing_selection_bits(self, setup):
         protocol, db = setup
         query = protocol.client.build_query(0, db.layout)
-        query.selection_bits.clear()
-        with pytest.raises(ParameterError):
+        query.b = query.b[:1]
+        with pytest.raises(ParameterError, match="1 b rows"):
             protocol.server.answer(query)
 
     def test_extra_selection_bits(self, setup):
         protocol, db = setup
         client = protocol.client
         query = client.build_query(0, db.layout)
-        query.selection_bits.append(
-            rgsw_encrypt(client.bfv, client.gadget, 0, client.secret_key)
-        )
-        with pytest.raises(ParameterError):
+        width = 2 * client.gadget.length
+        query.b = np.concatenate([query.b, query.b[1:1 + width]])
+        with pytest.raises(ParameterError, match="selection bits"):
             protocol.server.answer(query)
 
     @pytest.mark.parametrize("backend", ["eager", "native"])
@@ -113,17 +118,64 @@ class TestStructuralRejection:
         answers would differ, shifted far both would decode a wrong record."""
         protocol, db = setup
         client = protocol.client
-        server = PirServer(
-            protocol.preprocessed, ClientSetup(evks=protocol.server.evks), backend
-        )
+        server = PirServer(protocol.preprocessed, client.setup_message(), backend)
         window = [client.build_query(i, db.layout) for i in (0, 1, 2)]
         q = protocol.params.moduli[1]
-        residues = window[2].packed.b.residues
+        residues = window[2].b[0]
         residues[1, 17] += {"+q": q, "-q": -q, "2^40": 1 << 40}[shift]
         if shift == "-q" and residues[1, 17] >= 0:
             residues[1, 17] -= q
         with pytest.raises(ParameterError, match="query 2 of the window"):
             server.answer_batch(window)
+
+    @pytest.mark.parametrize("seed", [b"", bytes(31), bytes(33), "0" * 32, None])
+    def test_a_seed_that_is_not_32_bytes_is_refused(self, setup, seed):
+        protocol, db = setup
+        query = protocol.client.build_query(0, db.layout)
+        query.seed = seed
+        with pytest.raises(ParameterError, match="query 0 of the window carries a seed"):
+            protocol.server.answer(query)
+
+    @pytest.mark.parametrize("damage", ["dtype", "coefficients", "flat", "list"])
+    def test_b_rows_of_the_wrong_form_are_refused(self, setup, damage):
+        protocol, db = setup
+        query = protocol.client.build_query(0, db.layout)
+        b = query.b
+        query.b = {
+            "dtype": b.astype(np.uint32),
+            "coefficients": b[:, :, :-1],
+            "flat": b.reshape(len(b), -1),
+            "list": b.tolist(),
+        }[damage]
+        with pytest.raises(ParameterError, match="query 0 of the window"):
+            protocol.server.answer(query)
+
+    @pytest.mark.parametrize("backend", ["eager", "native"])
+    @pytest.mark.parametrize("shift", ["+q", "-q"])
+    def test_a_selection_bit_residue_outside_the_ring_is_refused(self, setup, backend, shift):
+        """The bit rows' b halves are range-checked like the packed row's."""
+        protocol, db = setup
+        client = protocol.client
+        server = PirServer(protocol.preprocessed, client.setup_message(), backend)
+        window = [client.build_query(i, db.layout) for i in (0, 1)]
+        q = protocol.params.moduli[0]
+        window[1].b[-1, 0, 5] += q if shift == "+q" else -q - window[1].b[-1, 0, 5] % q
+        with pytest.raises(ParameterError, match="query 1 of the window has a b residue"):
+            server.answer_batch(window)
+
+    @pytest.mark.parametrize("damage", ["seed", "rows", "range"])
+    def test_a_malformed_client_setup_is_refused(self, setup, damage):
+        protocol, _ = setup
+        message = protocol.client.setup_message()
+        if damage == "seed":
+            message.seed = message.seed[:8]
+        elif damage == "rows":
+            message.b = message.b[1:]
+        else:
+            message.b = message.b.copy()
+            message.b[2, 1, 0] = protocol.params.moduli[1]
+        with pytest.raises(ParameterError, match="the client setup"):
+            PirServer(protocol.preprocessed, message)
 
     @pytest.mark.parametrize("backend", ["eager", "native"])
     def test_the_keyword_window_refuses_it_too(self, backend):
@@ -135,7 +187,7 @@ class TestStructuralRejection:
         server = KvPirServer(db, client.batch.pir.ring, client.setup_message(), backend)
         query = client.build_queries(client.plan(list(items)[:2]))
         window = query.chunks[0].rounds[0]
-        window[-1].packed.a.residues[0, 3] = -1
+        window[-1].b[0, 0, 3] = -1
         with pytest.raises(ParameterError, match=f"query {len(window) - 1} of the window"):
             server.answer(query)
 

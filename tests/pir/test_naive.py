@@ -60,7 +60,11 @@ class TestCommunicationBlowUp:
         naive_bytes = pir.build_query(3).size_bytes(params)
         packed_bytes = protocol.client.build_query(3, db.layout).size_bytes(params)
         assert naive_bytes > 1.3 * packed_bytes
-        assert naive_bytes / packed_bytes == pytest.approx(
+        # The packed query travels seeded (its b rows and a 32-byte seed),
+        # so the modelled ratio of full ciphertexts is a lower bound and the
+        # b rows are exactly half the modelled packed query.
+        assert naive_bytes / packed_bytes > query_size_ratio(params)
+        assert naive_bytes / (2 * (packed_bytes - 32)) == pytest.approx(
             query_size_ratio(params), rel=1e-6
         )
 

@@ -54,4 +54,5 @@ class TestPaperScale:
         assert params.rgsw_bytes == 1120 * 1024
         assert params.evk_bytes == 560 * 1024
         query = protocol.client.build_query(0, db.layout)
-        assert query.size_bytes(params) == params.ct_bytes + 2 * params.rgsw_bytes
+        # The wire carries one seed and the b rows: half the modelled sizes.
+        assert query.size_bytes(params) == (params.ct_bytes + 2 * params.rgsw_bytes) // 2 + 32

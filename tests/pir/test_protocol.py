@@ -41,15 +41,17 @@ class TestEndToEnd:
     def test_transcript_accounting(self, small_params):
         db = PirDatabase.random(small_params, num_records=8, record_bytes=64, seed=1)
         protocol = PirProtocol(small_params, db, seed=7)
+        # Uploads are one 32-byte seed plus their b rows: half of each
+        # modelled evk / ciphertext / RGSW size, and the seed.
         assert protocol.transcript.setup_bytes == (
-            small_params.num_evks * small_params.evk_bytes
+            small_params.num_evks * small_params.evk_bytes // 2 + 32
         )
         protocol.retrieve(2)
         t = protocol.transcript
         assert t.queries_served == 1
         expected_query = (
             small_params.ct_bytes + small_params.num_dims * small_params.rgsw_bytes
-        )
+        ) // 2 + 32
         assert t.query_bytes == expected_query
         assert t.response_bytes == small_params.ct_bytes
 
@@ -96,7 +98,7 @@ class TestVariantGeometries:
     def test_wrong_bit_count_rejected(self, session):
         protocol, _ = session
         query = protocol.client.build_query(0, protocol.db.layout)
-        query.selection_bits.pop()
+        query.b = query.b[:-2 * protocol.params.gadget_len]  # the last bit's rows
         with pytest.raises(ParameterError):
             protocol.server.answer(query)
 
@@ -116,7 +118,9 @@ class TestPrivacyShape:
         protocol, _ = session
         q1 = protocol.client.build_query(5, protocol.db.layout)
         q2 = protocol.client.build_query(5, protocol.db.layout)
+        assert q1.seed != q2.seed
         assert not np.array_equal(q1.packed.a.residues, q2.packed.a.residues)
+        assert not np.array_equal(q1.b, q2.b)
 
 
 @settings(max_examples=5, deadline=None)

@@ -127,7 +127,7 @@ class TestWindowValidation:
         db, client, servers = plain
         server = servers["native"]
         queries = client.build_queries([1, 2, 3, 4], [db.layout] * 4)
-        queries[2] = PirQuery(queries[2].packed, queries[2].selection_bits[:-1])
+        queries[2] = PirQuery(queries[2].ring, queries[2].seed, queries[2].b[:-1])
         monkeypatch.setattr(
             server, "_answer_group", lambda *a: pytest.fail("answered before validating")
         )

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.errors import ParameterError
 from repro.params import PirParams
 from repro.serve import RealCryptoBackend, RealShardRegistry, ServeRuntime
 from repro.systems.batching import BatchPolicy
@@ -52,3 +53,21 @@ def test_serving_batches_match_direct_protocol_answers(registry):
     result = asyncio.run(main())
     assert registry.decode(request, result.response) == registry.expected(target)
     assert registry.decode(request, direct) == registry.expected(target)
+
+
+def test_a_malformed_upload_is_refused_and_the_next_query_answered(registry):
+    """A short seed is a typed refusal for its caller alone: the runtime
+    keeps serving, and the next well-formed query decodes."""
+    policy = BatchPolicy(waiting_window_s=0.0, max_batch=1)
+    bad, good = registry.make_request(3), registry.make_request(3)
+    bad.query.seed = bad.query.seed[:16]
+
+    async def main():
+        runtime = ServeRuntime(registry, RealCryptoBackend(registry), policy)
+        async with runtime:
+            with pytest.raises(ParameterError, match="seed"):
+                await runtime.serve(bad)
+            return await runtime.serve(good)
+
+    result = asyncio.run(main())
+    assert registry.decode(good, result.response) == registry.expected(3)
