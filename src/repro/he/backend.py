@@ -584,8 +584,9 @@ class ComputeBackend:
     ) -> np.ndarray:
         """Tournaments of Q queries: ``(2, Q * 2^d, rns, n)`` -> ``(2, Q, rns, n)``.
 
-        ``bits[k][q]`` is the ``(2, 2ℓ, rns, n)`` row tensor of query
-        ``q``'s k-th RGSW selection bit; round ``k`` is one
+        ``bits[k][q]`` holds query ``q``'s k-th RGSW selection bit: its
+        ``(2ℓ, rns, n)`` ``a`` and ``b`` halves, as one ``(2, 2ℓ, rns,
+        n)`` tensor or a pair of arrays; round ``k`` is one
         :meth:`_coltor_round` over them.
         """
         queries = len(bits[0]) if bits else 1
@@ -603,10 +604,11 @@ class ComputeBackend:
             return current[:, :, 0]
 
     def _coltor_round(
-        self, current: np.ndarray, bits: list[np.ndarray], gadget: Gadget
+        self, current: np.ndarray, bits: list, gadget: Gadget
     ) -> np.ndarray:
         """One tournament round: ``(2, Q, count, rns, n)`` -> ``(2, Q,
-        count / 2, rns, n)`` under query ``q``'s bit rows ``bits[q]``.
+        count / 2, rns, n)`` under query ``q``'s bit rows ``bits[q]`` (its
+        two halves).
 
         One grouped cmux — bit ⊡ (ones - zeros) + zeros — over the
         residue-tensor views of the even/odd entries; the Q bits are
@@ -1153,7 +1155,7 @@ class NativeBackend(EagerBackend):
         return get_backend(EagerBackend.name)._expand_level(vec, evk, step, gadget)
 
     def _coltor_round(
-        self, current: np.ndarray, bits: list[np.ndarray], gadget: Gadget
+        self, current: np.ndarray, bits: list, gadget: Gadget
     ) -> np.ndarray:
         """One C call for the whole round
         (:meth:`repro.he.native.NativeRing.cmux_round`): ``ones - zeros``,

@@ -685,13 +685,14 @@ class NativeRing:
         return out
 
     def cmux_round(
-        self, gadget: Gadget, cur: np.ndarray, bits: list[np.ndarray]
+        self, gadget: Gadget, cur: np.ndarray, bits: list
     ) -> np.ndarray | None:
         """One ColTor round as one fanned call (``ive_cmux_round``).
 
         ``cur`` is the ``(2, Q, count, rns, n)`` NTT-form round input and
-        ``bits[q]`` query ``q``'s ``(2, 2ℓ, rns, n)`` RGSW rows, read where
-        they lie (:func:`_key_table`).  Returns ``(2, Q, count / 2, rns, n)``: per pair of
+        ``bits[q]`` query ``q``'s RGSW rows — a ``(2, 2ℓ, rns, n)`` tensor
+        or a pair of ``(2ℓ, rns, n)`` halves — each half read where it lies
+        (:func:`_key_table`).  Returns ``(2, Q, count / 2, rns, n)``: per pair of
         entries ``bit ⊡ (ones - zeros) + zeros`` — or None, the caller's
         path then running, when a ``cur`` word is not canonical or a key
         word is wider than the largest modulus.  Fanned over output
@@ -703,12 +704,12 @@ class NativeRing:
         if (
             cur.shape != (2, queries, entries) + poly or entries % 2
             or len(bits) != queries
-            or any(b.shape != (2, k) + poly for b in bits)
+            or any(len(b) != 2 or any(h.shape != (k,) + poly for h in b) for b in bits)
         ):
             raise ParameterError(
                 f"expected a (2, Q, even count, {self.rns}, {self.n}) round "
-                f"and Q (2, {k}, {self.rns}, {self.n}) bits, got {cur.shape} "
-                f"and {[np.shape(b) for b in bits]}"
+                f"and Q bits of two ({k}, {self.rns}, {self.n}) halves, got "
+                f"{cur.shape} and {[[np.shape(h) for h in b] for b in bits]}"
             )
         blocks, table = _key_table(bits)
         outputs = queries * entries // 2

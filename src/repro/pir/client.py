@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import LayoutError
+from repro.errors import LayoutError, ParameterError
 from repro.he import modmath
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
@@ -65,10 +65,15 @@ def upload_rows(
 def b_half(rows: np.ndarray) -> np.ndarray:
     """The ``b`` rows of a fresh ``(2, count, rns, n)`` encryption tensor,
     kept in that tensor's own buffer: ``b`` moves over ``a`` and the
-    buffer shrinks to it (numpy refuses while any view of it lives), so
-    an upload holds no ``a`` row and costs no second allocation."""
+    buffer shrinks to it, so an upload holds no ``a`` row and costs no
+    second allocation.  ``rows`` must own its buffer with no view of it
+    alive — true of what :meth:`~repro.he.bfv.BfvContext.encrypt_zeros`
+    returns.  (numpy's reference check is off because a profiler's or
+    tracer's reference to the array would trip it.)"""
+    if not rows.flags.owndata:
+        raise ParameterError("b_half needs the tensor that owns its buffer")
     rows[0] = rows[1]
-    rows.resize(rows.shape[1:])
+    rows.resize(rows.shape[1:], refcheck=False)
     return rows
 
 

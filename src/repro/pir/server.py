@@ -32,6 +32,8 @@ group is one query and a window costs what a loop did.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from repro.errors import ParameterError
@@ -41,8 +43,8 @@ from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, Domain, RnsPoly
 from repro.obs.metrics import count
-from repro.he.sampling import SEED_BYTES
-from repro.pir.client import ClientSetup, PirQuery, PirResponse, upload_rows
+from repro.he.sampling import SEED_BYTES, expand_a
+from repro.pir.client import ClientSetup, PirQuery, PirResponse
 from repro.pir.coltor import column_tournament_reference
 from repro.pir.database import PreprocessedDatabase
 from repro.pir.expand import expand_query
@@ -153,7 +155,8 @@ class PirServer:
         runs against ``planes[p][i]`` — what
         :class:`~repro.batchpir.server.BatchPirServer` feeds with views
         of its bucket tensor.  The window is validated whole before any
-        kernel runs, then answered group by group.
+        kernel runs, then answered group by group; each group's ``a`` rows
+        are expanded from its seeds first.
         """
         if not queries:
             return []
@@ -169,36 +172,54 @@ class PirServer:
         count("pir_window_queries", len(queries))
         count("pir_window_groups", groups)
         bounds = np.linspace(0, len(queries), groups + 1).astype(int)
-        responses: list[PirResponse] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            responses.extend(
-                self._answer_group(
-                    queries[lo:hi],
-                    [p if p.shape[0] == 1 else p[lo:hi] for p in planes],
-                )
+        cuts = list(zip(bounds[:-1], bounds[1:]))
+
+        def expand_group(cut):
+            group = queries[cut[0]:cut[1]]
+            a = np.empty((len(group),) + group[0].b.shape, dtype=np.int64)
+            for i, query in enumerate(group):
+                expand_a(query.seed, len(query.b), self.ring, out=a[i])
+            return a
+
+        def answer(cut, a):
+            lo, hi = cut
+            return self._answer_group(
+                queries[lo:hi], [p if p.shape[0] == 1 else p[lo:hi] for p in planes], a
             )
+
+        if len(cuts) == 1:
+            return answer(cuts[0], expand_group(cuts[0]))
+        # The next group's a rows are expanded on a helper thread while
+        # this group's kernels run (numpy draws without the interpreter
+        # lock), so only the first group's expansion is on the path.
+        responses: list[PirResponse] = []
+        with ThreadPoolExecutor(1, thread_name_prefix="repro-expand") as helper:
+            pending = helper.submit(expand_group, cuts[0])
+            for index, cut in enumerate(cuts):
+                a = pending.result()
+                if index + 1 < len(cuts):
+                    pending = helper.submit(expand_group, cuts[index + 1])
+                responses.extend(answer(cut, a))
         return responses
 
     def _answer_group(
-        self, queries: list[PirQuery], planes: list[np.ndarray]
+        self, queries: list[PirQuery], planes: list[np.ndarray], a: np.ndarray
     ) -> list[PirResponse]:
         """One stacked pass: every stage sees all of the group's queries.
 
-        Each query's ``a`` rows are expanded from its seed into the group
-        tensor beside its ``b`` rows; the packed ciphertexts and the RGSW
-        bits are read out of it.
+        ``a`` holds the queries' expanded ``a`` rows; the packed
+        ciphertexts are stacked from them and the queries' ``b`` rows, and
+        each RGSW bit is the pair of its ``a`` and ``b`` halves, read where
+        they lie.
         """
         backend, gadget, ring = self.backend, self.gadget, self.ring
-        uploads = np.empty((2, len(queries)) + queries[0].b.shape, dtype=np.int64)
-        for i, query in enumerate(queries):
-            upload_rows(ring, query.seed, query.b, out=uploads[:, i])
-        expanded = backend.expand_window(
-            np.ascontiguousarray(uploads[:, :, 0]), self.evks, self._levels, gadget
-        )
+        rows = len(queries[0].b)
+        packed = np.stack([a[:, 0], np.stack([q.b[0] for q in queries])])
+        expanded = backend.expand_window(packed, self.evks, self._levels, gadget)
         width = 2 * gadget.length
         bits = [
-            [uploads[:, i, lo:lo + width] for i in range(len(queries))]
-            for lo in range(1, uploads.shape[2], width)
+            [(a[i, lo:lo + width], q.b[lo:lo + width]) for i, q in enumerate(queries)]
+            for lo in range(1, rows, width)
         ]
         results = []
         for plane in planes:
