@@ -42,7 +42,7 @@ from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.he.rgsw import RgswCiphertext, gadget_shift
-from repro.he.sampling import SEED_BYTES, Sampler, expand_a
+from repro.he.sampling import SEED_BYTES, Sampler, expand_a, prepared_ahead
 from repro.he.subs import SubsKey, subs_key_rows, subs_keys
 from repro.params import PirParams
 from repro.pir.expand import expansion_powers
@@ -209,27 +209,30 @@ class PirClient:
                 raise LayoutError("layout was built for different parameters")
             row, bits[i] = layout.dimension_indices(index)
             onehot[i, row] = self._query_scale()
-        query_bytes = (1 + dims * 2 * ell) * 16 * self.ring.rns_count * params.n
-        step = max(1, BLOCK_BYTES // query_bytes)
+        per_query = 1 + dims * 2 * ell
+        step = max(1, BLOCK_BYTES // (per_query * 16 * self.ring.rns_count * params.n))
+        seeds = [self.sampler.seed() for _ in range(count)]
+        cuts = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
         queries: list[PirQuery] = []
-        for lo in range(0, count, step):
-            queries.extend(
-                self._encrypt_block(onehot[lo:lo + step], bits[lo:lo + step])
-            )
+        for (lo, hi), rows in prepared_ahead(
+            cuts, lambda cut: self.bfv.seeded_rows(seeds[cut[0]:cut[1]], per_query)
+        ):
+            queries.extend(self._encrypt_block(onehot[lo:hi], bits[lo:hi], seeds[lo:hi], rows))
         return queries
 
-    def _encrypt_block(self, onehot: np.ndarray, bits: np.ndarray) -> list[PirQuery]:
+    def _encrypt_block(
+        self, onehot: np.ndarray, bits: np.ndarray, seeds: list[bytes], rows: np.ndarray
+    ) -> list[PirQuery]:
         """Queries for plaintext rows ``onehot`` and bit rows ``bits``: one
-        stacked encryption, the messages added in place."""
+        stacked encryption under their seeds' ``a`` rows (``rows``, from
+        :meth:`~repro.he.bfv.BfvContext.seeded_rows`), the messages added
+        in place."""
         count, dims = bits.shape
         ell, rns = self.gadget.length, self.ring.rns_count
         per_query = 1 + dims * 2 * ell
         shift = np.zeros((count, per_query, 2, rns), dtype=np.int64)
         shift[:, 1:] = gadget_shift(self.gadget, bits).reshape(count, -1, 2, rns)
-        seeds = [self.sampler.seed() for _ in range(count)]
-        b = b_half(self.bfv.encrypt_zeros(
-            self.secret_key, count * per_query, shift.reshape(-1, 2, rns), seeds
-        ))
+        b = b_half(self.bfv.encrypt_seeded(self.secret_key, rows, shift.reshape(-1, 2, rns)))
         self.bfv.add_plain(b[::per_query], onehot)
         b = b.reshape((count, per_query) + b.shape[1:])
         return [PirQuery(self.ring, seed, b[i]) for i, seed in enumerate(seeds)]

@@ -32,8 +32,6 @@ group is one query and a window costs what a loop did.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.errors import ParameterError
@@ -43,7 +41,7 @@ from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, Domain, RnsPoly
 from repro.obs.metrics import count
-from repro.he.sampling import SEED_BYTES, expand_a
+from repro.he.sampling import SEED_BYTES, expand_a, prepared_ahead
 from repro.pir.client import ClientSetup, PirQuery, PirResponse
 from repro.pir.coltor import column_tournament_reference
 from repro.pir.database import PreprocessedDatabase
@@ -181,25 +179,14 @@ class PirServer:
                 expand_a(query.seed, len(query.b), self.ring, out=a[i])
             return a
 
-        def answer(cut, a):
-            lo, hi = cut
-            return self._answer_group(
-                queries[lo:hi], [p if p.shape[0] == 1 else p[lo:hi] for p in planes], a
-            )
-
-        if len(cuts) == 1:
-            return answer(cuts[0], expand_group(cuts[0]))
         # The next group's a rows are expanded on a helper thread while
-        # this group's kernels run (numpy draws without the interpreter
-        # lock), so only the first group's expansion is on the path.
+        # this group's kernels run, so only the first expansion is on the
+        # answer's path.
         responses: list[PirResponse] = []
-        with ThreadPoolExecutor(1, thread_name_prefix="repro-expand") as helper:
-            pending = helper.submit(expand_group, cuts[0])
-            for index, cut in enumerate(cuts):
-                a = pending.result()
-                if index + 1 < len(cuts):
-                    pending = helper.submit(expand_group, cuts[index + 1])
-                responses.extend(answer(cut, a))
+        for (lo, hi), a in prepared_ahead(cuts, expand_group):
+            responses.extend(self._answer_group(
+                queries[lo:hi], [p if p.shape[0] == 1 else p[lo:hi] for p in planes], a
+            ))
         return responses
 
     def _answer_group(
