@@ -12,7 +12,7 @@ keys of :class:`ClientSetup` — is one 32-byte seed plus the ``b`` rows
 of its RLWE ciphertexts.  The ``a`` rows are uniform, so the client
 draws a seed from its sampler, expands it
 (:func:`repro.he.sampling.expand_a`) and encrypts under those rows; the
-server expands the same seed back (:func:`upload_rows`).  An RGSW row
+server expands the same seed back.  An RGSW row
 ``i < ℓ`` carries its gadget term ``m·z^i`` on ``a``: the client
 subtracts it from the expanded ``a`` before encrypting and the
 encryption pass adds it back, so the sent ``a`` is exactly the
@@ -32,6 +32,7 @@ ciphertext sizes (``PirParams.ct_bytes`` / ``rgsw_bytes`` /
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +50,10 @@ from repro.pir.expand import expansion_powers
 from repro.pir.layout import RecordLayout
 
 
-def upload_rows(
-    ring: RingContext, seed: bytes, b: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def upload_rows(ring: RingContext, seed: bytes, b: np.ndarray) -> np.ndarray:
     """The ``(2, rows, rns, n)`` RLWE rows a seeded upload stands for: the
-    ``a`` rows expanded from ``seed`` beside the sent ``b`` rows (written
-    into ``out`` when given)."""
-    if out is None:
-        out = np.empty((2,) + b.shape, dtype=np.int64)
+    ``a`` rows expanded from ``seed`` beside the sent ``b`` rows."""
+    out = np.empty((2,) + b.shape, dtype=np.int64)
     expand_a(seed, len(b), ring, out=out[0])
     out[1] = b
     return out
@@ -67,8 +64,8 @@ def b_half(rows: np.ndarray) -> np.ndarray:
     kept in that tensor's own buffer: ``b`` moves over ``a`` and the
     buffer shrinks to it, so an upload holds no ``a`` row and costs no
     second allocation.  ``rows`` must own its buffer with no view of it
-    alive — true of what :meth:`~repro.he.bfv.BfvContext.encrypt_zeros`
-    returns.  (numpy's reference check is off because a profiler's or
+    alive — true of a :meth:`~repro.he.bfv.BfvContext.seeded_rows` tensor
+    after ``encrypt_seeded``.  (numpy's reference check is off because a profiler's or
     tracer's reference to the array would trip it.)"""
     if not rows.flags.owndata:
         raise ParameterError("b_half needs the tensor that owns its buffer")
@@ -82,7 +79,7 @@ def upload_bytes(b: np.ndarray, params: PirParams) -> int:
     return len(b) * params.poly_bytes + SEED_BYTES
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientSetup:
     """One-time public material the client uploads: the evaluation keys.
 
@@ -98,14 +95,19 @@ class ClientSetup:
     def size_bytes(self, params: PirParams) -> int:
         return upload_bytes(self.b, params)
 
-    @property
+    @functools.cached_property
     def evks(self) -> dict[int, SubsKey]:
-        """The keys the message stands for, ``a`` rows regenerated."""
+        """The keys the message stands for, ``a`` rows regenerated once, so
+        every server built from this message shares them."""
         levels = len(self.b) // self.ring.params.gadget_len
         return subs_keys(
             self.ring, expansion_powers(self.ring.n, levels),
             upload_rows(self.ring, self.seed, self.b),
         )
+
+    def __getstate__(self) -> dict:
+        """What travels: the seed and the ``b`` rows, never the keys."""
+        return {k: v for k, v in self.__dict__.items() if k != "evks"}
 
 
 @dataclass
@@ -188,13 +190,16 @@ class PirClient:
         (a batch pass has one layout per bucket, all of one geometry).
         The pass is cut into blocks of queries whose RLWE rows — per
         query the packed ciphertext and ``d`` RGSW bits of ``2ℓ`` rows —
-        fill the kernels' scratch budget; each block is one
-        :meth:`~repro.he.bfv.BfvContext.encrypt_zeros` tensor, one seed
-        per query — the gadget terms added by the encryption pass itself,
-        the one-hot plaintexts in place after it — and its queries hold
-        views of the block's ``b`` half, which :func:`b_half` leaves alone
-        in the tensor's buffer.  (One tensor for a whole 36-query pass measured no faster and
-        cost 9 MiB more peak RSS.)
+        fill the kernels' scratch budget.  Every query's seed is drawn
+        first; each block is one
+        :meth:`~repro.he.bfv.BfvContext.seeded_rows` tensor, the next
+        block's expanded on a helper thread while this one is encrypted
+        (:func:`~repro.he.sampling.prepared_ahead`) — the gadget terms
+        added by the encryption pass itself, the one-hot plaintexts in
+        place after it — and its queries hold views of the block's ``b``
+        half, which :func:`b_half` leaves alone in the tensor's buffer.
+        (One tensor for a whole 36-query pass measured no faster and cost
+        9 MiB more peak RSS.)
         """
         params, ell, dims = self.params, self.gadget.length, self.params.num_dims
         if len(record_indices) != len(layouts):

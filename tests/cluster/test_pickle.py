@@ -188,13 +188,18 @@ class TestSeededTraffic:
         protocol, _ = proto
         params = protocol.params
         setup = protocol.client.setup_message()
+        keys = setup.evks  # expanded once and kept, but never pickled
+        assert setup.evks is keys
         (array,) = pickled_arrays(setup)
         assert array is setup.b
         assert setup.b.base is None
         assert len(setup.b) == params.num_evks * params.gadget_len
         assert setup.size_bytes(params) == len(setup.b) * params.poly_bytes + 32
-        for key in setup.evks.values():
+        for key in keys.values():
             assert not np.shares_memory(key.rows, setup.b)
+        back = roundtrip(setup)
+        for r, key in back.evks.items():
+            np.testing.assert_array_equal(key.rows, keys[r].rows)
 
     def test_batch_and_keyword_passes_are_seeded_queries(self, small_params):
         from repro.kvpir import KvPirProtocol

@@ -6,6 +6,8 @@ integrity guarantee — corruption must not crash the pipeline), and
 (b) structurally invalid inputs are rejected with clear errors.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,12 +170,13 @@ class TestStructuralRejection:
         protocol, _ = setup
         message = protocol.client.setup_message()
         if damage == "seed":
-            message.seed = message.seed[:8]
+            message = replace(message, seed=message.seed[:8])
         elif damage == "rows":
-            message.b = message.b[1:]
+            message = replace(message, b=message.b[1:])
         else:
-            message.b = message.b.copy()
-            message.b[2, 1, 0] = protocol.params.moduli[1]
+            b = message.b.copy()
+            b[2, 1, 0] = protocol.params.moduli[1]
+            message = replace(message, b=b)
         with pytest.raises(ParameterError, match="the client setup"):
             PirServer(protocol.preprocessed, message)
 
