@@ -138,51 +138,38 @@ class BfvContext:
         self, key: SecretKey, count: int, shift: np.ndarray | None = None,
         seeds: list[bytes] | None = None,
     ) -> np.ndarray:
-        """``count`` RLWE encryptions of zero as one ``(2, count, rns, n)``
-        tensor: :meth:`encrypt_seeded` of :meth:`seeded_rows`, the seeds
-        (one fresh sampler seed when omitted) splitting the rows evenly."""
+        """``count`` RLWE encryptions of zero as one ``(2, count, rns, n)`` tensor.
+
+        ``rows[0]`` holds the uniform ``a`` polynomials and ``rows[1]``
+        ``b = e - a*s``, all in NTT form; ``shift``, ``(count, 2, rns)``
+        per-row constants onto ``a`` and ``b``, turns zero rows into RGSW
+        rows (:func:`repro.he.rgsw.gadget_shift`).  The ``a`` rows are
+        seeded: ``seeds`` (one fresh sampler seed when omitted) split the
+        rows evenly, and seed ``k``'s rows are exactly
+        :func:`~repro.he.sampling.expand_a` of it, shifted rows included —
+        their ``a`` constant is subtracted before the encryption pass adds
+        it back, so ``b`` absorbs ``m·s`` and an upload needs only the
+        seed and ``b``.  The sampler is asked for the seeds first and every
+        error row second, in one draw; the rest is one
+        :meth:`~repro.he.backend.ComputeBackend.encrypt_rows` call that
+        writes the tensor in place.
+        """
+        ctx = self.ctx
         if seeds is None:
             seeds = [self.sampler.seed()]
         per_seed, rest = divmod(count, len(seeds))
         if rest:
             raise ParameterError(f"{count} rows do not split over {len(seeds)} seeds")
-        return self.encrypt_seeded(key, self.seeded_rows(seeds, per_seed), shift)
-
-    def seeded_rows(self, seeds: list[bytes], per_seed: int) -> np.ndarray:
-        """A fresh ``(2, len(seeds)·per_seed, rns, n)`` tensor whose ``a``
-        half holds seed ``k``'s :func:`~repro.he.sampling.expand_a` rows
-        at ``[k·per_seed, (k+1)·per_seed)``; :meth:`encrypt_seeded` writes
-        the ``b`` half.  It reads no sampler state, so it may run on
-        another thread."""
-        ctx = self.ctx
-        rows = np.empty((2, len(seeds) * per_seed, ctx.rns_count, ctx.n), dtype=np.int64)
+        rows = np.empty((2, count, ctx.rns_count, ctx.n), dtype=np.int64)
         for k, seed in enumerate(seeds):
             expand_a(seed, per_seed, ctx, out=rows[0, k * per_seed:(k + 1) * per_seed])
-        return rows
-
-    def encrypt_seeded(
-        self, key: SecretKey, rows: np.ndarray, shift: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Encryptions of zero under the seeded ``a`` rows of ``rows``, in place.
-
-        ``rows[1]`` becomes ``b = e - a*s``, all in NTT form, with one
-        error row per row from the sampler in one draw; ``shift``,
-        ``(count, 2, rns)`` per-row constants onto ``a`` and ``b``, turns
-        zero rows into RGSW rows (:func:`repro.he.rgsw.gadget_shift`).  A
-        shifted row's ``a`` constant is subtracted before the encryption
-        pass adds it back, so the sent ``a`` stays the seed's expansion,
-        ``b`` absorbs ``m·s``, and an upload needs only the seed and ``b``.
-        The rest is one
-        :meth:`~repro.he.backend.ComputeBackend.encrypt_rows` call.
-        """
-        ctx = self.ctx
         if shift is not None:
             shifted = np.flatnonzero(shift[:, 0].any(axis=1))
             a = rows[0, shifted]
             a -= shift[shifted, 0, :, None]
             modred(a, ctx._moduli_col)
             rows[0, shifted] = a
-        errors = self.sampler.error_rows(rows.shape[1])
+        errors = self.sampler.error_rows(count)
         return default_backend().encrypt_rows(
             ctx, key.ntt.residues, rows, errors, shift
         )

@@ -16,8 +16,6 @@ AES-CTR.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.errors import ParameterError
@@ -49,24 +47,6 @@ def expand_a(
     for i, q in enumerate(ring.params.moduli):
         out[:, i] = rng.integers(0, q, size=(rows, ring.n), dtype=np.uint32)
     return out
-
-
-def prepared_ahead(items: list, prepare):
-    """Yield ``(item, prepare(item))`` in order, ``prepare`` of the next
-    item running on a helper thread while the caller works on the current
-    one — the seed expansions of a pass, which numpy draws without the
-    interpreter lock.  A single item is prepared inline, starting no
-    thread."""
-    if len(items) == 1:
-        yield items[0], prepare(items[0])
-        return
-    with ThreadPoolExecutor(1, thread_name_prefix="repro-expand") as helper:
-        pending = helper.submit(prepare, items[0])
-        for index, item in enumerate(items):
-            ready = pending.result()
-            if index + 1 < len(items):
-                pending = helper.submit(prepare, items[index + 1])
-            yield item, ready
 
 
 class Sampler:

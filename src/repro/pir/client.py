@@ -43,7 +43,7 @@ from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, Domain, RingContext, RnsPoly
 from repro.he.rgsw import RgswCiphertext, gadget_shift
-from repro.he.sampling import SEED_BYTES, Sampler, expand_a, prepared_ahead
+from repro.he.sampling import SEED_BYTES, Sampler, expand_a
 from repro.he.subs import SubsKey, subs_key_rows, subs_keys
 from repro.params import PirParams
 from repro.pir.expand import expansion_powers
@@ -64,8 +64,8 @@ def b_half(rows: np.ndarray) -> np.ndarray:
     kept in that tensor's own buffer: ``b`` moves over ``a`` and the
     buffer shrinks to it, so an upload holds no ``a`` row and costs no
     second allocation.  ``rows`` must own its buffer with no view of it
-    alive — true of a :meth:`~repro.he.bfv.BfvContext.seeded_rows` tensor
-    after ``encrypt_seeded``.  (numpy's reference check is off because a profiler's or
+    alive — true of what :meth:`~repro.he.bfv.BfvContext.encrypt_zeros`
+    returns.  (numpy's reference check is off because a profiler's or
     tracer's reference to the array would trip it.)"""
     if not rows.flags.owndata:
         raise ParameterError("b_half needs the tensor that owns its buffer")
@@ -190,14 +190,12 @@ class PirClient:
         (a batch pass has one layout per bucket, all of one geometry).
         The pass is cut into blocks of queries whose RLWE rows — per
         query the packed ciphertext and ``d`` RGSW bits of ``2ℓ`` rows —
-        fill the kernels' scratch budget.  Every query's seed is drawn
-        first; each block is one
-        :meth:`~repro.he.bfv.BfvContext.seeded_rows` tensor, the next
-        block's expanded on a helper thread while this one is encrypted
-        (:func:`~repro.he.sampling.prepared_ahead`) — the gadget terms
-        added by the encryption pass itself, the one-hot plaintexts in
-        place after it — and its queries hold views of the block's ``b``
-        half, which :func:`b_half` leaves alone in the tensor's buffer.
+        fill the kernels' scratch budget; each block is one
+        :meth:`~repro.he.bfv.BfvContext.encrypt_zeros` tensor, one seed
+        per query — the gadget terms added by the encryption pass itself,
+        the one-hot plaintexts in place after it — and its queries hold
+        views of the block's ``b`` half, which :func:`b_half` leaves alone
+        in the tensor's buffer.
         (One tensor for a whole 36-query pass measured no faster and cost
         9 MiB more peak RSS.)
         """
@@ -216,28 +214,26 @@ class PirClient:
             onehot[i, row] = self._query_scale()
         per_query = 1 + dims * 2 * ell
         step = max(1, BLOCK_BYTES // (per_query * 16 * self.ring.rns_count * params.n))
-        seeds = [self.sampler.seed() for _ in range(count)]
-        cuts = [(lo, min(lo + step, count)) for lo in range(0, count, step)]
         queries: list[PirQuery] = []
-        for (lo, hi), rows in prepared_ahead(
-            cuts, lambda cut: self.bfv.seeded_rows(seeds[cut[0]:cut[1]], per_query)
-        ):
-            queries.extend(self._encrypt_block(onehot[lo:hi], bits[lo:hi], seeds[lo:hi], rows))
+        for lo in range(0, count, step):
+            queries.extend(
+                self._encrypt_block(onehot[lo:lo + step], bits[lo:lo + step])
+            )
         return queries
 
-    def _encrypt_block(
-        self, onehot: np.ndarray, bits: np.ndarray, seeds: list[bytes], rows: np.ndarray
-    ) -> list[PirQuery]:
+    def _encrypt_block(self, onehot: np.ndarray, bits: np.ndarray) -> list[PirQuery]:
         """Queries for plaintext rows ``onehot`` and bit rows ``bits``: one
-        stacked encryption under their seeds' ``a`` rows (``rows``, from
-        :meth:`~repro.he.bfv.BfvContext.seeded_rows`), the messages added
-        in place."""
+        stacked encryption, one seed per query, the messages added in
+        place."""
         count, dims = bits.shape
         ell, rns = self.gadget.length, self.ring.rns_count
         per_query = 1 + dims * 2 * ell
         shift = np.zeros((count, per_query, 2, rns), dtype=np.int64)
         shift[:, 1:] = gadget_shift(self.gadget, bits).reshape(count, -1, 2, rns)
-        b = b_half(self.bfv.encrypt_seeded(self.secret_key, rows, shift.reshape(-1, 2, rns)))
+        seeds = [self.sampler.seed() for _ in range(count)]
+        b = b_half(self.bfv.encrypt_zeros(
+            self.secret_key, count * per_query, shift.reshape(-1, 2, rns), seeds
+        ))
         self.bfv.add_plain(b[::per_query], onehot)
         b = b.reshape((count, per_query) + b.shape[1:])
         return [PirQuery(self.ring, seed, b[i]) for i, seed in enumerate(seeds)]

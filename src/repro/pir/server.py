@@ -41,7 +41,7 @@ from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, Domain, RnsPoly
 from repro.obs.metrics import count
-from repro.he.sampling import SEED_BYTES, expand_a, prepared_ahead
+from repro.he.sampling import SEED_BYTES, expand_a
 from repro.pir.client import ClientSetup, PirQuery, PirResponse
 from repro.pir.coltor import column_tournament_reference
 from repro.pir.database import PreprocessedDatabase
@@ -153,8 +153,7 @@ class PirServer:
         runs against ``planes[p][i]`` — what
         :class:`~repro.batchpir.server.BatchPirServer` feeds with views
         of its bucket tensor.  The window is validated whole before any
-        kernel runs, then answered group by group; each group's ``a`` rows
-        are expanded from its seeds first.
+        kernel runs, then answered group by group.
         """
         if not queries:
             return []
@@ -170,37 +169,31 @@ class PirServer:
         count("pir_window_queries", len(queries))
         count("pir_window_groups", groups)
         bounds = np.linspace(0, len(queries), groups + 1).astype(int)
-        cuts = list(zip(bounds[:-1], bounds[1:]))
-
-        def expand_group(cut):
-            group = queries[cut[0]:cut[1]]
-            a = np.empty((len(group),) + group[0].b.shape, dtype=np.int64)
-            for i, query in enumerate(group):
-                expand_a(query.seed, len(query.b), self.ring, out=a[i])
-            return a
-
-        # The next group's a rows are expanded on a helper thread while
-        # this group's kernels run, so only the first expansion is on the
-        # answer's path.
         responses: list[PirResponse] = []
-        for (lo, hi), a in prepared_ahead(cuts, expand_group):
-            responses.extend(self._answer_group(
-                queries[lo:hi], [p if p.shape[0] == 1 else p[lo:hi] for p in planes], a
-            ))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            responses.extend(
+                self._answer_group(
+                    queries[lo:hi],
+                    [p if p.shape[0] == 1 else p[lo:hi] for p in planes],
+                )
+            )
         return responses
 
     def _answer_group(
-        self, queries: list[PirQuery], planes: list[np.ndarray], a: np.ndarray
+        self, queries: list[PirQuery], planes: list[np.ndarray]
     ) -> list[PirResponse]:
         """One stacked pass: every stage sees all of the group's queries.
 
-        ``a`` holds the queries' expanded ``a`` rows; the packed
-        ciphertexts are stacked from them and the queries' ``b`` rows, and
-        each RGSW bit is the pair of its ``a`` and ``b`` halves, read where
-        they lie.
+        The queries' ``a`` rows are expanded from their seeds into one
+        tensor; the packed ciphertexts are stacked from it and the
+        queries' ``b`` rows, and each RGSW bit is the pair of its ``a`` and
+        ``b`` halves, read where they lie.
         """
         backend, gadget, ring = self.backend, self.gadget, self.ring
         rows = len(queries[0].b)
+        a = np.empty((len(queries),) + queries[0].b.shape, dtype=np.int64)
+        for i, query in enumerate(queries):
+            expand_a(query.seed, rows, ring, out=a[i])
         packed = np.stack([a[:, 0], np.stack([q.b[0] for q in queries])])
         expanded = backend.expand_window(packed, self.evks, self._levels, gadget)
         width = 2 * gadget.length
