@@ -40,8 +40,8 @@ from repro.he.backend import ComputeBackend, resolve_backend
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, Domain, RnsPoly
-from repro.obs.metrics import count
 from repro.he.sampling import SEED_BYTES, expand_a
+from repro.obs.metrics import count
 from repro.pir.client import ClientSetup, PirQuery, PirResponse
 from repro.pir.coltor import column_tournament_reference
 from repro.pir.database import PreprocessedDatabase
