@@ -60,17 +60,22 @@ def upload_rows(ring: RingContext, seed: bytes, b: np.ndarray) -> np.ndarray:
 
 
 def b_half(rows: np.ndarray) -> np.ndarray:
-    """The ``b`` rows of a fresh ``(2, count, rns, n)`` encryption tensor,
-    kept in that tensor's own buffer: ``b`` moves over ``a`` and the
+    """The ``b`` rows of a fresh ``(2, count, rns, n)`` encryption tensor.
+
+    Where nothing else refers to ``rows`` — true of what
+    :meth:`~repro.he.bfv.BfvContext.encrypt_zeros` returns, unless a
+    tracer or profiler holds a reference — ``b`` moves over ``a`` and the
     buffer shrinks to it, so an upload holds no ``a`` row and costs no
-    second allocation.  ``rows`` must own its buffer with no view of it
-    alive — true of what :meth:`~repro.he.bfv.BfvContext.encrypt_zeros`
-    returns.  (numpy's reference check is off because a profiler's or
-    tracer's reference to the array would trip it.)"""
+    second allocation.  Otherwise ``b`` is copied out: a view still
+    reaching the freed half would read released memory.
+    """
     if not rows.flags.owndata:
         raise ParameterError("b_half needs the tensor that owns its buffer")
     rows[0] = rows[1]
-    rows.resize(rows.shape[1:], refcheck=False)
+    try:
+        rows.resize(rows.shape[1:])
+    except ValueError:
+        return rows[0].copy()
     return rows
 
 
@@ -116,9 +121,11 @@ class PirQuery:
     as one seed and their ``b`` rows.
 
     ``b`` is ``(1 + d·2ℓ, rns, n)``: the packed ciphertext's row, then
-    each bit's ``2ℓ`` rows.  ``packed`` and ``selection_bits`` regenerate
-    the ciphertexts (what the per-poly oracle reads); the server expands
-    a whole window's ``a`` rows itself.
+    each bit's ``2ℓ`` rows.  ``packed`` and ``selection_bits`` rebuild
+    the ciphertexts (what the per-poly oracle reads) beside the live
+    ``b`` rows; the ``a`` rows they need are expanded once per seed and
+    kept, read-only, with the object but never pickled.  The server
+    expands a whole window's ``a`` rows itself.
     """
 
     ring: RingContext
@@ -128,22 +135,36 @@ class PirQuery:
     def size_bytes(self, params: PirParams) -> int:
         return upload_bytes(self.b, params)
 
+    def _a_rows(self) -> np.ndarray:
+        """The ``a`` rows ``seed`` expands to for ``len(b)`` rows."""
+        key = (self.seed, len(self.b))
+        cached = self.__dict__.get("_a")
+        if cached is None or cached[0] != key:
+            a = np.empty(np.shape(self.b), dtype=np.int64)
+            expand_a(self.seed, len(self.b), self.ring, out=a)
+            a.flags.writeable = False
+            cached = self.__dict__["_a"] = (key, a)
+        return cached[1]
+
     @property
     def packed(self) -> BfvCiphertext:
-        rows = upload_rows(self.ring, self.seed, self.b)
         return BfvCiphertext(
-            RnsPoly(self.ring, rows[0, 0], Domain.NTT),
-            RnsPoly(self.ring, rows[1, 0], Domain.NTT),
+            RnsPoly(self.ring, self._a_rows()[0], Domain.NTT),
+            RnsPoly(self.ring, self.b[0], Domain.NTT),
         )
 
     @property
     def selection_bits(self) -> list[RgswCiphertext]:
-        rows = upload_rows(self.ring, self.seed, self.b)
+        rows = np.stack((self._a_rows()[1:], self.b[1:]))
         width = 2 * self.ring.params.gadget_len
         return [
             RgswCiphertext(self.ring, rows[:, lo:lo + width])
-            for lo in range(1, len(self.b), width)
+            for lo in range(0, len(self.b) - 1, width)
         ]
+
+    def __getstate__(self) -> dict:
+        """What travels: the seed and the ``b`` rows, never the ``a`` rows."""
+        return {k: v for k, v in self.__dict__.items() if k != "_a"}
 
 
 @dataclass

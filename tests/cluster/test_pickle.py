@@ -184,6 +184,44 @@ class TestSeededTraffic:
         assert back.seed == query.seed
         np.testing.assert_array_equal(back.packed.a.residues, query.packed.a.residues)
 
+    def test_a_query_expands_its_a_rows_once_and_never_ships_them(self, proto, monkeypatch):
+        """``packed`` and ``selection_bits`` share one expansion per seed;
+        the ``b`` they carry is the live message, and the kept ``a`` rows
+        stay out of the pickle."""
+        import repro.pir.client as client_module
+
+        protocol, db = proto
+        query = protocol.client.build_query(5, db.layout)
+        calls = []
+        expand = client_module.expand_a
+        monkeypatch.setattr(
+            client_module, "expand_a", lambda *args, **kw: calls.append(1) or expand(*args, **kw)
+        )
+        a = query.packed.a.residues
+        bits = query.selection_bits
+        assert query.selection_bits[0].rows[0].tobytes() == bits[0].rows[0].tobytes()
+        assert len(calls) == 1
+        assert not a.flags.writeable
+        (array,) = pickled_arrays(query)
+        assert array is query.b
+        query.b[0, 0, 0] = (query.b[0, 0, 0] + 1) % protocol.params.moduli[0]
+        assert query.packed.b.residues[0, 0] == query.b[0, 0, 0]
+        assert len(calls) == 1
+        query.seed = bytes(32)
+        assert query.packed.a.residues.tobytes() != a.tobytes()
+        assert len(calls) == 2
+
+    def test_b_half_copies_while_a_view_of_the_tensor_is_alive(self):
+        from repro.pir.client import b_half
+
+        rows = np.arange(2 * 3 * 2 * 4, dtype=np.int64).reshape(2, 3, 2, 4).copy()
+        b = rows[1].copy()
+        view = rows[1]
+        out = b_half(rows)
+        assert out is not rows and rows.shape == (2, 3, 2, 4)
+        np.testing.assert_array_equal(out, b)
+        np.testing.assert_array_equal(view, b)
+
     def test_a_pickled_setup_holds_its_b_rows_and_seed_only(self, proto):
         protocol, _ = proto
         params = protocol.params
