@@ -14,12 +14,15 @@ the error deviation the parameters name, and the noise margin left after
 the deepest ColTor.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.batchpir.client import BatchPirClient
 from repro.batchpir.layout import BatchLayout
 from repro.hashing.cuckoo import CuckooConfig
+from repro.he import noise
 from repro.kvpir.client import KvPirClient
 from repro.kvpir.layout import KvDatabase
 from repro.params import PirParams
@@ -117,18 +120,26 @@ class TestStackedDraws:
             assert abs(error.mean()) < 0.05
 
     def test_noise_budget_after_deepest_coltor(self):
-        """d0 = 32 and six ColTor rounds (the benchmark's serving geometry).
-        Over client seeds 0-63 the unseeded uploads left 17.85-19.39 bits
-        (median 18.60) and the seeded ones 17.80-19.33 (median 18.61): one
-        distribution.  The bound sits ~0.35 bit under that minimum, as the
-        earlier 18.0 sat under the first eight seeds' 18.37."""
+        """d0 = 32 and six ColTor rounds (the benchmark's serving geometry),
+        over client seeds 0-31.  Every seed keeps the budget the noise
+        analysis guarantees with high probability (6-sigma bound of
+        ``repro.he.noise.estimate``, 17.08 bits here), and the seeds'
+        median stays at 18.4 bits or more: the unseeded uploads left a
+        64-seed median of 18.60 bits (17.85-19.39), and a 32-seed median
+        of one distribution moves ~0.07 bit, so a shift of the whole
+        distribution by 0.2 bit fails here, where single seeds held to a
+        flat floor catch only a shift as deep as their lowest reading."""
         params = PirParams.small(n=256, d0=32, num_dims=6)
+        floor = math.log2(params.delta / 2 / noise.estimate(params).response_bound())
         db = PirDatabase.random(params, params.num_db_polys, 64, seed=1)
-        for seed in range(3):
+        budgets = []
+        for seed in range(32):
             client = PirClient(params, seed=seed)
             server = PirServer(db.preprocess(client.ring), client.setup_message())
-            index = db.num_records - 1 - seed  # last column: every bit set or nearly
+            index = db.num_records - 1 - seed % 3  # last column: every bit set or nearly
             response = server.answer(client.build_query(index, db.layout))
             assert client.decode_response(response, index, db.layout) == db.record(index)
             budget = client.bfv.noise_budget_bits(response.plane_cts[0], client.secret_key)
-            assert budget >= 17.5
+            assert budget >= floor, f"client seed {seed}: {budget:.2f} bits"
+            budgets.append(budget)
+        assert np.median(budgets) >= 18.4
