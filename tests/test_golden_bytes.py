@@ -1,6 +1,8 @@
 """Seeded bytes pinned as data: evk, query and response sha256s.
 
-A client seeded with 12 builds its evaluation keys and, one at a time,
+At N = 256 (``small``) and N = 2^12 with d = 2 and d = 4 selection
+bits (``functional``, ``functional_d4``: the benchmark's 41-row query),
+a client seeded with 12 builds its evaluation keys and, one at a time,
 queries for indices 3, 17 and 40 of a 64-record store (64 bytes each,
 from ``default_rng(12)``); the server answers the three as one window.
 The evk hash covers each key's rows by ascending power ``r``; the query
@@ -33,6 +35,7 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_bytes.json").read_text())
 RINGS = {
     "small": PirParams.small(),
     "functional": PirParams.functional(d0=64, num_dims=2),
+    "functional_d4": PirParams.functional(d0=64, num_dims=4),
 }
 INDICES = (3, 17, 40)
 
