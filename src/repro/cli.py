@@ -3,9 +3,9 @@
 One command per purpose:
 
 ``demo``        one functional private retrieval, end to end
-``loadtest``    all real traffic: every (--serving tier) x (--mode sim, real,
-                cluster) cell deploys from one table, and real and cluster
-                runs audit every response against ground truth
+``loadtest``    all real traffic: every (--serving tier) x (--mode sim, real)
+                cell deploys from one table, and real runs audit every
+                response against ground truth
 ``qps``         modeled IVE serving numbers at a DB size: the plain tier's
                 breakdown, then each tier's table (batch amortization,
                 keyword overhead, hint speedup and refresh, update cost)
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.errors import ParameterError, ReproError
 from repro.params import PirParams
@@ -227,8 +227,8 @@ def cmd_qps(args: argparse.Namespace) -> int:
 # --record-bytes, --shards, --seed, --backend) at the CLI's toy geometry and
 # says what a load item is: ``keys`` is None where items are record indices,
 # else the key a drawn index stands for.  An executor column says what hosts
-# the window; a cell with no host is refused by ``_deploy``.  ``loadtest``
-# deploys through here.
+# the window; every column hosts every tier.  ``loadtest`` deploys through
+# here.
 
 
 def _shape(args: argparse.Namespace) -> dict:
@@ -302,11 +302,9 @@ class _Deployment:
     executor: object
     policy: object
     keys: list | None = None
-    #: The worker fleet, the caller's to start and close; None off-cluster.
-    coordinator: object = None
 
 
-def _sim_column(args, serving, publishes, obs) -> _Deployment:
+def _sim_column(args, serving, publishes, tracer) -> _Deployment:
     from repro.serve import SimShardRegistry, SimulatedBackend
     from repro.systems.batching import BatchPolicy
 
@@ -316,9 +314,7 @@ def _sim_column(args, serving, publishes, obs) -> _Deployment:
     policy = BatchPolicy(
         waiting_window_s=registry.waiting_window_s(), max_batch=args.max_batch
     )
-    return _Deployment(
-        registry, SimulatedBackend(registry, tracer=obs.get("tracer")), policy
-    )
+    return _Deployment(registry, SimulatedBackend(registry, tracer=tracer), policy)
 
 
 def _window_policy(args):
@@ -329,35 +325,16 @@ def _window_policy(args):
     )
 
 
-def _real_column(args, serving, publishes, obs) -> _Deployment:
+def _real_column(args, serving, publishes, tracer) -> _Deployment:
     from repro.serve import RealCryptoBackend
 
     registry, keys = _TIERS[serving](args, publishes)
-    executor = RealCryptoBackend(registry, tracer=obs.get("tracer"))
+    executor = RealCryptoBackend(registry, tracer=tracer)
     return _Deployment(registry, executor, _window_policy(args), keys)
 
 
-def _cluster_column(args, serving, publishes, obs) -> _Deployment:
-    # Replicas live in worker processes, which host the plain tier only
-    # (ROADMAP ServingMode (a): ship a tier's window state to workers, and
-    # the other rows gain this column).
-    from repro.cluster import ClusterCoordinator, ClusterRegistry
-
-    registry = ClusterRegistry.random(_toy_params(), **_shape(args))
-    coordinator = ClusterCoordinator(
-        registry, num_workers=args.workers, backend=args.backend, **obs
-    )
-    return _Deployment(
-        registry, coordinator, _window_policy(args), coordinator=coordinator
-    )
-
-
-#: ``--mode`` -> (the tiers it hosts, how the cell is built).
-_EXECUTORS = {
-    "sim": (tuple(_TIERS), _sim_column),
-    "real": (tuple(_TIERS), _real_column),
-    "cluster": (("plain",), _cluster_column),
-}
+#: ``--mode`` -> how the cell is built.
+_EXECUTORS = {"sim": _sim_column, "real": _real_column}
 
 
 def _deploy(
@@ -365,19 +342,11 @@ def _deploy(
     serving: str,
     mode: str,
     publishes: bool,
-    **obs,
+    tracer=None,
 ) -> _Deployment:
-    """Build the (``serving``, ``mode``) cell; a hostless one is refused typed.
-
-    ``obs`` is the tracer/profiler/recorder the executor should report to.
-    """
-    hosted, column = _EXECUTORS[mode]
-    if serving not in hosted:
-        raise ParameterError(
-            f"no host for --serving {serving} in --mode {mode}: the {mode} "
-            f"executor hosts {', '.join(hosted)}"
-        )
-    deployment = column(args, serving, publishes, obs)
+    """Build the (``serving``, ``mode``) cell; ``tracer`` is the one the
+    executor should report to."""
+    deployment = _EXECUTORS[mode](args, serving, publishes, tracer)
     if publishes and not hasattr(deployment.registry, "publish"):
         raise ParameterError(
             f"--publish-period: --serving {serving} in --mode {mode} has no publish"
@@ -435,7 +404,6 @@ def _audit(registry, results) -> dict:
 def cmd_loadtest(args: argparse.Namespace) -> int:
     """Open-loop load test; prints a JSON report to stdout."""
     import asyncio
-    import contextlib
     import json
     import time
 
@@ -482,24 +450,18 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
         tracer = Tracer()
         profiler = KernelProfiler()
-        # In-process kernels (real-mode serving, cluster-mode query
-        # building) accumulate here; worker-process kernels are merged in
-        # by the coordinator at shutdown.
         previous_profiler = install_profiler(profiler)
 
     publishes = args.publish_period is not None
     epochs_published = 0
 
     async def run(deployment: _Deployment, items: list):
-        registry, coordinator = deployment.registry, deployment.coordinator
+        registry = deployment.registry
         runtime = ServeRuntime(
             registry, deployment.executor, deployment.policy, admission,
             tracer=tracer, recorder=recorder,
         )
-        # The fleet starts before the runtime and drains after it; either
-        # drains on the way out of an error too, so no task is left pending.
-        fleet = contextlib.nullcontext() if coordinator is None else coordinator
-        async with fleet, runtime:
+        async with runtime:
             evaluator = None
             if slo_specs:
                 from repro.obs.slo import SloEvaluator
@@ -531,13 +493,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                             append_health_jsonl(
                                 args.health_out,
                                 health_snapshot(
-                                    now,
-                                    runtime.metrics,
-                                    args.health_interval,
-                                    verdicts,
-                                    coordinator.cluster_snapshot()
-                                    if coordinator is not None
-                                    else None,
+                                    now, runtime.metrics, args.health_interval,
+                                    verdicts
                                 ),
                             )
                         if stop_sampling.is_set():
@@ -588,19 +545,13 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             if sampler_task is not None:
                 stop_sampling.set()  # one final sample fires on the way out
                 await sampler_task
-            cluster_snap = (
-                coordinator.cluster_snapshot() if coordinator is not None else None
-            )
-        return report, runtime, cluster_snap, evaluator
+        return report, runtime, evaluator
 
     try:
-        deployment = _deploy(
-            args, args.serving, args.mode, publishes,
-            tracer=tracer, profiler=profiler, recorder=recorder,
-        )
-        registry, coordinator = deployment.registry, deployment.coordinator
+        deployment = _deploy(args, args.serving, args.mode, publishes, tracer)
+        registry = deployment.registry
         # Drawn before anything starts: a bad argument here exits 2 with
-        # no dispatcher, worker or timer task to leave behind.
+        # no dispatcher or timer task to leave behind.
         if args.distribution == "zipf":
             draws = loadgen.zipf_indices(
                 registry.num_records, args.queries, a=args.zipf_a, seed=args.seed
@@ -614,13 +565,11 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         if sim:
             from repro.serve import run_in_virtual_time
 
-            (report, runtime, cluster_snap, evaluator), virtual_s = (
-                run_in_virtual_time(run(deployment, items))
-            )
-        else:
-            report, runtime, cluster_snap, evaluator = asyncio.run(
+            (report, runtime, evaluator), virtual_s = run_in_virtual_time(
                 run(deployment, items)
             )
+        else:
+            report, runtime, evaluator = asyncio.run(run(deployment, items))
             virtual_s = None
     finally:
         if args.trace:
@@ -671,14 +620,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         from repro.obs.export import render_prometheus
 
         with open(args.prom_out, "w") as fh:
-            fh.write(
-                render_prometheus(
-                    runtime.metrics.registry.snapshot(), cluster=cluster_snap
-                )
-            )
+            fh.write(render_prometheus(runtime.metrics.registry.snapshot()))
         out["prom_out"] = args.prom_out
-    if coordinator is not None:
-        out["cluster"] = {"workers": args.workers, **asdict(coordinator.stats)}
     if args.trace:
         spans_path = f"{args.obs_out}.spans.jsonl"
         trace_path = f"{args.obs_out}.trace.json"
@@ -698,8 +641,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             obs["measured_vs_modeled"] = measured_vs_modeled(
                 profile, registry.params, max(1, report.completed)
             )
-        if cluster_snap is not None:
-            obs["cluster"] = cluster_snap
         with open(obs_path, "w") as fh:
             json.dump(obs, fh, indent=2)
         out["obs_files"] = {
@@ -850,12 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest = sub.add_parser(
         "loadtest", help="all real traffic: open-loop load test, tier x executor"
     )
-    loadtest.add_argument(
-        "--mode", choices=("sim", "real", "cluster"), default="sim"
-    )
-    loadtest.add_argument(
-        "--workers", type=int, default=2, help="cluster mode worker processes"
-    )
+    loadtest.add_argument("--mode", choices=tuple(_EXECUTORS), default="sim")
     loadtest.add_argument(
         "--pattern", choices=("poisson", "bursty", "diurnal"), default="poisson"
     )
@@ -872,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving tier: per-query scans, cuckoo-batched passes, "
         "keyword lookups, or the hint tier's batched plaintext GEMM; every "
         "tier runs in --mode sim and --mode real (records are keys and "
-        "record bytes value bytes on kvpir), the cluster hosts plain",
+        "record bytes value bytes on kvpir)",
     )
     loadtest.add_argument(
         "--publish-period",
@@ -947,8 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--postmortem-dir",
         default=None,
         metavar="DIR",
-        help="flight-recorder post-mortem dumps on worker death / "
-        "heartbeat timeout",
+        help="flight-recorder post-mortem dumps on a failed dispatch window",
     )
     loadtest.add_argument(
         "--prom-out",
@@ -958,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest.add_argument(
         "--backend",
-        help="compute backend of every real and cluster deployment (sim mode "
+        help="compute backend of every real deployment (sim mode "
         "ignores it; default: native where a C compiler is found, else "
         "eager); unknown names exit 2 listing the registered ones",
     )

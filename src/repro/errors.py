@@ -92,29 +92,6 @@ class RoutingError(ServeError):
     """A query could not be mapped to a shard."""
 
 
-class ClusterError(ServeError):
-    """Base class for errors raised by the multi-process runtime (repro.cluster)."""
-
-
-class WorkerDied(ClusterError):
-    """A worker process exited (or stopped heartbeating) with work in flight.
-
-    The coordinator retries the affected requests on a surviving replica;
-    this error surfaces only when every retry budget or replica is
-    exhausted, so the caller sees a typed rejection instead of a silently
-    dropped or wrong answer.
-    """
-
-    def __init__(self, worker_id: int, reason: str):
-        self.worker_id = worker_id
-        self.reason = reason
-        super().__init__(f"worker {worker_id} died: {reason}")
-
-
-class NoReplicaError(ClusterError):
-    """No live worker owns (or could be rebalanced onto) the target shard."""
-
-
 class StaleEpoch(ServeError):
     """A request was pinned to an epoch the registry no longer serves.
 

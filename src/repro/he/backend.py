@@ -4,8 +4,8 @@ The kernel stack has two layers.  This module is the production one:
 every stacked kernel lives on a :class:`ComputeBackend`, and
 ``get_backend(...)`` / ``resolve_backend(...)`` is the only route to one
 — ``PirServer``, batchpir, kvpir, the hintpir/SimplePIR GEMM tier, the
-mutate re-NTT, client encode/decode and key generation, the serving
-registries and the cluster workers all resolve a backend (``native``
+mutate re-NTT, client encode/decode and key generation, and the serving
+registries all resolve a backend (``native``
 where its library can be built, else ``eager``) and call its methods.
 The other layer is the per-polynomial stack (``he/poly`` + ``he/ntt`` +
 ``Gadget.decompose`` + ``subs.substitute`` /
@@ -82,8 +82,7 @@ Registering another backend::
 
     register_backend(MyBackend())
 
-after which ``--backend mine`` works everywhere a backend name travels,
-including reconstruction inside spawned cluster workers.
+after which ``--backend mine`` works everywhere a backend name travels.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ refuses the probe or the targeted build gets one more try with the
 portable flags alone; the reason is logged once and
 ``he_native_portable`` counted once (the kernels still run, slower).  The
 compiler writes to a temporary name and the result is renamed into
-place: processes racing on an empty cache (benchmark subprocesses,
-cluster workers) each build their own copy and whichever rename lands
+place: processes racing on an empty cache (the benchmark's per-workload
+subprocesses) each build their own copy and whichever rename lands
 last wins, every loser having already loaded a complete file.  No
 compiler, an unwritable cache, a failed portable build or a failed load is
 not an error: the reason is logged once, ``he_native_unavailable`` is counted

@@ -41,12 +41,12 @@ class RingContext:
     """Shared precomputed state for one polynomial ring R_Q.
 
     Contexts are heavy (NTT twiddle tables, monomial/automorphism caches)
-    and identity-compared on the hot path, so they must never travel over
-    IPC by value: pickling reduces to :meth:`shared`, which re-attaches to
-    the one process-local context for the parameter set.  A ciphertext
-    pickled in the coordinator and unpickled in a worker therefore carries
-    only its residues plus the (tiny, frozen) ``PirParams`` key, and every
-    polynomial in that worker shares a single context again.
+    and identity-compared on the hot path, so they must never be
+    serialised by value: pickling reduces to :meth:`shared`, which
+    re-attaches to the one process-local context for the parameter set.
+    A pickled ciphertext therefore carries only its residues plus the
+    (tiny, frozen) ``PirParams`` key, and every polynomial unpickled in a
+    process shares a single context again.
     """
 
     #: Process-local interning table for :meth:`shared` (params -> context).

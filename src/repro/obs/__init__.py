@@ -3,9 +3,8 @@
 The observability subsystem behind the serving stack:
 
 * :mod:`repro.obs.trace` — per-request spans minted at admission and
-  recorded through dispatcher, backend, coordinator, and (across the
-  process boundary) cluster workers; exported as JSONL and Chrome
-  ``trace_event`` JSON.
+  recorded through the dispatcher and the window executor; exported as
+  JSONL and Chrome ``trace_event`` JSON.
 * :mod:`repro.obs.metrics` — bounded-memory counters / gauges /
   quantile sketches / windowed time series; the recording substrate
   under :class:`~repro.serve.metrics.ServeMetrics` and the live signal
@@ -14,8 +13,8 @@ The observability subsystem behind the serving stack:
   objectives judged by Google-SRE-style multi-window burn rates; the
   sensor half of that autoscaler.
 * :mod:`repro.obs.events` — the flight recorder: a bounded ring of
-  structured control-plane events with post-mortem dumps on worker
-  death and heartbeat timeout.
+  structured control-plane events with post-mortem dumps when a
+  dispatch window fails.
 * :mod:`repro.obs.export` — Prometheus text exposition, periodic health
   JSONL, and the ``repro obs-watch`` dashboard rendering.
 * :mod:`repro.obs.profile` — opt-in kernel stage timers in the batched
@@ -51,7 +50,6 @@ from repro.obs.profile import (
     profiled,
 )
 from repro.obs.report import (
-    cross_process_traces,
     measured_vs_modeled,
     render_postmortem,
     render_report,
@@ -82,7 +80,6 @@ __all__ = [
     "WindowAggregate",
     "active",
     "append_health_jsonl",
-    "cross_process_traces",
     "health_snapshot",
     "install",
     "kernel_stage",

@@ -1,19 +1,20 @@
 """Flight recorder: a bounded ring of structured serving events.
 
 Metrics say *how much*; traces say *how long*; neither says *what
-happened* when a worker dies mid-batch.  The flight recorder fills that
+happened* when a dispatch window fails.  The flight recorder fills that
 gap: every control-plane decision — an admission rejection, a dispatch,
-a worker death, a retry, a rebalance, an epoch publish, a heartbeat
-timeout, an SLO state transition — is one :class:`Event` in a fixed-size
-ring buffer.  Recording is a deque append under a lock: cheap enough to
-leave on in production, bounded no matter how long a run streams.
+a failed window, an SLO state transition — is one :class:`Event` in a
+fixed-size ring buffer.  Recording is a deque append under a lock:
+cheap enough to leave on in production, bounded no matter how long a
+run streams.
 
-On a fatal event (by default ``worker.death`` and ``heartbeat.timeout``)
-the recorder snapshots itself into a **post-mortem**: the ring, every
-attached context source (the coordinator's ``cluster_snapshot()``, the
-live metrics series), and a trace-id index cross-linking events to the
-distributed traces of the requests they affected.  The dump is one JSON
-file, validated and rendered by ``repro obs-report --postmortem``.
+On a fatal event (by default ``batch.failed``, which the dispatcher
+records when a window's executor raises) the recorder snapshots itself
+into a **post-mortem**: the ring, every attached context source (the
+serving metrics and their live series), and a trace-id index
+cross-linking events to the traces of the requests they affected.  The
+dump is one JSON file, validated and rendered by ``repro obs-report
+--postmortem``.
 
 Event timestamps are whatever clock the recorder's callers use —
 ``loop.time()`` on the serving side — so the ring lines up with the
@@ -34,17 +35,13 @@ from repro.errors import ParameterError
 POSTMORTEM_VERSION = 1
 
 #: Event kinds that snapshot a post-mortem when a dump directory is set.
-DEFAULT_TRIGGER_KINDS = frozenset({"worker.death", "heartbeat.timeout"})
+DEFAULT_TRIGGER_KINDS = frozenset({"batch.failed"})
 
 #: kind -> severity for the kinds the serving stack records.  Unknown
 #: kinds default to "info" — the recorder owns no semantics beyond this.
 _SEVERITY = {
     "admission.reject": "warn",
     "batch.failed": "error",
-    "batch.retry": "warn",
-    "worker.death": "error",
-    "heartbeat.timeout": "error",
-    "shard.rebalance": "warn",
     "slo.breach": "error",
     "slo.warn": "warn",
     "postmortem.error": "error",
@@ -76,12 +73,11 @@ class Event:
 class FlightRecorder:
     """Bounded ring of :class:`Event` values with post-mortem dumps.
 
-    Thread-safe: the dispatcher records from the event loop while the
-    coordinator's reader threads marshal deaths in and benchmark
-    harnesses read snapshots.  The ring holds the last ``capacity``
-    events; older ones are evicted (counted in ``dropped``), which is
-    exactly what a post-mortem wants — the most recent history, not an
-    unbounded archive.
+    Thread-safe: the dispatcher records from the event loop while
+    benchmark harnesses read snapshots from other threads.  The ring
+    holds the last ``capacity`` events; older ones are evicted (counted
+    in ``dropped``), which is exactly what a post-mortem wants — the most
+    recent history, not an unbounded archive.
     """
 
     def __init__(
@@ -141,8 +137,8 @@ class FlightRecorder:
     def attach_source(self, name: str, snapshot_fn) -> None:
         """Register a zero-arg callable snapshotted into every dump.
 
-        The coordinator attaches ``cluster_snapshot``; the serving metrics
-        attach ``live_series``.  Sources are called at dump time, so the
+        The serving runtime attaches its metrics snapshot and
+        ``live_series``.  Sources are called at dump time, so the
         post-mortem captures the state *at* the fatal event.
         """
         with self._lock:
@@ -212,7 +208,7 @@ class FlightRecorder:
             self.dump(path, reason=f"{event.kind} (event seq {event.seq})",
                       at_s=event.at_s)
         except Exception as exc:  # noqa: BLE001 — the recorder is an
-            # observer: a full disk must not take the coordinator down
+            # observer: a full disk must not take the dispatcher down
             # with it.  The failure stays visible as its own event.
             self.record(
                 "postmortem.error",

@@ -3,13 +3,13 @@
 Three ways the same observability state leaves the process:
 
 * :func:`render_prometheus` — any
-  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (plus an optional
-  cluster snapshot) as Prometheus text exposition format, so a real
-  scrape pipeline can ingest a run without bespoke glue;
+  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` as Prometheus text
+  exposition format, so a real scrape pipeline can ingest a run without
+  bespoke glue;
 * :func:`health_snapshot` / :func:`append_health_jsonl` — one periodic
   health row (rates over the sampling interval, cumulative counters,
-  SLO verdicts, cluster fault counters) appended to a JSONL file that a
-  live ``repro obs-watch`` tails and ``--replay`` re-renders;
+  SLO verdicts) appended to a JSONL file that a live ``repro obs-watch``
+  tails and ``--replay`` re-renders;
 * :func:`render_watch_rows` — the terminal dashboard lines themselves.
 
 :func:`read_health_jsonl` is the strict loader (typed
@@ -56,17 +56,14 @@ def _prom_number(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(int(value))
 
 
-def render_prometheus(
-    snapshot: dict, cluster: dict | None = None, namespace: str = "repro"
-) -> str:
+def render_prometheus(snapshot: dict, namespace: str = "repro") -> str:
     """A registry snapshot as Prometheus text exposition format.
 
     Counters get the conventional ``_total`` suffix, histograms render
     as summaries (quantile-labelled samples + ``_sum``/``_count``,
     ``None`` quantiles of an empty sketch simply absent), gauges carry a
     ``_max`` twin, and a time series contributes its most recent window
-    as instantaneous gauges.  ``cluster`` adds the coordinator's fault
-    counters and per-worker liveness.
+    as instantaneous gauges.
     """
     lines: list[str] = []
     for name, value in sorted(snapshot.items()):
@@ -110,42 +107,11 @@ def render_prometheus(
             raise ObsError(
                 f"metric {name!r} has unexportable shape {type(value).__name__}"
             )
-    if cluster is not None:
-        pre = f"{namespace}_cluster"
-        for key in (
-            "batches_sent",
-            "batches_retried",
-            "worker_deaths",
-            "heartbeat_timeouts",
-            "rebalanced_shards",
-            "epochs_published",
-        ):
-            if key in cluster:
-                lines.append(f"# TYPE {pre}_{key}_total counter")
-                lines.append(f"{pre}_{key}_total {cluster[key]}")
-        if "live_workers" in cluster:
-            lines.append(f"# TYPE {pre}_live_workers gauge")
-            lines.append(f"{pre}_live_workers {len(cluster['live_workers'])}")
-        for worker_id, info in sorted(cluster.get("workers", {}).items()):
-            lines.append(
-                f'{pre}_worker_up{{worker="{worker_id}"}} '
-                f"{1 if info.get('alive') else 0}"
-            )
-            lines.append(
-                f'{pre}_worker_inflight{{worker="{worker_id}"}} '
-                f"{info.get('inflight', 0)}"
-            )
     return "\n".join(lines) + "\n"
 
 
 # -- health snapshots ------------------------------------------------------
-def health_snapshot(
-    now_s: float,
-    metrics,
-    interval_s: float,
-    verdicts=(),
-    cluster: dict | None = None,
-) -> dict:
+def health_snapshot(now_s: float, metrics, interval_s: float, verdicts=()) -> dict:
     """One JSONL health row: interval rates + cumulative counters + SLOs.
 
     ``metrics`` is a :class:`~repro.serve.metrics.ServeMetrics`; rates
@@ -169,7 +135,6 @@ def health_snapshot(
         **{name: metrics.registry.counter(name).value for name in _CLIFF_COUNTERS},
         "slo": [v.to_json() for v in verdicts],
         "worst_state": _worst(verdicts),
-        "cluster": cluster,
     }
 
 
@@ -250,7 +215,7 @@ def render_watch_row(row: dict) -> str:
     return "\n".join([line, *details])
 
 
-def render_watch_rows(rows: list[dict], cluster_tail: bool = True) -> list[str]:
+def render_watch_rows(rows: list[dict]) -> list[str]:
     """The full replay view: header, every row, and a closing summary."""
     lines = [render_watch_header()]
     lines.extend(render_watch_row(row) for row in rows)
@@ -264,14 +229,6 @@ def render_watch_rows(rows: list[dict], cluster_tail: bool = True) -> list[str]:
             f"final {last['served']} served / {last['rejected']} rejected / "
             f"{last['failed']} failed"
         )
-        cluster = last.get("cluster") if cluster_tail else None
-        if cluster:
-            lines.append(
-                f"cluster: {len(cluster.get('live_workers', []))} live, "
-                f"{cluster.get('worker_deaths', 0)} death(s), "
-                f"{cluster.get('batches_retried', 0)} retried, "
-                f"{cluster.get('rebalanced_shards', 0)} rebalanced"
-            )
     else:
         lines.append("no health snapshots")
     return lines

@@ -16,11 +16,6 @@ Stages intentionally nest (``subs`` contains ``ntt_inv``, and on
 ``eager`` also ``ntt_fwd`` and ``decompose``, which ``native`` fuses
 into one key-switch call; ``rowsel`` contains ``gemm``), so per-stage
 seconds overlap and do not sum to wall time — the report says so.
-
-Worker processes install their own profiler at spawn when
-``WorkerConfig.profile`` is set and ship :meth:`KernelProfiler.
-stats_tuple` back in ``WorkerStopped``; the coordinator merges them
-with :meth:`KernelProfiler.merge_tuples`.
 """
 
 from __future__ import annotations
@@ -111,7 +106,7 @@ class StageStats:
 
 
 class KernelProfiler:
-    """Accumulates per-stage kernel costs; thread-safe, mergeable."""
+    """Accumulates per-stage kernel costs; thread-safe."""
 
     def __init__(self):
         self.stages: dict[str, StageStats] = {}
@@ -125,25 +120,6 @@ class KernelProfiler:
             stats.calls += 1
             stats.seconds += seconds
             stats.bytes_moved += nbytes
-
-    def stats_tuple(self) -> tuple:
-        """Plain-data form for the cluster pipe: (name, calls, s, bytes)."""
-        with self._lock:
-            return tuple(
-                (name, st.calls, st.seconds, st.bytes_moved)
-                for name, st in sorted(self.stages.items())
-            )
-
-    def merge_tuples(self, stats: tuple) -> None:
-        """Fold in another process's :meth:`stats_tuple`."""
-        with self._lock:
-            for name, calls, seconds, nbytes in stats:
-                own = self.stages.get(name)
-                if own is None:
-                    own = self.stages[name] = StageStats()
-                own.calls += calls
-                own.seconds += seconds
-                own.bytes_moved += nbytes
 
     def snapshot(self) -> dict:
         """JSON-serializable per-stage digest with derived bandwidth."""

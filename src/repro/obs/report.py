@@ -6,7 +6,7 @@ Three files come out of ``repro loadtest --trace --obs-out PREFIX``:
 * ``PREFIX.trace.json``   — Chrome ``trace_event`` JSON for
   ``chrome://tracing`` / Perfetto;
 * ``PREFIX.obs.json``     — the run digest: metrics snapshot, live
-  time series, kernel profile, and cluster snapshot when applicable.
+  time series and kernel profile.
 
 ``repro obs-report`` (and the CI trace smoke) run the validators here —
 strict, typed failures via :class:`~repro.errors.ObsError` — and render
@@ -202,29 +202,7 @@ def render_postmortem(doc: dict, last_events: int = 20) -> list[str]:
             f"  [{event['seq']:>5d}] t={event['at_s']:9.3f}s "
             f"{event['severity']:>5s} {event['kind']:<18s} {args}{traced}"
         )
-    cluster = doc.get("sources", {}).get("cluster")
-    if isinstance(cluster, dict) and "live_workers" in cluster:
-        lines.append(
-            f"cluster at dump: workers {cluster['live_workers']} live, "
-            f"{cluster.get('worker_deaths', 0)} death(s), "
-            f"{cluster.get('batches_retried', 0)} retried, "
-            f"{cluster.get('rebalanced_shards', 0)} rebalanced"
-        )
     return lines
-
-
-def trace_pids(spans: list[dict]) -> dict[int, set[int]]:
-    """trace id -> pids it was observed in (from validated span dicts)."""
-    out: dict[int, set[int]] = {}
-    for span in spans:
-        if span["trace_id"] is not None:
-            out.setdefault(span["trace_id"], set()).add(span["pid"])
-    return out
-
-
-def cross_process_traces(spans: list[dict]) -> list[int]:
-    """Trace ids whose spans cross a process boundary (sorted)."""
-    return sorted(t for t, pids in trace_pids(spans).items() if len(pids) >= 2)
 
 
 def aggregate_kernel_profile(kernel_profile: dict) -> dict:
@@ -299,8 +277,7 @@ def render_report(
     spans: list[dict], trace: dict, obs: dict, mvm: list[dict] | None = None
 ) -> list[str]:
     """Human-readable report lines for ``repro obs-report``."""
-    crossing = cross_process_traces(spans)
-    pids = sorted({s["pid"] for s in spans})
+    traced = {s["trace_id"] for s in spans if s["trace_id"] is not None}
     metrics = obs["metrics"]
     lat, qw = metrics["latency"], metrics["queue_wait"]
     lines = [
@@ -313,9 +290,7 @@ def render_report(
         f"p99 {_fmt(lat['p99_s'], 1e3, ' ms')}; queue wait "
         f"p50 {_fmt(qw['p50_s'], 1e3, ' ms')}, "
         f"p99 {_fmt(qw['p99_s'], 1e3, ' ms')}",
-        f"{len(spans)} spans over {len(pids)} process(es); "
-        f"{len(trace_pids(spans))} traced requests, "
-        f"{len(crossing)} crossing a process boundary",
+        f"{len(spans)} spans, {len(traced)} traced requests",
     ]
     series = obs["live_series"]
     if series:
@@ -351,13 +326,4 @@ def render_report(
                 f"{row['measured_share']:>6.1%} {row['modeled_s']:>11.6f} "
                 f"{row['modeled_share']:>6.1%}"
             )
-    cluster = obs.get("cluster")
-    if cluster:
-        lines.append(
-            f"cluster: workers {cluster['live_workers']}, "
-            f"{cluster['worker_deaths']} death(s), "
-            f"{cluster['heartbeat_timeouts']} heartbeat timeout(s), "
-            f"{cluster['batches_retried']} retried, "
-            f"{cluster['rebalanced_shards']} rebalanced"
-        )
     return lines

@@ -25,7 +25,7 @@ threshold — fast proves it is happening *now*, slow proves it is
 
 Everything is clock-agnostic: the evaluator is handed ``now_s`` on the
 same axis the series records on, so the identical code judges a
-wall-clock cluster and a virtual-time million-query simulation.
+wall-clock real-crypto run and a virtual-time million-query simulation.
 """
 
 from __future__ import annotations

@@ -1,21 +1,13 @@
-"""Per-request distributed tracing across the serving stack.
+"""Per-request tracing across the serving stack.
 
 A trace id is minted once at the admission door and rides the request
-through every layer: the dispatcher's queue/batch spans, the backend
-span, the coordinator's per-attempt RPC span, and — across the process
-boundary, threaded through ``repro.cluster.messages`` — the worker's
-per-query answer span.  Each layer records :class:`Span` values into one
-shared :class:`Tracer`; worker processes build spans inline and ship
-them back in ``BatchDone``, so the coordinator-side tracer ends up with
-the whole cross-process picture.
+through every layer: the dispatcher's queue/batch spans and the
+executor's backend span.  Each layer records :class:`Span` values into
+one shared :class:`Tracer`.
 
-Clocks: spans store whatever clock their recorder used — event-loop
-time on the serving side (which equals ``time.monotonic()`` on a real
-loop) and ``time.monotonic()`` in workers.  On Linux ``CLOCK_MONOTONIC``
-is system-wide, so coordinator and worker spans share a timebase and one
-Chrome timeline renders both sides of the pipe.  Under the virtual-time
-loop spans are in virtual seconds (sim mode has no worker processes, so
-clocks never mix).
+Clocks: spans store the event loop's clock — ``time.monotonic()`` on a
+real loop, virtual seconds under the virtual-time loop — so one run's
+spans share one timebase.
 
 Exports: JSONL (one span per line, the machine-readable artifact) and
 Chrome ``trace_event`` JSON — open ``chrome://tracing`` or
@@ -38,9 +30,8 @@ _US = 1e6
 class Span:
     """One timed operation, attributed to a trace and a process/thread.
 
-    Frozen and plain-data so spans pickle across the cluster pipe
-    unchanged; ``trace_id`` is ``None`` only for runs without tracing
-    upstream (a worker answering an untraced batch records nothing).
+    ``trace_id`` is ``None`` for a span recorded outside any request's
+    trace.
     """
 
     trace_id: int | None
@@ -82,11 +73,6 @@ class Tracer:
     def record(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-
-    def extend(self, spans) -> None:
-        """Fold in spans shipped from another process (``BatchDone``)."""
-        with self._lock:
-            self._spans.extend(spans)
 
     def record_span(
         self,
@@ -136,17 +122,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def pids(self) -> set[int]:
-        return {span.pid for span in self.spans}
-
-    def trace_pids(self) -> dict[int, set[int]]:
-        """trace id -> set of pids its spans were recorded in."""
-        out: dict[int, set[int]] = {}
-        for span in self.spans:
-            if span.trace_id is not None:
-                out.setdefault(span.trace_id, set()).add(span.pid)
-        return out
-
     # -- export ------------------------------------------------------------
     def export_jsonl(self, path) -> int:
         """One span per line; returns the number of spans written."""
@@ -160,22 +135,20 @@ class Tracer:
         """The run as Chrome ``trace_event`` JSON (complete "X" events).
 
         Timestamps are normalized to the earliest span so the timeline
-        starts at zero regardless of the absolute clock, and each pid
-        gets a ``process_name`` metadata event (the tracer's own pid is
-        the coordinator/serving process; everything else is a worker).
+        starts at zero regardless of the absolute clock, and the serving
+        process gets a ``process_name`` metadata event.
         """
         spans = self.spans
         t0 = min((s.start_s for s in spans), default=0.0)
         events: list[dict] = []
         for pid in sorted({s.pid for s in spans}):
-            label = "serve" if pid == self.pid else "cluster-worker"
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
                     "pid": pid,
                     "tid": 0,
-                    "args": {"name": f"{label} (pid {pid})"},
+                    "args": {"name": f"serve (pid {pid})"},
                 }
             )
         for span in spans:

@@ -6,9 +6,9 @@ dispatchers apply the paper's waiting-window batch policy behind bounded
 admission queues, and a worker layer executes each window — the tier's
 ``ServingMode.answer_window`` — either with real cryptography (the one
 thread pool) or against the accelerator latency model on a virtual-time
-event loop, so million-user load tests run in wall-seconds.  A third
-executor lives in ``repro.cluster``: real-crypto replicas in worker
-*processes* behind a coordinator, for QPS that scales past the GIL.
+event loop, so million-user load tests run in wall-seconds.  One process
+serves every tier: the native kernels already spread each large call
+over the cores (``repro.he.native.fan_out``).
 """
 
 from repro.serve.dispatcher import (

@@ -5,8 +5,8 @@ database of R records is split into shards, each held by its own replica.
 Every tier presents the runtime with the :class:`ServingMode` protocol, so
 the runtime and the one thread executor never branch on the tier.  This
 module holds the protocol, the plain-tier routing base
-(:class:`PlainRouting`, shared with ``repro.mutate.serving`` and
-``repro.cluster.registry``) and two registries:
+(:class:`PlainRouting`, shared with ``repro.mutate.serving``) and two
+registries:
 
 * :class:`RealShardRegistry` — every shard is a real :class:`PirServer`
   over a slice of the records, sharing one client ring so queries and
@@ -67,8 +67,8 @@ class ShardBounds:
         """Coerce + bounds-check a shard id; typed RoutingError otherwise.
 
         The single shard-id validation every layer shares (every tier's
-        registry, the runtime's submit door, the cluster coordinator) so
-        the accepted types and the error shape cannot drift between them.
+        registry, the runtime's submit door) so the accepted types and the
+        error shape cannot drift between them.
         """
         shard_id = self._as_index(shard_id, "shard id")
         if not 0 <= shard_id < self.num_shards:
@@ -146,9 +146,8 @@ class ServeRequest:
     #: ``repro.mutate.serving``); None for unversioned registries.
     epoch: int | None = None
     #: Tracing id minted at the admission door (``repro.obs.trace``);
-    #: rides the request through every layer — including the cluster
-    #: message protocol into worker processes — so one timeline shows
-    #: the whole path.  None when tracing is off.
+    #: rides the request through every layer so one timeline shows the
+    #: whole path.  None when tracing is off.
     trace_id: int | None = None
 
 
@@ -157,7 +156,7 @@ def group_by_epoch(requests: list[ServeRequest]) -> dict[int, list[int]]:
 
     A dispatch window that straddles a ``publish`` legitimately mixes
     epochs; each group is answered as one stacked pass by that epoch's
-    server (thread executor and cluster coordinator alike).
+    server.
     """
     groups: dict[int, list[int]] = {}
     for position, request in enumerate(requests):
@@ -192,11 +191,8 @@ class ServingMode(Protocol):
         ...
 
     def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        """One response per request, in order, from one batched pass
-        (registries whose replicas live in cluster workers have none)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} holds no in-process replicas"
-        )
+        """One response per request, in order, from one batched pass."""
+        ...
 
     def decode(self, request: ServeRequest, response) -> bytes:
         """Record bytes for one response, or the tier's typed refusal."""
@@ -230,8 +226,8 @@ class PlainRouting(ServingMode):
     every shard, and the per-shard record layouts — geometry only, so
     put/delete epochs never change them.  Subclasses own where the
     replicas and the ground truth live: in-process servers
-    (:class:`RealShardRegistry`), per-epoch servers
-    (``VersionedShardRegistry``) or worker processes (``ClusterRegistry``).
+    (:class:`RealShardRegistry`) or per-epoch servers
+    (``VersionedShardRegistry``).
     """
 
     #: Epoch stamped on new requests; None for unversioned registries.

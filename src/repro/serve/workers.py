@@ -13,11 +13,8 @@ The dispatcher is written against plain asyncio (``loop.time()`` /
   :class:`SimulatedBackend`, which "serves" a batch by sleeping for the
   :class:`~repro.arch.simulator.IveSimulator` batched latency.  A 10k-query
   load test at paper scale finishes in wall-seconds.
-* cluster mode — ``repro.cluster.ClusterCoordinator``, the multi-process
-  sibling: the same contract, but batches cross a pipe to worker
-  processes so real-crypto throughput scales with cores, not one GIL.
 
-What the three share is :class:`WindowExecutor`; "backend" is otherwise
+What the two share is :class:`WindowExecutor`; "backend" is otherwise
 reserved for the compute backend (``repro.he.backend``).
 """
 
@@ -130,10 +127,9 @@ class SimResponse:
 class WindowExecutor(Protocol):
     """Where a dispatch window runs: what a ``ServeRuntime`` is handed.
 
-    Threads (:class:`RealCryptoBackend`), virtual time
-    (:class:`SimulatedBackend`) and worker processes
-    (``repro.cluster.ClusterCoordinator``) differ only in *where* the
-    tier's window is answered; the dispatcher sees these two calls.
+    Threads (:class:`RealCryptoBackend`) and virtual time
+    (:class:`SimulatedBackend`) differ only in *where* the tier's window
+    is answered; the dispatcher sees these two calls.
     """
 
     async def answer(self, shard_id: int, requests: list[ServeRequest]) -> list:
@@ -149,10 +145,14 @@ class RealCryptoBackend:
     """The one thread executor: runs a tier's ``answer_window`` off-loop.
 
     The window's batched pass is the registry's method; this class only
-    decides where it runs, the same for every tier.  numpy releases the
-    GIL for the heavy modular arithmetic, so a small thread pool gives
-    genuine overlap between shards; a process pool is not worth the
-    ciphertext pickling cost at these sizes.
+    decides where it runs, the same for every tier.  numpy and the native
+    kernels release the GIL, so the pool overlaps different shards'
+    windows.  Its width stays Python's default (``max_workers=None``):
+    at N = 256, where every kernel call runs whole on one core, one
+    worker served fewer queries per second than the default in four of
+    five alternating pairs; at N = 2^12, where each large call already
+    fans over the cores, the two tied (EXPERIMENTS.md, serving-pool
+    width).  Worker processes lost to this pool at both sizes.
     """
 
     def __init__(

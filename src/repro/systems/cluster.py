@@ -118,40 +118,3 @@ class IveCluster:
 
     def qps(self, batch: int) -> float:
         return self.latency(batch).qps
-
-
-@dataclass(frozen=True)
-class ScalingPoint:
-    """Modeled cluster throughput at one fleet size (Fig. 13d shape)."""
-
-    num_systems: int
-    qps: float
-    speedup: float
-
-    @property
-    def efficiency(self) -> float:
-        """Fraction of ideal linear scaling retained at this size."""
-        return self.speedup / self.num_systems
-
-
-def scaling_curve(
-    params: PirParams,
-    sizes: tuple[int, ...] = (1, 2, 4, 8),
-    batch: int = 64,
-    config: IveConfig | None = None,
-) -> list[ScalingPoint]:
-    """Modeled QPS scaling across cluster sizes, normalized to one system.
-
-    The analytic twin of the measured multi-process runtime
-    (``repro.cluster``): ``benchmarks/bench_cluster.py`` reports both so
-    model drift against measurement is visible in one JSON artifact.
-    Model scaling is sublinear through the gather + final-tournament
-    serial tail; the measured runtime's analog is pickle/IPC overhead.
-    """
-    points: list[ScalingPoint] = []
-    base: float | None = None
-    for n in sizes:
-        qps = IveCluster(params, n, config).qps(batch)
-        base = qps if base is None else base
-        points.append(ScalingPoint(num_systems=n, qps=qps, speedup=qps / base))
-    return points

@@ -9,7 +9,7 @@ the adversarial lazy-reduction and limb iCRT corners) through
 and the per-poly oracle on the other, and assert element identity.
 Every case runs on each registered backend; ``REPRO_BACKEND`` restricts
 that to one (CI runs the file once per backend, like
-``test_plan_parity.py``).  The backend loop sits inside each test, not
+``test_primitive_parity.py``).  The backend loop sits inside each test, not
 in a ``parametrize``, so test ids do not depend on the registry.
 """
 

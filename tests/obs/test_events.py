@@ -14,9 +14,9 @@ class TestRing:
         rec = FlightRecorder()
         rec.record("admission.reject", 1.0, trace_ids=(7,), reason="queue-full")
         rec.record("epoch.publish", 2.0, epoch=3)
-        rec.record("worker.death", 3.0, worker=1)
+        rec.record("batch.failed", 3.0, shard=1)
         kinds = [e.kind for e in rec.events()]
-        assert kinds == ["admission.reject", "epoch.publish", "worker.death"]
+        assert kinds == ["admission.reject", "epoch.publish", "batch.failed"]
         severities = [e.severity for e in rec.events()]
         assert severities == ["warn", "info", "error"]
         assert [e.seq for e in rec.events()] == [1, 2, 3]
@@ -34,14 +34,14 @@ class TestRing:
 
     def test_none_trace_ids_are_filtered(self):
         rec = FlightRecorder()
-        event = rec.record("batch.retry", 1.0, trace_ids=(None, 4, None, 9))
+        event = rec.record("batch.dispatch", 1.0, trace_ids=(None, 4, None, 9))
         assert event.trace_ids == (4, 9)
 
     def test_trace_index_cross_links(self):
         rec = FlightRecorder()
         rec.record("batch.dispatch", 1.0, trace_ids=(4,))
-        rec.record("worker.death", 2.0, trace_ids=(4, 9))
-        rec.record("batch.retry", 3.0, trace_ids=(9,))
+        rec.record("batch.failed", 2.0, trace_ids=(4, 9))
+        rec.record("admission.reject", 3.0, trace_ids=(9,))
         index = rec.postmortem("drill", 4.0)["trace_index"]
         assert index == {"4": [1, 2], "9": [2, 3]}
 
@@ -56,20 +56,20 @@ class TestPostmortem:
     def test_trigger_kind_dumps_automatically(self, tmp_path):
         rec = FlightRecorder(dump_dir=str(tmp_path))
         rec.record("batch.dispatch", 1.0, trace_ids=(3,))
-        rec.record("worker.death", 2.0, trace_ids=(3,), worker=0)
+        rec.record("batch.failed", 2.0, trace_ids=(3,), shard=0)
         assert rec.dumps_written == 1
         (path,) = tmp_path.glob("postmortem-*.json")
-        assert "worker-death" in path.name
+        assert "batch-failed" in path.name
         doc = validate_postmortem(path)
-        assert doc["reason"].startswith("worker.death")
+        assert doc["reason"].startswith("batch.failed")
         assert [e["kind"] for e in doc["events"]] == [
-            "batch.dispatch", "worker.death",
+            "batch.dispatch", "batch.failed",
         ]
         assert doc["trace_index"] == {"3": [1, 2]}
 
     def test_non_trigger_kinds_do_not_dump(self, tmp_path):
         rec = FlightRecorder(dump_dir=str(tmp_path))
-        rec.record("batch.retry", 1.0)
+        rec.record("admission.reject", 1.0)
         rec.record("slo.breach", 2.0)
         assert rec.dumps_written == 0
         assert list(tmp_path.glob("*.json")) == []
@@ -77,34 +77,34 @@ class TestPostmortem:
     def test_dump_budget_is_bounded(self, tmp_path):
         rec = FlightRecorder(dump_dir=str(tmp_path), max_dumps=2)
         for t in range(5):
-            rec.record("worker.death", float(t), worker=t)
+            rec.record("batch.failed", float(t), shard=t)
         assert rec.dumps_written == 2
         assert len(list(tmp_path.glob("postmortem-*.json"))) == 2
 
     def test_sources_are_snapshotted_and_failures_contained(self, tmp_path):
         rec = FlightRecorder()
-        rec.attach_source("cluster", lambda: {"live_workers": [1]})
+        rec.attach_source("serve_metrics", lambda: {"submitted": 1})
 
         def broken():
             raise RuntimeError("snapshot race")
 
         rec.attach_source("broken", broken)
         doc = rec.postmortem("test", at_s=1.0)
-        assert doc["sources"]["cluster"] == {"live_workers": [1]}
+        assert doc["sources"]["serve_metrics"] == {"submitted": 1}
         assert "RuntimeError" in doc["sources"]["broken"]["error"]
 
     def test_failed_auto_dump_becomes_its_own_event(self, tmp_path):
         target = tmp_path / "not-a-dir"
         target.write_text("a file where the dump dir should be")
         rec = FlightRecorder(dump_dir=str(target))
-        rec.record("worker.death", 1.0, worker=0)
+        rec.record("batch.failed", 1.0, shard=0)
         (marker,) = [e for e in rec.events() if e.kind == "postmortem.error"]
         assert marker.severity == "error"
         assert rec.dumps_written == 0
 
     def test_manual_dump_roundtrips_through_validator(self, tmp_path):
         rec = FlightRecorder()
-        rec.record("epoch.publish", 1.0, epoch=1, acked_workers=[0, 1])
+        rec.record("epoch.publish", 1.0, epoch=1)
         path = tmp_path / "pm.json"
         rec.dump(str(path), reason="manual", at_s=2.0)
         doc = validate_postmortem(path)
@@ -116,7 +116,7 @@ class TestPostmortem:
 class TestPostmortemValidation:
     def make_valid(self, tmp_path):
         rec = FlightRecorder()
-        rec.record("worker.death", 1.0, worker=0)
+        rec.record("batch.failed", 1.0, shard=0)
         path = tmp_path / "pm.json"
         rec.dump(str(path), reason="r", at_s=1.0)
         return path
@@ -147,7 +147,7 @@ class TestPostmortemValidation:
         assert main(["obs-report", "--postmortem", str(path)]) == 0
         out = capsys.readouterr().out
         assert "post-mortem" in out
-        assert "worker.death" in out
+        assert "batch.failed" in out
 
     def test_cli_rejects_corrupt_postmortem(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

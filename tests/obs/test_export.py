@@ -53,23 +53,6 @@ class TestPrometheus:
         assert "repro_empty_hist_count 0" in lines
         assert not any("quantile" in line for line in lines)
 
-    def test_cluster_counters_and_worker_liveness(self):
-        cluster = {
-            "live_workers": [1],
-            "worker_deaths": 1,
-            "batches_retried": 2,
-            "workers": {
-                "0": {"alive": False, "inflight": 0},
-                "1": {"alive": True, "inflight": 3},
-            },
-        }
-        lines = render_prometheus({}, cluster=cluster).splitlines()
-        assert "repro_cluster_worker_deaths_total 1" in lines
-        assert "repro_cluster_live_workers 1" in lines
-        assert 'repro_cluster_worker_up{worker="0"} 0' in lines
-        assert 'repro_cluster_worker_up{worker="1"} 1' in lines
-        assert 'repro_cluster_worker_inflight{worker="1"} 3' in lines
-
     def test_metric_names_are_sanitized(self):
         lines = render_prometheus({"serve.latency_s": 1}).splitlines()
         assert "repro_serve_latency_s_total 1" in lines
@@ -143,14 +126,6 @@ class TestWatchRendering:
         assert "BREACH" in joined
         assert "!! p99<=0.25" in joined
         assert "1 breach" in joined
-
-    def test_cluster_tail_renders(self):
-        cluster = {
-            "live_workers": [1], "worker_deaths": 1,
-            "batches_retried": 2, "rebalanced_shards": 1,
-        }
-        lines = render_watch_rows([self.row(cluster=cluster)])
-        assert any("1 death(s)" in line for line in lines)
 
     def test_empty_file_renders_placeholder(self):
         assert "no health snapshots" in render_watch_rows([])[-1]

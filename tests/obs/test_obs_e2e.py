@@ -1,9 +1,8 @@
 """End-to-end observability: traced loadtests export valid artifacts.
 
-The acceptance bar for the cluster path: one trace id must appear in
-spans from at least two processes — the coordinator that admitted the
-request and the spawned worker that answered it — and the exported
-Chrome trace must be loadable by the strict validators.
+A traced sim or real loadtest must export spans, a Chrome trace and a
+digest that the strict validators behind ``repro obs-report`` accept,
+and the report must render them.
 """
 
 import json
@@ -12,7 +11,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (
-    cross_process_traces,
     validate_chrome_trace,
     validate_obs_json,
     validate_spans_jsonl,
@@ -87,48 +85,36 @@ class TestTracedLoadtest:
         assert "kernel stage" in report
         assert "measured CPU vs modeled IVE" in report
 
-    def test_cluster_mode_traces_cross_the_process_boundary(
-        self, capsys, tmp_path
-    ):
-        """Acceptance: same trace id on both sides of the spawn pipe."""
+    def test_real_mode_traces_every_request_in_one_process(self, capsys, tmp_path):
+        """Both shards' windows run on the serving process's thread pool:
+        every request is traced end to end under one pid and one
+        ``serve`` process label, and the report counts the requests."""
         prefix, out, spans, trace, obs = run_traced(
             capsys,
             tmp_path,
-            "cluster",
-            [
-                "--queries", "8", "--records", "16", "--shards", "2",
-                "--workers", "2", "--rate", "100",
-            ],
+            "real",
+            ["--queries", "8", "--records", "16", "--shards", "2", "--rate", "100"],
         )
         assert out["completed"] == 8 and out["errored"] == 0
-        pids = {s["pid"] for s in spans}
-        assert len(pids) >= 2, "need coordinator + worker processes"
-        crossing = cross_process_traces(spans)
-        assert crossing, "no trace id crossed the process boundary"
-        assert set(crossing) <= {s["trace_id"] for s in spans}
-        names = {s["name"] for s in spans}
-        # The worker answers a batch as one stacked window: one span per
-        # batch, no per-query path that tracing switches on.
-        assert {"cluster.rpc", "worker.batch"} <= names
-        assert "worker.answer" not in names
-        # Worker-side kernel stats came home in WorkerStopped: one expand
-        # per stacked group, never more than one per query.
-        profile = aggregate_kernel_profile(obs["kernel_profile"])
-        assert 1 <= profile["expand"]["calls"] <= 8
-        # The Chrome trace names both process kinds.
-        meta = {
+        assert len({s["pid"] for s in spans}) == 1
+        names_by_trace: dict[int, set] = {}
+        for s in spans:
+            if s["trace_id"] is not None:
+                names_by_trace.setdefault(s["trace_id"], set()).add(s["name"])
+        assert len(names_by_trace) == 8
+        for names in names_by_trace.values():
+            assert {"serve.request", "serve.queue"} <= names
+        backend = [s for s in spans if s["name"] == "backend.real"]
+        assert {s["tid"] for s in backend} == {"shard-0", "shard-1"}
+        assert sum(s["args"]["batch"] for s in backend) == 8
+        meta = [
             e["args"]["name"]
             for e in trace["traceEvents"]
             if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert any(name.startswith("serve") for name in meta)
-        assert any(name.startswith("cluster-worker") for name in meta)
-        assert obs["cluster"]["live_workers"] == [0, 1]
-        assert obs["cluster"]["worker_deaths"] == 0
+        ]
+        assert len(meta) == 1 and meta[0].startswith("serve (pid ")
         assert main(["obs-report", str(prefix)]) == 0
-        report = capsys.readouterr().out
-        assert "crossing a process boundary" in report
-        assert "cluster: workers" in report
+        assert f"{len(spans)} spans, 8 traced requests" in capsys.readouterr().out
 
     def test_untraced_loadtest_exports_nothing(self, capsys, tmp_path):
         prefix = tmp_path / "plain"

@@ -1,12 +1,14 @@
 """Kernel-profiling hooks: no-op fast path, accumulation, and the model table."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.obs import (
     KernelProfiler,
+    StageStats,
     active,
     install,
     kernel_stage,
@@ -77,28 +79,38 @@ class TestAccumulation:
         assert stats.calls == 1
         assert stats.bytes_moved == db.nbytes + query.nbytes
 
-    def test_stats_tuple_merge_round_trip(self):
-        with profiled() as worker:
-            with kernel_stage("expand", 64):
-                pass
-            with kernel_stage("gemm", 32):
-                pass
-        shipped = worker.stats_tuple()  # what WorkerStopped carries
-        assert [name for name, *_ in shipped] == ["expand", "gemm"]
-        coordinator = KernelProfiler()
-        coordinator.merge_tuples(shipped)
-        coordinator.merge_tuples(shipped)  # second worker, same shape
-        assert coordinator.stages["expand"].calls == 2
-        assert coordinator.stages["gemm"].bytes_moved == 64
+    def test_pool_threads_accumulate_into_one_profiler(self):
+        """The serving pool's threads share the one installed profiler:
+        every stage call from every thread is counted exactly once."""
+        threads, calls = 4, 500
+        barrier = threading.Barrier(threads)
+
+        def work():
+            barrier.wait()
+            for _ in range(calls):
+                with kernel_stage("expand", 8):
+                    pass
+
+        with profiled() as profiler:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+        stats = profiler.stages["expand"]
+        assert stats.calls == threads * calls
+        assert stats.bytes_moved == 8 * threads * calls
 
     def test_snapshot_derives_bandwidth(self):
         profiler = KernelProfiler()
-        profiler.merge_tuples((("coltor", 4, 2.0, 4 << 30),))
+        profiler.stages["coltor"] = StageStats(
+            calls=4, seconds=2.0, bytes_moved=4 << 30
+        )
         snap = profiler.snapshot()
         assert snap["coltor"]["calls"] == 4
         assert snap["coltor"]["gib_per_s"] == pytest.approx(2.0)
         empty = KernelProfiler()
-        empty.merge_tuples((("x", 1, 0.0, 10),))
+        empty.stages["x"] = StageStats(calls=1, seconds=0.0, bytes_moved=10)
         assert empty.snapshot()["x"]["gib_per_s"] == 0.0
         json.dumps(snap)
 

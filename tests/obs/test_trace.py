@@ -1,7 +1,6 @@
-"""Tracer unit tests: ids, spans, exports, and cross-process attribution."""
+"""Tracer unit tests: ids, spans and exports."""
 
 import json
-import pickle
 
 import pytest
 
@@ -9,7 +8,6 @@ from repro.errors import ObsError
 from repro.obs import (
     Span,
     Tracer,
-    cross_process_traces,
     validate_chrome_trace,
     validate_spans_jsonl,
 )
@@ -40,16 +38,6 @@ class TestTracer:
         assert only.dur_s == 0.0
         assert only.args == {"reason": "queue-full"}
 
-    def test_extend_folds_in_foreign_process_spans(self):
-        tracer = Tracer()
-        tracer.record_span("serve.request", 0.0, 1.0, trace_id=7)
-        tracer.extend([span(7, name="worker.answer", pid=tracer.pid + 1)])
-        assert tracer.pids() == {tracer.pid, tracer.pid + 1}
-        assert tracer.trace_pids()[7] == {tracer.pid, tracer.pid + 1}
-
-    def test_spans_pickle_across_the_cluster_pipe(self):
-        original = span(3, name="worker.batch", tid="worker-1")
-        assert pickle.loads(pickle.dumps(original)) == original
 
 
 class TestExports:
@@ -57,7 +45,7 @@ class TestExports:
         tracer = Tracer()
         tracer.record_span("serve.request", 10.0, 10.5, trace_id=1)
         tracer.record_span("serve.batch", 10.1, 10.4, shard=0)
-        tracer.extend([span(1, name="worker.answer", start=10.2, pid=tracer.pid + 1)])
+        tracer.record_span("backend.real", 10.2, 10.3, trace_id=1, tid="shard-0")
         return tracer
 
     def test_jsonl_round_trips_through_validator(self, tmp_path):
@@ -66,7 +54,7 @@ class TestExports:
         assert tracer.export_jsonl(path) == 3
         spans = validate_spans_jsonl(path)
         assert len(spans) == 3
-        assert cross_process_traces(spans) == [1]
+        assert [s["trace_id"] for s in spans] == [1, None, 1]
 
     def test_chrome_trace_normalized_with_process_metadata(self, tmp_path):
         tracer = self._tracer()
@@ -74,10 +62,7 @@ class TestExports:
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         ms = [e for e in trace["traceEvents"] if e["ph"] == "M"]
         assert min(e["ts"] for e in xs) == 0.0  # normalized to t0
-        assert {e["pid"] for e in ms} == {tracer.pid, tracer.pid + 1}
-        names = {e["args"]["name"] for e in ms}
-        assert f"serve (pid {tracer.pid})" in names
-        assert f"cluster-worker (pid {tracer.pid + 1})" in names
+        assert [e["args"]["name"] for e in ms] == [f"serve (pid {tracer.pid})"]
         path = tmp_path / "run.trace.json"
         assert tracer.export_chrome(path) == 3
         validate_chrome_trace(path)

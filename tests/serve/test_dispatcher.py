@@ -9,6 +9,7 @@ import asyncio
 import pytest
 
 from repro.errors import QueueFullError, ShuttingDownError
+from repro.obs import FlightRecorder, validate_postmortem
 from repro.serve.dispatcher import AdmissionConfig, ServeRuntime, ShardDispatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ServeRequest
@@ -213,6 +214,48 @@ class TestFaultIsolation:
         # the window extends to the *failed* batch's finish, not the last success
         assert metrics.last_finish_s == pytest.approx(fail_finish)
         assert metrics.elapsed_s == pytest.approx(fail_finish - metrics.first_arrival_s)
+
+
+    def test_failed_window_writes_the_default_postmortem(self, tmp_path):
+        """``batch.failed`` is the recorder's default trigger: a window
+        whose executor raises leaves one dump naming every request it
+        carried, and a healthy window after it leaves none."""
+
+        class FailFirstBackend(StubBackend):
+            async def answer(self, shard_id, requests):
+                if not self.batches:
+                    self.batches.append(len(requests))
+                    raise RuntimeError("window fault")
+                return await super().answer(shard_id, requests)
+
+        recorder = FlightRecorder(dump_dir=str(tmp_path))
+
+        async def main():
+            d = ShardDispatcher(
+                0, FailFirstBackend(service_s=0.001),
+                BatchPolicy(waiting_window_s=0.01, max_batch=4),
+                AdmissionConfig(1024), ServeMetrics(1), recorder=recorder,
+            )
+            d.start()
+            doomed = [
+                d.submit(ServeRequest(i, 0, i, trace_id=10 + i)) for i in range(3)
+            ]
+            for future in doomed:
+                with pytest.raises(RuntimeError):
+                    await future
+            await d.submit(ServeRequest(7, 0, 7, trace_id=20))
+            await d.drain()
+
+        run_in_virtual_time(main())
+        assert recorder.dumps_written == 1
+        (path,) = tmp_path.glob("postmortem-*.json")
+        assert "batch-failed" in path.name
+        doc = validate_postmortem(path)
+        failed = [e for e in doc["events"] if e["kind"] == "batch.failed"]
+        assert len(failed) == 1
+        assert failed[0]["trace_ids"] == [10, 11, 12]
+        assert failed[0]["args"]["error"] == "RuntimeError"
+        assert "20" not in doc["trace_index"]
 
 
 class TestServeRuntimeRouting:

@@ -5,23 +5,21 @@ Every real registry presents the serving runtime with the same surface
 typed shard bounds) and runs on the one thread executor
 (:class:`~repro.serve.workers.RealCryptoBackend`).  The per-tier serving
 tests keep only what is specific to their tier; what is the same
-everywhere is pinned here, plus the two places a window is answered
+everywhere is pinned here, plus the one place a window is answered
 somewhere other than ``PirServer.answer_batch`` directly — the versioned
-registry's per-epoch grouping and the cluster worker — held byte-identical
-to the per-query answers they replace.  ``REPRO_BACKEND`` restricts the
+registry's per-epoch grouping — held byte-identical to the per-query
+answers it replaces.  ``REPRO_BACKEND`` restricts the
 backends under test so CI can run the file once per registered backend.
 """
 
 import asyncio
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.batchpir.serving import BatchServeRegistry
-from repro.cluster import ClusterRegistry
-from repro.cluster.messages import AnswerBatch, BatchDone, LoadReplica, WorkerConfig
-from repro.cluster.worker import ClusterWorker
 from repro.errors import RoutingError
 from repro.he.backend import backend_names
 from repro.hintpir.serving import HintCryptoBackend, HintServeRegistry
@@ -135,6 +133,30 @@ class TestContract:
             n for n in per_shard if n
         )
 
+    def test_one_worker_pool_answers_like_the_default(self, deployment):
+        """The frozen benchmark serves on ``max_workers=1``, production on
+        the default pool: for every tier both return the same responses
+        for the same window."""
+        registry, items = deployment
+        requests = [registry.make_request(item) for item in items]
+        window = [r for r in requests if r.shard_id == 0]
+
+        async def answer(max_workers):
+            backend = RealCryptoBackend(registry, max_workers=max_workers)
+            try:
+                return await backend.answer(0, window)
+            finally:
+                backend.close()
+
+        default = asyncio.run(answer(None))
+        single = asyncio.run(answer(1))
+        assert len(default) == len(single) == len(window) > 0
+        for request, got, want in zip(window, single, default):
+            item = request.key if request.key is not None else request.global_index
+            assert registry.decode(request, got) == registry.expected(item)
+            assert registry.decode(request, want) == registry.expected(item)
+            assert pickle.dumps(got) == pickle.dumps(want)
+
     def test_shard_ids_are_bounds_checked_typed(self, deployment):
         """Regression: ``-1`` used to return the last shard's client/server
         on the batch and keyword tiers."""
@@ -186,56 +208,3 @@ class TestStackedWindowsEqualPerQueryAnswers:
             )
             want = registry.expected(request.global_index, epoch=request.epoch)
             assert registry.decode(request, response) == want
-
-    def test_cluster_worker_reply_equals_the_thread_executor(self, backend):
-        """Same records, same seeded client, same queries: what crosses the
-        pipe in ``BatchDone`` is what the in-process executor returns."""
-        rng = np.random.default_rng(9)
-        records = [rng.bytes(32) for _ in range(24)]
-        local = RealShardRegistry(PARAMS, records, NUM_SHARDS, seed=6, backend=backend)
-        remote = ClusterRegistry(PARAMS, records, NUM_SHARDS, seed=6)
-        requests = [local.make_request(i) for i in range(local.map.sizes[0])]
-
-        async def threaded():
-            executor = RealCryptoBackend(local)
-            try:
-                return await executor.answer(0, requests)
-            finally:
-                executor.close()
-
-        class Outbox:
-            def __init__(self):
-                self.sent = []
-
-            def send(self, msg):
-                self.sent.append(msg)
-
-        outbox = Outbox()
-        worker = ClusterWorker(
-            outbox,
-            WorkerConfig(
-                worker_id=0, params=PARAMS, record_bytes=32,
-                heartbeat_interval_s=1.0, retain=2, seed=6, backend=backend,
-                trace=True,
-            ),
-            remote.setup,
-        )
-        worker._load_replica(
-            LoadReplica(shard_id=0, epoch=0, records=remote.shard_records(0))
-        )
-        worker._answer_batch(
-            AnswerBatch(
-                batch_id=7, shard_id=0, epoch=0,
-                queries=tuple(r.query for r in requests),
-                trace_ids=tuple(range(len(requests))),
-            )
-        )
-        reply = outbox.sent[-1]
-        assert isinstance(reply, BatchDone) and reply.batch_id == 7
-        want = asyncio.run(threaded())
-        assert len(reply.responses) == len(want) == len(requests)
-        for got, expected in zip(reply.responses, want):
-            same_response(got, expected)
-        # A traced worker runs the same program and emits the one span.
-        assert [s.name for s in reply.spans] == ["worker.batch"]
-        assert reply.spans[0].args["batch"] == len(requests)

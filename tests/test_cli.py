@@ -247,11 +247,18 @@ class TestCli:
         assert audit["wrong_bytes"] == 0
         assert audit["decoded_correct"] + audit["typed_refusals"] == 40
 
-    @pytest.mark.parametrize("tier", ["batchpir", "kvpir", "hintpir"])
-    def test_loadtest_cluster_refuses_hostless_cells(self, tier, capsys):
-        assert main(["loadtest", "--mode", "cluster", "--serving", tier]) == 2
-        err = capsys.readouterr().err
-        assert f"no host for --serving {tier} in --mode cluster" in err
+    def test_loadtest_modes_are_sim_and_real(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loadtest", "--mode", "cluster"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err
+
+    def test_loadtest_has_no_worker_fleet_option(self, capsys):
+        """The real executor sizes its own pool: there is no ``--workers``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loadtest", "--mode", "real", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
