@@ -13,11 +13,12 @@ The other layer is the per-polynomial stack (``he/poly`` + ``he/ntt`` +
 ``PirServer.answer_reference``): the independent oracle the backends
 are tested against, which imports nothing from here.
 
-A backend implements the small primitive surface (forward/inverse NTT,
-automorphism, gadget decomposition, the modular GEMMs and key-switch
-inner products) and inherits the shared pipeline ops built on top of
-them, so the whole ExpandQuery→RowSel→ColTor pipeline retargets by
-swapping primitives.
+:class:`ComputeBackend` is the ``eager`` backend: it implements every
+primitive (forward/inverse NTT, automorphism, gadget decomposition, the
+modular GEMMs and key-switch inner products, the client's encryption)
+and the pipeline ops built on top of them, so a subclass retargets the
+whole ExpandQuery→RowSel→ColTor pipeline by replacing primitives or
+whole window steps.
 
 The pipeline ops are tensor programs over a *dispatch window*: a
 ciphertext batch is one ``(2, batch, rns, n)`` tensor whose batch axis
@@ -26,10 +27,12 @@ is query-major, Subs and the RGSW external product are both the one
 rows carrying a leading group axis: one group for the evaluation key a
 whole window shares, one per query for RGSW bits), and ``expand_window``
 / ``rowsel_window`` / ``coltor_window`` run every query of a group
-through each stage together — even/odd ColTor halves are residue-tensor
-views, never re-stacked ciphertext lists.  ``external_product``,
-``expand``, ``rowsel`` and ``coltor`` are the same ops behind
-single-query signatures, kept for the frozen ``benchmarks/e2e``.
+through each stage together — ``expand_window`` one ``_expand_level``
+per level and ``coltor_window`` one ``_coltor_round`` per round, whose
+even/odd halves are residue-tensor views, never re-stacked ciphertext
+lists.  ``external_product``, ``expand``, ``rowsel`` and ``coltor`` are
+the same ops behind single-query signatures, kept for the frozen
+``benchmarks/e2e``.
 
 Two backends are registered:
 
@@ -38,16 +41,16 @@ Two backends are registered:
   gather of NTT evaluation slots, the dense SimplePIR GEMM as chunked
   float64 BLAS with Barrett tails): no precomputed state beyond twiddle
   and slot tables, exact on every valid parameter set;
-* ``native`` — ``eager`` with the primitives the N = 2^12 profile
-  names compiled: forward/inverse NTT as Harvey lazy butterflies over
-  the ``NttContext`` twiddle tables themselves (slot order identical by
-  construction), the broadcast-RNS digit/error/plaintext transform,
-  limb-iCRT decomposition at any base up to 2^32, the key-switch
-  inner product and the whole key switch fused from those three (one
-  ciphertext at a time, no batch digit tensor), a whole expansion level
-  and a whole ColTor round as one call each (automorphism gather, Subs
-  ``b`` add, butterfly and cmux adds folded around that key switch), the
-  one-pass RowSel contraction over the uint32 database store, the large
+* ``native`` (:class:`NativeBackend`) — ``eager`` with what production
+  runs compiled, and nothing else: the forward/inverse NTT as Harvey
+  lazy butterflies over the ``NttContext`` twiddle tables themselves
+  (slot order identical by construction, a broadcast RNS axis
+  included), the client's encryption pass, the one-pass RowSel
+  contraction over the uint32 database store, and a whole expansion
+  level and a whole ColTor round as one call each (automorphism gather,
+  Subs ``b`` add, butterfly and cmux adds folded around a key switch
+  fused from limb-iCRT decomposition at any base up to 2^32, the digits'
+  transform and the inner product, one ciphertext at a time), the large
   calls split across the process's cores — portable C99 in
   ``native_kernels.c``, built on
   first use by the system C compiler for the host's ISA (``-march=native``
@@ -58,10 +61,9 @@ Two backends are registered:
   where the library builds and loads; where it does not
   (``he_native_unavailable``, once per process) ``eager`` is, and a
   ring, gadget or operand outside the kernels' bounds runs the eager
-  primitives (``he_native_none``).  The pipeline ops but the key
-  switch, the expansion level and the ColTor round, the slot-gather
-  automorphism, the butterfly, the modular add and the dense GEMM are
-  inherited.
+  code (``he_native_none``).  Every other method — the window loops,
+  the per-primitive key switch, the butterfly, the modular add, the
+  dense GEMM — is inherited.
 
 Every fallback is exact — never silently wrong, at most slower — and
 counted in the installed metrics registry: ``he_native_unavailable``,
@@ -76,7 +78,7 @@ over the suffix.
 
 Registering another backend::
 
-    class MyBackend(EagerBackend):
+    class MyBackend(ComputeBackend):
         name = "mine"
         def ntt_forward(self, ctx, residues): ...
 
@@ -285,46 +287,123 @@ def modular_gemm(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 class ComputeBackend:
-    """Kernel-primitive surface plus the pipeline ops built on it.
+    """The ``eager`` backend: every kernel primitive and the pipeline ops.
 
-    Subclasses provide the primitives (NTTs, automorphism,
-    decomposition, GEMMs); the pipeline ops (``substitute_stacked`` …
-    ``coltor_window``) are implemented here once in terms of those
-    primitives, so a backend that swaps a primitive retargets the whole
-    ExpandQuery→RowSel→ColTor pipeline.  Every transform routes through
-    ``self`` so the backend's kernels (and its profiler label) are always in
-    effect.
+    The primitives (NTTs, automorphism, decomposition, the GEMMs and
+    key-switch inner products, the client's encryption) are stacked
+    numpy — butterflies, limb iCRT, int64 einsums — with no precomputed
+    state beyond twiddle and slot tables, exact on every valid parameter
+    set.  The pipeline ops (``substitute_stacked`` … ``coltor_window``)
+    are written once in terms of them, and every transform routes
+    through ``self``, so a subclass that replaces a primitive or a whole
+    window step (:class:`NativeBackend`) retargets the
+    ExpandQuery→RowSel→ColTor pipeline and its profiler labels.  This is
+    what the native backend falls back to and is measured against — a
+    backend like any other, not a second oracle: the independent
+    reference is the per-poly stack.
     """
 
-    name: str = ""
+    name: str = "eager"
 
     def _label(self, stage: str) -> str:
         return f"{stage}@{self.name}"
 
-    # -- primitives (subclass responsibility) ----------------------------
+    # -- primitives --------------------------------------------------------
     def ntt_forward(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
         """Stacked forward NTT over every RNS row: (..., rns, n) -> same.
 
         An RNS axis of length 1 broadcasts: one integer coefficient row
         (plaintext, error or digit polynomial) is reduced into, and
         transformed under, every modulus.
+
+        Cooley-Tukey butterflies with lazy reduction, element-identical
+        to calling ``ctx.ntts[i].forward`` row by row: only the twiddle
+        product is reduced per stage, sums stay unreduced (adding one
+        ``q`` of headroom per stage keeps subtraction results
+        non-negative), and one final ``% q`` canonicalises.  The growth bound is ``(log2(n) + 1) * q < 2^32``
+        for the paper's ~28-bit moduli, far below both int64 and the
+        ``value * twiddle < 2^63`` multiply constraint; moduli too large
+        for that bound reduce at every stage instead (checked in
+        :func:`_rns_ntt_tables`) so the fast path can never silently wrap.
         """
-        raise NotImplementedError
+        with kernel_stage(self._label("ntt_fwd"), getattr(residues, "nbytes", 0)):
+            tables = _rns_ntt_tables(ctx)
+            q = tables["moduli3"]
+            n = ctx.n
+            a = np.ascontiguousarray(
+                np.asarray(residues, dtype=np.int64) % ctx._moduli_col
+            )
+            lead = a.shape[:-2]
+            rns = a.shape[-2]
+            # Scratch for the stage's u/v halves: n/2 elements per
+            # polynomial at every stage, so two buffers serve all
+            # log2(n) stages without per-stage allocations.
+            scratch_u = np.empty(lead + (rns, n // 2), dtype=np.int64)
+            scratch_v = np.empty_like(scratch_u)
+            lazy = tables["lazy_fwd"]
+            t = n
+            m = 1
+            while m < n:
+                t //= 2
+                blocks = a.reshape(*lead, rns, m, 2, t)
+                s = tables["fwd"][:, m : 2 * m]  # (rns_count, m)
+                u = scratch_u.reshape(*lead, rns, m, t)
+                v = scratch_v.reshape(*lead, rns, m, t)
+                np.copyto(u, blocks[..., 0, :])
+                np.multiply(blocks[..., 1, :], s[:, :, None], out=v)
+                v %= q
+                np.add(u, v, out=blocks[..., 0, :])
+                np.subtract(u, v, out=blocks[..., 1, :])
+                blocks[..., 1, :] += q
+                if not lazy:
+                    blocks[..., 0, :] %= q
+                    blocks[..., 1, :] %= q
+                m *= 2
+            return a % ctx._moduli_col
 
     def ntt_inverse(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
-        """Stacked inverse NTT over every RNS row: (..., rns, n) -> same."""
-        raise NotImplementedError
+        """Stacked inverse NTT over every RNS row: (..., rns, n) -> same,
+        by Gentleman-Sande butterflies with ``n^-1`` folded in last."""
+        with kernel_stage(self._label("ntt_inv"), getattr(residues, "nbytes", 0)):
+            tables = _rns_ntt_tables(ctx)
+            q = tables["moduli3"]
+            n = ctx.n
+            a = np.ascontiguousarray(
+                np.asarray(residues, dtype=np.int64) % ctx._moduli_col
+            )
+            lead = a.shape[:-2]
+            rns = a.shape[-2]
+            scratch_u = np.empty(lead + (rns, n // 2), dtype=np.int64)
+            t = 1
+            m = n
+            while m > 1:
+                h = m // 2
+                blocks = a.reshape(*lead, rns, h, 2, t)
+                s = tables["inv"][:, h : 2 * h]
+                u = scratch_u.reshape(*lead, rns, h, t)
+                np.copyto(u, blocks[..., 0, :])
+                v = blocks[..., 1, :]  # view; consumed before being overwritten
+                np.add(u, v, out=blocks[..., 0, :])
+                blocks[..., 0, :] %= q
+                np.subtract(u, v, out=u)
+                u += q  # keep the difference non-negative before the twiddle
+                if not tables["lazy_inv"]:
+                    u %= q  # large moduli: reduce before the twiddle product
+                u *= s[:, :, None]
+                u %= q
+                blocks[..., 1, :] = u
+                t *= 2
+                m = h
+            return (a * tables["n_inv"]) % ctx._moduli_col
 
     def digits_forward(self, ctx: RingContext, digits: np.ndarray) -> np.ndarray:
-        """NTT a digit tensor (batch, k, n) into every RNS row.
-
-        The output feeds ``inner`` and nothing else, so a backend may
-        return *partially* reduced residues (e.g. ``[0, 2q)``) as long
-        as its own ``inner`` accounts for the wider operand range — the
-        inner product's final reduction makes the pipeline result
-        canonical (and byte-identical) either way.
-        """
-        raise NotImplementedError
+        """NTT a digit tensor (batch, k, n) into every RNS row: the
+        ``(batch, k, rns, n)`` operand of :meth:`inner`."""
+        batch, k, n = digits.shape
+        tiled = np.broadcast_to(
+            digits[:, :, None, :], (batch, k, ctx.rns_count, n)
+        )
+        return self.ntt_forward(ctx, tiled)
 
     def automorphism(
         self, ctx: RingContext, cts: np.ndarray, r: int
@@ -334,17 +413,69 @@ class ComputeBackend:
         Each half comes back in the domain Subs wants it in: ``a`` in
         coefficients (it is decomposed next), ``b`` in NTT form (it is
         added back onto the key-switch output).
-        """
-        raise NotImplementedError
 
-    def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
-        """Gadget digits of a whole batch: (batch, gadget_len, n) int64."""
-        raise NotImplementedError
+        In the NTT domain the map is a pure gather of evaluation slots:
+        the ``b`` half needs no transform at all and the ``a`` half only
+        the inverse that decomposition wants anyway.  The slot table is
+        the ring's own, so this holds whatever runs the inverse.
+        """
+        # take, not cts[..., slots]: fancy indexing leaves the indexed
+        # axis outermost in memory and costs 8x the time at N = 2^12.
+        gathered = np.take(cts, ctx.automorphism_slots(r), axis=-1)
+        return self.ntt_inverse(ctx, gathered[0]), gathered[1]
 
     def _coeff_residues(self, vec: RnsPolyVec) -> np.ndarray:
         if vec.domain is Domain.COEFF:
             return vec.residues
         return self.ntt_inverse(vec.ctx, vec.residues)
+
+    def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
+        """Gadget digits of a whole batch: (batch, gadget_len, n) int64,
+        by an exact int64 limb iCRT.
+
+        Element-identical to running :meth:`Gadget.decompose` per
+        polynomial — same unsigned base-z digits of the [0, Q) lift — but
+        the Eq. 3 lift is accumulated directly in base-z limbs (see
+        :func:`_limb_tables`), so no per-coefficient big-int arithmetic
+        is needed.
+        """
+        residues = self._coeff_residues(vec)
+        with kernel_stage(self._label("decompose"), residues.nbytes):
+            tables = _limb_tables(gadget)
+            if not tables["limb_ok"]:
+                # Oversized base/moduli would wrap the limb accumulation;
+                # take the exact object-int reference per polynomial.
+                digits = np.empty(
+                    (len(residues), gadget.length, gadget.ctx.n), dtype=np.int64
+                )
+                for i, row in enumerate(residues):
+                    poly = RnsPoly(gadget.ctx, row, Domain.COEFF)
+                    for j, digit in enumerate(gadget.decompose(poly)):
+                        digits[i, j] = digit.residues[0]
+                return digits
+            blog = gadget.base_log2
+            z = gadget.base
+            moduli, qhat_inv = tables["moduli"], tables["qhat_inv"]
+            # t_i = residue_i * (Q/q_i)^{-1} mod q_i (Eq. 3), still per-modulus.
+            t = (residues * qhat_inv[:, None]) % moduli[:, None]
+            # S = sum_i t_i * Q_hat_i accumulated limb-wise: (batch, nlimbs, n).
+            acc = np.einsum("bmn,ml->bln", t, tables["qhat_limbs"])
+            for li in range(tables["nlimbs"] - 1):
+                carry = acc[:, li] >> blog
+                acc[:, li] -= carry << blog
+                acc[:, li + 1] += carry
+            # S = lift + k*Q with k < rns_count: subtract Q wherever still >= Q.
+            q_limbs = tables["q_limbs"]
+            for _ in range(gadget.ctx.rns_count - 1):
+                ge = _limbs_ge(acc, q_limbs)
+                if not ge.any():
+                    break
+                acc -= ge[:, None, :] * q_limbs[None, :, None]
+                for li in range(tables["nlimbs"] - 1):
+                    borrow = acc[:, li] < 0
+                    acc[:, li] += borrow * z
+                    acc[:, li + 1] -= borrow
+            return acc[:, : gadget.length, :]
 
     def inner(
         self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
@@ -355,7 +486,10 @@ class ComputeBackend:
         ``digits`` is ``(groups, batch, k, rns, n)``, ``rows`` ``(groups,
         k, rns, n)``: each group contracts against its own key rows.
         """
-        raise NotImplementedError
+        chunk = overflow_safe_chunk(int(moduli_col.max()))
+        return _chunked_einsum(
+            "gbkmn,gkmn->gbmn", digits, rows, chunk, moduli_col, out
+        )
 
     def rowsel_gemm(
         self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
@@ -368,8 +502,44 @@ class ComputeBackend:
         axis of one is a plane every query shares.  ``db`` is the
         database store (uint32 residues), every half contracts against
         the same read of it.
+
+        A lazy-reduction int64 contraction over the row axis, tile by
+        tile.  The store is narrower than int64, so the plane is widened
+        one tile of its flattened ``(rns, n)`` axis at a time — at most
+        ``BLOCK_BYTES`` of int64, never the whole operand — and each tile
+        contracts against every half of the query.  Residues are < 2^28,
+        so int64 holds hundreds of accumulated products before a ``% q``
+        is required; accumulation is chunked at the overflow-safe length.
         """
-        raise NotImplementedError
+        if (
+            db.ndim != 5 or query.ndim != 5 or db.shape[2:] != query.shape[2:]
+            or db.shape[0] not in (1, query.shape[1])
+        ):
+            raise ParameterError(
+                f"GEMM shape mismatch: db {db.shape} vs query {query.shape}"
+            )
+        halves, queries, rows, rns, n = query.shape
+        cols = db.shape[1]
+        shape = (halves, queries, cols, rns, n)
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        # Flat (rns * n) views; the (rns, n) blocks are contiguous in
+        # every store, so none of these copies.
+        flat_db = db.reshape(db.shape[:3] + (-1,))
+        flat_query = query.reshape(query.shape[:3] + (-1,))
+        flat_out = out.reshape(shape[:3] + (-1,), copy=False)
+        moduli = np.repeat(np.ravel(moduli_col), n)
+        chunk = overflow_safe_chunk(int(moduli_col.max()))
+        tile = max(1, BLOCK_BYTES // (8 * flat_db[..., 0].size))
+        with kernel_stage(self._label("gemm"), db.nbytes + query.nbytes):
+            for lo in range(0, rns * n, tile):
+                cut = slice(lo, lo + tile)
+                _chunked_einsum(
+                    "qcrp,hqrp->hqcp", flat_db[..., cut].astype(np.int64),
+                    flat_query[..., cut], chunk, moduli[cut],
+                    out=flat_out[..., cut], rhs_axis=2,
+                )
+        return out
 
     def expand_butterfly(
         self, ctx: RingContext, vec: np.ndarray, swapped: np.ndarray, step: int
@@ -381,7 +551,19 @@ class ComputeBackend:
         per query, ``vec + swapped`` then ``(vec - swapped) * X^-step``
         mod q.
         """
-        raise NotImplementedError
+        moduli_col = ctx._moduli_col
+        grown = np.empty(
+            vec.shape[:2] + (2 * step,) + vec.shape[3:], dtype=np.int64
+        )
+        even, odd = grown[:, :, :step], grown[:, :, step:]
+        np.add(vec, swapped, out=even)
+        even -= moduli_col
+        modred(even, moduli_col)
+        np.subtract(vec, swapped, out=odd)
+        modred(odd, moduli_col)
+        odd *= ctx.monomial_ntt(-step)
+        odd %= moduli_col
+        return grown
 
     def modular_add(
         self, a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
@@ -389,11 +571,12 @@ class ComputeBackend:
     ) -> np.ndarray:
         """``a + b`` (``a - b`` when ``subtract``) mod q over canonical
         ``(..., rns, n)`` residues of one shape; ``out`` may be ``a``."""
-        raise NotImplementedError
-
-    def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-        """Dense ``(a @ b) % q`` (the SimplePIR/hintpir server tier)."""
-        raise NotImplementedError
+        if subtract:
+            out = np.subtract(a, b, out=out)
+        else:
+            out = np.add(a, b, out=out)
+            out -= moduli_col
+        return modred(out, moduli_col)
 
     def encrypt_rows(
         self, ctx: RingContext, key_ntt: np.ndarray, rows: np.ndarray,
@@ -409,8 +592,63 @@ class ComputeBackend:
         per-row constants added to ``a`` and ``b`` (a constant's NTT form
         is that constant in every slot) — the RGSW gadget terms.  Returns
         ``rows``.
+
+        Blocked numpy: the rows are walked in blocks whose temporaries
+        (transformed errors, the ``a*s`` products) fit the scratch budget.
         """
-        raise NotImplementedError
+        moduli_col = ctx._moduli_col
+        block = max(1, BLOCK_BYTES // (3 * 8 * ctx.rns_count * ctx.n))
+        for lo in range(0, rows.shape[1], block):
+            a, b = rows[0, lo:lo + block], rows[1, lo:lo + block]
+            b[...] = self.ntt_forward(ctx, errors[lo:lo + block, None, :])
+            prod = a * key_ntt
+            prod %= moduli_col
+            b -= prod
+            modred(b, moduli_col)
+            if shift is None:
+                continue
+            for half, target in enumerate((a, b)):
+                target += shift[lo:lo + block, half, :, None]
+                target -= moduli_col
+                modred(target, moduli_col)
+        return rows
+
+    def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+        """Dense ``(a @ b) % q`` (the SimplePIR/hintpir server tier): a
+        chunked float64 dgemm with Barrett tails, exact and BLAS-backed.
+
+        int64 matmul in numpy is a scalar loop; float64 hits BLAS.  The
+        inner axis is chunked so every partial accumulation stays below
+        2^53 (float64-exact), each chunk Barrett-reduced before the
+        next.  Operand ranges that cannot satisfy the bound take the
+        int64 :func:`modular_gemm` (and its bignum corner) — identical
+        results either way.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        inner = a.shape[-1]
+        if inner == 0:
+            return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        max_a = int(np.max(np.abs(a), initial=0))
+        max_b = int(np.max(np.abs(b), initial=0))
+        per_term = max_a * max_b
+        if per_term == 0:
+            return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        if q >= FLOAT64_EXACT_MAX:
+            return modular_gemm(a, b, q)
+        chunk = (FLOAT64_EXACT_MAX - q) // per_term
+        if chunk < 1:
+            return modular_gemm(a, b, q)
+        af = a.astype(np.float64)
+        bf = b.astype(np.float64)
+        if chunk >= inner:
+            return barrett_reduce(af @ bf, q)
+        acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        for start in range(0, inner, chunk):
+            stop = min(start + chunk, inner)
+            acc += barrett_reduce(af[..., start:stop] @ bf[start:stop], q)
+            acc -= q * (acc >= q)
+        return acc
 
     # -- the key-switch kernel --------------------------------------------
     def key_switch(
@@ -676,331 +914,30 @@ class ComputeBackend:
         return BfvCiphertextVec.from_stacked(entries.a.ctx, result).ct(0)
 
 
-class EagerBackend(ComputeBackend):
-    """The stacked-numpy kernels: butterflies, limb iCRT, int64 einsums.
+class NativeBackend(ComputeBackend):
+    """The eager backend with the steps production runs compiled.
 
-    Plain numpy with no precomputed state beyond twiddle and slot
-    tables, exact on every valid parameter set — which is what the
-    native backend falls back to and is measured against.  A backend
-    like any other, not a second oracle: the independent reference is
-    the per-poly stack.
-    """
+    Six methods are replaced, each by the C99 kernels of
+    :mod:`repro.he.native` — lazy butterflies over the same twiddle
+    tables, so every slot is where the eager transforms put it — with
+    the large calls split across the cores
+    (:func:`repro.he.native.fan_out`): the forward/inverse NTT
+    (broadcast RNS axis included), the client's encryption pass, the
+    RowSel contraction over the uint32 store (each DB word read once for
+    both ciphertext halves), and the two window steps, one C call each —
+    a whole expansion level (the slot gather, Subs' key switch and ``b``
+    add, the butterfly) and a whole ColTor round (``ones - zeros``, the
+    external product, ``+ zeros``), a ciphertext at a time with the key
+    switch's digits in cache.  Everything else — the window loops, the
+    single-query signatures, the per-primitive key switch, the dense
+    GEMM — is the eager implementation, which the compiled steps are
+    held to byte for byte.
 
-    name = "eager"
-
-    def ntt_forward(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
-        """Stacked Cooley-Tukey butterflies with lazy reduction.
-
-        Element-identical to calling ``ctx.ntts[i].forward`` row by row:
-        only the twiddle product is reduced per stage, sums stay
-        unreduced (adding one ``q`` of headroom per stage keeps
-        subtraction results non-negative), and one final ``% q``
-        canonicalises.  The growth bound is ``(log2(n) + 1) * q < 2^32``
-        for the paper's ~28-bit moduli, far below both int64 and the
-        ``value * twiddle < 2^63`` multiply constraint; moduli too large
-        for that bound reduce at every stage instead (checked in
-        :func:`_rns_ntt_tables`) so the fast path can never silently wrap.
-        """
-        with kernel_stage(self._label("ntt_fwd"), getattr(residues, "nbytes", 0)):
-            tables = _rns_ntt_tables(ctx)
-            q = tables["moduli3"]
-            n = ctx.n
-            a = np.ascontiguousarray(
-                np.asarray(residues, dtype=np.int64) % ctx._moduli_col
-            )
-            lead = a.shape[:-2]
-            rns = a.shape[-2]
-            # Scratch for the stage's u/v halves: n/2 elements per
-            # polynomial at every stage, so two buffers serve all
-            # log2(n) stages without per-stage allocations.
-            scratch_u = np.empty(lead + (rns, n // 2), dtype=np.int64)
-            scratch_v = np.empty_like(scratch_u)
-            lazy = tables["lazy_fwd"]
-            t = n
-            m = 1
-            while m < n:
-                t //= 2
-                blocks = a.reshape(*lead, rns, m, 2, t)
-                s = tables["fwd"][:, m : 2 * m]  # (rns_count, m)
-                u = scratch_u.reshape(*lead, rns, m, t)
-                v = scratch_v.reshape(*lead, rns, m, t)
-                np.copyto(u, blocks[..., 0, :])
-                np.multiply(blocks[..., 1, :], s[:, :, None], out=v)
-                v %= q
-                np.add(u, v, out=blocks[..., 0, :])
-                np.subtract(u, v, out=blocks[..., 1, :])
-                blocks[..., 1, :] += q
-                if not lazy:
-                    blocks[..., 0, :] %= q
-                    blocks[..., 1, :] %= q
-                m *= 2
-            return a % ctx._moduli_col
-
-    def ntt_inverse(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
-        """Stacked Gentleman-Sande butterflies, ``n^-1`` folded in last."""
-        with kernel_stage(self._label("ntt_inv"), getattr(residues, "nbytes", 0)):
-            tables = _rns_ntt_tables(ctx)
-            q = tables["moduli3"]
-            n = ctx.n
-            a = np.ascontiguousarray(
-                np.asarray(residues, dtype=np.int64) % ctx._moduli_col
-            )
-            lead = a.shape[:-2]
-            rns = a.shape[-2]
-            scratch_u = np.empty(lead + (rns, n // 2), dtype=np.int64)
-            t = 1
-            m = n
-            while m > 1:
-                h = m // 2
-                blocks = a.reshape(*lead, rns, h, 2, t)
-                s = tables["inv"][:, h : 2 * h]
-                u = scratch_u.reshape(*lead, rns, h, t)
-                np.copyto(u, blocks[..., 0, :])
-                v = blocks[..., 1, :]  # view; consumed before being overwritten
-                np.add(u, v, out=blocks[..., 0, :])
-                blocks[..., 0, :] %= q
-                np.subtract(u, v, out=u)
-                u += q  # keep the difference non-negative before the twiddle
-                if not tables["lazy_inv"]:
-                    u %= q  # large moduli: reduce before the twiddle product
-                u *= s[:, :, None]
-                u %= q
-                blocks[..., 1, :] = u
-                t *= 2
-                m = h
-            return (a * tables["n_inv"]) % ctx._moduli_col
-
-    def digits_forward(self, ctx: RingContext, digits: np.ndarray) -> np.ndarray:
-        batch, k, n = digits.shape
-        tiled = np.broadcast_to(
-            digits[:, :, None, :], (batch, k, ctx.rns_count, n)
-        )
-        return self.ntt_forward(ctx, tiled)
-
-    def automorphism(
-        self, ctx: RingContext, cts: np.ndarray, r: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """NTT-domain X -> X^r: a pure gather of evaluation slots.
-
-        The ``b`` half needs no transform at all and the ``a`` half only
-        the inverse that decomposition wants anyway.  The slot table is
-        the ring's own, so this holds whatever runs the inverse.
-        """
-        # take, not cts[..., slots]: fancy indexing leaves the indexed
-        # axis outermost in memory and costs 8x the time at N = 2^12.
-        gathered = np.take(cts, ctx.automorphism_slots(r), axis=-1)
-        return self.ntt_inverse(ctx, gathered[0]), gathered[1]
-
-    def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
-        """Gadget digits via an exact int64 limb iCRT.
-
-        Element-identical to running :meth:`Gadget.decompose` per
-        polynomial — same unsigned base-z digits of the [0, Q) lift — but
-        the Eq. 3 lift is accumulated directly in base-z limbs (see
-        :func:`_limb_tables`), so no per-coefficient big-int arithmetic
-        is needed.
-        """
-        residues = self._coeff_residues(vec)
-        with kernel_stage(self._label("decompose"), residues.nbytes):
-            tables = _limb_tables(gadget)
-            if not tables["limb_ok"]:
-                # Oversized base/moduli would wrap the limb accumulation;
-                # take the exact object-int reference per polynomial.
-                digits = np.empty(
-                    (len(residues), gadget.length, gadget.ctx.n), dtype=np.int64
-                )
-                for i, row in enumerate(residues):
-                    poly = RnsPoly(gadget.ctx, row, Domain.COEFF)
-                    for j, digit in enumerate(gadget.decompose(poly)):
-                        digits[i, j] = digit.residues[0]
-                return digits
-            blog = gadget.base_log2
-            z = gadget.base
-            moduli, qhat_inv = tables["moduli"], tables["qhat_inv"]
-            # t_i = residue_i * (Q/q_i)^{-1} mod q_i (Eq. 3), still per-modulus.
-            t = (residues * qhat_inv[:, None]) % moduli[:, None]
-            # S = sum_i t_i * Q_hat_i accumulated limb-wise: (batch, nlimbs, n).
-            acc = np.einsum("bmn,ml->bln", t, tables["qhat_limbs"])
-            for li in range(tables["nlimbs"] - 1):
-                carry = acc[:, li] >> blog
-                acc[:, li] -= carry << blog
-                acc[:, li + 1] += carry
-            # S = lift + k*Q with k < rns_count: subtract Q wherever still >= Q.
-            q_limbs = tables["q_limbs"]
-            for _ in range(gadget.ctx.rns_count - 1):
-                ge = _limbs_ge(acc, q_limbs)
-                if not ge.any():
-                    break
-                acc -= ge[:, None, :] * q_limbs[None, :, None]
-                for li in range(tables["nlimbs"] - 1):
-                    borrow = acc[:, li] < 0
-                    acc[:, li] += borrow * z
-                    acc[:, li + 1] -= borrow
-            return acc[:, : gadget.length, :]
-
-    def inner(
-        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        chunk = overflow_safe_chunk(int(moduli_col.max()))
-        return _chunked_einsum(
-            "gbkmn,gkmn->gbmn", digits, rows, chunk, moduli_col, out
-        )
-
-    def rowsel_gemm(
-        self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Lazy-reduction int64 contraction over the row axis, tile by tile.
-
-        The store is narrower than int64, so the plane is widened one
-        tile of its flattened ``(rns, n)`` axis at a time — at most
-        ``BLOCK_BYTES`` of int64, never the whole operand — and each tile
-        contracts against every half of the query.  Residues are < 2^28,
-        so int64 holds hundreds of accumulated products before a ``% q``
-        is required; accumulation is chunked at the overflow-safe length.
-        """
-        if (
-            db.ndim != 5 or query.ndim != 5 or db.shape[2:] != query.shape[2:]
-            or db.shape[0] not in (1, query.shape[1])
-        ):
-            raise ParameterError(
-                f"GEMM shape mismatch: db {db.shape} vs query {query.shape}"
-            )
-        halves, queries, rows, rns, n = query.shape
-        cols = db.shape[1]
-        shape = (halves, queries, cols, rns, n)
-        if out is None:
-            out = np.empty(shape, dtype=np.int64)
-        # Flat (rns * n) views; the (rns, n) blocks are contiguous in
-        # every store, so none of these copies.
-        flat_db = db.reshape(db.shape[:3] + (-1,))
-        flat_query = query.reshape(query.shape[:3] + (-1,))
-        flat_out = out.reshape(shape[:3] + (-1,), copy=False)
-        moduli = np.repeat(np.ravel(moduli_col), n)
-        chunk = overflow_safe_chunk(int(moduli_col.max()))
-        tile = max(1, BLOCK_BYTES // (8 * flat_db[..., 0].size))
-        with kernel_stage(self._label("gemm"), db.nbytes + query.nbytes):
-            for lo in range(0, rns * n, tile):
-                cut = slice(lo, lo + tile)
-                _chunked_einsum(
-                    "qcrp,hqrp->hqcp", flat_db[..., cut].astype(np.int64),
-                    flat_query[..., cut], chunk, moduli[cut],
-                    out=flat_out[..., cut], rhs_axis=2,
-                )
-        return out
-
-    def expand_butterfly(
-        self, ctx: RingContext, vec: np.ndarray, swapped: np.ndarray, step: int
-    ) -> np.ndarray:
-        moduli_col = ctx._moduli_col
-        grown = np.empty(
-            vec.shape[:2] + (2 * step,) + vec.shape[3:], dtype=np.int64
-        )
-        even, odd = grown[:, :, :step], grown[:, :, step:]
-        np.add(vec, swapped, out=even)
-        even -= moduli_col
-        modred(even, moduli_col)
-        np.subtract(vec, swapped, out=odd)
-        modred(odd, moduli_col)
-        odd *= ctx.monomial_ntt(-step)
-        odd %= moduli_col
-        return grown
-
-    def modular_add(
-        self, a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
-        out: np.ndarray | None = None, subtract: bool = False,
-    ) -> np.ndarray:
-        if subtract:
-            out = np.subtract(a, b, out=out)
-        else:
-            out = np.add(a, b, out=out)
-            out -= moduli_col
-        return modred(out, moduli_col)
-
-    def encrypt_rows(
-        self, ctx: RingContext, key_ntt: np.ndarray, rows: np.ndarray,
-        errors: np.ndarray, shift: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Blocked numpy: the rows are walked in blocks whose temporaries
-        (transformed errors, the ``a*s`` products) fit the scratch budget."""
-        moduli_col = ctx._moduli_col
-        block = max(1, BLOCK_BYTES // (3 * 8 * ctx.rns_count * ctx.n))
-        for lo in range(0, rows.shape[1], block):
-            a, b = rows[0, lo:lo + block], rows[1, lo:lo + block]
-            b[...] = self.ntt_forward(ctx, errors[lo:lo + block, None, :])
-            prod = a * key_ntt
-            prod %= moduli_col
-            b -= prod
-            modred(b, moduli_col)
-            if shift is None:
-                continue
-            for half, target in enumerate((a, b)):
-                target += shift[lo:lo + block, half, :, None]
-                target -= moduli_col
-                modred(target, moduli_col)
-        return rows
-
-    def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-        """Chunked float64 dgemm with Barrett tails; exact, BLAS-backed.
-
-        int64 matmul in numpy is a scalar loop; float64 hits BLAS.  The
-        inner axis is chunked so every partial accumulation stays below
-        2^53 (float64-exact), each chunk Barrett-reduced before the
-        next.  Operand ranges that cannot satisfy the bound take the
-        int64 :func:`modular_gemm` (and its bignum corner) — identical
-        results either way.
-        """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        inner = a.shape[-1]
-        if inner == 0:
-            return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        max_a = int(np.max(np.abs(a), initial=0))
-        max_b = int(np.max(np.abs(b), initial=0))
-        per_term = max_a * max_b
-        if per_term == 0:
-            return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        if q >= FLOAT64_EXACT_MAX:
-            return modular_gemm(a, b, q)
-        chunk = (FLOAT64_EXACT_MAX - q) // per_term
-        if chunk < 1:
-            return modular_gemm(a, b, q)
-        af = a.astype(np.float64)
-        bf = b.astype(np.float64)
-        if chunk >= inner:
-            return barrett_reduce(af @ bf, q)
-        acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        for start in range(0, inner, chunk):
-            stop = min(start + chunk, inner)
-            acc += barrett_reduce(af[..., start:stop] @ bf[start:stop], q)
-            acc -= q * (acc >= q)
-        return acc
-
-
-class NativeBackend(EagerBackend):
-    """The eager backend with its hottest primitives compiled.
-
-    Forward/inverse NTT (broadcast RNS axis included), gadget
-    decomposition, the key-switch inner product, the whole key switch
-    (one fused call), one whole expansion level and one whole ColTor
-    round (one fused call each: the slot gather, Subs' ``b`` add and
-    the butterfly, or ``ones - zeros`` and ``+ zeros``, around that key
-    switch, a ciphertext at a time) and the RowSel contraction over the
-    uint32 store (each DB word read once for both ciphertext halves) run
-    the C99 kernels of :mod:`repro.he.native` — lazy butterflies over
-    the same twiddle tables, so every slot is where the eager transforms
-    put it — and the large calls split across the cores
-    (:func:`repro.he.native.fan_out`).  The window loops, the other
-    pipeline ops, the slot-gather automorphism, the butterfly and
-    modular add (which only the eager steps call) and the dense GEMM
-    are inherited.
-
-    What the kernels do not cover runs the eager primitives, exactly
-    and counted: no library on this machine (``he_native_unavailable``,
-    once per process, by :func:`repro.he.native.load_library`), or a
-    ring, gadget or operand outside their bounds (``he_native_none`` per
-    call — ``4q < 2^32`` is the one that matters, raised as a
+    What the kernels do not cover runs the eager code, exactly and
+    counted: no library on this machine (``he_native_unavailable``, once
+    per process, by :func:`repro.he.native.load_library`), or a ring,
+    gadget or operand outside their bounds (``he_native_none`` per call
+    — ``4q < 2^32`` is the one that matters, raised as a
     :class:`~repro.errors.ParameterError` by
     :class:`~repro.he.native.NativeRing`).
     """
@@ -1011,7 +948,12 @@ class NativeBackend(EagerBackend):
         #: ``(n, moduli) -> NativeRing``, or None for a ring out of bounds.
         self._rings: dict[tuple[int, tuple[int, ...]], native.NativeRing | None] = {}
 
-    def _ring(self, ctx: RingContext) -> native.NativeRing | None:
+    def _ring(
+        self, ctx: RingContext, gadget: Gadget | None = None
+    ) -> native.NativeRing | None:
+        """The kernels' tables for ``ctx``, or None when there is no
+        library, or (counted) when the ring — or ``gadget``, when given —
+        is outside the kernels' bounds."""
         lib = native.load_library()
         if lib is None:
             return None
@@ -1022,8 +964,9 @@ class NativeBackend(EagerBackend):
             except ParameterError:
                 self._rings[key] = None
         ring = self._rings[key]
-        if ring is None:
+        if ring is None or (gadget is not None and not ring.covers(gadget)):
             count("he_native_none")
+            return None
         return ring
 
     def ntt_forward(self, ctx: RingContext, residues: np.ndarray) -> np.ndarray:
@@ -1040,47 +983,6 @@ class NativeBackend(EagerBackend):
         with kernel_stage(self._label("ntt_inv"), getattr(residues, "nbytes", 0)):
             return ring.transform(residues, inverse=True)
 
-    def digits_forward(self, ctx: RingContext, digits: np.ndarray) -> np.ndarray:
-        ring = self._ring(ctx)
-        if ring is None:
-            return super().digits_forward(ctx, digits)
-        with kernel_stage(self._label("ntt_fwd"), digits.nbytes):
-            return ring.transform(digits[:, :, None, :], partial=True)
-
-    def key_switch(
-        self, gadget: Gadget, coeff: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        """One C call for decompose -> digit NTTs -> inner, a ciphertext at
-        a time (:meth:`repro.he.native.NativeRing.key_switch`): the digit
-        tensor of the whole batch is never allocated.
-
-        A gadget the limb walk does not cover takes the inherited three-call
-        path, whose decomposition counts it; a key row the kernel refuses
-        is counted once here and the eager backend's key switch runs.
-        """
-        ring = self._ring(gadget.ctx)
-        if ring is None or not ring.covers(gadget):
-            return super().key_switch(gadget, coeff, rows)
-        out = ring.key_switch(gadget, coeff, rows)
-        if out is not None:
-            return out
-        count("he_native_none")
-        return get_backend(EagerBackend.name).key_switch(gadget, coeff, rows)
-
-    def decompose(self, gadget: Gadget, vec: RnsPolyVec) -> np.ndarray:
-        ring = self._ring(gadget.ctx)
-        if ring is None:
-            return super().decompose(gadget, vec)
-        residues = self._coeff_residues(vec)
-        with kernel_stage(self._label("decompose"), residues.nbytes):
-            digits = ring.decompose(gadget, residues)
-        if digits is None:  # more than four moduli, or a base above 2^32
-            count("he_native_none")
-            return super().decompose(
-                gadget, RnsPolyVec(gadget.ctx, residues, Domain.COEFF)
-            )
-        return digits
-
     @staticmethod
     def _consts(moduli_col: np.ndarray) -> np.ndarray | None:
         """The kernels' modulus table for ``moduli_col``, or None (counted)
@@ -1092,25 +994,6 @@ class NativeBackend(EagerBackend):
         except ParameterError:
             count("he_native_none")
             return None
-
-    def inner(
-        self, digits: np.ndarray, rows: np.ndarray, moduli_col: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The compiled contraction for ``[0, 2q)`` digits against
-        canonical rows.
-
-        The eager einsum sizes its chunks for canonical operands, and
-        ``digits_forward`` leaves ``[0, 2q)``: whatever the kernel
-        refuses is reduced first, then handed over (counted).
-        """
-        consts = self._consts(moduli_col)
-        if consts is not None:
-            result = native.inner(native.load_library(), consts, digits, rows, out)
-            if result is not None:
-                return result
-            count("he_native_none")
-        return super().inner(digits % moduli_col, rows, moduli_col, out)
 
     def rowsel_gemm(
         self, db: np.ndarray, query: np.ndarray, moduli_col: np.ndarray,
@@ -1135,13 +1018,14 @@ class NativeBackend(EagerBackend):
         Subs, the ``b`` add and the butterfly a ciphertext at a time,
         timed as the level's Subs.
 
-        A gadget the limb walk does not cover takes the inherited
-        per-primitive level; an operand the kernel refuses is counted once
-        here and the eager backend's level runs.
+        A ring or gadget outside the kernels' bounds (more than four
+        moduli, a base above 2^32) is counted and takes the inherited
+        per-primitive level; an operand the kernel refuses is counted and
+        the eager backend's level runs.
         """
         ctx = gadget.ctx
-        ring = self._ring(ctx)
-        if ring is None or not ring.covers(gadget):
+        ring = self._ring(ctx, gadget)
+        if ring is None:
             return super()._expand_level(vec, evk, step, gadget)
         with kernel_stage(self._label("subs"), vec.nbytes):
             grown = ring.expand_level(
@@ -1151,7 +1035,7 @@ class NativeBackend(EagerBackend):
         if grown is not None:
             return grown
         count("he_native_none")
-        return get_backend(EagerBackend.name)._expand_level(vec, evk, step, gadget)
+        return get_backend(ComputeBackend.name)._expand_level(vec, evk, step, gadget)
 
     def _coltor_round(
         self, current: np.ndarray, bits: list, gadget: Gadget
@@ -1162,15 +1046,15 @@ class NativeBackend(EagerBackend):
         time, the bit rows read where they lie, timed as the round's
         external product.  Fallbacks as in :meth:`_expand_level`.
         """
-        ring = self._ring(gadget.ctx)
-        if ring is None or not ring.covers(gadget):
+        ring = self._ring(gadget.ctx, gadget)
+        if ring is None:
             return super()._coltor_round(current, bits, gadget)
         with kernel_stage(self._label("ext_product"), current.nbytes // 2):
             result = ring.cmux_round(gadget, current, bits)
         if result is not None:
             return result
         count("he_native_none")
-        return get_backend(EagerBackend.name)._coltor_round(current, bits, gadget)
+        return get_backend(ComputeBackend.name)._coltor_round(current, bits, gadget)
 
     def encrypt_rows(
         self, ctx: RingContext, key_ntt: np.ndarray, rows: np.ndarray,
@@ -1203,7 +1087,7 @@ def _default_name() -> str:
     """
     if native.load_library() is not None:
         return NativeBackend.name
-    return EagerBackend.name
+    return ComputeBackend.name
 
 
 def __getattr__(name: str):
@@ -1249,5 +1133,5 @@ def resolve_backend(
     return get_backend(backend)
 
 
-register_backend(EagerBackend())
+register_backend(ComputeBackend())
 register_backend(NativeBackend())

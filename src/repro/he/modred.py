@@ -3,7 +3,7 @@
 :func:`modred` canonicalises what one modular add or subtract leaves
 behind, in place, with one unsigned minimum.  :func:`barrett_reduce`
 finishes the float64 accumulators of the dense SimplePIR/hintpir GEMM
-(:meth:`repro.he.backend.EagerBackend.modular_gemm`), which runs as a
+(:meth:`repro.he.backend.ComputeBackend.modular_gemm`), which runs as a
 BLAS dgemm over integer-valued doubles — exact below 2^53.  Reducing
 those with numpy's ``%`` would first require an int64 round trip and
 then pay the slow hardware modulo; :func:`barrett_reduce` instead

@@ -1,18 +1,18 @@
 """The compiled kernels behind the ``native`` compute backend.
 
-``native_kernels.c`` (next to this file) holds the eight portable-C99
-kernels: lazy-butterfly forward/inverse NTT, limb-iCRT gadget
-decomposition and the key-switch inner product; the key switch fused
-from those three (one ciphertext at a time, its digits never leaving
-cache); the two window steps fused around it — one ExpandQuery level
-(slot-gather automorphism, Subs, the ``b`` add and the level's
+``native_kernels.c`` (next to this file) holds the five portable-C99
+kernels: the lazy-butterfly forward/inverse NTT; the two window steps,
+each built around one key switch fused from limb-iCRT gadget
+decomposition, the digits' transform and the inner product (one
+ciphertext at a time, its digits never leaving cache) — one ExpandQuery
+level (slot-gather automorphism, Subs, the ``b`` add and the level's
 butterfly) and one ColTor round (``ones - zeros``, the external product
-against each query's bit rows read where they lie, ``+ zeros``), each a
-ciphertext at a time; the RowSel contraction that reads each word of the
-uint32 database store once for both ciphertext halves; and the client's
-one-pass encryption of zero rows (error transform, ``b = e - a*s`` and
-the RGSW gadget constants, written in place).  This module is everything
-foreign about them: it builds the shared library with the system C
+against each query's bit rows read where they lie, ``+ zeros``); the
+RowSel contraction that reads each word of the uint32 database store
+once for both ciphertext halves; and the client's one-pass encryption of
+zero rows (error transform, ``b = e - a*s`` and the RGSW gadget
+constants, written in place).  This module is everything foreign about
+them: it builds the shared library with the system C
 compiler on first use, loads it through :mod:`ctypes`, wraps each kernel
 in a function that validates shapes, dtypes and strides before a pointer
 crosses over, and splits the large calls across the cores.
@@ -43,11 +43,11 @@ once, and the function returns None for the rest of the process —
 ``eager`` is then the default backend.
 
 **Fan-out.**  :func:`fan_out` splits one kernel call into contiguous
-slices of its outermost independent axis — the key switch, the
-expansion level and the ColTor round over ciphertexts, RowSel over
-queries (over columns when there is one query), the NTT and the
-encryption over rows — and runs them at once: ``ctypes`` drops the GIL
-for the call, so the slices run on different cores.  The width is the
+slices of its outermost independent axis — the expansion level and the
+ColTor round over ciphertexts, RowSel over queries (over columns when
+there is one query), the NTT and the encryption over rows — and runs
+them at once: ``ctypes`` drops the GIL for the call, so the slices run
+on different cores.  The width is the
 number of cores the process may run on (:func:`fan_width`:
 ``os.sched_getaffinity``, else ``os.cpu_count()``), read once; a call
 splits only when it has two units and every slice carries
@@ -117,20 +117,7 @@ _PTR, _SIZE, _STRIDE = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ssize_t
 _SIGNATURES = {
     "ive_ntt": (None, [
         _PTR, _PTR, _SIZE, _STRIDE, _STRIDE, _SIZE, _SIZE, _PTR, _PTR,
-        ctypes.c_int, ctypes.c_int, _PTR,
-    ]),
-    "ive_decompose": (None, [
-        _PTR, _PTR, _SIZE, _STRIDE, _STRIDE, _SIZE, _SIZE, _PTR, _PTR,
-        ctypes.c_uint, _PTR, _PTR, _SIZE, ctypes.c_uint, _SIZE,
-    ]),
-    "ive_inner": (ctypes.c_int, [
-        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _PTR,
-        ctypes.c_uint, ctypes.c_uint, _SIZE,
-    ]),
-    "ive_key_switch": (ctypes.c_int, [
-        _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
-        _PTR, _PTR, _PTR, ctypes.c_uint, _PTR, _PTR, _SIZE, ctypes.c_uint,
-        _SIZE, ctypes.c_uint, ctypes.c_uint, _SIZE, _PTR, _PTR, _PTR,
+        ctypes.c_int, _PTR,
     ]),
     "ive_rowsel": (ctypes.c_int, [
         _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
@@ -262,7 +249,7 @@ def _shoup(w, q: int):
 def modulus_consts(moduli: tuple[int, ...]) -> np.ndarray:
     """The ``(rns, CONSTS)`` uint32 table, its modulus-only entries filled.
 
-    Enough for the inner product; :class:`NativeRing` adds the entries
+    Enough for RowSel; :class:`NativeRing` adds the entries
     that depend on the ring degree and the basis.  Raises
     :class:`~repro.errors.ParameterError` unless ``4q < 2^32`` throughout.
     """
@@ -444,11 +431,9 @@ class NativeRing:
         mod_stride = x.strides[1] // 8 if x.shape[1] > 1 else 0
         return x, lead, x.strides[0] // 8, mod_stride
 
-    def transform(
-        self, residues: np.ndarray, inverse: bool = False, partial: bool = False
-    ) -> np.ndarray:
+    def transform(self, residues: np.ndarray, inverse: bool = False) -> np.ndarray:
         """NTT every row under every modulus into a new ``(..., rns, n)``
-        tensor; a ``partial`` forward leaves ``[0, 2q)``."""
+        tensor."""
         x, lead, row_stride, mod_stride = self._rows(residues)
         poly = self.rns * self.n
         out = np.empty((x.shape[0], self.rns, self.n), dtype=np.int64)
@@ -459,7 +444,7 @@ class NativeRing:
             self.lib.ive_ntt(
                 _address(out) + 8 * lo * poly, _address(x) + 8 * lo * row_stride,
                 hi - lo, row_stride, mod_stride, self.rns, self.n,
-                _address(twiddles), _address(self.consts), inverse, partial,
+                _address(twiddles), _address(self.consts), inverse,
                 _address(work),
             )
             return 0
@@ -557,52 +542,9 @@ class NativeRing:
         return self._gadgets[key]
 
     def covers(self, gadget: Gadget) -> bool:
-        """Whether the limb walk (so :meth:`decompose` and
-        :meth:`key_switch`) takes this gadget."""
+        """Whether the limb walk (so :meth:`expand_level` and
+        :meth:`cmux_round`) takes this gadget."""
         return self._gadget(gadget) is not None
-
-    def key_switch(
-        self, gadget: Gadget, coeff: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray | None:
-        """The fused key switch, ``ComputeBackend.key_switch``'s contract.
-
-        ``coeff`` is ``(parts, groups, batch, rns, n)`` coefficient
-        residues, ``rows`` ``(2, groups, parts * ℓ, rns, n)`` canonical key
-        rows of a gadget the limb walk covers (:meth:`covers`); returns the
-        ``(2, groups, batch, rns, n)`` NTT-form result, or None — the
-        caller's path then runs — when a key word is negative or wider
-        than the largest modulus.
-        Fanned over ciphertexts, each slice with its own digit tile.
-        """
-        coeff = np.ascontiguousarray(coeff, dtype=np.int64)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        parts, groups, batch = coeff.shape[:3]
-        poly = (self.rns, self.n)
-        k = parts * gadget.length
-        if coeff.shape[3:] != poly or rows.shape != (2, groups, k) + poly:
-            raise ParameterError(
-                f"key switch shape mismatch: coeff {coeff.shape} vs key rows "
-                f"{rows.shape} for a length-{gadget.length} gadget"
-            )
-        out = np.empty((2, groups, batch) + poly, dtype=np.int64)
-        if out.size == 0:
-            return out
-        walk = self._walk(gadget)
-
-        def cts(lo: int, hi: int) -> int:
-            digits, tile, _, work = self._tiles(k, 0)
-            return self.lib.ive_key_switch(
-                _address(out), _address(coeff), _address(rows), parts,
-                groups * batch, batch, lo, hi, self.rns, self.n,
-                _address(self.twiddles[0]), _address(self.consts), *walk,
-                _address(digits), _address(tile), _address(work),
-            )
-
-        # Per ciphertext: its coefficients, both halves' key rows, its output.
-        words = (parts + 2 * k + 2) * self.rns * self.n
-        if fan_out(groups * batch, words, cts):
-            return None
-        return out
 
     def _walk(self, gadget: Gadget) -> tuple:
         """The key-switching kernels' gadget arguments, in their order: the
@@ -731,28 +673,6 @@ class NativeRing:
             return None
         return out
 
-    def decompose(self, gadget: Gadget, residues: np.ndarray) -> np.ndarray | None:
-        """Gadget digits ``(batch, ℓ, n)`` of ``(batch, rns, n)`` coefficient
-        residues; None for a gadget the limb walk does not cover."""
-        tables = self._gadget(gadget)
-        if tables is None:
-            return None
-        x, lead, row_stride, mod_stride = self._rows(residues)
-        if x.shape[1] != self.rns or len(lead) != 1:
-            raise ParameterError(
-                f"expected (batch, {self.rns}, {self.n}) residues, got "
-                f"{np.shape(residues)}"
-            )
-        shift, recip, qhat, q_limbs = tables
-        digits = np.empty((x.shape[0], gadget.length, self.n), dtype=np.int64)
-        self.lib.ive_decompose(
-            _address(digits), _address(x), x.shape[0], row_stride, mod_stride,
-            self.rns, self.n, _address(self.consts), _address(recip),
-            shift, _address(qhat), _address(q_limbs), len(q_limbs),
-            gadget.base_log2, gadget.length,
-        )
-        return digits
-
 
 def rowsel_gemm(
     lib: ctypes.CDLL, consts: np.ndarray, db: np.ndarray, query: np.ndarray,
@@ -811,38 +731,3 @@ def rowsel_gemm(
         return None
     return _deliver(dense, out)
 
-
-def inner(
-    lib: ctypes.CDLL, consts: np.ndarray, digits: np.ndarray, rows: np.ndarray,
-    out: np.ndarray | None,
-) -> np.ndarray | None:
-    """``out[g, b] = sum_k digits[g, b, k] * rows[g, k]`` mod each modulus.
-
-    ``digits`` is ``(groups, batch, k, rns, n)`` in ``[0, 2q)``, ``rows``
-    ``(groups, k, rns, n)`` in ``[0, q)``, ``consts`` their
-    :func:`modulus_consts`.  Returns None — ``out`` then holds garbage —
-    when the kernel met an operand outside those ranges (rounded up to
-    powers of two).
-    """
-    digits = np.ascontiguousarray(digits, dtype=np.int64)
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if digits.ndim != 5:
-        raise ParameterError(
-            f"expected (groups, batch, k, rns, n) digits, got {digits.shape}"
-        )
-    groups, batch, k, rns, n = digits.shape
-    if rows.shape != (groups, k, rns, n) or rns != len(consts):
-        raise ParameterError(
-            f"inner product shape mismatch: digits {digits.shape} vs rows "
-            f"{rows.shape} over {len(consts)} moduli"
-        )
-    dense = _dense_out(out, (groups, batch, rns, n))
-    qmax = int(consts[:, _C_Q].max())
-    digit_bits, key_bits = (2 * qmax - 1).bit_length(), (qmax - 1).bit_length()
-    if lib.ive_inner(
-        _address(dense), _address(digits), _address(rows), groups, batch, k,
-        rns, n, _address(consts), digit_bits, key_bits,
-        _chunk(qmax, digit_bits, key_bits),
-    ):
-        return None
-    return _deliver(dense, out)

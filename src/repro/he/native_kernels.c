@@ -1,18 +1,17 @@
 /*
  * Kernels of the `native` compute backend (repro.he.native loads this file).
  *
- * Eight entry points: the forward/inverse NTT, gadget decomposition and the
- * key-switch inner product the key switch is made of; the key switch itself
- * fused from the three (one ciphertext at a time, its digits cache-resident);
- * the two window steps built around that fused key switch -- one ExpandQuery
- * level (slot-gather automorphism, Subs, the b add and the level's butterfly)
- * and one ColTor round (ones - zeros, the external product, + zeros), each a
- * ciphertext at a time with every intermediate in that ciphertext's tiles;
- * the RowSel contraction over the uint32 database store; and the client's
- * encryption of zero rows.  The three key-switching entry points share one
- * static per-ciphertext helper (switch_one), and every entry point shares its
- * loop bodies with the others through static row helpers, so no loop exists
- * twice.
+ * Five entry points: the forward/inverse NTT; the two window steps built
+ * around one fused key switch (gadget decomposition, the digits' forward NTT
+ * and the key-switch inner product, one ciphertext at a time with its digits
+ * cache-resident) -- one ExpandQuery level (slot-gather automorphism, Subs,
+ * the b add and the level's butterfly) and one ColTor round (ones - zeros, the
+ * external product, + zeros), each a ciphertext at a time with every
+ * intermediate in that ciphertext's tiles; the RowSel contraction over the
+ * uint32 database store; and the client's encryption of zero rows.  The two
+ * key-switching entry points share one static per-ciphertext helper
+ * (switch_one), and every entry point shares its loop bodies with the others
+ * through static row helpers, so no loop exists twice.
  *
  * Portable C99: no intrinsics, no threads, no allocation, no globals.  Every
  * buffer comes from the caller.  repro.he.native splits the large calls over
@@ -224,7 +223,9 @@ static void inverse_stages(u32 *a, size_t n, const u32 *w, const u32 *ws,
 /*
  * One row's NTT under one modulus: n int64 of any size from `in` (load_row)
  * into n words of `out`, forward or inverse, through the n words of `work`.
- * `w` is the modulus' (2, n) twiddles and companions, `c` its consts row.
+ * `w` is the modulus' (2, n) twiddles and companions, `c` its consts row.  A
+ * `partial` forward leaves [0, 2q), which is all the key switch's inner
+ * product needs of its digits.
  */
 static void ntt_row(i64 *out, const i64 *in, size_t n, const u32 *w,
                     const u32 *c, int inverse, int partial, u32 *work)
@@ -252,19 +253,17 @@ static void ntt_row(i64 *out, const i64 *in, size_t n, const u32 *w,
  * src[r * src_row + m * src_mod + j] is any int64 (src_mod = 0 broadcasts one
  * coefficient row into every modulus); dst is dense (rows, rns, n).  `tw` is
  * (rns, 2, n): the twiddles of one direction and their Shoup companions;
- * `consts` is (rns, CONSTS).  A `partial` forward leaves [0, 2q).  `work`
- * holds n words.
+ * `consts` is (rns, CONSTS).  `work` holds n words.
  */
 void ive_ntt(i64 *dst, const i64 *src, size_t rows, ptrdiff_t src_row,
              ptrdiff_t src_mod, size_t rns, size_t n, const u32 *tw,
-             const u32 *consts, int inverse, int partial, u32 *work)
+             const u32 *consts, int inverse, u32 *work)
 {
     for (size_t r = 0; r < rows; r++)
         for (size_t m = 0; m < rns; m++)
             ntt_row(dst + (r * rns + m) * n,
                     src + (ptrdiff_t)r * src_row + (ptrdiff_t)m * src_mod, n,
-                    tw + m * 2 * n, consts + m * CONSTS, inverse, partial,
-                    work);
+                    tw + m * 2 * n, consts + m * CONSTS, inverse, 0, work);
 }
 
 /*
@@ -314,14 +313,14 @@ int ive_encrypt(i64 *restrict rows, const i64 *restrict errors,
     return 0;
 }
 
-/* Most moduli ive_decompose takes: their products below 2^62 sum in a uint64.
+/* Most moduli the limb walk takes: their products below 2^62 sum in a uint64.
  * With q < 2^30, rns * Q then fits as many 32-bit limbs. */
 #define MAX_RNS 4
-/* Coefficients per pass of ive_decompose: every per-coefficient value is an
+/* Coefficients per pass of decompose_row: every per-coefficient value is an
  * array over the tile, so each step below is a plain loop that vectorises. */
 #define DIGIT_TILE 64
 
-/* One gadget's limb-walk tables, as ive_decompose takes them. */
+/* One gadget's limb-walk tables (NativeRing._gadget builds them). */
 typedef struct {
     const u32 *recip, *qhat, *q_limbs;
     unsigned recip_shift, base_log2;
@@ -411,21 +410,7 @@ static void decompose_row(i64 *digits, const i64 *src, ptrdiff_t src_mod,
     }
 }
 
-/* Gadget digits of `rows` polynomials (decompose_row): src is (rows, rns, n)
- * by strides, digits dense (rows, length, n). */
-void ive_decompose(i64 *digits, const i64 *src, size_t rows, ptrdiff_t src_row,
-                   ptrdiff_t src_mod, size_t rns, size_t n, const u32 *consts,
-                   const u32 *recip, unsigned recip_shift, const u32 *qhat,
-                   const u32 *q_limbs, size_t limbs, unsigned base_log2,
-                   size_t length)
-{
-    limb_walk g = {recip, qhat, q_limbs, recip_shift, base_log2, limbs, length};
-    for (size_t r = 0; r < rows; r++)
-        decompose_row(digits + r * length * n, src + (ptrdiff_t)r * src_row,
-                      src_mod, rns, n, consts, &g);
-}
-
-/* Coefficients per pass of ive_inner: its accumulators stay in L1. */
+/* Coefficients per pass of inner_row: its accumulators stay in L1. */
 #define INNER_TILE 256
 
 /*
@@ -463,38 +448,14 @@ static void inner_row(i64 *restrict o, const i64 *restrict d,
 }
 
 /*
- * Key-switch inner product out[g, b] = sum_k digits[g, b, k] * keys[g, k] mod q.
- *
- * digits is dense (groups, batch, k, rns, n), keys dense (groups, k, rns, n),
- * out dense (groups, batch, rns, n).  Operands must be below 2^digit_bits and
- * 2^key_bits (at most 32 each): `chunk` products of that size plus one residue
- * fit a uint64, and the sum is reduced every `chunk` terms.  Returns nonzero,
- * with `out` unspecified, when an operand was negative or out of range.
- */
-int ive_inner(i64 *restrict out, const i64 *restrict digits,
-              const i64 *restrict keys, size_t groups, size_t batch, size_t k,
-              size_t rns, size_t n, const u32 *consts, unsigned digit_bits,
-              unsigned key_bits, size_t chunk)
-{
-    u64 seen[2] = {0, 0};
-    size_t step = rns * n;
-    for (size_t g = 0; g < groups; g++)
-    for (size_t b = 0; b < batch; b++)
-    for (size_t m = 0; m < rns; m++)
-        inner_row(out + ((g * batch + b) * rns + m) * n,
-                  digits + ((g * batch + b) * k * rns + m) * n,
-                  keys + (g * k * rns + m) * n, k, step, n,
-                  consts + m * CONSTS, chunk, seen);
-    return (seen[0] >> digit_bits) != 0 || (seen[1] >> key_bits) != 0;
-}
-
-/*
  * What the key switches of one slice share: the ring (its forward twiddles
  * `tw`, (rns, 2, n) as in ive_ntt, and consts), the gadget's limb walk, the
- * inner product's operand bounds and `chunk` (those of ive_inner), the slice's
- * own tiles -- `digits` (k, n) and `tile` (k, rns, n) for the k digit rows of
- * one ciphertext, `work` n words -- and the OR of every operand word the inner
- * products read (digits, keys).
+ * inner product's operand bounds -- digits below 2^digit_bits, keys below
+ * 2^key_bits, at most 32 bits each -- and `chunk` (that many products of that
+ * size plus one residue fit a uint64), the slice's own tiles -- `digits`
+ * (k, n) and `tile` (k, rns, n) for the k digit rows of one ciphertext, `work`
+ * n words -- and the OR of every operand word the inner products read
+ * (digits, keys).
  */
 typedef struct {
     size_t rns, n;
@@ -554,39 +515,6 @@ static void inverse_into(i64 *out, u32 *work, size_t n, const u32 *itw,
     inverse_stages(work, n, itw, itw + n, c);
     for (size_t j = 0; j < n; j++)
         out[j] = work[j];
-}
-
-/*
- * The whole key switch, out[h, f] = sum_k Dcp(coeff[:, f])_k * keys[h, g, k]
- * with g = f / batch, for the ciphertexts f in [lo, hi) of the flat
- * (groups * batch) axis, one ciphertext at a time (switch_one).  No digit
- * tensor of the whole batch exists.
- *
- * coeff is dense (parts, cts, rns, n), keys dense (2, cts / batch, k, rns, n),
- * out dense (2, cts, rns, n); the remaining operands fill a switcher.  Returns
- * nonzero, with this slice of `out` unspecified, when a key word was negative
- * or out of range.
- */
-int ive_key_switch(i64 *restrict out, const i64 *restrict coeff,
-                   const i64 *restrict keys, size_t parts, size_t cts,
-                   size_t batch, size_t lo, size_t hi, size_t rns, size_t n,
-                   const u32 *tw, const u32 *consts, const u32 *recip,
-                   unsigned recip_shift, const u32 *qhat, const u32 *q_limbs,
-                   size_t limbs, unsigned base_log2, size_t length,
-                   unsigned digit_bits, unsigned key_bits, size_t chunk,
-                   i64 *restrict digits, i64 *restrict tile, u32 *work)
-{
-    switcher s = {rns, n, tw, consts,
-                  {recip, qhat, q_limbs, recip_shift, base_log2, limbs, length},
-                  digit_bits, key_bits, chunk, digits, tile, work, {0, 0}};
-    size_t poly = rns * n, k = parts * length, half = cts / batch * k * poly;
-    for (size_t f = lo; f < hi; f++) {
-        const i64 *key[2] = {keys + f / batch * k * poly,
-                             keys + half + f / batch * k * poly};
-        switch_one(out + f * poly, (ptrdiff_t)(cts * poly),
-                   coeff + f * poly, (ptrdiff_t)(cts * poly), parts, key, &s);
-    }
-    return refused(&s);
 }
 
 /*

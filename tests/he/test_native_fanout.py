@@ -4,20 +4,24 @@
 of its outermost axis, runs the first on the calling thread and the rest
 on a pool, and ORs their statuses.  Every split here is forced — the fan
 width patched to 2 and 3 and the per-slice floor to 0 — and each fanned
-entry point (the fused key switch, the fused expansion level and ColTor
-round, RowSel, the NTT and the client's encryption pass) is held to
-``eager`` and to the same call unsplit, and seeded client keys and
-queries to the eager build.  Then the failure paths inside a split (an
-operand the kernel refuses, in the last slice only), one production
-answer at N = 2^12 (one C call per level and per round, no gather or
-stack copy around them), the pool under concurrent callers, and the
-pool's lifecycle: no thread at import, none where the process may run on
-one core.
+entry point (the fused expansion level and ColTor round, RowSel, the NTT
+and the client's encryption pass) is held to ``eager`` and to the same
+call unsplit, and seeded client keys and queries to the eager build.
+Then the failure paths inside a split (an operand the kernel refuses, in
+the last slice only), one production answer at N = 2^12 (one C call per
+level and per round, no gather or stack copy around them), the pool
+under concurrent callers, and the pool's lifecycle: no thread at import,
+none where the process may run on one core.  Last, the surface itself:
+the five C entry points and the six methods ``native`` replaces.
 """
 
+import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -103,50 +107,6 @@ def counters():
     previous = install(registry)
     yield lambda name: registry.counter(name).value
     install(previous)
-
-
-class TestKeySwitch:
-    @pytest.mark.parametrize("n", sorted(RINGS))
-    @pytest.mark.parametrize("parts", [1, 2])
-    @pytest.mark.parametrize("groups", [1, 3])
-    def test_matches_eager_and_the_unsplit_call(
-        self, split, monkeypatch, n, parts, groups
-    ):
-        ring = RINGS[n]
-        gadget = Gadget(ring)
-        k = parts * gadget.length
-        batches = (1, 2, 7) if n == 4096 else range(1, 8)
-        for batch in batches:
-            seed = n * 100 + parts * 10 + groups + batch
-            coeff = _residues(ring, (parts, groups, batch), seed)
-            rows = _residues(ring, (2, groups, k), seed + 1)
-            got = NATIVE.key_switch(gadget, coeff, rows)
-            assert got.shape == (2, groups, batch, ring.rns_count, n)
-            want = EAGER.key_switch(gadget, coeff, rows)
-            assert np.array_equal(got, want), batch
-            whole = _unsplit(monkeypatch, lambda: NATIVE.key_switch(gadget, coeff, rows))
-            assert np.array_equal(whole, want), batch
-        assert split.submits > 0
-
-    def test_the_fused_kernel_is_the_three_call_path(self):
-        """Fused or not, native's key switch is its own three primitives."""
-        ring = RINGS[256]
-        gadget = Gadget(ring)
-        coeff = _residues(ring, (2, 2, 3), 1)
-        rows = _residues(ring, (2, 2, 2 * gadget.length), 2)
-        three_calls = super(type(NATIVE), NATIVE).key_switch(gadget, coeff, rows)
-        assert np.array_equal(NATIVE.key_switch(gadget, coeff, rows), three_calls)
-
-    def test_a_bad_key_row_in_the_last_slice_falls_back_once(self, split, counters):
-        ring = RINGS[256]
-        gadget = Gadget(ring)
-        coeff = _residues(ring, (1, 2, 1), 3)
-        rows = _residues(ring, (2, 2, gadget.length), 4)
-        rows[1, 1, gadget.length - 1, 0, 9] = -1  # group 1: the last slice
-        want = EAGER.key_switch(gadget, coeff, rows)
-        assert np.array_equal(NATIVE.key_switch(gadget, coeff, rows), want)
-        assert counters("he_native_none") == 1
-        assert split.submits > 0
 
 
 class TestRowsel:
@@ -531,12 +491,11 @@ class TestPool:
         try:
             before = set(threading.enumerate())
             ring = RINGS[256]
-            gadget = Gadget(ring)
-            coeff = _residues(ring, (1, 1, 8), 50)
-            rows = _residues(ring, (2, 1, gadget.length), 51)
+            packed = _residues(ring, (2, 4), 50)
+            evks = _evks(ring, 2, 51)
             assert np.array_equal(
-                NATIVE.key_switch(gadget, coeff, rows),
-                EAGER.key_switch(gadget, coeff, rows),
+                _expand(NATIVE, ring, packed, evks, 2),
+                _expand(EAGER, ring, packed, evks, 2),
             )
             assert native.fan_width() == 1
             assert native._pool is None
@@ -552,3 +511,47 @@ class TestPool:
         src = Path(__file__).resolve().parents[2] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+#: The C file's exported kernels: one NTT, one encryption pass, the two
+#: fused window steps and RowSel.
+ENTRY_POINTS = {"ive_ntt", "ive_encrypt", "ive_expand_level", "ive_cmux_round", "ive_rowsel"}
+
+#: What ``native`` replaces of the eager backend, and its private helpers.
+OVERRIDES = {
+    "ntt_forward", "ntt_inverse", "encrypt_rows", "rowsel_gemm",
+    "_expand_level", "_coltor_round",
+}
+
+
+class TestSurface:
+    def test_the_c_file_exports_the_five_entry_points_ctypes_binds(self):
+        source = native._SOURCE.read_text()
+        exported = set(re.findall(
+            r"^(?!static\b)(?:\w+\s+\**)+(\w+)\s*\(", source, flags=re.MULTILINE
+        ))
+        assert exported == set(native._SIGNATURES) == ENTRY_POINTS
+
+    def test_native_overrides_the_steps_production_runs_and_nothing_else(self):
+        defined = {
+            name for name, value in vars(backend_module.NativeBackend).items()
+            if callable(value) or isinstance(value, staticmethod)
+        }
+        assert defined == OVERRIDES | {"__init__", "_ring", "_consts"}
+        base = backend_module.ComputeBackend
+        assert all(hasattr(base, name) for name in OVERRIDES)
+
+    def test_the_eager_backend_has_no_abstract_stub(self):
+        """Every ``ComputeBackend`` method has a body — none only raises
+        ``NotImplementedError`` — and the class is the registered eager."""
+        cls = backend_module.ComputeBackend
+        (tree,) = ast.parse(textwrap.dedent(inspect.getsource(cls))).body
+        for method in tree.body:
+            if isinstance(method, ast.FunctionDef):
+                code = [
+                    node for node in method.body
+                    if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+                ]
+                stub = len(code) == 1 and isinstance(code[0], ast.Raise)
+                assert not (stub and "NotImplementedError" in ast.unparse(code[0])), method.name
+        assert type(EAGER) is cls and cls.name == "eager"

@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.he import modmath, native
 from repro.he.backend import DEFAULT_BACKEND, backend_names, get_backend
-from repro.he.batched import RnsPolyVec
 from repro.he.gadget import Gadget
 from repro.he.poly import Domain, RingContext, RnsPoly
+from repro.he.subs import SubsKey
 from repro.obs.metrics import MetricsRegistry, install
 from repro.params import PirParams
 from repro.pir.database import PirDatabase
@@ -66,6 +66,36 @@ def _residues(ring: RingContext, batch: int, seed: int, kind: str) -> np.ndarray
     if kind == "unreduced":
         return rng.integers(0, 1 << 62, size=shape)
     return rng.integers(-(1 << 62), 1 << 62, size=shape)
+
+
+def _key_rows(ring: RingContext, rows: int, seed: int) -> np.ndarray:
+    """``(2, rows, rns, n)`` canonical key material: evk or RGSW bit rows."""
+    flat = _residues(ring, 2 * rows, seed, "canonical")
+    return flat.reshape((2, rows, ring.rns_count, ring.n))
+
+
+def _evks(ring: RingContext, levels: int, seed: int) -> dict:
+    """Evaluation keys of the first ``levels`` expansion levels."""
+    ell = Gadget(ring).length
+    powers = [ring.n // (1 << a) + 1 for a in range(levels)]
+    return {r: SubsKey(r, ring, _key_rows(ring, ell, seed + r)) for r in powers}
+
+
+def _round_of(ring: RingContext, coeff: np.ndarray, seed: int) -> tuple:
+    """One ColTor round whose differences are ``coeff``.
+
+    ``coeff`` is ``(2, Q, rns, n)`` coefficient residues, one polynomial
+    per half and query.  Each query's ``zeros`` entry is 0 and its
+    ``ones`` entry ``NTT(coeff)``, so the round's key switch decomposes
+    exactly ``coeff``; each query's bit rows are random.  Returns the
+    ``coltor_window`` operands.
+    """
+    queries = coeff.shape[1]
+    entries = np.zeros((2, queries, 2, ring.rns_count, ring.n), dtype=np.int64)
+    entries[:, :, 1] = EAGER.ntt_forward(ring, coeff)
+    k = 2 * Gadget(ring).length
+    bits = [[_key_rows(ring, k, seed + q) for q in range(queries)]]
+    return entries.reshape((2, 2 * queries, ring.rns_count, ring.n)), bits
 
 
 @pytest.fixture
@@ -107,7 +137,8 @@ class TestFourStepParity:
     @cases
     @settings(max_examples=40, deadline=None)
     def test_digits_forward_matches_eager(self, n, batch_index, seed, kind):
-        """Digits may come back partially reduced; mod q they are eager's."""
+        """Digit rows through every modulus' transform, as the key switch
+        takes them; mod q they are eager's."""
         ring = RINGS[n]
         rng = np.random.default_rng(seed)
         high = {"canonical": ring.params.gadget_base, "unreduced": 1 << 40}
@@ -179,31 +210,31 @@ class TestPlanCache:
 class TestFallbackCounters:
     """Each drop from a native kernel to the eager or bignum code is counted."""
 
-    def test_out_of_range_inner_operands_take_the_eager_einsum(self, counters):
-        ring = RINGS[1024]
-        rng = np.random.default_rng(7)
-        shape = (1, 2, 3, ring.rns_count, ring.n)
-        digits = rng.integers(0, 1 << 40, size=shape)  # one product is 2^70
-        rows = rng.integers(0, ring._moduli_col, size=shape[:1] + shape[2:])
-        got = NATIVE.inner(digits, rows, ring._moduli_col)
-        drops = int(native.load_library() is not None)
-        assert counters("he_native_none") == drops
-        want = EAGER.inner(digits % ring._moduli_col, rows, ring._moduli_col)
-        assert np.array_equal(got, want)
-        NATIVE.inner(digits % ring._moduli_col, rows, ring._moduli_col)
-        assert counters("he_native_none") == drops
-
     @needs_native
     def test_a_gadget_outside_the_limb_walk_takes_the_eager_limbs(self, counters):
-        # Five moduli: the kernel's limb walk covers at most four.
+        """Five moduli: the kernels' limb walk covers at most four, so each
+        expansion level and each ColTor round is the eager step, counted
+        once per step."""
         ring = RingContext(PirParams(
             n=256, moduli=modmath.find_ntt_primes(28, 512, 5), plain_modulus=65537,
             gadget_base_log2=16, gadget_len=9, d0=8, num_dims=1,
         ))
         gadget = Gadget(ring)
-        vec = RnsPolyVec(ring, _residues(ring, 2, seed=9, kind="canonical"), Domain.COEFF)
-        assert np.array_equal(NATIVE.decompose(gadget, vec), EAGER.decompose(gadget, vec))
-        assert counters("he_native_none") == 1
+        levels, rounds = 3, 2
+        packed = _residues(ring, 4, seed=9, kind="canonical").reshape(
+            (2, 2, ring.rns_count, ring.n)
+        )
+        evks = _evks(ring, levels, seed=10)
+        entries = _residues(ring, 2 << rounds, seed=11, kind="canonical").reshape(
+            (2, 1 << rounds, ring.rns_count, ring.n)
+        )
+        bits = [[_key_rows(ring, 2 * gadget.length, 12 + k)] for k in range(rounds)]
+        want_expand = EAGER.expand_window(packed, evks, levels, gadget)
+        want_coltor = EAGER.coltor_window(entries, bits, gadget)
+        assert counters("he_native_none") == 0
+        assert np.array_equal(NATIVE.expand_window(packed, evks, levels, gadget), want_expand)
+        assert np.array_equal(NATIVE.coltor_window(entries, bits, gadget), want_coltor)
+        assert counters("he_native_none") == levels + rounds
 
     def test_oversized_q_gemm_takes_object_bignums(self, counters):
         q = (1 << 45) + 59
@@ -295,19 +326,6 @@ class TestNativeKernels:
             EAGER.ntt_forward(ring, edge % ring._moduli_col),
         )
 
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_partial_digits_stay_below_2q(self, batch):
-        ring = RINGS[1024]
-        z = ring.params.gadget_base
-        digits = np.random.default_rng(batch).integers(0, z, size=(batch, 6, ring.n))
-        digits[..., 0], digits[..., 1] = 0, z - 1
-        got = NATIVE.digits_forward(ring, digits)
-        assert got.shape == (batch, 6, ring.rns_count, ring.n)
-        assert np.all(got >= 0) and np.all(got < 2 * ring._moduli_col)
-        assert np.array_equal(
-            got % ring._moduli_col, EAGER.digits_forward(ring, digits)
-        )
-
     def test_views_are_transformed_where_they_lie(self):
         ring = RingContext(PirParams.small(n=256))
         rng = np.random.default_rng(3)
@@ -329,68 +347,49 @@ class TestNativeKernels:
                 ), (name, op)
 
     @pytest.mark.parametrize("n", [1 << k for k in range(1, 10)])
-    def test_rings_shorter_than_a_vector(self, n):
+    def test_rings_shorter_than_a_vector(self, n, counters):
         """Every ring from 2 to 512 (RINGS covers 1024 up): where each of the
         fixed-span stages (t = 8, 4, 2) first runs, and rings too short to
-        run them all.  The partial digit transform leaves [0, 2q), so it is
-        held to eager's bytes mod q."""
+        run them all — in the transforms, and in a ColTor round's partial
+        ([0, 2q)) digit transforms, whose first query decomposes to a
+        digit row of zeros and one of z - 1."""
         ring = _ring_of(20, n=n, count=2)
         x = _residues(ring, 5, seed=n, kind="signed")
         assert np.array_equal(NATIVE.ntt_forward(ring, x), EAGER.ntt_forward(ring, x))
         assert np.array_equal(NATIVE.ntt_inverse(ring, x), EAGER.ntt_inverse(ring, x))
         z = ring.params.gadget_base
-        digits = np.random.default_rng(n).integers(0, z, size=(5, 3, n))
-        digits[0, 0], digits[0, 1] = 0, z - 1
-        got = NATIVE.digits_forward(ring, digits)
-        assert np.all(got >= 0) and np.all(got < 2 * ring._moduli_col)
-        assert np.array_equal(
-            got % ring._moduli_col, EAGER.digits_forward(ring, digits)
+        coeff = _residues(ring, 4, seed=n, kind="canonical").reshape(
+            (2, 2, ring.rns_count, n)
         )
+        coeff[:, 0] = ring.basis.constant_rns((z - 1) * z)[:, None]
+        entries, bits = _round_of(ring, coeff, seed=n)
+        gadget = Gadget(ring)
+        assert np.array_equal(
+            NATIVE.coltor_window(entries, bits, gadget),
+            EAGER.coltor_window(entries, bits, gadget),
+        )
+        assert counters("he_native_none") == 0
 
     @pytest.mark.parametrize("params", [
         PirParams.small(), PirParams.paper(),
     ], ids=["base-2^14", "base-2^22"])
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_decompose_matches_the_per_poly_gadget(self, params, batch, counters):
-        gadget = Gadget(RingContext(params))
-        ring = gadget.ctx
+    def test_limb_walk_edges_through_a_cmux_round(self, params, counters):
+        """Lifts at both ends of [0, Q) — 0, 1, Q - 1, Q / 2 and z - 1, in
+        both halves of three queries — as a ColTor round's ``ones - zeros``,
+        so the fused key switch's limb walk decomposes exactly them."""
+        ring = RingContext(params)
+        gadget = Gadget(ring)
         big_q = ring.basis.modulus_product
         lifts = [0, 1, big_q - 1, big_q // 2, ring.params.gadget_base - 1]
-        residues = _residues(ring, batch, seed=batch, kind="canonical")
-        for slot, lift in enumerate(lifts):  # lifts at both ends of [0, Q)
-            residues[:, :, slot] = ring.basis.constant_rns(lift)
-        vec = RnsPolyVec(ring, residues, Domain.COEFF)
-        got = NATIVE.decompose(gadget, vec)
-        assert got.shape == (batch, gadget.length, ring.n) and got.dtype == np.int64
-        for poly, digits in zip(vec.polys(), got):
-            want = np.stack([d.residues[0] for d in gadget.decompose(poly)])
-            assert np.array_equal(digits, want)
-        assert counters("he_native_none") == 0
-
-    def test_inner_takes_partial_digits_and_hands_wider_ones_on(self, counters):
-        ring = RINGS[1024]
-        rng = np.random.default_rng(11)
-        shape = (2, 3, 5, ring.rns_count, ring.n)
-        digits = rng.integers(0, 1 << 62, size=shape) % (2 * ring._moduli_col)
-        digits[0, 0, 0] = 2 * ring._moduli_col - 1
-        rows = rng.integers(0, 1 << 62, size=shape[:1] + shape[2:]) % ring._moduli_col
-        rows[0, 0] = ring._moduli_col - 1
-        want = EAGER.inner(digits % ring._moduli_col, rows, ring._moduli_col)
-        assert np.array_equal(NATIVE.inner(digits, rows, ring._moduli_col), want)
-        out = np.empty((2, 2, 3, ring.rns_count, ring.n), dtype=np.int64)
-        NATIVE.inner(digits, rows, ring._moduli_col, out=out[:, 1])  # a strided out
-        assert np.array_equal(out[:, 1], want)
-        assert counters("he_native_none") == 0
-        wide = digits + (1 << 40)  # beyond the kernel's range: reduced, then eager
-        assert np.array_equal(
-            NATIVE.inner(wide, rows, ring._moduli_col),
-            EAGER.inner(wide % ring._moduli_col, rows, ring._moduli_col),
+        coeff = _residues(ring, 6, seed=params.n, kind="canonical").reshape(
+            (2, 3, ring.rns_count, ring.n)
         )
-        assert np.array_equal(
-            NATIVE.inner(-digits, rows, ring._moduli_col),
-            EAGER.inner(-digits % ring._moduli_col, rows, ring._moduli_col),
-        )
-        assert counters("he_native_none") == 2
+        for slot, lift in enumerate(lifts):
+            coeff[..., slot] = ring.basis.constant_rns(lift)
+        entries, bits = _round_of(ring, coeff, seed=params.n)
+        want = EAGER.coltor_window(entries, bits, gadget)
+        assert np.array_equal(NATIVE.coltor_window(entries, bits, gadget), want)
+        assert counters("he_native_none") == 0
 
     def test_malformed_tensors_are_typed_errors_not_pointer_reads(self):
         ring = RINGS[1024]
@@ -398,9 +397,12 @@ class TestNativeKernels:
             NATIVE.ntt_forward(ring, np.zeros((3, ring.rns_count, ring.n + 1), np.int64))
         with pytest.raises(ParameterError, match="expected residues of shape"):
             NATIVE.ntt_inverse(ring, np.zeros((3, 2, ring.n), np.int64))
-        digits = np.zeros((1, 2, 3, ring.rns_count, ring.n), np.int64)
-        with pytest.raises(ParameterError, match="shape mismatch"):
-            NATIVE.inner(digits, digits[0, :, :2], ring._moduli_col)
+        gadget = Gadget(ring)
+        packed = np.zeros((2, 1, ring.rns_count, ring.n), np.int64)
+        r = ring.n + 1
+        short = {r: SubsKey(r, ring, _key_rows(ring, gadget.length - 1, seed=1))}
+        with pytest.raises(ParameterError, match="key rows"):
+            NATIVE.expand_window(packed, short, 1, gadget)
 
 
 class TestNativeBounds:
@@ -473,15 +475,12 @@ class TestNativeBuildAndFallback:
             assert np.array_equal(
                 backend.ntt_forward(ring, x), EAGER.ntt_forward(ring, x)
             )
-            digits = np.random.default_rng(4).integers(0, 1 << 14, size=(1, 2, 2, ring.n))
-            rows = _residues(ring, 2, seed=5, kind="canonical")[None]
+            gadget = Gadget(ring)
+            packed = _residues(ring, 2, seed=5, kind="canonical")[:, None]
+            evks = _evks(ring, 1, seed=6)
             assert np.array_equal(
-                backend.inner(
-                    digits[..., None, :] % ring._moduli_col, rows, ring._moduli_col
-                ),
-                EAGER.inner(
-                    digits[..., None, :] % ring._moduli_col, rows, ring._moduli_col
-                ),
+                backend.expand_window(packed, evks, 1, gadget),
+                EAGER.expand_window(packed, evks, 1, gadget),
             )
         assert counters("he_native_unavailable") == 1
         assert counters("he_native_none") == 0
