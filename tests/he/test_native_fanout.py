@@ -4,8 +4,9 @@
 of its outermost axis, runs the first on the calling thread and the rest
 on a pool, and ORs their statuses.  Every split here is forced — the fan
 width patched to 2 and 3 and the per-slice floor to 0 — and each fanned
-entry point (the fused expansion level and ColTor round, RowSel, the NTT
-and the client's encryption pass) is held to ``eager`` and to the same
+entry point (the fused expansion level and ColTor round, the key switch
+inside both, RowSel, the NTT and the client's encryption pass) is held
+to ``eager`` and to the same
 call unsplit, and seeded client keys and queries to the eager build.
 Then the failure paths inside a split (an operand the kernel refuses, in
 the last slice only), one production answer at N = 2^12 (one C call per
@@ -241,6 +242,68 @@ class TestButterfly:
         evks = _evks(ring, 1, 33)
         want = _expand(EAGER, ring, packed, evks, 1)
         assert np.array_equal(_expand(NATIVE, ring, packed, evks, 1), want)
+        assert counters("he_native_none") == 1
+        assert split.submits > 0
+
+
+class TestKeySwitch:
+    """The fused key switch (``switch_one``) inside both window steps:
+    ``parts = 1`` is an expansion level's Subs (the ``a`` half alone,
+    one evaluation key for every ciphertext), ``parts = 2`` a ColTor
+    round's external product (``a`` then ``b``, one RGSW bit per query);
+    ``groups`` queries of ``batch`` ciphertexts each."""
+
+    @staticmethod
+    def _step(ring, parts, groups, batch, seed):
+        """``backend -> output`` of one level or round over fresh operands."""
+        gadget = Gadget(ring)
+        if parts == 1:
+            vec = _residues(ring, (2, groups * batch), seed)
+            rows = _residues(ring, (2, gadget.length), seed + 1)
+            evk = SubsKey(ring.n + 1, ring, rows)
+            return lambda backend: backend._expand_level(vec, evk, batch, gadget)
+        cur = _residues(ring, (2, groups, 2 * batch), seed)
+        bits = _bit_views(ring, 1, groups, seed + 1)[0]
+        return lambda backend: backend._coltor_round(cur, bits, gadget)
+
+    @pytest.mark.parametrize("n", sorted(RINGS))
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_matches_eager_and_the_unsplit_call(
+        self, split, monkeypatch, n, parts, groups
+    ):
+        ring = RINGS[n]
+        batches = (1, 2, 7) if n == 4096 else range(1, 8)
+        for batch in batches:
+            step = self._step(ring, parts, groups, batch, n * 100 + parts * 10 + groups + batch)
+            got = step(NATIVE)
+            outputs = (2 * groups * batch,) if parts == 1 else (groups, batch)
+            assert got.shape == (2,) + outputs + (ring.rns_count, n)
+            want = step(EAGER)
+            assert np.array_equal(got, want), batch
+            whole = _unsplit(monkeypatch, lambda: step(NATIVE))
+            assert np.array_equal(whole, want), batch
+        assert split.submits > 0
+
+    def test_the_fused_kernel_is_the_three_call_path(self):
+        """Fused or not, native's key switch is the per-primitive one: each
+        compiled step equals the inherited step, which key-switches by
+        ``decompose``, ``digits_forward`` and ``inner`` around native's own
+        transforms."""
+        ring = RINGS[256]
+        three_calls = super(type(NATIVE), NATIVE)
+        for parts in (1, 2):
+            step = self._step(ring, parts, 2, 3, parts)
+            assert np.array_equal(step(NATIVE), step(three_calls)), parts
+
+    def test_a_bad_key_row_in_the_last_slice_falls_back_once(self, split, counters):
+        ring = RINGS[256]
+        gadget = Gadget(ring)
+        entries = _residues(ring, (2, 2 * 2), 3)
+        bits = _bit_views(ring, 1, 2, 4)
+        bits[0][1][1, 2 * gadget.length - 1, 0, 9] = -1  # query 1: the last slice
+        want = _coltor(EAGER, ring, entries, bits)
+        assert np.array_equal(_coltor(NATIVE, ring, entries, bits), want)
         assert counters("he_native_none") == 1
         assert split.submits > 0
 

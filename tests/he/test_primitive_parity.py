@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.he import modmath, native
 from repro.he.backend import DEFAULT_BACKEND, backend_names, get_backend
+from repro.he.batched import RnsPolyVec
 from repro.he.gadget import Gadget
 from repro.he.poly import Domain, RingContext, RnsPoly
 from repro.he.subs import SubsKey
@@ -96,6 +97,16 @@ def _round_of(ring: RingContext, coeff: np.ndarray, seed: int) -> tuple:
     k = 2 * Gadget(ring).length
     bits = [[_key_rows(ring, k, seed + q) for q in range(queries)]]
     return entries.reshape((2, 2 * queries, ring.rns_count, ring.n)), bits
+
+
+def _pairs_of(ring: RingContext, coeff: np.ndarray, seed: int) -> tuple:
+    """One query's ColTor round of ``count`` outputs whose differences are
+    ``coeff``, ``(2, count, rns, n)``: the ``_coltor_round`` operands,
+    ``count = 0`` (an empty round) included."""
+    count = coeff.shape[1]
+    current = np.zeros((2, 1, 2 * count, ring.rns_count, ring.n), dtype=np.int64)
+    current[:, 0, 1::2] = EAGER.ntt_forward(ring, coeff)
+    return current, [_key_rows(ring, 2 * Gadget(ring).length, seed)]
 
 
 @pytest.fixture
@@ -209,6 +220,27 @@ class TestPlanCache:
 
 class TestFallbackCounters:
     """Each drop from a native kernel to the eager or bignum code is counted."""
+
+    def test_out_of_range_inner_operands_take_the_eager_einsum(self, counters):
+        """An evaluation-key word of ``2^key_bits`` is outside the fused
+        inner product's range: the level is eager's, counted once where
+        the kernels load, and mod q it is the reduced key's level."""
+        ring = RINGS[1024]
+        gadget = Gadget(ring)
+        packed = _residues(ring, 4, seed=7, kind="canonical").reshape(
+            (2, 2, ring.rns_count, ring.n)
+        )
+        (r, key), = _evks(ring, 1, seed=8).items()
+        wide = key.rows.copy()
+        wide[1, 0, 0, :3] = 1 << (max(ring.params.moduli) - 1).bit_length()
+        got = NATIVE.expand_window(packed, {r: SubsKey(r, ring, wide)}, 1, gadget)
+        drops = int(native.load_library() is not None)
+        assert counters("he_native_none") == drops
+        reduced = {r: SubsKey(r, ring, wide % ring._moduli_col)}
+        want = EAGER.expand_window(packed, reduced, 1, gadget)
+        assert np.array_equal(got, want)
+        assert np.array_equal(NATIVE.expand_window(packed, reduced, 1, gadget), want)
+        assert counters("he_native_none") == drops
 
     @needs_native
     def test_a_gadget_outside_the_limb_walk_takes_the_eager_limbs(self, counters):
@@ -326,6 +358,26 @@ class TestNativeKernels:
             EAGER.ntt_forward(ring, edge % ring._moduli_col),
         )
 
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_partial_digits_stay_below_2q(self, batch, counters):
+        """A ColTor round of ``batch`` outputs whose differences decompose
+        to a digit row of 0 (coefficient 0) and of z - 1 (coefficient 1,
+        the lift z^(ℓ-1) - 1): the fused round's partial ([0, 2q)) digit
+        transforms at both ends, held to eager with no fallback."""
+        ring = RINGS[1024]
+        gadget = Gadget(ring)
+        z = ring.params.gadget_base
+        coeff = _residues(ring, 2 * batch, seed=batch, kind="canonical").reshape(
+            (2, batch, ring.rns_count, ring.n)
+        )
+        coeff[..., 0] = 0
+        coeff[..., 1] = ring.basis.constant_rns(z ** (gadget.length - 1) - 1)
+        current, bits = _pairs_of(ring, coeff, seed=batch)
+        got = NATIVE._coltor_round(current, bits, gadget)
+        assert got.shape == (2, 1, batch, ring.rns_count, ring.n)
+        assert np.array_equal(got, EAGER._coltor_round(current, bits, gadget))
+        assert counters("he_native_none") == 0
+
     def test_views_are_transformed_where_they_lie(self):
         ring = RingContext(PirParams.small(n=256))
         rng = np.random.default_rng(3)
@@ -373,23 +425,61 @@ class TestNativeKernels:
     @pytest.mark.parametrize("params", [
         PirParams.small(), PirParams.paper(),
     ], ids=["base-2^14", "base-2^22"])
-    def test_limb_walk_edges_through_a_cmux_round(self, params, counters):
-        """Lifts at both ends of [0, Q) — 0, 1, Q - 1, Q / 2 and z - 1, in
-        both halves of three queries — as a ColTor round's ``ones - zeros``,
-        so the fused key switch's limb walk decomposes exactly them."""
-        ring = RingContext(params)
-        gadget = Gadget(ring)
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_decompose_matches_the_per_poly_gadget(self, params, batch, counters):
+        """Lifts at both ends of [0, Q) — 0, 1, Q - 1, Q / 2 and z - 1 — in
+        ``2 * batch`` polynomials: ``decompose`` gives the per-poly gadget's
+        digits, and as the differences of a ColTor round of ``batch``
+        outputs the fused key switch's limb walk decomposes exactly them,
+        held to eager with no fallback."""
+        gadget = Gadget(RingContext(params))
+        ring = gadget.ctx
         big_q = ring.basis.modulus_product
         lifts = [0, 1, big_q - 1, big_q // 2, ring.params.gadget_base - 1]
-        coeff = _residues(ring, 6, seed=params.n, kind="canonical").reshape(
-            (2, 3, ring.rns_count, ring.n)
-        )
+        residues = _residues(ring, 2 * batch, seed=batch, kind="canonical")
         for slot, lift in enumerate(lifts):
-            coeff[..., slot] = ring.basis.constant_rns(lift)
-        entries, bits = _round_of(ring, coeff, seed=params.n)
-        want = EAGER.coltor_window(entries, bits, gadget)
-        assert np.array_equal(NATIVE.coltor_window(entries, bits, gadget), want)
+            residues[:, :, slot] = ring.basis.constant_rns(lift)
+        vec = RnsPolyVec(ring, residues, Domain.COEFF)
+        got = NATIVE.decompose(gadget, vec)
+        assert got.shape == (2 * batch, gadget.length, ring.n) and got.dtype == np.int64
+        for poly, digits in zip(vec.polys(), got):
+            want = np.stack([d.residues[0] for d in gadget.decompose(poly)])
+            assert np.array_equal(digits, want)
+        current, bits = _pairs_of(ring, residues.reshape((2, batch) + residues.shape[1:]), batch)
+        want = EAGER._coltor_round(current, bits, gadget)
+        assert np.array_equal(NATIVE._coltor_round(current, bits, gadget), want)
         assert counters("he_native_none") == 0
+
+    def test_inner_takes_partial_digits_and_hands_wider_ones_on(self, counters):
+        """The fused inner product at its edges: digit rows of z - 1 (the
+        partial transforms' largest inputs) against bit rows of q - 1, the
+        bit's halves two strided views.  A bit word of ``2^key_bits``, or a
+        negative one, is handed on to eager's round, counted, and mod q is
+        the reduced bit's round."""
+        ring = RINGS[1024]
+        gadget = Gadget(ring)
+        z = ring.params.gadget_base
+        coeff = _residues(ring, 10, seed=11, kind="canonical").reshape(
+            (2, 5, ring.rns_count, ring.n)
+        )
+        coeff[:, 0] = ring.basis.constant_rns(z ** (gadget.length - 1) - 1)[:, None]
+        current, (rows,) = _pairs_of(ring, coeff, seed=12)
+        rows[0, 0] = ring._moduli_col - 1
+        base = np.zeros(rows.shape[:-1] + (2 * ring.n,), dtype=np.int64)
+        base[..., ::2] = rows
+        bit = [base[0, ..., ::2], base[1, ..., ::2]]
+        want = EAGER._coltor_round(current, [rows], gadget)
+        assert np.array_equal(NATIVE._coltor_round(current, [bit], gadget), want)
+        assert counters("he_native_none") == 0
+        key_bits = (max(ring.params.moduli) - 1).bit_length()
+        for word in (1 << key_bits, -1):
+            wide = rows.copy()
+            wide[1, 3, 0, 5] = word
+            assert np.array_equal(
+                NATIVE._coltor_round(current, [wide], gadget),
+                EAGER._coltor_round(current, [wide % ring._moduli_col], gadget),
+            ), word
+        assert counters("he_native_none") == 2
 
     def test_malformed_tensors_are_typed_errors_not_pointer_reads(self):
         ring = RINGS[1024]
