@@ -27,11 +27,11 @@ from repro.he.poly import RingContext
 from repro.mutate import (
     UpdateLog,
     VersionedDatabase,
-    VersionedShardRegistry,
     churn_update_curve,
 )
 from repro.params import PirParams
 from repro.pir.database import PirDatabase
+from repro.serve import RealShardRegistry
 from repro.serve.dispatcher import AdmissionConfig, ServeRuntime
 from repro.serve.loadgen import poisson_arrivals
 from repro.serve.metrics import percentile
@@ -114,7 +114,7 @@ def _delta_sweep() -> dict:
 def _epoch_swap_run() -> dict:
     """Open-loop load test with hot swaps mid-run (real crypto)."""
     params = PirParams.small(n=256, d0=8, num_dims=2)
-    registry = VersionedShardRegistry.random(
+    registry = RealShardRegistry.random(
         params,
         num_records=SWAP_RECORDS,
         record_bytes=32,

@@ -240,15 +240,13 @@ def _shape(args: argparse.Namespace) -> dict:
     )
 
 
-def _tier_plain(args: argparse.Namespace, publishes: bool):
-    from repro.mutate import VersionedShardRegistry
+def _tier_plain(args: argparse.Namespace):
     from repro.serve import RealShardRegistry
 
-    cls = VersionedShardRegistry if publishes else RealShardRegistry
-    return cls.random(_toy_params(), backend=args.backend, **_shape(args)), None
+    return RealShardRegistry.random(_toy_params(), backend=args.backend, **_shape(args)), None
 
 
-def _tier_batch(args: argparse.Namespace, publishes: bool):
+def _tier_batch(args: argparse.Namespace):
     from repro.batchpir.serving import BatchServeRegistry
 
     # One cuckoo pass is sized for the window, but no larger than a shard.
@@ -260,7 +258,7 @@ def _tier_batch(args: argparse.Namespace, publishes: bool):
     return registry, None
 
 
-def _tier_kv(args: argparse.Namespace, publishes: bool):
+def _tier_kv(args: argparse.Namespace):
     from repro.kvpir import KvServeRegistry
     from repro.kvpir.layout import random_items
 
@@ -273,7 +271,7 @@ def _tier_kv(args: argparse.Namespace, publishes: bool):
     return registry, list(items)
 
 
-def _tier_hint(args: argparse.Namespace, publishes: bool):
+def _tier_hint(args: argparse.Namespace):
     from repro.hintpir import HintServeRegistry
     from repro.pir.simplepir import SimplePirParams
 
@@ -304,7 +302,7 @@ class _Deployment:
     keys: list | None = None
 
 
-def _sim_column(args, serving, publishes, tracer) -> _Deployment:
+def _sim_column(args, serving, tracer) -> _Deployment:
     from repro.serve import SimShardRegistry, SimulatedBackend
     from repro.systems.batching import BatchPolicy
 
@@ -325,10 +323,10 @@ def _window_policy(args):
     )
 
 
-def _real_column(args, serving, publishes, tracer) -> _Deployment:
+def _real_column(args, serving, tracer) -> _Deployment:
     from repro.serve import RealCryptoBackend
 
-    registry, keys = _TIERS[serving](args, publishes)
+    registry, keys = _TIERS[serving](args)
     executor = RealCryptoBackend(registry, tracer=tracer)
     return _Deployment(registry, executor, _window_policy(args), keys)
 
@@ -346,7 +344,7 @@ def _deploy(
 ) -> _Deployment:
     """Build the (``serving``, ``mode``) cell; ``tracer`` is the one the
     executor should report to."""
-    deployment = _EXECUTORS[mode](args, serving, publishes, tracer)
+    deployment = _EXECUTORS[mode](args, serving, tracer)
     if publishes and not hasattr(deployment.registry, "publish"):
         raise ParameterError(
             f"--publish-period: --serving {serving} in --mode {mode} has no publish"
@@ -378,7 +376,7 @@ def _audit(registry, results) -> dict:
         request = result.request
         item = request.global_index if request.key is None else request.key
         try:
-            # Truth first: decoding drops the versioned tier's epoch pin.
+            # Truth first: decoding drops the plain tier's epoch pin.
             truth = (
                 registry.expected(item, epoch=answered_at(result))
                 if per_epoch

@@ -23,7 +23,7 @@ import hashlib
 
 import numpy as np
 
-from repro.errors import HintPirError, HintStale
+from repro.errors import HintPirError, HintStale, LayoutError
 from repro.he.backend import ComputeBackend
 from repro.hintpir.protocol import (
     HintPirClient,
@@ -102,11 +102,11 @@ class HintServeRegistry(ServingMode):
     """Per-shard hint-PIR deployments over one logical record set.
 
     Each shard holds a :class:`HintPirServer` over its keyed share of the
-    records and one :class:`HintPirClient` session (shared client ring,
-    like :class:`~repro.serve.registry.RealShardRegistry`).  A global
-    :meth:`publish` splits one update log by routing and advances every
-    shard in the same logical epoch, so stale-hint handling is uniform
-    across shards.
+    records and one :class:`HintPirClient` session.  Like the plain
+    tier's :class:`~repro.serve.registry.RealShardRegistry`, a global
+    :meth:`publish` validates one update log whole, splits it by routing
+    and advances every shard in the same logical epoch — or none of them
+    — so stale-hint handling is uniform across shards.
     """
 
     def __init__(
@@ -225,7 +225,13 @@ class HintServeRegistry(ServingMode):
     # -- epoch publishes ---------------------------------------------------
 
     def publish(self, log: UpdateLog) -> list[HintPublishReport]:
-        """Apply one global update log as one epoch step on every shard."""
+        """Apply one global update log as one epoch step on every shard.
+
+        Atomic across shards: the whole log is validated (routing, no
+        appends, no record longer than its slot) before the first shard
+        publishes, so a rejected log leaves every shard on the current
+        epoch.  Shorter records are zero-padded to the slot.
+        """
         writes, appends = log.coalesced(self.num_records)
         if appends:
             raise HintPirError(
@@ -241,6 +247,11 @@ class HintServeRegistry(ServingMode):
                 shard_logs[shard_id].delete(local)
                 truth[index] = b"\x00" * self.record_bytes
             else:
+                if len(record) > self.record_bytes:
+                    raise LayoutError(
+                        f"record of {len(record)} bytes exceeds slot of "
+                        f"{self.record_bytes}"
+                    )
                 shard_logs[shard_id].put(local, record)
                 truth[index] = bytes(record).ljust(self.record_bytes, b"\x00")
         reports = [

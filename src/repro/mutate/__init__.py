@@ -3,9 +3,10 @@
 The paper's cost story assumes a static preprocessed database; this
 subsystem makes it mutable without re-preprocessing the world: typed
 update logs (put/delete/append), dirty-plane delta application with
-copy-on-write epoch snapshots and sublinear-work accounting,
-zero-downtime epoch hot-swap for the serving runtime, and the
-accelerator-side update cost model.
+copy-on-write epoch snapshots and sublinear-work accounting, and the
+accelerator-side update cost model.  The plain tier's serving registry
+(``repro.serve.RealShardRegistry``) hot-swaps these snapshots with zero
+downtime.
 """
 
 from repro.mutate.log import (
@@ -15,7 +16,6 @@ from repro.mutate.log import (
     UpdateLog,
 )
 from repro.mutate.model import ChurnPoint, churn_update_curve, expected_dirty_polys
-from repro.mutate.serving import PublishResult, VersionedShardRegistry
 from repro.mutate.versioned import (
     EpochSnapshot,
     UpdateCost,
@@ -28,12 +28,10 @@ __all__ = [
     "ChurnPoint",
     "Delete",
     "EpochSnapshot",
-    "PublishResult",
     "Put",
     "UpdateCost",
     "UpdateLog",
     "VersionedDatabase",
-    "VersionedShardRegistry",
     "apply_record_updates",
     "churn_update_curve",
     "expected_dirty_polys",

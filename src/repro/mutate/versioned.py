@@ -16,7 +16,7 @@ cells.  :class:`VersionedDatabase` does exactly that, producing an
   work was proportional to the delta, not the database.
 
 Snapshots are immutable once published: in-flight queries keep decoding
-against the epoch they were admitted under (``repro.mutate.serving``)
+against the epoch they were admitted under (``repro.serve.registry``)
 while new admissions see the new epoch.
 """
 

@@ -191,16 +191,6 @@ class PreprocessedDatabase:
     def num_polys(self) -> int:
         return self.tensor.shape[1]
 
-    @property
-    def stored_bytes(self) -> int:
-        """Modeled preprocessed footprint (logQ/logP blowup, Section II-B).
-
-        Residues counted at the model's ``RESIDUE_BITS`` (28), which is
-        what the IVE memory-placement rule sizes; the store's real
-        footprint is ``tensor.nbytes`` (32-bit words).
-        """
-        return self.plane_count * self.num_polys * self.layout.params.poly_bytes
-
     def poly(self, plane: int, row: int, col: int) -> RnsPoly:
         """An int64 copy of the polynomial at initial-dimension ``row`` and
         ColTor column ``col``, for the per-poly oracle."""

@@ -359,7 +359,7 @@ class ServeRuntime:
         A request that will never reach ``registry.decode`` — shed here,
         or failed with its window — is released on the caller's behalf,
         so whatever ``make_request`` pinned for it (an epoch snapshot on
-        the versioned tier) cannot outlive it.
+        the plain tier) cannot outlive it.
         """
         shard_id = self.registry.map.check_shard(request.shard_id)
         try:

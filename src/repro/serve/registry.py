@@ -4,20 +4,18 @@ Record-level parallelism at the serving layer (Section V): a logical
 database of R records is split into shards, each held by its own replica.
 Every tier presents the runtime with the :class:`ServingMode` protocol, so
 the runtime and the one thread executor never branch on the tier.  This
-module holds the protocol, the plain-tier routing base
-(:class:`PlainRouting`, shared with ``repro.mutate.serving``) and two
-registries:
+module holds the protocol, the plain tier's real registry and the
+simulated registry every tier's ``sim`` deployment uses:
 
 * :class:`RealShardRegistry` — every shard is a real :class:`PirServer`
   over a slice of the records, sharing one client ring so queries and
-  responses are byte-correct end to end.
+  responses are byte-correct end to end; ``publish`` hot-swaps epochs
+  built by dirty-plane delta application (``repro.mutate``).
 * :class:`SimShardRegistry` — geometry only; each shard is backed by the
   :class:`~repro.systems.scale_up.ScaleUpSystem` latency model so
-  million-user load tests run in simulated time.
-
-Both reuse the Section V placement rule
-(:func:`repro.systems.scale_up.choose_placement`) to decide whether a
-shard's preprocessed slice lives in HBM or spills to LPDDR.
+  million-user load tests run in simulated time, its slice placed in HBM
+  or LPDDR by the Section V rule
+  (:func:`repro.systems.scale_up.choose_placement`).
 """
 
 from __future__ import annotations
@@ -25,19 +23,22 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Protocol
 
 import numpy as np
 
 from repro.arch.config import IveConfig
-from repro.errors import ParameterError, RoutingError
+from repro.errors import MutateError, ParameterError, RoutingError, StaleEpoch
 from repro.he import modmath
+from repro.he.backend import ComputeBackend, resolve_backend
+from repro.mutate.log import UpdateLog, split_by_shard
+from repro.mutate.versioned import EpochSnapshot, UpdateCost, VersionedDatabase
 from repro.params import PirParams
 from repro.pir.client import PirClient, PirQuery, PirResponse
-from repro.pir.database import PirDatabase
 from repro.pir.layout import RecordLayout
 from repro.pir.server import PirServer
-from repro.systems.scale_up import DbPlacement, ScaleUpSystem, choose_placement
+from repro.systems.scale_up import DbPlacement, ScaleUpSystem
 
 
 class ShardBounds:
@@ -142,27 +143,13 @@ class ServeRequest:
     local_index: int
     query: PirQuery | None = None  # real-crypto payload; None in sim mode
     key: bytes | None = None  # keyword-PIR lookups route by key, not index
-    #: Database epoch the request was admitted under (versioned hot-swap,
-    #: ``repro.mutate.serving``); None for unversioned registries.
+    #: Database epoch the request was admitted under (the plain tier's
+    #: hot-swap); None on tiers without epochs.
     epoch: int | None = None
     #: Tracing id minted at the admission door (``repro.obs.trace``);
     #: rides the request through every layer so one timeline shows the
     #: whole path.  None when tracing is off.
     trace_id: int | None = None
-
-
-def group_by_epoch(requests: list[ServeRequest]) -> dict[int, list[int]]:
-    """Positions of a window's requests, keyed by admitted epoch.
-
-    A dispatch window that straddles a ``publish`` legitimately mixes
-    epochs; each group is answered as one stacked pass by that epoch's
-    server.
-    """
-    groups: dict[int, list[int]] = {}
-    for position, request in enumerate(requests):
-        epoch = 0 if request.epoch is None else request.epoch
-        groups.setdefault(epoch, []).append(position)
-    return groups
 
 
 class ServingMode(Protocol):
@@ -208,30 +195,55 @@ class ServingMode(Protocol):
         The runtime calls it on both paths; most tiers pin nothing."""
 
 
+@dataclass
+class _EpochState:
+    """One live database version across every shard."""
+
+    epoch: int
+    snapshots: list[EpochSnapshot]
+    servers: list[PirServer]
+    inflight: int = 0
+    admissible: bool = True
+
+
 @dataclass(frozen=True)
-class ShardSpec:
-    """Static description of one shard."""
+class PublishResult:
+    """What one hot-swap published."""
 
-    shard_id: int
-    start: int
-    num_records: int
-    placement: DbPlacement
-    preprocessed_bytes: int
+    epoch: int
+    cost: UpdateCost
+    live_epochs: tuple[int, ...]
 
 
-class PlainRouting(ServingMode):
-    """Client half of a contiguous plain-tier deployment.
+class RealShardRegistry(ServingMode):
+    """N real ``PirServer`` replicas over one logical record set, with
+    epoch-versioned hot-swap.
 
-    The shard map, the one :class:`PirClient` (and its ring) shared by
-    every shard, and the per-shard record layouts — geometry only, so
-    put/delete epochs never change them.  Subclasses own where the
-    replicas and the ground truth live: in-process servers
-    (:class:`RealShardRegistry`) or per-epoch servers
-    (``VersionedShardRegistry``).
+    One :class:`PirClient` (and its ring) serves every shard; its
+    evaluation keys are registered with every replica at build time — the
+    per-shard setup management a deployment would do per user.  Each
+    shard's records live in a :class:`~repro.mutate.versioned.VersionedDatabase`
+    whose epoch-0 snapshot is the ``PirDatabase`` plus preprocessed store
+    a static deployment would hold.
+
+    ``publish`` applies an :class:`~repro.mutate.log.UpdateLog` by
+    dirty-plane delta application (cost proportional to the delta) and
+    installs the new epoch for *new* admissions, while requests already
+    admitted keep their epoch pin: ``make_request`` stamps each request
+    with its epoch and ``answer_window`` answers it with that epoch's
+    servers — one stacked pass per epoch present in the window.  Nothing
+    in flight is lost or decoded against the wrong database version.
+
+    Retention is bounded: requests are admitted only against the most
+    recent ``retain`` epochs — older pins get the typed
+    :class:`~repro.errors.StaleEpoch` rejection — but a *live* epoch (one
+    with in-flight requests) is never freed until its last request is
+    released, so a swap mid-window cannot strand a queued query.
+
+    Appends are rejected (``MutateError``): the shard map partitions a
+    fixed index space, and growing it online would silently re-route
+    existing indices.  Grow by rebuilding the registry.
     """
-
-    #: Epoch stamped on new requests; None for unversioned registries.
-    current_epoch: int | None = None
 
     def __init__(
         self,
@@ -240,7 +252,11 @@ class PlainRouting(ServingMode):
         num_shards: int,
         record_bytes: int | None = None,
         seed: int | None = None,
+        retain: int = 2,
+        backend: str | ComputeBackend | None = None,
     ):
+        if retain < 1:
+            raise MutateError("must retain at least the current epoch")
         self.params = params
         self.map = ShardMap(len(records), num_shards)
         self.client = PirClient(params, seed=seed)
@@ -253,6 +269,19 @@ class PlainRouting(ServingMode):
             )
             for size in self.map.sizes
         ]
+        self.retain = retain
+        self.backend = resolve_backend(backend)
+        self._setup = self.client.setup_message()
+        self._vdbs = [
+            VersionedDatabase(
+                params, records[self.map.span(shard_id)], record_bytes,
+                ring=self.client.ring, backend=self.backend,
+            )
+            for shard_id in range(num_shards)
+        ]
+        self.current_epoch = 0
+        self._epochs: dict[int, _EpochState] = {}
+        self._install([vdb.current for vdb in self._vdbs])
 
     @classmethod
     def random(
@@ -269,79 +298,143 @@ class PlainRouting(ServingMode):
         records = [rng.bytes(record_bytes) for _ in range(num_records)]
         return cls(params, records, num_shards, record_bytes, seed=seed, **kwargs)
 
-    def make_request(self, global_index: int) -> ServeRequest:
-        """Route and build the real cryptographic query for a record.
+    def _install(self, snapshots: list[EpochSnapshot]) -> None:
+        """Make ``snapshots`` the servers of ``current_epoch``."""
+        self._epochs[self.current_epoch] = _EpochState(
+            epoch=self.current_epoch,
+            snapshots=snapshots,
+            servers=[
+                PirServer(s.pre, self._setup, backend=self.backend)
+                for s in snapshots
+            ],
+        )
+
+    @property
+    def live_epochs(self) -> tuple[int, ...]:
+        return tuple(sorted(self._epochs))
+
+    # -- hot swap ----------------------------------------------------------
+    def publish(self, log: UpdateLog) -> PublishResult:
+        """Apply ``log`` and install the next epoch for new admissions.
+
+        Atomic across shards: the whole log is validated (routing, record
+        sizes) before any shard's database advances, so a rejected publish
+        leaves every shard exactly at the current epoch — no half-applied
+        log can leak into a later publish.
+        """
+        shard_ops = split_by_shard(log, self.map, self.record_bytes)
+        snapshots = [
+            vdb.apply(UpdateLog(list(ops)))
+            for vdb, ops in zip(self._vdbs, shard_ops)
+        ]
+        self.current_epoch += 1
+        self._install(snapshots)
+        # Close admission for epochs beyond the retention window; free the
+        # ones nothing holds.  Live ones linger until their last release.
+        oldest_admissible = self.current_epoch - self.retain + 1
+        for state in self._epochs.values():
+            if state.epoch < oldest_admissible:
+                state.admissible = False
+        self._sweep()
+        return PublishResult(
+            epoch=self.current_epoch,
+            cost=reduce(UpdateCost.merge, (s.cost for s in snapshots)),
+            live_epochs=self.live_epochs,
+        )
+
+    def _sweep(self) -> None:
+        for epoch in [
+            e
+            for e, s in self._epochs.items()
+            if not s.admissible and s.inflight == 0
+        ]:
+            del self._epochs[epoch]
+
+    def _state(self, epoch: int | None, admission: bool = False) -> _EpochState:
+        epoch = self.current_epoch if epoch is None else epoch
+        state = self._epochs.get(epoch)
+        if state is None or (admission and not state.admissible):
+            raise StaleEpoch(
+                epoch=epoch,
+                current=self.current_epoch,
+                oldest_live=min(
+                    (e for e, s in self._epochs.items() if s.admissible),
+                    default=self.current_epoch,
+                ),
+            )
+        return state
+
+    # -- serving interface -------------------------------------------------
+    def make_request(self, global_index: int, epoch: int | None = None) -> ServeRequest:
+        """Route + build the real query against an epoch (default: current).
 
         Raises the typed :class:`~repro.errors.RoutingError` on
         out-of-range or non-integer indices (never a bare
-        ``ValueError``/``IndexError``).
+        ``ValueError``/``IndexError``).  Admitting pins the epoch: it
+        stays answerable until ``decode`` (or ``release``) is called for
+        this request, even if later publishes push it out of the
+        admission window.  The serving runtime releases a request it sheds
+        or whose window fails; any other caller that drops a request
+        before ``decode`` must do the same, or the epoch snapshot is
+        pinned for the registry's lifetime.
         """
+        state = self._state(epoch, admission=True)
         shard_id, local = self.map.route(global_index)
-        return ServeRequest(
+        request = ServeRequest(
             global_index=int(global_index),
             shard_id=shard_id,
             local_index=local,
             query=self.client.build_query(local, self.layouts[shard_id]),
-            epoch=self.current_epoch,
+            epoch=state.epoch,
         )
+        state.inflight += 1
+        return request
 
-    def decode(self, request: ServeRequest, response: PirResponse) -> bytes:
-        """Decrypt a shard's response back to record bytes."""
-        layout = self.layouts[self.map.check_shard(request.shard_id)]
-        return self.client.decode_response(response, request.local_index, layout)
-
-
-class RealShardRegistry(PlainRouting):
-    """N real ``PirServer`` replicas over one logical record set.
-
-    The client's evaluation keys are registered with every replica at
-    build time — the per-shard setup management a deployment would do per
-    user.
-    """
-
-    def __init__(
-        self,
-        params: PirParams,
-        records: list[bytes],
-        num_shards: int,
-        record_bytes: int | None = None,
-        seed: int | None = None,
-        config: IveConfig | None = None,
-        backend: str | None = None,
-    ):
-        super().__init__(params, records, num_shards, record_bytes, seed)
-        setup = self.client.setup_message()
-        memory = (config if config is not None else IveConfig.ive()).memory
-        self._dbs: list[PirDatabase] = []
-        self._servers: list[PirServer] = []
-        self.specs: list[ShardSpec] = []
-        for shard_id in range(num_shards):
-            span = self.map.span(shard_id)
-            db = PirDatabase.from_records(records[span], params, record_bytes)
-            pre = db.preprocess(self.client.ring, backend=backend)
-            placement, _ = choose_placement(pre.stored_bytes, memory)
-            self._dbs.append(db)
-            self._servers.append(PirServer(pre, setup, backend=backend))
-            self.specs.append(
-                ShardSpec(
-                    shard_id=shard_id,
-                    start=span.start,
-                    num_records=db.num_records,
-                    placement=placement,
-                    preprocessed_bytes=pre.stored_bytes,
-                )
-            )
-
-    def server(self, shard_id: int) -> PirServer:
-        return self._servers[self.map.check_shard(shard_id)]
+    def server(self, shard_id: int, epoch: int | None = None) -> PirServer:
+        """The epoch-pinned replica (any live epoch, admissible or not)."""
+        return self._state(epoch).servers[self.map.check_shard(shard_id)]
 
     def answer_window(self, shard_id: int, requests: list[ServeRequest]) -> list:
-        return self.server(shard_id).answer_batch([r.query for r in requests])
+        """One stacked ``answer_batch`` per epoch present in the window.
 
-    def expected(self, global_index: int) -> bytes:
-        """Ground-truth record bytes (for verification in tests/examples)."""
+        A window that straddles a ``publish`` legitimately mixes epochs.
+        """
+        by_epoch: dict[int | None, list[int]] = {}
+        for position, request in enumerate(requests):
+            by_epoch.setdefault(request.epoch, []).append(position)
+        responses: list = [None] * len(requests)
+        for epoch, positions in by_epoch.items():
+            answers = self.server(shard_id, epoch).answer_batch(
+                [requests[i].query for i in positions]
+            )
+            for i, answer in zip(positions, answers):
+                responses[i] = answer
+        return responses
+
+    def decode(self, request: ServeRequest, response: PirResponse) -> bytes:
+        """Decrypt a shard's response, then release the request's epoch pin.
+
+        The pin is released whether or not decryption succeeds — a
+        malformed response must not retain the epoch forever.
+        """
+        try:
+            layout = self.layouts[self.map.check_shard(request.shard_id)]
+            return self.client.decode_response(response, request.local_index, layout)
+        finally:
+            self.release(request)
+
+    def release(self, request: ServeRequest) -> None:
+        """Drop a request's epoch pin (idempotence is the caller's job)."""
+        state = self._epochs.get(request.epoch)
+        if state is not None:
+            state.inflight = max(0, state.inflight - 1)
+            self._sweep()
+
+    def expected(self, global_index: int, epoch: int | None = None) -> bytes:
+        """Ground truth for one record *as of an epoch* (default: current)."""
+        state = self._state(epoch)
         shard_id, local = self.map.route(global_index)
-        return self._dbs[shard_id].record(local)
+        return state.snapshots[shard_id].db.record(local)
 
 
 #: Tiers :class:`SimShardRegistry` can price (the CLI's ``--serving``).

@@ -2,13 +2,16 @@
 
 The tier-agnostic serving cases (round trip through the one executor,
 typed shard bounds) are in ``tests/serve/test_serving_mode.py``.
+``REPRO_BACKEND`` picks the registries' compute backend (default: the
+process default) so CI runs the publish path once per backend.
 """
 
 import asyncio
+import os
 
 import pytest
 
-from repro.errors import HintPirError, HintStale, RoutingError
+from repro.errors import HintPirError, HintStale, LayoutError, RoutingError
 from repro.hintpir.serving import HintServeRegistry, HintShardMap
 from repro.mutate.log import UpdateLog
 from repro.pir.simplepir import SimplePirParams
@@ -16,6 +19,7 @@ from repro.serve import RealCryptoBackend, ServeRuntime
 from repro.systems.batching import BatchPolicy
 
 PARAMS = SimplePirParams(lwe_dim=64)
+BACKEND = os.environ.get("REPRO_BACKEND")
 POLICY = BatchPolicy(waiting_window_s=0.02, max_batch=16)
 
 
@@ -26,6 +30,7 @@ def make_registry(num_records=32, num_shards=2, **kwargs):
         num_shards=num_shards,
         params=PARAMS,
         seed=7,
+        backend=BACKEND,
         **kwargs,
     )
 
@@ -97,6 +102,31 @@ class TestHintServeRegistry:
         log.append(b"extra")
         with pytest.raises(HintPirError):
             registry.publish(log)
+
+    def test_rejected_publish_leaves_every_shard_on_one_epoch(self):
+        """Regression: a log whose shard-1 record overflows its slot used
+        to publish shard 0 before shard 1 refused, so shard 0 ran an epoch
+        ahead and later decoded bytes no epoch's ground truth holds."""
+        registry = make_registry()
+        first = {registry.map.route(i)[0]: i for i in range(32)}
+        log = UpdateLog().put(first[0], b"a" * 16).put(first[1], b"b" * 17)
+        with pytest.raises(LayoutError):
+            registry.publish(log)
+        assert registry.epoch == 0
+        assert all(s.epoch == 0 for s in registry._servers)
+        registry.publish(UpdateLog().put(first[1], b"short"))
+        assert [s.epoch for s in registry._servers] == [1, 1]
+        for shard_id in range(registry.num_shards):
+            window = [
+                registry.make_request(i)
+                for i in range(32)
+                if registry.map.route(i)[0] == shard_id
+            ]
+            answers = registry.answer_window(shard_id, window)
+            for request, answer in zip(window, answers):
+                assert registry.decode(request, answer) == registry.expected(
+                    request.global_index, epoch=registry.epoch
+                )
 
     def test_refresh_moves_offline_bytes(self):
         registry = make_registry()

@@ -1,16 +1,23 @@
-"""Epoch hot-swap under the serving runtime: zero loss, correct pinning."""
+"""Epoch hot-swap under the serving runtime: zero loss, correct pinning.
+
+``REPRO_BACKEND`` picks the registry's compute backend (default: the
+process default) so CI runs the publish path once per backend.
+"""
 
 import asyncio
+import os
 
 import numpy as np
 import pytest
 
 from repro.errors import MutateError, StaleEpoch
-from repro.mutate import UpdateLog, VersionedShardRegistry
+from repro.mutate import UpdateLog
 from repro.params import PirParams
-from repro.serve import RealCryptoBackend, loadgen
+from repro.serve import RealCryptoBackend, RealShardRegistry, loadgen
 from repro.serve.dispatcher import AdmissionConfig, ServeRuntime
 from repro.systems.batching import BatchPolicy
+
+BACKEND = os.environ.get("REPRO_BACKEND")
 
 
 @pytest.fixture(scope="module")
@@ -19,13 +26,14 @@ def params():
 
 
 def _registry(params, retain=2, num_records=12, seed=5):
-    return VersionedShardRegistry.random(
+    return RealShardRegistry.random(
         params,
         num_records=num_records,
         record_bytes=32,
         num_shards=2,
         seed=seed,
         retain=retain,
+        backend=BACKEND,
     )
 
 

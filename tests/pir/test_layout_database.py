@@ -164,7 +164,7 @@ class TestDatabase:
         assert pre.plane_count == 1
         assert pre.num_polys == small_params.num_db_polys
         # Preprocessed form stores RNS residues: logQ/logP blowup.
-        assert pre.stored_bytes > db.raw_bytes
+        assert pre.tensor.nbytes > db.raw_bytes
         ratio = small_params.db_expansion_ratio
         assert ratio == pytest.approx(
             small_params.poly_bytes / small_params.plain_poly_bytes

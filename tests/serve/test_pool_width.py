@@ -3,7 +3,7 @@
 ``RealCryptoBackend`` is the one parallel executor: production sizes its
 thread pool by Python's default, the frozen end-to-end benchmark passes
 ``max_workers=1``.  Every test here runs at both widths through the real
-runtime over a versioned registry, the plain tier ``loadtest --mode real``
+runtime over the plain tier's registry, the one ``loadtest --mode real``
 serves: concurrent sweeps decode byte-correct, a publish pins requests
 admitted before it to their epoch (also while their windows are in
 flight on the pool), a delete serves a zero tombstone, and a seeded
@@ -14,8 +14,8 @@ import asyncio
 
 import pytest
 
-from repro.mutate import UpdateLog, VersionedShardRegistry
-from repro.serve import RealCryptoBackend, ServeRuntime
+from repro.mutate import UpdateLog
+from repro.serve import RealCryptoBackend, RealShardRegistry, ServeRuntime
 from repro.systems.batching import BatchPolicy
 
 RECORD_BYTES = 48
@@ -27,7 +27,7 @@ WIDTHS = pytest.mark.parametrize(
 
 
 def registry_for(params, seed: int = 21, num_records: int = NUM_RECORDS):
-    return VersionedShardRegistry.random(
+    return RealShardRegistry.random(
         params, num_records, RECORD_BYTES, num_shards=2, seed=seed
     )
 

@@ -1,11 +1,18 @@
-"""Shard routing and registry construction."""
+"""Shard routing and registry construction.
+
+``REPRO_BACKEND`` picks the real registry's compute backend (default: the
+process default) so CI runs it once per backend.
+"""
+
+import os
 
 import pytest
 
 from repro.errors import ParameterError, RoutingError
 from repro.params import PirParams
 from repro.serve.registry import RealShardRegistry, ShardMap, SimShardRegistry
-from repro.systems.scale_up import DbPlacement
+
+BACKEND = os.environ.get("REPRO_BACKEND")
 
 
 class TestShardMap:
@@ -73,12 +80,14 @@ class TestRealShardRegistry:
     def registry(self):
         params = PirParams.small(n=256, d0=8, num_dims=2)
         return RealShardRegistry.random(
-            params, num_records=10, record_bytes=32, num_shards=3, seed=9
+            params, num_records=10, record_bytes=32, num_shards=3, seed=9,
+            backend=BACKEND,
         )
 
     def test_shards_partition_the_records(self, registry):
         assert registry.num_shards == 3
-        assert sum(spec.num_records for spec in registry.specs) == 10
+        assert registry.map.sizes == [4, 3, 3]
+        assert [layout.num_records for layout in registry.layouts] == [4, 3, 3]
 
     def test_request_routes_to_owning_shard(self, registry):
         req = registry.make_request(7)
@@ -91,9 +100,6 @@ class TestRealShardRegistry:
             req = registry.make_request(g)
             response = registry.server(req.shard_id).answer(req.query)
             assert registry.decode(req, response) == registry.expected(g)
-
-    def test_small_shards_live_in_hbm(self, registry):
-        assert all(spec.placement is DbPlacement.HBM for spec in registry.specs)
 
     def test_make_request_raises_typed_errors(self, registry):
         """Regression: out-of-range/non-integer indices surface as

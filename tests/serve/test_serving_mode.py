@@ -6,9 +6,10 @@ typed shard bounds) and runs on the one thread executor
 (:class:`~repro.serve.workers.RealCryptoBackend`).  The per-tier serving
 tests keep only what is specific to their tier; what is the same
 everywhere is pinned here, plus the one place a window is answered
-somewhere other than ``PirServer.answer_batch`` directly — the versioned
+somewhere other than ``PirServer.answer_batch`` directly — the plain
 registry's per-epoch grouping — held byte-identical to the per-query
-answers it replaces.  ``REPRO_BACKEND`` restricts the
+answers it replaces.  The ``versioned`` tier is the plain registry one
+publish in, so the contract also holds away from epoch 0.  ``REPRO_BACKEND`` restricts the
 backends under test so CI can run the file once per registered backend.
 """
 
@@ -24,7 +25,8 @@ from repro.errors import RoutingError
 from repro.he.backend import backend_names
 from repro.hintpir.serving import HintCryptoBackend, HintServeRegistry
 from repro.kvpir.serving import KvCryptoBackend, KvServeRegistry
-from repro.mutate import UpdateLog, VersionedShardRegistry
+from repro.mutate import UpdateLog
+from repro.mutate.serving import VersionedShardRegistry
 from repro.obs.trace import Tracer
 from repro.params import PirParams
 from repro.pir.simplepir import SimplePirParams
@@ -51,9 +53,10 @@ def build(tier: str, backend: str):
             PARAMS, 24, 32, NUM_SHARDS, seed=1, backend=backend
         )
     elif tier == "versioned":
-        registry = VersionedShardRegistry.random(
+        registry = RealShardRegistry.random(
             PARAMS, 24, 32, NUM_SHARDS, seed=1, backend=backend
         )
+        registry.publish(UpdateLog().put(5, b"\x42" * 32).delete(17))
     elif tier == "batchpir":
         registry = BatchServeRegistry.random(
             PARAMS, 24, 16, max_batch=4, num_shards=NUM_SHARDS, seed=1, backend=backend
@@ -186,12 +189,19 @@ def test_benchmark_names_bind_the_one_executor():
     assert HintCryptoBackend is RealCryptoBackend
 
 
+def test_benchmark_registry_names_bind_the_one_class():
+    """The frozen ``benchmarks/e2e`` imports the plain tier's registry
+    under two names; both are the one class, and it always publishes."""
+    assert VersionedShardRegistry is RealShardRegistry
+    assert callable(RealShardRegistry.publish)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestStackedWindowsEqualPerQueryAnswers:
     def test_versioned_window_straddling_a_publish(self, backend):
         """One stacked pass per epoch == each request answered on its own
         by the server of the epoch it was admitted under."""
-        registry = VersionedShardRegistry.random(
+        registry = RealShardRegistry.random(
             PARAMS, 24, 32, NUM_SHARDS, seed=4, backend=backend
         )
         shard0 = [i for i in range(24) if registry.map.route(i)[0] == 0]

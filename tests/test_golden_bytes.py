@@ -13,6 +13,12 @@ stream is part of the format, so every hash must equal the committed
 one in ``golden_bytes.json``.  A change that moves bytes on purpose
 edits that file in the same commit and says why.  ``REPRO_BACKEND``
 selects the server's backend so CI can run the file once per backend.
+
+The ``plain_registry`` row pins the plain tier's registry the same way:
+``small(n=256, d0=8, num_dims=2)``, 64 seeded records of 32 bytes over
+two shards (seed 5), indices 3, 17, 40 and 63 fetched as one window per
+shard.  It hashes the setup's ``b`` rows, each query's seed and ``b``
+rows, and each response's plane ciphertexts.
 """
 
 import hashlib
@@ -28,6 +34,7 @@ from repro.params import PirParams
 from repro.pir.client import PirClient
 from repro.pir.database import PirDatabase
 from repro.pir.server import PirServer
+from repro.serve import RealShardRegistry
 
 #: Backend under test; CI sets REPRO_BACKEND=eager / =native.
 BACKEND = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
@@ -83,4 +90,46 @@ def test_seeded_bytes_match_the_committed_hash(hashes, message):
     ring, got = hashes
     assert got[message] == GOLDEN[ring][message], (
         f"{ring} {message} bytes moved: sha256 {got[message]}"
+    )
+
+
+REGISTRY_INDICES = (3, 17, 40, 63)
+
+
+@pytest.fixture(scope="module")
+def registry_hashes():
+    params = PirParams.small(n=256, d0=8, num_dims=2)
+    registry = RealShardRegistry.random(params, 64, 32, 2, seed=5, backend=BACKEND)
+    requests = [registry.make_request(index) for index in REGISTRY_INDICES]
+    # Contiguous shards: the per-shard windows, in shard order, keep index order.
+    responses = [
+        response
+        for shard_id in range(registry.num_shards)
+        for response in registry.answer_window(
+            shard_id, [r for r in requests if r.shard_id == shard_id]
+        )
+    ]
+    for index, request, response in zip(REGISTRY_INDICES, requests, responses):
+        assert registry.decode(request, response) == registry.expected(index)
+    queries = hashlib.sha256()
+    for request in requests:
+        queries.update(request.query.seed)
+        queries.update(np.ascontiguousarray(request.query.b, dtype=np.int64).tobytes())
+    return {
+        "setup": sha256([registry.client.setup_message().b]),
+        "queries": queries.hexdigest(),
+        "responses": sha256(
+            half.residues
+            for response in responses
+            for ct in response.plane_cts
+            for half in (ct.a, ct.b)
+        ),
+    }
+
+
+@pytest.mark.parametrize("message", ["setup", "queries", "responses"])
+def test_plain_registry_bytes_match_the_committed_hash(registry_hashes, message):
+    got = registry_hashes[message]
+    assert got == GOLDEN["plain_registry"][message], (
+        f"plain_registry {message} bytes moved: sha256 {got}"
     )
