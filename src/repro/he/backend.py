@@ -15,10 +15,11 @@ are tested against, which imports nothing from here.
 
 :class:`ComputeBackend` is the ``eager`` backend: it implements every
 primitive (forward/inverse NTT, automorphism, gadget decomposition, the
-modular GEMMs and key-switch inner products, the client's encryption)
-and the pipeline ops built on top of them, so a subclass retargets the
-whole ExpandQuery→RowSel→ColTor pipeline by replacing primitives or
-whole window steps.
+modular GEMMs and key-switch inner products, the client's encryption,
+the seeded draws of :mod:`repro.he.sampling`) and the pipeline ops
+built on top of them, so a subclass retargets the whole
+ExpandQuery→RowSel→ColTor pipeline by replacing primitives or whole
+window steps.
 
 The pipeline ops are tensor programs over a *dispatch window*: a
 ciphertext batch is one ``(2, batch, rns, n)`` tensor whose batch axis
@@ -45,8 +46,9 @@ Two backends are registered:
   runs compiled, and nothing else: the forward/inverse NTT as Harvey
   lazy butterflies over the ``NttContext`` twiddle tables themselves
   (slot order identical by construction, a broadcast RNS axis
-  included), the client's encryption pass, the one-pass RowSel
-  contraction over the uint32 database store, and a whole expansion
+  included), the client's encryption pass, the seeded draws both ends
+  make, the one-pass RowSel contraction over the uint32 database
+  store, and a whole expansion
   level and a whole ColTor round as one call each (automorphism gather,
   Subs ``b`` add, butterfly and cmux adds folded around a key switch
   fused from limb-iCRT decomposition at any base up to 2^32, the digits'
@@ -92,7 +94,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.he import native
+from repro.he import native, sampling
 from repro.he.batched import BfvCiphertextVec, RnsPolyVec
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
@@ -286,14 +288,53 @@ def modular_gemm(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return acc
 
 
+def _uniform_rows(out: np.ndarray, keys: np.ndarray, moduli: np.ndarray) -> None:
+    """Row ``i`` of ``out`` ``(count, n)``: the first ``n`` draws of stream
+    ``keys[i]`` that Lemire's rejection accepts under ``moduli[i]``.
+
+    The first pass takes enough words for the worst modulus' rejection
+    rate plus two standard deviations; a row still short draws on from
+    where the pass stopped, a few words at a time.
+    """
+    count, n = out.shape
+    thresholds = np.uint64(1 << 32) % moduli
+    reject = float(thresholds.max()) / 2.0 ** 32 if count else 0.0
+    words = int(n / (2 * (1 - reject)) + 2 * n ** 0.5) + 1
+    filled = np.zeros(count, dtype=np.int64)
+    pending, start = np.arange(count), 0
+    while pending.size:
+        draws = sampling.stream_words(keys[pending], start, words)
+        x = draws.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+        x *= moduli[pending, None]
+        accept = (x & np.uint64(0xFFFFFFFF)) >= thresholds[pending, None]
+        rank = np.cumsum(accept, axis=1)
+        rank += filled[pending, None] - 1
+        take = accept & (rank < n)
+        out.reshape(-1)[(pending[:, None] * n + rank)[take]] = x[take] >> np.uint64(32)
+        filled[pending] += take.sum(axis=1)
+        pending = pending[filled[pending] < n]
+        start, words = start + words, 8
+
+
+def _error_rows(keys: np.ndarray, n: int, cdt: np.ndarray) -> np.ndarray:
+    """The ``(len(keys), n)`` signed error rows of the error streams
+    ``keys``: magnitude words against the table, then the sign words."""
+    magnitude = np.searchsorted(cdt, sampling.stream_words(keys, 0, n), side="right")
+    signs = sampling.stream_words(keys, n, -(-n // 64))
+    bits = (signs[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    negative = bits.reshape(len(keys), -1)[:, :n].astype(bool)
+    magnitude = magnitude.astype(np.int64)
+    return np.where(negative, -magnitude, magnitude)
+
+
 class ComputeBackend:
     """The ``eager`` backend: every kernel primitive and the pipeline ops.
 
     The primitives (NTTs, automorphism, decomposition, the GEMMs and
-    key-switch inner products, the client's encryption) are stacked
-    numpy — butterflies, limb iCRT, int64 einsums — with no precomputed
-    state beyond twiddle and slot tables, exact on every valid parameter
-    set.  The pipeline ops (``substitute_stacked`` … ``coltor_window``)
+    key-switch inner products, the client's encryption, the seeded
+    draws) are stacked numpy — butterflies, limb iCRT, int64 einsums —
+    with no precomputed state beyond twiddle and slot tables, exact on
+    every valid parameter set.  The pipeline ops (``substitute_stacked`` … ``coltor_window``)
     are written once in terms of them, and every transform routes
     through ``self``, so a subclass that replaces a primitive or a whole
     window step (:class:`NativeBackend`) retargets the
@@ -613,6 +654,77 @@ class ComputeBackend:
                 modred(target, moduli_col)
         return rows
 
+    def sample(
+        self, ctx: RingContext, seeds: list[bytes], rows: int,
+        error_seed: bytes | None = None, errors: int = 0,
+        out: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The seeded draws of one encryption block or dispatch group, in
+        one call (the generator of :mod:`repro.he.sampling`).
+
+        Returns ``(a, e)``: ``a`` the ``(len(seeds) · rows, rns, n)``
+        uniform ``a`` polynomials, ``rows`` per seed in seed order —
+        written into ``out`` (any C-contiguous int64 array of that size)
+        when given — and ``e`` the ``(errors, n)`` signed error rows of
+        ``error_seed`` (None will do when ``errors`` is 0).  A seed that
+        is not 32 bytes, or a modulus of ``2^32`` or more, is a
+        :class:`~repro.errors.ParameterError`.
+
+        numpy, a block of polynomials at a time: the uniform draws take
+        enough words for the worst modulus' rejection rate in one pass,
+        and the rare polynomial still short draws on from where it
+        stopped; the error magnitudes are one ``searchsorted`` against the
+        table.
+        """
+        words, a, error_words, e, cdt = self._sample_operands(
+            ctx, seeds, rows, error_seed, errors, out
+        )
+        n, shift = ctx.n, np.uint64(8)
+        tags = np.arange(rows, dtype=np.uint64)[:, None] << shift
+        tags = tags | np.arange(ctx.rns_count, dtype=np.uint64)
+        keys = sampling.stream_keys(words, tags.ravel()).ravel()
+        moduli = np.tile(np.array(ctx.params.moduli, dtype=np.uint64), len(seeds) * rows)
+        flat = a.reshape(-1, n)
+        block = max(1, BLOCK_BYTES // (48 * n))
+        for lo in range(0, len(keys), block):
+            _uniform_rows(flat[lo:lo + block], keys[lo:lo + block], moduli[lo:lo + block])
+        if errors:
+            tags = np.arange(errors, dtype=np.uint64) << shift
+            (keys,) = sampling.stream_keys(error_words, tags | np.uint64(sampling.ERROR_TAG))
+            for lo in range(0, errors, block):
+                e[lo:lo + block] = _error_rows(keys[lo:lo + block], n, cdt)
+        return a, e
+
+    @staticmethod
+    def _sample_operands(
+        ctx: RingContext, seeds: list[bytes], rows: int, error_seed: bytes | None,
+        errors: int, out: np.ndarray | None,
+    ) -> tuple:
+        """What :meth:`sample` checks and allocates, whichever backend runs
+        it: the seeds' key words, the ``a`` buffer, the error seed's words
+        (None without errors), the error buffer and the error table."""
+        words = sampling.seed_words(seeds)
+        if ctx.rns_count > sampling.ERROR_TAG or max(ctx.params.moduli) >> 32:
+            raise ParameterError(
+                f"the sampler takes at most {sampling.ERROR_TAG} moduli below "
+                f"2^32, got {ctx.params.moduli}"
+            )
+        shape = (len(seeds) * rows, ctx.rns_count, ctx.n)
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        elif out.size != np.prod(shape) or out.dtype != np.int64 or not out.flags.c_contiguous:
+            raise ParameterError(
+                f"sample writes a C-contiguous int64 {shape} tensor, got "
+                f"{out.dtype} {out.shape}"
+            )
+        e = np.empty((errors, ctx.n), dtype=np.int64)
+        if not errors:
+            return words, out, None, e, None
+        return (
+            words, out, sampling.seed_words([error_seed]), e,
+            sampling.error_cdt(ctx.params.error_std),
+        )
+
     def modular_gemm(self, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         """Dense ``(a @ b) % q`` (the SimplePIR/hintpir server tier): a
         chunked float64 dgemm with Barrett tails, exact and BLAS-backed.
@@ -917,14 +1029,16 @@ class ComputeBackend:
 class NativeBackend(ComputeBackend):
     """The eager backend with the steps production runs compiled.
 
-    Six methods are replaced, each by the C99 kernels of
+    Seven methods are replaced, each by the C99 kernels of
     :mod:`repro.he.native` — lazy butterflies over the same twiddle
     tables, so every slot is where the eager transforms put it — with
     the large calls split across the cores
     (:func:`repro.he.native.fan_out`): the forward/inverse NTT
     (broadcast RNS axis included), the client's encryption pass, the
-    RowSel contraction over the uint32 store (each DB word read once for
-    both ciphertext halves), and the two window steps, one C call each —
+    seeded draws (an encryption block's ``a`` and error rows, a dispatch
+    group's ``a`` rows), the RowSel contraction over the uint32 store
+    (each DB word read once for both ciphertext halves), and the two
+    window steps, one C call each —
     a whole expansion level (the slot gather, Subs' key switch and ``b``
     add, the butterfly) and a whole ColTor round (``ones - zeros``, the
     external product, ``+ zeros``), a ciphertext at a time with the key
@@ -1070,6 +1184,24 @@ class NativeBackend(ComputeBackend):
                     return rows
             count("he_native_none")
         return super().encrypt_rows(ctx, key_ntt, rows, errors, shift)
+
+    def sample(
+        self, ctx: RingContext, seeds: list[bytes], rows: int,
+        error_seed: bytes | None = None, errors: int = 0,
+        out: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One C call for the block's or group's draws
+        (:func:`repro.he.native.sample`), fanned over rows; a modulus
+        outside ``4q < 2^32`` is counted and the eager draws run."""
+        consts = self._consts(ctx._moduli_col)
+        if consts is None:
+            return super().sample(ctx, seeds, rows, error_seed, errors, out)
+        words, a, error_words, e, cdt = self._sample_operands(
+            ctx, seeds, rows, error_seed, errors, out
+        )
+        with kernel_stage(self._label("sample"), a.nbytes + e.nbytes):
+            native.sample(native.load_library(), consts, words, rows, a, error_words, e, cdt)
+        return a, e
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ A ciphertext is a pair (a, b) in R_Q^2 with phase b + a*s = Δ*m + e for
 plaintext m in R_P and Δ = floor(Q/P).  Both polynomials are kept in NTT
 form so repeated multiplications need no conversions (Section II-B).
 
-Encryption is one compute-backend op over a whole stack of rows
-(:meth:`BfvContext.encrypt_zeros`), whose ``a`` halves are expanded from
-seeds (:func:`repro.he.sampling.expand_a`).  Decryption rounds ``phase * P / Q``
-exactly in RNS, with no big integer on the common path
-(:meth:`BfvContext.round_phase`): the CRT lift splits into per-modulus
+Encryption is two compute-backend ops over a whole stack of rows
+(:meth:`BfvContext.encrypt_zeros`): one draw of its ``a`` halves from
+seeds and its errors from a private seed
+(:meth:`~repro.he.backend.ComputeBackend.sample`), then the encryption
+pass.  Decryption rounds ``phase * P / Q`` exactly in RNS, with no big
+integer on the common path (:meth:`BfvContext.round_phase`): the CRT lift splits into per-modulus
 int64 quotients and remainders, the remainders' fractions are summed in
 float64, and Q being odd means that sum is never on a rounding boundary;
 any coefficient within a 2^-40 guard band of one (the float sum is off by
@@ -25,7 +26,7 @@ import numpy as np
 from repro.errors import NoiseOverflowError, ParameterError
 from repro.he.modred import modred
 from repro.he.poly import Domain, RingContext, RnsPoly
-from repro.he.sampling import Sampler, expand_a
+from repro.he.sampling import Sampler
 
 #: How close to a rounding boundary :meth:`BfvContext.round_phase`'s
 #: float64 sum may come before the coefficient is rounded with big
@@ -149,30 +150,29 @@ class BfvContext:
         :func:`~repro.he.sampling.expand_a` of it, shifted rows included —
         their ``a`` constant is subtracted before the encryption pass adds
         it back, so ``b`` absorbs ``m·s`` and an upload needs only the
-        seed and ``b``.  The sampler is asked for the seeds first and every
-        error row second, in one draw; the rest is one
-        :meth:`~repro.he.backend.ComputeBackend.encrypt_rows` call that
-        writes the tensor in place.
+        seed and ``b``.  The sampler is asked for the seeds first and the
+        private error seed second; every ``a`` row and every error row is
+        one :meth:`~repro.he.backend.ComputeBackend.sample` call, and the
+        rest one :meth:`~repro.he.backend.ComputeBackend.encrypt_rows`
+        call that writes the tensor in place.
         """
-        ctx = self.ctx
+        ctx, backend = self.ctx, default_backend()
         if seeds is None:
             seeds = [self.sampler.seed()]
         per_seed, rest = divmod(count, len(seeds))
         if rest:
             raise ParameterError(f"{count} rows do not split over {len(seeds)} seeds")
         rows = np.empty((2, count, ctx.rns_count, ctx.n), dtype=np.int64)
-        for k, seed in enumerate(seeds):
-            expand_a(seed, per_seed, ctx, out=rows[0, k * per_seed:(k + 1) * per_seed])
+        _, errors = backend.sample(
+            ctx, seeds, per_seed, self.sampler.seed(), count, out=rows[0]
+        )
         if shift is not None:
             shifted = np.flatnonzero(shift[:, 0].any(axis=1))
             a = rows[0, shifted]
             a -= shift[shifted, 0, :, None]
             modred(a, ctx._moduli_col)
             rows[0, shifted] = a
-        errors = self.sampler.error_rows(count)
-        return default_backend().encrypt_rows(
-            ctx, key.ntt.residues, rows, errors, shift
-        )
+        return backend.encrypt_rows(ctx, key.ntt.residues, rows, errors, shift)
 
     # -- decryption -------------------------------------------------------
     def phase(self, ct: BfvCiphertext, key: SecretKey) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The compiled kernels behind the ``native`` compute backend.
 
-``native_kernels.c`` (next to this file) holds the five portable-C99
+``native_kernels.c`` (next to this file) holds the six portable-C99
 kernels: the lazy-butterfly forward/inverse NTT; the two window steps,
 each built around one key switch fused from limb-iCRT gadget
 decomposition, the digits' transform and the inner product (one
@@ -9,11 +9,13 @@ level (slot-gather automorphism, Subs, the ``b`` add and the level's
 butterfly) and one ColTor round (``ones - zeros``, the external product
 against each query's bit rows read where they lie, ``+ zeros``); the
 RowSel contraction that reads each word of the uint32 database store
-once for both ciphertext halves; and the client's one-pass encryption of
+once for both ciphertext halves; the client's one-pass encryption of
 zero rows (error transform, ``b = e - a*s`` and the RGSW gadget
-constants, written in place).  This module is everything foreign about
-them: it builds the shared library with the system C
-compiler on first use, loads it through :mod:`ctypes`, wraps each kernel
+constants, written in place); and the counter-based draws of
+:mod:`repro.he.sampling` (the ``a`` rows of a block's or a window's
+seeds, Lemire-exact, and the error rows of a private seed).  This module
+is everything foreign about them: it builds the shared library with the
+system C compiler on first use, loads it through :mod:`ctypes`, wraps each kernel
 in a function that validates shapes, dtypes and strides before a pointer
 crosses over, and splits the large calls across the cores.
 :class:`~repro.he.backend.NativeBackend` is the only caller.
@@ -45,8 +47,8 @@ once, and the function returns None for the rest of the process —
 **Fan-out.**  :func:`fan_out` splits one kernel call into contiguous
 slices of its outermost independent axis — the expansion level and the
 ColTor round over ciphertexts, RowSel over queries (over columns when
-there is one query), the NTT and the encryption over rows — and runs
-them at once: ``ctypes`` drops the GIL for the call, so the slices run
+there is one query), the NTT, the encryption and the draws over rows —
+and runs them at once: ``ctypes`` drops the GIL for the call, so the slices run
 on different cores.  The width is the
 number of cores the process may run on (:func:`fan_width`:
 ``os.sched_getaffinity``, else ``os.cpu_count()``), read once; a call
@@ -59,11 +61,12 @@ reset in a forked child.  Each slice gets its own work buffers and
 writes outputs no other slice touches, and the kernels' status flags are
 ORed, so a split call is byte-identical to the whole one and a refused
 operand in any slice sends the whole call to its fallback, counted once
-(every fanned kernel but ``ive_encrypt`` writes a fresh output;
-``ive_encrypt`` writes its inputs' rows in place: a slice that refuses
-writes nothing, and the gadget constants the finished slices added to
-``a`` are taken off again before the fallback reads it).  Pool tasks are
-kernel calls only and never submit to the pool, so any number of
+(``ive_sample`` refuses nothing, and every other fanned kernel but
+``ive_encrypt`` writes a fresh output; ``ive_encrypt`` writes its
+inputs' rows in place: a slice that refuses writes nothing, and the
+gadget constants the finished slices added to ``a`` are taken off again
+before the fallback reads it).  Pool tasks are kernel calls only and
+never submit to the pool, so any number of
 concurrent callers (serving threads, tests) share it without deadlock.
 There is no option for any of it.
 
@@ -102,14 +105,15 @@ _FLAGS = ("-O3", "-std=c99", "-fPIC", "-shared")
 _NATIVE_ISA = "-march=native"
 _BUILD_TIMEOUT_S = 120
 
-#: Mirrors of the C file's ``consts`` row layout, ``MAX_RNS`` and
-#: ``ROWSEL_TILE``.
+#: Mirrors of the C file's ``consts`` row layout, ``MAX_RNS``,
+#: ``ROWSEL_TILE`` and ``SAMPLE_BLOCK``.
 (
     _C_Q, _C_ONE_S, _C_R32, _C_R32_S, _C_NINV, _C_NINV_S, _C_WNINV,
     _C_WNINV_S, _C_QHATINV, _C_QHATINV_S, _C_BITS, _CONSTS,
 ) = range(12)
 _MAX_RNS = 4
 _ROWSEL_TILE = 1024
+_SAMPLE_BLOCK = 256
 
 _log = logging.getLogger(__name__)
 
@@ -138,6 +142,10 @@ _SIGNATURES = {
     "ive_encrypt": (ctypes.c_int, [
         _PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _PTR, _PTR, _PTR,
         _PTR,
+    ]),
+    "ive_sample": (None, [
+        _PTR, _PTR, _SIZE, _SIZE, _PTR, _PTR, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE,
+        _PTR, _PTR, _SIZE, _PTR,
     ]),
 }
 
@@ -731,3 +739,38 @@ def rowsel_gemm(
         return None
     return _deliver(dense, out)
 
+
+def sample(
+    lib: ctypes.CDLL, consts: np.ndarray, words: np.ndarray, rows: int,
+    a: np.ndarray, error_words: np.ndarray | None, e: np.ndarray,
+    cdt: np.ndarray | None,
+) -> None:
+    """``ComputeBackend.sample`` as one fanned call (``ive_sample``).
+
+    ``words`` is the ``(seeds, 4)`` uint64 key words, ``a`` the C-contiguous
+    ``(seeds * rows, rns, n)`` int64 output; ``e`` the C-contiguous
+    ``(errors, n)`` int64 output, ``error_words`` its seed's ``(1, 4)``
+    words and ``cdt`` the error table (both None when ``e`` is empty).
+    Fanned over rows — a unit is one ``a`` row's ``rns`` polynomials and,
+    while there are error rows, one error row — so an encryption block's
+    halves split together.
+    """
+    rns, n = len(consts), a.shape[-1]
+    a_rows, e_rows = len(words) * rows, len(e)
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    errors = (None, None, 0) if not e_rows else (
+        _address(error_words), _address(cdt), len(cdt)
+    )
+
+    def units(lo: int, hi: int) -> int:
+        work = np.empty(_SAMPLE_BLOCK, dtype=np.uint64)
+        lib.ive_sample(
+            _address(a), _address(words), rows, a_rows, _address(e), errors[0],
+            e_rows, lo, hi, rns, n, _address(consts), errors[1], errors[2],
+            _address(work),
+        )
+        return 0
+
+    # Per unit: each of an a row's residues and an error row's coefficients
+    # is at least one stream draw and one output word.
+    fan_out(max(a_rows, e_rows), 2 * (rns + (e_rows > 0)) * n, units)

@@ -1,14 +1,16 @@
 /*
  * Kernels of the `native` compute backend (repro.he.native loads this file).
  *
- * Five entry points: the forward/inverse NTT; the two window steps built
+ * Six entry points: the forward/inverse NTT; the two window steps built
  * around one fused key switch (gadget decomposition, the digits' forward NTT
  * and the key-switch inner product, one ciphertext at a time with its digits
  * cache-resident) -- one ExpandQuery level (slot-gather automorphism, Subs,
  * the b add and the level's butterfly) and one ColTor round (ones - zeros, the
  * external product, + zeros), each a ciphertext at a time with every
  * intermediate in that ciphertext's tiles; the RowSel contraction over the
- * uint32 database store; and the client's encryption of zero rows.  The two
+ * uint32 database store; the client's encryption of zero rows; and the seeded
+ * draws both ends make (uniform a rows from upload seeds, error rows from the
+ * client's private seed), counter-based so any split is exact.  The two
  * key-switching entry points share one static per-ciphertext helper
  * (switch_one), and every entry point shares its loop bodies with the others
  * through static row helpers, so no loop exists twice.
@@ -311,6 +313,128 @@ int ive_encrypt(i64 *restrict rows, const i64 *restrict errors,
             }
         }
     return 0;
+}
+
+/*
+ * The counter-based generator of repro.he.sampling, which defines it and runs
+ * it in numpy on the eager backend: SplitMix64's finalizer, a polynomial's
+ * stream key (its tag with the seed's four words folded in), and word j of a
+ * stream, mix(key + (j + 1) * GAMMA).
+ */
+#define GAMMA 0x9E3779B97F4A7C15ull
+/* The low byte of an error row's tag (an a polynomial's holds its modulus). */
+#define ERROR_TAG 0xFFu
+/* Words of a stream drawn per pass into the caller's work buffer. */
+#define SAMPLE_BLOCK 256
+
+static inline u64 mix(u64 z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+static u64 stream_key(const u64 *seed, u64 tag)
+{
+    for (size_t i = 0; i < 4; i++)
+        tag = mix(tag ^ seed[i]);
+    return tag;
+}
+
+/*
+ * n residues uniform on [0, q): the first n draws of the stream that Lemire's
+ * rejection accepts -- x * q is kept, as its high word, when its low word is
+ * at least t = 2^32 mod q.  Each word of the stream is two draws, low half
+ * first; `work` holds SAMPLE_BLOCK words.  The accept loop writes every
+ * candidate to out[have] and advances past the accepted ones only, so its
+ * only branches are the bounds.
+ */
+static void uniform_row(i64 *out, u64 key, size_t n, u32 q, u32 t, u64 *work)
+{
+    size_t have = 0;
+    for (u64 j = 0; have < n; j += SAMPLE_BLOCK) {
+        for (size_t i = 0; i < SAMPLE_BLOCK; i++)
+            work[i] = mix(key + (j + i + 1) * GAMMA);
+        for (size_t i = 0; i < SAMPLE_BLOCK && have < n; i++) {
+            u64 lo = (work[i] & 0xffffffffu) * q, hi = (work[i] >> 32) * q;
+            out[have] = (i64)(lo >> 32);
+            have += (u32)lo >= t;
+            if (have == n)
+                break;
+            out[have] = (i64)(hi >> 32);
+            have += (u32)hi >= t;
+        }
+    }
+}
+
+/* Table entries every error coefficient is compared against; a magnitude
+ * that reaches all of them (|e| >= 16, p ~ 1e-6 at sigma = 3.2) goes on
+ * through the rest of the table. */
+#define CDT_FAST 16
+
+/*
+ * n signed rounded-Gaussian errors: coefficient i's magnitude is the number of
+ * entries of the cumulative table `cdt` (cdt_len uint64, ascending) at or
+ * below word i of the stream, and bit i % 64 of word n + i / 64 its sign.
+ * `work` holds 2 * 64 words.
+ */
+static void error_row(i64 *out, u64 key, size_t n, const u64 *cdt,
+                      size_t cdt_len, u64 *work)
+{
+    u64 *u = work, *mag = work + 64;
+    size_t fast = cdt_len < CDT_FAST ? cdt_len : CDT_FAST;
+    for (size_t j0 = 0; j0 < n; j0 += 64) {
+        size_t len = n - j0 < 64 ? n - j0 : 64;
+        u64 signs = mix(key + (n + j0 / 64 + 1) * GAMMA), far = 0;
+        for (size_t j = 0; j < len; j++) {
+            u[j] = mix(key + (j0 + j + 1) * GAMMA);
+            mag[j] = 0;
+        }
+        for (size_t k = 0; k < fast; k++)
+            for (size_t j = 0; j < len; j++)
+                mag[j] += u[j] >= cdt[k];
+        for (size_t j = 0; j < len; j++)
+            far |= mag[j] == fast;
+        for (size_t j = 0; far && j < len; j++)
+            for (size_t k = fast; mag[j] >= fast && k < cdt_len; k++)
+                mag[j] += u[j] >= cdt[k];
+        for (size_t j = 0; j < len; j++) {
+            u64 neg = 0 - ((signs >> j) & 1);
+            out[j0 + j] = (i64)((mag[j] ^ neg) - neg);
+        }
+    }
+}
+
+/*
+ * The seeded draws of one encryption block or dispatch group, units [lo, hi)
+ * of max(a_rows, e_rows): unit u is a row.  Below a_rows it is row u % rows of
+ * seed u / rows (seeds is (a_rows / rows, 4) key words), whose rns residue
+ * polynomials -- tag u % rows << 8 | m -- go to a, dense (a_rows, rns, n);
+ * below e_rows it is error row u of error_seed (4 key words; tag u << 8 |
+ * ERROR_TAG), written to e, dense (e_rows, n).  Only C_Q and C_R32 (2^32 mod q)
+ * of each consts row are read.  `work` holds SAMPLE_BLOCK words.  Every
+ * polynomial is a function of its seed and index alone, so slices of any
+ * bounds write the whole call's bytes.
+ */
+void ive_sample(i64 *restrict a, const u64 *seeds, size_t rows, size_t a_rows,
+                i64 *restrict e, const u64 *error_seed, size_t e_rows,
+                size_t lo, size_t hi, size_t rns, size_t n, const u32 *consts,
+                const u64 *cdt, size_t cdt_len, u64 *work)
+{
+    for (size_t u = lo; u < hi; u++) {
+        if (u < a_rows) {
+            const u64 *seed = seeds + 4 * (u / rows);
+            u64 row = u % rows;
+            for (size_t m = 0; m < rns; m++) {
+                const u32 *c = consts + m * CONSTS;
+                uniform_row(a + (u * rns + m) * n, stream_key(seed, row << 8 | m),
+                            n, c[C_Q], c[C_R32], work);
+            }
+        }
+        if (u < e_rows)
+            error_row(e + u * n, stream_key(error_seed, (u64)u << 8 | ERROR_TAG),
+                      n, cdt, cdt_len, work);
+    }
 }
 
 /* Most moduli the limb walk takes: their products below 2^62 sum in a uint64.

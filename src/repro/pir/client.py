@@ -10,20 +10,20 @@ one RGSW ciphertext per dimension.  Evaluation keys for ExpandQuery
 Wire format.  Every upload — a :class:`PirQuery`, and the evaluation
 keys of :class:`ClientSetup` — is one 32-byte seed plus the ``b`` rows
 of its RLWE ciphertexts.  The ``a`` rows are uniform, so the client
-draws a seed from its sampler, expands it
-(:func:`repro.he.sampling.expand_a`) and encrypts under those rows; the
-server expands the same seed back.  An RGSW row
-``i < ℓ`` carries its gadget term ``m·z^i`` on ``a``: the client
+draws a seed from its sampler, expands it with the counter-based
+generator of :mod:`repro.he.sampling` and encrypts under those rows; the
+server expands the same seed back, a dispatch group's seeds in one
+call.  An RGSW row ``i < ℓ`` carries its gadget term ``m·z^i`` on ``a``: the client
 subtracts it from the expanded ``a`` before encrypting and the
 encryption pass adds it back, so the sent ``a`` is exactly the
 expansion and ``b`` absorbs ``m·z^i·s`` — the rows' joint distribution
 is unchanged.  The hint tier ships its LWE matrix the same way
 (:func:`repro.pir.simplepir.lwe_public_matrix`).
 
-The expansion, like every stream in this repo (secrets included), is a
-numpy bit generator, not a cryptographic PRG, so seeding changes no
-security claim the repo makes; a deployment would expand the seed with
-SHAKE-128 or AES-CTR.  ``size_bytes`` counts what a message holds —
+The expansion, like every stream in this repo (secrets and errors
+included), is not a cryptographic PRG, so seeding changes no security
+claim the repo makes; a deployment would expand the seed with SHAKE-128
+or AES-CTR.  ``size_bytes`` counts what a message holds —
 its ``b`` rows at :attr:`~repro.params.PirParams.poly_bytes` each plus
 32 bytes per seed — while the performance models keep the paper's full
 ciphertext sizes (``PirParams.ct_bytes`` / ``rgsw_bytes`` /

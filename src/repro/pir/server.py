@@ -40,7 +40,7 @@ from repro.he.backend import ComputeBackend, resolve_backend
 from repro.he.bfv import BfvCiphertext
 from repro.he.gadget import Gadget
 from repro.he.poly import BLOCK_BYTES, Domain, RnsPoly
-from repro.he.sampling import SEED_BYTES, expand_a
+from repro.he.sampling import SEED_BYTES
 from repro.obs.metrics import count
 from repro.pir.client import ClientSetup, PirQuery, PirResponse
 from repro.pir.coltor import column_tournament_reference
@@ -185,15 +185,15 @@ class PirServer:
         """One stacked pass: every stage sees all of the group's queries.
 
         The queries' ``a`` rows are expanded from their seeds into one
-        tensor; the packed ciphertexts are stacked from it and the
-        queries' ``b`` rows, and each RGSW bit is the pair of its ``a`` and
-        ``b`` halves, read where they lie.
+        tensor by one :meth:`~repro.he.backend.ComputeBackend.sample`
+        call; the packed ciphertexts are stacked from it and the queries'
+        ``b`` rows, and each RGSW bit is the pair of its ``a`` and ``b``
+        halves, read where they lie.
         """
         backend, gadget, ring = self.backend, self.gadget, self.ring
         rows = len(queries[0].b)
         a = np.empty((len(queries),) + queries[0].b.shape, dtype=np.int64)
-        for i, query in enumerate(queries):
-            expand_a(query.seed, rows, ring, out=a[i])
+        backend.sample(ring, [query.seed for query in queries], rows, out=a)
         packed = np.stack([a[:, 0], np.stack([q.b[0] for q in queries])])
         expanded = backend.expand_window(packed, self.evks, self._levels, gadget)
         width = 2 * gadget.length

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.he.backend import get_backend
 from repro.he.bfv import BfvCiphertext, BfvContext, SecretKey
 from repro.he.gadget import Gadget
 from repro.he.poly import Domain, RingContext, RnsPoly
@@ -54,14 +55,12 @@ class TestEncryptDecrypt:
 
     def test_encrypt_zeros_draws_uniform_rows_then_error_rows(self, ring, secret_key):
         """The documented draw order of a stack: one seed whose expansion
-        is every uniform row, then every error row."""
+        is every uniform row, then the private seed of every error row."""
         count = 4
         rows = BfvContext(ring, Sampler(ring, seed=78)).encrypt_zeros(secret_key, count)
         rng = np.random.default_rng(78)
         uniform = expand_a(rng.bytes(SEED_BYTES), count, ring)
-        errors = np.rint(
-            rng.normal(0.0, ring.params.error_std, size=(count, ring.n))
-        ).astype(np.int64)
+        _, errors = get_backend("eager").sample(ring, [], 0, rng.bytes(SEED_BYTES), count)
         assert np.array_equal(rows[0], uniform)
         for i in range(count):
             a = RnsPoly(ring, uniform[i], Domain.NTT)

@@ -13,7 +13,7 @@ the last slice only), one production answer at N = 2^12 (one C call per
 level and per round, no gather or stack copy around them), the pool
 under concurrent callers, and the pool's lifecycle: no thread at import,
 none where the process may run on one core.  Last, the surface itself:
-the five C entry points and the six methods ``native`` replaces.
+the six C entry points and the seven methods ``native`` replaces.
 """
 
 import ast
@@ -577,18 +577,21 @@ class TestPool:
 
 
 #: The C file's exported kernels: one NTT, one encryption pass, the two
-#: fused window steps and RowSel.
-ENTRY_POINTS = {"ive_ntt", "ive_encrypt", "ive_expand_level", "ive_cmux_round", "ive_rowsel"}
+#: fused window steps, RowSel and the seeded draws.
+ENTRY_POINTS = {
+    "ive_ntt", "ive_encrypt", "ive_expand_level", "ive_cmux_round", "ive_rowsel",
+    "ive_sample",
+}
 
 #: What ``native`` replaces of the eager backend, and its private helpers.
 OVERRIDES = {
     "ntt_forward", "ntt_inverse", "encrypt_rows", "rowsel_gemm",
-    "_expand_level", "_coltor_round",
+    "_expand_level", "_coltor_round", "sample",
 }
 
 
 class TestSurface:
-    def test_the_c_file_exports_the_five_entry_points_ctypes_binds(self):
+    def test_the_c_file_exports_the_six_entry_points_ctypes_binds(self):
         source = native._SOURCE.read_text()
         exported = set(re.findall(
             r"^(?!static\b)(?:\w+\s+\**)+(\w+)\s*\(", source, flags=re.MULTILINE
