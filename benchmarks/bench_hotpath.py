@@ -116,9 +116,13 @@ def _commit() -> str | None:
 def _preprocess_reference(db: PirDatabase, ring: RingContext) -> tuple[float, object]:
     """The pre-batching preprocess: one CRT+NTT call per polynomial."""
     start = time.monotonic()
+    polys = range(db.params.num_db_polys)
     planes = [
-        [ring.from_small_coeffs(coeffs, domain=Domain.NTT).residues for coeffs in plane]
-        for plane in db.planes
+        [
+            ring.from_small_coeffs(coeffs, domain=Domain.NTT).residues
+            for coeffs in db.pack_block(plane, polys)
+        ]
+        for plane in range(db.layout.plane_count)
     ]
     elapsed = time.monotonic() - start
     return elapsed, PreprocessedDatabase(

@@ -97,11 +97,14 @@ def _delta_sweep() -> dict:
                     "counted_speedup": cost.full_polys / max(1, dirty),
                 }
             )
-    # Correctness: the churned database matches a from-scratch rebuild.
+    # Correctness: the churned store — the form the server multiplies
+    # against — matches a from-scratch rebuild's.
     fresh = PirDatabase.from_records(
         [vdb.record(i) for i in range(num_records)], params, RECORD_BYTES
     )
-    identical = bool(np.array_equal(fresh.planes, vdb.current.db.planes))
+    identical = bool(
+        np.array_equal(fresh.preprocess(ring).tensor, vdb.current.pre.tensor)
+    )
     return {
         "num_records": num_records,
         "record_bytes": RECORD_BYTES,

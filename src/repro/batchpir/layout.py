@@ -22,10 +22,10 @@ import numpy as np
 
 from repro.errors import LayoutError, ParameterError
 from repro.hashing.cuckoo import CuckooConfig
-from repro.he.backend import ComputeBackend, resolve_backend
-from repro.he.poly import BLOCK_BYTES, RingContext
+from repro.he.backend import ComputeBackend
+from repro.he.poly import RingContext
 from repro.params import PirParams
-from repro.pir.database import PirDatabase, PreprocessedDatabase
+from repro.pir.database import PirDatabase, PreprocessedDatabase, fill_store
 from repro.pir.layout import RecordLayout
 
 
@@ -209,25 +209,22 @@ class BatchDatabase:
         and the per-bucket databases read — and delta updates write —
         the same single allocation.
         """
-        shapes = {db.planes.shape for db in self.bucket_dbs}
+        shapes = {
+            (db.layout.plane_count, db.params.num_db_polys) for db in self.bucket_dbs
+        }
         if len(shapes) != 1:
             raise LayoutError(
                 f"bucket geometries differ ({sorted(shapes)}): a pass is one "
                 "stacked window over buckets of a single geometry"
             )
         (shape,) = shapes
-        resolved = resolve_backend(backend)
         tensor = np.empty(
-            (len(self.bucket_dbs),) + shape[:2] + (ring.rns_count, ring.n),
+            (len(self.bucket_dbs),) + shape + (ring.rns_count, ring.n),
             dtype=np.uint32,
         )
-        # Buckets go through the transform a scratch budget's worth of
-        # int64 at a time, narrowed into the uint32 store as they land:
-        # the only large allocation is the store itself.
-        step = max(1, BLOCK_BYTES // (8 * tensor[0].size))
-        for lo in range(0, len(self.bucket_dbs), step):
-            coeffs = np.stack([db.planes for db in self.bucket_dbs[lo:lo + step]])
-            tensor[lo:lo + step] = resolved.ntt_forward(ring, coeffs[..., None, :])
+        # The buckets stream through the block packer straight into the
+        # store: the only large allocation is the store itself.
+        fill_store(tensor, self.bucket_dbs, ring, backend)
         return tensor, [
             PreprocessedDatabase(db.layout, ring, tensor[bucket])
             for bucket, db in enumerate(self.bucket_dbs)

@@ -417,13 +417,25 @@ class NativeRing:
                 qhat_inv, _shoup(qhat_inv, q),
             )
         self.consts = consts
+        #: Every table a kernel call passes lives as long as the ring, so
+        #: its address — each ``ctypes.data`` costs microseconds — is
+        #: taken once; the cached ones are held in ``_pinned``.
+        self._twiddles_at = tuple(_address(t) for t in self.twiddles)
+        self._consts_at = _address(consts)
+        self._pinned: list[np.ndarray] = []
         self._basis = ctx.basis
         self._moduli_col = ctx._moduli_col
-        self._gadgets: dict[tuple[int, int], tuple | None] = {}
-        #: ``(rns, 2, n)`` NTT-form monomials ``X^-step`` and their
-        #: companions, by step; ``(n,)`` automorphism slot tables, by power.
-        self._monomials: dict[int, np.ndarray] = {}
-        self._slots: dict[int, np.ndarray] = {}
+        self._walks: dict[tuple[int, int], tuple] = {}
+        #: Addresses of the ``(rns, 2, n)`` NTT-form monomials ``X^-step``
+        #: and their companions, by step, and of the ``(n,)`` automorphism
+        #: slot tables, by power.
+        self._monomials: dict[int, int] = {}
+        self._slots: dict[int, int] = {}
+
+    def _pin(self, table: np.ndarray) -> int:
+        """``table``'s address, the table held as long as the ring."""
+        self._pinned.append(table)
+        return _address(table)
 
     def _rows(self, residues: np.ndarray) -> tuple[np.ndarray, tuple, int, int]:
         """``(..., rns or 1, n)`` -> ``(rows, rns or 1, n)`` view, lead shape
@@ -445,15 +457,14 @@ class NativeRing:
         x, lead, row_stride, mod_stride = self._rows(residues)
         poly = self.rns * self.n
         out = np.empty((x.shape[0], self.rns, self.n), dtype=np.int64)
-        twiddles = self.twiddles[inverse]
+        twiddles = self._twiddles_at[inverse]
 
         def rows(lo: int, hi: int) -> int:
             work = np.empty(self.n, dtype=np.uint32)
             self.lib.ive_ntt(
                 _address(out) + 8 * lo * poly, _address(x) + 8 * lo * row_stride,
                 hi - lo, row_stride, mod_stride, self.rns, self.n,
-                _address(twiddles), _address(self.consts), inverse,
-                _address(work),
+                twiddles, self._consts_at, inverse, _address(work),
             )
             return 0
 
@@ -501,8 +512,8 @@ class NativeRing:
             status = self.lib.ive_encrypt(
                 _address(rows), _address(errors),
                 None if shift is None else _address(shift), count, lo, hi,
-                self.rns, self.n, _address(table), _address(self.twiddles[0]),
-                _address(self.consts), _address(work),
+                self.rns, self.n, _address(table), self._twiddles_at[0],
+                self._consts_at, _address(work),
             )
             if not status:
                 finished.append((lo, hi))
@@ -517,21 +528,23 @@ class NativeRing:
             modred(a, self._moduli_col)
         return False
 
-    def _gadget(self, gadget: Gadget) -> tuple | None:
-        """Tables of one gadget's limb walk, or None outside its bounds.
+    def _walk(self, gadget: Gadget) -> tuple | None:
+        """The key-switching kernels' gadget arguments, in their order, or
+        None outside the limb walk's bounds; built once per gadget.
 
-        ``(shift, recip, qhat, q_limbs)``: ``recip_i = floor(2^shift /
-        q_i)`` with ``shift = 31 + bits(min q)``, which fits 32 bits
-        (every ``q_i`` exceeds ``2^(bits - 1)``) and underestimates ``sum
-        t_i / q_i`` by less than ``rns * 2^30 / 2^shift <= 1/2``; then
-        ``Q / q_i`` and ``Q`` in the 32-bit limbs that hold ``rns * Q``.
-        The kernel sums ``rns`` products below 2^62 in a uint64 and reads
-        a digit off two adjacent limbs, so it wants at most ``_MAX_RNS``
+        First the limb walk's tables: ``recip_i = floor(2^shift / q_i)``
+        with ``shift = 31 + bits(min q)``, which fits 32 bits (every
+        ``q_i`` exceeds ``2^(bits - 1)``) and underestimates ``sum t_i /
+        q_i`` by less than ``rns * 2^30 / 2^shift <= 1/2``; then ``Q /
+        q_i`` and ``Q`` in the 32-bit limbs that hold ``rns * Q``.  The
+        kernel sums ``rns`` products below 2^62 in a uint64 and reads a
+        digit off two adjacent limbs, so it wants at most ``_MAX_RNS``
         moduli (hence ``_MAX_RNS`` limbs, as ``q < 2^30``) and a base of
-        at most 2^32.
+        at most 2^32.  Then the inner product's operand bounds and chunk
+        (``[0, 2q)`` digits against keys below the largest modulus).
         """
         key = (gadget.base_log2, gadget.length)
-        if key not in self._gadgets:
+        if key not in self._walks and self.rns <= _MAX_RNS and gadget.base_log2 <= 32:
             big_q = self._basis.modulus_product
             limbs = -(-(self.rns * big_q).bit_length() // 32)
             shift = 31 + min(self.moduli).bit_length()
@@ -539,33 +552,22 @@ class NativeRing:
             def split(value: int) -> list[int]:
                 return [(value >> (32 * li)) & 0xFFFFFFFF for li in range(limbs)]
 
-            self._gadgets[key] = None if (
-                self.rns > _MAX_RNS or gadget.base_log2 > 32
-            ) else (
+            qmax = int(self.consts[:, _C_Q].max())
+            digit_bits, key_bits = (2 * qmax - 1).bit_length(), (qmax - 1).bit_length()
+            self._walks[key] = (
+                self._pin(np.array([(1 << shift) // q for q in self.moduli], dtype=np.uint32)),
                 shift,
-                np.array([(1 << shift) // q for q in self.moduli], dtype=np.uint32),
-                np.array([split(h) for h in self._basis._q_hat], dtype=np.uint32),
-                np.array(split(big_q), dtype=np.uint32),
+                self._pin(np.array([split(h) for h in self._basis._q_hat], dtype=np.uint32)),
+                self._pin(np.array(split(big_q), dtype=np.uint32)),
+                limbs, gadget.base_log2, gadget.length, digit_bits, key_bits,
+                _chunk(qmax, digit_bits, key_bits),
             )
-        return self._gadgets[key]
+        return self._walks.get(key)
 
     def covers(self, gadget: Gadget) -> bool:
         """Whether the limb walk (so :meth:`expand_level` and
         :meth:`cmux_round`) takes this gadget."""
-        return self._gadget(gadget) is not None
-
-    def _walk(self, gadget: Gadget) -> tuple:
-        """The key-switching kernels' gadget arguments, in their order: the
-        limb walk's tables, then the inner product's operand bounds and
-        chunk (``[0, 2q)`` digits against keys below the largest modulus)."""
-        shift, recip, qhat, q_limbs = self._gadget(gadget)
-        qmax = int(self.consts[:, _C_Q].max())
-        digit_bits, key_bits = (2 * qmax - 1).bit_length(), (qmax - 1).bit_length()
-        return (
-            _address(recip), shift, _address(qhat), _address(q_limbs),
-            len(q_limbs), gadget.base_log2, gadget.length, digit_bits,
-            key_bits, _chunk(qmax, digit_bits, key_bits),
-        )
+        return self._walk(gadget) is not None
 
     def _tiles(self, k: int, held: int) -> tuple:
         """One slice's work buffers for ``k`` digit rows: the digits, their
@@ -608,12 +610,12 @@ class NativeRing:
                 f"{keys.shape}"
             )
         if r not in self._slots:
-            self._slots[r] = slots.astype(np.uint32)
+            self._slots[r] = self._pin(slots.astype(np.uint32))
         if step not in self._monomials:
-            self._monomials[step] = np.ascontiguousarray(np.stack(
+            self._monomials[step] = self._pin(np.ascontiguousarray(np.stack(
                 [monomial, _shoup(monomial, self._moduli_col)], axis=1
-            ).astype(np.uint32))
-        slots, mono = self._slots[r], self._monomials[step]
+            ).astype(np.uint32)))
+        slots_at, mono_at = self._slots[r], self._monomials[step]
         blocks, table = _key_table([keys])
         out = np.empty((2, 2 * cts) + poly, dtype=np.int64)
         walk = self._walk(gadget)
@@ -621,10 +623,9 @@ class NativeRing:
         def level(lo: int, hi: int) -> int:
             digits, tile, held, work = self._tiles(k, 3)
             return self.lib.ive_expand_level(
-                _address(out), _address(vec), _address(table), _address(slots),
-                cts, step, lo, hi, self.rns, self.n,
-                _address(self.twiddles[0]), _address(self.twiddles[1]),
-                _address(self.consts), _address(mono), *walk,
+                _address(out), _address(vec), _address(table), slots_at,
+                cts, step, lo, hi, self.rns, self.n, *self._twiddles_at,
+                self._consts_at, mono_at, *walk,
                 _address(digits), _address(tile), _address(held),
                 _address(work),
             )
@@ -670,9 +671,8 @@ class NativeRing:
             digits, tile, held, work = self._tiles(k, 4)
             return self.lib.ive_cmux_round(
                 _address(out), _address(cur), _address(table), queries,
-                entries, lo, hi, self.rns, self.n,
-                _address(self.twiddles[0]), _address(self.twiddles[1]),
-                _address(self.consts), *walk, _address(digits),
+                entries, lo, hi, self.rns, self.n, *self._twiddles_at,
+                self._consts_at, *walk, _address(digits),
                 _address(tile), _address(held), _address(work),
             )
 

@@ -1,4 +1,4 @@
-"""Epoch-versioned database snapshots with dirty-plane delta application.
+"""Epoch-versioned database snapshots with dirty-cell delta application.
 
 A full ``PirDatabase.preprocess`` CRT+NTTs every polynomial of every
 plane — linear in the database.  But a churn window touches a handful of
@@ -7,11 +7,12 @@ the delta only needs to re-pack and re-NTT the *dirty* ``(plane, poly)``
 cells.  :class:`VersionedDatabase` does exactly that, producing an
 :class:`EpochSnapshot` per applied :class:`~repro.mutate.log.UpdateLog`:
 
-* the raw plaintext planes are copied (one memcpy) and dirty cells are
-  re-packed through the vectorized packer;
+* the record list is copied (references, not bytes) with the writes
+  applied — the records are the one plaintext copy, packed on demand;
 * the preprocessed NTT-domain store — the logQ/logP-inflated uint32
   tensor that dominates both storage and preprocessing time — is copied
-  (one memcpy, no transform) and only its dirty cells are re-NTT'd;
+  (one memcpy, no transform) and only its dirty cells are re-packed from
+  the new records and re-NTT'd;
 * every apply returns an :class:`UpdateCost` whose counters prove the
   work was proportional to the delta, not the database.
 
@@ -61,16 +62,6 @@ class UpdateCost:
             full_polys=self.full_polys + other.full_polys,
             tensor_polys_copied=self.tensor_polys_copied + other.tensor_polys_copied,
         )
-
-
-def _dirty_cells(layout: RecordLayout, indices) -> set[tuple[int, int]]:
-    """The ``(plane, poly)`` cells whose packed bytes a record set touches."""
-    cells: set[tuple[int, int]] = set()
-    for idx in indices:
-        poly = layout.poly_index(idx)
-        for plane in range(layout.plane_count):
-            cells.add((plane, poly))
-    return cells
 
 
 def apply_record_updates(
@@ -130,21 +121,13 @@ def apply_record_updates(
             num_records=len(records),
         )
 
-    cells = sorted(_dirty_cells(layout, touched + appended))
-    if not cells and not appends:
+    # A record lives in one polynomial per plane: the same on every plane.
+    polys = sorted({layout.poly_index(index) for index in touched + appended})
+    if not polys and not appends:
         cost = UpdateCost(0, 0, 0, 0, layout.plane_count * layout.params.num_db_polys)
         return db, pre, cost
 
-    planes = db.planes if not cells else db.planes.copy()
-    new_db = PirDatabase.from_parts(layout, records, planes)
-    # Re-pack every dirty cell in one vectorized call per plane.
-    by_plane: dict[int, list[int]] = {}
-    for plane, poly in cells:
-        by_plane.setdefault(plane, []).append(poly)
-    for plane, polys in by_plane.items():
-        blobs = [new_db.poly_blob(plane, poly) for poly in polys]
-        planes[plane, polys] = layout.pack_polys(blobs)
-
+    new_db = PirDatabase(layout, records)
     new_pre = pre
     tensor_copied = 0
     if pre is not None:
@@ -155,20 +138,22 @@ def apply_record_updates(
             layout=layout, ring=ring, tensor=pre.tensor.copy()
         )
         tensor_copied = pre.plane_count * pre.num_polys
-        # One stacked NTT per plane over just the dirty cells, on the
-        # broadcast RNS axis ``preprocess`` uses, written through
-        # set_poly into the copied store.
+        # One packed block and one stacked NTT per plane over just the
+        # dirty cells, on the broadcast RNS axis ``preprocess`` uses,
+        # written through set_poly into the copied store.
         resolved = resolve_backend(backend)
-        for plane, polys in by_plane.items():
-            tensor = resolved.ntt_forward(ring, planes[plane, polys][:, None, :])
+        for plane in range(layout.plane_count):
+            coeffs = new_db.pack_block(plane, polys)
+            tensor = resolved.ntt_forward(ring, coeffs[:, None])
             for j, poly in enumerate(polys):
                 new_pre.set_poly(plane, poly, RnsPoly(ring, tensor[j], Domain.NTT))
 
+    dirty = len(polys) * layout.plane_count if pre is not None else 0
     cost = UpdateCost(
         records_touched=len(touched),
         records_appended=len(appended),
-        polys_repacked=len(cells),
-        polys_ntted=len(cells) if pre is not None else 0,
+        polys_repacked=dirty,
+        polys_ntted=dirty,
         full_polys=layout.plane_count * layout.params.num_db_polys,
         tensor_polys_copied=tensor_copied,
     )
@@ -194,9 +179,9 @@ class VersionedDatabase:
 
     The wrapper owns the *current* epoch; older snapshots stay valid for
     whoever still holds them (serving keeps a bounded retention window).
-    Without a ``ring`` only the plaintext planes are maintained —
-    preprocessing stays the caller's job; with one, every epoch carries
-    its NTT-domain form, copied from its parent with the dirty cells redone.
+    Without a ``ring`` only the records are maintained — preprocessing
+    stays the caller's job; with one, every epoch carries its NTT-domain
+    form, copied from its parent with the dirty cells redone.
     """
 
     def __init__(
@@ -211,13 +196,14 @@ class VersionedDatabase:
         self.backend = resolve_backend(backend)
         pre = db.preprocess(ring, backend=self.backend) if ring is not None else None
         self.ring = ring
-        full = db.layout.plane_count * params.num_db_polys
+        # preprocess packs and transforms the cells that hold records.
+        built = db.layout.plane_count * db.layout.polys_needed if ring is not None else 0
         base_cost = UpdateCost(
             records_touched=0,
             records_appended=db.num_records,
-            polys_repacked=db.layout.plane_count * db.layout.polys_needed,
-            polys_ntted=full if ring is not None else 0,
-            full_polys=full,
+            polys_repacked=built,
+            polys_ntted=built,
+            full_polys=db.layout.plane_count * params.num_db_polys,
         )
         self.current = EpochSnapshot(epoch=0, db=db, pre=pre, cost=base_cost)
 

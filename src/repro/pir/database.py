@@ -1,16 +1,21 @@
-"""PIR database: raw records, plaintext polynomials, preprocessed NTT form.
+"""PIR database: raw records and their preprocessed NTT form.
 
-``PirDatabase`` holds the packed plaintext coefficients (mod P).
-``preprocess`` applies CRT + NTT ahead of time (Section II-B), trading
-logQ/logP more storage for >3.9x faster RowSel — the preprocessed form is
-what the server actually multiplies against during Eq. 1.  It is stored
-as uint32 residues: every modulus is below 2^32, so the 4-byte word is
-exact, and it is the width RowSel streams.
+``PirDatabase`` holds the records, the one plaintext copy of the
+database, and packs any block of polynomials from them on demand
+(:meth:`PirDatabase.pack_block`).  ``preprocess`` (:func:`fill_store`)
+applies CRT + NTT ahead of time (Section II-B), trading logQ/logP more
+storage for >3.9x faster RowSel — the preprocessed form is what the
+server actually multiplies against during Eq. 1, and the only resident
+copy of the database's coefficients.  It is stored as uint32 residues:
+every modulus is below 2^32, so the 4-byte word is exact, and it is the
+width RowSel streams.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -22,17 +27,21 @@ from repro.pir.layout import RecordLayout
 
 
 class PirDatabase:
-    """Plaintext database, organized as (plane, poly, coefficient)."""
+    """Plaintext database: the records, packed into (plane, poly,
+    coefficient) form one block at a time."""
 
     def __init__(self, layout: RecordLayout, records: list[bytes]):
         if len(records) != layout.num_records:
             raise LayoutError(
                 f"layout expects {layout.num_records} records, got {len(records)}"
             )
+        size = layout.record_bytes
+        if set(map(len, records)) != {size}:
+            i = next(i for i, rec in enumerate(records) if len(rec) != size)
+            raise LayoutError(f"record {i} has {len(records[i])} bytes, expected {size}")
         self.layout = layout
         self.params: PirParams = layout.params
         self._records = list(records)
-        self.planes = self._pack(records)
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -42,9 +51,6 @@ class PirDatabase:
         if not records:
             raise LayoutError("cannot build an empty database")
         size = record_bytes if record_bytes is not None else len(records[0])
-        for i, rec in enumerate(records):
-            if len(rec) != size:
-                raise LayoutError(f"record {i} has {len(rec)} bytes, expected {size}")
         layout = RecordLayout(params=params, record_bytes=size, num_records=len(records))
         return cls(layout, records)
 
@@ -60,56 +66,24 @@ class PirDatabase:
         records = [rng.bytes(record_bytes) for _ in range(num_records)]
         return cls.from_records(records, params, record_bytes)
 
-    @classmethod
-    def from_parts(
-        cls, layout: RecordLayout, records: list[bytes], planes: np.ndarray
-    ) -> "PirDatabase":
-        """Assemble a database from already-packed planes (no re-packing).
+    def pack_block(self, plane: int, polys: Sequence[int]) -> np.ndarray:
+        """Coefficients (mod P) of the polynomials ``polys`` of one plane —
+        a run of a streamed block, or a publish's dirty cells — as a
+        ``(len(polys), N)`` int64 matrix, packed from the records.
 
-        Trusted constructor for delta application (``repro.mutate``): the
-        caller guarantees ``planes`` matches ``records`` under ``layout``,
-        which is what lets an epoch snapshot share every clean polynomial
-        with its predecessor instead of re-packing the whole database.
+        A cell packs its concatenated records, or on a striped layout
+        its record's plane stripe; a cell past the last record packs to
+        zero.
         """
-        db = cls.__new__(cls)
-        db.layout = layout
-        db.params = layout.params
-        db._records = list(records)
-        db.planes = planes
-        return db
-
-    def _pack(self, records: list[bytes]) -> np.ndarray:
-        lay = self.layout
-        planes = np.zeros(
-            (lay.plane_count, self.params.num_db_polys, self.params.n), dtype=np.int64
-        )
+        lay, records = self.layout, self._records
         if lay.plane_count == 1:
-            blobs = [
-                b"".join(records[p * lay.records_per_poly : (p + 1) * lay.records_per_poly])
-                for p in range(lay.polys_needed)
-            ]
-            planes[0, : lay.polys_needed] = lay.pack_polys(blobs)
+            per = lay.records_per_poly
+            blobs = [b"".join(records[p * per : (p + 1) * per]) for p in polys]
         else:
-            # Striped records: one record per polynomial on every plane.
-            size = lay.bytes_per_plane_poly
-            for plane in range(lay.plane_count):
-                blobs = [rec[plane * size : (plane + 1) * size] for rec in records]
-                planes[plane, : len(records)] = lay.pack_polys(blobs)
-        return planes
-
-    def poly_blob(self, plane: int, poly: int) -> bytes:
-        """Current byte content of one ``(plane, poly)`` cell.
-
-        The inverse view ``_pack`` consumes: the concatenated records (or
-        the record's plane stripe) that cell packs.  Delta application
-        re-packs exactly these blobs for dirty cells only.
-        """
-        lay = self.layout
-        if lay.plane_count == 1:
-            start = poly * lay.records_per_poly
-            return b"".join(self._records[start : start + lay.records_per_poly])
-        size = lay.bytes_per_plane_poly
-        return self._records[poly][plane * size : (plane + 1) * size]
+            lo = plane * lay.bytes_per_plane_poly
+            hi = lo + lay.bytes_per_plane_poly
+            blobs = [records[p][lo:hi] if p < len(records) else b"" for p in polys]
+        return lay.pack_polys(blobs)
 
     # -- access -------------------------------------------------------------
     def record(self, index: int) -> bytes:
@@ -130,29 +104,53 @@ class PirDatabase:
         ring: RingContext,
         backend: "str | ComputeBackend | None" = None,
     ) -> "PreprocessedDatabase":
-        """CRT + NTT every polynomial (Section II-B preprocessing).
-
-        Stacked NTT calls routed through the resolved compute backend,
-        ``BLOCK_BYTES`` of int64 output at a time, each block narrowed
-        into the uint32 store as it lands — so no int64 copy of the
-        whole database is ever live beside it.  The planes go in with a
-        length-1 RNS axis: their coefficients (mod P) are the same
-        integers under every modulus, so the transform's own reduction
-        is the CRT and no ``(polys, rns, n)`` coefficient tensor is ever
-        built.
-        """
-        resolved = resolve_backend(backend)
-        polys = self.planes.reshape(-1, self.params.n)
-        store = np.empty((len(polys), ring.rns_count, ring.n), dtype=np.uint32)
-        step = max(1, BLOCK_BYTES // (8 * ring.rns_count * ring.n))
-        for lo in range(0, len(polys), step):
-            store[lo:lo + step] = resolved.ntt_forward(
-                ring, polys[lo:lo + step, None]
-            )
-        return PreprocessedDatabase(
-            self.layout, ring,
-            store.reshape(self.planes.shape[:2] + store.shape[1:]),
+        """CRT + NTT every polynomial (Section II-B preprocessing), streamed
+        into a fresh uint32 store by :func:`fill_store`."""
+        lay = self.layout
+        store = np.empty(
+            (1, lay.plane_count, self.params.num_db_polys, ring.rns_count, ring.n),
+            dtype=np.uint32,
         )
+        fill_store(store, [self], ring, backend)
+        return PreprocessedDatabase(lay, ring, store[0])
+
+
+def fill_store(
+    store: np.ndarray,
+    dbs: list[PirDatabase],
+    ring: RingContext,
+    backend: "str | ComputeBackend | None" = None,
+) -> None:
+    """Write the NTT form of ``dbs`` (one geometry) into ``store``, a
+    ``(len(dbs), planes, polys, rns, n)`` uint32 array.
+
+    Streamed ``BLOCK_BYTES`` of int64 transform output at a time: each
+    block of cells is packed from the records (:meth:`PirDatabase.
+    pack_block`), transformed through the resolved compute backend and
+    narrowed into the store as it lands, so no int64 array of the whole
+    database ever exists.  A block runs across planes and databases, so a
+    batch server's small buckets share transform calls.  The blocks go in
+    with a length-1 RNS axis: their coefficients (mod P) are the same
+    integers under every modulus, so the transform's own reduction is the
+    CRT.  Cells past a database's last record are zero under every
+    transform and are written as such.
+    """
+    resolved = resolve_backend(backend)
+    for i, db in enumerate(dbs):
+        store[i, :, db.layout.polys_needed:] = 0
+    cells = (
+        (i, plane, poly)
+        for i, db in enumerate(dbs)
+        for plane in range(db.layout.plane_count)
+        for poly in range(db.layout.polys_needed)
+    )
+    step = max(1, BLOCK_BYTES // (8 * ring.rns_count * ring.n))
+    while block := list(islice(cells, step)):
+        coeffs = np.concatenate([
+            dbs[i].pack_block(plane, [poly for *_, poly in run])
+            for (i, plane), run in groupby(block, key=lambda cell: cell[:2])
+        ])
+        store[tuple(np.array(block).T)] = resolved.ntt_forward(ring, coeffs[:, None])
 
 
 @dataclass

@@ -102,7 +102,8 @@ class RecordLayout:
 
         Returns a ``(len(blobs), N)`` int64 coefficient matrix.  The whole
         batch is one ``np.frombuffer`` + reshape + little-endian recombine
-        over a zero-padded buffer — no per-coefficient Python loop — which
+        over a zero-padded buffer — one pass per coefficient byte, no
+        per-coefficient Python loop — which
         is what makes both bulk construction and delta re-packing
         (``repro.mutate``) cheap.  Coefficients wider than 7 bytes could
         overflow the int64 recombine, so they take a scalar fallback; no
@@ -123,8 +124,13 @@ class RecordLayout:
         raw = np.frombuffer(buf, dtype=np.uint8).reshape(
             len(blobs), self.params.n, cb
         )
-        shifts = np.arange(cb, dtype=np.int64) * 8
-        return (raw.astype(np.int64) << shifts).sum(axis=2, dtype=np.int64)
+        # Horner from the top byte down, in place: the output is the only
+        # int64 array, so a streamed block packs in its own footprint.
+        coeffs = np.zeros((len(blobs), self.params.n), dtype=np.int64)
+        for k in reversed(range(cb)):
+            coeffs <<= 8
+            coeffs |= raw[..., k]
+        return coeffs
 
     def _pack_poly_scalar(self, data: bytes) -> np.ndarray:
         """Reference per-coefficient loop (kept as the wide-coeff fallback)."""

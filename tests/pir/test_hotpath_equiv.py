@@ -157,7 +157,10 @@ class TestPlaneTensorCache:
         db = PirDatabase.random(small_params, num_records=8, record_bytes=96, seed=6)
         ring = RingContext(small_params)
         pre = db.preprocess(ring)
-        per_poly = [ring.from_small_coeffs(c, domain=Domain.NTT) for c in db.planes[0]]
+        per_poly = [
+            ring.from_small_coeffs(c, domain=Domain.NTT)
+            for c in db.pack_block(0, range(pre.num_polys))
+        ]
         assert np.array_equal(
             pre.plane_tensor(0), np.stack([p.residues for p in per_poly])
         )

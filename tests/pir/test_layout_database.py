@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batchpir.layout import BatchDatabase
 from repro.errors import LayoutError
+from repro.hashing.cuckoo import CuckooConfig
 from repro.he.poly import Domain, RingContext
 from repro.params import PirParams
 from repro.pir.database import PirDatabase
 from repro.pir.layout import RecordLayout
+from repro.pir.protocol import PirProtocol
 
 
 class TestLayoutGeometry:
@@ -120,14 +123,16 @@ class TestPacking:
             assert np.array_equal(lay.pack_polys([blob])[0], lay._pack_poly_scalar(blob))
 
     def test_database_pack_matches_per_record_reference(self, small_params):
-        """Whole-database vectorized packing (packed AND striped layouts)
+        """The block packer over every cell (packed AND striped layouts)
         equals a record-by-record reference build."""
         rng = np.random.default_rng(10)
         for record_bytes, num in ((64, 24), (1200, 6)):  # 8/poly and 3 planes
             records = [rng.bytes(record_bytes) for _ in range(num)]
             db = PirDatabase.from_records(records, small_params, record_bytes)
             lay = db.layout
-            want = np.zeros_like(db.planes)
+            want = np.zeros(
+                (lay.plane_count, small_params.num_db_polys, small_params.n), np.int64
+            )
             if lay.plane_count == 1:
                 for poly in range(lay.polys_needed):
                     start = poly * lay.records_per_poly
@@ -139,7 +144,9 @@ class TestPacking:
                     for plane in range(lay.plane_count):
                         chunk = record[plane * size : (plane + 1) * size]
                         want[plane, lay.poly_index(idx)] = lay._pack_poly_scalar(chunk)
-            assert np.array_equal(db.planes, want)
+            polys = range(small_params.num_db_polys)
+            for plane in range(lay.plane_count):
+                assert np.array_equal(db.pack_block(plane, polys), want[plane])
 
 
 class TestDatabase:
@@ -152,6 +159,30 @@ class TestDatabase:
     def test_mismatched_record_sizes_rejected(self, small_params):
         with pytest.raises(LayoutError):
             PirDatabase.from_records([b"ab", b"a"], small_params)
+
+    @pytest.mark.parametrize("planes", [1, 3])
+    def test_wrong_length_records_rejected_on_every_path(self, small_params, planes):
+        """Regression: a record of the wrong length used to be packed as
+        is, shifting every later record (record 1 of this set came back
+        as ``b"efgh"``).  Direct construction, ``from_records`` and the
+        batch tier's per-bucket databases all refuse it, in the packed
+        and the striped layout alike."""
+        size = 4 if planes == 1 else planes * small_params.poly_payload_bytes
+        lay = RecordLayout(small_params, record_bytes=size, num_records=3)
+        assert lay.plane_count == planes
+        pad = bytes(size - 4)
+        records = [b"ab" + pad, b"cdef" + pad, b"ghijkl" + pad]
+        with pytest.raises(LayoutError, match="record 0 has"):
+            PirDatabase(lay, records)
+        with pytest.raises(LayoutError, match="record 0 has"):
+            PirDatabase.from_records(records, small_params, size)
+        with pytest.raises(LayoutError, match="bytes, expected"):
+            BatchDatabase.from_records(
+                small_params, records, CuckooConfig(num_buckets=2, seed=1), size
+            )
+        fixed = [b"abab" + pad, b"cdef" + pad, b"ghij" + pad]
+        protocol = PirProtocol(small_params, PirDatabase(lay, fixed), seed=1)
+        assert protocol.retrieve(1).record == fixed[1]
 
     def test_empty_db_rejected(self, small_params):
         with pytest.raises(LayoutError):
