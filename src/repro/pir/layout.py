@@ -103,11 +103,11 @@ class RecordLayout:
         Returns a ``(len(blobs), N)`` int64 coefficient matrix.  The whole
         batch is one ``np.frombuffer`` + reshape + little-endian recombine
         over a zero-padded buffer — one pass per coefficient byte, no
-        per-coefficient Python loop — which
-        is what makes both bulk construction and delta re-packing
-        (``repro.mutate``) cheap.  Coefficients wider than 7 bytes could
-        overflow the int64 recombine, so they take a scalar fallback; no
-        supported parameter set gets near that (payload bits < 63).
+        per-coefficient Python loop — which is what makes both streamed
+        preprocessing and delta re-packing (``repro.mutate``) cheap.
+        Coefficients wider than 7 bytes could overflow the int64
+        recombine, so they take a scalar fallback; no supported parameter
+        set gets near that (payload bits < 63).
         """
         cb = self.coeff_bytes
         cap = self.poly_capacity_bytes
